@@ -8,7 +8,8 @@ build:
 test:
 	go test ./...
 
-# check runs vet, build, and the race-enabled test suite.
+# check runs gofmt, vet, build, the tier-1 and race-enabled test suites, the
+# benchmark smokes, and the bench module's tests.
 check:
 	./scripts/check.sh
 

@@ -15,29 +15,34 @@
 // Phase 2 with -verify) at startup; pass -sigs/-config to use files from
 // appx-analyze / appx-verify.
 //
+// Flags carry deployment facts only — addresses, origins, directories,
+// cluster membership, fault drills, drain and prune timing. Every tuning
+// value (retry, breaker and backoff behaviour, cache bounds, admission and
+// governor settings, prefetch queue bounds) lives in the -config file's
+// "resilience", "cache" and "overload" sections; a file holding only those
+// sections keeps every prefetch policy at its default.
+//
 // The origin path is resilient: idempotent requests are retried with
 // jittered backoff, per-host circuit breakers shed traffic to sick origins,
-// and failing prefetch signatures back off. The -retry-*, -breaker-* and
-// -prefetch-backoff-* flags override the config file's resilience section;
-// -fault injects deterministic connect failures for resilience drills:
+// and failing prefetch signatures back off. -fault injects deterministic
+// connect failures for resilience drills:
 //
-//	appx-proxy -app wish -fault api.wish.example=0.3 -fault-seed 7
+//	echo '{"resilience":{"breaker_failures":2,"retry_attempts":4}}' > drill.json
+//	appx-proxy -app wish -config drill.json -fault api.wish.example=0.3 -fault-seed 7
 //
 // The admin API is versioned under /appx/v1 (served directly, not
 // proxied): /appx/v1/health reports breaker states, suspended signatures,
 // and the overload mode; /appx/v1/stats adds cache and request-lifecycle
 // telemetry; /appx/v1/spans returns the most recent per-request spans
 // (-span-buffer bounds the ring); /appx/v1/metrics is the same registry in
-// Prometheus text format. The pre-versioning /appx/health and /appx/stats
-// paths 307-redirect to their v1 successors with a Deprecation header.
+// Prometheus text format.
 //
-// The proxy protects itself under overload: -max-concurrent bounds
-// concurrently served client requests (arrivals past it wait at most
-// -admission-wait before a 503), and an AIMD governor scales speculative
-// prefetching down when the prefetch queue, client p95 (-target-p95), or
-// admission sheds signal pressure. Queued prefetches older than
-// -prefetch-queue-deadline are dropped at dispatch (the old -queue-deadline
-// spelling still works and logs a deprecation note).
+// The proxy protects itself under overload: an admission gate bounds
+// concurrently served client requests (arrivals past it wait briefly, then
+// get a 503), and an AIMD governor scales speculative prefetching down when
+// the prefetch queue, client p95, or admission sheds signal pressure. Queued
+// prefetches past their deadline are dropped at dispatch. All of it is tuned
+// by the config file's "overload" section.
 //
 // Prefetch decisions run through a pluggable policy (-prefetch-policy):
 // "static" issues candidates in dependency-graph order, "markov" learns a
@@ -80,7 +85,6 @@ import (
 	"time"
 
 	"appx/internal/apps"
-	"appx/internal/cluster"
 	"appx/internal/config"
 	"appx/internal/netem"
 	"appx/internal/proxy"
@@ -98,132 +102,85 @@ type options struct {
 	origins  string
 	doVerify bool
 	scale    float64
-	workers  int
 
-	spanBuffer int
-
-	// Resilience overrides; zero values defer to -config / built-in defaults.
-	retryAttempts       int
-	retryBase           time.Duration
-	attemptTimeout      time.Duration
-	breakerFailures     int
-	breakerOpen         time.Duration
-	prefetchFailLimit   int
-	prefetchBackoffBase time.Duration
-	prefetchBackoffMax  time.Duration
-
-	// Prefetch flag group: every knob shaping what (and how eagerly) the
-	// proxy prefetches registers together in prefetchFlags.
-	prefetch prefetchFlags
-
-	// Cache overrides; zero values defer to -config / built-in defaults,
-	// negative values disable the corresponding bound.
-	cacheMaxBytes    int64
-	cacheUserBytes   int64
-	cacheUserEntries int
-	cacheShards      int
-	cacheSweep       time.Duration
-	cacheNoShared    bool
-
-	// Overload overrides; zero values defer to -config / built-in defaults.
-	maxConcurrent    int
-	admissionWait    time.Duration
-	targetP95        time.Duration
-	governorInterval time.Duration
+	// px receives every flag that is a proxy.Options field, verbatim; run
+	// adds the graph, configuration, upstream and cluster peer list.
+	px           proxy.Options
+	clusterPeers string
 
 	// Lifecycle.
 	drainTimeout  time.Duration
 	pruneInterval time.Duration
 	pruneMaxIdle  time.Duration
 
-	// Persistence.
-	stateDir         string
-	snapshotInterval time.Duration
-
 	// Fault injection (resilience drills).
 	fault     string
 	faultSeed int64
+}
 
-	// Cluster mode.
-	clusterSelf          string
-	clusterPeers         string
-	clusterVNodes        int
-	clusterReplicas      int
-	clusterProbeInterval time.Duration
+// registerFlags declares the whole command-line surface on fs.
+func registerFlags(fs *flag.FlagSet, o *options) {
+	fs.StringVar(&o.appName, "app", "", "built-in app to accelerate")
+	fs.StringVar(&o.listen, "listen", "127.0.0.1:8080", "proxy listen address")
+	fs.StringVar(&o.sigsPath, "sigs", "", "signature graph JSON (default: analyze at startup)")
+	fs.StringVar(&o.cfgPath, "config", "", "proxy configuration JSON: prefetch policies plus the resilience, cache and overload tuning sections (default: derived)")
+	fs.StringVar(&o.origins, "origin", "", "comma-separated host=addr overrides; empty = start built-in origins in process")
+	fs.BoolVar(&o.doVerify, "verify", false, "run Phase 2 verification before serving")
+	fs.Float64Var(&o.scale, "scale", 1, "emulated time scale for in-process origins")
+	fs.IntVar(&o.px.Workers, "workers", 8, "prefetch worker pool size")
+	fs.IntVar(&o.px.SpanBuffer, "span-buffer", 0, "recent request spans kept for /appx/v1/spans (0 = default 1024)")
 
-	// Latency-budget and hedging knobs.
-	requestBudget time.Duration
-	hedgeDelay    time.Duration
-	hedgeRateCap  float64
-	noHedging     bool
+	fs.StringVar(&o.px.PrefetchPolicy, "prefetch-policy", "static", "prefetch decision policy: static or markov")
+	fs.DurationVar(&o.px.PolicyDecay, "policy-decay", 0, "markov history half-life (0 = built-in default)")
+	fs.IntVar(&o.px.PolicyMaxUsers, "policy-max-users", 0, "markov per-user model cap (0 = built-in default)")
 
-	// Streaming data plane.
-	streamChunkBytes int
-	captureMaxBytes  int64
-	maxBodyBytes     int64
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 10*time.Second, "how long shutdown waits for in-flight requests to finish")
+	fs.DurationVar(&o.pruneInterval, "prune-interval", 5*time.Minute, "how often to prune idle per-user state (<=0 disables)")
+	fs.DurationVar(&o.pruneMaxIdle, "prune-max-idle", 30*time.Minute, "idle age past which per-user state is pruned")
+
+	fs.StringVar(&o.px.StateDir, "state-dir", "", "directory for crash-safe persistence (disk cache tier + state snapshots); empty disables")
+	fs.DurationVar(&o.px.SnapshotInterval, "snapshot-interval", time.Minute, "periodic state-snapshot cadence when -state-dir is set (<=0 disables the loop; drain still snapshots)")
+
+	fs.StringVar(&o.fault, "fault", "", "comma-separated host=prob connect-refusal injection, e.g. api.wish.example=0.3")
+	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "seed for the deterministic fault injector")
+
+	fs.StringVar(&o.px.Cluster.Self, "cluster-self", "", "this instance's advertised host:port; non-empty enables cluster mode")
+	fs.StringVar(&o.clusterPeers, "cluster-peers", "", "comma-separated host:port seed list (may include self; same value on every instance)")
+	fs.IntVar(&o.px.Cluster.VNodes, "cluster-vnodes", 0, "virtual nodes per ring member (0 = default 128)")
+	fs.IntVar(&o.px.Cluster.Replicas, "cluster-replicas", 0, "ring siblings consulted per peer fill (0 = default 2)")
+	fs.DurationVar(&o.px.Cluster.ProbeInterval, "cluster-probe-interval", 0, "peer health-probe period (0 = default 1s)")
+
+	fs.DurationVar(&o.px.RequestBudget, "request-budget", 0, "per-request latency budget; decremented across stages and propagated (clamped, never grown) over relay hops (0 disables)")
+	fs.DurationVar(&o.px.HedgeDelay, "hedge-delay", 0, "static fallback delay before a slow peer-fill peek is hedged to the next ring successor (0 = default 30ms; adaptive per-peer p90 takes over with samples)")
+	fs.Float64Var(&o.px.HedgeRateCap, "hedge-rate-cap", 0, "hedge launches per second across the instance (0 = default 64)")
+	fs.BoolVar(&o.px.DisableHedging, "no-hedging", false, "disable hedged peer reads; slow peers are waited out sequentially")
+
+	fs.IntVar(&o.px.StreamChunkBytes, "stream-chunk-bytes", 0, "pooled body-chunk size on the streaming data plane (0 = default 64KiB)")
+	fs.Int64Var(&o.px.CaptureMaxBytes, "capture-max-bytes", 0, "largest response body captured for cache insertion; bigger bodies stream through uncached (0 = default 4MiB)")
+	fs.Int64Var(&o.px.MaxBodyBytes, "max-body-bytes", 0, "largest accepted client request body, 413 past it (0 = default 64MiB, <0 = unlimited)")
+}
+
+// validate checks flag values that have a closed set of legal settings.
+func (o options) validate() error {
+	switch o.px.PrefetchPolicy {
+	case "static", "markov":
+	default:
+		return fmt.Errorf("unknown -prefetch-policy %q (want static or markov)", o.px.PrefetchPolicy)
+	}
+	if o.px.PolicyDecay < 0 {
+		return fmt.Errorf("-policy-decay must be >= 0, got %v", o.px.PolicyDecay)
+	}
+	if o.px.PolicyMaxUsers < 0 {
+		return fmt.Errorf("-policy-max-users must be >= 0, got %d", o.px.PolicyMaxUsers)
+	}
+	return nil
 }
 
 func main() {
 	var o options
-	flag.StringVar(&o.appName, "app", "", "built-in app to accelerate")
-	flag.StringVar(&o.listen, "listen", "127.0.0.1:8080", "proxy listen address")
-	flag.StringVar(&o.sigsPath, "sigs", "", "signature graph JSON (default: analyze at startup)")
-	flag.StringVar(&o.cfgPath, "config", "", "proxy configuration JSON (default: derived)")
-	flag.StringVar(&o.origins, "origin", "", "comma-separated host=addr overrides; empty = start built-in origins in process")
-	flag.BoolVar(&o.doVerify, "verify", false, "run Phase 2 verification before serving")
-	flag.Float64Var(&o.scale, "scale", 1, "emulated time scale for in-process origins")
-	flag.IntVar(&o.workers, "workers", 8, "prefetch worker pool size")
-	flag.IntVar(&o.spanBuffer, "span-buffer", 0, "recent request spans kept for /appx/v1/spans (0 = default 1024)")
-
-	flag.IntVar(&o.retryAttempts, "retry-attempts", 0, "total tries per idempotent origin request, including the first (0 = config default)")
-	flag.DurationVar(&o.retryBase, "retry-base", 0, "base delay of the jittered exponential retry backoff (0 = config default)")
-	flag.DurationVar(&o.attemptTimeout, "attempt-timeout", 0, "per-attempt origin deadline (0 = config default)")
-	flag.IntVar(&o.breakerFailures, "breaker-failures", 0, "consecutive failures that open a host's circuit breaker (0 = config default)")
-	flag.DurationVar(&o.breakerOpen, "breaker-open", 0, "how long an open breaker waits before probing the host again (0 = config default)")
-	flag.IntVar(&o.prefetchFailLimit, "prefetch-failure-limit", 0, "consecutive failures that suspend a prefetch signature (0 = config default)")
-	flag.DurationVar(&o.prefetchBackoffBase, "prefetch-backoff-base", 0, "initial suspension of a failing prefetch signature (0 = config default)")
-	flag.DurationVar(&o.prefetchBackoffMax, "prefetch-backoff-max", 0, "suspension cap for a failing prefetch signature (0 = config default)")
-	o.prefetch.register(flag.CommandLine)
-
-	flag.Int64Var(&o.cacheMaxBytes, "cache-max-bytes", 0, "global prefetch-store byte budget (0 = config default, <0 = unlimited)")
-	flag.Int64Var(&o.cacheUserBytes, "cache-user-bytes", 0, "per-user resident-byte cap (0 = config default, <0 = uncapped)")
-	flag.IntVar(&o.cacheUserEntries, "cache-user-entries", 0, "per-user entry cap (0 = config default, <0 = uncapped)")
-	flag.IntVar(&o.cacheShards, "cache-shards", 0, "prefetch-store lock-partition count (0 = config default)")
-	flag.DurationVar(&o.cacheSweep, "cache-sweep", 0, "background expiry-sweep period (0 = config default, <0 = disabled)")
-	flag.BoolVar(&o.cacheNoShared, "cache-no-shared", false, "disable the cross-user shared cache tier")
-
-	flag.IntVar(&o.maxConcurrent, "max-concurrent", 0, "concurrently served client requests before admission 503s (0 = config default, <0 = unbounded)")
-	flag.DurationVar(&o.admissionWait, "admission-wait", 0, "how long an arriving request may wait for an admission slot (0 = config default)")
-	flag.DurationVar(&o.targetP95, "target-p95", 0, "client p95 latency ceiling that signals overload to the prefetch governor (0 = config default: disabled)")
-	flag.DurationVar(&o.governorInterval, "governor-interval", 0, "AIMD governor adjustment period (0 = config default)")
-
-	flag.DurationVar(&o.drainTimeout, "drain-timeout", 10*time.Second, "how long shutdown waits for in-flight requests to finish")
-	flag.DurationVar(&o.pruneInterval, "prune-interval", 5*time.Minute, "how often to prune idle per-user state (<=0 disables)")
-	flag.DurationVar(&o.pruneMaxIdle, "prune-max-idle", 30*time.Minute, "idle age past which per-user state is pruned")
-
-	flag.StringVar(&o.stateDir, "state-dir", "", "directory for crash-safe persistence (disk cache tier + state snapshots); empty disables")
-	flag.DurationVar(&o.snapshotInterval, "snapshot-interval", time.Minute, "periodic state-snapshot cadence when -state-dir is set (<=0 disables the loop; drain still snapshots)")
-
-	flag.StringVar(&o.fault, "fault", "", "comma-separated host=prob connect-refusal injection, e.g. api.wish.example=0.3")
-	flag.Int64Var(&o.faultSeed, "fault-seed", 1, "seed for the deterministic fault injector")
-
-	flag.StringVar(&o.clusterSelf, "cluster-self", "", "this instance's advertised host:port; non-empty enables cluster mode")
-	flag.StringVar(&o.clusterPeers, "cluster-peers", "", "comma-separated host:port seed list (may include self; same value on every instance)")
-	flag.IntVar(&o.clusterVNodes, "cluster-vnodes", 0, "virtual nodes per ring member (0 = default 128)")
-	flag.IntVar(&o.clusterReplicas, "cluster-replicas", 0, "ring siblings consulted per peer fill (0 = default 2)")
-	flag.DurationVar(&o.clusterProbeInterval, "cluster-probe-interval", 0, "peer health-probe period (0 = default 1s)")
-
-	flag.DurationVar(&o.requestBudget, "request-budget", 0, "per-request latency budget; decremented across stages and propagated (clamped, never grown) over relay hops (0 disables)")
-	flag.DurationVar(&o.hedgeDelay, "hedge-delay", 0, "static fallback delay before a slow peer-fill peek is hedged to the next ring successor (0 = default 30ms; adaptive per-peer p90 takes over with samples)")
-	flag.Float64Var(&o.hedgeRateCap, "hedge-rate-cap", 0, "hedge launches per second across the instance (0 = default 64)")
-	flag.BoolVar(&o.noHedging, "no-hedging", false, "disable hedged peer reads; slow peers are waited out sequentially")
-
-	flag.IntVar(&o.streamChunkBytes, "stream-chunk-bytes", 0, "pooled body-chunk size on the streaming data plane (0 = default 64KiB)")
-	flag.Int64Var(&o.captureMaxBytes, "capture-max-bytes", 0, "largest response body captured for cache insertion; bigger bodies stream through uncached (0 = default 4MiB)")
-	flag.Int64Var(&o.maxBodyBytes, "max-body-bytes", 0, "largest accepted client request body, 413 past it (0 = default 64MiB, <0 = unlimited)")
+	registerFlags(flag.CommandLine, &o)
 	flag.Parse()
-
-	if err := o.prefetch.validate(flag.CommandLine); err != nil {
+	if err := o.validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "appx-proxy:", err)
 		os.Exit(2)
 	}
@@ -244,33 +201,10 @@ func run(o options) error {
 		return err
 	}
 
-	var cfg *config.Config
-	switch {
-	case o.cfgPath != "":
-		b, err := os.ReadFile(o.cfgPath)
-		if err != nil {
-			return err
-		}
-		cfg, err = config.Unmarshal(b)
-		if err != nil {
-			return err
-		}
-	case o.doVerify:
-		rep, err := verify.Run(verify.Options{
-			APK: a.APK, Graph: g, Origin: a.Handler(o.scale),
-			FuzzEvents: 200, ProbeMax: time.Second,
-		})
-		if err != nil {
-			return fmt.Errorf("verification: %w", err)
-		}
-		cfg = rep.Config
-		fmt.Fprintf(os.Stderr, "verification: %d cleared, %d disabled\n", len(rep.Verified), len(rep.Disabled))
-	default:
-		cfg = config.Default(g)
+	cfg, err := loadConfig(o, a, g)
+	if err != nil {
+		return err
 	}
-	applyResilienceFlags(cfg, o)
-	applyCacheFlags(cfg, o)
-	applyOverloadFlags(cfg, o)
 
 	resolve := map[string]string{}
 	links := map[string]netem.Link{}
@@ -311,51 +245,26 @@ func run(o options) error {
 		fmt.Fprintf(os.Stderr, "fault injection active (%s, seed %d)\n", o.fault, o.faultSeed)
 	}
 
-	var cl cluster.Config
-	if o.clusterSelf != "" {
-		cl = cluster.Config{
-			Self:          o.clusterSelf,
-			VNodes:        o.clusterVNodes,
-			Replicas:      o.clusterReplicas,
-			ProbeInterval: o.clusterProbeInterval,
-		}
+	if o.px.Cluster.Self != "" {
 		for _, p := range strings.Split(o.clusterPeers, ",") {
 			if p = strings.TrimSpace(p); p != "" {
-				cl.Peers = append(cl.Peers, p)
+				o.px.Cluster.Peers = append(o.px.Cluster.Peers, p)
 			}
 		}
-		fmt.Fprintf(os.Stderr, "appx-proxy: cluster mode: self=%s peers=%v\n", cl.Self, cl.Peers)
+		fmt.Fprintf(os.Stderr, "appx-proxy: cluster mode: self=%s peers=%v\n", o.px.Cluster.Self, o.px.Cluster.Peers)
 	}
 
-	px := proxy.New(proxy.Options{
-		Graph:            g,
-		Config:           cfg,
-		Upstream:         up,
-		Workers:          o.workers,
-		SpanBuffer:       o.spanBuffer,
-		StateDir:         o.stateDir,
-		SnapshotInterval: o.snapshotInterval,
-		Cluster:          cl,
-		RequestBudget:    o.requestBudget,
-		HedgeDelay:       o.hedgeDelay,
-		HedgeRateCap:     o.hedgeRateCap,
-		DisableHedging:   o.noHedging,
-		StreamChunkBytes: o.streamChunkBytes,
-		CaptureMaxBytes:  o.captureMaxBytes,
-		MaxBodyBytes:     o.maxBodyBytes,
-		PrefetchPolicy:   o.prefetch.policy,
-		PolicyDecay:      o.prefetch.policyDecay,
-		PolicyMaxUsers:   o.prefetch.policyMaxUsers,
-	})
-	if o.stateDir != "" {
+	o.px.Graph, o.px.Config, o.px.Upstream = g, cfg, up
+	px := proxy.New(o.px)
+	if o.px.StateDir != "" {
 		switch outcome := px.RestoreOutcome(); outcome {
 		case proxy.RestoreWarm:
 			fmt.Fprintf(os.Stderr, "appx-proxy: warm restart: restored state from %s (%d users)\n",
-				o.stateDir, px.UserCount())
+				o.px.StateDir, px.UserCount())
 		case proxy.RestoreFailed:
 			fmt.Fprintf(os.Stderr, "appx-proxy: restore failed (%s); starting cold\n", px.RestoreDetail())
 		default:
-			fmt.Fprintf(os.Stderr, "appx-proxy: no usable snapshot in %s; starting cold\n", o.stateDir)
+			fmt.Fprintf(os.Stderr, "appx-proxy: no usable snapshot in %s; starting cold\n", o.px.StateDir)
 		}
 	}
 
@@ -452,111 +361,31 @@ func pruneLoop(ctx context.Context, px *proxy.Proxy, every, maxIdle time.Duratio
 	}
 }
 
-// applyResilienceFlags folds non-zero command-line overrides into the
-// configuration's resilience section.
-func applyResilienceFlags(cfg *config.Config, o options) {
-	r := config.Resilience{}
-	if cfg.Resilience != nil {
-		r = *cfg.Resilience
-	}
-	set := false
-	for _, f := range []struct {
-		flag int64
-		dst  func()
-	}{
-		{int64(o.retryAttempts), func() { r.RetryAttempts = o.retryAttempts }},
-		{int64(o.retryBase), func() { r.RetryBaseDelay = config.Duration(o.retryBase) }},
-		{int64(o.attemptTimeout), func() { r.AttemptTimeout = config.Duration(o.attemptTimeout) }},
-		{int64(o.breakerFailures), func() { r.BreakerFailures = o.breakerFailures }},
-		{int64(o.breakerOpen), func() { r.BreakerOpenTimeout = config.Duration(o.breakerOpen) }},
-		{int64(o.prefetchFailLimit), func() { r.PrefetchFailureLimit = o.prefetchFailLimit }},
-		{int64(o.prefetchBackoffBase), func() { r.PrefetchBackoffBase = config.Duration(o.prefetchBackoffBase) }},
-		{int64(o.prefetchBackoffMax), func() { r.PrefetchBackoffMax = config.Duration(o.prefetchBackoffMax) }},
-		{int64(o.prefetch.timeout), func() { r.PrefetchTimeout = config.Duration(o.prefetch.timeout) }},
-	} {
-		if f.flag > 0 {
-			f.dst()
-			set = true
+// loadConfig resolves the proxy configuration: the -config file when given
+// (the one tuning surface — a file carrying only resilience, cache or
+// overload sections leaves every prefetch policy at its default), else the
+// verification phase's output with -verify, else defaults derived from the
+// graph.
+func loadConfig(o options, a *apps.App, g *sig.Graph) (*config.Config, error) {
+	switch {
+	case o.cfgPath != "":
+		b, err := os.ReadFile(o.cfgPath)
+		if err != nil {
+			return nil, err
 		}
-	}
-	if set || cfg.Resilience != nil {
-		cfg.Resilience = &r
-	}
-}
-
-// applyCacheFlags folds non-zero command-line overrides into the
-// configuration's cache section. Negative values pass through: the store
-// reads them as "bound disabled".
-func applyCacheFlags(cfg *config.Config, o options) {
-	c := config.Cache{}
-	if cfg.Cache != nil {
-		c = *cfg.Cache
-	}
-	set := false
-	if o.cacheMaxBytes != 0 {
-		c.MaxBytes = o.cacheMaxBytes
-		set = true
-	}
-	if o.cacheUserBytes != 0 {
-		c.PerUserBytes = o.cacheUserBytes
-		set = true
-	}
-	if o.cacheUserEntries != 0 {
-		c.MaxEntriesPerUser = o.cacheUserEntries
-		set = true
-	}
-	if o.cacheShards > 0 {
-		c.Shards = o.cacheShards
-		set = true
-	}
-	if o.cacheSweep != 0 {
-		c.SweepInterval = config.Duration(o.cacheSweep)
-		set = true
-	}
-	if o.cacheNoShared {
-		c.DisableSharedTier = true
-		set = true
-	}
-	if set || cfg.Cache != nil {
-		cfg.Cache = &c
-	}
-}
-
-// applyOverloadFlags folds non-zero command-line overrides into the
-// configuration's overload section. Negative values pass through where the
-// config documents them as "disable this bound".
-func applyOverloadFlags(cfg *config.Config, o options) {
-	v := config.Overload{}
-	if cfg.Overload != nil {
-		v = *cfg.Overload
-	}
-	set := false
-	if o.maxConcurrent != 0 {
-		v.MaxConcurrentRequests = o.maxConcurrent
-		set = true
-	}
-	if o.admissionWait > 0 {
-		v.AdmissionWait = config.Duration(o.admissionWait)
-		set = true
-	}
-	if o.targetP95 > 0 {
-		v.TargetP95 = config.Duration(o.targetP95)
-		set = true
-	}
-	if o.governorInterval > 0 {
-		v.GovernorInterval = config.Duration(o.governorInterval)
-		set = true
-	}
-	if o.prefetch.queueDeadline != 0 {
-		v.QueueDeadline = config.Duration(o.prefetch.queueDeadline)
-		set = true
-	}
-	if o.prefetch.queue > 0 {
-		v.MaxQueue = o.prefetch.queue
-		set = true
-	}
-	if set || cfg.Overload != nil {
-		cfg.Overload = &v
+		return config.Unmarshal(b)
+	case o.doVerify:
+		rep, err := verify.Run(verify.Options{
+			APK: a.APK, Graph: g, Origin: a.Handler(o.scale),
+			FuzzEvents: 200, ProbeMax: time.Second,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("verification: %w", err)
+		}
+		fmt.Fprintf(os.Stderr, "verification: %d cleared, %d disabled\n", len(rep.Verified), len(rep.Disabled))
+		return rep.Config, nil
+	default:
+		return config.Default(g), nil
 	}
 }
 
@@ -587,58 +416,4 @@ func loadGraph(a *apps.App, sigsPath string) (*sig.Graph, error) {
 		return sig.Unmarshal(b)
 	}
 	return static.Analyze(a.APK.Program, a.Name, a.APK.Entries(), static.Options{Features: static.AllFeatures()})
-}
-
-// prefetchFlags is the consolidated prefetch flag group: every knob shaping
-// what the proxy speculates on — and how eagerly — registers here together
-// and is checked by one validation pass after flag.Parse.
-type prefetchFlags struct {
-	timeout       time.Duration
-	queue         int
-	queueDeadline time.Duration
-	// legacyQueueDeadline receives the deprecated -queue-deadline
-	// spelling; validate folds it into queueDeadline with a one-time note.
-	legacyQueueDeadline time.Duration
-
-	policy         string
-	policyDecay    time.Duration
-	policyMaxUsers int
-}
-
-// register adds the prefetch flag group to fs.
-func (pf *prefetchFlags) register(fs *flag.FlagSet) {
-	fs.DurationVar(&pf.timeout, "prefetch-timeout", 0, "whole-prefetch deadline, retries included (0 = config default)")
-	fs.IntVar(&pf.queue, "prefetch-queue", 0, "prefetch scheduler queue bound (0 = config default)")
-	fs.DurationVar(&pf.queueDeadline, "prefetch-queue-deadline", 0, "queued-prefetch staleness bound; older tasks drop at dispatch (0 = config default, <0 = disabled)")
-	fs.DurationVar(&pf.legacyQueueDeadline, "queue-deadline", 0, "deprecated alias for -prefetch-queue-deadline")
-	fs.StringVar(&pf.policy, "prefetch-policy", "static", "prefetch decision policy: static or markov")
-	fs.DurationVar(&pf.policyDecay, "policy-decay", 0, "markov history half-life (0 = built-in default)")
-	fs.IntVar(&pf.policyMaxUsers, "policy-max-users", 0, "markov per-user model cap (0 = built-in default)")
-}
-
-// validate is the group's single validation pass. It also resolves the
-// renamed deadline flag: the old spelling still works, logging one
-// deprecation note, but passing both is an error.
-func (pf *prefetchFlags) validate(fs *flag.FlagSet) error {
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if set["queue-deadline"] {
-		if set["prefetch-queue-deadline"] {
-			return errors.New("-queue-deadline is a deprecated alias for -prefetch-queue-deadline; pass only one")
-		}
-		fmt.Fprintln(os.Stderr, "appx-proxy: -queue-deadline is deprecated; use -prefetch-queue-deadline")
-		pf.queueDeadline = pf.legacyQueueDeadline
-	}
-	switch pf.policy {
-	case "static", "markov":
-	default:
-		return fmt.Errorf("unknown -prefetch-policy %q (want static or markov)", pf.policy)
-	}
-	if pf.policyDecay < 0 {
-		return fmt.Errorf("-policy-decay must be >= 0, got %v", pf.policyDecay)
-	}
-	if pf.policyMaxUsers < 0 {
-		return fmt.Errorf("-policy-max-users must be >= 0, got %d", pf.policyMaxUsers)
-	}
-	return nil
 }

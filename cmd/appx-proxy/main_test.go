@@ -2,20 +2,24 @@ package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"appx/internal/apps"
 	"appx/internal/cluster"
 	"appx/internal/config"
 	"appx/internal/httpmsg"
@@ -236,5 +240,96 @@ func TestShutdownAbortsClusterProbes(t *testing.T) {
 	// be on disk.
 	if _, err := os.Stat(filepath.Join(stateDir, persist.SnapshotFile)); err != nil {
 		t.Fatalf("final drain snapshot missing: %v", err)
+	}
+}
+
+// TestFlagSurface pins the exact command-line surface: deployment facts only.
+// Tuning values live in the -config file; a flag added here that shadows a
+// config field brings back the second way to tune.
+func TestFlagSurface(t *testing.T) {
+	want := []string{
+		"app", "capture-max-bytes", "cluster-peers", "cluster-probe-interval",
+		"cluster-replicas", "cluster-self", "cluster-vnodes", "config",
+		"drain-timeout", "fault", "fault-seed", "hedge-delay", "hedge-rate-cap",
+		"listen", "max-body-bytes", "no-hedging", "origin", "policy-decay",
+		"policy-max-users", "prefetch-policy", "prune-interval", "prune-max-idle",
+		"request-budget", "scale", "sigs", "snapshot-interval", "span-buffer",
+		"state-dir", "stream-chunk-bytes", "verify", "workers",
+	}
+	fs := flag.NewFlagSet("appx-proxy", flag.ContinueOnError)
+	registerFlags(fs, new(options))
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	sort.Strings(got)
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("flag surface changed:\n got  %v\n want %v", got, want)
+	}
+}
+
+// TestConfigFileIsTheTuningSurface: a -config file carrying only one tuning
+// section loads, the matching Effective*() view reflects it with the rest
+// defaulted, the untouched sections keep their defaults, and a proxy boots
+// on it with every prefetch policy at its default.
+func TestConfigFileIsTheTuningSurface(t *testing.T) {
+	a := apps.Wish()
+	g, err := loadGraph(a, "")
+	if err != nil {
+		t.Fatalf("loadGraph: %v", err)
+	}
+	up := proxy.UpstreamFunc(func(ctx context.Context, r *httpmsg.Request) (*httpmsg.Response, error) {
+		return &httpmsg.Response{Status: 200, Body: []byte("ok")}, nil
+	})
+	cases := []struct {
+		name, body string
+		check      func(*testing.T, *config.Config)
+	}{
+		{"resilience", `{"resilience":{"breaker_failures":2,"retry_attempts":4}}`, func(t *testing.T, c *config.Config) {
+			r := c.EffectiveResilience()
+			if r.BreakerFailures != 2 || r.RetryAttempts != 4 || r.PrefetchFailureLimit != 3 {
+				t.Fatalf("resilience = %+v", r)
+			}
+		}},
+		{"cache", `{"cache":{"max_bytes":1048576,"disable_shared_tier":true}}`, func(t *testing.T, c *config.Config) {
+			v := c.EffectiveCache()
+			if v.MaxBytes != 1<<20 || !v.DisableSharedTier || v.Shards != 32 {
+				t.Fatalf("cache = %+v", v)
+			}
+		}},
+		{"overload", `{"overload":{"max_concurrent_requests":8,"target_p95":"800ms","max_queue":64}}`, func(t *testing.T, c *config.Config) {
+			v := c.EffectiveOverload()
+			if v.MaxConcurrentRequests != 8 || time.Duration(v.TargetP95) != 800*time.Millisecond ||
+				v.MaxQueue != 64 || time.Duration(v.GovernorInterval) != 250*time.Millisecond {
+				t.Fatalf("overload = %+v", v)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "tune.json")
+			if err := os.WriteFile(path, []byte(tc.body), 0o600); err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := loadConfig(options{cfgPath: path}, a, g)
+			if err != nil {
+				t.Fatalf("loadConfig: %v", err)
+			}
+			tc.check(t, cfg)
+			if tc.name != "overload" && cfg.EffectiveOverload() != (config.Overload{}).Filled() {
+				t.Fatalf("untouched overload section not at defaults: %+v", cfg.EffectiveOverload())
+			}
+			// No policies in the file: every signature prefetches as under
+			// config.Default (probability 1, default expiry).
+			if p := cfg.EffectiveProbability(cfg.Policy(g.Sig(g.Prefetchable()[0]).Hash())); p != 1 {
+				t.Fatalf("default prefetch probability = %v, want 1", p)
+			}
+			px := proxy.New(proxy.Options{Graph: g, Config: cfg, Upstream: up})
+			defer px.Close()
+			req, _ := http.NewRequest("GET", "http://api.wish.example/x", nil)
+			rec := httptest.NewRecorder()
+			px.ServeHTTP(rec, req)
+			if rec.Code != 200 {
+				t.Fatalf("proxy booted on %s-only config answered %d", tc.name, rec.Code)
+			}
+		})
 	}
 }

@@ -8,16 +8,11 @@ import (
 
 // Digest is a sorted summary of a latency sample. Building one sorts a copy
 // of the input exactly once; every quantile, CDF, or mean read after that is
-// O(1) or O(n) without re-sorting — unlike the free functions in this
-// package, which re-sort per call and survive only as deprecated wrappers.
+// O(1) or O(n) without re-sorting.
 //
 // The quantile definition is pinned: Quantile(p) is the nearest-rank value
 // at index ceil(p·n)-1 of the ascending sample, with p <= 0 mapping to the
-// minimum and p >= 1 to the maximum. (The free functions historically used
-// int(p·n+0.5)-1, which at small n disagrees with nearest-rank — e.g. the
-// median of two samples picked the first rather than the conventional
-// lower-median consistently across p; the Digest definition is the one the
-// evaluation figures now report.)
+// minimum and p >= 1 to the maximum.
 type Digest struct {
 	sorted []time.Duration
 	sum    time.Duration

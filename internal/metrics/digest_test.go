@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// The pinned nearest-rank definition at small n — the cases where the old
-// int(p·n+0.5)-1 rounding was inconsistent.
+// The pinned nearest-rank definition at small n, where rounding conventions
+// disagree.
 func TestDigestQuantileSmallN(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -40,10 +40,6 @@ func TestDigestQuantileSmallN(t *testing.T) {
 			d := NewDigest(tc.sample)
 			if got := d.Quantile(tc.p); got != tc.want {
 				t.Fatalf("Quantile(%v) = %v, want %v", tc.p, got, tc.want)
-			}
-			// The deprecated wrapper must agree with the pinned definition.
-			if got := Percentile(tc.sample, tc.p); got != tc.want {
-				t.Fatalf("Percentile(%v) = %v, want %v (wrapper diverged)", tc.p, got, tc.want)
 			}
 		})
 	}

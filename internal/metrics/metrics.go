@@ -2,58 +2,17 @@
 // means, medians, percentiles (Figure 15 uses the 90th), and CDFs
 // (Figure 16).
 //
-// The Digest type (digest.go) is the current API: it sorts the sample once
-// and serves every quantile and CDF read from that one sort. The package's
-// original free functions remain as thin wrappers, each re-sorting per call;
-// new code should build a Digest.
+// The Digest type (digest.go) sorts the sample once and serves every
+// quantile and CDF read from that one sort.
 package metrics
 
 import "time"
-
-// Mean returns the arithmetic mean, 0 for empty input.
-//
-// Deprecated: use NewDigest(ds).Mean(); a Digest amortizes the pass over
-// every statistic read from the same sample.
-func Mean(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range ds {
-		sum += d
-	}
-	return sum / time.Duration(len(ds))
-}
-
-// Percentile returns the p-quantile (0 < p <= 1) by nearest rank; 0 for
-// empty input. The quantile definition is pinned by Digest.Quantile:
-// index ceil(p·n)-1 of the ascending sample. (Earlier versions rounded with
-// int(p·n+0.5)-1, which at small n disagreed with nearest rank — the median
-// of two samples came out as the first element only by accident of the
-// rounding, and some p produced indices inconsistent with the percentile
-// definition used in the figures.)
-//
-// Deprecated: use NewDigest(ds).Quantile(p) — one sort for all reads.
-func Percentile(ds []time.Duration, p float64) time.Duration {
-	return NewDigest(ds).Quantile(p)
-}
-
-// Median is the 50th percentile.
-//
-// Deprecated: use NewDigest(ds).Median().
-func Median(ds []time.Duration) time.Duration { return NewDigest(ds).Median() }
 
 // CDFPoint is one point of a cumulative distribution.
 type CDFPoint struct {
 	Latency time.Duration
 	Prob    float64
 }
-
-// CDF summarizes the sample distribution at n evenly spaced probabilities
-// (plus the maximum), sorted by latency.
-//
-// Deprecated: use NewDigest(ds).CDF(n).
-func CDF(ds []time.Duration, n int) []CDFPoint { return NewDigest(ds).CDF(n) }
 
 // Reduction returns the fractional latency reduction from orig to accel
 // (0.47 = 47 % lower); 0 when orig is 0.

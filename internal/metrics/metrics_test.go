@@ -8,61 +8,24 @@ import (
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil) != 0")
-	}
-	if got := Mean([]time.Duration{ms(100), ms(200), ms(300)}); got != ms(200) {
-		t.Fatalf("Mean = %v", got)
-	}
-}
-
 func TestPercentile(t *testing.T) {
-	ds := []time.Duration{ms(10), ms(20), ms(30), ms(40), ms(50), ms(60), ms(70), ms(80), ms(90), ms(100)}
-	if got := Percentile(ds, 0.9); got != ms(90) {
+	d := NewDigest([]time.Duration{ms(10), ms(20), ms(30), ms(40), ms(50), ms(60), ms(70), ms(80), ms(90), ms(100)})
+	if got := d.Quantile(0.9); got != ms(90) {
 		t.Fatalf("p90 = %v", got)
 	}
-	if got := Percentile(ds, 0.5); got != ms(50) {
+	if got := d.Quantile(0.5); got != ms(50) {
 		t.Fatalf("p50 = %v", got)
 	}
-	if got := Percentile(ds, 1); got != ms(100) {
+	if got := d.Quantile(1); got != ms(100) {
 		t.Fatalf("p100 = %v", got)
 	}
-	if got := Percentile(ds, 0); got != ms(10) {
+	if got := d.Quantile(0); got != ms(10) {
 		t.Fatalf("p0 = %v", got)
 	}
-	if Percentile(nil, 0.5) != 0 {
-		t.Fatal("empty percentile != 0")
-	}
 	// Input order must not matter.
-	shuffled := []time.Duration{ms(70), ms(10), ms(100), ms(40), ms(20), ms(90), ms(30), ms(60), ms(80), ms(50)}
-	if Percentile(shuffled, 0.9) != ms(90) {
+	shuffled := NewDigest([]time.Duration{ms(70), ms(10), ms(100), ms(40), ms(20), ms(90), ms(30), ms(60), ms(80), ms(50)})
+	if shuffled.Quantile(0.9) != ms(90) {
 		t.Fatal("percentile depends on input order")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if got := Median([]time.Duration{ms(1), ms(2), ms(100)}); got != ms(2) {
-		t.Fatalf("Median = %v", got)
-	}
-}
-
-func TestCDF(t *testing.T) {
-	ds := []time.Duration{ms(10), ms(20), ms(30), ms(40)}
-	pts := CDF(ds, 4)
-	if len(pts) != 4 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	if pts[3].Latency != ms(40) || pts[3].Prob != 1 {
-		t.Fatalf("last point = %+v", pts[3])
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Latency < pts[i-1].Latency || pts[i].Prob <= pts[i-1].Prob {
-			t.Fatalf("CDF not monotone: %+v", pts)
-		}
-	}
-	if CDF(nil, 4) != nil || CDF(ds, 0) != nil {
-		t.Fatal("degenerate CDF not nil")
 	}
 }
 
@@ -78,7 +41,7 @@ func TestReduction(t *testing.T) {
 	}
 }
 
-// Property: Percentile is monotone in p and bounded by min/max.
+// Property: Quantile is monotone in p and bounded by min/max.
 func TestPercentileMonotoneProperty(t *testing.T) {
 	f := func(raw []uint16, a, b uint8) bool {
 		if len(raw) == 0 {
@@ -92,9 +55,9 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		if pa > pb {
 			pa, pb = pb, pa
 		}
-		va, vb := Percentile(ds, pa), Percentile(ds, pb)
-		lo, hi := Percentile(ds, 0), Percentile(ds, 1)
-		return va <= vb && lo <= va && vb <= hi
+		d := NewDigest(ds)
+		va, vb := d.Quantile(pa), d.Quantile(pb)
+		return va <= vb && d.Min() <= va && vb <= d.Max()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

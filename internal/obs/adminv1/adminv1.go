@@ -23,10 +23,6 @@ const (
 	// (?key=...). 200 returns a ClusterEntry, 404 is a miss. Peeks are
 	// side-effect-free on the serving instance (no LRU touch, no counters).
 	PathClusterEntry = "/appx/v1/cluster/entry"
-
-	// The pre-versioning endpoints, kept as deprecated redirecting aliases.
-	LegacyPathHealth = "/appx/health"
-	LegacyPathStats  = "/appx/stats"
 )
 
 // MatchIndex mirrors the signature match-index telemetry.

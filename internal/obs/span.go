@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -324,6 +325,35 @@ func (r *SpanRecorder) StageHistogram(st Stage) *Histogram {
 		return nil
 	}
 	return r.stages[st]
+}
+
+// WindowQuantiles reports, for each q in qs, the q-quantile of wall time
+// over the retained spans whose outcome is not exclude (zeros when none
+// qualify). It copies and sorts the window, so it is for periodic readers —
+// an overload controller closing an interval, an admin snapshot — never for
+// the per-request path.
+func (r *SpanRecorder) WindowQuantiles(exclude Outcome, qs ...float64) []time.Duration {
+	out := make([]time.Duration, len(qs))
+	if r == nil {
+		return out
+	}
+	r.mu.Lock()
+	walls := make([]time.Duration, 0, r.filled)
+	for i := range r.ring[:r.filled] {
+		if r.ring[i].Outcome != exclude {
+			walls = append(walls, r.ring[i].Wall)
+		}
+	}
+	r.mu.Unlock()
+	if len(walls) == 0 {
+		return out
+	}
+	slices.Sort(walls)
+	for i, q := range qs {
+		idx := int(q * float64(len(walls)-1))
+		out[i] = walls[min(max(idx, 0), len(walls)-1)]
+	}
+	return out
 }
 
 // Recent returns up to n of the most recently finished spans, newest first.

@@ -107,20 +107,8 @@ func (p *Proxy) registerClusterBridges(reg *obs.Registry) {
 // user simply forwards to the new owner on its next arrival.
 func (p *Proxy) rebalanceCluster() {
 	st := p.cluster
-	var moved []string
-	p.mu.Lock()
-	for k := range p.users {
-		if !st.c.Owns(k) {
-			delete(p.users, k)
-			moved = append(moved, k)
-		}
-	}
-	p.mu.Unlock()
-	// DropScope takes the store's own locks; keep it outside p.mu.
-	for _, k := range moved {
-		p.store.DropScope(k)
-	}
-	st.scopesDropped.Add(int64(len(moved)))
+	moved := p.dropUsers(func(k string, _ *user) bool { return !st.c.Owns(k) })
+	st.scopesDropped.Add(int64(moved))
 	st.rebalances.Add(1)
 }
 
@@ -131,8 +119,8 @@ func (p *Proxy) rebalanceCluster() {
 // refusing"; relaying that would fail a foreground request the local
 // instance can still serve). Transport failures feed the peer's breaker;
 // shed responses do not.
-func (p *Proxy) clusterRelay(ctx context.Context, bgt reqBudget, sp *obs.Span, w http.ResponseWriter, req *httpmsg.Request, userKey, addr string) bool {
-	st := p.cluster
+func (p *Proxy) clusterRelay(x *exchange, addr string) bool {
+	st, bgt := p.cluster, x.bgt
 	if !st.c.PeerReady(addr) {
 		st.forwardFallbacks.Add(1)
 		return false
@@ -149,15 +137,14 @@ func (p *Proxy) clusterRelay(ctx context.Context, bgt reqBudget, sp *obs.Span, w
 	// key (the relay's UserKey extraction already consumed it), the hop
 	// marker, and the remaining budget — clamped at the receiver, so hops
 	// only ever shrink it. The local req stays clean for the fallback path.
-	fwd := req.Clone()
-	fwd.SetHeader(userHeader, userKey)
+	fwd := x.req.Clone()
+	fwd.SetHeader(userHeader, x.user)
 	fwd.SetHeader(clusterHopHeader, st.c.Self())
 	if bgt.active() {
 		fwd.SetHeader(budgetHeader, bgt.headerValue(now))
 	}
-	rctx, rcancel := bgt.bound(ctx, now, 0)
+	rctx, rcancel := bgt.bound(x.ctx, now, 0)
 	defer rcancel()
-	start := now
 	resp, err := st.c.Forward(rctx, addr, fwd)
 	if err != nil {
 		st.c.ReportForward(addr, false)
@@ -184,11 +171,9 @@ func (p *Proxy) clusterRelay(ctx context.Context, bgt reqBudget, sp *obs.Span, w
 	}
 	st.c.ReportForward(addr, true)
 	st.forwarded.Add(1)
-	w.Header().Set(clusterForwardedHeader, addr)
-	resp.WriteTo(w)
-	sp.EndStage(obs.StageWrite)
-	sp.SetOutcome(obs.OutcomeForwarded)
-	p.observeClient(p.opts.Now().Sub(start))
+	x.w.Header().Set(clusterForwardedHeader, addr)
+	resp.WriteTo(x.w)
+	x.sp.EndStage(obs.StageWrite)
 	return true
 }
 

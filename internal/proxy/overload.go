@@ -2,7 +2,6 @@ package proxy
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,9 +11,9 @@ import (
 
 // This file is the proxy's self-protection layer (the overload-control
 // counterpart to the resilience layer's sick-origin handling): a bounded
-// admission gate in front of client requests, a client-latency window, and
-// an AIMD governor that scales speculative prefetching down under pressure
-// and back up when the proxy is healthy. The paper's premise (§5) is that
+// admission gate in front of client requests and an AIMD governor that
+// scales speculative prefetching down under pressure and back up when the
+// proxy is healthy. The paper's premise (§5) is that
 // prefetching must never compete with foreground traffic; these mechanisms
 // enforce it when the proxy itself is the bottleneck.
 
@@ -29,13 +28,11 @@ type admitGate struct {
 	shed     atomic.Int64
 }
 
-// newAdmitGate builds a gate, or returns nil (no gating) when max < 0.
+// newAdmitGate builds a gate, or returns nil (no gating) when max < 0. max
+// arrives defaulted by config.Overload.Filled, never 0.
 func newAdmitGate(max int, wait time.Duration) *admitGate {
 	if max < 0 {
 		return nil
-	}
-	if max == 0 {
-		max = 256
 	}
 	if wait <= 0 {
 		wait = 100 * time.Millisecond
@@ -83,55 +80,6 @@ func (g *admitGate) counts() (admitted, shed int64) {
 	return g.admitted.Load(), g.shed.Load()
 }
 
-// latencyRing is a fixed-size window of recent client latencies; quantiles
-// are computed over the window on demand (the window is small, so a copy
-// and sort beats maintaining a digest).
-type latencyRing struct {
-	mu   sync.Mutex
-	buf  []time.Duration
-	n    int
-	next int
-}
-
-func newLatencyRing(size int) *latencyRing {
-	if size < 16 {
-		size = 16
-	}
-	return &latencyRing{buf: make([]time.Duration, size)}
-}
-
-// Observe folds one latency sample into the window.
-func (r *latencyRing) Observe(d time.Duration) {
-	r.mu.Lock()
-	r.buf[r.next] = d
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
-	r.mu.Unlock()
-}
-
-// Quantile reports the q-quantile (0..1) of the window, 0 when empty.
-func (r *latencyRing) Quantile(q float64) time.Duration {
-	r.mu.Lock()
-	if r.n == 0 {
-		r.mu.Unlock()
-		return 0
-	}
-	tmp := make([]time.Duration, r.n)
-	copy(tmp, r.buf[:r.n])
-	r.mu.Unlock()
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	idx := int(q * float64(len(tmp)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(tmp) {
-		idx = len(tmp) - 1
-	}
-	return tmp[idx]
-}
-
 // governor is the AIMD prefetch controller. Its level (GovernorMinLevel..1)
 // scales speculative prefetching: probability multiplies by the level and
 // the effective chain depth shrinks with it. An interval containing any
@@ -148,6 +96,7 @@ type governor struct {
 	lastAdjust time.Time
 	lastShed   time.Time
 	overloaded bool
+	samples    int64
 	decreases  int64
 	increases  int64
 }
@@ -161,6 +110,7 @@ func (g *governor) Observe(queueFrac float64, p95 time.Duration, shed bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	now := g.now()
+	g.samples++
 	if g.lastAdjust.IsZero() {
 		g.lastAdjust = now
 	}
@@ -189,6 +139,18 @@ func (g *governor) Observe(queueFrac float64, p95 time.Duration, shed bool) {
 	}
 	g.overloaded = false
 	g.lastAdjust = now
+}
+
+// p95Due reports whether the next Observe closes an interval in which the
+// latency signal counts: only then is a client p95 worth computing. With
+// TargetP95 unset (the default) it answers without touching the lock.
+func (g *governor) p95Due() bool {
+	if g.cfg.TargetP95 <= 0 {
+		return false
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return !g.lastAdjust.IsZero() && g.now().Sub(g.lastAdjust) >= time.Duration(g.cfg.GovernorInterval)
 }
 
 // Level reports the current prefetch level.

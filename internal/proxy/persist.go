@@ -196,8 +196,10 @@ func (p *Proxy) exportState() *persist.State {
 
 	p.mu.Lock()
 	users := make(map[string]*user, len(p.users))
+	lastSeen := make(map[string]time.Time, len(p.users))
 	for k, u := range p.users {
 		users[k] = u
+		lastSeen[k] = u.lastSeen // guarded by p.mu, like every other access
 	}
 	for id, r := range p.samples {
 		st.Samples[id] = r.Clone()
@@ -205,9 +207,8 @@ func (p *Proxy) exportState() *persist.State {
 	p.mu.Unlock()
 
 	for k, u := range users {
-		us := persist.UserState{Key: k, Exemplars: map[string]persist.ExemplarState{}}
+		us := persist.UserState{Key: k, LastSeen: lastSeen[k], Exemplars: map[string]persist.ExemplarState{}}
 		u.mu.Lock()
-		us.LastSeen = u.lastSeen
 		for id, ex := range u.exemplars {
 			es := persist.ExemplarState{
 				URIWilds: append([]string(nil), ex.uriWilds...),
@@ -300,9 +301,6 @@ func (p *Proxy) applyState(st *persist.State) {
 			u.exemplars[id] = ex
 		}
 		p.users[us.Key] = u
-	}
-	if p.samples == nil {
-		p.samples = map[string]*httpmsg.Request{}
 	}
 	for id, r := range st.Samples {
 		if p.opts.Graph.Sig(id) != nil && r != nil {

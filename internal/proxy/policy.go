@@ -93,14 +93,6 @@ func (p *Proxy) initPolicy() {
 		"Latency of one prefetch-policy Rank call.", rankBounds)
 }
 
-// configuredPolicy names the policy selected at construction.
-func (p *Proxy) configuredPolicy() string {
-	if p.markovPol != nil {
-		return p.markovPol.Name()
-	}
-	return p.staticPol.Name()
-}
-
 // activePolicy resolves the policy answering the next Rank call: markov
 // when configured, hot-swapped back to static while the governor sheds.
 func (p *Proxy) activePolicy() policy.Policy {
@@ -182,7 +174,7 @@ func (p *Proxy) registerPolicyBridges(reg *obs.Registry) {
 func (p *Proxy) policyV1() adminv1.PolicyEntry {
 	st := p.modelPolicy().Stats()
 	return adminv1.PolicyEntry{
-		Configured:       p.configuredPolicy(),
+		Configured:       p.modelPolicy().Name(),
 		Active:           p.activePolicy().Name(),
 		Users:            st.Users,
 		Rows:             st.Rows,

@@ -180,13 +180,11 @@ type Proxy struct {
 	dataUsed *usageWindow
 
 	// Overload-control layer: the admission gate bounds concurrent client
-	// requests, the governor scales speculative prefetching with load, and
-	// clientLat windows recent client latencies for the governor's p95
-	// signal and telemetry.
+	// requests and the governor scales speculative prefetching with load.
+	// The governor's client-latency signal is the span recorder's window.
 	ovl           config.Overload
 	gate          *admitGate
 	gov           *governor
-	clientLat     *latencyRing
 	govSuppressed atomic.Int64
 	draining      atomic.Bool
 
@@ -263,7 +261,8 @@ type user struct {
 	mu        sync.Mutex
 	exemplars map[string]*exemplar         // sigID → latest live example
 	pending   map[string][]pendingInstance // sigID → instances awaiting exemplar
-	lastSeen  time.Time
+
+	lastSeen time.Time // guarded by Proxy.mu, not mu
 }
 
 // New builds a proxy.
@@ -319,6 +318,7 @@ func New(opts Options) *Proxy {
 		reg:     reg,
 		stats:   NewStatsOn(reg),
 		users:   map[string]*user{},
+		samples: map[string]*httpmsg.Request{},
 		sigFail: map[string]*sigBackoff{},
 		flights: map[string]*flight{},
 	}
@@ -373,7 +373,6 @@ func New(opts Options) *Proxy {
 	p.ovl = opts.Config.EffectiveOverload()
 	p.gate = newAdmitGate(p.ovl.MaxConcurrentRequests, time.Duration(p.ovl.AdmissionWait))
 	p.gov = newGovernor(p.ovl, func() time.Time { return p.opts.Now() })
-	p.clientLat = newLatencyRing(512)
 	p.sched = sched.NewWith(sched.Config{
 		Workers:  opts.Workers,
 		Priority: p.stats.Priority,
@@ -511,21 +510,6 @@ func (p *Proxy) OverloadMode() string {
 // OverloadLevel reports the governor's current prefetch level (0..1).
 func (p *Proxy) OverloadLevel() float64 { return p.gov.Level() }
 
-// retryAfter derives the Retry-After hint stamped on every shed (503) from
-// the current overload mode: a draining instance is leaving and clients
-// should stay away longest; a shedding one needs breathing room; a gate shed
-// under otherwise-normal load clears fastest.
-func (p *Proxy) retryAfter() string {
-	switch p.OverloadMode() {
-	case "draining":
-		return "5"
-	case "shedding":
-		return "2"
-	default:
-		return "1"
-	}
-}
-
 // AdmissionCounts reports lifetime admitted and shed client requests.
 func (p *Proxy) AdmissionCounts() (admitted, shed int64) { return p.gate.counts() }
 
@@ -535,24 +519,12 @@ func (p *Proxy) GovernorSuppressed() int64 { return p.govSuppressed.Load() }
 // SchedMetrics exposes the prefetch scheduler's per-class counters.
 func (p *Proxy) SchedMetrics() sched.Metrics { return p.sched.Metrics() }
 
-// ClientLatencyQuantile reports the q-quantile of recent client latencies.
-func (p *Proxy) ClientLatencyQuantile(q float64) time.Duration {
-	return p.clientLat.Quantile(q)
-}
-
 // queueFrac reports the prefetch queue's fill fraction (0..1).
 func (p *Proxy) queueFrac() float64 {
 	if c := p.sched.Cap(); c > 0 {
 		return float64(p.sched.QueueLen()) / float64(c)
 	}
 	return 0
-}
-
-// observeClient folds one client-visible latency into the window and gives
-// the governor a load sample: every served request is a sensor reading.
-func (p *Proxy) observeClient(d time.Duration) {
-	p.clientLat.Observe(d)
-	p.gov.Observe(p.queueFrac(), p.clientLat.Quantile(0.95), false)
 }
 
 // effectiveChainDepth scales the configured chain depth by the governor
@@ -584,11 +556,11 @@ func (p *Proxy) Close() {
 
 func (p *Proxy) user(key string) *user {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	u, ok := p.users[key]
+	var evicted string
 	if !ok {
 		if len(p.users) >= p.opts.MaxUsers {
-			p.evictIdleUserLocked()
+			evicted = p.evictIdleUserLocked()
 		}
 		u = &user{
 			key:       key,
@@ -598,12 +570,16 @@ func (p *Proxy) user(key string) *user {
 		p.users[key] = u
 	}
 	u.lastSeen = p.opts.Now()
+	p.mu.Unlock()
+	if evicted != "" {
+		p.store.DropScope(evicted)
+	}
 	return u
 }
 
-// evictIdleUserLocked drops the least recently seen user and their cached
-// responses (p.mu held; the store has its own locks).
-func (p *Proxy) evictIdleUserLocked() {
+// evictIdleUserLocked forgets the least recently seen user (p.mu held) and
+// returns its key; the caller drops the cache scope after unlocking.
+func (p *Proxy) evictIdleUserLocked() string {
 	var oldestKey string
 	var oldest time.Time
 	for k, u := range p.users {
@@ -611,28 +587,36 @@ func (p *Proxy) evictIdleUserLocked() {
 			oldestKey, oldest = k, u.lastSeen
 		}
 	}
-	if oldestKey != "" {
-		delete(p.users, oldestKey)
-		p.store.DropScope(oldestKey)
+	delete(p.users, oldestKey)
+	return oldestKey
+}
+
+// dropUsers forgets every tracked user pick selects, then drops their cache
+// scopes — after releasing p.mu: with a state directory DropScope ends in a
+// directory walk and removal per user, and every foreground request passes
+// through p.user().
+func (p *Proxy) dropUsers(pick func(key string, u *user) bool) int {
+	var victims []string
+	p.mu.Lock()
+	for k, u := range p.users {
+		if pick(k, u) {
+			delete(p.users, k)
+			victims = append(victims, k)
+		}
 	}
+	p.mu.Unlock()
+	for _, k := range victims {
+		p.store.DropScope(k)
+	}
+	return len(victims)
 }
 
 // PruneUsers drops user states idle for longer than maxIdle, with their
 // cached responses, and returns how many were removed. Long-running
 // deployments call this periodically.
 func (p *Proxy) PruneUsers(maxIdle time.Duration) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	cutoff := p.opts.Now().Add(-maxIdle)
-	n := 0
-	for k, u := range p.users {
-		if u.lastSeen.Before(cutoff) {
-			delete(p.users, k)
-			p.store.DropScope(k)
-			n++
-		}
-	}
-	return n
+	return p.dropUsers(func(_ string, u *user) bool { return u.lastSeen.Before(cutoff) })
 }
 
 // UserCount reports the number of tracked user states.
@@ -642,284 +626,8 @@ func (p *Proxy) UserCount() int {
 	return len(p.users)
 }
 
-// ServeHTTP handles one proxied client request (Figure 10's flow: serve
-// fresh prefetched responses directly, otherwise forward, then feed the
-// transaction into dynamic learning).
-func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	// Origin-form requests (no absolute URI) address the proxy itself
-	// rather than an upstream: serve the small operational surface. No span:
-	// admin traffic is not part of the accelerated request population.
-	if r.URL.Host == "" {
-		p.serveStatus(w, r)
-		return
-	}
-	// Every proxied request gets exactly one span; the deferred Finish seals
-	// it on every return path below (pooled — drop all references after).
-	sp := p.spans.Start()
-	defer sp.Finish()
-	// Lifecycle draining: refuse new proxied work so a graceful shutdown can
-	// wait out only the requests already in flight. Status endpoints above
-	// stay available for orchestrators watching the drain.
-	if p.draining.Load() {
-		sp.EndStage(obs.StageAdmission)
-		sp.SetOutcome(obs.OutcomeShed)
-		w.Header().Set("Retry-After", p.retryAfter())
-		http.Error(w, "proxy: draining", http.StatusServiceUnavailable)
-		return
-	}
-	// Admission control: bound concurrent client work. Arrivals past the
-	// limit wait briefly for a slot and are shed with a 503 otherwise; a shed
-	// is also the strongest overload signal the prefetch governor gets.
-	if !p.gate.acquire(r.Context()) {
-		sp.EndStage(obs.StageAdmission)
-		sp.SetOutcome(obs.OutcomeShed)
-		p.gov.Observe(p.queueFrac(), p.clientLat.Quantile(0.95), true)
-		w.Header().Set("Retry-After", p.retryAfter())
-		http.Error(w, "proxy: overloaded", http.StatusServiceUnavailable)
-		return
-	}
-	defer p.gate.release()
-	sp.EndStage(obs.StageAdmission)
-	userKey := p.opts.UserKey(r)
-	sp.SetUser(userKey)
-	req, err := httpmsg.FromHTTPLimited(r, p.maxBody)
-	if err != nil {
-		sp.EndStage(obs.StageParse)
-		sp.SetOutcome(obs.OutcomeError)
-		if errors.Is(err, httpmsg.ErrBodyTooLarge) {
-			http.Error(w, "proxy: request body too large", http.StatusRequestEntityTooLarge)
-		} else {
-			http.Error(w, "proxy: malformed request: "+err.Error(), http.StatusBadRequest)
-		}
-		return
-	}
-	// The user, cluster, and budget tags are proxy addressing metadata, not
-	// application payload: record what they say, then strip them here —
-	// before any routing decision — so no path (relay, fallback, origin,
-	// error) can leak them onward or let them perturb exact-match keys.
-	_, hopped := req.GetHeader(clusterHopHeader)
-	bgt := p.acceptBudget(req)
-	req.DeleteHeader(userHeader)
-	req.DeleteHeader(clusterHopHeader)
-	// Cluster routing: a request for a user this instance does not own is
-	// relayed to the owner, so the user's learned state accretes in exactly
-	// one place. The hop header caps relaying at one hop — a forwarded
-	// request is always served where it lands, even if membership views
-	// momentarily disagree about ownership. Relay failure of any kind falls
-	// through to local serving: topology trouble must never fail a
-	// foreground request.
-	if p.cluster != nil {
-		if hopped {
-			p.cluster.receivedForwards.Add(1)
-		} else if addr, self := p.cluster.c.Owner(userKey); !self {
-			if p.clusterRelay(r.Context(), bgt, sp, w, req, userKey, addr) {
-				return
-			}
-		}
-	}
-	u := p.user(userKey)
-	key := req.CanonicalKey()
-	sp.EndStage(obs.StageParse)
-	start := p.opts.Now()
-
-	if entry, shared := p.lookup(u, key); entry != nil {
-		sp.EndStage(obs.StageCache)
-		sp.SetSig(entry.SigID)
-		// R3: the prefetched request was byte-identical (canonical key
-		// equality), so the client receives exactly the origin's bytes —
-		// true even across users for shared-tier hits. writeBuffered slices
-		// 206s locally when the client asked for a Range of the entity.
-		p.stats.CountHit(entry.SigID, int64(len(entry.Resp.Body)), p.stats.RespTime(entry.SigID), entry.FirstUse(), shared)
-		p.observePolicy(u.key, entry.SigID)
-		p.writeBuffered(w, req, entry.Resp)
-		sp.EndStage(obs.StageWrite)
-		p.observeTTFB(start)
-		if entry.Refreshed {
-			sp.SetOutcome(obs.OutcomeRefreshHit)
-		} else {
-			sp.SetOutcome(obs.OutcomePrefetchHit)
-		}
-		p.observeClient(p.opts.Now().Sub(start))
-		return
-	}
-	sp.EndStage(obs.StageCache)
-
-	// The match runs before the origin round trip now: it decides whether
-	// this miss becomes a flight (spooled, capturable, attachable) or a plain
-	// passthrough.
-	var matched []*sig.Signature
-	if !p.opts.DisablePrefetch {
-		matched = p.opts.Graph.MatchRequest(req)
-	}
-
-	// Cluster peer fill: a shared-eligible miss asks ring siblings for the
-	// entry before paying an origin round trip. Only cacheable targets
-	// qualify — signatures someone prefetches (they have dependency edges
-	// in) and whose responses are user-agnostic. The fill Puts into the
-	// local shared tier, so it both answers this request and warms the
-	// instance.
-	if p.cluster != nil && len(matched) > 0 &&
-		len(p.opts.Graph.DepsInto(matched[0].ID)) > 0 && p.sharedEligible(matched[0], req) {
-		if entry := p.clusterPeerFill(r.Context(), key, false, bgt); entry != nil {
-			sp.SetSig(entry.SigID)
-			p.stats.CountHit(entry.SigID, int64(len(entry.Resp.Body)), p.stats.RespTime(entry.SigID), entry.FirstUse(), true)
-			p.observePolicy(u.key, entry.SigID)
-			p.writeBuffered(w, req, entry.Resp)
-			sp.EndStage(obs.StageWrite)
-			p.observeTTFB(start)
-			sp.SetOutcome(obs.OutcomePeerHit)
-			p.observeClient(p.opts.Now().Sub(start))
-			return
-		}
-	}
-
-	if len(matched) == 0 {
-		// Unmatched (or prefetch-disabled): forward verbatim — Range header
-		// and all — streaming the body straight through, never spooled.
-		p.forwardPassthrough(r.Context(), bgt, sp, w, req, start)
-		return
-	}
-
-	// Matched: this fetch is a flight. The flight key lives on the same
-	// scope the prefetch path uses, so a foreground miss, a prefetch worker,
-	// and any number of concurrent clients converge on one origin fetch.
-	scope := u.key
-	if p.sharedEligible(matched[0], req) {
-		scope = cache.SharedScope
-	}
-	fl, owner := p.openFlight(cache.IssueKey(scope, key))
-	if !owner {
-		if p.attachFlight(w, r.Context().Done(), sp, fl, req, start) {
-			p.streamStats.attachHits.Add(1)
-			p.observePolicy(u.key, matched[0].ID)
-			sp.SetSig(matched[0].ID)
-			sp.SetOutcome(obs.OutcomeAttachHit)
-			p.observeClient(p.opts.Now().Sub(start))
-			return
-		}
-		// The flight failed, answered non-200, or slid past this client's
-		// range: fetch independently, without opening a second flight (a
-		// failing key must not stack spools).
-		p.forwardPassthrough(r.Context(), bgt, sp, w, req, start)
-		return
-	}
-	p.runFlight(r.Context(), bgt, sp, w, u, req, matched, cache.IssueKey(scope, key), fl, start)
-}
-
-// forwardPassthrough forwards one request on the client's behalf and streams
-// the answer through untouched: no spool, no capture, no learning. The
-// request context propagates client disconnects, the remaining latency
-// budget (when set) bounds the whole origin exchange, and the retry
-// middleware gives idempotent requests one fast retry before the client
-// sees a 502.
-func (p *Proxy) forwardPassthrough(ctx context.Context, bgt reqBudget, sp *obs.Span, w http.ResponseWriter, req *httpmsg.Request, start time.Time) {
-	octx, ocancel := bgt.bound(ctx, p.opts.Now(), 0)
-	resp, err := p.fwdUp.RoundTrip(octx, req)
-	if err != nil {
-		ocancel()
-		sp.EndStage(obs.StageOrigin)
-		sp.SetOutcome(obs.OutcomeError)
-		http.Error(w, "proxy: upstream: "+err.Error(), http.StatusBadGateway)
-		p.observeClient(p.opts.Now().Sub(start))
-		return
-	}
-	// A streaming body keeps the origin exchange open past this function:
-	// the bound context must live until the body is finished.
-	if resp.Streaming() {
-		resp.OnBodyClose(ocancel)
-	} else {
-		ocancel()
-	}
-	sp.EndStage(obs.StageOrigin)
-	elapsed := p.opts.Now().Sub(start)
-	p.observeTTFB(start)
-	resp.WriteTo(w)
-	sp.EndStage(obs.StageWrite)
-	sp.SetOutcome(obs.OutcomeOrigin)
-	p.observeClient(elapsed)
-}
-
-// runFlight executes the owner side of a foreground flight: fetch the whole
-// entity, publish headers to any attachers, pump the body through the spool
-// while serving this client from it, then feed the capture into stats and
-// learning. fkey names the flight in the registry.
-func (p *Proxy) runFlight(ctx context.Context, bgt reqBudget, sp *obs.Span, w http.ResponseWriter, u *user, req *httpmsg.Request, matched []*sig.Signature, fkey string, fl *flight, start time.Time) {
-	// A matched live request is history evidence whether it hits or misses;
-	// the hit paths observe in ServeHTTP, the miss path observes here.
-	p.observePolicy(u.key, matched[0].ID)
-	// The origin always sees the whole-entity request: Range is stripped and
-	// the 206 (if asked for) is sliced locally from the spool, so the capture
-	// stays a complete entity every attacher and the cache can share.
-	sent := req
-	if rangeHeaderOf(req) != "" {
-		sent = req.Clone()
-		sent.DeleteHeader("Range")
-		sent.DeleteHeader("If-Range")
-	}
-	octx, ocancel := bgt.bound(ctx, p.opts.Now(), 0)
-	resp, err := p.fwdUp.RoundTrip(octx, sent)
-	if err != nil {
-		ocancel()
-		sp.EndStage(obs.StageOrigin)
-		sp.SetOutcome(obs.OutcomeError)
-		p.failFlight(fkey, fl, err)
-		http.Error(w, "proxy: upstream: "+err.Error(), http.StatusBadGateway)
-		p.observeClient(p.opts.Now().Sub(start))
-		return
-	}
-	if resp.Streaming() {
-		resp.OnBodyClose(ocancel)
-	} else {
-		ocancel()
-	}
-	sp.EndStage(obs.StageOrigin)
-	elapsed := p.opts.Now().Sub(start)
-	fl.status = resp.Status
-	fl.header = resp.Header
-	fl.sigID = matched[0].ID
-	close(fl.ready)
-	// Resolve this client's own view (Range against a not-yet-known total)
-	// and pin a reader BEFORE the pump starts: pre-pump, no offset can have
-	// been trimmed away, so the owner is always servable from its own flight.
-	off, length, contentRange, ranged, _ := flightRange(req, fl)
-	rd, rerr := fl.sp.ReaderAt(off)
-	go p.pump(fl, resp)
-	if rerr == nil {
-		p.serveSpool(w, sp, fl, rd, length, contentRange, ranged, start)
-		rd.Close()
-	}
-	sp.SetSig(matched[0].ID)
-	sp.SetOutcome(obs.OutcomeOrigin)
-	p.observeClient(elapsed)
-
-	// Body accounting and learning happen once the pump finishes. Under-cap
-	// bodies always complete into a capture (no backpressure below the cap),
-	// even when this client disconnected mid-stream; over-cap bodies are
-	// abandoned by the pump as soon as the last reader detaches.
-	fl.sp.Wait()
-	p.closeFlight(fkey, fl)
-	body, ok := fl.sp.Bytes()
-	if !ok && fl.sp.Overflowed() {
-		p.streamStats.bodyOverflows.Add(1)
-	}
-	p.stats.ObserveRespTime(matched[0].ID, elapsed)
-	p.stats.CountMiss(matched[0].ID, fl.sp.Size())
-	if ok {
-		lresp := &httpmsg.Response{Status: fl.status, Header: fl.header, Body: body}
-		// Ambiguous URI patterns (fully dynamic URLs look identical) mean one
-		// live transaction can instantiate several signatures; learn through
-		// every match so each keeps a usable exemplar.
-		for _, s := range matched {
-			p.learn(u, s, req, lresp, 0, true)
-		}
-		sp.EndStage(obs.StageLearn)
-	}
-	fl.sp.Discard()
-}
-
 // serveStatus answers direct (non-proxied) requests with the versioned
 // admin API (/appx/v1/*) — the operational surface of the proxy process.
-// The pre-versioning paths survive as deprecated redirecting aliases.
 func (p *Proxy) serveStatus(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
 	case "/", "/healthz":
@@ -945,22 +653,9 @@ func (p *Proxy) serveStatus(w http.ResponseWriter, r *http.Request) {
 		p.reg.WritePrometheus(w)
 	case adminv1.PathClusterEntry:
 		p.serveClusterEntry(w, r)
-	case adminv1.LegacyPathStats:
-		redirectDeprecated(w, r, adminv1.PathStats)
-	case adminv1.LegacyPathHealth:
-		redirectDeprecated(w, r, adminv1.PathHealth)
 	default:
 		http.Error(w, "appx proxy: unknown endpoint (this is a forward proxy; configure it as such)", http.StatusNotFound)
 	}
-}
-
-// redirectDeprecated 307-redirects a pre-versioning admin path to its
-// /appx/v1 successor. 307 keeps the method; the Deprecation header (RFC
-// 9745) and successor-version Link tell clients what to migrate to.
-func redirectDeprecated(w http.ResponseWriter, r *http.Request, successor string) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-	http.Redirect(w, r, successor, http.StatusTemporaryRedirect)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -1122,15 +817,16 @@ func (p *Proxy) spansV1(n int) adminv1.SpansResponse {
 // overloadV1 is the admission/governor block shared by stats and health.
 func (p *Proxy) overloadV1() adminv1.Overload {
 	admitted, shedded := p.gate.counts()
+	lat := p.spans.WindowQuantiles(obs.OutcomeShed, 0.50, 0.95, 0.99)
 	return adminv1.Overload{
 		Mode:               p.OverloadMode(),
 		Level:              p.gov.Level(),
 		Admitted:           admitted,
 		AdmissionShed:      shedded,
 		GovernorSuppressed: p.govSuppressed.Load(),
-		ClientP50Ms:        p.clientLat.Quantile(0.50).Milliseconds(),
-		ClientP95Ms:        p.clientLat.Quantile(0.95).Milliseconds(),
-		ClientP99Ms:        p.clientLat.Quantile(0.99).Milliseconds(),
+		ClientP50Ms:        lat[0].Milliseconds(),
+		ClientP95Ms:        lat[1].Milliseconds(),
+		ClientP99Ms:        lat[2].Milliseconds(),
 	}
 }
 
@@ -1406,6 +1102,27 @@ func (p *Proxy) instantiate(u *user, s *sig.Signature, pred string, combo map[st
 	p.maybePrefetch(u, s, req, depth, class)
 }
 
+// prefetch is one speculative fetch from issue to commit: the reconstructed
+// request, the cache slot (scope, key, expiry) its TryIssue claim holds, and
+// its place in the dependency chain.
+type prefetch struct {
+	u      *user
+	s      *sig.Signature
+	req    *httpmsg.Request
+	scope  string
+	key    string
+	expiry time.Duration
+	depth  int
+	class  sched.Class
+}
+
+// overDataBudget reports whether the current window's prefetch bytes have
+// used up the configured data budget (C4).
+func (p *Proxy) overDataBudget() bool {
+	budget := p.opts.Config.DataBudgetBytes
+	return budget > 0 && p.dataUsed.Used(p.opts.Now()) >= budget
+}
+
 // maybePrefetch applies policy (probability, data budget, dedup) and
 // overload control (governor level, class queue shares, enqueue deadline),
 // then schedules the prefetch.
@@ -1430,7 +1147,7 @@ func (p *Proxy) maybePrefetch(u *user, s *sig.Signature, req *httpmsg.Request, d
 	if d.Prob <= 0 || (d.Prob < 1 && p.opts.Rand() >= d.Prob) {
 		return
 	}
-	if budget := p.opts.Config.DataBudgetBytes; budget > 0 && p.dataUsed.Used(p.opts.Now()) >= budget {
+	if p.overDataBudget() {
 		return
 	}
 	// Resilience gates: a suspended signature (consecutive failures) or a
@@ -1440,33 +1157,30 @@ func (p *Proxy) maybePrefetch(u *user, s *sig.Signature, req *httpmsg.Request, d
 		p.stats.CountPrefetchSuppressed(s.ID)
 		return
 	}
-	expiry := p.opts.Config.Expiration(cpol)
-	key := req.CanonicalKey()
 	// Shared-eligible requests prefetch into the cross-user tier; TryIssue
 	// then singleflights the fetch across every user wanting this key.
-	scope := u.key
+	pf := &prefetch{u: u, s: s, req: req, scope: u.key, key: req.CanonicalKey(),
+		expiry: p.opts.Config.Expiration(cpol), depth: depth, class: class}
 	if p.sharedEligible(s, req) {
-		scope = cache.SharedScope
+		pf.scope = cache.SharedScope
 	}
-	if !p.store.TryIssue(scope, key, expiry) {
+	if !p.store.TryIssue(pf.scope, pf.key, pf.expiry) {
 		return
 	}
+	// release gives the dedup claim back so a later, fresher instance can
+	// re-issue the fetch.
+	release := func() { p.store.CancelIssue(pf.scope, pf.key) }
 	task := &sched.Task{
 		SigID: s.ID,
 		Class: class,
-		Run: func() {
-			p.runPrefetch(u, s, req, key, scope, expiry, depth, class)
-		},
-		// Accepted-then-shed (deadline expiry at dispatch, or Close): release
-		// the dedup claim so a later, fresher instance can re-issue the fetch.
-		Abandon: func() {
-			p.store.CancelIssue(scope, key)
-		},
+		Run:   func() { p.runPrefetch(pf) },
+		// Accepted-then-shed (deadline expiry at dispatch, or Close).
+		Abandon: release,
 		// A panicking prefetch counts as a prefetch failure: it releases its
 		// claim and feeds the signature's backoff, so a reconstruction that
 		// reliably panics suspends itself like one that reliably errors.
 		OnPanic: func(any) {
-			p.store.CancelIssue(scope, key)
+			release()
 			p.stats.CountPrefetchError(s.ID)
 			p.recordSigFailure(s.ID)
 		},
@@ -1475,19 +1189,22 @@ func (p *Proxy) maybePrefetch(u *user, s *sig.Signature, req *httpmsg.Request, d
 		task.Deadline = p.opts.Now().Add(qd)
 	}
 	if !p.sched.Submit(task) {
-		p.store.CancelIssue(scope, key)
+		release()
 	}
 }
 
-// runPrefetch executes one prefetch: sends the (optionally header-tagged)
-// request upstream, caches the response under the clean request's key, and
-// feeds the transaction back into learning so dependency chains prefetch
-// end-to-end (Figure 3(c)).
-func (p *Proxy) runPrefetch(u *user, s *sig.Signature, req *httpmsg.Request, key, scope string, expiry time.Duration, depth int, class sched.Class) {
-	if budget := p.opts.Config.DataBudgetBytes; budget > 0 && p.dataUsed.Used(p.opts.Now()) >= budget {
-		// Budget re-checked at execution time: instances queued before the
-		// budget ran out must not blow past it (C4).
-		p.store.CancelIssue(scope, key)
+// runPrefetch executes one prefetch: obtains the response — from a ring
+// sibling, from a flight this worker opens, or from a foreground flight
+// already fetching the key — commits the capture under the claim the task
+// holds, and feeds the transaction back into learning so dependency chains
+// prefetch end-to-end (Figure 3(c)). Every shortfall gives the claim back,
+// so the signature's failure backoff — not a stale issued entry — governs
+// when reconstruction is retried.
+func (p *Proxy) runPrefetch(pf *prefetch) {
+	// Budget re-checked at execution time: instances queued before the
+	// budget ran out must not blow past it (C4).
+	if p.overDataBudget() {
+		p.store.CancelIssue(pf.scope, pf.key)
 		return
 	}
 	// Shared-tier prefetches try ring siblings before the origin: the claim
@@ -1495,169 +1212,149 @@ func (p *Proxy) runPrefetch(u *user, s *sig.Signature, req *httpmsg.Request, key
 	// re-claims nor releases on miss (the origin fetch below still owns it).
 	// A peer hit counts as a zero-byte prefetch — the entry is as warm as a
 	// fetched one but cost no origin traffic.
-	if p.cluster != nil && scope == cache.SharedScope {
+	if p.cluster != nil && pf.scope == cache.SharedScope {
 		// Parent on the cluster context, not Background: BeginDrain cancels
 		// it, so background fills die with the drain instead of waiting out
 		// PrefetchTimeout.
 		ctx, cancel := context.WithTimeout(p.cluster.c.Context(), time.Duration(p.res.PrefetchTimeout))
-		e := p.clusterPeerFill(ctx, key, true, reqBudget{})
+		e := p.clusterPeerFill(ctx, pf.key, true, reqBudget{})
 		cancel()
 		if e != nil {
-			p.stats.CountPrefetch(s.ID, 0)
+			p.stats.CountPrefetch(pf.s.ID, 0)
 			return
-		}
-	}
-	sent := req
-	cpol := p.opts.Config.Policy(s.Hash())
-	if cpol != nil && len(cpol.AddHeader) > 0 {
-		sent = req.Clone()
-		for _, h := range cpol.AddHeader {
-			sent.Header = append(sent.Header, httpmsg.Field{Key: h.Key, Value: h.Value})
 		}
 	}
 	// The prefetch is a flight too: foreground misses for the same key
 	// attach to it instead of paying their own origin round trip. And when a
 	// foreground fetch already owns the flight, this worker rides it the
-	// other way: wait for the shared fetch and cache its capture under the
-	// claim this task holds.
-	fkey := cache.IssueKey(scope, key)
+	// other way: wait for the shared fetch and cache its capture.
+	fkey := cache.IssueKey(pf.scope, pf.key)
 	fl, owner := p.openFlight(fkey)
-	if !owner {
-		p.adoptFlight(fl, s, req, key, scope, expiry, class)
+	var body []byte
+	var ok bool
+	if owner {
+		body, ok = p.fetchFlight(pf, fkey, fl)
+	} else {
+		body, ok = p.adoptFlight(pf, fl)
+	}
+	if !ok {
+		p.store.CancelIssue(pf.scope, pf.key)
 		return
+	}
+	// Commit: the signature works again, the request becomes the
+	// verification sample, and the Put clears the claim.
+	p.recordSigSuccess(pf.s.ID)
+	p.mu.Lock()
+	p.samples[pf.s.ID] = pf.req.Clone()
+	p.mu.Unlock()
+	resp := &httpmsg.Response{Status: fl.status, Header: fl.header, Body: body}
+	p.store.Put(pf.scope, pf.key, &cache.Entry{
+		Resp:    resp,
+		Req:     pf.req.Clone(),
+		SigID:   pf.s.ID,
+		Expires: p.opts.Now().Add(pf.expiry),
+		// Foreground-class prefetches are refreshes of entries clients are
+		// demonstrably using; hits on them report as refresh-hit.
+		Refreshed: pf.class == sched.ClassForeground,
+	})
+	// Chain continuation — only from a fetch this worker made itself; an
+	// adopted capture is learned from live by the foreground owner. The
+	// depth ceiling lives in the policy layer: fan-out candidates at depth+1
+	// are Keep=false (ReasonDepth) beyond the governor-scaled effective
+	// chain depth, each pruned tail counted.
+	if owner && !p.opts.DisableChaining {
+		p.learn(pf.u, pf.s, pf.req, resp, pf.depth+1, false)
+	}
+}
+
+// fetchFlight is the prefetch worker's own origin fetch through the flight
+// it opened. It returns the complete 200 capture, or ok=false after
+// accounting for what went wrong.
+func (p *Proxy) fetchFlight(pf *prefetch, fkey string, fl *flight) (body []byte, ok bool) {
+	sigID := pf.s.ID
+	sent := pf.req
+	if cpol := p.opts.Config.Policy(pf.s.Hash()); cpol != nil && len(cpol.AddHeader) > 0 {
+		sent = sent.Clone()
+		for _, h := range cpol.AddHeader {
+			sent.Header = append(sent.Header, httpmsg.Field{Key: h.Key, Value: h.Value})
+		}
 	}
 	// Bound the whole round trip — every retry attempt included — so a
 	// stalled origin (netem-style) cannot pin this worker past the
 	// deadline; the retry layer derives its per-attempt contexts from ours.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Duration(p.res.PrefetchTimeout))
+	defer cancel()
 	start := p.opts.Now()
 	resp, err := p.preUp.RoundTrip(ctx, sent)
 	if err != nil {
-		cancel()
 		p.failFlight(fkey, fl, err)
-		p.store.CancelIssue(scope, key)
 		if errors.Is(err, resilience.ErrOpen) {
 			// The breaker tripped between queueing and execution; this is
 			// suppression, not a fresh origin failure.
-			p.stats.CountPrefetchSuppressed(s.ID)
-			return
+			p.stats.CountPrefetchSuppressed(sigID)
+		} else {
+			p.stats.CountPrefetchError(sigID)
+			p.recordSigFailure(sigID)
 		}
-		p.stats.CountPrefetchError(s.ID)
-		p.recordSigFailure(s.ID)
-		return
+		return nil, false
 	}
-	fl.status = resp.Status
-	fl.header = resp.Header
-	fl.sigID = s.ID
-	close(fl.ready)
+	fl.publish(resp)
 	// The worker streams the body through the spool inline: attachers read
 	// as bytes arrive, and an over-cap body with nobody attached is
 	// abandoned mid-stream (consume-or-cancel) instead of read to EOF.
 	p.pump(fl, resp)
-	cancel()
 	p.closeFlight(fkey, fl)
-	body, captured := fl.sp.Bytes()
-	sz := fl.sp.Size()
-	p.stats.ObserveRespTime(s.ID, p.opts.Now().Sub(start))
-	p.stats.CountPrefetch(s.ID, sz)
-	p.dataUsed.Add(p.opts.Now(), sz)
-	if resp.Status != http.StatusOK {
-		// The origin rejected our reconstruction; do not cache errors
-		// (R3: never alter app behaviour with synthetic failures). Clear the
-		// dedup claim so the signature's failure backoff — not a stale
-		// issued entry — governs when reconstruction is retried.
-		p.stats.CountPrefetchReject(s.ID)
-		p.recordSigFailure(s.ID)
-		p.store.CancelIssue(scope, key)
-		fl.sp.Discard()
-		return
-	}
-	if !captured {
-		// Over the capture cap (or a mid-body stream error): there is no
-		// complete entity to cache. Not a signature failure — the origin
-		// answered fine; the response is just bigger than the proxy caches.
-		if fl.sp.Overflowed() {
-			p.streamStats.bodyOverflows.Add(1)
-		}
-		p.store.CancelIssue(scope, key)
-		fl.sp.Discard()
-		return
-	}
+	body, ok = fl.sp.Bytes()
 	fl.sp.Discard()
-	p.recordSigSuccess(s.ID)
-	p.mu.Lock()
-	if p.samples == nil {
-		p.samples = map[string]*httpmsg.Request{}
+	sz := fl.sp.Size()
+	p.stats.ObserveRespTime(sigID, p.opts.Now().Sub(start))
+	p.stats.CountPrefetch(sigID, sz)
+	p.dataUsed.Add(p.opts.Now(), sz)
+	switch {
+	case resp.Status != http.StatusOK:
+		// The origin rejected our reconstruction; do not cache errors
+		// (R3: never alter app behaviour with synthetic failures).
+		p.stats.CountPrefetchReject(sigID)
+		p.recordSigFailure(sigID)
+		return nil, false
+	case !ok && fl.sp.Overflowed():
+		// Over the capture cap: no complete entity to cache. Not a signature
+		// failure — the origin answered fine; the response is just bigger
+		// than the proxy caches. (A mid-body stream error lands here too,
+		// uncounted.)
+		p.streamStats.bodyOverflows.Add(1)
 	}
-	p.samples[s.ID] = req.Clone()
-	p.mu.Unlock()
-	bresp := &httpmsg.Response{Status: fl.status, Header: fl.header, Body: body}
-	p.store.Put(scope, key, &cache.Entry{
-		Resp:    bresp,
-		Req:     req.Clone(),
-		SigID:   s.ID,
-		Expires: p.opts.Now().Add(expiry),
-		// Foreground-class prefetches are refreshes of entries clients are
-		// demonstrably using; hits on them report as refresh-hit.
-		Refreshed: class == sched.ClassForeground,
-	})
-
-	// Chain continuation: the depth ceiling moved into the policy layer —
-	// fan-out candidates at depth+1 are Keep=false (ReasonDepth) beyond the
-	// governor-scaled effective chain depth, replacing the old
-	// `depth < effectiveChainDepth()` gate here, and each pruned tail is
-	// counted instead of silently skipped.
-	if !p.opts.DisableChaining {
-		p.learn(u, s, req, bresp, depth+1, false)
-	}
+	return body, ok
 }
 
 // adoptFlight is the prefetch worker's path when a foreground fetch already
 // owns the key's flight: instead of a second origin round trip, the worker
 // attaches a reader (pinning the capture against release), drains alongside
-// the clients, and Puts the finished capture under the claim this task
-// holds. On any shortfall — flight error, non-200, over-cap body — the claim
-// is released and the cache stays untouched.
-func (p *Proxy) adoptFlight(fl *flight, s *sig.Signature, req *httpmsg.Request, key, scope string, expiry time.Duration, class sched.Class) {
-	rd, rerr := fl.sp.ReaderAt(0)
-	if rerr != nil {
+// the clients, and returns the finished capture. ok is false on any
+// shortfall — flight already gone, error, non-200, over-cap body.
+func (p *Proxy) adoptFlight(pf *prefetch, fl *flight) (body []byte, ok bool) {
+	rd, err := fl.sp.ReaderAt(0)
+	if err != nil {
 		// The flight already finished and released its spool; the next
 		// request for the key will simply re-issue the prefetch.
-		p.store.CancelIssue(scope, key)
-		return
+		return nil, false
 	}
+	defer rd.Close()
 	select {
 	case <-fl.ready:
 	case <-time.After(time.Duration(p.res.PrefetchTimeout)):
 		// The owner never published headers (wedged origin); give up the
 		// claim rather than pin a worker on someone else's fetch.
-		rd.Close()
-		p.store.CancelIssue(scope, key)
-		return
+		return nil, false
 	}
 	// Drain our reader as the body streams: it keeps the pump unblocked (a
 	// parked reader at offset 0 would wedge over-cap backpressure) and
 	// returns exactly when the writer closes.
 	io.Copy(io.Discard, rd)
-	body, captured := fl.sp.Bytes()
-	rd.Close()
-	if fl.err != nil || fl.status != http.StatusOK || !captured {
-		p.store.CancelIssue(scope, key)
-		return
+	body, ok = fl.sp.Bytes()
+	if fl.err != nil || fl.status != http.StatusOK || !ok {
+		return nil, false
 	}
-	p.stats.CountPrefetch(s.ID, 0) // zero-byte: the foreground fetch paid for it
-	p.recordSigSuccess(s.ID)
-	p.mu.Lock()
-	if p.samples == nil {
-		p.samples = map[string]*httpmsg.Request{}
-	}
-	p.samples[s.ID] = req.Clone()
-	p.mu.Unlock()
-	p.store.Put(scope, key, &cache.Entry{
-		Resp:      &httpmsg.Response{Status: fl.status, Header: fl.header, Body: body},
-		Req:       req.Clone(),
-		SigID:     s.ID,
-		Expires:   p.opts.Now().Add(expiry),
-		Refreshed: class == sched.ClassForeground,
-	})
+	p.stats.CountPrefetch(pf.s.ID, 0) // zero-byte: the foreground fetch paid for it
+	return body, true
 }

@@ -798,23 +798,10 @@ func TestStatusSurface(t *testing.T) {
 	if stats.Requests.Total == 0 || len(stats.Requests.Outcomes) == 0 {
 		t.Fatalf("stats requests block empty: %+v", stats.Requests)
 	}
-	// The pre-versioning paths survive as deprecated redirects to /appx/v1.
-	for legacy, successor := range map[string]string{
-		"/appx/stats":  adminv1.PathStats,
-		"/appx/health": adminv1.PathHealth,
-	} {
-		rec, _ = get(legacy)
-		if rec.Code != http.StatusTemporaryRedirect {
-			t.Fatalf("%s = %d, want 307", legacy, rec.Code)
-		}
-		if got := rec.Header().Get("Location"); got != successor {
-			t.Fatalf("%s Location = %q, want %q", legacy, got, successor)
-		}
-		if rec.Header().Get("Deprecation") != "true" {
-			t.Fatalf("%s missing Deprecation header", legacy)
-		}
-		if link := rec.Header().Get("Link"); !strings.Contains(link, `rel="successor-version"`) {
-			t.Fatalf("%s Link = %q, want successor-version relation", legacy, link)
+	// The pre-versioning paths are gone: only /appx/v1 answers.
+	for _, legacy := range []string{"/appx/stats", "/appx/health"} {
+		if rec, _ = get(legacy); rec.Code != http.StatusNotFound {
+			t.Fatalf("%s = %d, want 404", legacy, rec.Code)
 		}
 	}
 	// /appx/v1/metrics serves the Prometheus text exposition.
@@ -875,7 +862,7 @@ func TestSteadyStateLiteralZeroRegex(t *testing.T) {
 	}
 }
 
-// /appx/stats exposes the match-index telemetry counters.
+// /appx/v1/stats exposes the match-index telemetry counters.
 func TestStatsMatchIndexTelemetry(t *testing.T) {
 	l := newLab(t, apps.Wish(), nil)
 	l.call("WishMain.launch")

@@ -44,6 +44,12 @@ func resilienceGraph() *sig.Graph {
 // every /list response carries fresh ids so each round spawns new prefetch
 // work instead of deduplicating against the previous round's.
 type faultableUpstream struct {
+	// planning is write-held by drive while a /list request — and with it
+	// the planning of the round's whole fan-out — is in progress; prefetch
+	// round trips wait on it, so "a round is queued before any of it
+	// executes" holds by construction instead of by goroutine timing.
+	planning sync.RWMutex
+
 	mu         sync.Mutex
 	round      int
 	perRound   int
@@ -69,6 +75,10 @@ func (f *faultableUpstream) reached(host string) int {
 }
 
 func (f *faultableUpstream) RoundTrip(ctx context.Context, r *httpmsg.Request) (*httpmsg.Response, error) {
+	if r.Path != "/list" {
+		f.planning.RLock()
+		defer f.planning.RUnlock()
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if r.Host == "sick.example" && f.faults != nil && f.faults.ConnectRefused(r.Host) {
@@ -145,7 +155,9 @@ func (l *resLab) get(host, path, id string) *httpmsg.Response {
 func (l *resLab) drive(n int) {
 	l.t.Helper()
 	for i := 0; i < n; i++ {
+		l.up.planning.Lock()
 		l.get("ok.example", "/list", "")
+		l.up.planning.Unlock()
 		l.p.Drain()
 		round := l.up.round
 		l.get("ok.example", "/detail", fmt.Sprintf("r%d-0", round))

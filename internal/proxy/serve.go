@@ -1,0 +1,326 @@
+package proxy
+
+import (
+	"context"
+	"errors"
+	"net/http"
+	"time"
+
+	"appx/internal/cache"
+	"appx/internal/httpmsg"
+	"appx/internal/obs"
+	"appx/internal/sig"
+)
+
+// The foreground request lifecycle (DESIGN.md §8). One proxied request is one
+// exchange walked through the obs.Stage pipeline by serve and sealed by
+// finish. serve and its helpers only *return* the terminal outcome and stamp
+// facts on the exchange (signature, first-byte time); finish alone turns
+// them into the span's outcome and sig, the TTFB sample, and the governor's
+// load sample.
+
+// exchange is one proxied client request in flight. It lives on ServeHTTP's
+// stack: helpers take it by pointer and must not retain it.
+type exchange struct {
+	ctx  context.Context
+	w    http.ResponseWriter
+	sp   *obs.Span
+	req  *httpmsg.Request
+	bgt  reqBudget
+	user string
+
+	// start is the end of the parse stage: the baseline for TTFB and for
+	// the origin response time a flight records.
+	start time.Time
+	// first is when response bytes first reached the client; zero when the
+	// request was refused or failed before any origin or cached byte.
+	first time.Time
+	// sigID is the signature the request was attributed to, if any.
+	sigID string
+}
+
+// ServeHTTP handles one proxied client request (Figure 10's flow: serve
+// fresh prefetched responses directly, otherwise forward, then feed the
+// transaction into dynamic learning).
+func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	// Origin-form requests (no absolute URI) address the proxy itself
+	// rather than an upstream: serve the small operational surface. No span:
+	// admin traffic is not part of the accelerated request population.
+	if r.URL.Host == "" {
+		p.serveStatus(w, r)
+		return
+	}
+	x := exchange{ctx: r.Context(), w: w, sp: p.spans.Start()}
+	// Deferred so a panicking stage still seals its span (as OutcomeUnknown).
+	var outcome obs.Outcome
+	defer func() { p.finish(&x, outcome) }()
+	outcome = p.serve(&x, r)
+}
+
+// finish seals one exchange: exactly one span, at most one TTFB sample, and
+// exactly one governor feed per proxied request. The feed is O(1) — shed
+// flag and queue fill; the client p95 is read from the span window only
+// when the governor is about to close an interval that uses it. A drain
+// refusal is lifecycle, not load, and does not count as a shed.
+func (p *Proxy) finish(x *exchange, outcome obs.Outcome) {
+	x.sp.SetSig(x.sigID)
+	x.sp.SetOutcome(outcome)
+	x.sp.Finish()
+	if !x.first.IsZero() {
+		p.ttfb.Observe(x.first.Sub(x.start))
+	}
+	var p95 time.Duration
+	if p.gov.p95Due() {
+		p95 = p.spans.WindowQuantiles(obs.OutcomeShed, 0.95)[0]
+	}
+	p.gov.Observe(p.queueFrac(), p95, outcome == obs.OutcomeShed && !p.draining.Load())
+}
+
+// refuse answers 503 with a Retry-After hint and reports the shed outcome.
+func refuse(w http.ResponseWriter, msg, retryAfter string) obs.Outcome {
+	w.Header().Set("Retry-After", retryAfter)
+	http.Error(w, msg, http.StatusServiceUnavailable)
+	return obs.OutcomeShed
+}
+
+// serve walks one exchange through the stage pipeline and returns its
+// terminal outcome.
+func (p *Proxy) serve(x *exchange, r *http.Request) obs.Outcome {
+	// Admission. Draining refuses new proxied work so a graceful shutdown
+	// waits out only requests already in flight; otherwise the gate bounds
+	// concurrent client work. Retry-After: a draining instance is leaving
+	// (stay away longest); a gate shed puts the governor into shedding mode.
+	draining := p.draining.Load()
+	admitted := !draining && p.gate.acquire(x.ctx)
+	x.sp.EndStage(obs.StageAdmission)
+	switch {
+	case draining:
+		return refuse(x.w, "proxy: draining", "5")
+	case !admitted:
+		return refuse(x.w, "proxy: overloaded", "2")
+	}
+	defer p.gate.release()
+
+	// Parse: decode, resolve the user, route, key.
+	x.user = p.opts.UserKey(r)
+	x.sp.SetUser(x.user)
+	req, err := httpmsg.FromHTTPLimited(r, p.maxBody)
+	if err != nil {
+		x.sp.EndStage(obs.StageParse)
+		if errors.Is(err, httpmsg.ErrBodyTooLarge) {
+			http.Error(x.w, "proxy: request body too large", http.StatusRequestEntityTooLarge)
+		} else {
+			http.Error(x.w, "proxy: malformed request: "+err.Error(), http.StatusBadRequest)
+		}
+		return obs.OutcomeError
+	}
+	x.req = req
+	// The user, cluster, and budget tags are proxy addressing metadata, not
+	// application payload: record what they say, then strip them here —
+	// before any routing decision — so no path (relay, fallback, origin,
+	// error) can leak them onward or let them perturb exact-match keys.
+	_, hopped := req.GetHeader(clusterHopHeader)
+	x.bgt = p.acceptBudget(req)
+	req.DeleteHeader(userHeader)
+	req.DeleteHeader(clusterHopHeader)
+	// Cluster routing: a request for a user this instance does not own is
+	// relayed to the owner, so the user's learned state accretes in exactly
+	// one place. The hop header caps relaying at one hop — a forwarded
+	// request is always served where it lands, even if membership views
+	// momentarily disagree about ownership. Relay failure of any kind falls
+	// through to local serving: topology trouble must never fail a
+	// foreground request.
+	if p.cluster != nil {
+		if hopped {
+			p.cluster.receivedForwards.Add(1)
+		} else if addr, self := p.cluster.c.Owner(x.user); !self && p.clusterRelay(x, addr) {
+			return obs.OutcomeForwarded
+		}
+	}
+	u := p.user(x.user)
+	key := req.CanonicalKey()
+	x.sp.EndStage(obs.StageParse)
+	x.start = p.opts.Now()
+
+	// Cache.
+	entry, shared := p.lookup(u, key)
+	x.sp.EndStage(obs.StageCache)
+	if entry != nil {
+		if entry.Refreshed {
+			return p.serveEntry(x, entry, shared, obs.OutcomeRefreshHit)
+		}
+		return p.serveEntry(x, entry, shared, obs.OutcomePrefetchHit)
+	}
+
+	// The match decides whether this miss becomes a flight (spooled,
+	// capturable, attachable) or — unmatched or prefetch disabled — a plain
+	// passthrough, forwarded verbatim, Range header and all.
+	var matched []*sig.Signature
+	if !p.opts.DisablePrefetch {
+		matched = p.opts.Graph.MatchRequest(req)
+	}
+	if len(matched) == 0 {
+		return p.passthrough(x)
+	}
+	lead := matched[0]
+	shareable := p.sharedEligible(lead, req)
+
+	// Cluster peer fill: a shared-eligible miss asks ring siblings for the
+	// entry before paying an origin round trip. Only cacheable targets
+	// qualify — signatures someone prefetches (they have dependency edges
+	// in) and whose responses are user-agnostic. The fill Puts into the
+	// local shared tier, so it both answers this request and warms the
+	// instance.
+	if p.cluster != nil && shareable && len(p.opts.Graph.DepsInto(lead.ID)) > 0 {
+		if entry := p.clusterPeerFill(x.ctx, key, false, x.bgt); entry != nil {
+			return p.serveEntry(x, entry, true, obs.OutcomePeerHit)
+		}
+	}
+
+	// Matched: this fetch is a flight. The flight key lives on the same
+	// scope the prefetch path uses, so a foreground miss, a prefetch worker,
+	// and any number of concurrent clients converge on one origin fetch.
+	scope := x.user
+	if shareable {
+		scope = cache.SharedScope
+	}
+	fkey := cache.IssueKey(scope, key)
+	fl, owner := p.openFlight(fkey)
+	if owner {
+		return p.runFlight(x, u, matched, fkey, fl)
+	}
+	if p.attachFlight(x, fl) {
+		p.streamStats.attachHits.Add(1)
+		p.attribute(x, lead.ID)
+		return obs.OutcomeAttachHit
+	}
+	// The flight failed, answered non-200, or slid past this client's
+	// range: fetch independently, without opening a second flight (a
+	// failing key must not stack spools).
+	return p.passthrough(x)
+}
+
+// attribute ties the exchange to the signature answering it. A matched live
+// request is history evidence for the prefetch policy whether it hits or
+// misses, so the policy observes it here, before any learning it triggers.
+func (p *Proxy) attribute(x *exchange, sigID string) {
+	x.sigID = sigID
+	p.observePolicy(x.user, sigID)
+}
+
+// serveEntry answers the exchange from a complete buffered entry — a local
+// cache hit or a peer fill. R3: the prefetched request was byte-identical
+// (canonical key equality), so the client receives exactly the origin's
+// bytes — true even across users for shared-tier hits. writeBuffered slices
+// 206s locally when the client asked for a Range of the entity.
+func (p *Proxy) serveEntry(x *exchange, entry *cache.Entry, shared bool, outcome obs.Outcome) obs.Outcome {
+	p.attribute(x, entry.SigID)
+	p.stats.CountHit(entry.SigID, int64(len(entry.Resp.Body)), p.stats.RespTime(entry.SigID), entry.FirstUse(), shared)
+	p.writeBuffered(x.w, x.req, entry.Resp)
+	p.firstByte(x)
+	return outcome
+}
+
+// firstByte closes the write stage at the moment response bytes reached the
+// client and stamps it; finish turns the stamp into the TTFB sample.
+func (p *Proxy) firstByte(x *exchange) {
+	x.sp.EndStage(obs.StageWrite)
+	x.first = p.opts.Now()
+}
+
+// fetchOrigin runs the exchange's own origin round trip. The request
+// context propagates client disconnects, the remaining latency budget (when
+// set) bounds the whole exchange, and the retry middleware gives idempotent
+// requests one fast retry. On failure the client has been answered 502 and
+// the error is returned.
+func (p *Proxy) fetchOrigin(x *exchange, sent *httpmsg.Request) (*httpmsg.Response, error) {
+	ctx, cancel := x.bgt.bound(x.ctx, p.opts.Now(), 0)
+	resp, err := p.fwdUp.RoundTrip(ctx, sent)
+	x.sp.EndStage(obs.StageOrigin)
+	if err != nil {
+		cancel()
+		http.Error(x.w, "proxy: upstream: "+err.Error(), http.StatusBadGateway)
+		return nil, err
+	}
+	// A streaming body keeps the origin exchange open past this function:
+	// the bound context must live until the body is finished.
+	if resp.Streaming() {
+		resp.OnBodyClose(cancel)
+	} else {
+		cancel()
+	}
+	return resp, nil
+}
+
+// passthrough forwards the request on the client's behalf and streams the
+// answer through untouched: no spool, no capture, no learning.
+func (p *Proxy) passthrough(x *exchange) obs.Outcome {
+	resp, err := p.fetchOrigin(x, x.req)
+	if err != nil {
+		return obs.OutcomeError
+	}
+	x.first = p.opts.Now()
+	resp.WriteTo(x.w)
+	x.sp.EndStage(obs.StageWrite)
+	return obs.OutcomeOrigin
+}
+
+// runFlight executes the owner side of a foreground flight: fetch the whole
+// entity, publish headers to any attachers, pump the body through the spool
+// while serving this client from it, then feed the capture into stats and
+// learning. fkey names the flight in the registry.
+func (p *Proxy) runFlight(x *exchange, u *user, matched []*sig.Signature, fkey string, fl *flight) obs.Outcome {
+	lead := matched[0].ID
+	p.attribute(x, lead)
+	// The origin always sees the whole-entity request: Range is stripped and
+	// the 206 (if asked for) is sliced locally from the spool, so the capture
+	// stays a complete entity every attacher and the cache can share.
+	sent := x.req
+	if rangeHeaderOf(sent) != "" {
+		sent = sent.Clone()
+		sent.DeleteHeader("Range")
+		sent.DeleteHeader("If-Range")
+	}
+	resp, err := p.fetchOrigin(x, sent)
+	if err != nil {
+		p.failFlight(fkey, fl, err)
+		return obs.OutcomeError
+	}
+	elapsed := p.opts.Now().Sub(x.start)
+	fl.publish(resp)
+	// Resolve this client's own view (Range against a not-yet-known total)
+	// and pin a reader BEFORE the pump starts: pre-pump, no offset can have
+	// been trimmed away, so the owner is always servable from its own flight.
+	off, length, contentRange, _ := flightRange(x.req, fl)
+	rd, rerr := fl.sp.ReaderAt(off)
+	go p.pump(fl, resp)
+	if rerr == nil {
+		p.serveSpool(x, fl, rd, length, contentRange)
+		rd.Close()
+	}
+
+	// Body accounting and learning happen once the pump finishes. Under-cap
+	// bodies always complete into a capture (no backpressure below the cap),
+	// even when this client disconnected mid-stream; over-cap bodies are
+	// abandoned by the pump as soon as the last reader detaches.
+	fl.sp.Wait()
+	p.closeFlight(fkey, fl)
+	body, ok := fl.sp.Bytes()
+	if !ok && fl.sp.Overflowed() {
+		p.streamStats.bodyOverflows.Add(1)
+	}
+	p.stats.ObserveRespTime(lead, elapsed)
+	p.stats.CountMiss(lead, fl.sp.Size())
+	if ok {
+		lresp := &httpmsg.Response{Status: fl.status, Header: fl.header, Body: body}
+		// Ambiguous URI patterns (fully dynamic URLs look identical) mean one
+		// live transaction can instantiate several signatures; learn through
+		// every match so each keeps a usable exemplar.
+		for _, s := range matched {
+			p.learn(u, s, x.req, lresp, 0, true)
+		}
+		x.sp.EndStage(obs.StageLearn)
+	}
+	fl.sp.Discard()
+	return obs.OutcomeOrigin
+}

@@ -43,7 +43,6 @@ type flight struct {
 	status int
 	header []httpmsg.Field
 	err    error
-	sigID  string
 }
 
 // openFlight returns the flight for fkey, creating it when absent. owner
@@ -70,6 +69,14 @@ func (p *Proxy) closeFlight(fkey string, f *flight) {
 		delete(p.flights, fkey)
 	}
 	p.flightMu.Unlock()
+}
+
+// publish makes the origin's answer visible to attachers: status and
+// headers become final.
+func (f *flight) publish(resp *httpmsg.Response) {
+	f.status = resp.Status
+	f.header = resp.Header
+	close(f.ready)
 }
 
 // failFlight seals a flight whose origin fetch never produced a body and
@@ -134,52 +141,34 @@ type byteRange struct {
 	start, end int64
 }
 
-// parseRangeHeader parses a Range header value. ok is false for anything
-// malformed or non-bytes — callers then ignore the header (serve 200 full),
-// which RFC 7233 permits.
-func parseRangeHeader(v string) (ranges []byteRange, ok bool) {
+// parseRange parses a Range header value holding exactly one byte range.
+// ok is false for anything malformed, non-bytes, or multi-range — callers
+// then ignore the header (serve 200 full), which RFC 7233 permits.
+func parseRange(v string) (br byteRange, ok bool) {
 	const prefix = "bytes="
 	if !strings.HasPrefix(v, prefix) {
-		return nil, false
+		return br, false
 	}
-	for _, part := range strings.Split(v[len(prefix):], ",") {
-		part = strings.TrimSpace(part)
-		dash := strings.IndexByte(part, '-')
-		if dash < 0 {
-			return nil, false
-		}
-		first, last := part[:dash], part[dash+1:]
-		var br byteRange
-		if first == "" {
-			// Suffix form "-n".
-			if last == "" {
-				return nil, false
-			}
-			n, err := strconv.ParseInt(last, 10, 64)
-			if err != nil || n < 0 {
-				return nil, false
-			}
-			br = byteRange{start: -1, end: n}
-		} else {
-			s, err := strconv.ParseInt(first, 10, 64)
-			if err != nil || s < 0 {
-				return nil, false
-			}
-			br = byteRange{start: s, end: -1}
-			if last != "" {
-				e, err := strconv.ParseInt(last, 10, 64)
-				if err != nil || e < s {
-					return nil, false
-				}
-				br.end = e
-			}
-		}
-		ranges = append(ranges, br)
+	part := strings.TrimSpace(v[len(prefix):])
+	dash := strings.IndexByte(part, '-')
+	if dash < 0 || strings.IndexByte(part, ',') >= 0 {
+		return br, false
 	}
-	if len(ranges) == 0 {
-		return nil, false
+	first, last := part[:dash], part[dash+1:]
+	if first == "" {
+		// Suffix form "-n".
+		n, err := strconv.ParseInt(last, 10, 64)
+		return byteRange{start: -1, end: n}, err == nil && n >= 0
 	}
-	return ranges, true
+	start, err := strconv.ParseInt(first, 10, 64)
+	if err != nil || start < 0 {
+		return br, false
+	}
+	if last == "" {
+		return byteRange{start: start, end: -1}, true
+	}
+	end, err := strconv.ParseInt(last, 10, 64)
+	return byteRange{start: start, end: end}, err == nil && end >= start
 }
 
 // resolve maps the range onto a body of the given size, returning the
@@ -236,17 +225,32 @@ func rangeHeaderOf(req *httpmsg.Request) string {
 	return v
 }
 
-// writeRangeHeaders copies the response headers onto w, dropping
-// Content-Length (the caller sets the sliced one) and advertising range
-// support.
-func writeRangeHeaders(w http.ResponseWriter, header []httpmsg.Field) {
+// requestedRange is the one byte range of req the proxy honours against a
+// response with the given status and headers: a 200 source, a satisfied
+// If-Range, a single well-formed spec. Everything else is served whole.
+func requestedRange(req *httpmsg.Request, status int, header []httpmsg.Field) (byteRange, bool) {
+	spec := rangeHeaderOf(req)
+	if spec == "" || status != http.StatusOK || !ifRangeApplies(req, header) {
+		return byteRange{}, false
+	}
+	return parseRange(spec)
+}
+
+// writeRangeHeaders puts the headers of a 206 or 416 answer on w: the
+// response's own minus Content-Length, range support advertised, and the
+// Content-Range and sliced Content-Length (when known) of this answer.
+func writeRangeHeaders(w http.ResponseWriter, header []httpmsg.Field, status int, contentRange string, length int64) {
 	for _, f := range header {
-		if strings.EqualFold(f.Key, "Content-Length") {
-			continue
+		if !strings.EqualFold(f.Key, "Content-Length") {
+			w.Header().Add(f.Key, f.Value)
 		}
-		w.Header().Add(f.Key, f.Value)
 	}
 	w.Header().Set("Accept-Ranges", "bytes")
+	w.Header().Set("Content-Range", contentRange)
+	if length >= 0 {
+		w.Header().Set("Content-Length", strconv.FormatInt(length, 10))
+	}
+	w.WriteHeader(status)
 }
 
 // writeBuffered serves a complete buffered response (cache hit, peer fill)
@@ -254,59 +258,45 @@ func writeRangeHeaders(w http.ResponseWriter, header []httpmsg.Field) {
 // unsatisfiable ones a 416 with the total, everything else (multi-range,
 // malformed, If-Range mismatch, non-200 source) the full 200.
 func (p *Proxy) writeBuffered(w http.ResponseWriter, req *httpmsg.Request, resp *httpmsg.Response) {
-	spec := rangeHeaderOf(req)
-	if spec == "" || resp.Status != http.StatusOK || !resp.BodyComplete() || !ifRangeApplies(req, resp.Header) {
-		resp.WriteTo(w)
-		return
-	}
-	ranges, ok := parseRangeHeader(spec)
-	if !ok || len(ranges) != 1 {
+	br, ranged := requestedRange(req, resp.Status, resp.Header)
+	if !ranged || !resp.BodyComplete() {
 		resp.WriteTo(w)
 		return
 	}
 	size := int64(len(resp.Body))
-	start, length, sat := ranges[0].resolve(size)
+	start, length, sat := br.resolve(size)
 	if !sat {
-		writeRangeHeaders(w, resp.Header)
-		w.Header().Set("Content-Range", fmt.Sprintf("bytes */%d", size))
-		w.Header().Set("Content-Length", "0")
-		w.WriteHeader(http.StatusRequestedRangeNotSatisfiable)
+		writeRangeHeaders(w, resp.Header, http.StatusRequestedRangeNotSatisfiable, fmt.Sprintf("bytes */%d", size), 0)
 		return
 	}
-	writeRangeHeaders(w, resp.Header)
-	w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", start, start+length-1, size))
-	w.Header().Set("Content-Length", strconv.FormatInt(length, 10))
-	w.WriteHeader(http.StatusPartialContent)
+	writeRangeHeaders(w, resp.Header, http.StatusPartialContent,
+		fmt.Sprintf("bytes %d-%d/%d", start, start+length-1, size), length)
 	w.Write(resp.Body[start : start+length])
 }
 
 // flightRange resolves the request's Range header against an in-flight
 // spool. With the body complete (and captured), totals are known and full
 // semantics apply; mid-flight, only fully-specified "a-b" ranges are served
-// (Content-Range total "*"), everything else falls back to the full body.
-// status416 reports a known-total unsatisfiable range.
-func flightRange(req *httpmsg.Request, f *flight) (start, length int64, contentRange string, ranged, status416 bool) {
-	spec := rangeHeaderOf(req)
-	if spec == "" || f.status != http.StatusOK || !ifRangeApplies(req, f.header) {
-		return 0, -1, "", false, false
+// (Content-Range total "*"), everything else falls back to the full body
+// (length -1, empty contentRange). unsat reports a known-total
+// unsatisfiable range; contentRange then carries the 416's "bytes */total".
+func flightRange(req *httpmsg.Request, f *flight) (start, length int64, contentRange string, unsat bool) {
+	br, ranged := requestedRange(req, f.status, f.header)
+	if !ranged {
+		return 0, -1, "", false
 	}
-	ranges, ok := parseRangeHeader(spec)
-	if !ok || len(ranges) != 1 {
-		return 0, -1, "", false, false
-	}
-	br := ranges[0]
 	if f.sp.Done() && !f.sp.Overflowed() && f.sp.Err() == nil {
 		size := f.sp.Size()
 		s, l, sat := br.resolve(size)
 		if !sat {
-			return 0, 0, fmt.Sprintf("bytes */%d", size), false, true
+			return 0, 0, fmt.Sprintf("bytes */%d", size), true
 		}
-		return s, l, fmt.Sprintf("bytes %d-%d/%d", s, s+l-1, size), true, false
+		return s, l, fmt.Sprintf("bytes %d-%d/%d", s, s+l-1, size), false
 	}
 	if br.start >= 0 && br.end >= 0 {
-		return br.start, br.end - br.start + 1, fmt.Sprintf("bytes %d-%d/*", br.start, br.end), true, false
+		return br.start, br.end - br.start + 1, fmt.Sprintf("bytes %d-%d/*", br.start, br.end), false
 	}
-	return 0, -1, "", false, false
+	return 0, -1, "", false
 }
 
 // flushWriter flushes after every write so streamed bytes reach the client
@@ -337,26 +327,22 @@ func (fw flushWriter) Write(p []byte) (int, error) {
 // streams. Returns false — without having written anything — when the
 // attacher must fetch on its own: flight error, non-200 answer, or the
 // retained window already slid past the requested offset.
-func (p *Proxy) attachFlight(w http.ResponseWriter, done <-chan struct{}, sp *obs.Span, f *flight, req *httpmsg.Request, start time.Time) bool {
+func (p *Proxy) attachFlight(x *exchange, f *flight) bool {
 	select {
 	case <-f.ready:
-	case <-done:
+	case <-x.ctx.Done():
 		return false
 	}
-	if f.err != nil {
+	// A non-200 flight is the owner's conversation with the origin
+	// (reconstruction reject, redirect, error); attaching would replay a
+	// response this client never provoked. Fetch independently instead.
+	if f.err != nil || f.status != http.StatusOK {
 		return false
 	}
-	if f.status != http.StatusOK {
-		// A non-200 flight is the owner's conversation with the origin
-		// (reconstruction reject, redirect, error); attaching would replay a
-		// response this client never provoked. Fetch independently instead.
-		return false
-	}
-	off, length, contentRange, ranged, status416 := flightRange(req, f)
-	if status416 {
-		write416(w, f.header, contentRange)
-		sp.EndStage(obs.StageWrite)
-		p.observeTTFB(start)
+	off, length, contentRange, unsat := flightRange(x.req, f)
+	if unsat {
+		writeRangeHeaders(x.w, f.header, http.StatusRequestedRangeNotSatisfiable, contentRange, 0)
+		p.firstByte(x)
 		return true
 	}
 	rd, err := f.sp.ReaderAt(off)
@@ -366,32 +352,21 @@ func (p *Proxy) attachFlight(w http.ResponseWriter, done <-chan struct{}, sp *ob
 		return false
 	}
 	defer rd.Close()
-	p.serveSpool(w, sp, f, rd, length, contentRange, ranged, start)
+	p.serveSpool(x, f, rd, length, contentRange)
 	return true
 }
 
-// write416 answers an unsatisfiable range with the total size.
-func write416(w http.ResponseWriter, header []httpmsg.Field, contentRange string) {
-	writeRangeHeaders(w, header)
-	w.Header().Set("Content-Range", contentRange)
-	w.Header().Set("Content-Length", "0")
-	w.WriteHeader(http.StatusRequestedRangeNotSatisfiable)
-}
-
 // serveSpool writes the status line and headers for one flight-served
-// response and streams the (already offset-positioned) spool reader to the
-// client with per-chunk flushing. The caller owns rd.
-func (p *Proxy) serveSpool(w http.ResponseWriter, sp *obs.Span, f *flight, rd *stream.Reader, length int64, contentRange string, ranged bool, start time.Time) {
+// response — a 206 when contentRange names a slice, the flight's own status
+// otherwise — and streams the (already offset-positioned) spool reader to
+// the client with per-chunk flushing. The caller owns rd.
+func (p *Proxy) serveSpool(x *exchange, f *flight, rd *stream.Reader, length int64, contentRange string) {
+	w := x.w
 	if length >= 0 {
 		rd.Limit(length)
 	}
-	if ranged {
-		writeRangeHeaders(w, f.header)
-		w.Header().Set("Content-Range", contentRange)
-		if length >= 0 {
-			w.Header().Set("Content-Length", strconv.FormatInt(length, 10))
-		}
-		w.WriteHeader(http.StatusPartialContent)
+	if contentRange != "" {
+		writeRangeHeaders(w, f.header, http.StatusPartialContent, contentRange, length)
 	} else {
 		for _, h := range f.header {
 			w.Header().Add(h.Key, h.Value)
@@ -399,15 +374,9 @@ func (p *Proxy) serveSpool(w http.ResponseWriter, sp *obs.Span, f *flight, rd *s
 		w.WriteHeader(f.status)
 	}
 	// Headers are on the wire: this is the user-perceived first-byte point.
-	sp.EndStage(obs.StageWrite)
-	p.observeTTFB(start)
+	p.firstByte(x)
 	rd.WriteTo(newFlushWriter(w))
-	sp.EndStage(obs.StageStream)
-}
-
-// observeTTFB folds one time-to-first-byte sample into the histogram.
-func (p *Proxy) observeTTFB(start time.Time) {
-	p.ttfb.Observe(p.opts.Now().Sub(start))
+	x.sp.EndStage(obs.StageStream)
 }
 
 // TTFBQuantile reports the q-quantile of observed time-to-first-byte.

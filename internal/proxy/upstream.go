@@ -71,14 +71,6 @@ func NewNetUpstream(resolve map[string]string, links map[string]netem.Link) *Net
 	return u
 }
 
-// SetHost adds or updates one host's resolution and link.
-func (u *NetUpstream) SetHost(host, addr string, link netem.Link) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	u.resolve[host] = addr
-	u.links[host] = link
-}
-
 // SetFaults installs (or clears, with nil) a fault injector: every dial
 // first consults the injector's connect-refusal draw for the logical host,
 // and established connections run through its per-I/O fault model.
