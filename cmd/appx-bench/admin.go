@@ -96,6 +96,12 @@ func renderAdmin(w io.Writer, v *adminView) {
 	fmt.Fprintf(w, "\ncache: hit ratio %.3f (%d hits / %d misses, %d shared)  resident %dB  prefetches %d (%d errors, %d suppressed)\n",
 		s.HitRatio, s.Hits, s.Misses, s.SharedHits, s.CacheResidentBytes,
 		s.Prefetches, s.PrefetchErrors, s.SuppressedPrefetches)
+	for _, id := range sortedKeys(s.Cache.Signatures) {
+		if cs := s.Cache.Signatures[id]; cs.Evicted > 0 {
+			fmt.Fprintf(w, "  %s: stored %d, hits %d, evicted %d (%d never served)\n",
+				id, cs.Stored, cs.Hits, cs.Evicted, cs.EvictedUnused)
+		}
+	}
 	fmt.Fprintf(w, "saved latency: %s  data used: %dB\n",
 		time.Duration(s.SavedLatencyMs)*time.Millisecond, s.DataUsedBytes)
 

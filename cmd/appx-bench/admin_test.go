@@ -18,6 +18,10 @@ func TestAdminModeDecodesTypedViews(t *testing.T) {
 		Hits: 7, Misses: 3, HitRatio: 0.7, Prefetches: 12,
 		CacheResidentBytes: 4096, SavedLatencyMs: 1500,
 		Overload: adminv1.Overload{Mode: "normal", Level: 1.0, Admitted: 10},
+		Cache: adminv1.Cache{Signatures: map[string]adminv1.CacheSignature{
+			"t:img#0":  {Stored: 180, Hits: 12, Evicted: 150, EvictedUnused: 140},
+			"t:item#0": {Stored: 40, Hits: 31},
+		}},
 		Requests: adminv1.Requests{
 			Total: 10,
 			Outcomes: map[string]adminv1.OutcomeStats{
@@ -83,6 +87,7 @@ func TestAdminModeDecodesTypedViews(t *testing.T) {
 		"prefetch-hit",
 		"stage p95:",
 		"hit ratio 0.700",
+		"t:img#0: stored 180, hits 12, evicted 150 (140 never served)",
 		"#10",
 		"sig=t:item#0",
 	} {

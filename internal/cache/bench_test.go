@@ -115,7 +115,7 @@ func BenchmarkCacheParallel(b *testing.B) {
 
 // putCapped reproduces the seed proxy's capacity behaviour: at the entry
 // cap, scan the whole user map for the entry closest to expiry and evict it
-// — the O(n) evictOneLocked the expiry heap + LRU replaced.
+// — the O(n) evictOneLocked the expiry and eviction heaps replaced.
 func (m *mutexStore) putCapped(scope, key string, e *Entry, cap int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -146,9 +146,9 @@ func (m *mutexStore) putCapped(scope, key string, e *Entry, cap int) {
 
 // BenchmarkCacheEvictionAtCap measures one Put into a full per-user cache
 // (4096 entries, the seed's default cap) — the steady state of a busy user.
-// The sharded store pays O(log n) heap maintenance plus an O(1) LRU pop;
-// the seed's layout pays a full O(n) expiry scan per insert. This win is
-// core-count independent.
+// The sharded store pays O(log n) maintenance of the expiry heap and of the
+// scope's eviction heap; the seed's layout pays a full O(n) expiry scan per
+// insert. This win is core-count independent.
 func BenchmarkCacheEvictionAtCap(b *testing.B) {
 	const capEntries = 4096
 	now := time.Unix(1_700_000_000, 0)
@@ -178,6 +178,52 @@ func BenchmarkCacheEvictionAtCap(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			m.putCapped("u", fmt.Sprintf("n%d", i), mkEnt(capEntries+i), capEntries)
+		}
+	})
+}
+
+// BenchmarkPutAtScopeCap measures one Put by a busy user whose shard also
+// holds 31 idle users, all 32 at their entry cap. The per-scope eviction
+// heap finds the victim in O(log cap) whoever else shares the shard; the
+// shard-wide LRU list it replaced (lruRef) walked every idle user's entries
+// from the cold end to reach the busy user's oldest.
+func BenchmarkPutAtScopeCap(b *testing.B) {
+	const scopes, capEntries = 32, 128
+	now := time.Unix(1_700_000_000, 0)
+	body := make([]byte, 128)
+	mkEnt := func() *Entry {
+		return &Entry{Resp: &httpmsg.Response{Status: 200, Body: body}, SigID: "bench",
+			Expires: now.Add(time.Hour), Cost: 20 * time.Millisecond}
+	}
+	keys := make([]string, 1<<16)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("n%d", i)
+	}
+	// Idle users first, so their entries are the coldest in the shard.
+	fill := func(put func(scope, key string)) {
+		for sc := scopes - 1; sc >= 0; sc-- {
+			for i := 0; i < capEntries; i++ {
+				put(fmt.Sprintf("user-%d", sc), fmt.Sprintf("k%d", i))
+			}
+		}
+	}
+	b.Run("scope-heap", func(b *testing.B) {
+		s := New(Options{Shards: 1, Now: func() time.Time { return now },
+			MaxEntriesPerScope: capEntries, MaxBytes: -1, PerScopeBytes: -1})
+		fill(func(scope, key string) { s.Put(scope, key, mkEnt()) })
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Put("user-0", keys[i%len(keys)], mkEnt())
+		}
+	})
+	b.Run("lru-walk", func(b *testing.B) {
+		r := newLRURef(capEntries, -1)
+		fill(func(scope, key string) { r.put(scope, key, 400) })
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.put("user-0", keys[i%len(keys)], 400)
 		}
 	})
 }

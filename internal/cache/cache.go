@@ -6,9 +6,10 @@
 // "manages prefetched response per user separately"); this subsystem keeps
 // that per-user semantics — a *scope* is a user key — while adding what a
 // production deployment needs: per-shard locks instead of one mutex,
-// expiry-ordered eviction via a min-heap instead of an O(n) scan, LRU
-// ordering under byte pressure, a global resident-byte budget with
-// per-scope fairness caps, and eviction/hit telemetry by cause.
+// expiry-ordered eviction via a min-heap instead of an O(n) scan, a
+// cost-aware (GreedyDual-Size) eviction order under capacity pressure, a
+// global resident-byte budget with per-scope fairness caps, and
+// eviction/hit telemetry by cause.
 //
 // The shared tier is one distinguished scope (SharedScope): responses to
 // requests that carry no per-user runtime values are stored once and served
@@ -22,7 +23,7 @@ package cache
 
 import (
 	"container/heap"
-	"container/list"
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -42,8 +43,8 @@ type Options struct {
 	// (default 32).
 	Shards int
 	// MaxBytes is the global resident-byte budget across all shards and
-	// scopes (default 256 MiB); exceeding it evicts least-recently-used
-	// entries. <0 disables the budget.
+	// scopes (default 256 MiB); exceeding it evicts the entries with the
+	// least eviction credit left (see scopeState). <0 disables the budget.
 	MaxBytes int64
 	// PerScopeBytes caps one user scope's resident bytes (default
 	// MaxBytes/64, at least 1 MiB) so a single chatty user cannot occupy
@@ -103,6 +104,12 @@ type Entry struct {
 	// expired entry (kept warm for a demonstrated client) rather than a
 	// speculative prefetch — telemetry distinguishes the two hit kinds.
 	Refreshed bool
+	// Cost is the latency a miss on this entry would cost the client: its
+	// signature's origin response time when it was stored. Eviction weighs
+	// it against the entry's size (see scopeState). Zero means unknown: the
+	// entry is ordered by recency alone and leaves before any costed entry
+	// of the same age.
+	Cost time.Duration
 
 	used atomic.Bool
 }
@@ -111,8 +118,8 @@ type Entry struct {
 // the first time (the numerator of the paper's used-prefetch ratio).
 func (e *Entry) FirstUse() bool { return e.used.CompareAndSwap(false, true) }
 
-// entryOverhead approximates the per-entry bookkeeping cost (maps, list and
-// heap slots, struct headers) charged against the byte budget.
+// entryOverhead approximates the per-entry bookkeeping cost (maps, heap
+// slots, struct headers) charged against the byte budget.
 const entryOverhead = 256
 
 // size approximates an entry's resident footprint: response body and
@@ -130,14 +137,106 @@ func size(key string, e *Entry) int64 {
 	return n
 }
 
+// costFloor is the least miss cost told apart: an origin time under a
+// millisecond is of the order of the proxy's own queueing, so it measures
+// the proxy, not the origin, and orders nothing.
+const costFloor = time.Millisecond
+
+// credit is what a byte of cache spent on an entry saves: miss latency in
+// ns per resident byte, rounded down to a power of two. The rounding makes
+// entries of one signature and about one size tie — the cost is a moving
+// average and a difference under 2x is inside its noise — so recency decides
+// among them, and it keeps priorities exact sums of powers of two.
+func credit(cost time.Duration, size int64) float64 {
+	if cost <= 0 {
+		return 0
+	}
+	if cost < costFloor {
+		cost = costFloor
+	}
+	_, exp := math.Frexp(float64(cost) / float64(size))
+	return math.Ldexp(0.5, exp)
+}
+
 // entry is the shard-internal wrapper: payload plus index state.
 type entry struct {
 	payload *Entry
-	scope   string
+	sc      *scopeState
 	key     string
 	size    int64
-	lruEl   *list.Element
+	credit  float64
+	// prio is the GreedyDual-Size priority H, seq the shard tick of the
+	// last touch; together they key the scope's eviction heap.
+	prio    float64
+	seq     uint64
+	ordIdx  int
 	heapIdx int
+}
+
+// scopeState is one scope's slice of a shard: its entries, their bytes, and
+// the one order every capacity eviction draws victims from — GreedyDual-Size
+// (Cao & Irani). An entry's priority is H = L + credit, set when it is stored
+// and again on every Get, where L is the scope's clock; the victim is the
+// lowest H (oldest touch among equals) and L advances to the victim's H. A
+// large body that is cheap to refetch therefore leaves before a small one
+// that is slow to refetch, and an entry nobody reads loses to newer ones once
+// L has risen by its credit. L never falls, so with equal credits H grows
+// with touch time and the order is exactly least-recently-used.
+//
+// H is a float64: once L dwarfs a credit by 2^53 the sum rounds to L and that
+// entry orders by recency alone — a graceful decay, not an overflow.
+type scopeState struct {
+	name    string
+	entries map[string]*entry // canonical key → entry
+	order   evictHeap
+	bytes   int64
+	clock   float64
+}
+
+// evictHeap is a min-heap on (prio, seq); ordIdx tracks positions.
+type evictHeap []*entry
+
+func (h evictHeap) Len() int { return len(h) }
+func (h evictHeap) Less(i, j int) bool {
+	if h[i].prio != h[j].prio {
+		return h[i].prio < h[j].prio
+	}
+	return h[i].seq < h[j].seq
+}
+func (h evictHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].ordIdx = i
+	h[j].ordIdx = j
+}
+func (h *evictHeap) Push(x any) {
+	e := x.(*entry)
+	e.ordIdx = len(*h)
+	*h = append(*h, e)
+}
+func (h *evictHeap) Pop() any {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return e
+}
+
+// victim returns the scope's next eviction victim other than keep, nil when
+// keep is all it holds. When keep is the root, the runner-up is one of the
+// root's two children.
+func (sc *scopeState) victim(keep *entry) *entry {
+	h := sc.order
+	if h[0] != keep {
+		return h[0]
+	}
+	switch {
+	case len(h) == 1:
+		return nil
+	case len(h) == 2 || h.Less(1, 2):
+		return h[1]
+	}
+	return h[2]
 }
 
 // entryHeap is a min-heap on expiry time; heapIdx tracks positions so
@@ -169,16 +268,15 @@ func (h *entryHeap) Pop() any {
 }
 
 // shard is one lock domain: a fraction of the scopes (and of the shared
-// tier's keys), with its own LRU list, expiry heap, and inflight-dedup map.
-// Hot-path counters live here too, guarded by the lock the operation
-// already holds, so telemetry adds no cross-shard synchronization.
+// tier's keys), with its own expiry heap and inflight-dedup map. Hot-path
+// counters live here too, guarded by the lock the operation already holds,
+// so telemetry adds no cross-shard synchronization.
 type shard struct {
-	mu         sync.Mutex
-	byScope    map[string]map[string]*entry // scope → canonical key → entry
-	lru        *list.List                   // front = most recently used
-	heap       entryHeap
-	scopeBytes map[string]int64
-	issued     map[string]time.Time // scope+NUL+key → dedup deadline
+	mu      sync.Mutex
+	byScope map[string]*scopeState // non-empty scopes only
+	heap    entryHeap
+	tick    uint64               // touch counter: recency across the shard
+	issued  map[string]time.Time // scope+NUL+key → dedup deadline
 
 	hits, misses, sharedHits, puts int64
 	sigs                           map[string]*SigStats
@@ -213,9 +311,12 @@ type EvictionCounts struct {
 
 // SigStats is one signature's cache telemetry. Hit ratio is hits over
 // entries stored (misses cannot be attributed to a signature: an absent
-// key names no signature).
+// key names no signature). Evicted counts entries a capacity limit pushed
+// out (scope caps and the global budget — not expiry, replacement or a
+// dropped scope); EvictedUnused those of them no client was ever served.
 type SigStats struct {
-	Puts, Hits, Expired int64
+	Puts, Hits, Expired    int64
+	Evicted, EvictedUnused int64
 }
 
 // HitRatio returns hits per stored entry (may exceed 1: one entry can be
@@ -240,7 +341,7 @@ type Metrics struct {
 	ResidentBytes, SharedBytes int64
 	Entries, SharedEntries     int
 	Evictions                  EvictionCounts
-	// PerSig carries per-signature put/hit/expiry counts.
+	// PerSig carries per-signature put/hit/expiry/eviction counts.
 	PerSig map[string]SigStats
 }
 
@@ -281,11 +382,9 @@ func New(opts Options) *Store {
 	s.shards = make([]*shard, s.opts.Shards)
 	for i := range s.shards {
 		s.shards[i] = &shard{
-			byScope:    map[string]map[string]*entry{},
-			lru:        list.New(),
-			scopeBytes: map[string]int64{},
-			issued:     map[string]time.Time{},
-			sigs:       map[string]*SigStats{},
+			byScope: map[string]*scopeState{},
+			issued:  map[string]time.Time{},
+			sigs:    map[string]*SigStats{},
 		}
 	}
 	return s
@@ -337,7 +436,7 @@ func (s *Store) Get(scope, key string) (e *Entry, fresh bool) {
 	sh := s.shardOf(scope, key)
 	now := s.opts.Now()
 	sh.mu.Lock()
-	en := sh.byScope[scope][key]
+	en := sh.lookupLocked(scope, key)
 	if en == nil {
 		sh.mu.Unlock()
 		// Read-through: a memory miss probes the lower tier (outside the
@@ -369,7 +468,8 @@ func (s *Store) Get(scope, key string) (e *Entry, fresh bool) {
 		s.evExpired.Add(1)
 		return en.payload, false
 	}
-	sh.lru.MoveToFront(en.lruEl)
+	sh.touchLocked(en)
+	heap.Fix(&en.sc.order, en.ordIdx)
 	sh.hits++
 	if scope == SharedScope {
 		sh.sharedHits++
@@ -380,7 +480,7 @@ func (s *Store) Get(scope, key string) (e *Entry, fresh bool) {
 }
 
 // Peek returns scope/key if present and fresh, with none of Get's side
-// effects: no hit/miss counters, no LRU touch, no tier read-through, no
+// effects: no hit/miss counters, no priority refresh, no tier read-through, no
 // expired-entry removal. Cluster siblings peek each other's shared tiers
 // during peer fill; remote probes must not distort local telemetry or
 // eviction order.
@@ -389,7 +489,7 @@ func (s *Store) Peek(scope, key string) (*Entry, bool) {
 	now := s.opts.Now()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	en := sh.byScope[scope][key]
+	en := sh.lookupLocked(scope, key)
 	if en == nil || !now.Before(en.payload.Expires) {
 		return nil, false
 	}
@@ -410,40 +510,41 @@ func (s *Store) put(scope, key string, p *Entry, spill bool) {
 	sz := size(key, p)
 	sh := s.shardOf(scope, key)
 	sh.mu.Lock()
-	if old := sh.byScope[scope][key]; old != nil {
+	if old := sh.lookupLocked(scope, key); old != nil {
 		s.removeLocked(sh, old)
 		s.evReplaced.Add(1)
 	}
-	en := &entry{payload: p, scope: scope, key: key, size: sz}
-	m := sh.byScope[scope]
-	if m == nil {
-		m = map[string]*entry{}
-		sh.byScope[scope] = m
+	sc := sh.byScope[scope]
+	if sc == nil {
+		sc = &scopeState{name: scope, entries: map[string]*entry{}}
+		sh.byScope[scope] = sc
 	}
-	m[key] = en
-	en.lruEl = sh.lru.PushFront(en)
+	en := &entry{payload: p, sc: sc, key: key, size: sz, credit: credit(p.Cost, sz)}
+	sh.touchLocked(en)
+	sc.entries[key] = en
+	heap.Push(&sc.order, en)
 	heap.Push(&sh.heap, en)
-	sh.scopeBytes[scope] += sz
+	sc.bytes += sz
 	delete(sh.issued, issueKey(scope, key))
 	s.resident.Add(sz)
 	if scope != SharedScope {
-		// Per-scope fairness caps: evict the scope's own LRU entries, never
+		// Per-scope fairness caps: evict the scope's own entries, never
 		// another user's. The new entry itself is exempt so a single
 		// oversized response still caches (and ages out normally).
-		for s.opts.MaxEntriesPerScope > 0 && len(m) > s.opts.MaxEntriesPerScope {
-			v := oldestOfScopeLocked(sh, scope, en)
+		for s.opts.MaxEntriesPerScope > 0 && len(sc.entries) > s.opts.MaxEntriesPerScope {
+			v := sc.victim(en)
 			if v == nil {
 				break
 			}
-			s.removeLocked(sh, v)
+			s.evictLocked(sh, v)
 			s.evScopeN.Add(1)
 		}
-		for s.opts.PerScopeBytes > 0 && sh.scopeBytes[scope] > s.opts.PerScopeBytes {
-			v := oldestOfScopeLocked(sh, scope, en)
+		for s.opts.PerScopeBytes > 0 && sc.bytes > s.opts.PerScopeBytes {
+			v := sc.victim(en)
 			if v == nil {
 				break
 			}
-			s.removeLocked(sh, v)
+			s.evictLocked(sh, v)
 			s.evScopeB.Add(1)
 		}
 	}
@@ -462,49 +563,83 @@ func (s *Store) put(scope, key string, p *Entry, spill bool) {
 	}
 }
 
-// oldestOfScopeLocked walks the shard LRU from the cold end for the scope's
-// least recently used entry, skipping keep (sh.mu held). Other scopes'
-// entries are passed over, so a scope-cap eviction costs O(shard entries)
-// worst case — acceptable because it only runs when a scope is at its cap.
-func oldestOfScopeLocked(sh *shard, scope string, keep *entry) *entry {
-	for el := sh.lru.Back(); el != nil; el = el.Prev() {
-		if en := el.Value.(*entry); en.scope == scope && en != keep {
-			return en
-		}
+// lookupLocked returns scope/key's entry, nil when absent (sh.mu held).
+func (sh *shard) lookupLocked(scope, key string) *entry {
+	if sc := sh.byScope[scope]; sc != nil {
+		return sc.entries[key]
 	}
 	return nil
+}
+
+// touchLocked (re)sets an entry's priority from its scope's clock and stamps
+// its recency; the caller fixes or pushes the heap slot (sh.mu held).
+func (sh *shard) touchLocked(en *entry) {
+	sh.tick++
+	en.prio, en.seq = en.sc.clock+en.credit, sh.tick
 }
 
 // removeLocked unlinks an entry from all three indexes and the accounting
 // (sh.mu held).
 func (s *Store) removeLocked(sh *shard, en *entry) {
-	m := sh.byScope[en.scope]
-	delete(m, en.key)
-	if len(m) == 0 {
-		delete(sh.byScope, en.scope)
+	sc := en.sc
+	delete(sc.entries, en.key)
+	if len(sc.entries) == 0 {
+		delete(sh.byScope, sc.name)
 	}
-	sh.lru.Remove(en.lruEl)
+	heap.Remove(&sc.order, en.ordIdx)
 	heap.Remove(&sh.heap, en.heapIdx)
-	sh.scopeBytes[en.scope] -= en.size
-	if sh.scopeBytes[en.scope] <= 0 {
-		delete(sh.scopeBytes, en.scope)
-	}
+	sc.bytes -= en.size
 	s.resident.Add(-en.size)
 }
 
-// evictGlobal enforces the global byte budget: drain the inserting shard's
-// LRU tail first (cheapest — the lock is warm and the bytes just landed
-// there), then sweep the other shards one lock at a time. Locks are never
-// nested, so no ordering deadlock is possible.
+// evictLocked is removeLocked for a capacity eviction: the scope's clock
+// advances to the victim's priority and the signature's eviction counters
+// move (sh.mu held).
+func (s *Store) evictLocked(sh *shard, en *entry) {
+	// The clock never falls: an entry a Put exempted as just stored can sit
+	// below it and be the victim later.
+	if en.prio > en.sc.clock {
+		en.sc.clock = en.prio
+	}
+	s.removeLocked(sh, en)
+	st := sh.sigStat(en.payload.SigID)
+	st.Evicted++
+	if !en.payload.used.Load() {
+		st.EvictedUnused++
+	}
+}
+
+// coldestLocked picks a shard's global-budget victim: of every scope's next
+// victim, the one with the least credit left above its own scope's clock
+// (priorities of different scopes are not comparable; what is left of them
+// is), least recently touched among equals — the shard's LRU entry when
+// credits are uniform (sh.mu held). It looks at one entry per scope.
+func (sh *shard) coldestLocked() *entry {
+	var v *entry
+	var left float64
+	for _, sc := range sh.byScope {
+		head := sc.order[0]
+		l := head.prio - sc.clock
+		if v == nil || l < left || (l == left && head.seq < v.seq) {
+			v, left = head, l
+		}
+	}
+	return v
+}
+
+// evictGlobal enforces the global byte budget: drain the inserting shard
+// first (cheapest — the lock is warm and the bytes just landed there), then
+// sweep the other shards one lock at a time. Locks are never nested, so no
+// ordering deadlock is possible.
 func (s *Store) evictGlobal(pref *shard) {
 	evictOne := func(sh *shard) bool {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		el := sh.lru.Back()
-		if el == nil {
+		v := sh.coldestLocked()
+		if v == nil {
 			return false
 		}
-		s.removeLocked(sh, el.Value.(*entry))
+		s.evictLocked(sh, v)
 		s.evBudget.Add(1)
 		return true
 	}
@@ -536,7 +671,7 @@ func (s *Store) TryIssue(scope, key string, window time.Duration) bool {
 	now := s.opts.Now()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if en := sh.byScope[scope][key]; en != nil && now.Before(en.payload.Expires) {
+	if en := sh.lookupLocked(scope, key); en != nil && now.Before(en.payload.Expires) {
 		return false
 	}
 	ik := issueKey(scope, key)
@@ -567,16 +702,17 @@ func (s *Store) DropScope(scope string) (entries int, bytes int64) {
 	prefix := issueKey(scope, "")
 	for _, sh := range targets {
 		sh.mu.Lock()
-		m := sh.byScope[scope]
-		victims := make([]*entry, 0, len(m))
-		for _, en := range m {
-			victims = append(victims, en)
+		if sc := sh.byScope[scope]; sc != nil {
+			// The whole scope goes, its eviction order with it: only the
+			// shard-wide expiry heap and the accounting need each entry.
+			for _, en := range sc.entries {
+				heap.Remove(&sh.heap, en.heapIdx)
+			}
+			entries += len(sc.entries)
+			bytes += sc.bytes
+			s.resident.Add(-sc.bytes)
+			delete(sh.byScope, scope)
 		}
-		for _, en := range victims {
-			bytes += en.size
-			s.removeLocked(sh, en)
-		}
-		entries += len(victims)
 		for ik := range sh.issued {
 			if len(ik) > len(prefix) && ik[:len(prefix)] == prefix {
 				delete(sh.issued, ik)
@@ -667,8 +803,10 @@ func (s *Store) ScopeStats(scope string) (entries int, bytes int64) {
 	}
 	for _, sh := range targets {
 		sh.mu.Lock()
-		entries += len(sh.byScope[scope])
-		bytes += sh.scopeBytes[scope]
+		if sc := sh.byScope[scope]; sc != nil {
+			entries += len(sc.entries)
+			bytes += sc.bytes
+		}
 		sh.mu.Unlock()
 	}
 	return entries, bytes
@@ -695,11 +833,11 @@ func (s *Store) Metrics() Metrics {
 		m.Misses += sh.misses
 		m.SharedHits += sh.sharedHits
 		m.Puts += sh.puts
-		for scope, ents := range sh.byScope {
-			m.Entries += len(ents)
+		for scope, sc := range sh.byScope {
+			m.Entries += len(sc.entries)
 			if scope == SharedScope {
-				m.SharedEntries += len(ents)
-				m.SharedBytes += sh.scopeBytes[scope]
+				m.SharedEntries += len(sc.entries)
+				m.SharedBytes += sc.bytes
 			}
 		}
 		for id, st := range sh.sigs {
@@ -707,6 +845,8 @@ func (s *Store) Metrics() Metrics {
 			agg.Puts += st.Puts
 			agg.Hits += st.Hits
 			agg.Expired += st.Expired
+			agg.Evicted += st.Evicted
+			agg.EvictedUnused += st.EvictedUnused
 			m.PerSig[id] = agg
 		}
 		sh.mu.Unlock()

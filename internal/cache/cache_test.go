@@ -340,7 +340,7 @@ func TestTryIssueScopeKindDisjoint(t *testing.T) {
 	}
 }
 
-// Peek must be side-effect-free: no counters, no LRU promotion, no removal
+// Peek must be side-effect-free: no counters, no priority refresh, no removal
 // of expired entries — sibling peeks must not distort local telemetry.
 func TestPeekNoSideEffects(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)

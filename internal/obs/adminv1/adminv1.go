@@ -75,17 +75,30 @@ type CacheEvictions struct {
 	UserDropped int64 `json:"userDropped"`
 }
 
-// Cache is the prefetch-store block of the health response.
+// CacheSignature is one signature's slice of the prefetch store: entries
+// stored, lookups they answered, and how they left. Evicted counts capacity
+// evictions (user caps and the global budget); EvictedUnused those no client
+// had been served — prefetch bytes the cap threw away before they paid off.
+type CacheSignature struct {
+	Stored        int64 `json:"stored"`
+	Hits          int64 `json:"hits"`
+	Expired       int64 `json:"expired"`
+	Evicted       int64 `json:"evicted"`
+	EvictedUnused int64 `json:"evictedUnused"`
+}
+
+// Cache is the prefetch-store block of the stats and health responses.
 type Cache struct {
-	ResidentBytes  int64          `json:"residentBytes"`
-	Entries        int            `json:"entries"`
-	Hits           int64          `json:"hits"`
-	Misses         int64          `json:"misses"`
-	SharedHits     int64          `json:"sharedHits"`
-	SharedHitRatio float64        `json:"sharedHitRatio"`
-	SharedEntries  int            `json:"sharedEntries"`
-	SharedBytes    int64          `json:"sharedBytes"`
-	Evictions      CacheEvictions `json:"evictions"`
+	ResidentBytes  int64                     `json:"residentBytes"`
+	Entries        int                       `json:"entries"`
+	Hits           int64                     `json:"hits"`
+	Misses         int64                     `json:"misses"`
+	SharedHits     int64                     `json:"sharedHits"`
+	SharedHitRatio float64                   `json:"sharedHitRatio"`
+	SharedEntries  int                       `json:"sharedEntries"`
+	SharedBytes    int64                     `json:"sharedBytes"`
+	Evictions      CacheEvictions            `json:"evictions"`
+	Signatures     map[string]CacheSignature `json:"signatures,omitempty"`
 }
 
 // Breaker is one origin host's circuit-breaker state.
@@ -294,6 +307,7 @@ type StatsResponse struct {
 	Overload             Overload    `json:"overload"`
 	Sched                Sched       `json:"sched"`
 	Requests             Requests    `json:"requests"`
+	Cache                Cache       `json:"cache"`
 	Persist              Persist     `json:"persist"`
 	Cluster              Cluster     `json:"cluster"`
 	Budget               Budget      `json:"budget"`

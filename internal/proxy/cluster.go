@@ -230,7 +230,8 @@ func (p *Proxy) clusterPeerFill(ctx context.Context, key string, claimed bool, b
 // entry. The TTL travels relative (ExpiresInMs) so instances need no clock
 // agreement; an entry at or past expiry is not worth storing. Req stays nil
 // — refresh-on-expiry re-learns from live traffic instead of replaying a
-// request this instance never saw.
+// request this instance never saw. The miss cost does not travel either: it
+// is this instance's own view of the signature's origin time.
 func (p *Proxy) entryFromPeer(pe *adminv1.ClusterEntry) *cache.Entry {
 	if pe == nil || pe.Status != http.StatusOK || pe.ExpiresInMs <= 0 {
 		return nil
@@ -244,12 +245,13 @@ func (p *Proxy) entryFromPeer(pe *adminv1.ClusterEntry) *cache.Entry {
 		SigID:     pe.SigID,
 		Expires:   p.opts.Now().Add(time.Duration(pe.ExpiresInMs) * time.Millisecond),
 		Refreshed: pe.Refreshed,
+		Cost:      p.stats.RespTime(pe.SigID),
 	}
 }
 
 // serveClusterEntry answers a sibling's peek (GET /appx/v1/cluster/entry
 // ?key=...). Peek is deliberately side-effect-free on this instance: no
-// hit/miss counters, no LRU touch — a sibling probing must not distort
+// hit/miss counters, no priority refresh — a sibling probing must not distort
 // local telemetry or eviction order.
 func (p *Proxy) serveClusterEntry(w http.ResponseWriter, r *http.Request) {
 	if p.cluster == nil {

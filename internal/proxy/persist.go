@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"appx/internal/cache"
 	"appx/internal/httpmsg"
 	"appx/internal/obs"
 	"appx/internal/obs/adminv1"
@@ -85,6 +86,22 @@ func (p *Proxy) initPersist() {
 	}
 	p.persist.tier = tier
 	p.persist.mgr = mgr
+}
+
+// costedTier stamps entries promoted from the disk tier with their
+// signature's current origin response time: the persist envelope carries no
+// miss cost, and a restart's view of the origin is the one that counts.
+type costedTier struct {
+	*persist.Tier
+	stats *Stats
+}
+
+func (t costedTier) Load(scope, key string) (*cache.Entry, bool) {
+	e, ok := t.Tier.Load(scope, key)
+	if ok {
+		e.Cost = t.stats.RespTime(e.SigID)
+	}
+	return e, ok
 }
 
 // restorePersist walks the snapshot ladder and applies what it finds. Runs

@@ -358,7 +358,7 @@ func New(opts Options) *Proxy {
 	p.initPersist()
 	var tier cache.Tier
 	if p.persist.tier != nil {
-		tier = p.persist.tier
+		tier = costedTier{p.persist.tier, p.stats}
 	}
 	p.store = cache.New(cache.Options{
 		Shards:             p.cacheCfg.Shards,
@@ -439,6 +439,14 @@ func (p *Proxy) registerBridges(reg *obs.Registry) {
 		func() int64 { return p.store.Metrics().Evictions.Expired })
 	reg.CounterFunc(`appx_cache_evictions_total{cause="budget"}`, "Cache evictions by cause.",
 		func() int64 { return p.store.Metrics().Evictions.Budget })
+	reg.CounterFunc("appx_cache_evicted_unused_total", "Entries a capacity limit evicted before any client was served them.",
+		func() int64 {
+			var n int64
+			for _, st := range p.store.Metrics().PerSig {
+				n += st.EvictedUnused
+			}
+			return n
+		})
 	reg.CounterFunc("appx_budget_inherited_total", "Requests arriving with a propagated latency budget.",
 		p.budget.inherited.Load)
 	reg.CounterFunc("appx_budget_clamped_total", "Inherited budgets clamped to the local limit.",
@@ -694,6 +702,7 @@ func (p *Proxy) statsV1() adminv1.StatsResponse {
 		Overload:             p.overloadV1(),
 		Sched:                p.schedV1(),
 		Requests:             p.requestsV1(),
+		Cache:                p.cacheV1(),
 		Persist:              p.persistV1(),
 		Cluster:              p.clusterV1(),
 		Budget:               p.budgetV1(),
@@ -755,7 +764,6 @@ func (p *Proxy) healthV1() adminv1.HealthResponse {
 		status = "degraded"
 	}
 	snap := p.stats.Snapshot()
-	cm := p.store.Metrics()
 	return adminv1.HealthResponse{
 		Status:               status,
 		Breakers:             breakers,
@@ -767,24 +775,42 @@ func (p *Proxy) healthV1() adminv1.HealthResponse {
 		DataUsedBytes:        p.DataUsedBytes(),
 		Overload:             p.overloadV1(),
 		Sched:                p.schedV1(),
-		Cache: adminv1.Cache{
-			ResidentBytes:  cm.ResidentBytes,
-			Entries:        cm.Entries,
-			Hits:           cm.Hits,
-			Misses:         cm.Misses,
-			SharedHits:     cm.SharedHits,
-			SharedHitRatio: cm.SharedHitRatio(),
-			SharedEntries:  cm.SharedEntries,
-			SharedBytes:    cm.SharedBytes,
-			Evictions: adminv1.CacheEvictions{
-				Expired:     cm.Evictions.Expired,
-				Budget:      cm.Evictions.Budget,
-				UserBytes:   cm.Evictions.ScopeBytes,
-				UserEntries: cm.Evictions.ScopeEntries,
-				Replaced:    cm.Evictions.Replaced,
-				UserDropped: cm.Evictions.Dropped,
-			},
+		Cache:                p.cacheV1(),
+	}
+}
+
+// cacheV1 assembles the typed prefetch-store block of /appx/v1/stats and
+// /appx/v1/health.
+func (p *Proxy) cacheV1() adminv1.Cache {
+	cm := p.store.Metrics()
+	sigs := make(map[string]adminv1.CacheSignature, len(cm.PerSig))
+	for id, st := range cm.PerSig {
+		sigs[id] = adminv1.CacheSignature{
+			Stored:        st.Puts,
+			Hits:          st.Hits,
+			Expired:       st.Expired,
+			Evicted:       st.Evicted,
+			EvictedUnused: st.EvictedUnused,
+		}
+	}
+	return adminv1.Cache{
+		ResidentBytes:  cm.ResidentBytes,
+		Entries:        cm.Entries,
+		Hits:           cm.Hits,
+		Misses:         cm.Misses,
+		SharedHits:     cm.SharedHits,
+		SharedHitRatio: cm.SharedHitRatio(),
+		SharedEntries:  cm.SharedEntries,
+		SharedBytes:    cm.SharedBytes,
+		Evictions: adminv1.CacheEvictions{
+			Expired:     cm.Evictions.Expired,
+			Budget:      cm.Evictions.Budget,
+			UserBytes:   cm.Evictions.ScopeBytes,
+			UserEntries: cm.Evictions.ScopeEntries,
+			Replaced:    cm.Evictions.Replaced,
+			UserDropped: cm.Evictions.Dropped,
 		},
+		Signatures: sigs,
 	}
 }
 
@@ -1253,6 +1279,9 @@ func (p *Proxy) runPrefetch(pf *prefetch) {
 		Req:     pf.req.Clone(),
 		SigID:   pf.s.ID,
 		Expires: p.opts.Now().Add(pf.expiry),
+		// What a miss on this entry would cost its client: the eviction
+		// order keeps slow-origin responses over cheap-to-refetch bulk.
+		Cost: p.stats.RespTime(pf.s.ID),
 		// Foreground-class prefetches are refreshes of entries clients are
 		// demonstrably using; hits on them report as refresh-hit.
 		Refreshed: pf.class == sched.ClassForeground,

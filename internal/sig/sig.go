@@ -180,26 +180,35 @@ type Signature struct {
 	// compiled URI matcher cache, initialized exactly once (URIRegexp).
 	uriOnce sync.Once
 	uriRe   *regexp.Regexp
+	// request-shape digest, computed exactly once (Hash).
+	hashOnce sync.Once
+	hash     string
 }
 
 // Hash returns a short stable digest of the signature's request shape, used
-// by the configuration file (§4.4, the `hash` field of Figure 9).
+// by the configuration file (§4.4, the `hash` field of Figure 9). It is
+// computed on the first call and kept — the proxy asks for it on every
+// prefetch instance — so a signature must not change once it has been
+// hashed; signatures are immutable once their graph is built.
 func (s *Signature) Hash() string {
-	h := sha256.New()
-	enc := json.NewEncoder(h)
-	// Hash a reduced, deterministic view.
-	view := struct {
-		ID     string
-		Method string
-		URI    string
-		Query  []Field
-		Header []Field
-		BKind  httpmsg.BodyKind
-		BForm  []Field
-		BJSON  []JSONField
-	}{s.ID, s.Method, s.URI.String(), s.Query, s.Header, s.BodyKind, s.BodyForm, s.BodyJSON}
-	enc.Encode(view)
-	return hex.EncodeToString(h.Sum(nil))[:12]
+	s.hashOnce.Do(func() {
+		h := sha256.New()
+		enc := json.NewEncoder(h)
+		// Hash a reduced, deterministic view.
+		view := struct {
+			ID     string
+			Method string
+			URI    string
+			Query  []Field
+			Header []Field
+			BKind  httpmsg.BodyKind
+			BForm  []Field
+			BJSON  []JSONField
+		}{s.ID, s.Method, s.URI.String(), s.Query, s.Header, s.BodyKind, s.BodyForm, s.BodyJSON}
+		enc.Encode(view)
+		s.hash = hex.EncodeToString(h.Sum(nil))[:12]
+	})
+	return s.hash
 }
 
 // URIRegexp returns the compiled anchored URI matcher, caching it. The

@@ -3,6 +3,7 @@ package sig
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -202,9 +203,34 @@ func TestHashStableAndSensitive(t *testing.T) {
 	if len(a.Hash()) != 12 {
 		t.Fatalf("hash length = %d", len(a.Hash()))
 	}
-	b.Method = "PUT"
-	if a.Hash() == b.Hash() {
+	// A signature is hashed once, so the variant is changed before its
+	// first Hash call.
+	c := wishGraph().Sig("wish:Detail.load#0")
+	c.Method = "PUT"
+	if a.Hash() == c.Hash() {
 		t.Fatal("hash insensitive to method")
+	}
+}
+
+// Hash runs for every prefetch instance the proxy considers: after the first
+// call it must cost nothing, and concurrent first calls must agree (run
+// under -race).
+func TestHashMemoised(t *testing.T) {
+	s := wishGraph().Sig("wish:Detail.load#0")
+	want := wishGraph().Sig("wish:Detail.load#0").Hash()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := s.Hash(); got != want {
+				t.Errorf("concurrent Hash = %q, want %q", got, want)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := testing.AllocsPerRun(100, func() { s.Hash() }); n != 0 {
+		t.Fatalf("Hash allocates %v times per call after the first, want 0", n)
 	}
 }
 

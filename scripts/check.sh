@@ -29,7 +29,8 @@ echo "== go test -race ./..."
 go test -race ./...
 
 # Benchmarks are not run by either pass; one iteration each proves they
-# still compile and complete.
+# still compile and complete (`-bench .` takes in every benchmark of a
+# package, the cache's BenchmarkPutAtScopeCap included).
 echo "== bench smoke"
 go test -run '^$' -bench . -benchtime 1x \
     ./internal/cache/ ./internal/obs/ ./internal/persist/ \
