@@ -64,8 +64,8 @@ func getJSON(c *http.Client, url string, into any) error {
 // efficiency, and the most recent spans.
 func renderAdmin(w io.Writer, v *adminView) {
 	s, h := &v.Stats, &v.Health
-	fmt.Fprintf(w, "health: %s  overload: %s (level %.2f)  admitted %d  shed %d\n",
-		h.Status, h.Overload.Mode, h.Overload.Level, h.Overload.Admitted, h.Overload.AdmissionShed)
+	fmt.Fprintf(w, "health: %s  overload: %s  admitted %d  shed %d\n",
+		h.Status, h.Overload.Mode, h.Overload.Admitted, h.Overload.AdmissionShed)
 	if len(h.Breakers) > 0 {
 		for _, host := range sortedKeys(h.Breakers) {
 			b := h.Breakers[host]

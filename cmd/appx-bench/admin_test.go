@@ -17,7 +17,7 @@ func TestAdminModeDecodesTypedViews(t *testing.T) {
 	stats := adminv1.StatsResponse{
 		Hits: 7, Misses: 3, HitRatio: 0.7, Prefetches: 12,
 		CacheResidentBytes: 4096, SavedLatencyMs: 1500,
-		Overload: adminv1.Overload{Mode: "normal", Level: 1.0, Admitted: 10},
+		Overload: adminv1.Overload{Mode: "normal", Admitted: 10},
 		Cache: adminv1.Cache{Signatures: map[string]adminv1.CacheSignature{
 			"t:img#0":  {Stored: 180, Hits: 12, Evicted: 150, EvictedUnused: 140},
 			"t:item#0": {Stored: 40, Hits: 31},
@@ -34,7 +34,7 @@ func TestAdminModeDecodesTypedViews(t *testing.T) {
 	health := adminv1.HealthResponse{
 		Status:   "degraded",
 		Breakers: map[string]adminv1.Breaker{"sick.example": {State: "open", ConsecutiveFailures: 5}},
-		Overload: adminv1.Overload{Mode: "normal", Level: 1.0, Admitted: 10},
+		Overload: adminv1.Overload{Mode: "normal", Admitted: 10},
 	}
 	spans := adminv1.SpansResponse{
 		Total: 10,

@@ -17,10 +17,11 @@
 //
 // Flags carry deployment facts only — addresses, origins, directories,
 // cluster membership, fault drills, drain and prune timing. Every tuning
-// value (retry, breaker and backoff behaviour, cache bounds, admission and
-// governor settings, prefetch queue bounds) lives in the -config file's
+// value (retry, breaker and backoff behaviour, cache bounds, admission
+// settings, prefetch queue bounds) lives in the -config file's
 // "resilience", "cache" and "overload" sections; a file holding only those
-// sections keeps every prefetch policy at its default.
+// sections keeps every prefetch policy at its default, and a key the file
+// misspells fails the load by name.
 //
 // The origin path is resilient: idempotent requests are retried with
 // jittered backoff, per-host circuit breakers shed traffic to sick origins,
@@ -39,10 +40,9 @@
 //
 // The proxy protects itself under overload: an admission gate bounds
 // concurrently served client requests (arrivals past it wait briefly, then
-// get a 503), and an AIMD governor scales speculative prefetching down when
-// the prefetch queue, client p95, or admission sheds signal pressure. Queued
-// prefetches past their deadline are dropped at dispatch. All of it is tuned
-// by the config file's "overload" section.
+// get a 503), the prefetch queue refuses deep and then shallow speculative
+// work as it fills, and queued prefetches past their deadline are dropped at
+// dispatch. All of it is tuned by the config file's "overload" section.
 //
 // Prefetch decisions run through a pluggable policy (-prefetch-policy):
 // "static" issues candidates in dependency-graph order, "markov" learns a

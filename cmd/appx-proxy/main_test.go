@@ -295,10 +295,10 @@ func TestConfigFileIsTheTuningSurface(t *testing.T) {
 				t.Fatalf("cache = %+v", v)
 			}
 		}},
-		{"overload", `{"overload":{"max_concurrent_requests":8,"target_p95":"800ms","max_queue":64}}`, func(t *testing.T, c *config.Config) {
+		{"overload", `{"overload":{"max_concurrent_requests":8,"queue_deadline":"800ms","max_queue":64}}`, func(t *testing.T, c *config.Config) {
 			v := c.EffectiveOverload()
-			if v.MaxConcurrentRequests != 8 || time.Duration(v.TargetP95) != 800*time.Millisecond ||
-				v.MaxQueue != 64 || time.Duration(v.GovernorInterval) != 250*time.Millisecond {
+			if v.MaxConcurrentRequests != 8 || time.Duration(v.QueueDeadline) != 800*time.Millisecond ||
+				v.MaxQueue != 64 || time.Duration(v.AdmissionWait) != 100*time.Millisecond {
 				t.Fatalf("overload = %+v", v)
 			}
 		}},

@@ -28,8 +28,8 @@ type Report struct {
 	Events    []string
 
 	Requests, OK, Sheds, Failures int
-	// Availability is OK / (Requests - Sheds): sheds are the governor doing
-	// its job and are budgeted separately from failures.
+	// Availability is OK / (Requests - Sheds): sheds are the admission gate
+	// doing its job and are budgeted separately from failures.
 	Availability float64
 	P50Ms, P99Ms float64
 	// FillP99Ms is the worst per-instance peer-fill p99 — the number hedging

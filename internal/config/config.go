@@ -10,8 +10,11 @@
 package config
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 	"time"
@@ -204,7 +207,7 @@ func (r Resilience) Filled() Resilience {
 }
 
 // Overload tunes the proxy's self-protection: the client-request admission
-// gate, the AIMD prefetch governor, and the prefetch queue's bounds. Zero
+// gate and the prefetch queue's bounds. Zero
 // values mean "use the default" so a config file may set only the fields it
 // cares about; negative values disable the corresponding mechanism.
 type Overload struct {
@@ -215,27 +218,6 @@ type Overload struct {
 	// AdmissionWait bounds how long an arriving request may wait for an
 	// admission slot (default 100ms).
 	AdmissionWait Duration `json:"admission_wait,omitempty"`
-	// TargetP95 is the client-latency ceiling that signals overload to the
-	// governor. 0 (the default) disables the latency signal — queue
-	// pressure and admission sheds still drive the governor — so the §6
-	// replications, whose absolute latencies depend on the emulation
-	// scale, are not perturbed.
-	TargetP95 Duration `json:"target_p95,omitempty"`
-	// GovernorInterval is the AIMD adjustment period (default 250ms): at
-	// most one multiplicative decrease or additive increase per interval.
-	GovernorInterval Duration `json:"governor_interval,omitempty"`
-	// GovernorMinLevel floors the governor's prefetch level (default 0.05);
-	// at the floor the proxy stops speculative prefetching entirely.
-	GovernorMinLevel float64 `json:"governor_min_level,omitempty"`
-	// GovernorIncrease is the additive step back toward full prefetching
-	// after a healthy interval (default 0.1).
-	GovernorIncrease float64 `json:"governor_increase,omitempty"`
-	// GovernorDecrease is the multiplicative factor applied on an
-	// overloaded interval (default 0.5).
-	GovernorDecrease float64 `json:"governor_decrease,omitempty"`
-	// QueueHighWater is the prefetch-queue fill fraction that signals
-	// overload (default 0.75).
-	QueueHighWater float64 `json:"queue_high_water,omitempty"`
 	// QueueDeadline is how long a queued prefetch stays eligible to run
 	// (default 10s); staler tasks are dropped at dispatch. <0 disables
 	// enqueue deadlines.
@@ -255,21 +237,6 @@ func (o Overload) Filled() Overload {
 	}
 	if o.AdmissionWait == 0 {
 		o.AdmissionWait = Duration(100 * time.Millisecond)
-	}
-	if o.GovernorInterval <= 0 {
-		o.GovernorInterval = Duration(250 * time.Millisecond)
-	}
-	if o.GovernorMinLevel <= 0 {
-		o.GovernorMinLevel = 0.05
-	}
-	if o.GovernorIncrease <= 0 {
-		o.GovernorIncrease = 0.1
-	}
-	if o.GovernorDecrease <= 0 || o.GovernorDecrease >= 1 {
-		o.GovernorDecrease = 0.5
-	}
-	if o.QueueHighWater <= 0 || o.QueueHighWater > 1 {
-		o.QueueHighWater = 0.75
 	}
 	if o.QueueDeadline == 0 {
 		o.QueueDeadline = Duration(10 * time.Second)
@@ -355,8 +322,8 @@ type Config struct {
 	Resilience *Resilience `json:"resilience,omitempty"`
 	// Cache tunes the sharded prefetch store; nil means all defaults.
 	Cache *Cache `json:"cache,omitempty"`
-	// Overload tunes admission control and the prefetch governor; nil
-	// means all defaults.
+	// Overload tunes admission control and the prefetch queue; nil means
+	// all defaults.
 	Overload *Overload `json:"overload,omitempty"`
 
 	byHash map[string]*Policy
@@ -500,11 +467,18 @@ func (c *Config) Marshal() ([]byte, error) {
 	return json.MarshalIndent(c, "", "  ")
 }
 
-// Unmarshal parses a configuration.
+// Unmarshal parses a configuration. A key no field answers to — a typo, or
+// a knob a later version removed — is an error naming the key, not a
+// setting silently ignored.
 func Unmarshal(b []byte) (*Config, error) {
 	var c Config
-	if err := json.Unmarshal(b, &c); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&c); err != nil {
 		return nil, fmt.Errorf("config: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("config: trailing data after the configuration object")
 	}
 	c.reindex()
 	return &c, nil

@@ -1,6 +1,9 @@
 package config
 
 import (
+	"os"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -178,13 +181,7 @@ func TestOverloadDefaults(t *testing.T) {
 	if time.Duration(o.AdmissionWait) != 100*time.Millisecond {
 		t.Fatalf("AdmissionWait = %v", o.AdmissionWait)
 	}
-	if time.Duration(o.TargetP95) != 0 {
-		t.Fatalf("TargetP95 = %v, want disabled by default", o.TargetP95)
-	}
-	if o.GovernorMinLevel != 0.05 || o.GovernorIncrease != 0.1 || o.GovernorDecrease != 0.5 {
-		t.Fatalf("governor defaults = %+v", o)
-	}
-	if o.QueueHighWater != 0.75 || o.DeepDepth != 1 || o.MaxQueue != 4096 {
+	if o.DeepDepth != 1 || o.MaxQueue != 4096 {
 		t.Fatalf("queue defaults = %+v", o)
 	}
 	if time.Duration(o.QueueDeadline) != 10*time.Second {
@@ -206,14 +203,14 @@ func TestOverloadPartialFillAndNegatives(t *testing.T) {
 		t.Fatalf("MaxQueue = %d", o.MaxQueue)
 	}
 	// Untouched fields still default.
-	if o.GovernorDecrease != 0.5 {
-		t.Fatalf("GovernorDecrease = %v", o.GovernorDecrease)
+	if o.DeepDepth != 1 {
+		t.Fatalf("DeepDepth = %v", o.DeepDepth)
 	}
 }
 
 func TestOverloadRoundTrip(t *testing.T) {
 	c := Default(testGraph())
-	c.Overload = &Overload{MaxConcurrentRequests: 32, TargetP95: Duration(800 * time.Millisecond)}
+	c.Overload = &Overload{MaxConcurrentRequests: 32, QueueDeadline: Duration(800 * time.Millisecond)}
 	b, err := c.Marshal()
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
@@ -225,7 +222,104 @@ func TestOverloadRoundTrip(t *testing.T) {
 	if c2.Overload == nil || c2.Overload.MaxConcurrentRequests != 32 {
 		t.Fatalf("overload lost: %+v", c2.Overload)
 	}
-	if time.Duration(c2.EffectiveOverload().TargetP95) != 800*time.Millisecond {
-		t.Fatalf("TargetP95 = %v", c2.EffectiveOverload().TargetP95)
+	if time.Duration(c2.EffectiveOverload().QueueDeadline) != 800*time.Millisecond {
+		t.Fatalf("QueueDeadline = %v", c2.EffectiveOverload().QueueDeadline)
+	}
+}
+
+// TestUnmarshalRejectsUnknownKeys: the -config file is the one tuning
+// surface, so a key no field answers to must fail the load and name itself
+// — a typo, or a knob this version no longer has — instead of loading
+// cleanly and changing nothing.
+func TestUnmarshalRejectsUnknownKeys(t *testing.T) {
+	for _, tc := range []struct{ body, key string }{
+		{`{"overload":{"max_concurent_requests":16}}`, "max_concurent_requests"},
+		{`{"resilience":{"retry_attempt":3}}`, "retry_attempt"},
+		{`{"cahce":{}}`, "cahce"},
+		{`{"policies":[{"hash":"h","prefech":true}]}`, "prefech"},
+		// The governor's keys, removed with it.
+		{`{"overload":{"target_p95":"800ms"}}`, "target_p95"},
+		{`{"overload":{"governor_interval":"250ms"}}`, "governor_interval"},
+		{`{"overload":{"governor_min_level":0.05}}`, "governor_min_level"},
+		{`{"overload":{"governor_increase":0.1}}`, "governor_increase"},
+		{`{"overload":{"governor_decrease":0.5}}`, "governor_decrease"},
+		{`{"overload":{"queue_high_water":0.75}}`, "queue_high_water"},
+	} {
+		_, err := Unmarshal([]byte(tc.body))
+		if err == nil {
+			t.Fatalf("%s: loaded cleanly", tc.body)
+		}
+		if !strings.Contains(err.Error(), tc.key) {
+			t.Fatalf("%s: error %q does not name %q", tc.body, err, tc.key)
+		}
+	}
+	if _, err := Unmarshal([]byte(`{"app":"a"} {"app":"b"}`)); err == nil {
+		t.Fatal("trailing data after the configuration object accepted")
+	}
+	// What Marshal writes, Unmarshal still reads: every section present.
+	c := Default(testGraph())
+	c.Resilience, c.Cache, c.Overload = &Resilience{RetryAttempts: 3}, &Cache{Shards: 8}, &Overload{MaxQueue: 64}
+	c.UserProbability = map[string]float64{"u": 0.5}
+	b, err := c.Marshal()
+	if err != nil {
+		t.Fatalf("Marshal: %v", err)
+	}
+	if _, err := Unmarshal(b); err != nil {
+		t.Fatalf("Marshal output rejected: %v\n%s", err, b)
+	}
+}
+
+// jsonKeys lists the json names of a struct's fields.
+func jsonKeys(v any) []string {
+	var keys []string
+	rt := reflect.TypeOf(v)
+	for i := 0; i < rt.NumField(); i++ {
+		name, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ",")
+		keys = append(keys, name)
+	}
+	return keys
+}
+
+// TestReadmeDocumentsEveryConfigKey: README's `-config` field tables are
+// the tuning documentation. Every field of the three tuning sections has a
+// row, and every row names a live field.
+func TestReadmeDocumentsEveryConfigKey(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// rows[section] = the keys in the first column of that section's table.
+	rows := map[string]map[string]bool{}
+	section := ""
+	for _, line := range strings.Split(string(readme), "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 {
+			section = ""
+			continue
+		}
+		first := strings.TrimSpace(cells[1])
+		if name, ok := strings.CutSuffix(first, " field"); ok {
+			section = strings.Trim(name, "`")
+			rows[section] = map[string]bool{}
+		} else if section != "" && strings.HasPrefix(first, "`") {
+			rows[section][strings.Trim(first, "`")] = true
+		}
+	}
+	for section, fields := range map[string]any{
+		"resilience": Resilience{}, "cache": Cache{}, "overload": Overload{},
+	} {
+		documented := rows[section]
+		if documented == nil {
+			t.Fatalf("README has no `%s` field table", section)
+		}
+		for _, key := range jsonKeys(fields) {
+			if !documented[key] {
+				t.Errorf("%s.%s has no row in README's `%s` field table", section, key, section)
+			}
+			delete(documented, key)
+		}
+		for key := range documented {
+			t.Errorf("README's `%s` field table documents %q, which is not a field", section, key)
+		}
 	}
 }

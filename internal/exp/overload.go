@@ -32,11 +32,6 @@ type OverloadRow struct {
 	// ShallowDropped / DeepDropped count prefetch tasks shed by the
 	// scheduler (class queue shares plus enqueue deadlines) per class.
 	ShallowDropped, DeepDropped int64
-	// Suppressed counts prefetches the governor declined to issue.
-	Suppressed int64
-	// Level and Mode are the governor's final state at this load.
-	Level float64
-	Mode  string
 }
 
 // OverloadSweep is the overload experiment: a fixed-capacity proxy swept
@@ -68,7 +63,6 @@ const (
 	overloadQueue       = 64                     // prefetch queue bound
 	overloadWorkers     = 4                      // prefetch pool size
 	overloadDeadline    = 100 * time.Millisecond // enqueue deadline
-	overloadGovInterval = 50 * time.Millisecond  // AIMD adjustment period
 )
 
 // overloadGraph builds the one-host chain list→item→detail: items are
@@ -95,8 +89,8 @@ func overloadGraph() *sig.Graph {
 // RunOverload sweeps offered load past the proxy's prefetch capacity and
 // reports foreground latency quantiles, shed rates, and per-class scheduler
 // drops per point. Unlike the other sweeps this one runs on the real clock:
-// admission waits, enqueue deadlines, and the AIMD governor are all
-// time-driven, which is exactly the machinery under test.
+// admission waits and enqueue deadlines are time-driven, which is exactly
+// the machinery under test.
 func RunOverload(seed int64, loads []float64) (*OverloadSweep, error) {
 	if seed == 0 {
 		seed = 42
@@ -123,7 +117,6 @@ func runOverloadPoint(load float64) (*OverloadRow, error) {
 	cfg.Overload = &config.Overload{
 		MaxConcurrentRequests: overloadGate,
 		AdmissionWait:         config.Duration(overloadWait),
-		GovernorInterval:      config.Duration(overloadGovInterval),
 		QueueDeadline:         config.Duration(overloadDeadline),
 		MaxQueue:              overloadQueue,
 		DeepDepth:             1,
@@ -247,9 +240,6 @@ func runOverloadPoint(load float64) (*OverloadRow, error) {
 		HitRatio:       snap.HitRatio(),
 		ShallowDropped: dropsOf(sm.Shallow),
 		DeepDropped:    dropsOf(sm.Deep),
-		Suppressed:     px.GovernorSuppressed(),
-		Level:          px.OverloadLevel(),
-		Mode:           px.OverloadMode(),
 	}
 	var all []time.Duration
 	for i := range results {
@@ -298,17 +288,15 @@ func (o *OverloadSweep) Render() string {
 			fmt.Sprintf("%d", r.Clients),
 			fmt.Sprintf("%d", r.Requests),
 			fmt.Sprintf("%d", r.Shed),
+			fmt.Sprintf("%d", r.ServerErrs),
 			fmt.Sprintf("%.1f", float64(r.P50.Microseconds())/1000),
 			fmt.Sprintf("%.1f", float64(r.P95.Microseconds())/1000),
 			fmt.Sprintf("%.1f", float64(r.P99.Microseconds())/1000),
 			fmtPct(r.HitRatio),
 			fmt.Sprintf("%d", r.ShallowDropped),
 			fmt.Sprintf("%d", r.DeepDropped),
-			fmt.Sprintf("%d", r.Suppressed),
-			fmt.Sprintf("%.2f", r.Level),
-			r.Mode,
 		})
 	}
 	return fmt.Sprintf("Overload sweep (%d clients at 1x): offered load vs foreground latency and prefetch shedding\n", o.BaseClients) +
-		table([]string{"load", "clients", "reqs", "shed", "p50ms", "p95ms", "p99ms", "hits", "shallow drop", "deep drop", "suppressed", "level", "mode"}, rows)
+		table([]string{"load", "clients", "reqs", "shed", "errs", "p50ms", "p95ms", "p99ms", "hits", "shallow drop", "deep drop"}, rows)
 }

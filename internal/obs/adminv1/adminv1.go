@@ -34,16 +34,15 @@ type MatchIndex struct {
 	RegexMatches   int64 `json:"regexMatches"`
 }
 
-// Overload is the admission-gate/governor block shared by stats and health.
+// Overload is the admission-gate block shared by stats and health. Mode is
+// "normal", or "draining" during graceful shutdown.
 type Overload struct {
-	Mode               string  `json:"mode"`
-	Level              float64 `json:"level"`
-	Admitted           int64   `json:"admitted"`
-	AdmissionShed      int64   `json:"admissionShed"`
-	GovernorSuppressed int64   `json:"governorSuppressed"`
-	ClientP50Ms        int64   `json:"clientP50Ms"`
-	ClientP95Ms        int64   `json:"clientP95Ms"`
-	ClientP99Ms        int64   `json:"clientP99Ms"`
+	Mode          string `json:"mode"`
+	Admitted      int64  `json:"admitted"`
+	AdmissionShed int64  `json:"admissionShed"`
+	ClientP50Ms   int64  `json:"clientP50Ms"`
+	ClientP95Ms   int64  `json:"clientP95Ms"`
+	ClientP99Ms   int64  `json:"clientP99Ms"`
 }
 
 // SchedClass is one priority class's scheduler counters.
@@ -210,7 +209,7 @@ type Hedge struct {
 	Wins int64 `json:"wins"`
 	// Losses counts hedges the primary attempt beat.
 	Losses int64 `json:"losses"`
-	// Suppressed counts hedges withheld by the rate cap or the governor.
+	// Suppressed counts hedges withheld by the rate cap.
 	Suppressed int64 `json:"suppressed"`
 }
 
@@ -232,15 +231,10 @@ type Budget struct {
 }
 
 // PolicyEntry is the prefetch-policy block of /appx/v1/stats: which policy
-// is configured and which is currently active (the proxy falls back to
-// static while the governor sheds), the history model's size, and the
-// decision-path telemetry.
+// is configured, the history model's size, and the decision-path telemetry.
 type PolicyEntry struct {
 	// Configured is the policy selected by -prefetch-policy.
 	Configured string `json:"configured"`
-	// Active is the policy answering Rank calls right now; differs from
-	// Configured while the governor's mode hot-swaps markov out.
-	Active string `json:"active"`
 	// Users / Rows / Transitions size the history model (zero for static).
 	Users       int `json:"users"`
 	Rows        int `json:"rows"`

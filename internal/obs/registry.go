@@ -119,7 +119,7 @@ func (r *Registry) CounterFunc(name, help string, fn func() int64) {
 }
 
 // GaugeFunc registers a gauge series read from fn at scrape time (queue
-// depths, resident bytes, governor level).
+// depths, resident bytes, open breakers).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(&metric{name: name, help: help, kind: kindGaugeFunc, gaugeFn: fn})
 }

@@ -6,7 +6,7 @@
 // Every restart of the seed proxy threw away the prefetch cache, the
 // learned run-time values, and the resilience state — at production scale a
 // routine deploy becomes an origin flash crowd, exactly the overload the
-// admission/governor layer exists to prevent. This package lets a
+// admission layer exists to prevent. This package lets a
 // restarted proxy resume near its trained hit ratio instead of cold.
 //
 // Crash-safety invariants:

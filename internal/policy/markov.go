@@ -76,7 +76,7 @@ type markovUser struct {
 // exponential decay) layered over a cross-user global table that seeds
 // priors for users with thin history. Rank reorders candidates by estimated
 // transition probability and prunes those the evidence says are unlikely;
-// everything else — the execution gates — is identical to Static.
+// the depth ceiling is identical to Static.
 //
 // Decay is applied two ways: physically at Observe time (counts are scaled
 // down before new evidence lands, keeping the stored mass bounded), and
@@ -100,7 +100,7 @@ type Markov struct {
 	reordered    int64
 }
 
-// NewMarkov builds the markov policy over the proxy's gate hooks.
+// NewMarkov builds the markov policy.
 func NewMarkov(hooks Hooks, cfg MarkovConfig) *Markov {
 	if cfg.HalfLife <= 0 {
 		cfg.HalfLife = DefaultHalfLife
@@ -259,16 +259,14 @@ func (m *Markov) evictSmallestCountLocked(row *markovRow) {
 	}
 }
 
-// Rank implements Policy. Gates apply exactly as in Static; on top of them,
-// when transition context exists (from != "" and the model holds evidence
-// for it), candidates are scored by estimated transition probability —
-// user evidence shrunk toward the Laplace-smoothed global row — then
-// stably reordered best-first, and confidently-unlikely ones are dropped
-// (Keep=false, ReasonUnlikely). With no evidence at all the input order is
-// returned untouched, so a cold markov behaves exactly like static.
+// Rank implements Policy. The depth ceiling applies exactly as in Static; on
+// top of it, when transition context exists (from != "" and the model holds
+// evidence for it), candidates are scored by estimated transition
+// probability — user evidence shrunk toward the Laplace-smoothed global row
+// — then stably reordered best-first, and confidently-unlikely ones are
+// dropped (Keep=false, ReasonUnlikely). With no evidence at all the input
+// order is returned untouched, so a cold markov behaves exactly like static.
 func (m *Markov) Rank(user, from string, cands []Candidate) []Decision {
-	// Gates run outside the model lock: hooks reach into other subsystems'
-	// locks and must not nest inside ours.
 	ds := make([]Decision, len(cands))
 	for i, c := range cands {
 		ds[i] = m.hooks.decide(c)

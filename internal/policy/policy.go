@@ -1,31 +1,19 @@
-// Package policy holds the proxy's prefetch decision logic behind one
+// Package policy holds the proxy's prefetch fan-out logic behind one
 // pluggable interface: given the candidates a predecessor transaction fans
-// out to, a Policy decides which survive (Keep), in what order they are
-// attempted, and — at issue time — whether the scheduler may run each one
-// (Allow) and with what probability (Prob).
+// out to, a Policy decides which survive (Keep) and in what order they are
+// attempted (Score).
 //
-// Two implementations ship: Static reproduces the proxy's historical
-// behaviour exactly (dependency-graph order, governor/backoff/breaker
-// gating, no history), and Markov layers a first-order per-user transition
-// model over it that reorders and prunes chains by observed behaviour
-// (ROADMAP: "per-user history predicts next requests far better than static
-// structure alone", after Zhao et al.).
+// Two implementations ship: Static keeps the proxy's historical behaviour
+// exactly (dependency-graph order, no history), and Markov layers a
+// first-order per-user transition model over it that reorders and prunes
+// chains by observed behaviour (ROADMAP: "per-user history predicts next
+// requests far better than static structure alone", after Zhao et al.).
 //
-// The proxy talks to a Policy at two moments:
-//
-//   - Fan-out (learn): Rank the batch of successor candidates of one
-//     predecessor. The caller honours Keep and the output order only —
-//     execution gates are re-checked at issue time, because a candidate may
-//     sit parked (awaiting an exemplar) for arbitrarily long between the
-//     two moments.
-//   - Issue (maybePrefetch): Rank a single concrete candidate just before
-//     scheduling. The caller honours Allow, AllowReason, and Prob.
-//
-// Hooks carry the proxy-side gate state (governor level, shedding mode,
-// signature suspension, breaker readiness, chain-depth ceiling) as
-// functions, so a Policy never imports the proxy. Every hook must be
-// side-effect free: Rank may be called at any point relative to the
-// probability draw.
+// The proxy consults a Policy once per predecessor transaction, at fan-out
+// (learn). Whether a surviving candidate may actually be scheduled —
+// probability draw, data budget, signature backoff, breaker — is decided by
+// the proxy at issue time and does not vary by policy, so it does not pass
+// through here.
 package policy
 
 import "time"
@@ -34,10 +22,6 @@ import "time"
 type Candidate struct {
 	// SigID is the candidate signature.
 	SigID string
-	// Host is the origin host of the concrete request, when known. Empty
-	// at fan-out time (the request is not materialized yet); the breaker
-	// gate is skipped for empty hosts.
-	Host string
 	// Depth is the chain depth this prefetch would run at (0 = fanned out
 	// from live traffic).
 	Depth int
@@ -45,11 +29,8 @@ type Candidate struct {
 	// it to correlate decisions back to their own bookkeeping after
 	// reordering.
 	Index int
-	// Foreground marks refresh work riding in the foreground scheduler
-	// class; the governor never throttles it.
-	Foreground bool
 	// Prior is the configured issue probability (per-signature probability
-	// × user scale) before any governor scaling.
+	// × user scale).
 	Prior float64
 }
 
@@ -57,21 +38,12 @@ type Candidate struct {
 type Decision struct {
 	Candidate
 
-	// Keep is the fan-out verdict: false means the candidate should not be
-	// instantiated at all (chain-depth ceiling, or history says the
-	// transition is too unlikely to pay for). KeepReason names why.
+	// Keep false means the candidate should not be instantiated at all
+	// (chain-depth ceiling, or history says the transition is too unlikely
+	// to pay for). KeepReason names why.
 	Keep       bool
 	KeepReason string
 
-	// Allow is the issue-time verdict: false means the prefetch must not be
-	// scheduled right now (governor shedding, signature suspended, breaker
-	// open). AllowReason names why.
-	Allow       bool
-	AllowReason string
-
-	// Prob is the probability the caller should issue the prefetch with
-	// (prior scaled by the governor level for non-foreground work).
-	Prob float64
 	// Score orders candidates: higher runs earlier. Static scores by Prior;
 	// Markov by estimated transition probability.
 	Score float64
@@ -79,11 +51,8 @@ type Decision struct {
 
 // Decision reasons.
 const (
-	ReasonShedding  = "shedding"     // governor is in shedding mode
-	ReasonSuspended = "suspended"    // signature is in failure backoff
-	ReasonBreaker   = "breaker-open" // origin host's breaker is not admitting
-	ReasonDepth     = "depth"        // beyond the effective chain depth
-	ReasonUnlikely  = "unlikely"     // history says this transition is improbable
+	ReasonDepth    = "depth"    // beyond the chain-depth ceiling
+	ReasonUnlikely = "unlikely" // history says this transition is improbable
 )
 
 // Stats is a point-in-time snapshot of a policy's model and activity.
@@ -127,51 +96,18 @@ type Policy interface {
 	Stats() Stats
 }
 
-// Hooks supplies the proxy-side gate state policies consult. Nil function
-// fields are permissive (treated as "no gate"). All hooks must be
-// side-effect free and safe for concurrent use.
+// Hooks carries what every policy needs from the proxy.
 type Hooks struct {
-	// Level is the governor's prefetch level (0..1); scales Prob for
-	// non-foreground candidates.
-	Level func() float64
-	// Shedding reports whether the governor is refusing speculative work.
-	Shedding func() bool
-	// Suspended reports whether a signature is inside its failure-backoff
-	// window.
-	Suspended func(sigID string) bool
-	// HostReady reports whether a host's circuit breaker would admit a
-	// request right now.
-	HostReady func(host string) bool
-	// MaxDepth is the effective chain-depth ceiling (already scaled by the
-	// governor).
-	MaxDepth func() int
+	// MaxDepth is the chain-depth ceiling: candidates deeper than it are not
+	// kept. 0 means no ceiling.
+	MaxDepth int
 }
 
-// decide applies the shared execution gates to one candidate, reproducing
-// the proxy's historical gate order and precedence exactly: shedding is
-// checked first (and the governor level multiplies Prob only when not
-// shedding), then suspension, then the breaker; the chain-depth ceiling is
-// an independent Keep verdict. Depth 0 (live fan-out) is never
-// depth-pruned.
+// decide is the verdict shared by every policy: keep unless the candidate
+// sits beyond the depth ceiling, score by prior.
 func (h Hooks) decide(c Candidate) Decision {
-	d := Decision{Candidate: c, Keep: true, Allow: true, Prob: c.Prior, Score: c.Prior}
-	if !c.Foreground {
-		if h.Shedding != nil && h.Shedding() {
-			d.Allow = false
-			d.AllowReason = ReasonShedding
-		} else if h.Level != nil {
-			d.Prob *= h.Level()
-		}
-	}
-	if d.Allow && h.Suspended != nil && h.Suspended(c.SigID) {
-		d.Allow = false
-		d.AllowReason = ReasonSuspended
-	}
-	if d.Allow && c.Host != "" && h.HostReady != nil && !h.HostReady(c.Host) {
-		d.Allow = false
-		d.AllowReason = ReasonBreaker
-	}
-	if c.Depth > 0 && h.MaxDepth != nil && c.Depth > h.MaxDepth() {
+	d := Decision{Candidate: c, Keep: true, Score: c.Prior}
+	if h.MaxDepth > 0 && c.Depth > h.MaxDepth {
 		d.Keep = false
 		d.KeepReason = ReasonDepth
 	}

@@ -7,50 +7,15 @@ import (
 	"testing"
 )
 
-// refConfig is a concrete, randomized gate configuration for the
-// differential tests below.
-type refConfig struct {
-	level     float64
-	shedding  bool
-	suspended map[string]bool
-	hostDown  map[string]bool
-	maxDepth  int
-}
-
-func (rc refConfig) hooks() Hooks {
-	return Hooks{
-		Level:     func() float64 { return rc.level },
-		Shedding:  func() bool { return rc.shedding },
-		Suspended: func(id string) bool { return rc.suspended[id] },
-		HostReady: func(h string) bool { return !rc.hostDown[h] },
-		MaxDepth:  func() int { return rc.maxDepth },
-	}
-}
-
-// reference reimplements the pre-policy inline decision logic of
-// internal/proxy — the depth ceiling from the old runPrefetch chain gate
-// and the governor/backoff/breaker sequence from the old maybePrefetch —
-// independently of Hooks.decide, so the differential test pins the static
-// policy to the historical behaviour rather than to its own implementation.
-func (rc refConfig) reference(c Candidate) Decision {
-	d := Decision{Candidate: c, Keep: true, Allow: true, Prob: c.Prior, Score: c.Prior}
-	if !c.Foreground {
-		if rc.shedding {
-			d.Allow = false
-			d.AllowReason = ReasonShedding
-		} else {
-			d.Prob *= rc.level
-		}
-	}
-	if d.Allow && rc.suspended[c.SigID] {
-		d.Allow = false
-		d.AllowReason = ReasonSuspended
-	}
-	if d.Allow && c.Host != "" && rc.hostDown[c.Host] {
-		d.Allow = false
-		d.AllowReason = ReasonBreaker
-	}
-	if c.Depth > 0 && c.Depth > rc.maxDepth {
+// reference reimplements the fan-out half of the pre-policy inline decision
+// logic of internal/proxy — the depth ceiling from the old runPrefetch chain
+// gate — independently of Hooks.decide, so the differential test pins the
+// static policy to the historical behaviour rather than to its own
+// implementation. (The issue-time half — probability, data budget, backoff,
+// breaker — is pinned in internal/proxy's TestStaticChainOrderDifferential.)
+func reference(maxDepth int, c Candidate) Decision {
+	d := Decision{Candidate: c, Keep: true, Score: c.Prior}
+	if c.Depth > 0 && c.Depth > maxDepth {
 		d.Keep = false
 		d.KeepReason = ReasonDepth
 	}
@@ -59,62 +24,41 @@ func (rc refConfig) reference(c Candidate) Decision {
 
 // TestStaticDifferentialIdentity pins the static policy byte-identical to
 // the pre-policy chain behaviour across >1000 randomized candidate batches
-// and gate configurations: same keep/allow verdicts, same reasons, same
-// probabilities, same order.
+// and depth ceilings: same keep verdicts, same reasons, same scores, same
+// order.
 func TestStaticDifferentialIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 1200; iter++ {
-		rc := refConfig{
-			level:     rng.Float64(),
-			shedding:  rng.Intn(4) == 0,
-			suspended: map[string]bool{},
-			hostDown:  map[string]bool{},
-			maxDepth:  rng.Intn(5),
-		}
+		maxDepth := 1 + rng.Intn(5)
 		n := 1 + rng.Intn(12)
 		cands := make([]Candidate, n)
-		for i := range cands {
-			id := fmt.Sprintf("sig%d", rng.Intn(8))
-			host := ""
-			if rng.Intn(2) == 0 {
-				host = fmt.Sprintf("h%d.example", rng.Intn(3))
-			}
-			cands[i] = Candidate{
-				SigID:      id,
-				Host:       host,
-				Depth:      rng.Intn(6),
-				Index:      i,
-				Foreground: rng.Intn(4) == 0,
-				Prior:      rng.Float64(),
-			}
-			if rng.Intn(6) == 0 {
-				rc.suspended[id] = true
-			}
-			if host != "" && rng.Intn(6) == 0 {
-				rc.hostDown[host] = true
-			}
-		}
 		want := make([]Decision, n)
-		for i, c := range cands {
-			want[i] = rc.reference(c)
+		for i := range cands {
+			cands[i] = Candidate{
+				SigID: fmt.Sprintf("sig%d", rng.Intn(8)),
+				Depth: rng.Intn(8),
+				Index: i,
+				Prior: rng.Float64(),
+			}
+			want[i] = reference(maxDepth, cands[i])
 		}
-		got := NewStatic(rc.hooks()).Rank("u", "from", cands)
+		got := NewStatic(Hooks{MaxDepth: maxDepth}).Rank("u", "from", cands)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("iter %d: static diverged from reference\n got %+v\nwant %+v", iter, got, want)
 		}
 	}
 }
 
-// TestStaticNilHooksPermissive: a static policy with no hooks wired gates
-// nothing — every candidate keeps, allows, and carries its prior.
+// TestStaticNilHooksPermissive: a static policy over the zero Hooks has no
+// depth ceiling — every candidate keeps and scores by its prior.
 func TestStaticNilHooksPermissive(t *testing.T) {
 	cands := []Candidate{
-		{SigID: "a", Depth: 3, Prior: 0.5},
-		{SigID: "b", Host: "h.example", Depth: 0, Prior: 1},
+		{SigID: "a", Depth: 30, Prior: 0.5},
+		{SigID: "b", Depth: 0, Prior: 1},
 	}
 	for i, d := range NewStatic(Hooks{}).Rank("u", "", cands) {
-		if !d.Keep || !d.Allow || d.Prob != cands[i].Prior {
-			t.Fatalf("candidate %d gated by nil hooks: %+v", i, d)
+		if !d.Keep || d.Score != cands[i].Prior {
+			t.Fatalf("candidate %d gated by zero hooks: %+v", i, d)
 		}
 	}
 }
@@ -138,10 +82,10 @@ func TestStaticPreservesOrder(t *testing.T) {
 }
 
 // TestHooksDecideDepth: the depth rule is the exact complement of the old
-// `depth < effectiveChainDepth` chain gate — live fan-out (depth 0) is
-// never pruned, chained candidates prune strictly beyond MaxDepth.
+// `depth < MaxChainDepth` chain gate — live fan-out (depth 0) is never
+// pruned, chained candidates prune strictly beyond MaxDepth.
 func TestHooksDecideDepth(t *testing.T) {
-	h := Hooks{MaxDepth: func() int { return 2 }}
+	h := Hooks{MaxDepth: 2}
 	for depth, wantKeep := range map[int]bool{0: true, 1: true, 2: true, 3: false, 4: false} {
 		d := h.decide(Candidate{SigID: "s", Depth: depth, Prior: 1})
 		if d.Keep != wantKeep {
@@ -149,11 +93,6 @@ func TestHooksDecideDepth(t *testing.T) {
 		}
 		if !wantKeep && d.KeepReason != ReasonDepth {
 			t.Fatalf("depth %d: reason = %q", depth, d.KeepReason)
-		}
-		// The depth rule prunes from the fan-out but never touches the
-		// issue gates — a pruned candidate still reports Allow.
-		if !d.Allow {
-			t.Fatalf("depth %d: depth rule leaked into Allow", depth)
 		}
 	}
 }

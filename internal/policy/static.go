@@ -6,21 +6,21 @@ import (
 )
 
 // Static is the historical prefetch policy: candidates keep their
-// dependency-graph order, no history is consulted, and only the shared
-// execution gates (governor, suspension, breaker, chain depth) apply. It is
-// the differential baseline every proxy behaviour test pins against.
+// dependency-graph order, no history is consulted, and only the chain-depth
+// ceiling prunes. It is the differential baseline every proxy behaviour
+// test pins against.
 type Static struct {
 	hooks     Hooks
 	rankCalls atomic.Int64
 }
 
-// NewStatic builds the static policy over the proxy's gate hooks.
+// NewStatic builds the static policy.
 func NewStatic(hooks Hooks) *Static { return &Static{hooks: hooks} }
 
 // Name implements Policy.
 func (s *Static) Name() string { return "static" }
 
-// Rank implements Policy: gate each candidate, preserve input order.
+// Rank implements Policy: apply the depth ceiling, preserve input order.
 func (s *Static) Rank(user, from string, cands []Candidate) []Decision {
 	s.rankCalls.Add(1)
 	ds := make([]Decision, len(cands))

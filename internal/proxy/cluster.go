@@ -96,7 +96,7 @@ func (p *Proxy) registerClusterBridges(reg *obs.Registry) {
 		st.hedge.wins.Load)
 	reg.CounterFunc("appx_cluster_hedges_lost_total", "Hedged attempts the primary beat.",
 		st.hedge.losses.Load)
-	reg.CounterFunc("appx_cluster_hedges_suppressed_total", "Hedges withheld by the rate cap or governor.",
+	reg.CounterFunc("appx_cluster_hedges_suppressed_total", "Hedges withheld by the rate cap.",
 		st.hedge.suppressed.Load)
 }
 

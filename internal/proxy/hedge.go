@@ -15,10 +15,9 @@ import (
 // latency once enough samples exist — one hedge launches to the next ring
 // successor and the first entry wins, the shared cancel reaping the loser.
 // Hedging is the cheapest tail-latency tool the cluster has and also the
-// easiest way to melt an overloaded fleet, so every hedge is triple-gated:
-// by the request's remaining budget (a hedge that cannot finish in time is
-// pure waste), by a cluster-wide launch-rate cap, and by the governor (a
-// shedding proxy stops hedging before it stops serving).
+// easiest way to melt an overloaded fleet, so every hedge is gated twice: by
+// the request's remaining budget (a hedge that cannot finish in time is pure
+// waste) and by a cluster-wide launch-rate cap.
 
 const (
 	// defaultHedgeDelay is the static hedging delay used until a peer has
@@ -167,7 +166,7 @@ func (p *Proxy) peekAttempt(ctx context.Context, addr, key string, bgt reqBudget
 
 // hedgedPeek races peeks across ready peers for key. Launch policy: peers[0]
 // immediately; if it is still outstanding past the adaptive delay, one hedge
-// to the next peer (budget-, rate-, and governor-gated); remaining peers
+// to the next peer (budget- and rate-gated); remaining peers
 // launch sequentially only once every outstanding attempt has come back
 // empty. Returns the first entry found, or nil.
 func (p *Proxy) hedgedPeek(ctx context.Context, peers []string, key string, bgt reqBudget) *cache.Entry {
@@ -219,7 +218,7 @@ func (p *Proxy) hedgedPeek(ctx context.Context, peers []string, key string, bgt 
 			if next >= len(peers) {
 				continue
 			}
-			if p.gov.Shedding() || !h.allow() {
+			if !h.allow() {
 				h.suppressed.Add(1)
 				continue
 			}

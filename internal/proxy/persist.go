@@ -274,8 +274,8 @@ func (p *Proxy) exportState() *persist.State {
 	// The history policy's transition tables ride the same snapshot (and the
 	// same fingerprint gate: transition counts between signatures of a
 	// different graph are meaningless).
-	if p.markovPol != nil {
-		st.Policy = p.markovPol.Export()
+	if m := p.markov(); m != nil {
+		st.Policy = m.Export()
 	}
 	return st
 }
@@ -357,8 +357,8 @@ func (p *Proxy) applyState(st *persist.State) {
 	// A snapshot written by a markov proxy restores into a markov proxy;
 	// a static configuration ignores the tables (and vice versa — a
 	// snapshot without them simply leaves the model cold).
-	if st.Policy != nil && p.markovPol != nil {
-		p.markovPol.Restore(st.Policy)
+	if m := p.markov(); st.Policy != nil && m != nil {
+		m.Restore(st.Policy)
 	}
 }
 

@@ -9,10 +9,9 @@ import (
 	"appx/internal/policy"
 )
 
-// Prefetch-policy wiring (ISSUE 10). The decision logic that used to be
-// inlined across learn/maybePrefetch — governor probability and chain-depth
-// gating, failure backoff, breaker readiness — lives in internal/policy
-// behind the Policy interface now, with two implementations:
+// Prefetch-policy wiring. What varies by policy — which fan-out candidates
+// survive and in what order — lives in internal/policy behind the Policy
+// interface, with two implementations:
 //
 //   - static: the historical behaviour, candidates in dependency-graph
 //     order. The differential tests pin it byte-identical to the pre-policy
@@ -22,9 +21,9 @@ import (
 //     attributed live hit and carried across restarts by the snapshot
 //     ladder.
 //
-// Selection is -prefetch-policy; the active policy hot-swaps back to static
-// while the governor is shedding (ranking history is pure overhead when
-// every speculative candidate is being refused anyway).
+// Selection is -prefetch-policy. The policy is consulted once per
+// predecessor transaction (rankCandidates); what does not vary by policy —
+// the issue-time gates — is Proxy.mayIssue.
 
 // Skip reasons for candidates dropped before reaching the scheduler, beyond
 // the policy package's own (ReasonDepth, ReasonUnlikely).
@@ -70,90 +69,63 @@ var rankBounds = []time.Duration{
 	time.Millisecond, 5 * time.Millisecond,
 }
 
-// initPolicy builds the policy layer. Both implementations share one Hooks
-// set; the hooks are all side-effect-free reads, so policies may evaluate
-// them at any point relative to the probability draw.
+// initPolicy builds the configured policy.
 func (p *Proxy) initPolicy() {
-	hooks := policy.Hooks{
-		Level:     p.gov.Level,
-		Shedding:  p.gov.Shedding,
-		Suspended: p.sigSuspended,
-		HostReady: p.breakers.Ready,
-		MaxDepth:  p.effectiveChainDepth,
-	}
-	p.staticPol = policy.NewStatic(hooks)
+	hooks := policy.Hooks{MaxDepth: maxChainDepth}
 	if p.opts.PrefetchPolicy == "markov" {
-		p.markovPol = policy.NewMarkov(hooks, policy.MarkovConfig{
+		p.pol = policy.NewMarkov(hooks, policy.MarkovConfig{
 			HalfLife: p.opts.PolicyDecay,
 			MaxUsers: p.opts.PolicyMaxUsers,
 			Now:      func() time.Time { return p.opts.Now() },
 		})
+	} else {
+		p.pol = policy.NewStatic(hooks)
 	}
 	p.rankHist = p.reg.Histogram("appx_policy_rank_seconds",
 		"Latency of one prefetch-policy Rank call.", rankBounds)
 }
 
-// activePolicy resolves the policy answering the next Rank call: markov
-// when configured, hot-swapped back to static while the governor sheds.
-func (p *Proxy) activePolicy() policy.Policy {
-	if p.markovPol != nil && p.gov.Mode() != "shedding" {
-		return p.markovPol
-	}
-	return p.staticPol
-}
-
-// modelPolicy is the policy whose Stats describe the history model: the
-// configured markov instance even while static is hot-swapped in (the model
-// keeps learning and its size is what operators watch).
-func (p *Proxy) modelPolicy() policy.Policy {
-	if p.markovPol != nil {
-		return p.markovPol
-	}
-	return p.staticPol
+// markov returns the history model behind the configured policy, or nil
+// when the policy keeps none.
+func (p *Proxy) markov() *policy.Markov {
+	m, _ := p.pol.(*policy.Markov)
+	return m
 }
 
 // rankCandidates runs one policy ranking, timed.
 func (p *Proxy) rankCandidates(userKey, from string, cands []policy.Candidate) []policy.Decision {
-	pol := p.activePolicy()
 	start := p.opts.Now()
-	ds := pol.Rank(userKey, from, cands)
+	ds := p.pol.Rank(userKey, from, cands)
 	p.rankHist.Observe(p.opts.Now().Sub(start))
 	return ds
 }
 
-// rankOne is the issue-time single-candidate ranking (maybePrefetch). No
-// transition context: the candidate's fate was ordered at fan-out time;
-// only the execution gates and probability matter here.
-func (p *Proxy) rankOne(userKey string, c policy.Candidate) policy.Decision {
-	return p.rankCandidates(userKey, "", []policy.Candidate{c})[0]
-}
-
 // observePolicy feeds one attributed live hit into the history model.
-// Static configurations skip the call entirely — zero added cost.
+// Static configurations skip the call — and its clock read — entirely.
 func (p *Proxy) observePolicy(userKey, sigID string) {
-	if p.markovPol != nil {
-		p.markovPol.Observe(userKey, sigID, p.opts.Now())
+	if m := p.markov(); m != nil {
+		m.Observe(userKey, sigID, p.opts.Now())
 	}
 }
 
 // registerPolicyBridges exposes the policy layer on the metrics registry.
 func (p *Proxy) registerPolicyBridges(reg *obs.Registry) {
 	reg.GaugeFunc("appx_policy_users", "Per-user history models held.",
-		func() float64 { return float64(p.modelPolicy().Stats().Users) })
+		func() float64 { return float64(p.pol.Stats().Users) })
 	reg.GaugeFunc("appx_policy_rows", "Transition rows across users and the global table.",
-		func() float64 { return float64(p.modelPolicy().Stats().Rows) })
+		func() float64 { return float64(p.pol.Stats().Rows) })
 	reg.GaugeFunc("appx_policy_transitions", "Tracked (from, to) transition pairs.",
-		func() float64 { return float64(p.modelPolicy().Stats().Transitions) })
+		func() float64 { return float64(p.pol.Stats().Transitions) })
 	reg.GaugeFunc("appx_policy_table_bytes", "Estimated transition-table memory footprint.",
-		func() float64 { return float64(p.modelPolicy().Stats().TableBytes) })
+		func() float64 { return float64(p.pol.Stats().TableBytes) })
 	reg.CounterFunc("appx_policy_observations_total", "Live hits folded into the history model.",
-		func() int64 { return p.modelPolicy().Stats().Observations })
+		func() int64 { return p.pol.Stats().Observations })
 	reg.CounterFunc("appx_policy_rank_total", "Policy Rank calls.",
-		func() int64 { return p.modelPolicy().Stats().RankCalls })
+		func() int64 { return p.pol.Stats().RankCalls })
 	reg.CounterFunc("appx_policy_pruned_total", "Candidates pruned as history-unlikely.",
-		func() int64 { return p.modelPolicy().Stats().Pruned })
+		func() int64 { return p.pol.Stats().Pruned })
 	reg.CounterFunc("appx_policy_reordered_total", "Rank calls that changed candidate order.",
-		func() int64 { return p.modelPolicy().Stats().Reordered })
+		func() int64 { return p.pol.Stats().Reordered })
 	for _, s := range []struct {
 		reason string
 		c      *atomic.Int64
@@ -172,10 +144,9 @@ func (p *Proxy) registerPolicyBridges(reg *obs.Registry) {
 
 // policyV1 assembles the typed policy block of /appx/v1/stats.
 func (p *Proxy) policyV1() adminv1.PolicyEntry {
-	st := p.modelPolicy().Stats()
+	st := p.pol.Stats()
 	return adminv1.PolicyEntry{
-		Configured:       p.modelPolicy().Name(),
-		Active:           p.activePolicy().Name(),
+		Configured:       p.pol.Name(),
 		Users:            st.Users,
 		Rows:             st.Rows,
 		Transitions:      st.Transitions,

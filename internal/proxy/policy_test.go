@@ -12,14 +12,20 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"appx/internal/config"
 	"appx/internal/httpmsg"
 	"appx/internal/policy"
 	"appx/internal/sig"
 )
+
+// branchHost spreads the star's branches over three origin hosts, so a
+// breaker can be open for some of them.
+func branchHost(b int) string { return fmt.Sprintf("h%d.example", b%3) }
+
+func branchID(b int) string { return fmt.Sprintf("st:b%d#0", b) }
 
 // starGraph builds home → K branches, inserting the dependency edges in
 // the given branch order (the order the pre-policy fan-out walked).
@@ -27,15 +33,13 @@ func starGraph(order []int) *sig.Graph {
 	g := sig.NewGraph("star")
 	home := &sig.Signature{ID: "st:home#0", Method: "GET", URI: sig.Literal("h.example/home")}
 	g.Add(home)
-	sigs := make([]*sig.Signature, len(order))
 	for _, b := range order {
-		s := &sig.Signature{ID: fmt.Sprintf("st:b%d#0", b), Method: "GET",
-			URI:   sig.Literal(fmt.Sprintf("h.example/b%d", b)),
+		s := &sig.Signature{ID: branchID(b), Method: "GET",
+			URI:   sig.Literal(fmt.Sprintf("%s/b%d", branchHost(b), b)),
 			Query: []sig.Field{{Key: "tok", Value: sig.DepValue(home.ID, "tok")}}}
 		g.Add(s)
 		g.AddDep(sig.Dependency{PredID: home.ID, SuccID: s.ID, RespPath: "tok",
 			Loc: sig.FieldLoc{Where: "query", Key: "tok"}})
-		sigs[b] = s
 	}
 	return g
 }
@@ -47,9 +51,7 @@ func starUpstream() (UpstreamFunc, func() []string, func()) {
 	var fetched []string
 	up := UpstreamFunc(func(_ context.Context, r *httpmsg.Request) (*httpmsg.Response, error) {
 		if r.Path == "/home" {
-			return &httpmsg.Response{Status: 200,
-				Header: []httpmsg.Field{{Key: "Content-Type", Value: "application/json"}},
-				Body:   []byte(`{"tok":"v1"}`)}, nil
+			return homeResponse(), nil
 		}
 		mu.Lock()
 		fetched = append(fetched, r.Path)
@@ -69,71 +71,176 @@ func starUpstream() (UpstreamFunc, func() []string, func()) {
 	return up, list, reset
 }
 
-// TestStaticChainOrderDifferential pins the refactored fan-out to the
-// pre-policy behaviour across randomized star graphs: with the static
-// policy, the prefetch fetches that reach the origin are exactly the
-// branches with exemplars, in dependency-insertion order — and branches
-// without exemplars are counted under the no_exemplar skip reason.
+func homeResponse() *httpmsg.Response {
+	return &httpmsg.Response{Status: 200,
+		Header: []httpmsg.Field{{Key: "Content-Type", Value: "application/json"}},
+		Body:   []byte(`{"tok":"v1"}`)}
+}
+
+// refGates is the differential reference for the prefetch decision sequence
+// as it stood before the policy/gate split: policy.Hooks.decide — with the
+// governor it also consulted fixed at level 1 and not shedding — followed by
+// maybePrefetch's reading of its verdict. Written independently of
+// Proxy.mayIssue so the test pins the behaviour, not the implementation.
+type refGates struct {
+	suspended  map[string]bool
+	hostDown   map[string]bool
+	overBudget bool
+	rand       func() float64
+}
+
+// keep is the fan-out half: the chain-depth ceiling.
+func (r *refGates) keep(depth int) bool { return !(depth > 0 && depth > maxChainDepth) }
+
+// issue is the issue-time half. decide evaluated its gate hooks before the
+// probability draw (they are pure reads); maybePrefetch then drew, checked
+// the data budget, and only after that honoured the gates' verdict — the one
+// refusal that counts as suppression.
+func (r *refGates) issue(sigID, host string, prior float64) (issued, suppressed bool) {
+	allow := !r.suspended[sigID]
+	if allow && host != "" && r.hostDown[host] {
+		allow = false
+	}
+	if prior <= 0 || (prior < 1 && r.rand() >= prior) {
+		return false, false
+	}
+	if r.overBudget {
+		return false, false
+	}
+	return allow, !allow
+}
+
+// TestStaticChainOrderDifferential pins the fan-out and the issue gates to
+// the pre-split behaviour over 1000 seeded random states — star graphs in
+// random dependency order, exemplars for a random subset of branches,
+// per-branch and per-user probabilities, suspended signatures, open
+// breakers, the data budget spent or not, fan-out at random chain depths.
+// Proxy and reference must consume the same probability draws and agree on
+// which prefetches reach the origin and in what order, on what counted as
+// suppressed, and on every appx_prefetch_skipped_total reason.
 func TestStaticChainOrderDifferential(t *testing.T) {
+	const user = "9.9.9.9"
+	now := time.Unix(1_700_000_000, 0)
 	rng := rand.New(rand.NewSource(3))
-	for iter := 0; iter < 25; iter++ {
+	for iter := 0; iter < 1000; iter++ {
 		k := 1 + rng.Intn(8)
 		order := rng.Perm(k)
 		g := starGraph(order)
 		up, fetched, reset := starUpstream()
 
-		var nowNano atomic.Int64
-		base := time.Unix(1_700_000_000, 0)
-		nowNano.Store(base.UnixNano())
-		p := New(Options{Graph: g, Upstream: up, Workers: 1,
-			Now: func() time.Time { return time.Unix(0, nowNano.Load()) }})
+		cfg := config.Default(g)
+		priors := make([]float64, k)
+		for b := range priors {
+			priors[b] = []float64{0.25, 0.5, 1, 1}[rng.Intn(4)]
+			cfg.Policy(g.Sig(branchID(b)).Hash()).Probability = priors[b]
+		}
+		scale := []float64{1, 1, 1, 1, 0.5, 0}[rng.Intn(6)]
+		cfg.UserProbability = map[string]float64{user: scale}
+		ref := &refGates{suspended: map[string]bool{}, hostDown: map[string]bool{},
+			overBudget: rng.Intn(5) == 0}
+		if ref.overBudget {
+			cfg.DataBudgetBytes = 1
+		}
+		// Two copies of one draw stream: the proxy's and the reference's.
+		seed := rng.Int63()
+		draws := rand.New(rand.NewSource(seed))
+		ref.rand = rand.New(rand.NewSource(seed)).Float64
+		p := New(Options{Graph: g, Config: cfg, Upstream: up, Workers: 1,
+			Now: func() time.Time { return now }, Rand: draws.Float64})
 
 		// Teach exemplars for a random subset of branches (always at least
-		// one) via live visits.
+		// one) via live visits; the others park at fan-out.
 		scanned := map[int]bool{}
+		tr := &proxyTransport{p: p, user: user}
 		for b := 0; b < k; b++ {
-			if b == order[0] || rng.Intn(4) > 0 {
-				scanned[b] = true
-			}
-		}
-		tr := &proxyTransport{p: p, user: "9.9.9.9"}
-		for b := 0; b < k; b++ {
-			if !scanned[b] {
+			if b != order[0] && rng.Intn(4) == 0 {
 				continue
 			}
-			if _, err := tr.RoundTrip(&httpmsg.Request{Method: "GET", Host: "h.example",
+			scanned[b] = true
+			if _, err := tr.RoundTrip(&httpmsg.Request{Method: "GET", Host: branchHost(b),
 				Path:  fmt.Sprintf("/b%d", b),
-				Query: []httpmsg.Field{{Key: "tok", Value: "v1"}}}); err != nil {
+				Query: []httpmsg.Field{{Key: "tok", Value: "v0"}}}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		p.Drain()
-
-		// Let the scan's cache entries expire so the fan-out below must
-		// issue real prefetch fetches, then open home.
-		nowNano.Store(base.Add(20 * time.Minute).UnixNano())
 		reset()
-		if _, err := tr.RoundTrip(&httpmsg.Request{Method: "GET", Host: "h.example",
-			Path: "/home"}); err != nil {
+
+		// The gate state the fan-out will meet.
+		for b := 0; b < k; b++ {
+			if rng.Intn(5) == 0 {
+				ref.suspended[branchID(b)] = true
+				p.resMu.Lock()
+				p.sigFail[branchID(b)] = &sigBackoff{consecutive: p.res.PrefetchFailureLimit, until: now.Add(time.Hour)}
+				p.resMu.Unlock()
+			}
+		}
+		for h := 0; h < 3; h++ {
+			if rng.Intn(4) == 0 {
+				ref.hostDown[branchHost(h)] = true
+				for i := 0; i < p.res.BreakerFailures; i++ {
+					p.breakers.ReportFailure(branchHost(h))
+				}
+			}
+		}
+		if ref.overBudget {
+			p.dataUsed.Add(now, cfg.DataBudgetBytes)
+		}
+
+		// Fan out from home: a live request at depth 0, a prefetched home
+		// response fed to learn — as runPrefetch does — at chain depths up to
+		// past the ceiling.
+		depth := 0
+		home := &httpmsg.Request{Method: "GET", Host: "h.example", Path: "/home"}
+		if rng.Intn(3) == 0 {
+			depth = 1 + rng.Intn(maxChainDepth+2)
+			p.learn(p.user(user), g.Sig("st:home#0"), home, homeResponse(), depth, false)
+		} else if _, err := tr.RoundTrip(home); err != nil {
 			t.Fatal(err)
 		}
 		p.Drain()
 
-		// The pre-policy fan-out walked g.Successors(home) in index order;
-		// the static policy must reproduce exactly that walk.
+		// The pre-policy fan-out walked g.Successors(home) in index order.
 		var want []string
+		wantSuppressed := map[string]int{}
+		var wantDepthSkips int64
 		for _, succID := range g.Successors("st:home#0") {
 			var b int
 			if _, err := fmt.Sscanf(succID, "st:b%d#0", &b); err != nil {
 				t.Fatalf("unexpected successor %q", succID)
 			}
-			if scanned[b] {
+			if !ref.keep(depth) {
+				wantDepthSkips++
+				continue
+			}
+			if !scanned[b] {
+				continue
+			}
+			issued, suppressed := ref.issue(succID, branchHost(b), priors[b]*scale)
+			if issued {
 				want = append(want, fmt.Sprintf("/b%d", b))
 			}
+			if suppressed {
+				wantSuppressed[succID]++
+			}
 		}
+		state := fmt.Sprintf("iter %d (k=%d order=%v scanned=%v priors=%v scale=%v depth=%d gates=%+v)",
+			iter, k, order, scanned, priors, scale, depth, ref)
 		if got := fetched(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("iter %d (k=%d, order=%v, scanned=%v): prefetch order %v, want %v",
-				iter, k, order, scanned, got, want)
+			t.Fatalf("%s: prefetch order %v, want %v", state, got, want)
+		}
+		if draws.Float64() != ref.rand() {
+			t.Fatalf("%s: proxy and reference consumed different numbers of probability draws", state)
+		}
+		snap := p.Stats().Snapshot()
+		for b := 0; b < k; b++ {
+			if got := snap.PerSig[branchID(b)].PrefetchSuppressed; got != wantSuppressed[branchID(b)] {
+				t.Fatalf("%s: %s suppressed %d times, want %d", state, branchID(b), got, wantSuppressed[branchID(b)])
+			}
+		}
+		skips := p.statsV1().Policy
+		if skips.DepthSkips != wantDepthSkips || skips.UnlikelySkips != 0 ||
+			skips.NoExemplarSkips != 0 || skips.NoDepValueSkips != 0 || skips.PendingFullSkips != 0 {
+			t.Fatalf("%s: skip counts %+v, want %d depth skips and nothing else", state, skips, wantDepthSkips)
 		}
 		p.Close()
 	}
@@ -215,10 +322,10 @@ func TestMarkovPersistRoundTrip(t *testing.T) {
 	p1 := New(opts())
 	for i := 0; i < 5; i++ {
 		at := now.Add(time.Duration(i) * 10 * time.Second)
-		p1.markovPol.Observe("u1", "st:home#0", at)
-		p1.markovPol.Observe("u1", "st:b1#0", at.Add(2*time.Second))
+		p1.markov().Observe("u1", "st:home#0", at)
+		p1.markov().Observe("u1", "st:b1#0", at.Add(2*time.Second))
 	}
-	want := p1.markovPol.Export()
+	want := p1.markov().Export()
 	if len(want.Users) == 0 || len(want.Global) == 0 {
 		t.Fatalf("model empty before snapshot: %+v", want)
 	}
@@ -234,14 +341,14 @@ func TestMarkovPersistRoundTrip(t *testing.T) {
 	}
 	// Compare as JSON: the snapshot round trip normalizes time.Time
 	// locations, which DeepEqual would flag despite equal instants.
-	gotJSON, _ := json.Marshal(p2.markovPol.Export())
+	gotJSON, _ := json.Marshal(p2.markov().Export())
 	wantJSON, _ := json.Marshal(want)
 	if string(gotJSON) != string(wantJSON) {
 		t.Fatalf("restored markov state differs:\n got %s\nwant %s", gotJSON, wantJSON)
 	}
 	// The restored history must rank: the favourite branch stays, the
 	// never-taken ones prune.
-	ds := p2.markovPol.Rank("u1", "st:home#0", []policy.Candidate{
+	ds := p2.markov().Rank("u1", "st:home#0", []policy.Candidate{
 		{SigID: "st:b0#0", Index: 0, Prior: 1},
 		{SigID: "st:b1#0", Index: 1, Prior: 1},
 		{SigID: "st:b2#0", Index: 2, Prior: 1},
@@ -256,16 +363,16 @@ func TestMarkovPersistRoundTrip(t *testing.T) {
 	sOpts.PrefetchPolicy = "static"
 	p3 := New(sOpts)
 	defer p3.Close()
-	if p3.markovPol != nil {
+	if p3.markov() != nil {
 		t.Fatal("static proxy grew a markov model from the snapshot")
 	}
-	if got := p3.statsV1().Policy; got.Configured != "static" || got.Active != "static" {
+	if got := p3.statsV1().Policy; got.Configured != "static" {
 		t.Fatalf("policy stats block = %+v", got)
 	}
 
 	// And the markov proxy's stats block reports the restored model.
 	pol := p2.statsV1().Policy
-	if pol.Configured != "markov" || pol.Active != "markov" || pol.Users != 1 || pol.Transitions == 0 {
+	if pol.Configured != "markov" || pol.Users != 1 || pol.Transitions == 0 {
 		t.Fatalf("markov policy stats block = %+v", pol)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -43,11 +42,6 @@ type Options struct {
 
 	// Workers sizes the prefetch pool (default 8).
 	Workers int
-	// MaxChainDepth bounds recursive prefetching along dependency chains
-	// (default 8; Figure 3(c) prefetches chains).
-	MaxChainDepth int
-	// MaxPendingPerSig bounds instances waiting for an exemplar (default 256).
-	MaxPendingPerSig int
 	// MaxCacheEntriesPerUser overrides the cache config's per-user entry
 	// cap when > 0 (default: config.Cache.MaxEntriesPerUser, 4096).
 	MaxCacheEntriesPerUser int
@@ -140,6 +134,15 @@ type Options struct {
 // machine share 127.0.0.1).
 const userHeader = "X-Appx-User"
 
+const (
+	// maxChainDepth bounds recursive prefetching along dependency chains
+	// (Figure 3(c) prefetches chains).
+	maxChainDepth = 8
+	// maxPendingPerSig bounds one user's instances waiting for an exemplar
+	// of one signature.
+	maxPendingPerSig = 256
+)
+
 // Proxy is the acceleration proxy. It implements http.Handler; point mobile
 // clients at it as their HTTP proxy.
 type Proxy struct {
@@ -180,13 +183,10 @@ type Proxy struct {
 	dataUsed *usageWindow
 
 	// Overload-control layer: the admission gate bounds concurrent client
-	// requests and the governor scales speculative prefetching with load.
-	// The governor's client-latency signal is the span recorder's window.
-	ovl           config.Overload
-	gate          *admitGate
-	gov           *governor
-	govSuppressed atomic.Int64
-	draining      atomic.Bool
+	// requests; ovl also sizes the scheduler queue and its enqueue deadline.
+	ovl      config.Overload
+	gate     *admitGate
+	draining atomic.Bool
 
 	// Crash-safe persistence (persist.go): disk cache tier + state
 	// snapshots, active when Options.StateDir is set.
@@ -197,14 +197,12 @@ type Proxy struct {
 	// sibling peer fill. Nil when Options.Cluster is not enabled.
 	cluster *clusterState
 
-	// Prefetch decision policy (policy.go in this package): the static
-	// baseline always exists; markovPol is additionally non-nil when
-	// Options.PrefetchPolicy selects history-aware ranking. skips counts
-	// candidates dropped before reaching the scheduler, by reason.
-	staticPol *policy.Static
-	markovPol *policy.Markov
-	rankHist  *obs.Histogram
-	skips     prefetchSkips
+	// Prefetch fan-out policy (policy.go in this package), selected by
+	// Options.PrefetchPolicy. skips counts candidates dropped before reaching
+	// the scheduler, by reason.
+	pol      policy.Policy
+	rankHist *obs.Histogram
+	skips    prefetchSkips
 
 	// budget counts request-latency-budget events (budget.go).
 	budget struct {
@@ -269,12 +267,6 @@ type user struct {
 func New(opts Options) *Proxy {
 	if opts.Workers == 0 {
 		opts.Workers = 8
-	}
-	if opts.MaxChainDepth == 0 {
-		opts.MaxChainDepth = 8
-	}
-	if opts.MaxPendingPerSig == 0 {
-		opts.MaxPendingPerSig = 256
 	}
 	if opts.MaxUsers == 0 {
 		opts.MaxUsers = 10000
@@ -372,15 +364,12 @@ func New(opts Options) *Proxy {
 	p.dataUsed = newUsageWindow(opts.Config.BudgetWindow())
 	p.ovl = opts.Config.EffectiveOverload()
 	p.gate = newAdmitGate(p.ovl.MaxConcurrentRequests, time.Duration(p.ovl.AdmissionWait))
-	p.gov = newGovernor(p.ovl, func() time.Time { return p.opts.Now() })
 	p.sched = sched.NewWith(sched.Config{
 		Workers:  opts.Workers,
 		Priority: p.stats.Priority,
 		MaxQueue: p.ovl.MaxQueue,
 		Now:      func() time.Time { return p.opts.Now() },
 	})
-	// The policy layer hooks into the governor, breakers, and backoff state
-	// built above; it must exist before any request can fan out prefetches.
 	p.initPolicy()
 	p.registerBridges(reg)
 	p.registerStreamBridges(reg)
@@ -399,7 +388,7 @@ func New(opts Options) *Proxy {
 }
 
 // registerBridges pulls subsystem-owned counters and gauges — admission
-// gate, governor, scheduler classes, cache tier, breakers — onto the
+// gate, scheduler classes, cache tier, breakers — onto the
 // registry at scrape time, so /appx/v1/metrics exposes one coherent surface
 // without those subsystems importing obs or paying write-path costs.
 func (p *Proxy) registerBridges(reg *obs.Registry) {
@@ -407,9 +396,6 @@ func (p *Proxy) registerBridges(reg *obs.Registry) {
 		func() int64 { a, _ := p.gate.counts(); return a })
 	reg.CounterFunc("appx_admission_shed_total", "Client requests shed by the admission gate.",
 		func() int64 { _, s := p.gate.counts(); return s })
-	reg.CounterFunc("appx_governor_suppressed_total", "Prefetches the governor declined to issue.",
-		p.govSuppressed.Load)
-	reg.GaugeFunc("appx_governor_level", "AIMD prefetch level (0..1).", p.gov.Level)
 	reg.GaugeFunc("appx_prefetch_queue_depth", "Queued prefetch tasks.",
 		func() float64 { return float64(p.sched.QueueLen()) })
 	reg.GaugeFunc("appx_users", "Tracked per-user learning states.",
@@ -506,45 +492,11 @@ func (p *Proxy) BeginDrain() {
 // Draining reports whether BeginDrain was called.
 func (p *Proxy) Draining() bool { return p.draining.Load() }
 
-// OverloadMode names the proxy's current overload state: "normal",
-// "degraded", "shedding", or "draining" during graceful shutdown.
-func (p *Proxy) OverloadMode() string {
-	if p.draining.Load() {
-		return "draining"
-	}
-	return p.gov.Mode()
-}
-
-// OverloadLevel reports the governor's current prefetch level (0..1).
-func (p *Proxy) OverloadLevel() float64 { return p.gov.Level() }
-
 // AdmissionCounts reports lifetime admitted and shed client requests.
 func (p *Proxy) AdmissionCounts() (admitted, shed int64) { return p.gate.counts() }
 
-// GovernorSuppressed reports prefetches the governor declined to issue.
-func (p *Proxy) GovernorSuppressed() int64 { return p.govSuppressed.Load() }
-
 // SchedMetrics exposes the prefetch scheduler's per-class counters.
 func (p *Proxy) SchedMetrics() sched.Metrics { return p.sched.Metrics() }
-
-// queueFrac reports the prefetch queue's fill fraction (0..1).
-func (p *Proxy) queueFrac() float64 {
-	if c := p.sched.Cap(); c > 0 {
-		return float64(p.sched.QueueLen()) / float64(c)
-	}
-	return 0
-}
-
-// effectiveChainDepth scales the configured chain depth by the governor
-// level, so under pressure the proxy sheds the deep, most speculative end of
-// each dependency chain first.
-func (p *Proxy) effectiveChainDepth() int {
-	level := p.gov.Level()
-	if level >= 1 {
-		return p.opts.MaxChainDepth
-	}
-	return int(math.Round(level * float64(p.opts.MaxChainDepth)))
-}
 
 // Close stops the prefetch workers, the cache sweeper, and (when
 // persistence is enabled) the snapshot loop and disk-tier spill worker —
@@ -754,9 +706,8 @@ func (p *Proxy) healthV1() adminv1.HealthResponse {
 	}
 	p.resMu.Unlock()
 
-	// Overload mode folds into health: a draining or shedding proxy is not
-	// "ok" even when every origin is.
-	if mode := p.OverloadMode(); mode != "normal" {
+	// A draining proxy is not "ok" even when every origin is.
+	if p.draining.Load() {
 		degraded = true
 	}
 	status := "ok"
@@ -840,19 +791,21 @@ func (p *Proxy) spansV1(n int) adminv1.SpansResponse {
 	return out
 }
 
-// overloadV1 is the admission/governor block shared by stats and health.
+// overloadV1 is the admission block shared by stats and health.
 func (p *Proxy) overloadV1() adminv1.Overload {
+	mode := "normal"
+	if p.draining.Load() {
+		mode = "draining"
+	}
 	admitted, shedded := p.gate.counts()
 	lat := p.spans.WindowQuantiles(obs.OutcomeShed, 0.50, 0.95, 0.99)
 	return adminv1.Overload{
-		Mode:               p.OverloadMode(),
-		Level:              p.gov.Level(),
-		Admitted:           admitted,
-		AdmissionShed:      shedded,
-		GovernorSuppressed: p.govSuppressed.Load(),
-		ClientP50Ms:        lat[0].Milliseconds(),
-		ClientP95Ms:        lat[1].Milliseconds(),
-		ClientP99Ms:        lat[2].Milliseconds(),
+		Mode:          mode,
+		Admitted:      admitted,
+		AdmissionShed: shedded,
+		ClientP50Ms:   lat[0].Milliseconds(),
+		ClientP95Ms:   lat[1].Milliseconds(),
+		ClientP99Ms:   lat[2].Milliseconds(),
 	}
 }
 
@@ -1035,10 +988,9 @@ func (p *Proxy) learn(u *user, s *sig.Signature, req *httpmsg.Request, resp *htt
 	}
 	// Build the candidate batch in dependency-graph order, then let the
 	// policy decide which survive (Keep) and in what order they are
-	// attempted. Only Keep and the output order are honoured here: the
-	// execution gates re-run at issue time inside maybePrefetch, because an
-	// instance can park awaiting an exemplar for arbitrarily long between
-	// fan-out and issue.
+	// attempted. Whether a survivor may run is decided at issue time
+	// (mayIssue), because an instance can park awaiting an exemplar for
+	// arbitrarily long between fan-out and issue.
 	type fanout struct {
 		succ  *sig.Signature
 		paths []string
@@ -1102,7 +1054,7 @@ func (p *Proxy) instantiate(u *user, s *sig.Signature, pred string, combo map[st
 	// (R2) requires reproducing them.
 	if ex == nil {
 		u.mu.Lock()
-		if len(u.pending[s.ID]) < p.opts.MaxPendingPerSig {
+		if len(u.pending[s.ID]) < maxPendingPerSig {
 			u.pending[s.ID] = append(u.pending[s.ID], pendingInstance{s: s, pred: pred, combo: combo, doc: doc, depth: depth})
 			u.mu.Unlock()
 			return
@@ -1149,38 +1101,32 @@ func (p *Proxy) overDataBudget() bool {
 	return budget > 0 && p.dataUsed.Used(p.opts.Now()) >= budget
 }
 
-// maybePrefetch applies policy (probability, data budget, dedup) and
-// overload control (governor level, class queue shares, enqueue deadline),
-// then schedules the prefetch.
-func (p *Proxy) maybePrefetch(u *user, s *sig.Signature, req *httpmsg.Request, depth int, class sched.Class) {
-	cpol := p.opts.Config.Policy(s.Hash())
-	// The policy evaluates the execution gates — governor shedding/level,
-	// signature failure backoff, breaker readiness — over the concrete
-	// candidate. All hooks are side-effect-free reads, so evaluating them
-	// before the probability draw below leaves the draw stream unchanged.
-	d := p.rankOne(u.key, policy.Candidate{
-		SigID:      s.ID,
-		Host:       req.Host,
-		Depth:      depth,
-		Foreground: class == sched.ClassForeground,
-		Prior:      p.opts.Config.EffectiveProbability(cpol) * p.opts.Config.UserScale(u.key),
-	})
-	if !d.Allow && d.AllowReason == policy.ReasonShedding {
-		p.govSuppressed.Add(1)
-		p.stats.CountPrefetchSuppressed(s.ID)
-		return
-	}
-	if d.Prob <= 0 || (d.Prob < 1 && p.opts.Rand() >= d.Prob) {
-		return
+// mayIssue decides whether one concrete prefetch may be scheduled right
+// now: the probability draw (§4.4), the data budget (C4), and the
+// resilience gates — a suspended signature (consecutive failures) or a host
+// whose breaker is not admitting traffic stops producing prefetch work
+// here, before it occupies queue slots, workers, or data budget. Only the
+// resilience gates count as suppression.
+func (p *Proxy) mayIssue(userKey, sigID, host string, cpol *config.Policy) bool {
+	prob := p.opts.Config.EffectiveProbability(cpol) * p.opts.Config.UserScale(userKey)
+	if prob <= 0 || (prob < 1 && p.opts.Rand() >= prob) {
+		return false
 	}
 	if p.overDataBudget() {
-		return
+		return false
 	}
-	// Resilience gates: a suspended signature (consecutive failures) or a
-	// host whose breaker is not admitting traffic stops producing prefetch
-	// work here, before it occupies queue slots, workers, or data budget.
-	if !d.Allow {
-		p.stats.CountPrefetchSuppressed(s.ID)
+	if p.sigSuspended(sigID) || !p.breakers.Ready(host) {
+		p.stats.CountPrefetchSuppressed(sigID)
+		return false
+	}
+	return true
+}
+
+// maybePrefetch applies the issue gates and dedup, then schedules the
+// prefetch under its class's queue share and enqueue deadline.
+func (p *Proxy) maybePrefetch(u *user, s *sig.Signature, req *httpmsg.Request, depth int, class sched.Class) {
+	cpol := p.opts.Config.Policy(s.Hash())
+	if !p.mayIssue(u.key, s.ID, req.Host, cpol) {
 		return
 	}
 	// Shared-eligible requests prefetch into the cross-user tier; TryIssue
@@ -1289,8 +1235,8 @@ func (p *Proxy) runPrefetch(pf *prefetch) {
 	// Chain continuation — only from a fetch this worker made itself; an
 	// adopted capture is learned from live by the foreground owner. The
 	// depth ceiling lives in the policy layer: fan-out candidates at depth+1
-	// are Keep=false (ReasonDepth) beyond the governor-scaled effective
-	// chain depth, each pruned tail counted.
+	// are Keep=false (ReasonDepth) beyond maxChainDepth, each pruned tail
+	// counted.
 	if owner && !p.opts.DisableChaining {
 		p.learn(pf.u, pf.s, pf.req, resp, pf.depth+1, false)
 	}
@@ -1349,9 +1295,13 @@ func (p *Proxy) fetchFlight(pf *prefetch, fkey string, fl *flight) (body []byte,
 	case !ok && fl.sp.Overflowed():
 		// Over the capture cap: no complete entity to cache. Not a signature
 		// failure — the origin answered fine; the response is just bigger
-		// than the proxy caches. (A mid-body stream error lands here too,
-		// uncounted.)
+		// than the proxy caches.
 		p.streamStats.bodyOverflows.Add(1)
+	case !ok:
+		// The body died mid-stream: an origin failure like a failed round
+		// trip, just later.
+		p.stats.CountPrefetchError(sigID)
+		p.recordSigFailure(sigID)
 	}
 	return body, ok
 }

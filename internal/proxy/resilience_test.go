@@ -1,15 +1,21 @@
 package proxy
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
+	"appx/internal/cache"
 	"appx/internal/config"
 	"appx/internal/httpmsg"
 	"appx/internal/netem"
@@ -325,6 +331,82 @@ func TestSigBackoffSuspendsRejectedSignature(t *testing.T) {
 	}
 	if _, ok := h.SuspendedSignatures["t:sickitem#0"]; !ok {
 		t.Fatalf("suspendedSignatures = %v, want t:sickitem#0", h.SuspendedSignatures)
+	}
+}
+
+// TestPrefetchBodyErrorCountsAsFailure: a prefetch whose origin answers 200
+// and then dies mid-body is a prefetch error like a failed round trip —
+// counted, nothing cached, the dedup claim given back, and the signature
+// suspended at the failure limit.
+func TestPrefetchBodyErrorCountsAsFailure(t *testing.T) {
+	const failAfter = 100 // bytes of body before the stream breaks
+	var mu sync.Mutex
+	var brokenKeys []string // canonical keys of the prefetches whose body broke
+	up := UpstreamFunc(func(_ context.Context, r *httpmsg.Request) (*httpmsg.Response, error) {
+		switch {
+		case r.Path == "/list":
+			body, _ := json.Marshal(map[string]any{"ids": []string{"a", "b"}})
+			return &httpmsg.Response{Status: 200,
+				Header: []httpmsg.Field{{Key: "Content-Type", Value: "application/json"}}, Body: body}, nil
+		case r.Query[0].Value == "seed":
+			return &httpmsg.Response{Status: 200, Body: []byte("whole")}, nil
+		}
+		mu.Lock()
+		brokenKeys = append(brokenKeys, r.CanonicalKey())
+		mu.Unlock()
+		resp := &httpmsg.Response{Status: 200}
+		resp.SetStream(io.NopCloser(io.MultiReader(
+			bytes.NewReader(bytes.Repeat([]byte("x"), failAfter)),
+			iotest.ErrReader(errors.New("connection reset mid-body")))))
+		return resp, nil
+	})
+	g := overloadGraph()
+	cfg := config.Default(g)
+	cfg.Resilience = &config.Resilience{RetryAttempts: 1, PrefetchFailureLimit: 2}
+	now := time.Unix(1_700_000_000, 0)
+	p := New(Options{Graph: g, Config: cfg, Upstream: up, Workers: 1,
+		Now: func() time.Time { return now }})
+	t.Cleanup(p.Close)
+	pt := &proxyTransport{p: p, user: "body-user"}
+	if resp, err := pt.RoundTrip(&httpmsg.Request{Method: "GET", Host: "app.example", Path: "/item",
+		Query: []httpmsg.Field{{Key: "id", Value: "seed"}}}); err != nil || resp.Status != 200 {
+		t.Fatalf("exemplar request: %v %v", resp, err)
+	}
+	if resp, err := pt.RoundTrip(&httpmsg.Request{Method: "GET", Host: "app.example", Path: "/list"}); err != nil || resp.Status != 200 {
+		t.Fatalf("list request: %v %v", resp, err)
+	}
+	p.Drain()
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(brokenKeys) != 2 {
+		t.Fatalf("%d prefetches reached the origin, want 2", len(brokenKeys))
+	}
+	if st := p.Stats().Snapshot().PerSig["t:item#0"]; st.PrefetchErrors != 2 {
+		t.Fatalf("prefetch errors = %d, want both broken bodies counted", st.PrefetchErrors)
+	}
+	var text strings.Builder
+	p.Registry().WritePrometheus(&text)
+	if !strings.Contains(text.String(), "appx_prefetch_errors_total 2\n") {
+		t.Fatal("appx_prefetch_errors_total did not rise to 2")
+	}
+	if got := p.streamStats.bodyOverflows.Load(); got != 0 {
+		t.Fatalf("body overflows = %d: a broken stream is not an over-cap body", got)
+	}
+	if n := p.Cache().Metrics().Entries; n != 0 {
+		t.Fatalf("%d entries cached from broken bodies", n)
+	}
+	// The dedup claim is free again in whichever scope held it.
+	for _, key := range brokenKeys {
+		for _, scope := range []string{"body-user", cache.SharedScope} {
+			if !p.store.TryIssue(scope, key, time.Minute) {
+				t.Fatalf("claim %q/%q still held after its prefetch failed", scope, key)
+			}
+			p.store.CancelIssue(scope, key)
+		}
+	}
+	if !p.sigSuspended("t:item#0") {
+		t.Fatal("signature not suspended after prefetch_failure_limit broken bodies")
 	}
 }
 

@@ -16,8 +16,7 @@ import (
 // exchange walked through the obs.Stage pipeline by serve and sealed by
 // finish. serve and its helpers only *return* the terminal outcome and stamp
 // facts on the exchange (signature, first-byte time); finish alone turns
-// them into the span's outcome and sig, the TTFB sample, and the governor's
-// load sample.
+// them into the span's outcome and sig and the TTFB sample.
 
 // exchange is one proxied client request in flight. It lives on ServeHTTP's
 // stack: helpers take it by pointer and must not retain it.
@@ -57,11 +56,9 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	outcome = p.serve(&x, r)
 }
 
-// finish seals one exchange: exactly one span, at most one TTFB sample, and
-// exactly one governor feed per proxied request. The feed is O(1) — shed
-// flag and queue fill; the client p95 is read from the span window only
-// when the governor is about to close an interval that uses it. A drain
-// refusal is lifecycle, not load, and does not count as a shed.
+// finish seals one exchange: exactly one span and at most one TTFB sample
+// per proxied request. It touches nothing else — every request passes
+// through here, cache hits included.
 func (p *Proxy) finish(x *exchange, outcome obs.Outcome) {
 	x.sp.SetSig(x.sigID)
 	x.sp.SetOutcome(outcome)
@@ -69,11 +66,6 @@ func (p *Proxy) finish(x *exchange, outcome obs.Outcome) {
 	if !x.first.IsZero() {
 		p.ttfb.Observe(x.first.Sub(x.start))
 	}
-	var p95 time.Duration
-	if p.gov.p95Due() {
-		p95 = p.spans.WindowQuantiles(obs.OutcomeShed, 0.95)[0]
-	}
-	p.gov.Observe(p.queueFrac(), p95, outcome == obs.OutcomeShed && !p.draining.Load())
 }
 
 // refuse answers 503 with a Retry-After hint and reports the shed outcome.
@@ -89,7 +81,7 @@ func (p *Proxy) serve(x *exchange, r *http.Request) obs.Outcome {
 	// Admission. Draining refuses new proxied work so a graceful shutdown
 	// waits out only requests already in flight; otherwise the gate bounds
 	// concurrent client work. Retry-After: a draining instance is leaving
-	// (stay away longest); a gate shed puts the governor into shedding mode.
+	// (stay away longest); a gate shed is momentary.
 	draining := p.draining.Load()
 	admitted := !draining && p.gate.acquire(x.ctx)
 	x.sp.EndStage(obs.StageAdmission)

@@ -20,18 +20,14 @@ import (
 )
 
 // lifecycleTally is what the finish seam has recorded so far: finished
-// spans, TTFB samples, and governor feeds.
+// spans and TTFB samples.
 type lifecycleTally struct {
 	spans uint64
 	ttfb  int64
-	feeds int64
 }
 
 func tally(p *Proxy) lifecycleTally {
-	p.gov.mu.Lock()
-	feeds := p.gov.samples
-	p.gov.mu.Unlock()
-	return lifecycleTally{spans: p.SpanTotal(), ttfb: p.ttfb.Count(), feeds: feeds}
+	return lifecycleTally{spans: p.SpanTotal(), ttfb: p.ttfb.Count()}
 }
 
 // exitPathUpstream serves the overloadGraph app. /list fans out item ids,
@@ -59,9 +55,8 @@ func (u *exitPathUpstream) RoundTrip(ctx context.Context, r *httpmsg.Request) (*
 
 // TestExitPathsFinishOnce drives every way a proxied request can end and
 // checks the finish seam's contract on each: exactly one span carrying the
-// right outcome and signature, one TTFB sample exactly when response bytes
-// (not a proxy-generated error) reached the client, and exactly one governor
-// feed.
+// right outcome and signature, and one TTFB sample exactly when response
+// bytes (not a proxy-generated error) reached the client.
 func TestExitPathsFinishOnce(t *testing.T) {
 	const itemSig, listSig = "t:item#0", "t:list#0"
 	g := overloadGraph()
@@ -104,9 +99,6 @@ func TestExitPathsFinishOnce(t *testing.T) {
 		if d := after.ttfb - before.ttfb; d != ttfb {
 			t.Fatalf("%s: %d TTFB samples, want %d", name, d, ttfb)
 		}
-		if d := after.feeds - before.feeds; d != 1 {
-			t.Fatalf("%s: %d governor feeds, want 1", name, d)
-		}
 	}
 
 	check("origin via flight (exemplar)", get("http://app.example/item?id=seed"), 200, obs.OutcomeOrigin, itemSig, 1)
@@ -139,8 +131,8 @@ func TestExitPathsFinishOnce(t *testing.T) {
 	<-up.stallEntered
 	p.gate.slots <- struct{}{} // occupy the second slot directly
 	check("gate shed", get("http://app.example/fast"), 503, obs.OutcomeShed, "", 0)
-	if !p.gov.Shedding() {
-		t.Fatal("gate shed did not reach the governor as a shed signal")
+	if _, shed := p.AdmissionCounts(); shed != 1 {
+		t.Fatalf("admission shed count = %d, want 1", shed)
 	}
 	<-p.gate.slots
 	close(up.stallRelease)
@@ -177,8 +169,8 @@ func TestFlightExitPathsFinishOnce(t *testing.T) {
 	close(up.release)
 	wg.Wait()
 	after := tally(p)
-	if after.spans-before.spans != 2 || after.ttfb-before.ttfb != 2 || after.feeds-before.feeds != 2 {
-		t.Fatalf("owner+attacher recorded %+v → %+v, want 2 spans, 2 TTFB samples, 2 feeds", before, after)
+	if after.spans-before.spans != 2 || after.ttfb-before.ttfb != 2 {
+		t.Fatalf("owner+attacher recorded %+v → %+v, want 2 spans, 2 TTFB samples", before, after)
 	}
 	outcomes := map[obs.Outcome]int{}
 	for _, sp := range p.RecentSpans(2) {
@@ -208,8 +200,8 @@ func TestFlightExitPathsFinishOnce(t *testing.T) {
 	if rec.Code != 502 || sp.Outcome != obs.OutcomeError || sp.SigID != "t:big#0" {
 		t.Fatalf("failed flight: status %d outcome %v sig %q, want 502 error t:big#0", rec.Code, sp.Outcome, sp.SigID)
 	}
-	if after.spans-before.spans != 1 || after.ttfb != before.ttfb || after.feeds-before.feeds != 1 {
-		t.Fatalf("failed flight recorded %+v → %+v, want 1 span, 0 TTFB samples, 1 feed", before, after)
+	if after.spans-before.spans != 1 || after.ttfb != before.ttfb {
+		t.Fatalf("failed flight recorded %+v → %+v, want 1 span, 0 TTFB samples", before, after)
 	}
 	if len(pf.flights) != 0 {
 		t.Fatalf("%d flights left registered after a failed fetch", len(pf.flights))
@@ -223,64 +215,53 @@ func (w *discardWriter) Header() http.Header         { return w.h }
 func (w *discardWriter) WriteHeader(int)             {}
 func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 
-// TestHitPathGovernorFeedAllocs pins the cost of the governor's sensor on
-// the path every request takes. With the span window full and a latency
-// target configured — the case where a per-request p95 would have to copy
-// and sort the window — sealing a request allocates nothing, and a whole
-// cache hit costs no more than it does with the latency signal off.
-func TestHitPathGovernorFeedAllocs(t *testing.T) {
-	hitAllocs := func(target time.Duration) (finish, hit float64) {
-		g := streamGraph()
-		cfg := config.Default(g)
-		cfg.Overload = &config.Overload{TargetP95: config.Duration(target)}
-		// A frozen clock keeps the governor mid-interval: no p95 is due.
-		now := time.Unix(1_700_000_000, 0)
-		p := New(Options{Graph: g, Config: cfg, Now: func() time.Time { return now },
-			Upstream: UpstreamFunc(func(context.Context, *httpmsg.Request) (*httpmsg.Response, error) {
-				return nil, errors.New("unreachable: every request is a hit")
-			})})
-		defer p.Close()
-		r := httptest.NewRequest("GET", "http://h.example/big", nil)
-		r.RemoteAddr = "9.9.9.9:1"
-		req, err := httpmsg.FromHTTPLimited(r, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.store.Put("9.9.9.9", req.CanonicalKey(), &cache.Entry{
-			Resp:    &httpmsg.Response{Status: 200, Body: []byte("cached")},
-			SigID:   "t:big#0",
-			Expires: now.Add(time.Hour),
-		})
-		w := &discardWriter{h: http.Header{}}
-		serveHit := func() {
-			clear(w.h)
-			p.ServeHTTP(w, r)
-		}
-		for i := 0; i < 1100; i++ { // fill the 1024-span window
-			serveHit()
-		}
-		if sp := p.RecentSpans(1)[0]; sp.Outcome != obs.OutcomePrefetchHit {
-			t.Fatalf("warm-up request outcome = %v, want prefetch-hit", sp.Outcome)
-		}
-		// A nil span is a no-op: what remains of finish is the TTFB sample and
-		// the governor feed, with no pooled object to add noise.
-		finish = testing.AllocsPerRun(200, func() {
-			x := exchange{sigID: "t:big#0", start: now, first: now}
-			p.finish(&x, obs.OutcomePrefetchHit)
-		})
-		return finish, testing.AllocsPerRun(200, serveHit)
+// TestHitPathFinishAllocs pins the cost of the path every request takes,
+// with the span window full: sealing a request allocates nothing, and a
+// whole cache hit stays within its allocation budget.
+func TestHitPathFinishAllocs(t *testing.T) {
+	g := streamGraph()
+	now := time.Unix(1_700_000_000, 0)
+	p := New(Options{Graph: g, Now: func() time.Time { return now },
+		Upstream: UpstreamFunc(func(context.Context, *httpmsg.Request) (*httpmsg.Response, error) {
+			return nil, errors.New("unreachable: every request is a hit")
+		})})
+	defer p.Close()
+	r := httptest.NewRequest("GET", "http://h.example/big", nil)
+	r.RemoteAddr = "9.9.9.9:1"
+	req, err := httpmsg.FromHTTPLimited(r, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	finishOff, hitOff := hitAllocs(0)
-	finishOn, hitOn := hitAllocs(time.Hour)
-	if finishOff != 0 || finishOn != 0 {
-		t.Fatalf("finish allocates %v (no target) / %v (target set) per request, want 0", finishOff, finishOn)
+	p.store.Put("9.9.9.9", req.CanonicalKey(), &cache.Entry{
+		Resp:    &httpmsg.Response{Status: 200, Body: []byte("cached")},
+		SigID:   "t:big#0",
+		Expires: now.Add(time.Hour),
+	})
+	w := &discardWriter{h: http.Header{}}
+	serveHit := func() {
+		clear(w.h)
+		p.ServeHTTP(w, r)
 	}
-	// One alloc of slack absorbs sync.Pool's randomized drops under -race; a
-	// per-request window copy and sort costs three or more.
-	if hitOn > hitOff+1 {
-		t.Fatalf("cache hit costs %v allocs with a latency target vs %v without: the governor feed allocates", hitOn, hitOff)
+	for i := 0; i < 1100; i++ { // fill the 1024-span window
+		serveHit()
 	}
-	t.Logf("cache hit: %v allocs/request", hitOff)
+	if sp := p.RecentSpans(1)[0]; sp.Outcome != obs.OutcomePrefetchHit {
+		t.Fatalf("warm-up request outcome = %v, want prefetch-hit", sp.Outcome)
+	}
+	// A nil span is a no-op: what remains of finish is the TTFB sample, with
+	// no pooled object to add noise.
+	finish := testing.AllocsPerRun(200, func() {
+		x := exchange{sigID: "t:big#0", start: now, first: now}
+		p.finish(&x, obs.OutcomePrefetchHit)
+	})
+	if finish != 0 {
+		t.Fatalf("finish allocates %v per request, want 0", finish)
+	}
+	// A hit costs 6; the one alloc of slack absorbs sync.Pool's randomized
+	// drops under -race.
+	if hit := testing.AllocsPerRun(200, serveHit); hit > 6+1 {
+		t.Fatalf("cache hit costs %v allocs/request, want 6", hit)
+	}
 }
 
 // blockingTier is a cache.Tier whose Drop blocks until released.

@@ -356,9 +356,9 @@ func (g *Graph) MatchTelemetry() MatchTelemetry {
 
 // MatchRequest finds the signatures whose URI pattern matches a live request,
 // most-specific (longest literal prefix) first — the same set in the same
-// order as the retained reference scan (matchRequestScan), via the two-level
-// index: exact map first (pure literals, no regex), then the prefix trie's
-// candidate bucket verified with precompiled regexes.
+// order as the reference scan (matchRequestScan in index_test.go), via the
+// two-level index: exact map first (pure literals, no regex), then the
+// prefix trie's candidate bucket verified with precompiled regexes.
 func (g *Graph) MatchRequest(r *httpmsg.Request) []*Signature {
 	idx := g.matchIndex()
 	g.matchLookups.Add(1)
@@ -417,18 +417,5 @@ func (g *Graph) MatchRequest(r *httpmsg.Request) []*Signature {
 	for i, c := range cands {
 		out[i] = c.sig
 	}
-	return out
-}
-
-// matchRequestScan is the seed's O(|Sigs|·regex) matcher, retained as the
-// reference implementation the differential test holds MatchRequest to.
-func (g *Graph) matchRequestScan(r *httpmsg.Request) []*Signature {
-	var out []*Signature
-	for _, s := range g.Sigs {
-		if s.MatchesRequest(r) {
-			out = append(out, s)
-		}
-	}
-	stableSortByLiteralLen(out)
 	return out
 }

@@ -3,6 +3,7 @@ package sig
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -10,6 +11,23 @@ import (
 )
 
 // --- differential testing: indexed MatchRequest ≡ naive scan -------------
+
+// matchRequestScan is the seed's O(|Sigs|·regex) matcher, kept as the
+// reference implementation the differential test holds MatchRequest to:
+// every matching signature, most-specific-first (longest total literal
+// length), input order among equals.
+func (g *Graph) matchRequestScan(r *httpmsg.Request) []*Signature {
+	var out []*Signature
+	for _, s := range g.Sigs {
+		if s.MatchesRequest(r) {
+			out = append(out, s)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		return literalLen(out[i].URI) > literalLen(out[j].URI)
+	})
+	return out
+}
 
 // randPattern builds a random URI pattern over a small segment pool so that
 // prefixes collide across signatures (the interesting case for the trie).

@@ -503,15 +503,6 @@ func (g *Graph) Chain() []string {
 	return best
 }
 
-// stableSortByLiteralLen orders signatures most-specific-first (longest
-// total literal length), preserving input order among equals — the reference
-// ordering MatchRequest's index reproduces via precomputed keys.
-func stableSortByLiteralLen(out []*Signature) {
-	sort.SliceStable(out, func(i, j int) bool {
-		return literalLen(out[i].URI) > literalLen(out[j].URI)
-	})
-}
-
 func literalLen(p Pattern) int {
 	n := 0
 	for _, part := range p.Parts {
