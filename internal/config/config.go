@@ -79,7 +79,15 @@ func (c *Condition) Eval(doc any) bool {
 	if err != nil {
 		return false
 	}
-	vals := jsonpath.ExtractStrings(doc, p)
+	return c.Holds(jsonpath.ExtractStrings(doc, p))
+}
+
+// Holds evaluates the condition over the values already extracted at Field:
+// it passes when any of them compares true, so none fails it.
+func (c *Condition) Holds(vals []string) bool {
+	if c == nil {
+		return true
+	}
 	for _, v := range vals {
 		if compare(v, c.Op, c.Value) {
 			return true

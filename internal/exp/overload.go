@@ -257,7 +257,7 @@ func runOverloadPoint(load float64) (*OverloadRow, error) {
 // dropsOf sums a class's load-shedding drops: queue-share overflow plus
 // enqueue-deadline expiry (not closed-drops, which are teardown artifacts).
 func dropsOf(c sched.ClassMetrics) int64 {
-	return c.DroppedFull + c.DroppedExpired
+	return c.DroppedFull + c.RejectedExpired + c.DroppedExpired
 }
 
 // queryValue extracts one query field.

@@ -8,10 +8,13 @@ package fuzz
 import (
 	"fmt"
 	"math/rand"
+	"net/http"
 	"time"
 
 	"appx/internal/apk"
 	"appx/internal/device"
+	"appx/internal/httpmsg"
+	"appx/internal/interp"
 )
 
 // Driver abstracts the device surface the fuzzer pokes at.
@@ -90,4 +93,30 @@ func Run(d Driver, a *apk.APK, opts Options) (*Result, error) {
 		res.ScreensSeen[d.Screen()] = true
 	}
 	return res, nil
+}
+
+// Record drives the app straight at its origin handler, in process and with
+// no proxy in between, and returns every transaction in the order the app
+// made them: the recorded traffic that differential tests, fuzz corpora and
+// micro-benchmarks replay.
+func Record(a *apk.APK, origin http.Handler, opts Options) ([]httpmsg.Transaction, error) {
+	var txns []httpmsg.Transaction
+	dev, err := device.New(device.Config{
+		APK: a,
+		Transport: interp.TransportFunc(func(r *httpmsg.Request) (*httpmsg.Response, error) {
+			resp, err := httpmsg.ServeViaHandler(origin, r)
+			if err == nil {
+				txns = append(txns, httpmsg.Transaction{Request: r.Clone(), Response: resp})
+			}
+			return resp, err
+		}),
+		Props: interp.DeviceProps{UserAgent: "AppxRecord/1.0", Locale: "en-US", AppVersion: a.Manifest.Version},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("fuzz: %w", err)
+	}
+	if _, err := Run(dev, a, opts); err != nil {
+		return nil, err
+	}
+	return txns, nil
 }

@@ -26,12 +26,17 @@ type bodyStream struct {
 	rc      io.ReadCloser
 	closed  bool
 	onClose []func()
+	// hooks backs onClose for the usual one or two callbacks (the retrier's
+	// attempt context, the caller's bound), so registering them allocates
+	// nothing.
+	hooks [2]func()
 }
 
 // SetStream attaches a streaming body to the response. The response becomes
 // streaming: WriteTo copies from rc, and Buffer/CloseBody consume it.
 func (r *Response) SetStream(rc io.ReadCloser) {
 	r.stream = &bodyStream{rc: rc}
+	r.stream.onClose = r.stream.hooks[:0]
 }
 
 // Streaming reports whether the body is an unconsumed stream.
@@ -150,12 +155,7 @@ func (r *Response) MarkTruncated() { r.trunc = true }
 // the returned Response is streaming and the caller owns the body via
 // WriteTo / Buffer / DrainAndClose / CloseBody.
 func FromHTTPResponseStreaming(resp *http.Response) *Response {
-	out := &Response{Status: resp.StatusCode}
-	for _, key := range sortedHeaderKeys(resp.Header) {
-		for _, v := range resp.Header[key] {
-			out.Header = append(out.Header, Field{Key: key, Value: v})
-		}
-	}
+	out := &Response{Status: resp.StatusCode, Header: headerFields(resp.Header)}
 	if resp.Body != nil {
 		out.SetStream(resp.Body)
 	}

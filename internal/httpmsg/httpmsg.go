@@ -14,6 +14,7 @@ package httpmsg
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -122,13 +123,30 @@ func (r *Request) URL() string {
 	}
 	u := scheme + "://" + r.Host + r.Path
 	if len(r.Query) > 0 {
-		vals := url.Values{}
-		for _, f := range r.Query {
-			vals.Add(f.Key, f.Value)
-		}
-		u += "?" + vals.Encode()
+		u += "?" + encodeFields(r.Query)
 	}
 	return u
+}
+
+// encodeFields renders fields exactly as url.Values.Encode renders them —
+// sorted by key, one key's values in their given order, both query-escaped
+// — without building the map.
+func encodeFields(fields []Field) string {
+	byKey := func(i, j int) bool { return fields[i].Key < fields[j].Key }
+	if !sort.SliceIsSorted(fields, byKey) {
+		fields = append([]Field(nil), fields...)
+		sort.SliceStable(fields, byKey)
+	}
+	var b strings.Builder
+	for i, f := range fields {
+		if i > 0 {
+			b.WriteByte('&')
+		}
+		b.WriteString(url.QueryEscape(f.Key))
+		b.WriteByte('=')
+		b.WriteString(url.QueryEscape(f.Value))
+	}
+	return b.String()
 }
 
 // GetHeader returns the first header value for key (case-insensitive) and
@@ -401,11 +419,7 @@ func appendCanonicalJSON(buf []byte, v any) []byte {
 func (r *Request) EncodeBody() (contentType string, body []byte) {
 	switch r.BodyKind {
 	case BodyForm:
-		vals := url.Values{}
-		for _, f := range r.BodyForm {
-			vals.Add(f.Key, f.Value)
-		}
-		return "application/x-www-form-urlencoded", []byte(vals.Encode())
+		return "application/x-www-form-urlencoded", []byte(encodeFields(r.BodyForm))
 	case BodyJSON:
 		b, _ := json.Marshal(r.BodyJSON)
 		return "application/json", b
@@ -418,10 +432,69 @@ func (r *Request) EncodeBody() (contentType string, body []byte) {
 
 // ToHTTP converts to a *http.Request suitable for a client round trip.
 func (r *Request) ToHTTP() (*http.Request, error) {
-	ct, body := r.EncodeBody()
-	req, err := http.NewRequest(strings.ToUpper(r.Method), r.URL(), bytes.NewReader(body))
+	return r.ToHTTPContext(context.Background())
+}
+
+// plainURL reports whether host and path can be written into a url.URL as
+// they stand. Anything url.Parse would give meaning to or reject — an
+// escape, '?' or '#' in the path, a control character, a host beyond names,
+// ports and dotted addresses — keeps going through url.Parse.
+func plainURL(host, path string) bool {
+	for i := 0; i < len(path); i++ {
+		if c := path[i]; c < 0x20 || c == 0x7f || c == '%' || c == '?' || c == '#' {
+			return false
+		}
+	}
+	name, port, hasPort := strings.Cut(host, ":")
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '.' || c == '-' || c == '_') {
+			return false
+		}
+	}
+	for i := 0; i < len(port); i++ {
+		if port[i] < '0' || port[i] > '9' {
+			return false
+		}
+	}
+	return !hasPort || port != ""
+}
+
+// ToHTTPContext is ToHTTP with the request bound to ctx. The request is
+// assembled field by field — rendering the URL to text for net/http to parse
+// back, and copying the request again to attach a context, cost more than
+// the rest of the conversion.
+func (r *Request) ToHTTPContext(ctx context.Context) (*http.Request, error) {
+	rawURL := ""
+	if !plainURL(r.Host, r.Path) {
+		rawURL = r.URL()
+	}
+	// The context-taking constructor is the only way to bind ctx without a
+	// WithContext copy; it also validates the method.
+	req, err := http.NewRequestWithContext(ctx, strings.ToUpper(r.Method), rawURL, nil)
 	if err != nil {
 		return nil, err
+	}
+	if rawURL == "" {
+		u := req.URL
+		u.Scheme, u.Host, u.Path = r.Scheme, r.Host, r.Path
+		if u.Scheme == "" {
+			u.Scheme = "http"
+		}
+		if u.EscapedPath() != r.Path {
+			u.RawPath = r.Path // what url.Parse records for a path it would re-escape
+		}
+		if len(r.Query) > 0 {
+			u.RawQuery = encodeFields(r.Query)
+		}
+		req.Host = r.Host
+	}
+	ct, body := r.EncodeBody()
+	req.Body, req.GetBody = http.NoBody, func() (io.ReadCloser, error) { return http.NoBody, nil }
+	if len(body) > 0 {
+		req.ContentLength = int64(len(body))
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+		req.Body, _ = req.GetBody()
 	}
 	for _, f := range r.Header {
 		req.Header.Add(f.Key, f.Value)
@@ -459,11 +532,7 @@ func FromHTTPLimited(req *http.Request, maxBody int64) (*Request, error) {
 			out.Query = append(out.Query, Field{Key: key, Value: v})
 		}
 	}
-	for _, key := range sortedHeaderKeys(req.Header) {
-		for _, v := range req.Header[key] {
-			out.Header = append(out.Header, Field{Key: key, Value: v})
-		}
-	}
+	out.Header = headerFields(req.Header)
 	var body []byte
 	if req.Body != nil {
 		var err error
@@ -524,13 +593,27 @@ func sortedQueryKeys(v url.Values) []string {
 	return keys
 }
 
-func sortedHeaderKeys(h http.Header) []string {
-	keys := make([]string, 0, len(h))
-	for k := range h {
-		keys = append(keys, k)
+// headerFields flattens a header map into fields sorted by key, one key's
+// values in their given order — in one pass over the map and, unless a key
+// repeats, one allocation.
+func headerFields(h http.Header) []Field {
+	if len(h) == 0 {
+		return nil
 	}
-	sort.Strings(keys)
-	return keys
+	out := make([]Field, 0, len(h))
+	for k, vs := range h {
+		for _, v := range vs {
+			out = append(out, Field{Key: k, Value: v})
+		}
+	}
+	// Stable insertion sort by key: header sets are small, and a key's
+	// values were appended together, in order.
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && out[j].Key < out[j-1].Key; j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
+	return out
 }
 
 // Response is a captured HTTP response. A Response is either buffered (Body
@@ -603,12 +686,7 @@ func (r *Response) JSON() (any, error) {
 
 // FromHTTPResponse captures a *http.Response, consuming its body.
 func FromHTTPResponse(resp *http.Response) (*Response, error) {
-	out := &Response{Status: resp.StatusCode}
-	for _, key := range sortedHeaderKeys(resp.Header) {
-		for _, v := range resp.Header[key] {
-			out.Header = append(out.Header, Field{Key: key, Value: v})
-		}
-	}
+	out := &Response{Status: resp.StatusCode, Header: headerFields(resp.Header)}
 	if resp.Body != nil {
 		b, err := io.ReadAll(resp.Body)
 		if err != nil {
@@ -666,12 +744,7 @@ func ServeViaHandler(h http.Handler, r *Request) (*Response, error) {
 	hreq.RemoteAddr = "127.0.0.1:0"
 	rec := &memoryRecorder{status: http.StatusOK, header: http.Header{}}
 	h.ServeHTTP(rec, hreq)
-	out := &Response{Status: rec.status}
-	for _, key := range sortedHeaderKeys(rec.header) {
-		for _, v := range rec.header[key] {
-			out.Header = append(out.Header, Field{Key: key, Value: v})
-		}
-	}
+	out := &Response{Status: rec.status, Header: headerFields(rec.header)}
 	out.Body = rec.body.Bytes()
 	return out, nil
 }

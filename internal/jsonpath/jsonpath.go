@@ -185,10 +185,7 @@ func Stringify(v any) (string, bool) {
 	case string:
 		return x, true
 	case float64:
-		if x == float64(int64(x)) {
-			return strconv.FormatInt(int64(x), 10), true
-		}
-		return strconv.FormatFloat(x, 'g', -1, 64), true
+		return formatNumber(x), true
 	case json.Number:
 		return x.String(), true
 	case bool:
@@ -196,6 +193,13 @@ func Stringify(v any) (string, bool) {
 	default:
 		return "", false
 	}
+}
+
+func formatNumber(x float64) string {
+	if x == float64(int64(x)) {
+		return strconv.FormatInt(int64(x), 10)
+	}
+	return strconv.FormatFloat(x, 'g', -1, 64)
 }
 
 // Inject sets the value at a wildcard-free path inside doc, creating

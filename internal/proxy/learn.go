@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"appx/internal/config"
 	"appx/internal/httpmsg"
 	"appx/internal/jsonpath"
 	"appx/internal/sig"
@@ -116,33 +117,53 @@ func captureWilds(p sig.Pattern, value string) ([]string, bool) {
 	return m[1:], true
 }
 
-// depPaths lists the distinct (PredID, RespPath) pairs appearing in the
-// signature's patterns for the given predecessor, in first-use order.
-func depPaths(s *sig.Signature, pred string) []string {
-	var out []string
-	seen := map[string]bool{}
-	add := func(p sig.Pattern) {
-		for _, part := range p.Parts {
-			if part.Kind == sig.Dep && part.PredID == pred && !seen[part.RespPath] {
-				seen[part.RespPath] = true
-				out = append(out, part.RespPath)
-			}
+// learnPlan is a predecessor's sig.ReadPlan joined with the configuration
+// the proxy was built with: the successors' condition fields are read in the
+// same scan as their dependency values. Conditions are compiled here, once;
+// a policy's Prefetch switch and probability are still read live.
+type learnPlan struct {
+	paths []jsonpath.Path
+	succs []planSucc
+}
+
+// planSucc is one successor of a learnPlan.
+type planSucc struct {
+	*sig.SuccPlan
+	// cond is the successor policy's condition (nil: none) and condRead
+	// where the scan puts its field's values; -1 when the field does not
+	// parse, which no response satisfies.
+	cond     *config.Condition
+	condRead int
+}
+
+// buildLearnPlans compiles the learnPlan of every predecessor in g.
+func buildLearnPlans(g *sig.Graph, cfg *config.Config) map[string]*learnPlan {
+	plans := map[string]*learnPlan{}
+	for _, s := range g.Sigs {
+		rp := g.ReadPlan(s.ID)
+		if rp == nil {
+			continue
 		}
+		lp := &learnPlan{paths: append([]jsonpath.Path(nil), rp.Paths...)}
+		for _, sp := range rp.Succs {
+			ps := planSucc{SuccPlan: sp, condRead: -1}
+			if cpol := cfg.Policy(sp.Sig.Hash()); cpol != nil && cpol.Condition != nil {
+				ps.cond = cpol.Condition
+				if path, err := jsonpath.Parse(ps.cond.Field); err == nil {
+					ps.condRead = len(lp.paths)
+					lp.paths = append(lp.paths, path)
+				}
+			}
+			lp.succs = append(lp.succs, ps)
+		}
+		plans[s.ID] = lp
 	}
-	add(s.URI)
-	for _, f := range s.Query {
-		add(f.Value)
-	}
-	for _, f := range s.Header {
-		add(f.Value)
-	}
-	for _, f := range s.BodyForm {
-		add(f.Value)
-	}
-	for _, f := range s.BodyJSON {
-		add(f.Value)
-	}
-	return out
+	return plans
+}
+
+// holds evaluates the successor's condition over one scan.
+func (ps *planSucc) holds(scan [][]string) bool {
+	return ps.cond == nil || (ps.condRead >= 0 && ps.cond.Holds(scan[ps.condRead]))
 }
 
 // maxFanOut bounds instances created from one predecessor response; a
@@ -150,89 +171,106 @@ func depPaths(s *sig.Signature, pred string) []string {
 // explosion the proxy should not amplify.
 const maxFanOut = 64
 
-// depCombos expands the predecessor response into per-instance value
-// assignments: one combination per element of the fanned-out paths
-// (cartesian across paths, capped).
-func depCombos(doc any, paths []string) []map[string]string {
-	combos := []map[string]string{{}}
-	for _, path := range paths {
-		p, err := jsonpath.Parse(path)
-		if err != nil {
+// depValues expands one scan into per-instance value assignments, each
+// parallel to reads: the cartesian product across the successor's response
+// paths with the last path varying fastest, capped at maxFanOut. Nil when
+// any path yielded nothing.
+func depValues(scan [][]string, reads []int) [][]string {
+	total := 1
+	for _, r := range reads {
+		if r < 0 || len(scan[r]) == 0 {
 			return nil
 		}
-		vals := jsonpath.ExtractStrings(doc, p)
-		if len(vals) == 0 {
-			return nil
+		if total < maxFanOut {
+			total *= len(scan[r])
 		}
-		var next []map[string]string
-		for _, c := range combos {
-			for _, v := range vals {
-				nc := make(map[string]string, len(c)+1)
-				for k, vv := range c {
-					nc[k] = vv
-				}
-				nc[path] = v
-				next = append(next, nc)
-				if len(next) >= maxFanOut {
-					break
-				}
-			}
-			if len(next) >= maxFanOut {
-				break
-			}
-		}
-		combos = next
 	}
-	return combos
+	if total > maxFanOut {
+		total = maxFanOut
+	}
+	k := len(reads)
+	flat := make([]string, total*k)
+	out := make([][]string, total)
+	for i := range out {
+		vals := flat[i*k : (i+1)*k : (i+1)*k]
+		for j, rem := k-1, i; j >= 0; j-- {
+			vs := scan[reads[j]]
+			vals[j], rem = vs[rem%len(vs)], rem/len(vs)
+		}
+		out[i] = vals
+	}
+	return out
 }
 
-// resolvePattern renders a pattern using dependency values for pred and
-// exemplar-captured wildcard values (positional). ok is false while any part
-// remains unresolved.
-func resolvePattern(p sig.Pattern, pred string, combo map[string]string, wilds []string) (string, bool) {
-	var b strings.Builder
+// resolve renders a compiled pattern: Dep parts on the plan's predecessor
+// take the instance's values, every other unknown takes the exemplar's
+// capture at its position (a Dep on a different predecessor falls back to
+// the most recently observed value for its slot; deps occupy a capture slot
+// too). ok is false while any part remains unresolved.
+func resolve(p sig.PlanPattern, vals, wilds []string) (string, bool) {
+	var buf [96]byte
+	out := buf[:0]
 	wi := 0
-	for _, part := range p.Parts {
-		switch part.Kind {
-		case sig.Lit:
-			b.WriteString(part.Lit)
-			continue
-		case sig.Dep:
-			if part.PredID == pred {
-				v, ok := combo[part.RespPath]
-				if !ok {
-					return "", false
-				}
-				b.WriteString(v)
-				wi++ // deps occupy a capture slot too
-				continue
-			}
-			// Dependency on a different predecessor: fall through to the
-			// exemplar value, which holds the most recently observed value
-			// for this slot.
-			fallthrough
-		case sig.Wild:
-			if wi >= len(wilds) {
-				return "", false
-			}
-			b.WriteString(wilds[wi])
+	for i, part := range p.Parts {
+		var piece string
+		switch {
+		case part.Kind == sig.Lit:
+			piece = part.Lit
+		case p.Deps[i] >= 0:
+			piece = vals[p.Deps[i]]
 			wi++
+		case wi < len(wilds):
+			piece = wilds[wi]
+			wi++
+		default:
+			return "", false
 		}
+		if len(p.Parts) == 1 {
+			return piece, true // the value itself, no copy
+		}
+		out = append(out, piece...)
 	}
-	return b.String(), true
+	return string(out), true
 }
 
-// materialize builds one complete prefetch request for signature s from a
-// dependency combination and (optionally) an exemplar. ok is false when
-// run-time values are still missing — the instance must wait for a live
-// example (§4.2: "a prefetch request becomes ready ... when all dynamic
-// values have been resolved").
-func materialize(s *sig.Signature, pred string, combo map[string]string, ex *exemplar) (*httpmsg.Request, bool) {
-	var uriWilds []string
-	if ex != nil {
-		uriWilds = ex.uriWilds
+// addFields appends the resolved fields of one request section to dst.
+// Optional fields follow the exemplar's instance class.
+func addFields(dst []httpmsg.Field, fields []sig.PlanField, vals []string, ex *exemplar) ([]httpmsg.Field, bool) {
+	for _, f := range fields {
+		if f.Optional && !ex.present[f.Loc] {
+			continue
+		}
+		v, ok := resolve(f.Value, vals, ex.fieldWilds[f.Loc])
+		if !ok {
+			return nil, false
+		}
+		dst = append(dst, httpmsg.Field{Key: f.Key, Value: v})
 	}
-	uri, ok := resolvePattern(s.URI, pred, combo, uriWilds)
+	return dst, true
+}
+
+// namesHeader reports whether the signature describes a header itself.
+func namesHeader(fields []sig.PlanField, key string) bool {
+	for _, f := range fields {
+		if strings.EqualFold(f.Key, key) {
+			return true
+		}
+	}
+	return false
+}
+
+// materialize builds one complete prefetch request for the plan's signature
+// from an instance's dependency values and (optionally) an exemplar. ok is
+// false when run-time values are still missing — the instance must wait for
+// a live example (§4.2: "a prefetch request becomes ready ... when all
+// dynamic values have been resolved").
+func materialize(sp *sig.SuccPlan, vals []string, ex *exemplar) (*httpmsg.Request, bool) {
+	if ex == nil {
+		// No instance class yet: optional fields are omitted (the
+		// conservative class) and every capture is missing.
+		ex = &exemplar{}
+	}
+	uri, ok := resolve(sp.URI, vals, ex.uriWilds)
 	if !ok {
 		return nil, false
 	}
@@ -241,83 +279,48 @@ func materialize(s *sig.Signature, pred string, combo map[string]string, ex *exe
 		return nil, false
 	}
 	req := &httpmsg.Request{
-		Method: s.Method,
+		Method: sp.Sig.Method,
 		Scheme: "http",
 		Host:   host,
 		Path:   path,
 		Query:  uriQuery,
 	}
-
-	addFields := func(where string, fields []sig.Field, add func(k, v string)) bool {
-		for _, f := range fields {
-			loc := where + ":" + f.Key
-			if f.Optional {
-				// Optional fields follow the most recent instance class; with
-				// no exemplar they are omitted (the conservative class).
-				if ex == nil || !ex.present[loc] {
-					continue
-				}
-			}
-			var wilds []string
-			if ex != nil {
-				wilds = ex.fieldWilds[loc]
-			}
-			v, ok := resolvePattern(f.Value, pred, combo, wilds)
-			if !ok {
-				return false
-			}
-			add(f.Key, v)
-		}
-		return true
-	}
-	if !addFields("query", s.Query, func(k, v string) {
-		req.Query = append(req.Query, httpmsg.Field{Key: k, Value: v})
-	}) {
-		return nil, false
-	}
 	// Headers the app never sets but the client's HTTP stack adds (default
 	// User-Agent etc.) are mimicked from the exemplar; signature-described
 	// headers are then resolved from their patterns.
-	if ex != nil {
-		named := map[string]bool{}
-		for _, f := range s.Header {
-			named[strings.ToLower(f.Key)] = true
-		}
-		for _, h := range ex.headers {
-			if !named[strings.ToLower(h.Key)] {
-				req.Header = append(req.Header, h)
-			}
+	if n := len(ex.headers) + len(sp.Header); n > 0 {
+		req.Header = make([]httpmsg.Field, 0, n)
+	}
+	for _, h := range ex.headers {
+		if !namesHeader(sp.Header, h.Key) {
+			req.Header = append(req.Header, h)
 		}
 	}
-	if !addFields("header", s.Header, func(k, v string) {
-		req.Header = append(req.Header, httpmsg.Field{Key: k, Value: v})
-	}) {
+	if req.Query, ok = addFields(req.Query, sp.Query, vals, ex); !ok {
 		return nil, false
 	}
-	if s.BodyKind == httpmsg.BodyForm || len(s.BodyForm) > 0 {
-		if !addFields("form", s.BodyForm, func(k, v string) {
-			req.BodyKind = httpmsg.BodyForm
-			req.BodyForm = append(req.BodyForm, httpmsg.Field{Key: k, Value: v})
-		}) {
-			return nil, false
-		}
+	if req.Header, ok = addFields(req.Header, sp.Header, vals, ex); !ok {
+		return nil, false
 	}
-	if len(s.BodyJSON) > 0 {
+	if req.BodyForm, ok = addFields(nil, sp.Form, vals, ex); !ok {
+		return nil, false
+	}
+	if len(req.BodyForm) > 0 {
+		req.BodyKind = httpmsg.BodyForm
+	}
+	if len(sp.JSON) > 0 {
+		// The one place learning still builds a tree: the request's own body.
 		var doc any
-		for _, f := range s.BodyJSON {
-			if f.Optional && (ex == nil || !ex.present["json:"+f.Path]) {
+		for _, f := range sp.JSON {
+			if f.Optional && !ex.present[f.Loc] {
 				continue
 			}
-			v, ok := resolvePattern(f.Value, pred, combo, nil)
-			if !ok {
+			v, ok := resolve(f.Value, vals, nil)
+			if !ok || f.BadPath {
 				return nil, false
 			}
-			path, err := jsonpath.Parse(f.Path)
-			if err != nil {
-				return nil, false
-			}
-			doc, err = jsonpath.Inject(doc, path, v)
-			if err != nil {
+			var err error
+			if doc, err = jsonpath.Inject(doc, f.Path, v); err != nil {
 				return nil, false
 			}
 		}
@@ -364,45 +367,4 @@ func splitURI(uri string) (host, path string, query []httpmsg.Field, ok bool) {
 		}
 	}
 	return host, path, query, true
-}
-
-// needsExemplar reports whether the signature contains run-time unknowns
-// that only a live example can resolve (wild parts, or deps on other
-// predecessors).
-func needsExemplar(s *sig.Signature, pred string) bool {
-	hasWild := func(p sig.Pattern) bool {
-		for _, part := range p.Parts {
-			if part.Kind == sig.Wild {
-				return true
-			}
-			if part.Kind == sig.Dep && part.PredID != pred {
-				return true
-			}
-		}
-		return false
-	}
-	if hasWild(s.URI) {
-		return true
-	}
-	for _, f := range s.Query {
-		if hasWild(f.Value) {
-			return true
-		}
-	}
-	for _, f := range s.Header {
-		if hasWild(f.Value) {
-			return true
-		}
-	}
-	for _, f := range s.BodyForm {
-		if hasWild(f.Value) {
-			return true
-		}
-	}
-	for _, f := range s.BodyJSON {
-		if hasWild(f.Value) {
-			return true
-		}
-	}
-	return false
 }

@@ -44,13 +44,32 @@ func TestSplitURI(t *testing.T) {
 	}
 }
 
-func TestResolvePatternMissingDep(t *testing.T) {
-	p := sig.DepValue("pred", "items[*].id")
-	if _, ok := resolvePattern(p, "pred", map[string]string{}, nil); ok {
-		t.Fatal("resolved without the dependency value")
+// planFor compiles s against the predecessor pred the way the graph's
+// adjacency index does, and returns the successor's plan.
+func planFor(t *testing.T, s *sig.Signature, pred string) *sig.SuccPlan {
+	t.Helper()
+	g := sig.NewGraph("t")
+	g.Add(&sig.Signature{ID: pred, Method: "GET", URI: sig.Literal("h.example/pred")})
+	g.Add(s)
+	g.AddDep(sig.Dependency{PredID: pred, SuccID: s.ID})
+	rp := g.ReadPlan(pred)
+	if rp == nil || len(rp.Succs) != 1 {
+		t.Fatalf("no read plan for %s → %s", pred, s.ID)
 	}
-	if got, ok := resolvePattern(p, "pred", map[string]string{"items[*].id": "x"}, nil); !ok || got != "x" {
-		t.Fatalf("resolvePattern = %q, %v", got, ok)
+	return rp.Succs[0]
+}
+
+func TestResolvePatternMissingDep(t *testing.T) {
+	// A Dep on the plan's predecessor takes the instance's value; a Dep on
+	// any other predecessor is missing until an exemplar supplies its slot.
+	s := &sig.Signature{ID: "t:s#0", Method: "GET",
+		URI: sig.Concat(sig.Literal("h/"), sig.DepValue("pred", "items[*].id"), sig.DepValue("other", "k"))}
+	uri := planFor(t, s, "pred").URI
+	if _, ok := resolve(uri, []string{"x"}, nil); ok {
+		t.Fatal("resolved without the other predecessor's value")
+	}
+	if got, ok := resolve(uri, []string{"x"}, []string{"stale", "y"}); !ok || got != "h/xy" {
+		t.Fatalf("resolve = %q, %v", got, ok)
 	}
 }
 
@@ -66,7 +85,7 @@ func TestMaterializeJSONBody(t *testing.T) {
 		},
 	}
 	ex := &exemplar{fieldWilds: map[string][]string{}, present: map[string]bool{}}
-	req, ok := materialize(s, "t:pred#0", map[string]string{"top.id": "z9"}, ex)
+	req, ok := materialize(planFor(t, s, "t:pred#0"), []string{"z9"}, ex)
 	if !ok {
 		t.Fatal("materialize failed")
 	}
@@ -94,12 +113,28 @@ func TestDepPathsOrderAndDedup(t *testing.T) {
 			{Key: "c", Value: sig.DepValue("other", "c.path")},
 		},
 	}
-	got := depPaths(s, "p")
-	if len(got) != 2 || got[0] != "b.path" || got[1] != "a.path" {
-		t.Fatalf("depPaths = %v", got)
+	readPaths := func(pred string) []string {
+		g := sig.NewGraph("t")
+		g.Add(&sig.Signature{ID: pred, Method: "GET", URI: sig.Literal("h.example/pred")})
+		g.Add(s)
+		g.AddDep(sig.Dependency{PredID: pred, SuccID: s.ID})
+		rp := g.ReadPlan(pred)
+		var out []string
+		for _, r := range rp.Succs[0].Reads {
+			out = append(out, rp.Paths[r].String())
+		}
+		return out
 	}
-	if other := depPaths(s, "other"); len(other) != 1 || other[0] != "c.path" {
-		t.Fatalf("depPaths(other) = %v", other)
+	if got := readPaths("p"); len(got) != 2 || got[0] != "b.path" || got[1] != "a.path" {
+		t.Fatalf("reads from p = %v", got)
+	}
+	if got := readPaths("other"); len(got) != 1 || got[0] != "c.path" {
+		t.Fatalf("reads from other = %v", got)
+	}
+	// Both uses of b.path share one instance value.
+	sp := planFor(t, s, "p")
+	if sp.URI.Deps[1] != 0 || sp.Query[0].Value.Deps[0] != 1 || sp.Query[1].Value.Deps[0] != 0 || sp.Query[2].Value.Deps[0] != -1 {
+		t.Fatalf("compiled slots: uri %v query %v %v %v", sp.URI.Deps, sp.Query[0].Value.Deps, sp.Query[1].Value.Deps, sp.Query[2].Value.Deps)
 	}
 }
 
@@ -129,8 +164,9 @@ func TestExemplarOptionalFieldClassSwitch(t *testing.T) {
 
 	exWith := learnExemplar(s, with)
 	exWithout := learnExemplar(s, without)
-	r1, _ := materialize(s, "t:pred#0", map[string]string{"items[*].id": "x"}, exWith)
-	r2, _ := materialize(s, "t:pred#0", map[string]string{"items[*].id": "x"}, exWithout)
+	sp := planFor(t, s, "t:pred#0")
+	r1, _ := materialize(sp, []string{"x"}, exWith)
+	r2, _ := materialize(sp, []string{"x"}, exWithout)
 	if _, p := r1.GetForm("credit_id"); !p {
 		t.Fatal("class with credit_id lost the field")
 	}

@@ -76,7 +76,7 @@ func (p *Proxy) initPolicy() {
 		p.pol = policy.NewMarkov(hooks, policy.MarkovConfig{
 			HalfLife: p.opts.PolicyDecay,
 			MaxUsers: p.opts.PolicyMaxUsers,
-			Now:      func() time.Time { return p.opts.Now() },
+			Now:      p.clock,
 		})
 	} else {
 		p.pol = policy.NewStatic(hooks)

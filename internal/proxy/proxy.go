@@ -24,6 +24,7 @@ import (
 	"appx/internal/cluster"
 	"appx/internal/config"
 	"appx/internal/httpmsg"
+	"appx/internal/jsonpath"
 	"appx/internal/obs"
 	"appx/internal/obs/adminv1"
 	"appx/internal/persist"
@@ -149,6 +150,9 @@ type Proxy struct {
 	opts  Options
 	stats *Stats
 	sched *sched.Scheduler
+	// clock reads opts.Now at call time — tests rebind it after New — and is
+	// the one clock handed to every subsystem and to each flight's spool.
+	clock func() time.Time
 
 	// Observability: one registry is the single exposition point
 	// (/appx/v1/metrics); the span recorder attributes each request's wall
@@ -203,6 +207,9 @@ type Proxy struct {
 	pol      policy.Policy
 	rankHist *obs.Histogram
 	skips    prefetchSkips
+	// plans holds each predecessor signature's compiled learnPlan (learn.go),
+	// built once from the graph and the configuration; read-only afterwards.
+	plans map[string]*learnPlan
 
 	// budget counts request-latency-budget events (budget.go).
 	budget struct {
@@ -241,12 +248,12 @@ func (p *Proxy) SampleRequest(sigID string) *httpmsg.Request {
 	return nil
 }
 
-// pendingInstance is a successor instance waiting for an exemplar.
+// pendingInstance is a successor instance waiting for an exemplar: the plan
+// it instantiates and the values extracted for it, nothing of the response
+// they came from.
 type pendingInstance struct {
-	s     *sig.Signature
-	pred  string
-	combo map[string]string
-	doc   any
+	sp    *sig.SuccPlan
+	vals  []string
 	depth int
 }
 
@@ -314,7 +321,8 @@ func New(opts Options) *Proxy {
 		sigFail: map[string]*sigBackoff{},
 		flights: map[string]*flight{},
 	}
-	p.spans = obs.NewSpanRecorder(reg, opts.SpanBuffer, func() time.Time { return p.opts.Now() })
+	p.clock = func() time.Time { return p.opts.Now() }
+	p.spans = obs.NewSpanRecorder(reg, opts.SpanBuffer, p.clock)
 	p.chunks = stream.NewPool(opts.StreamChunkBytes)
 	p.captureCap = opts.CaptureMaxBytes
 	p.maxBody = opts.MaxBodyBytes
@@ -329,7 +337,7 @@ func New(opts Options) *Proxy {
 	p.breakers = resilience.NewBreakers(resilience.BreakerOptions{
 		FailureThreshold: p.res.BreakerFailures,
 		OpenTimeout:      time.Duration(p.res.BreakerOpenTimeout),
-		Now:              func() time.Time { return p.opts.Now() },
+		Now:              p.clock,
 	})
 	retry := resilience.RetryOptions{
 		MaxAttempts:       p.res.RetryAttempts,
@@ -340,6 +348,9 @@ func New(opts Options) *Proxy {
 		OnRetry:           func(host string, attempt int) { p.stats.CountRetry() },
 	}
 	p.fwdUp = resilience.NewRetrier(opts.Upstream, retry, p.breakers, false)
+	// A prefetch has no client context to bound it: the retrier itself caps
+	// the whole round trip, every attempt included.
+	retry.TotalTimeout = time.Duration(p.res.PrefetchTimeout)
 	p.preUp = resilience.NewRetrier(opts.Upstream, retry, p.breakers, true)
 	p.cacheCfg = opts.Config.EffectiveCache()
 	if opts.MaxCacheEntriesPerUser > 0 {
@@ -357,7 +368,7 @@ func New(opts Options) *Proxy {
 		MaxBytes:           p.cacheCfg.MaxBytes,
 		PerScopeBytes:      p.cacheCfg.PerUserBytes,
 		MaxEntriesPerScope: p.cacheCfg.MaxEntriesPerUser,
-		Now:                func() time.Time { return p.opts.Now() },
+		Now:                p.clock,
 		Tier:               tier,
 	})
 	p.store.StartSweeper(time.Duration(p.cacheCfg.SweepInterval))
@@ -368,9 +379,10 @@ func New(opts Options) *Proxy {
 		Workers:  opts.Workers,
 		Priority: p.stats.Priority,
 		MaxQueue: p.ovl.MaxQueue,
-		Now:      func() time.Time { return p.opts.Now() },
+		Now:      p.clock,
 	})
 	p.initPolicy()
+	p.plans = buildLearnPlans(opts.Graph, opts.Config)
 	p.registerBridges(reg)
 	p.registerStreamBridges(reg)
 	p.registerPersistBridges(reg)
@@ -814,11 +826,12 @@ func (p *Proxy) schedV1() adminv1.Sched {
 	m := p.sched.Metrics()
 	classBlock := func(c sched.ClassMetrics) adminv1.SchedClass {
 		return adminv1.SchedClass{
-			Submitted:      c.Submitted,
-			Ran:            c.Ran,
-			DroppedFull:    c.DroppedFull,
-			DroppedClosed:  c.DroppedClosed,
-			DroppedExpired: c.DroppedExpired,
+			Submitted:   c.Submitted,
+			Ran:         c.Ran,
+			DroppedFull: c.DroppedFull,
+			// The admin surface reports sheds by cause, refused or shed later.
+			DroppedClosed:  c.DroppedClosed + c.RejectedClosed,
+			DroppedExpired: c.DroppedExpired + c.RejectedExpired,
 		}
 	}
 	return adminv1.Sched{
@@ -968,21 +981,19 @@ func (p *Proxy) learn(u *user, s *sig.Signature, req *httpmsg.Request, resp *htt
 			delete(u.pending, s.ID)
 			u.mu.Unlock()
 			for _, pi := range released {
-				p.instantiate(u, pi.s, pi.pred, pi.combo, pi.doc, pi.depth)
+				p.instantiate(u, pi.sp, pi.vals, pi.depth)
 			}
 		}
 	}
 
-	// Predecessor routine: extract dependency values and build successor
-	// instances.
-	if resp.Status != http.StatusOK {
+	// Predecessor routine: read the values the plan's edges name — nothing
+	// else of the body — and build successor instances. A signature nothing
+	// depends on has no plan, and its body is never looked at.
+	lp := p.plans[s.ID]
+	if lp == nil || resp.Status != http.StatusOK || !resp.BodyComplete() {
 		return
 	}
-	succIDs := p.opts.Graph.Successors(s.ID)
-	if len(succIDs) == 0 {
-		return
-	}
-	doc, err := resp.JSON()
+	scan, err := jsonpath.Scan(resp.Body, lp.paths)
 	if err != nil {
 		return
 	}
@@ -991,35 +1002,19 @@ func (p *Proxy) learn(u *user, s *sig.Signature, req *httpmsg.Request, resp *htt
 	// attempted. Whether a survivor may run is decided at issue time
 	// (mayIssue), because an instance can park awaiting an exemplar for
 	// arbitrarily long between fan-out and issue.
-	type fanout struct {
-		succ  *sig.Signature
-		paths []string
-	}
-	var cands []policy.Candidate
-	var aux []fanout
-	for _, succID := range succIDs {
-		succ := p.opts.Graph.Sig(succID)
-		if succ == nil {
-			continue
-		}
-		cpol := p.opts.Config.Policy(succ.Hash())
-		if cpol != nil && !cpol.Prefetch {
-			continue
-		}
-		if cpol != nil && !cpol.Condition.Eval(doc) {
-			continue
-		}
-		paths := depPaths(succ, s.ID)
-		if len(paths) == 0 {
+	cands := make([]policy.Candidate, 0, len(lp.succs))
+	for i := range lp.succs {
+		ps := &lp.succs[i]
+		cpol := p.opts.Config.Policy(ps.Sig.Hash())
+		if (cpol != nil && !cpol.Prefetch) || !ps.holds(scan) {
 			continue
 		}
 		cands = append(cands, policy.Candidate{
-			SigID: succID,
+			SigID: ps.Sig.ID,
 			Depth: depth,
-			Index: len(aux),
+			Index: i,
 			Prior: p.opts.Config.EffectiveProbability(cpol) * p.opts.Config.UserScale(u.key),
 		})
-		aux = append(aux, fanout{succ: succ, paths: paths})
 	}
 	if len(cands) == 0 {
 		return
@@ -1029,41 +1024,41 @@ func (p *Proxy) learn(u *user, s *sig.Signature, req *httpmsg.Request, resp *htt
 			p.countSkip(d.KeepReason)
 			continue
 		}
-		fo := aux[d.Index]
-		combos := depCombos(doc, fo.paths)
-		if len(combos) == 0 {
+		ps := &lp.succs[d.Index]
+		insts := depValues(scan, ps.Reads)
+		if len(insts) == 0 {
 			p.countSkip(skipNoDepValues)
 			continue
 		}
-		for _, combo := range combos {
-			p.instantiate(u, fo.succ, s.ID, combo, doc, depth)
+		for _, vals := range insts {
+			p.instantiate(u, ps.SuccPlan, vals, depth)
 		}
 	}
 }
 
 // instantiate materializes one successor instance, parking it when run-time
 // values are still missing, and schedules the prefetch when ready.
-func (p *Proxy) instantiate(u *user, s *sig.Signature, pred string, combo map[string]string, doc any, depth int) {
+func (p *Proxy) instantiate(u *user, sp *sig.SuccPlan, vals []string, depth int) {
+	s := sp.Sig
 	u.mu.Lock()
 	ex := u.exemplars[s.ID]
-	u.mu.Unlock()
-
 	// Every signature waits for at least one live example before its
 	// instances are issued: the client's HTTP stack contributes run-time
 	// headers no static pattern can predict, and the exact-match guarantee
 	// (R2) requires reproducing them.
 	if ex == nil {
-		u.mu.Lock()
-		if len(u.pending[s.ID]) < maxPendingPerSig {
-			u.pending[s.ID] = append(u.pending[s.ID], pendingInstance{s: s, pred: pred, combo: combo, doc: doc, depth: depth})
-			u.mu.Unlock()
-			return
+		parked := len(u.pending[s.ID]) < maxPendingPerSig
+		if parked {
+			u.pending[s.ID] = append(u.pending[s.ID], pendingInstance{sp: sp, vals: vals, depth: depth})
 		}
 		u.mu.Unlock()
-		p.countSkip(skipPendingFull)
+		if !parked {
+			p.countSkip(skipPendingFull)
+		}
 		return
 	}
-	req, ok := materialize(s, pred, combo, ex)
+	u.mu.Unlock()
+	req, ok := materialize(sp, vals, ex)
 	if !ok {
 		// The exemplar could not resolve every run-time value (stale wilds,
 		// deps on other predecessors): the candidate silently vanishing here
@@ -1082,8 +1077,13 @@ func (p *Proxy) instantiate(u *user, s *sig.Signature, pred string, combo map[st
 
 // prefetch is one speculative fetch from issue to commit: the reconstructed
 // request, the cache slot (scope, key, expiry) its TryIssue claim holds, and
-// its place in the dependency chain.
+// its place in the dependency chain. It is its own scheduler task and the
+// task's sched.Job, so issuing an instance allocates this one value. req is
+// immutable once issued: the commit shares it with the sample table and the
+// cache entry, whose readers clone.
 type prefetch struct {
+	p      *Proxy
+	task   sched.Task
 	u      *user
 	s      *sig.Signature
 	req    *httpmsg.Request
@@ -1091,7 +1091,24 @@ type prefetch struct {
 	key    string
 	expiry time.Duration
 	depth  int
-	class  sched.Class
+}
+
+// Run implements sched.Job.
+func (pf *prefetch) Run() { pf.p.runPrefetch(pf) }
+
+// Abandon implements sched.Job for a task shed after it was accepted
+// (deadline expiry at dispatch, or Close): it gives the dedup claim back so
+// a later, fresher instance can re-issue the fetch.
+func (pf *prefetch) Abandon() { pf.p.store.CancelIssue(pf.scope, pf.key) }
+
+// OnPanic implements sched.Job. A panicking prefetch counts as a prefetch
+// failure: it releases its claim and feeds the signature's backoff, so a
+// reconstruction that reliably panics suspends itself like one that
+// reliably errors.
+func (pf *prefetch) OnPanic(any) {
+	pf.Abandon()
+	pf.p.stats.CountPrefetchError(pf.s.ID)
+	pf.p.recordSigFailure(pf.s.ID)
 }
 
 // overDataBudget reports whether the current window's prefetch bytes have
@@ -1131,37 +1148,21 @@ func (p *Proxy) maybePrefetch(u *user, s *sig.Signature, req *httpmsg.Request, d
 	}
 	// Shared-eligible requests prefetch into the cross-user tier; TryIssue
 	// then singleflights the fetch across every user wanting this key.
-	pf := &prefetch{u: u, s: s, req: req, scope: u.key, key: req.CanonicalKey(),
-		expiry: p.opts.Config.Expiration(cpol), depth: depth, class: class}
+	pf := &prefetch{p: p, u: u, s: s, req: req, scope: u.key, key: req.CanonicalKey(),
+		expiry: p.opts.Config.Expiration(cpol), depth: depth}
 	if p.sharedEligible(s, req) {
 		pf.scope = cache.SharedScope
 	}
 	if !p.store.TryIssue(pf.scope, pf.key, pf.expiry) {
 		return
 	}
-	// release gives the dedup claim back so a later, fresher instance can
-	// re-issue the fetch.
-	release := func() { p.store.CancelIssue(pf.scope, pf.key) }
-	task := &sched.Task{
-		SigID: s.ID,
-		Class: class,
-		Run:   func() { p.runPrefetch(pf) },
-		// Accepted-then-shed (deadline expiry at dispatch, or Close).
-		Abandon: release,
-		// A panicking prefetch counts as a prefetch failure: it releases its
-		// claim and feeds the signature's backoff, so a reconstruction that
-		// reliably panics suspends itself like one that reliably errors.
-		OnPanic: func(any) {
-			release()
-			p.stats.CountPrefetchError(s.ID)
-			p.recordSigFailure(s.ID)
-		},
-	}
+	pf.task = sched.Task{SigID: s.ID, Class: class, Job: pf}
 	if qd := time.Duration(p.ovl.QueueDeadline); qd > 0 {
-		task.Deadline = p.opts.Now().Add(qd)
+		pf.task.Deadline = p.opts.Now().Add(qd)
 	}
-	if !p.sched.Submit(task) {
-		release()
+	// A rejected Submit leaves the task, and so the claim, with the caller.
+	if !p.sched.Submit(&pf.task) {
+		pf.Abandon()
 	}
 }
 
@@ -1217,12 +1218,12 @@ func (p *Proxy) runPrefetch(pf *prefetch) {
 	// verification sample, and the Put clears the claim.
 	p.recordSigSuccess(pf.s.ID)
 	p.mu.Lock()
-	p.samples[pf.s.ID] = pf.req.Clone()
+	p.samples[pf.s.ID] = pf.req
 	p.mu.Unlock()
 	resp := &httpmsg.Response{Status: fl.status, Header: fl.header, Body: body}
 	p.store.Put(pf.scope, pf.key, &cache.Entry{
 		Resp:    resp,
-		Req:     pf.req.Clone(),
+		Req:     pf.req,
 		SigID:   pf.s.ID,
 		Expires: p.opts.Now().Add(pf.expiry),
 		// What a miss on this entry would cost its client: the eviction
@@ -1230,7 +1231,7 @@ func (p *Proxy) runPrefetch(pf *prefetch) {
 		Cost: p.stats.RespTime(pf.s.ID),
 		// Foreground-class prefetches are refreshes of entries clients are
 		// demonstrably using; hits on them report as refresh-hit.
-		Refreshed: pf.class == sched.ClassForeground,
+		Refreshed: pf.task.Class == sched.ClassForeground,
 	})
 	// Chain continuation — only from a fetch this worker made itself; an
 	// adopted capture is learned from live by the foreground owner. The
@@ -1254,13 +1255,11 @@ func (p *Proxy) fetchFlight(pf *prefetch, fkey string, fl *flight) (body []byte,
 			sent.Header = append(sent.Header, httpmsg.Field{Key: h.Key, Value: h.Value})
 		}
 	}
-	// Bound the whole round trip — every retry attempt included — so a
-	// stalled origin (netem-style) cannot pin this worker past the
-	// deadline; the retry layer derives its per-attempt contexts from ours.
-	ctx, cancel := context.WithTimeout(context.Background(), time.Duration(p.res.PrefetchTimeout))
-	defer cancel()
+	// preUp bounds the whole round trip — every retry attempt and the body
+	// included — by PrefetchTimeout, so a stalled origin (netem-style) cannot
+	// pin this worker past the deadline.
 	start := p.opts.Now()
-	resp, err := p.preUp.RoundTrip(ctx, sent)
+	resp, err := p.preUp.RoundTrip(context.Background(), sent)
 	if err != nil {
 		p.failFlight(fkey, fl, err)
 		if errors.Is(err, resilience.ErrOpen) {

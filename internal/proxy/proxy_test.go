@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"appx/internal/config"
 	"appx/internal/httpmsg"
 	"appx/internal/interp"
+	"appx/internal/jsonpath"
 	"appx/internal/obs/adminv1"
 	"appx/internal/sig"
 	"appx/internal/static"
@@ -408,12 +410,9 @@ func mkSig() *sig.Signature {
 
 func TestMaterializeWithoutExemplarBlocksOnWilds(t *testing.T) {
 	s := mkSig()
-	_, ok := materialize(s, "t:pred#0", map[string]string{"items[*].id": "x1"}, nil)
+	_, ok := materialize(planFor(t, s, "t:pred#0"), []string{"x1"}, nil)
 	if ok {
 		t.Fatal("materialized despite unresolved wildcards")
-	}
-	if !needsExemplar(s, "t:pred#0") {
-		t.Fatal("needsExemplar = false")
 	}
 }
 
@@ -433,7 +432,8 @@ func TestMaterializeWithExemplar(t *testing.T) {
 	if ex == nil {
 		t.Fatal("learnExemplar returned nil")
 	}
-	req, ok := materialize(s, "t:pred#0", map[string]string{"items[*].id": "x1"}, ex)
+	sp := planFor(t, s, "t:pred#0")
+	req, ok := materialize(sp, []string{"x1"}, ex)
 	if !ok {
 		t.Fatal("materialize failed with exemplar")
 	}
@@ -454,7 +454,7 @@ func TestMaterializeWithExemplar(t *testing.T) {
 	live2 := live.Clone()
 	live2.SetForm("credit_id", "cc-99")
 	ex2 := learnExemplar(s, live2)
-	req2, ok := materialize(s, "t:pred#0", map[string]string{"items[*].id": "x2"}, ex2)
+	req2, ok := materialize(sp, []string{"x2"}, ex2)
 	if !ok {
 		t.Fatal("materialize failed with exemplar 2")
 	}
@@ -471,42 +471,70 @@ func TestLearnExemplarRejectsMismatch(t *testing.T) {
 	}
 }
 
-func TestDepCombosFanOut(t *testing.T) {
-	doc := map[string]any{"items": []any{
-		map[string]any{"id": "a"}, map[string]any{"id": "b"}, map[string]any{"id": "c"},
-	}}
-	combos := depCombos(doc, []string{"items[*].id"})
-	if len(combos) != 3 {
-		t.Fatalf("combos = %d, want 3", len(combos))
+// scanOf reads the given paths out of a JSON document, as learn does.
+func scanOf(t *testing.T, body string, paths ...string) [][]string {
+	t.Helper()
+	parsed := make([]jsonpath.Path, len(paths))
+	for i, p := range paths {
+		parsed[i] = jsonpath.MustParse(p)
 	}
-	if combos[1]["items[*].id"] != "b" {
-		t.Fatalf("combo order wrong: %v", combos)
+	scan, err := jsonpath.Scan([]byte(body), parsed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scan
+}
+
+func TestDepCombosFanOut(t *testing.T) {
+	scan := scanOf(t, `{"items":[{"id":"a"},{"id":"b"},{"id":"c"}],"k":["x","y"]}`, "items[*].id", "k[*]")
+	insts := depValues(scan, []int{0})
+	if len(insts) != 3 {
+		t.Fatalf("instances = %d, want 3", len(insts))
+	}
+	if insts[1][0] != "b" {
+		t.Fatalf("instance order wrong: %v", insts)
+	}
+	// Two paths: the cartesian product, the last path varying fastest.
+	got := fmt.Sprint(depValues(scan, []int{0, 1}))
+	if want := "[[a x] [a y] [b x] [b y] [c x] [c y]]"; got != want {
+		t.Fatalf("product = %s, want %s", got, want)
 	}
 }
 
 func TestDepCombosCartesianCapped(t *testing.T) {
-	big := make([]any, 100)
-	for i := range big {
-		big[i] = map[string]any{"id": "x"}
+	items := strings.Repeat(`{"id":"x"},`, 99) + `{"id":"x"}`
+	scan := scanOf(t, `{"items":[`+items+`],"k":["p","q","r"]}`, "items[*].id", "k[*]")
+	if n := len(depValues(scan, []int{0})); n != maxFanOut {
+		t.Fatalf("fan-out not capped: %d", n)
 	}
-	doc := map[string]any{"items": big}
-	combos := depCombos(doc, []string{"items[*].id"})
-	if len(combos) > maxFanOut {
-		t.Fatalf("fan-out not capped: %d", len(combos))
+	// Capped across paths too, keeping the first maxFanOut of the product.
+	insts := depValues(scan, []int{1, 0})
+	if len(insts) != maxFanOut || insts[maxFanOut-1][0] != "p" {
+		t.Fatalf("capped product = %d instances, last %v", len(insts), insts[len(insts)-1])
 	}
 }
 
 func TestDepCombosMissingPath(t *testing.T) {
-	if combos := depCombos(map[string]any{}, []string{"nope.id"}); combos != nil {
-		t.Fatalf("combos = %v, want nil", combos)
+	scan := scanOf(t, `{"items":[{"id":"a"}]}`, "items[*].id", "nope.id")
+	if insts := depValues(scan, []int{0, 1}); insts != nil {
+		t.Fatalf("instances = %v, want nil", insts)
+	}
+	// A path whose text never parsed reads as position -1.
+	if insts := depValues(scan, []int{0, -1}); insts != nil {
+		t.Fatalf("instances = %v, want nil", insts)
 	}
 }
 
 func TestResolvePatternOtherPredUsesExemplarSlot(t *testing.T) {
-	p := sig.Concat(sig.Literal("k="), sig.DepValue("other:pred#0", "x.y"))
-	got, ok := resolvePattern(p, "this:pred#0", nil, []string{"learned"})
+	s := &sig.Signature{ID: "t:s#0", Method: "GET", URI: sig.Literal("h.example/s"),
+		Query: []sig.Field{
+			{Key: "q", Value: sig.DepValue("this:pred#0", "a")},
+			{Key: "k", Value: sig.Concat(sig.Literal("k="), sig.DepValue("other:pred#0", "x.y"))},
+		}}
+	p := planFor(t, s, "this:pred#0").Query[1].Value
+	got, ok := resolve(p, []string{"unused"}, []string{"learned"})
 	if !ok || got != "k=learned" {
-		t.Fatalf("resolvePattern = %q, %v", got, ok)
+		t.Fatalf("resolve = %q, %v", got, ok)
 	}
 }
 

@@ -44,6 +44,10 @@ type RetryOptions struct {
 	// PerAttemptTimeout bounds each individual attempt (default 15s). The
 	// caller's context still bounds the whole request.
 	PerAttemptTimeout time.Duration
+	// TotalTimeout, when > 0, bounds the whole request — every attempt, the
+	// waits between them, and a streamed body — from its first attempt, for
+	// callers that have no deadline of their own to hand down (prefetches).
+	TotalTimeout time.Duration
 	// Rand supplies the jitter draws in [0,1); defaults to math/rand.
 	// Injected for deterministic tests.
 	Rand func() float64
@@ -136,11 +140,30 @@ func NewRetrier(next Upstream, opts RetryOptions, breakers *Breakers, gate bool)
 	return &Retrier{next: next, opts: opts, breakers: breakers, gate: gate}
 }
 
+// attemptContext bounds one attempt by the earliest of the per-attempt
+// timeout, the total bound and the caller's own deadline, with at most one
+// timer: a caller whose deadline already is the earliest is handed down as
+// is.
+func (rt *Retrier) attemptContext(ctx context.Context, overall time.Time) (context.Context, context.CancelFunc) {
+	d := time.Now().Add(rt.opts.PerAttemptTimeout)
+	if !overall.IsZero() && overall.Before(d) {
+		d = overall
+	}
+	if cur, ok := ctx.Deadline(); ok && !cur.After(d) {
+		return ctx, func() {}
+	}
+	return context.WithDeadline(ctx, d)
+}
+
 // RoundTrip implements Upstream.
 func (rt *Retrier) RoundTrip(ctx context.Context, r *httpmsg.Request) (*httpmsg.Response, error) {
 	attempts := 1
 	if idempotent(r.Method) {
 		attempts = rt.opts.MaxAttempts
+	}
+	var overall time.Time
+	if rt.opts.TotalTimeout > 0 {
+		overall = time.Now().Add(rt.opts.TotalTimeout)
 	}
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -152,7 +175,7 @@ func (rt *Retrier) RoundTrip(ctx context.Context, r *httpmsg.Request) (*httpmsg.
 				return nil, fmt.Errorf("%s: %w", r.Host, ErrOpen)
 			}
 		}
-		actx, cancel := context.WithTimeout(ctx, rt.opts.PerAttemptTimeout)
+		actx, cancel := rt.attemptContext(ctx, overall)
 		resp, err := rt.next.RoundTrip(actx, r)
 		if err == nil && resp != nil && resp.Streaming() {
 			// A streaming body outlives this attempt: cancelling now would
@@ -180,7 +203,12 @@ func (rt *Retrier) RoundTrip(ctx context.Context, r *httpmsg.Request) (*httpmsg.
 		if rt.opts.OnRetry != nil {
 			rt.opts.OnRetry(r.Host, attempt+1)
 		}
-		if err := rt.opts.Sleep(ctx, Backoff(attempt, rt.opts.BaseDelay, rt.opts.MaxDelay, rt.opts.Rand)); err != nil {
+		wait := Backoff(attempt, rt.opts.BaseDelay, rt.opts.MaxDelay, rt.opts.Rand)
+		if !overall.IsZero() && time.Now().Add(wait).After(overall) {
+			// The total bound would pass during the wait: no attempt is left.
+			return nil, fmt.Errorf("resilience: retry wait: %w", lastErr)
+		}
+		if err := rt.opts.Sleep(ctx, wait); err != nil {
 			return nil, fmt.Errorf("resilience: retry wait: %w", lastErr)
 		}
 	}

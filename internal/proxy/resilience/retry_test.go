@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -216,5 +218,106 @@ func TestRetryFiveHundredCountsAsBreakerFailure(t *testing.T) {
 	}
 	if got := bs.State("h"); got != Open {
 		t.Fatalf("state after 5xx streak = %v, want open", got)
+	}
+}
+
+// attemptContexts records the context each attempt was handed and answers
+// with a streaming body, so the tests below can watch it live and die.
+type attemptContexts struct {
+	ctxs []context.Context
+	fail int // leading attempts that fail
+}
+
+func (a *attemptContexts) RoundTrip(ctx context.Context, r *httpmsg.Request) (*httpmsg.Response, error) {
+	a.ctxs = append(a.ctxs, ctx)
+	if len(a.ctxs) <= a.fail {
+		return nil, errors.New("transient")
+	}
+	resp := &httpmsg.Response{Status: 200}
+	resp.SetStream(io.NopCloser(strings.NewReader("body")))
+	return resp, nil
+}
+
+var getReq = &httpmsg.Request{Method: "GET", Host: "h", Path: "/"}
+
+// TestRetryOneDeadlineContextPerAttempt: a caller whose deadline is already
+// the earliest bound is handed down as is — no second timer context nested
+// inside it — and closing the streamed body must not cancel what the caller
+// still owns.
+func TestRetryOneDeadlineContextPerAttempt(t *testing.T) {
+	up := &attemptContexts{}
+	rt := NewRetrier(up, RetryOptions{PerAttemptTimeout: time.Minute, Sleep: instantSleep}, nil, false)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	resp, err := rt.RoundTrip(ctx, getReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if up.ctxs[0] != ctx {
+		t.Fatal("attempt ran under a derived context although the caller's deadline is the earlier one")
+	}
+	resp.CloseBody()
+	if ctx.Err() != nil {
+		t.Fatal("closing the body cancelled the caller's context")
+	}
+}
+
+// TestRetryPerAttemptTimeoutStillApplies: with no caller deadline, or a
+// later one, each attempt gets its own — which fires on a stalled attempt,
+// outlives RoundTrip for a streaming body, and dies when the body closes.
+func TestRetryPerAttemptTimeoutStillApplies(t *testing.T) {
+	later, cancelLater := context.WithTimeout(context.Background(), time.Hour)
+	defer cancelLater()
+	for name, caller := range map[string]context.Context{"no deadline": context.Background(), "later deadline": later} {
+		up := &attemptContexts{}
+		rt := NewRetrier(up, RetryOptions{PerAttemptTimeout: time.Minute, Sleep: instantSleep}, nil, false)
+		before := time.Now()
+		resp, err := rt.RoundTrip(caller, getReq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		actx := up.ctxs[0]
+		dl, ok := actx.Deadline()
+		if !ok || dl.Before(before.Add(time.Minute)) || dl.After(time.Now().Add(time.Minute)) {
+			t.Fatalf("%s: attempt deadline %v (set %v), want one minute out", name, dl, ok)
+		}
+		if actx.Err() != nil {
+			t.Fatalf("%s: the attempt context died before its streaming body was closed", name)
+		}
+		resp.CloseBody()
+		if actx.Err() == nil {
+			t.Fatalf("%s: closing the body left the attempt context alive", name)
+		}
+	}
+	// And it fires: TestRetryPerAttemptDeadline blocks two attempts on it.
+}
+
+// TestRetryTotalTimeout: TotalTimeout caps every attempt's deadline from the
+// first attempt on, and no retry starts whose wait would outlast it.
+func TestRetryTotalTimeout(t *testing.T) {
+	up := &attemptContexts{fail: 1}
+	rt := NewRetrier(up, RetryOptions{MaxAttempts: 2, PerAttemptTimeout: time.Minute, TotalTimeout: 90 * time.Second,
+		BaseDelay: time.Millisecond, Sleep: instantSleep}, nil, false)
+	before := time.Now()
+	resp, err := rt.RoundTrip(context.Background(), getReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.CloseBody()
+	if len(up.ctxs) != 2 {
+		t.Fatalf("%d attempts, want 2", len(up.ctxs))
+	}
+	first, _ := up.ctxs[0].Deadline()
+	second, _ := up.ctxs[1].Deadline()
+	if first.After(time.Now().Add(time.Minute)) || second.Before(before.Add(time.Minute)) || second.After(time.Now().Add(90*time.Second)) {
+		t.Fatalf("deadlines %v then %v: want the per-attempt minute, then the 90 s total", first.Sub(before), second.Sub(before))
+	}
+
+	// A total bound shorter than the backoff: the first failure is final.
+	up = &attemptContexts{fail: 2}
+	rt = NewRetrier(up, RetryOptions{MaxAttempts: 2, TotalTimeout: 50 * time.Millisecond,
+		BaseDelay: time.Hour, MaxDelay: time.Hour, Rand: func() float64 { return 0.5 }, Sleep: instantSleep}, nil, false)
+	if _, err := rt.RoundTrip(context.Background(), getReq); err == nil || len(up.ctxs) != 1 {
+		t.Fatalf("err %v after %d attempts, want the first failure and no retry", err, len(up.ctxs))
 	}
 }

@@ -71,6 +71,17 @@ type Task struct {
 	// OnPanic, when non-nil, receives the recovered value if Run panics.
 	// The panic never escapes the worker pool.
 	OnPanic func(v any)
+	// Job, when non-nil, stands in for Run, Abandon and OnPanic together: a
+	// submitter whose three hooks close over the same state passes that
+	// state as one value instead of allocating three closures per task.
+	Job Job
+}
+
+// Job is a task's behaviour as one value; see Task.Job.
+type Job interface {
+	Run()
+	Abandon()
+	OnPanic(v any)
 }
 
 // PriorityFunc maps a signature to its current priority (higher runs first
@@ -96,22 +107,27 @@ type Config struct {
 
 // ClassMetrics are one class's lifetime counters.
 type ClassMetrics struct {
-	// Submitted counts tasks accepted into the queue.
+	// Submitted counts tasks accepted into the queue. Every accepted task
+	// ends in exactly one of Ran, DroppedClosed or DroppedExpired.
 	Submitted int64
 	// Ran counts tasks dispatched to a worker.
 	Ran int64
-	// DroppedFull / DroppedClosed / DroppedExpired count sheds by cause:
-	// the class's queue share was full at Submit, the scheduler was closed
-	// (at Submit or with the task still queued), or the task's deadline
-	// passed (at Submit or at dispatch).
-	DroppedFull    int64
+	// DroppedFull / RejectedClosed / RejectedExpired count Submit calls
+	// refused, by cause: the class's queue share was full, the scheduler was
+	// closed, or the task's deadline had already passed. Refused tasks were
+	// never accepted and are not in Submitted.
+	DroppedFull     int64
+	RejectedClosed  int64
+	RejectedExpired int64
+	// DroppedClosed / DroppedExpired count accepted tasks shed before they
+	// ran: still queued at Close, or past their deadline at dispatch.
 	DroppedClosed  int64
 	DroppedExpired int64
 }
 
-// Dropped is the class's total shed count.
+// Dropped is the class's total shed count: refused at Submit or shed after.
 func (c ClassMetrics) Dropped() int64 {
-	return c.DroppedFull + c.DroppedClosed + c.DroppedExpired
+	return c.DroppedFull + c.RejectedClosed + c.RejectedExpired + c.DroppedClosed + c.DroppedExpired
 }
 
 // Metrics is a point-in-time snapshot of the scheduler's counters.
@@ -243,12 +259,12 @@ func (s *Scheduler) Submit(t *Task) bool {
 	c := classIdx(t.Class)
 	s.mu.Lock()
 	if s.closed {
-		s.classes[c].DroppedClosed++
+		s.classes[c].RejectedClosed++
 		s.mu.Unlock()
 		return false
 	}
 	if !t.Deadline.IsZero() && s.now().After(t.Deadline) {
-		s.classes[c].DroppedExpired++
+		s.classes[c].RejectedExpired++
 		s.mu.Unlock()
 		return false
 	}
@@ -379,8 +395,11 @@ func (s *Scheduler) worker() {
 // contained) and its pending count is released so Drain cannot deadlock.
 func (s *Scheduler) abandon(t *Task) {
 	defer s.pending.Done()
-	if t.Abandon != nil {
-		safeCall(func() { t.Abandon() })
+	switch {
+	case t.Job != nil:
+		safeCall(t.Job.Abandon)
+	case t.Abandon != nil:
+		safeCall(t.Abandon)
 	}
 }
 
@@ -394,11 +413,18 @@ func (s *Scheduler) runTask(t *Task) {
 			s.mu.Lock()
 			s.panics++
 			s.mu.Unlock()
-			if t.OnPanic != nil {
+			switch {
+			case t.Job != nil:
+				safeCall(func() { t.Job.OnPanic(v) })
+			case t.OnPanic != nil:
 				safeCall(func() { t.OnPanic(v) })
 			}
 		}
 	}()
+	if t.Job != nil {
+		t.Job.Run()
+		return
+	}
 	t.Run()
 }
 

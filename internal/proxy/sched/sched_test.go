@@ -93,8 +93,10 @@ func TestCloseRejectsSubmit(t *testing.T) {
 	if s.Submit(&Task{SigID: "x", Run: func() {}}) {
 		t.Fatal("Submit accepted after Close")
 	}
-	if m := s.Metrics(); m.Foreground.DroppedClosed != 1 {
-		t.Fatalf("DroppedClosed = %d, want 1", m.Foreground.DroppedClosed)
+	// Refused, never accepted: the rejection is counted apart from both
+	// Submitted and the sheds of accepted tasks.
+	if m := s.Metrics().Foreground; m.RejectedClosed != 1 || m.DroppedClosed != 0 || m.Submitted != 0 || m.Dropped() != 1 {
+		t.Fatalf("metrics = %+v, want one RejectedClosed and nothing else", m)
 	}
 }
 
@@ -238,8 +240,8 @@ func TestSubmitRejectsExpiredDeadline(t *testing.T) {
 	if s.Submit(&Task{SigID: "x", Class: ClassDeep, Deadline: now.Add(-time.Second), Run: func() {}}) {
 		t.Fatal("Submit accepted an already-expired task")
 	}
-	if m := s.Metrics(); m.Deep.DroppedExpired != 1 {
-		t.Fatalf("DroppedExpired = %d, want 1", m.Deep.DroppedExpired)
+	if m := s.Metrics().Deep; m.RejectedExpired != 1 || m.DroppedExpired != 0 || m.Submitted != 0 || m.Dropped() != 1 {
+		t.Fatalf("metrics = %+v, want one RejectedExpired and nothing else", m)
 	}
 }
 
@@ -315,11 +317,75 @@ func TestStressSubmitCloseDrain(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Drain hung under concurrent Submit/Close")
 	}
+	// A Submit that loses the race with Close is refused, not accepted and
+	// shed: it must not unbalance the books. The stress loop hits that race
+	// about once in 300 runs; these three hit it every time.
+	before := s.Metrics()
+	for _, cls := range []Class{ClassForeground, ClassShallow, ClassDeep} {
+		if s.Submit(&Task{SigID: "late", Class: cls, Run: func() {}}) {
+			t.Fatalf("Submit of class %v accepted after Close", cls)
+		}
+	}
 	// Accounting must balance: everything accepted either ran or was shed.
 	m := s.Metrics()
-	for _, c := range []ClassMetrics{m.Foreground, m.Shallow, m.Deep} {
+	for _, cls := range []Class{ClassForeground, ClassShallow, ClassDeep} {
+		c := m.ByClass(cls)
 		if c.Submitted != c.Ran+c.DroppedClosed+c.DroppedExpired {
 			t.Fatalf("unbalanced class accounting: %+v", c)
 		}
+		if got := c.RejectedClosed - before.ByClass(cls).RejectedClosed; got != 1 {
+			t.Fatalf("class %v: %d RejectedClosed for one refused Submit", cls, got)
+		}
 	}
 }
+
+// TestJobStandsInForHooks: a Task carrying a Job runs, is abandoned and has
+// its panic reported through the one value, never through the func fields.
+func TestJobStandsInForHooks(t *testing.T) {
+	now := time.Unix(1000, 0)
+	var mu sync.Mutex
+	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
+	s := NewWith(Config{Workers: 1, Now: clock})
+	defer s.Close()
+	unused := func() { t.Error("func hook called on a Job task") }
+
+	ok := &countingJob{}
+	s.Submit(&Task{SigID: "ok", Job: ok, Run: unused, Abandon: unused})
+	boom := &countingJob{panicWith: "boom"}
+	s.Submit(&Task{SigID: "boom", Job: boom, Run: unused, OnPanic: func(any) { unused() }})
+	s.Drain()
+	if ok.ran != 1 || ok.abandoned != 0 || ok.panicked != nil {
+		t.Fatalf("plain job: %+v", ok)
+	}
+	if boom.ran != 1 || boom.panicked != "boom" {
+		t.Fatalf("panicking job: %+v", boom)
+	}
+
+	release := make(chan struct{})
+	s.Submit(&Task{SigID: "block", Run: func() { <-release }})
+	stale := &countingJob{}
+	s.Submit(&Task{SigID: "stale", Job: stale, Deadline: now.Add(time.Second), Run: unused, Abandon: unused})
+	mu.Lock()
+	now = now.Add(time.Minute)
+	mu.Unlock()
+	close(release)
+	s.Drain()
+	if stale.ran != 0 || stale.abandoned != 1 {
+		t.Fatalf("expired job: %+v", stale)
+	}
+}
+
+type countingJob struct {
+	ran, abandoned int
+	panicked       any
+	panicWith      any
+}
+
+func (j *countingJob) Run() {
+	j.ran++
+	if j.panicWith != nil {
+		panic(j.panicWith)
+	}
+}
+func (j *countingJob) Abandon()      { j.abandoned++ }
+func (j *countingJob) OnPanic(v any) { j.panicked = v }

@@ -257,6 +257,17 @@ func (p *Proxy) passthrough(x *exchange) obs.Outcome {
 	return obs.OutcomeOrigin
 }
 
+// readsBody reports whether learning from any of the matched signatures
+// reads the response body: only predecessors with a read plan do.
+func (p *Proxy) readsBody(matched []*sig.Signature) bool {
+	for _, s := range matched {
+		if p.plans[s.ID] != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // runFlight executes the owner side of a foreground flight: fetch the whole
 // entity, publish headers to any attachers, pump the body through the spool
 // while serving this client from it, then feed the capture into stats and
@@ -297,14 +308,21 @@ func (p *Proxy) runFlight(x *exchange, u *user, matched []*sig.Signature, fkey s
 	// abandoned by the pump as soon as the last reader detaches.
 	fl.sp.Wait()
 	p.closeFlight(fkey, fl)
-	body, ok := fl.sp.Bytes()
+	ok := fl.sp.Complete()
 	if !ok && fl.sp.Overflowed() {
 		p.streamStats.bodyOverflows.Add(1)
 	}
 	p.stats.ObserveRespTime(lead, elapsed)
 	p.stats.CountMiss(lead, fl.sp.Size())
 	if ok {
-		lresp := &httpmsg.Response{Status: fl.status, Header: fl.header, Body: body}
+		lresp := &httpmsg.Response{Status: fl.status, Header: fl.header}
+		// The chunks are concatenated into one contiguous body only when
+		// learning will read it — some matched signature has a read plan.
+		// Every other capture (a streamed blob nothing depends on) is
+		// accounted from the spool and never copied.
+		if p.readsBody(matched) {
+			lresp.Body, _ = fl.sp.Bytes()
+		}
 		// Ambiguous URI patterns (fully dynamic URLs look identical) mean one
 		// live transaction can instantiate several signatures; learn through
 		// every match so each keeps a usable exemplar.

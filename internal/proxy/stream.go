@@ -55,7 +55,7 @@ func (p *Proxy) openFlight(fkey string) (f *flight, owner bool) {
 		return f, false
 	}
 	f = &flight{
-		sp:    stream.NewSpool(p.chunks, p.captureCap, func() time.Time { return p.opts.Now() }),
+		sp:    stream.NewSpool(p.chunks, p.captureCap, p.clock),
 		ready: make(chan struct{}),
 	}
 	p.flights[fkey] = f
@@ -125,12 +125,10 @@ func (p *Proxy) pump(f *flight, resp *httpmsg.Response) {
 		}
 	}
 	p.chunks.Put(buf)
-	if err == nil {
-		if derr := resp.DrainAndClose(); derr != nil {
-			p.streamStats.drainErrors.Add(1)
-		}
-	} else {
-		resp.CloseBody()
+	// A clean EOF has consumed the body: closing hands the connection back
+	// to the pool with nothing left to drain.
+	if cerr := resp.CloseBody(); cerr != nil && err == nil {
+		p.streamStats.drainErrors.Add(1)
 	}
 	f.sp.CloseWriter(err)
 }

@@ -32,7 +32,10 @@ func (f UpstreamFunc) RoundTrip(ctx context.Context, r *httpmsg.Request) (*httpm
 // hostname resolves to a real listener address and is shaped by its
 // configured netem link (Table 2's per-host proxy↔origin RTTs).
 type NetUpstream struct {
-	client *http.Client
+	// tr is used bare, not behind an http.Client: a client follows
+	// redirects, and the device must receive the origin's own 3xx — bytes
+	// the origin sent for this request — not the redirect target's answer.
+	tr *http.Transport
 
 	mu      sync.RWMutex
 	resolve map[string]string
@@ -53,7 +56,9 @@ func NewNetUpstream(resolve map[string]string, links map[string]netem.Link) *Net
 	for k, v := range links {
 		u.links[k] = v
 	}
-	tr := &http.Transport{
+	// No whole-request timeout: bounds come from the caller's context (the
+	// resilience middleware sets per-attempt deadlines).
+	u.tr = &http.Transport{
 		DialContext:         u.dial,
 		MaxIdleConns:        256,
 		MaxIdleConnsPerHost: 64,
@@ -65,9 +70,6 @@ func NewNetUpstream(resolve map[string]string, links map[string]netem.Link) *Net
 		TLSHandshakeTimeout:   5 * time.Second,
 		ExpectContinueTimeout: time.Second,
 	}
-	// No whole-client timeout: per-request bounds come from the caller's
-	// context (the resilience middleware sets per-attempt deadlines).
-	u.client = &http.Client{Transport: tr}
 	return u
 }
 
@@ -114,13 +116,12 @@ func (u *NetUpstream) dial(ctx context.Context, network, addr string) (net.Conn,
 // the origin sends headers, and the transport's pooled connection is held
 // until the caller finishes the body (WriteTo / Buffer / DrainAndClose).
 func (u *NetUpstream) RoundTrip(ctx context.Context, r *httpmsg.Request) (*httpmsg.Response, error) {
-	hreq, err := r.ToHTTP()
+	hreq, err := r.ToHTTPContext(ctx)
 	if err != nil {
 		return nil, err
 	}
-	hreq = hreq.WithContext(ctx)
 	hreq.Host = r.Host
-	hresp, err := u.client.Do(hreq)
+	hresp, err := u.tr.RoundTrip(hreq)
 	if err != nil {
 		return nil, err
 	}

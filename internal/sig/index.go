@@ -13,12 +13,14 @@
 //     bucket, with regexes precompiled at build time. Candidates carry a
 //     precomputed specificity key so results come out most-specific-first
 //     without sorting machinery on the hot path.
-//   - adjIndex: successor/predecessor edge maps and the prefetchable set,
-//     so chain walking never rescans Deps.
+//   - adjIndex: successor/predecessor edge maps, the prefetchable set, and
+//     each predecessor's compiled read plan (plan.go), so chain walking
+//     never rescans Deps and learning never re-derives what an edge reads.
 //
-// Invalidation rules: Add invalidates the match index (signatures changed),
-// AddDep invalidates the adjacency index (edges changed), and reindex —
-// which Unmarshal calls — invalidates both. Indexes rebuild lazily on next
+// Invalidation rules: Add invalidates the match index and, because read
+// plans compile the signatures' patterns, the adjacency index too; AddDep
+// invalidates the adjacency index (edges changed); and reindex — which
+// Unmarshal calls — invalidates both. Indexes rebuild lazily on next
 // use, under a mutex, so graph construction stays O(1) per insert and
 // concurrent readers never see a half-built index. Mutating a graph while
 // other goroutines match against it is not supported (and never was — the
@@ -260,16 +262,18 @@ type adjIndex struct {
 	depsInto     map[string][]Dependency
 	depsFrom     map[string][]Dependency
 	prefetchable []string
+	plans        map[string]*ReadPlan
 }
 
-func buildAdjIndex(deps []Dependency) *adjIndex {
+func buildAdjIndex(g *Graph) *adjIndex {
 	a := &adjIndex{
 		succ:     make(map[string][]string),
 		pred:     make(map[string][]string),
 		depsInto: make(map[string][]Dependency),
 		depsFrom: make(map[string][]Dependency),
+		plans:    make(map[string]*ReadPlan),
 	}
-	for _, d := range deps {
+	for _, d := range g.Deps {
 		a.depsInto[d.SuccID] = append(a.depsInto[d.SuccID], d)
 		a.depsFrom[d.PredID] = append(a.depsFrom[d.PredID], d)
 	}
@@ -288,6 +292,9 @@ func buildAdjIndex(deps []Dependency) *adjIndex {
 			set[d.SuccID] = true
 		}
 		a.succ[predID] = sortedKeys(set)
+		if plan := buildReadPlan(g, predID, a.succ[predID]); plan != nil {
+			a.plans[predID] = plan
+		}
 	}
 	a.prefetchable = sortedKeys(prefSet)
 	return a
@@ -320,7 +327,7 @@ func (g *Graph) adjIndex() *adjIndex {
 	if a := g.adj.Load(); a != nil {
 		return a
 	}
-	a := buildAdjIndex(g.Deps)
+	a := buildAdjIndex(g)
 	g.adj.Store(a)
 	return a
 }

@@ -317,8 +317,8 @@ type Graph struct {
 	// O(|Deps|) scan per insert.
 	depSet map[Dependency]bool
 
-	// Lazily built, atomically published lookup indexes (index.go). Add
-	// invalidates midx, AddDep invalidates adj, reindex invalidates both.
+	// Lazily built, atomically published lookup indexes (index.go). Add and
+	// reindex invalidate both, AddDep invalidates adj.
 	idxMu sync.Mutex
 	midx  atomic.Pointer[matchIndex]
 	adj   atomic.Pointer[adjIndex]
@@ -355,6 +355,7 @@ func (g *Graph) Add(s *Signature) {
 	}
 	g.byID[s.ID] = s
 	g.midx.Store(nil)
+	g.adj.Store(nil)
 }
 
 // Sig resolves a signature by ID; nil when absent.

@@ -147,7 +147,7 @@ func NewSpool(pool *Pool, captureCap int64, now func() time.Time) *Spool {
 	if now == nil {
 		now = time.Now
 	}
-	s := &Spool{pool: pool, cap: captureCap, readers: make(map[*Reader]struct{}), now: now}
+	s := &Spool{pool: pool, cap: captureCap, now: now}
 	s.cond.L = &s.mu
 	return s
 }
@@ -279,12 +279,25 @@ func (s *Spool) Wait() error {
 	return s.err
 }
 
+// Complete reports whether the spool holds the whole body as a usable
+// capture: writer done, no mid-stream error, no overflow, not yet released.
+// It is Bytes' ok without the concatenation.
+func (s *Spool) Complete() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.completeLocked()
+}
+
+func (s *Spool) completeLocked() bool {
+	return s.done && s.err == nil && !s.overflow && !s.released
+}
+
 // Bytes concatenates the captured body into a single slice. ok is false when
-// the capture is unusable: writer not done, mid-stream error, or overflow.
+// the capture is unusable (see Complete).
 func (s *Spool) Bytes() ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.done || s.err != nil || s.overflow || s.released {
+	if !s.completeLocked() {
 		return nil, false
 	}
 	out := make([]byte, s.size-s.base)
@@ -387,6 +400,10 @@ func (s *Spool) ReaderAt(off int64) (*Reader, error) {
 		return nil, fmt.Errorf("stream: negative offset %d", off)
 	}
 	r := &Reader{s: s, off: off, limit: -1}
+	if s.readers == nil {
+		// Made on first attach: a prefetch worker's own spool often has none.
+		s.readers = make(map[*Reader]struct{})
+	}
 	s.readers[r] = struct{}{}
 	return r, nil
 }

@@ -33,8 +33,8 @@ go test -race ./...
 # package, the cache's BenchmarkPutAtScopeCap included).
 echo "== bench smoke"
 go test -run '^$' -bench . -benchtime 1x \
-    ./internal/cache/ ./internal/obs/ ./internal/persist/ \
-    ./internal/proxy/sched/ ./internal/sig/ ./internal/stream/
+    ./internal/cache/ ./internal/jsonpath/ ./internal/obs/ ./internal/persist/ \
+    ./internal/proxy/ ./internal/proxy/sched/ ./internal/sig/ ./internal/stream/
 
 # bench/ is a module of its own, so ./... above never compiles it.
 echo "== go test -C bench ./..."
