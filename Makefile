@@ -1,6 +1,6 @@
 # Convenience targets; scripts/check.sh is the canonical gate.
 
-.PHONY: build test check bench bench-cache bench-overload bench-match bench-cluster bench-chaos bench-policy
+.PHONY: build test check bench bench-ratchet bench-cache bench-overload bench-match bench-cluster bench-chaos bench-policy
 
 build:
 	go build ./...
@@ -15,6 +15,17 @@ check:
 
 bench:
 	go run ./cmd/appx-bench
+
+# bench-ratchet runs the BENCHMARK.json benchmark (every workload, untraced
+# and traced) and compares it with the newest committed BENCH_<n>.json: any
+# end-to-end metric worse than that file by more than its declared bound fails
+# the target. Each PR commits its own `bash bench/run.sh --seed 1 --out
+# BENCH_<n>.json` beside the previous ones. Not part of scripts/check.sh: it
+# is a three-minute step whose numbers a busy shared box moves by more than
+# most changes do — run it on a quiet machine before filing a PR.
+bench-ratchet:
+	bash bench/run.sh --seed 1 --out .bench_build/ratchet.json
+	bash bench/run.sh --compare $$(ls BENCH_[0-9]*.json | sort -t_ -k2 -n | tail -1) .bench_build/ratchet.json
 
 # bench-cache runs the prefetch-store microbenchmarks (sharding, eviction).
 bench-cache:

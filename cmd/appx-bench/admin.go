@@ -102,6 +102,9 @@ func renderAdmin(w io.Writer, v *adminView) {
 				id, cs.Stored, cs.Hits, cs.Evicted, cs.EvictedUnused)
 		}
 	}
+	is := s.Sched.Issued
+	fmt.Fprintf(w, "prefetches issued by: miss %d  hit %d  chain %d  refresh %d   promoted in queue: %d\n",
+		is.Miss, is.Hit, is.Chain, is.Refresh, s.Sched.Promoted)
 	fmt.Fprintf(w, "saved latency: %s  data used: %dB\n",
 		time.Duration(s.SavedLatencyMs)*time.Millisecond, s.DataUsedBytes)
 

@@ -18,6 +18,7 @@ func TestAdminModeDecodesTypedViews(t *testing.T) {
 		Hits: 7, Misses: 3, HitRatio: 0.7, Prefetches: 12,
 		CacheResidentBytes: 4096, SavedLatencyMs: 1500,
 		Overload: adminv1.Overload{Mode: "normal", Admitted: 10},
+		Sched:    adminv1.Sched{Promoted: 4, Issued: adminv1.SchedIssued{Miss: 30, Hit: 9, Chain: 60}},
 		Cache: adminv1.Cache{Signatures: map[string]adminv1.CacheSignature{
 			"t:img#0":  {Stored: 180, Hits: 12, Evicted: 150, EvictedUnused: 140},
 			"t:item#0": {Stored: 40, Hits: 31},
@@ -88,6 +89,7 @@ func TestAdminModeDecodesTypedViews(t *testing.T) {
 		"stage p95:",
 		"hit ratio 0.700",
 		"t:img#0: stored 180, hits 12, evicted 150 (140 never served)",
+		"issued by: miss 30  hit 9  chain 60  refresh 0   promoted in queue: 4",
 		"#10",
 		"sig=t:item#0",
 	} {

@@ -230,10 +230,6 @@ type Overload struct {
 	// (default 10s); staler tasks are dropped at dispatch. <0 disables
 	// enqueue deadlines.
 	QueueDeadline Duration `json:"queue_deadline,omitempty"`
-	// DeepDepth is the chain depth at which a prefetch counts as deep
-	// class — the first work shed under pressure (default 1: everything
-	// spawned by a prefetched response rather than live traffic).
-	DeepDepth int `json:"deep_depth,omitempty"`
 	// MaxQueue bounds the prefetch scheduler queue (default 4096).
 	MaxQueue int `json:"max_queue,omitempty"`
 }
@@ -248,9 +244,6 @@ func (o Overload) Filled() Overload {
 	}
 	if o.QueueDeadline == 0 {
 		o.QueueDeadline = Duration(10 * time.Second)
-	}
-	if o.DeepDepth <= 0 {
-		o.DeepDepth = 1
 	}
 	if o.MaxQueue <= 0 {
 		o.MaxQueue = 4096

@@ -181,7 +181,7 @@ func TestOverloadDefaults(t *testing.T) {
 	if time.Duration(o.AdmissionWait) != 100*time.Millisecond {
 		t.Fatalf("AdmissionWait = %v", o.AdmissionWait)
 	}
-	if o.DeepDepth != 1 || o.MaxQueue != 4096 {
+	if o.MaxQueue != 4096 {
 		t.Fatalf("queue defaults = %+v", o)
 	}
 	if time.Duration(o.QueueDeadline) != 10*time.Second {
@@ -203,8 +203,8 @@ func TestOverloadPartialFillAndNegatives(t *testing.T) {
 		t.Fatalf("MaxQueue = %d", o.MaxQueue)
 	}
 	// Untouched fields still default.
-	if o.DeepDepth != 1 {
-		t.Fatalf("DeepDepth = %v", o.DeepDepth)
+	if time.Duration(o.AdmissionWait) != 100*time.Millisecond {
+		t.Fatalf("AdmissionWait = %v", o.AdmissionWait)
 	}
 }
 
@@ -244,6 +244,8 @@ func TestUnmarshalRejectsUnknownKeys(t *testing.T) {
 		{`{"overload":{"governor_increase":0.1}}`, "governor_increase"},
 		{`{"overload":{"governor_decrease":0.5}}`, "governor_decrease"},
 		{`{"overload":{"queue_high_water":0.75}}`, "queue_high_water"},
+		// Gone once the task carried its depth: the class threshold is fixed.
+		{`{"overload":{"deep_depth":2}}`, "deep_depth"},
 	} {
 		_, err := Unmarshal([]byte(tc.body))
 		if err == nil {

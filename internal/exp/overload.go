@@ -119,7 +119,6 @@ func runOverloadPoint(load float64) (*OverloadRow, error) {
 		AdmissionWait:         config.Duration(overloadWait),
 		QueueDeadline:         config.Duration(overloadDeadline),
 		MaxQueue:              overloadQueue,
-		DeepDepth:             1,
 	}
 
 	// The origin burns a fixed service time per request and hands out

@@ -54,14 +54,27 @@ type SchedClass struct {
 	DroppedExpired int64 `json:"droppedExpired"`
 }
 
-// Sched is the prefetch scheduler block shared by stats and health.
+// SchedIssued counts prefetches the scheduler accepted by what caused them:
+// a live miss, a live hit (or attach) re-deriving a predecessor's children, a
+// prefetched response continuing its chain, or a refresh of an expired entry.
+type SchedIssued struct {
+	Miss    int64 `json:"miss"`
+	Hit     int64 `json:"hit"`
+	Chain   int64 `json:"chain"`
+	Refresh int64 `json:"refresh"`
+}
+
+// Sched is the prefetch scheduler block shared by stats and health. Promoted
+// counts queued prefetches that moved up because demand reached them.
 type Sched struct {
-	Queue      int        `json:"queue"`
-	Capacity   int        `json:"capacity"`
-	Panics     int64      `json:"panics"`
-	Foreground SchedClass `json:"foreground"`
-	Shallow    SchedClass `json:"shallow"`
-	Deep       SchedClass `json:"deep"`
+	Queue      int         `json:"queue"`
+	Capacity   int         `json:"capacity"`
+	Panics     int64       `json:"panics"`
+	Promoted   int64       `json:"promoted"`
+	Issued     SchedIssued `json:"issued"`
+	Foreground SchedClass  `json:"foreground"`
+	Shallow    SchedClass  `json:"shallow"`
+	Deep       SchedClass  `json:"deep"`
 }
 
 // CacheEvictions breaks evicted entries down by cause.

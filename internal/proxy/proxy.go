@@ -207,6 +207,8 @@ type Proxy struct {
 	pol      policy.Policy
 	rankHist *obs.Histogram
 	skips    prefetchSkips
+	// issued counts prefetches accepted by the scheduler, by trigger.
+	issued [numTriggers]*obs.Counter
 	// plans holds each predecessor signature's compiled learnPlan (learn.go),
 	// built once from the graph and the configuration; read-only afterwards.
 	plans map[string]*learnPlan
@@ -255,6 +257,30 @@ type pendingInstance struct {
 	sp    *sig.SuccPlan
 	vals  []string
 	depth int
+	trig  trigger
+}
+
+// trigger names the transaction that ran the predecessor routine (or, for a
+// refresh, the lookup) a prefetch was issued from; it labels
+// appx_prefetch_issued_total.
+type trigger uint8
+
+const (
+	// trigMiss: a live client request forwarded to the origin.
+	trigMiss trigger = iota
+	// trigHit: a live client request answered from a prefetched entry, or
+	// attached to the prefetch still fetching it.
+	trigHit
+	// trigChain: a prefetched response nobody has asked for yet.
+	trigChain
+	// trigRefresh: a lookup that found the entry expired (RefreshExpired).
+	trigRefresh
+
+	numTriggers
+)
+
+func (t trigger) String() string {
+	return [numTriggers]string{"miss", "hit", "chain", "refresh"}[t]
 }
 
 // user holds per-user learning state (§2: "The proxy keeps track of user
@@ -432,6 +458,12 @@ func (p *Proxy) registerBridges(reg *obs.Registry) {
 		reg.CounterFunc(`appx_sched_ran_total{class="`+c.String()+`"}`,
 			"Prefetch tasks dispatched to a worker by class.",
 			func() int64 { return p.sched.Metrics().ByClass(c).Ran })
+	}
+	reg.CounterFunc("appx_prefetch_promoted_total", "Queued prefetches moved up because demand reached them.",
+		func() int64 { return p.sched.Metrics().Promoted })
+	for t := range p.issued {
+		p.issued[t] = reg.Counter(`appx_prefetch_issued_total{trigger="`+trigger(t).String()+`"}`,
+			"Prefetches accepted by the scheduler, by what caused them.")
 	}
 	reg.CounterFunc(`appx_cache_evictions_total{cause="expired"}`, "Cache evictions by cause.",
 		func() int64 { return p.store.Metrics().Evictions.Expired })
@@ -835,9 +867,16 @@ func (p *Proxy) schedV1() adminv1.Sched {
 		}
 	}
 	return adminv1.Sched{
-		Queue:      p.sched.QueueLen(),
-		Capacity:   p.sched.Cap(),
-		Panics:     m.Panics,
+		Queue:    p.sched.QueueLen(),
+		Capacity: p.sched.Cap(),
+		Panics:   m.Panics,
+		Promoted: m.Promoted,
+		Issued: adminv1.SchedIssued{
+			Miss:    p.issued[trigMiss].Value(),
+			Hit:     p.issued[trigHit].Value(),
+			Chain:   p.issued[trigChain].Value(),
+			Refresh: p.issued[trigRefresh].Value(),
+		},
 		Foreground: classBlock(m.Foreground),
 		Shallow:    classBlock(m.Shallow),
 		Deep:       classBlock(m.Deep),
@@ -949,7 +988,7 @@ func (p *Proxy) refreshExpired(u *user, e *cache.Entry) {
 	// entry (and its request) may be shared across users hitting the same
 	// key; Clone so the canonical-key memoization stays goroutine-local.
 	if s := p.opts.Graph.Sig(e.SigID); s != nil {
-		p.maybePrefetch(u, s, e.Req.Clone(), 0, sched.ClassForeground)
+		p.maybePrefetch(u, s, e.Req.Clone(), 0, trigRefresh)
 	}
 }
 
@@ -968,8 +1007,18 @@ func (p *Proxy) sharedEligible(s *sig.Signature, req *httpmsg.Request) bool {
 
 // learn runs the Figure-6 flowchart for one completed transaction:
 // successor targets update the exemplar and release pending instances;
-// predecessor targets spawn successor instances.
+// predecessor targets spawn successor instances at depth. live marks a
+// transaction the client's own request fetched (a miss); a transaction that is
+// not live but at depth 0 is one a client was answered from the cache with (a
+// hit, or an attach to the prefetch), anything deeper a link of a speculated
+// chain.
 func (p *Proxy) learn(u *user, s *sig.Signature, req *httpmsg.Request, resp *httpmsg.Response, depth int, live bool) {
+	trig := trigChain
+	if live {
+		trig = trigMiss
+	} else if depth == 0 {
+		trig = trigHit
+	}
 	// Successor routine (learning target is a successor): adapt to the most
 	// recent condition — only from live client traffic, never from our own
 	// synthetic prefetch requests.
@@ -981,7 +1030,7 @@ func (p *Proxy) learn(u *user, s *sig.Signature, req *httpmsg.Request, resp *htt
 			delete(u.pending, s.ID)
 			u.mu.Unlock()
 			for _, pi := range released {
-				p.instantiate(u, pi.sp, pi.vals, pi.depth)
+				p.instantiate(u, pi.sp, pi.vals, pi.depth, pi.trig)
 			}
 		}
 	}
@@ -1031,14 +1080,14 @@ func (p *Proxy) learn(u *user, s *sig.Signature, req *httpmsg.Request, resp *htt
 			continue
 		}
 		for _, vals := range insts {
-			p.instantiate(u, ps.SuccPlan, vals, depth)
+			p.instantiate(u, ps.SuccPlan, vals, depth, trig)
 		}
 	}
 }
 
 // instantiate materializes one successor instance, parking it when run-time
 // values are still missing, and schedules the prefetch when ready.
-func (p *Proxy) instantiate(u *user, sp *sig.SuccPlan, vals []string, depth int) {
+func (p *Proxy) instantiate(u *user, sp *sig.SuccPlan, vals []string, depth int, trig trigger) {
 	s := sp.Sig
 	u.mu.Lock()
 	ex := u.exemplars[s.ID]
@@ -1049,7 +1098,7 @@ func (p *Proxy) instantiate(u *user, sp *sig.SuccPlan, vals []string, depth int)
 	if ex == nil {
 		parked := len(u.pending[s.ID]) < maxPendingPerSig
 		if parked {
-			u.pending[s.ID] = append(u.pending[s.ID], pendingInstance{sp: sp, vals: vals, depth: depth})
+			u.pending[s.ID] = append(u.pending[s.ID], pendingInstance{sp: sp, vals: vals, depth: depth, trig: trig})
 		}
 		u.mu.Unlock()
 		if !parked {
@@ -1066,21 +1115,17 @@ func (p *Proxy) instantiate(u *user, sp *sig.SuccPlan, vals []string, depth int)
 		p.countSkip(skipNoExemplar)
 		return
 	}
-	// Depth maps to shed priority: chain tails are the most speculative work
-	// the proxy does, so they go in the class that sheds first.
-	class := sched.ClassShallow
-	if depth >= p.ovl.DeepDepth {
-		class = sched.ClassDeep
-	}
-	p.maybePrefetch(u, s, req, depth, class)
+	p.maybePrefetch(u, s, req, depth, trig)
 }
 
 // prefetch is one speculative fetch from issue to commit: the reconstructed
-// request, the cache slot (scope, key, expiry) its TryIssue claim holds, and
-// its place in the dependency chain. It is its own scheduler task and the
-// task's sched.Job, so issuing an instance allocates this one value. req is
-// immutable once issued: the commit shares it with the sample table and the
-// cache entry, whose readers clone.
+// request and the cache slot (scope, key, expiry) its TryIssue claim holds.
+// It is its own scheduler task and the task's sched.Job, so issuing an
+// instance allocates this one value; the task carries its place in the
+// dependency chain (Depth, which a Promote may lower while it waits) and the
+// claim's issue key (Key), which also names its flight. req is immutable once
+// issued: the commit shares it with the sample table and the cache entry,
+// whose readers clone.
 type prefetch struct {
 	p      *Proxy
 	task   sched.Task
@@ -1090,7 +1135,6 @@ type prefetch struct {
 	scope  string
 	key    string
 	expiry time.Duration
-	depth  int
 }
 
 // Run implements sched.Job.
@@ -1140,30 +1184,49 @@ func (p *Proxy) mayIssue(userKey, sigID, host string, cpol *config.Policy) bool 
 }
 
 // maybePrefetch applies the issue gates and dedup, then schedules the
-// prefetch under its class's queue share and enqueue deadline.
-func (p *Proxy) maybePrefetch(u *user, s *sig.Signature, req *httpmsg.Request, depth int, class sched.Class) {
+// prefetch at its chain depth, under its class's queue share and enqueue
+// deadline.
+func (p *Proxy) maybePrefetch(u *user, s *sig.Signature, req *httpmsg.Request, depth int, trig trigger) {
 	cpol := p.opts.Config.Policy(s.Hash())
 	if !p.mayIssue(u.key, s.ID, req.Host, cpol) {
 		return
 	}
 	// Shared-eligible requests prefetch into the cross-user tier; TryIssue
 	// then singleflights the fetch across every user wanting this key.
-	pf := &prefetch{p: p, u: u, s: s, req: req, scope: u.key, key: req.CanonicalKey(),
-		expiry: p.opts.Config.Expiration(cpol), depth: depth}
+	scope, key, expiry := u.key, req.CanonicalKey(), p.opts.Config.Expiration(cpol)
 	if p.sharedEligible(s, req) {
-		pf.scope = cache.SharedScope
+		scope = cache.SharedScope
 	}
-	if !p.store.TryIssue(pf.scope, pf.key, pf.expiry) {
+	ikey := cache.IssueKey(scope, key)
+	if !p.store.TryIssue(scope, key, expiry) {
+		// The entry is resident, or already on its way. If its prefetch still
+		// waits in the queue further from a client than this instance is, the
+		// demand that re-derived it moves it up instead of being dropped as a
+		// duplicate.
+		p.sched.Promote(ikey, depth)
 		return
 	}
-	pf.task = sched.Task{SigID: s.ID, Class: class, Job: pf}
+	// The class is what sheds first when the queue fills: chain tails are the
+	// most speculative work the proxy does, a refresh renews an entry a client
+	// is using now.
+	class := sched.ClassDeep
+	switch {
+	case trig == trigRefresh:
+		class = sched.ClassForeground
+	case depth == 0:
+		class = sched.ClassShallow
+	}
+	pf := &prefetch{p: p, u: u, s: s, req: req, scope: scope, key: key, expiry: expiry}
+	pf.task = sched.Task{SigID: s.ID, Class: class, Depth: depth, Key: ikey, Job: pf}
 	if qd := time.Duration(p.ovl.QueueDeadline); qd > 0 {
 		pf.task.Deadline = p.opts.Now().Add(qd)
 	}
 	// A rejected Submit leaves the task, and so the claim, with the caller.
 	if !p.sched.Submit(&pf.task) {
 		pf.Abandon()
+		return
 	}
+	p.issued[trig].Inc()
 }
 
 // runPrefetch executes one prefetch: obtains the response — from a ring
@@ -1201,14 +1264,41 @@ func (p *Proxy) runPrefetch(pf *prefetch) {
 	// attach to it instead of paying their own origin round trip. And when a
 	// foreground fetch already owns the flight, this worker rides it the
 	// other way: wait for the shared fetch and cache its capture.
-	fkey := cache.IssueKey(pf.scope, pf.key)
-	fl, owner := p.openFlight(fkey)
+	fl, owner := p.openFlight(pf.task.Key)
+	p.ridePrefetch(pf, fl, owner)
+}
+
+// ridePrefetch is the rest of a prefetch once the worker has looked up the
+// key's flight: fetch through it or adopt it, commit, continue the chain.
+func (p *Proxy) ridePrefetch(pf *prefetch, fl *flight, owner bool) {
+	fkey := pf.task.Key
+	var rd *stream.Reader
+	if !owner {
+		var err error
+		rd, err = fl.sp.ReaderAt(0)
+		if errors.Is(err, stream.ErrReleased) {
+			// The flight was found between its owner's last byte and its
+			// teardown. closeFlight precedes Discard there, so the registry has
+			// already forgotten it and opening again makes this worker the
+			// owner (or a reader of a newer fetch); giving up instead would
+			// leave the key cold, because a foreground fetch caches nothing.
+			if fl, owner = p.openFlight(fkey); owner {
+				err = nil
+			} else {
+				rd, err = fl.sp.ReaderAt(0)
+			}
+		}
+		if err != nil {
+			p.store.CancelIssue(pf.scope, pf.key)
+			return
+		}
+	}
 	var body []byte
 	var ok bool
 	if owner {
 		body, ok = p.fetchFlight(pf, fkey, fl)
 	} else {
-		body, ok = p.adoptFlight(pf, fl)
+		body, ok = p.adoptFlight(pf, fl, rd)
 	}
 	if !ok {
 		p.store.CancelIssue(pf.scope, pf.key)
@@ -1234,12 +1324,18 @@ func (p *Proxy) runPrefetch(pf *prefetch) {
 		Refreshed: pf.task.Class == sched.ClassForeground,
 	})
 	// Chain continuation — only from a fetch this worker made itself; an
-	// adopted capture is learned from live by the foreground owner. The
-	// depth ceiling lives in the policy layer: fan-out candidates at depth+1
-	// are Keep=false (ReasonDepth) beyond maxChainDepth, each pruned tail
-	// counted.
+	// adopted capture is learned from live by the foreground owner. The next
+	// link is one further from a client than this one was, unless a client
+	// attached to the flight: then this response has been asked for, and its
+	// children are what that client asks for next. The depth ceiling lives in
+	// the policy layer: fan-out candidates are Keep=false (ReasonDepth) beyond
+	// maxChainDepth, each pruned tail counted.
 	if owner && !p.opts.DisableChaining {
-		p.learn(pf.u, pf.s, pf.req, resp, pf.depth+1, false)
+		depth := pf.task.Depth + 1
+		if fl.demanded.Load() {
+			depth = 0
+		}
+		p.learn(pf.u, pf.s, pf.req, resp, depth, false)
 	}
 }
 
@@ -1307,16 +1403,10 @@ func (p *Proxy) fetchFlight(pf *prefetch, fkey string, fl *flight) (body []byte,
 
 // adoptFlight is the prefetch worker's path when a foreground fetch already
 // owns the key's flight: instead of a second origin round trip, the worker
-// attaches a reader (pinning the capture against release), drains alongside
-// the clients, and returns the finished capture. ok is false on any
-// shortfall — flight already gone, error, non-200, over-cap body.
-func (p *Proxy) adoptFlight(pf *prefetch, fl *flight) (body []byte, ok bool) {
-	rd, err := fl.sp.ReaderAt(0)
-	if err != nil {
-		// The flight already finished and released its spool; the next
-		// request for the key will simply re-issue the prefetch.
-		return nil, false
-	}
+// holds a reader (pinning the capture against release), drains alongside the
+// clients, and returns the finished capture. ok is false on any shortfall —
+// error, non-200, over-cap body.
+func (p *Proxy) adoptFlight(pf *prefetch, fl *flight, rd *stream.Reader) (body []byte, ok bool) {
 	defer rd.Close()
 	select {
 	case <-fl.ready:

@@ -4,12 +4,16 @@
 // whose requests take longer to complete and whose prefetched responses are
 // hit more often, using a linear combination of the two as the priority.
 //
-// Beyond the paper, the scheduler is overload-safe: tasks carry a priority
-// class (foreground refresh > shallow prefetch > deep prefetch) so that when
-// the queue fills, speculative work is shed first; tasks carry an enqueue
-// deadline so stale work is dropped at dispatch instead of run; every shed is
-// counted per class and reason; and a panicking task is recovered without
-// taking down the worker pool or deadlocking Drain.
+// Beyond the paper, dispatch follows the user: a task carries its distance
+// from a live client request (its chain depth), the nearest work runs first
+// and the §5 priority decides only among tasks equally far away, and a task
+// a client has since come closer to is promoted where it waits (Promote).
+// The scheduler is also overload-safe: tasks carry a class (foreground
+// refresh, shallow prefetch, deep prefetch) that sets how far into a filling
+// queue they are admitted, so speculative work is shed first; tasks carry an
+// enqueue deadline so stale work is dropped at dispatch instead of run; every
+// shed is counted per class and reason; and a panicking task is recovered
+// without taking down the worker pool or deadlocking Drain.
 package sched
 
 import (
@@ -18,8 +22,9 @@ import (
 	"time"
 )
 
-// Class ranks queued work by how close it is to a waiting client. Lower
-// values dispatch first and are admitted deeper into a filling queue.
+// Class decides how far into a filling queue a task is admitted, and which
+// counters it is booked under from Submit to its end. Dispatch order is not
+// the class's business beyond foreground-first: see taskHeap.
 type Class int
 
 const (
@@ -29,9 +34,9 @@ const (
 	// ClassShallow is a first-hop prefetch spawned by live client traffic.
 	// It is admitted into at most 3/4 of the queue.
 	ClassShallow
-	// ClassDeep is speculative chained prefetching (depth ≥ the configured
-	// deep threshold). It is admitted into at most 1/2 of the queue, so it
-	// is the first work shed under pressure.
+	// ClassDeep is speculative chained prefetching (depth ≥ 1). It is
+	// admitted into at most 1/2 of the queue, so it is the first work shed
+	// under pressure.
 	ClassDeep
 
 	numClasses
@@ -55,9 +60,16 @@ type Task struct {
 	// SigID identifies the signature the prefetch belongs to; priorities
 	// are computed per signature.
 	SigID string
-	// Class is the task's shed-ordering class; the zero value is
+	// Class is the task's admission and accounting class; the zero value is
 	// ClassForeground.
 	Class Class
+	// Depth is the task's distance from a live client request: 0 for the
+	// children of a transaction a client just made, n for the nth link of a
+	// chain speculated from there. Nearer tasks dispatch first.
+	Depth int
+	// Key, when non-empty, names the task for Promote; at most one queued
+	// task holds a key at a time (the proxy passes the dedup claim's key).
+	Key string
 	// Deadline, when non-zero, sheds the task if it has not started running
 	// by then: it is rejected at Submit when already past, and dropped at
 	// dispatch when it expired while queued.
@@ -75,6 +87,13 @@ type Task struct {
 	// submitter whose three hooks close over the same state passes that
 	// state as one value instead of allocating three closures per task.
 	Job Job
+
+	// Queue bookkeeping, owned by the scheduler from Submit to dispatch: the
+	// priority snapshot, the submission order, and the position in the ready
+	// heap (-1 while still in the inbox). A submitted Task must not be copied.
+	prio float64
+	seq  int64
+	pos  int
 }
 
 // Job is a task's behaviour as one value; see Task.Job.
@@ -85,16 +104,17 @@ type Job interface {
 }
 
 // PriorityFunc maps a signature to its current priority (higher runs first
-// within a class). It is consulted when a task moves from the submission
-// inbox into the dispatch heap, so each task's priority is computed exactly
-// once per dispatch batch rather than once per queued task per dispatch.
+// among tasks of one depth). It is consulted when a task moves from the
+// submission inbox into the dispatch heap, so each task's priority is
+// computed exactly once per dispatch batch rather than once per queued task
+// per dispatch.
 type PriorityFunc func(sigID string) float64
 
 // Config configures a Scheduler.
 type Config struct {
 	// Workers is the pool size (minimum 1).
 	Workers int
-	// Priority ranks signatures within a class; nil means FIFO.
+	// Priority ranks signatures within a depth; nil means FIFO.
 	Priority PriorityFunc
 	// MaxQueue bounds queued tasks (default 4096). Per-class admission caps
 	// derive from it: foreground may fill the whole queue, shallow 3/4 of
@@ -137,6 +157,8 @@ type Metrics struct {
 	Deep       ClassMetrics
 	// Panics counts recovered task panics.
 	Panics int64
+	// Promoted counts queued tasks Promote moved to a shallower depth.
+	Promoted int64
 }
 
 // ByClass returns the snapshot for one class.
@@ -151,40 +173,47 @@ func (m Metrics) ByClass(c Class) ClassMetrics {
 	}
 }
 
-// item is one heap entry: the task plus its priority snapshot.
-type item struct {
-	t    *Task
-	prio float64
-	seq  int64
-}
-
-// taskHeap orders by class first (foreground before speculative), snapshot
-// priority second, submission order third.
-type taskHeap []item
+// taskHeap is the ready queue. Foreground refreshes run first — a client is
+// using that entry now. Everything else runs nearest-first: by depth, then
+// snapshot priority (§5), then submission order. Depth leads because the §5
+// hit-rate term is 0.5 for a signature never prefetched and hits/prefetches
+// (0) after its first batch, which on its own runs the newest — the deepest
+// — signature first, ahead of what another user's client is about to ask for.
+type taskHeap []*Task
 
 func (h taskHeap) Len() int { return len(h) }
 func (h taskHeap) Less(i, j int) bool {
-	if h[i].t.Class != h[j].t.Class {
-		return h[i].t.Class < h[j].t.Class
+	a, b := h[i], h[j]
+	if af, bf := a.Class == ClassForeground, b.Class == ClassForeground; af != bf {
+		return af
 	}
-	if h[i].prio != h[j].prio {
-		return h[i].prio > h[j].prio
+	if a.Depth != b.Depth {
+		return a.Depth < b.Depth
 	}
-	return h[i].seq < h[j].seq
+	if a.prio != b.prio {
+		return a.prio > b.prio
+	}
+	return a.seq < b.seq
 }
-func (h taskHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *taskHeap) Push(x any)   { *h = append(*h, x.(item)) }
+func (h taskHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].pos, h[j].pos = i, j
+}
+func (h *taskHeap) Push(x any) {
+	t := x.(*Task)
+	t.pos = len(*h)
+	*h = append(*h, t)
+}
 func (h *taskHeap) Pop() any {
 	old := *h
 	n := len(old)
-	it := old[n-1]
-	old[n-1] = item{}
+	t := old[n-1]
+	old[n-1] = nil
 	*h = old[:n-1]
-	return it
+	return t
 }
 
-// Scheduler runs prefetch tasks on a bounded worker pool, foreground class
-// and highest priority first.
+// Scheduler runs prefetch tasks on a bounded worker pool, in taskHeap order.
 type Scheduler struct {
 	priority PriorityFunc
 	now      func() time.Time
@@ -193,8 +222,10 @@ type Scheduler struct {
 	cond *sync.Cond
 	// inbox collects submissions; workers batch-move it into ready,
 	// computing each task's priority once at that point.
-	inbox      []*Task
-	ready      taskHeap
+	inbox []*Task
+	ready taskHeap
+	// keyed finds a queued (inbox or ready) task by its Key, for Promote.
+	keyed      map[string]*Task
 	seq        int64
 	closed     bool
 	wg         sync.WaitGroup
@@ -203,6 +234,7 @@ type Scheduler struct {
 	classLimit [numClasses]int
 	classes    [numClasses]ClassMetrics
 	panics     int64
+	promoted   int64
 }
 
 // New starts a scheduler with the given worker count (minimum 1) and
@@ -225,7 +257,7 @@ func NewWith(cfg Config) *Scheduler {
 	if cfg.Priority == nil {
 		cfg.Priority = func(string) float64 { return 0 }
 	}
-	s := &Scheduler{priority: cfg.Priority, now: cfg.Now, maxQueue: cfg.MaxQueue}
+	s := &Scheduler{priority: cfg.Priority, now: cfg.Now, maxQueue: cfg.MaxQueue, keyed: map[string]*Task{}}
 	s.classLimit[ClassForeground] = cfg.MaxQueue
 	s.classLimit[ClassShallow] = atLeast1(cfg.MaxQueue * 3 / 4)
 	s.classLimit[ClassDeep] = atLeast1(cfg.MaxQueue / 2)
@@ -274,11 +306,45 @@ func (s *Scheduler) Submit(t *Task) bool {
 		return false
 	}
 	s.classes[c].Submitted++
+	t.pos = -1
+	if t.Key != "" {
+		s.keyed[t.Key] = t
+	}
 	s.inbox = append(s.inbox, t)
 	s.pending.Add(1)
 	s.mu.Unlock()
 	s.cond.Signal()
 	return true
+}
+
+// Promote tells the scheduler that demand has come within depth of the
+// queued task holding key: a task waiting at a greater depth moves to depth
+// and is re-ordered where it waits, O(log n). It reports whether a task
+// moved; an unknown key, a task already running or finished, and a task
+// already that near are all no-ops. The task stays booked under the class it
+// was submitted in.
+func (s *Scheduler) Promote(key string, depth int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t := s.keyed[key]
+	if t == nil || t.Depth <= depth {
+		return false
+	}
+	t.Depth = depth
+	if t.pos >= 0 {
+		heap.Fix(&s.ready, t.pos)
+	}
+	s.promoted++
+	return true
+}
+
+// unkeyLocked forgets a task leaving the queue. A key can outlive its claim
+// (the claim's window lapsed while the task waited) and be taken again, so
+// only the task the index currently names is removed.
+func (s *Scheduler) unkeyLocked(t *Task) {
+	if t.Key != "" && s.keyed[t.Key] == t {
+		delete(s.keyed, t.Key)
+	}
 }
 
 // QueueLen reports the number of queued (not yet running) tasks.
@@ -300,6 +366,7 @@ func (s *Scheduler) Metrics() Metrics {
 		Shallow:    s.classes[ClassShallow],
 		Deep:       s.classes[ClassDeep],
 		Panics:     s.panics,
+		Promoted:   s.promoted,
 	}
 }
 
@@ -320,10 +387,8 @@ func (s *Scheduler) Close() {
 	s.closed = true
 	orphans := make([]*Task, 0, len(s.inbox)+len(s.ready))
 	orphans = append(orphans, s.inbox...)
-	for _, it := range s.ready {
-		orphans = append(orphans, it.t)
-	}
-	s.inbox, s.ready = nil, nil
+	orphans = append(orphans, s.ready...)
+	s.inbox, s.ready, s.keyed = nil, nil, nil
 	for _, t := range orphans {
 		s.classes[classIdx(t.Class)].DroppedClosed++
 	}
@@ -349,7 +414,8 @@ func (s *Scheduler) mergeInboxLocked() {
 			prios[t.SigID] = p
 		}
 		s.seq++
-		heap.Push(&s.ready, item{t: t, prio: p, seq: s.seq})
+		t.prio, t.seq = p, s.seq
+		heap.Push(&s.ready, t)
 	}
 	s.inbox = s.inbox[:0]
 }
@@ -370,13 +436,14 @@ func (s *Scheduler) worker() {
 		var t *Task
 		now := s.now()
 		for len(s.ready) > 0 {
-			it := heap.Pop(&s.ready).(item)
-			if !it.t.Deadline.IsZero() && now.After(it.t.Deadline) {
-				s.classes[classIdx(it.t.Class)].DroppedExpired++
-				expired = append(expired, it.t)
+			next := heap.Pop(&s.ready).(*Task)
+			s.unkeyLocked(next)
+			if !next.Deadline.IsZero() && now.After(next.Deadline) {
+				s.classes[classIdx(next.Class)].DroppedExpired++
+				expired = append(expired, next)
 				continue
 			}
-			t = it.t
+			t = next
 			s.classes[classIdx(t.Class)].Ran++
 			break
 		}

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"reflect"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -56,34 +58,116 @@ func TestPriorityOrdering(t *testing.T) {
 	}
 }
 
+// stalled returns a one-worker scheduler whose worker is parked inside a
+// task until release is closed, so what is submitted meanwhile only queues.
+func stalled(t *testing.T, cfg Config) (s *Scheduler, release chan struct{}) {
+	t.Helper()
+	cfg.Workers = 1
+	s = NewWith(cfg)
+	release, started := make(chan struct{}), make(chan struct{})
+	s.Submit(&Task{SigID: "block", Run: func() { close(started); <-release }})
+	<-started
+	return s, release
+}
+
+// TestClassOrdering pins the dispatch order: foreground refreshes, then
+// nearest-first by depth, then the §5 priority, then submission order. The
+// class of a non-foreground task does not order it.
 func TestClassOrdering(t *testing.T) {
-	// Equal priorities: dispatch must go foreground, shallow, deep.
-	s := New(1, func(string) float64 { return 1 })
+	prio := map[string]float64{"lo": 1, "hi": 10}
+	s, release := stalled(t, Config{Priority: func(id string) float64 { return prio[id] }})
 	defer s.Close()
 
-	release := make(chan struct{})
-	s.Submit(&Task{SigID: "block", Run: func() { <-release }})
-	time.Sleep(20 * time.Millisecond)
-
 	var mu sync.Mutex
-	var order []Class
-	mk := func(c Class) *Task {
-		return &Task{SigID: "x", Class: c, Run: func() { mu.Lock(); order = append(order, c); mu.Unlock() }}
+	var order []string
+	for _, q := range []struct {
+		name  string
+		sig   string
+		class Class
+		depth int
+	}{
+		{"d3", "hi", ClassDeep, 3},
+		{"d1-lo-a", "lo", ClassDeep, 1},
+		{"d0-lo", "lo", ClassShallow, 0},
+		{"d1-hi", "hi", ClassDeep, 1},
+		{"d1-lo-b", "lo", ClassDeep, 1},
+		{"fg-lo", "lo", ClassForeground, 0},
+		{"d0-deepclass", "hi", ClassDeep, 0},
+		{"d2-shallowclass", "hi", ClassShallow, 2},
+		{"fg-hi", "hi", ClassForeground, 0},
+		{"d0-hi", "hi", ClassShallow, 0},
+	} {
+		name := q.name
+		s.Submit(&Task{SigID: q.sig, Class: q.class, Depth: q.depth,
+			Run: func() { mu.Lock(); order = append(order, name); mu.Unlock() }})
 	}
-	s.Submit(mk(ClassDeep))
-	s.Submit(mk(ClassShallow))
-	s.Submit(mk(ClassForeground))
-	s.Submit(mk(ClassDeep))
 	close(release)
 	s.Drain()
 
-	mu.Lock()
-	defer mu.Unlock()
-	want := []Class{ClassForeground, ClassShallow, ClassDeep, ClassDeep}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
+	want := []string{"fg-hi", "fg-lo", "d0-deepclass", "d0-hi", "d0-lo", "d1-hi", "d1-lo-a", "d1-lo-b", "d2-shallowclass", "d3"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %v\n want   %v", order, want)
+	}
+}
+
+// TestPromote: Promote moves exactly the keyed task, whether it still sits in
+// the inbox or already in the heap, is a no-op for a key nobody holds, a task
+// that is running or finished and a task already that near, and never moves
+// the class a task is counted under.
+func TestPromote(t *testing.T) {
+	s, release := stalled(t, Config{})
+	defer s.Close()
+	if s.Promote("block", 0) || s.Promote("nobody", 0) {
+		t.Fatal("Promote moved an unkeyed running task or an unknown key")
+	}
+
+	var mu sync.Mutex
+	var order []string
+	submit := func(key string, depth int) {
+		class := ClassDeep
+		if depth == 0 {
+			class = ClassShallow
 		}
+		s.Submit(&Task{SigID: "x", Class: class, Depth: depth, Key: key,
+			Run: func() { mu.Lock(); order = append(order, key); mu.Unlock() }})
+	}
+	submit("a3", 3)
+	submit("b2", 2)
+	submit("c2", 2)
+	submit("d1", 1)
+	submit("e0", 0)
+	if !s.Promote("c2", 1) { // still in the inbox: nothing has merged it
+		t.Fatal("Promote of an inbox task reported no move")
+	}
+	if s.Promote("c2", 1) || s.Promote("d1", 4) || s.Promote("e0", 0) {
+		t.Fatal("Promote moved a task already that near")
+	}
+	// Let the worker merge the inbox and park again inside a foreground
+	// task, which runs ahead of everything: the rest now wait in the heap.
+	gate, parked := make(chan struct{}), make(chan struct{})
+	s.Submit(&Task{SigID: "x", Class: ClassForeground, Run: func() { close(parked); <-gate }})
+	close(release)
+	<-parked
+	if !s.Promote("a3", 0) { // in the heap: re-ordered where it waits
+		t.Fatal("Promote of a heap task reported no move")
+	}
+	close(gate)
+	s.Drain()
+
+	// Inside a depth, submission order: a promoted task keeps its place in it.
+	if want := []string{"a3", "e0", "c2", "d1", "b2"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	if s.Promote("a3", 0) || s.Promote("b2", 0) {
+		t.Fatal("Promote moved a finished task")
+	}
+	m := s.Metrics()
+	if m.Promoted != 2 {
+		t.Fatalf("Promoted = %d, want 2", m.Promoted)
+	}
+	// a3 ran at depth 0 but was submitted deep, and is counted there.
+	if m.Shallow.Submitted != 1 || m.Shallow.Ran != 1 || m.Deep.Submitted != 4 || m.Deep.Ran != 4 {
+		t.Fatalf("class accounting moved with the promotion: %+v", m)
 	}
 }
 
@@ -279,8 +363,8 @@ func TestDeadlineExpiredAtDispatch(t *testing.T) {
 	}
 }
 
-// TestStressSubmitCloseDrain hammers Submit/QueueLen/Metrics concurrently
-// with Close and Drain; run under -race it is the scheduler's concurrency
+// TestStressSubmitCloseDrain hammers Submit/Promote/QueueLen/Metrics
+// concurrently with Close and Drain; run under -race it is the scheduler's concurrency
 // regression test.
 func TestStressSubmitCloseDrain(t *testing.T) {
 	s := NewWith(Config{Workers: 4, MaxQueue: 64})
@@ -291,11 +375,15 @@ func TestStressSubmitCloseDrain(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				cls := Class(i % 3)
-				task := &Task{SigID: "s", Class: cls, Run: func() {}, Abandon: func() {}}
+				// Keys collide across goroutines on purpose: a key taken again
+				// while its first holder still waits must not strand either.
+				task := &Task{SigID: "s", Class: cls, Depth: i % 5, Key: strconv.Itoa(i % 50),
+					Run: func() {}, Abandon: func() {}}
 				if i%97 == 0 {
 					task.Run = func() { panic("stress") }
 				}
 				s.Submit(task)
+				s.Promote(strconv.Itoa((i+g)%50), i%3)
 				if i%25 == 0 {
 					_ = s.QueueLen()
 					_ = s.Metrics()

@@ -139,9 +139,9 @@ func (p *Proxy) serve(x *exchange, r *http.Request) obs.Outcome {
 	x.sp.EndStage(obs.StageCache)
 	if entry != nil {
 		if entry.Refreshed {
-			return p.serveEntry(x, entry, shared, obs.OutcomeRefreshHit)
+			return p.serveEntry(x, u, entry, shared, obs.OutcomeRefreshHit)
 		}
-		return p.serveEntry(x, entry, shared, obs.OutcomePrefetchHit)
+		return p.serveEntry(x, u, entry, shared, obs.OutcomePrefetchHit)
 	}
 
 	// The match decides whether this miss becomes a flight (spooled,
@@ -165,7 +165,7 @@ func (p *Proxy) serve(x *exchange, r *http.Request) obs.Outcome {
 	// instance.
 	if p.cluster != nil && shareable && len(p.opts.Graph.DepsInto(lead.ID)) > 0 {
 		if entry := p.clusterPeerFill(x.ctx, key, false, x.bgt); entry != nil {
-			return p.serveEntry(x, entry, true, obs.OutcomePeerHit)
+			return p.serveEntry(x, u, entry, true, obs.OutcomePeerHit)
 		}
 	}
 
@@ -205,11 +205,30 @@ func (p *Proxy) attribute(x *exchange, sigID string) {
 // (canonical key equality), so the client receives exactly the origin's
 // bytes — true even across users for shared-tier hits. writeBuffered slices
 // 206s locally when the client asked for a Range of the entity.
-func (p *Proxy) serveEntry(x *exchange, entry *cache.Entry, shared bool, outcome obs.Outcome) obs.Outcome {
+//
+// A hit teaches like a miss does: once the client has its bytes, a
+// predecessor's response runs the predecessor routine again, from depth 0.
+// Children still cached dedup away; children evicted or expired since the
+// parent was prefetched are re-issued now, a couple of round trips before the
+// client asks for them; children still queued behind speculation are
+// promoted. (With DisablePrefetch nothing is ever looked up or filled, so no
+// request gets here.)
+func (p *Proxy) serveEntry(x *exchange, u *user, entry *cache.Entry, shared bool, outcome obs.Outcome) obs.Outcome {
 	p.attribute(x, entry.SigID)
 	p.stats.CountHit(entry.SigID, int64(len(entry.Resp.Body)), p.stats.RespTime(entry.SigID), entry.FirstUse(), shared)
 	p.writeBuffered(x.w, x.req, entry.Resp)
+	teaches := p.plans[entry.SigID] != nil && !p.opts.DisableChaining
+	if f, ok := x.w.(http.Flusher); ok && teaches {
+		// A small response sits in net/http's buffer until the handler
+		// returns: push it out, so the client is not kept waiting while the
+		// proxy works out what it will ask for next.
+		f.Flush()
+	}
 	p.firstByte(x)
+	if teaches {
+		p.learn(u, p.opts.Graph.Sig(entry.SigID), x.req, entry.Resp, 0, false)
+		x.sp.EndStage(obs.StageLearn)
+	}
 	return outcome
 }
 

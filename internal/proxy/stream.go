@@ -43,6 +43,11 @@ type flight struct {
 	status int
 	header []httpmsg.Field
 	err    error
+
+	// demanded is set once a client has attached: the response is no longer
+	// speculation, and a prefetch worker owning the flight continues its
+	// chain from a live request (runPrefetch).
+	demanded atomic.Bool
 }
 
 // openFlight returns the flight for fkey, creating it when absent. owner
@@ -326,6 +331,7 @@ func (fw flushWriter) Write(p []byte) (int, error) {
 // attacher must fetch on its own: flight error, non-200 answer, or the
 // retained window already slid past the requested offset.
 func (p *Proxy) attachFlight(x *exchange, f *flight) bool {
+	f.demanded.Store(true)
 	select {
 	case <-f.ready:
 	case <-x.ctx.Done():
