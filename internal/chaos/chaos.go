@@ -294,13 +294,6 @@ func (h *Harness) Cut(i, j int) {
 	}
 }
 
-// CutOneWay partitions only dials from i to j — the asymmetric failure
-// where i believes j is gone while j still reaches i.
-func (h *Harness) CutOneWay(i, j int) {
-	h.inj.SetFault(h.link(i, j), netem.Partition())
-	h.inj.Sever(h.link(i, j))
-}
-
 // SlowLinksTo degrades every link INTO instance j: each I/O operation
 // stalls, and writes slow-drip in small chunks. The instance stays alive
 // and probed-healthy — only slow. This is the regime hedged reads exist for.

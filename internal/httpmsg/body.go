@@ -141,15 +141,8 @@ func (r *Response) Buffer(maxBytes int64) error {
 // never truncated by a capture cap.
 func (r *Response) BodyComplete() bool { return !r.Streaming() && !r.trunc }
 
-// BodyLen returns the buffered body length (0 for an unconsumed stream).
-func (r *Response) BodyLen() int { return len(r.Body) }
-
 // Truncated reports whether a Buffer cap discarded the body mid-read.
 func (r *Response) Truncated() bool { return r.trunc }
-
-// MarkTruncated flags the response as holding an incomplete capture, so
-// BodyComplete consumers (learning, persistence) skip it.
-func (r *Response) MarkTruncated() { r.trunc = true }
 
 // FromHTTPResponseStreaming wraps a *http.Response without reading its body:
 // the returned Response is streaming and the caller owns the body via

@@ -107,7 +107,7 @@ func (p *Proxy) registerClusterBridges(reg *obs.Registry) {
 // user simply forwards to the new owner on its next arrival.
 func (p *Proxy) rebalanceCluster() {
 	st := p.cluster
-	moved := p.dropUsers(func(k string, _ *user) bool { return !st.c.Owns(k) })
+	moved := p.dropUsers(false, func(u *user) bool { return !st.c.Owns(u.key) })
 	st.scopesDropped.Add(int64(moved))
 	st.rebalances.Add(1)
 }
@@ -245,7 +245,7 @@ func (p *Proxy) entryFromPeer(pe *adminv1.ClusterEntry) *cache.Entry {
 		SigID:     pe.SigID,
 		Expires:   p.opts.Now().Add(time.Duration(pe.ExpiresInMs) * time.Millisecond),
 		Refreshed: pe.Refreshed,
-		Cost:      p.stats.RespTime(pe.SigID),
+		Cost:      p.sigs.byID[pe.SigID].avgRespTime(),
 	}
 }
 

@@ -108,6 +108,24 @@ func newFollowLab(t *testing.T, edges []edge, entriesPerUser int, body func(name
 	return l
 }
 
+// stall is a scheduler job that occupies a worker until it is closed.
+type stall chan struct{}
+
+func (s stall) Run()      { <-s }
+func (stall) Abandon()    {}
+func (stall) OnPanic(any) {}
+
+// getQueued is get with the lab's one worker kept busy meanwhile, so that
+// everything the response fans out is queued before any of it runs: a worker
+// that finishes the first instance before the foreground has submitted the
+// last would otherwise chain ahead of its siblings.
+func (l *followLab) getQueued(user, name, id string) {
+	busy := make(stall)
+	l.p.sched.Submit(&sched.Task{Job: busy})
+	l.get(user, name, id)
+	close(busy)
+}
+
 // park makes the origin sit on every request pick selects until release.
 func (l *followLab) park(pick func(name, id string) bool) {
 	l.mu.Lock()
@@ -230,7 +248,7 @@ func TestDispatchFollowsTheNearestUser(t *testing.T) {
 	// A's chain runs until its first item, which the origin holds: the worker
 	// is busy, 23 more depth-2 items wait.
 	l.park(func(name, id string) bool { return name == "item" && strings.HasPrefix(id, "A") })
-	l.get("A", "list", "A")
+	l.getQueued("A", "list", "A")
 	waitFor(t, "A's first item to reach the origin", func() bool {
 		s := l.seen()
 		return len(s) > 0 && strings.HasPrefix(s[len(s)-1], "item?A")
@@ -339,7 +357,7 @@ func (l *followLab) claimedMenuPrefetch(id string) *prefetch {
 	s := l.g.Sig("t:menu#0")
 	req := &httpmsg.Request{Method: "GET", Scheme: "http", Host: "h.example", Path: "/menu",
 		Query: []httpmsg.Field{{Key: "id", Value: id}}}
-	pf := &prefetch{p: l.p, u: l.p.user("A"), s: s, req: req, scope: "A", key: req.CanonicalKey(), expiry: time.Minute}
+	pf := &prefetch{p: l.p, u: l.p.user("A"), st: l.p.sigs.byID[s.ID], req: req, scope: "A", key: req.CanonicalKey(), expiry: time.Minute}
 	pf.task = sched.Task{SigID: s.ID, Class: sched.ClassShallow, Key: cache.IssueKey(pf.scope, pf.key), Job: pf}
 	if !l.p.store.TryIssue(pf.scope, pf.key, pf.expiry) {
 		l.t.Fatal("TryIssue refused: nothing holds the key")
@@ -405,7 +423,7 @@ func TestAttachContinuesChainAtDepthZero(t *testing.T) {
 	// The first menu's prefetch has its headers and waits for its body; the
 	// client attaches to that flight and waits with it.
 	l.hold(func(name, id string) bool { return name == "menu" })
-	l.get("A", "list", "A")
+	l.getQueued("A", "list", "A")
 	fkey := cache.IssueKey("A", menuKey("A1m"))
 	flight := func() *flight {
 		l.p.flightMu.Lock()

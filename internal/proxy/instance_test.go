@@ -34,20 +34,21 @@ func chainUpstream() UpstreamFunc {
 type chainFixture struct {
 	p     *Proxy
 	u     *user
-	list  *sig.Signature
+	list  *sigState
 	reqs  []*httpmsg.Request
 	resps []*httpmsg.Response
 }
 
 func newChainFixture(t testing.TB, n int, chaining bool) *chainFixture {
 	g := chainGraph(false)
-	f := &chainFixture{list: g.Sig("f:list#0")}
+	f := &chainFixture{}
 	f.p = fifoProxy(t, Options{Graph: g, Config: config.Default(g), Upstream: chainUpstream(), DisableChaining: !chaining})
 	f.u = f.p.user("10.0.0.1")
+	f.list = f.p.sigs.byID["f:list#0"]
 	hdr := []httpmsg.Field{{Key: "User-Agent", Value: "okhttp/3"}, {Key: "X-Device", Value: "phone-1"}}
 	for _, kind := range []string{"item", "detail"} {
 		req := &httpmsg.Request{Method: "GET", Scheme: "http", Host: "bench.example", Path: "/" + kind + "/exemplar", Header: hdr}
-		f.p.learn(f.u, g.Sig("f:"+kind+"#0"), req, &httpmsg.Response{Status: 200, Body: []byte(`{}`)}, 0, true)
+		f.p.learn(f.u, f.p.sigs.byID["f:"+kind+"#0"], req, &httpmsg.Response{Status: 200, Body: []byte(`{}`)}, 0, true)
 	}
 	pad := strings.Repeat("k3", 420)
 	for i := 0; i < n; i++ {

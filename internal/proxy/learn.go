@@ -129,6 +129,8 @@ type learnPlan struct {
 // planSucc is one successor of a learnPlan.
 type planSucc struct {
 	*sig.SuccPlan
+	// st is the successor's own record, which gates and counts its instances.
+	st *sigState
 	// cond is the successor policy's condition (nil: none) and condRead
 	// where the scan puts its field's values; -1 when the field does not
 	// parse, which no response satisfies.
@@ -136,29 +138,26 @@ type planSucc struct {
 	condRead int
 }
 
-// buildLearnPlans compiles the learnPlan of every predecessor in g.
-func buildLearnPlans(g *sig.Graph, cfg *config.Config) map[string]*learnPlan {
-	plans := map[string]*learnPlan{}
-	for _, s := range g.Sigs {
-		rp := g.ReadPlan(s.ID)
-		if rp == nil {
-			continue
-		}
-		lp := &learnPlan{paths: append([]jsonpath.Path(nil), rp.Paths...)}
-		for _, sp := range rp.Succs {
-			ps := planSucc{SuccPlan: sp, condRead: -1}
-			if cpol := cfg.Policy(sp.Sig.Hash()); cpol != nil && cpol.Condition != nil {
-				ps.cond = cpol.Condition
-				if path, err := jsonpath.Parse(ps.cond.Field); err == nil {
-					ps.condRead = len(lp.paths)
-					lp.paths = append(lp.paths, path)
-				}
-			}
-			lp.succs = append(lp.succs, ps)
-		}
-		plans[s.ID] = lp
+// buildLearnPlan compiles the learnPlan of predecessor predID against the
+// records in t; nil when nothing depends on it.
+func buildLearnPlan(g *sig.Graph, t *sigTable, predID string) *learnPlan {
+	rp := g.ReadPlan(predID)
+	if rp == nil {
+		return nil
 	}
-	return plans
+	lp := &learnPlan{paths: append([]jsonpath.Path(nil), rp.Paths...)}
+	for _, sp := range rp.Succs {
+		ps := planSucc{SuccPlan: sp, st: t.byID[sp.Sig.ID], condRead: -1}
+		if cpol := ps.st.pol; cpol != nil && cpol.Condition != nil {
+			ps.cond = cpol.Condition
+			if path, err := jsonpath.Parse(ps.cond.Field); err == nil {
+				ps.condRead = len(lp.paths)
+				lp.paths = append(lp.paths, path)
+			}
+		}
+		lp.succs = append(lp.succs, ps)
+	}
+	return lp
 }
 
 // holds evaluates the successor's condition over one scan.

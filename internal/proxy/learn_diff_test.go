@@ -166,7 +166,7 @@ func (h *diffHarness) replay(t *testing.T, step string, req *httpmsg.Request, re
 	t.Helper()
 	for _, s := range h.p.opts.Graph.MatchRequest(req) {
 		want := h.ref.learn(s, req, resp)
-		h.p.learn(h.u, s, req, resp, 0, true)
+		h.p.learn(h.u, h.p.sigs.byID[s.ID], req, resp, 0, true)
 		h.p.Drain()
 		h.mu.Lock()
 		got := h.fetched
@@ -448,7 +448,7 @@ func TestParkedInstanceHoldsValuesOnly(t *testing.T) {
 	h := newDiffHarness(t, g, config.Default(g))
 	body := `{"id":"r1","items":[{"id":"r1.0"},{"id":"r1.1"}],"tags":["x"],"pad":"` + strings.Repeat("p", 1<<20) + `"}`
 	req := &httpmsg.Request{Method: "GET", Scheme: "http", Host: "bench.example", Path: "/list", Query: []httpmsg.Field{{Key: "id", Value: "r1"}}}
-	h.p.learn(h.u, g.Sig("f:list#0"), req, &httpmsg.Response{Status: 200, Body: []byte(body)}, 0, true)
+	h.p.learn(h.u, h.p.sigs.byID["f:list#0"], req, &httpmsg.Response{Status: 200, Body: []byte(body)}, 0, true)
 	h.u.mu.Lock()
 	defer h.u.mu.Unlock()
 	if len(h.u.pending["f:item#0"]) != 2 {

@@ -189,7 +189,7 @@ func TestPrefetchPanicRecovered(t *testing.T) {
 	if snap.PerSig["t:item#0"].PrefetchErrors == 0 {
 		t.Fatal("recovered panic not counted as prefetch error")
 	}
-	if !p.sigSuspended("t:item#0") {
+	if _, until := p.sigs.byID["t:item#0"].backoff(); !p.opts.Now().Before(until) {
 		t.Fatal("panicking signature not suspended by failure backoff")
 	}
 	// The pool survived: live traffic still flows through the proxy.

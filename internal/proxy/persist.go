@@ -93,13 +93,13 @@ func (p *Proxy) initPersist() {
 // miss cost, and a restart's view of the origin is the one that counts.
 type costedTier struct {
 	*persist.Tier
-	stats *Stats
+	sigs *sigTable
 }
 
 func (t costedTier) Load(scope, key string) (*cache.Entry, bool) {
 	e, ok := t.Tier.Load(scope, key)
 	if ok {
-		e.Cost = t.stats.RespTime(e.SigID)
+		e.Cost = t.sigs.byID[e.SigID].avgRespTime()
 	}
 	return e, ok
 }
@@ -199,8 +199,7 @@ func (p *Proxy) RestoreFailures() int64 { return p.restoreFailures.Load() }
 func (p *Proxy) DiskTier() *persist.Tier { return p.persist.tier }
 
 // exportState captures every piece of learned soft state into the persist
-// wire format. Lock order matches the rest of the proxy: p.mu is released
-// before any per-user u.mu is taken.
+// wire format. No two locks are held at once (DESIGN.md, "Proxy state").
 func (p *Proxy) exportState() *persist.State {
 	now := p.opts.Now()
 	st := &persist.State{
@@ -212,19 +211,15 @@ func (p *Proxy) exportState() *persist.State {
 	}
 
 	p.mu.Lock()
-	users := make(map[string]*user, len(p.users))
-	lastSeen := make(map[string]time.Time, len(p.users))
-	for k, u := range p.users {
-		users[k] = u
-		lastSeen[k] = u.lastSeen // guarded by p.mu, like every other access
-	}
-	for id, r := range p.samples {
-		st.Samples[id] = r.Clone()
+	users := make([]*user, 0, len(p.users))
+	for _, u := range p.users {
+		users = append(users, u)
+		st.Users = append(st.Users, persist.UserState{Key: u.key, LastSeen: u.lastSeen, Exemplars: map[string]persist.ExemplarState{}})
 	}
 	p.mu.Unlock()
 
-	for k, u := range users {
-		us := persist.UserState{Key: k, LastSeen: lastSeen[k], Exemplars: map[string]persist.ExemplarState{}}
+	for i, u := range users {
+		us := &st.Users[i]
 		u.mu.Lock()
 		for id, ex := range u.exemplars {
 			es := persist.ExemplarState{
@@ -246,7 +241,6 @@ func (p *Proxy) exportState() *persist.State {
 			us.Exemplars[id] = es
 		}
 		u.mu.Unlock()
-		st.Users = append(st.Users, us)
 	}
 	sort.Slice(st.Users, func(i, j int) bool { return st.Users[i].Key < st.Users[j].Key })
 
@@ -258,18 +252,17 @@ func (p *Proxy) exportState() *persist.State {
 		}
 	}
 
-	p.resMu.Lock()
-	for id, b := range p.sigFail {
-		rem := b.until.Sub(now)
-		if rem < 0 {
-			rem = 0
+	for _, ss := range p.sigs.all {
+		if r := ss.sample.Load(); r != nil {
+			st.Samples[ss.sig.ID] = r.Clone()
 		}
-		st.SigBackoff[id] = persist.BackoffState{
-			Consecutive: b.consecutive,
-			RemainingMs: rem.Milliseconds(),
+		if failures, until := ss.backoff(); failures > 0 {
+			st.SigBackoff[ss.sig.ID] = persist.BackoffState{
+				Consecutive: failures,
+				RemainingMs: max(until.Sub(now), 0).Milliseconds(),
+			}
 		}
 	}
-	p.resMu.Unlock()
 
 	// The history policy's transition tables ride the same snapshot (and the
 	// same fingerprint gate: transition counts between signatures of a
@@ -281,26 +274,22 @@ func (p *Proxy) exportState() *persist.State {
 }
 
 // applyState reinstates a decoded snapshot. Only called before the proxy
-// serves traffic, so locks are taken purely for form.
+// serves traffic, so locks are taken purely for form. State filed under a
+// signature the graph no longer carries is dropped; fingerprint equality
+// makes that a no-op today, but applyState must stay safe if the gate ever
+// loosens.
 func (p *Proxy) applyState(st *persist.State) {
 	now := p.opts.Now()
 
+	// Least recently seen first, so adding them in turn rebuilds the recency
+	// order; a lowered MaxUsers keeps the users most likely to return.
+	sort.SliceStable(st.Users, func(i, j int) bool { return st.Users[i].LastSeen.Before(st.Users[j].LastSeen) })
 	p.mu.Lock()
-	for _, us := range st.Users {
-		if len(p.users) >= p.opts.MaxUsers {
-			break
-		}
-		u := &user{
-			key:       us.Key,
-			exemplars: map[string]*exemplar{},
-			pending:   map[string][]pendingInstance{},
-			lastSeen:  us.LastSeen,
-		}
+	for _, us := range st.Users[max(0, len(st.Users)-p.opts.MaxUsers):] {
+		u := p.addUserLocked(us.Key)
+		u.lastSeen = us.LastSeen
 		for id, es := range us.Exemplars {
-			// Drop exemplars for signatures the graph no longer carries;
-			// fingerprint equality makes this a no-op today, but applyState
-			// must stay safe if the gate ever loosens.
-			if p.opts.Graph.Sig(id) == nil {
+			if p.sigs.byID[id] == nil {
 				continue
 			}
 			ex := &exemplar{
@@ -317,14 +306,13 @@ func (p *Proxy) applyState(st *persist.State) {
 			}
 			u.exemplars[id] = ex
 		}
-		p.users[us.Key] = u
-	}
-	for id, r := range st.Samples {
-		if p.opts.Graph.Sig(id) != nil && r != nil {
-			p.samples[id] = r
-		}
 	}
 	p.mu.Unlock()
+	for id, r := range st.Samples {
+		if ss := p.sigs.byID[id]; ss != nil && r != nil {
+			ss.sample.Store(r)
+		}
+	}
 
 	if len(st.Breakers) > 0 {
 		snap := make(map[string]resilience.BreakerSnapshot, len(st.Breakers))
@@ -344,15 +332,15 @@ func (p *Proxy) applyState(st *persist.State) {
 		p.breakers.Restore(snap)
 	}
 
-	p.resMu.Lock()
 	for id, b := range st.SigBackoff {
-		sb := &sigBackoff{consecutive: b.Consecutive}
-		if b.RemainingMs > 0 {
-			sb.until = now.Add(time.Duration(b.RemainingMs) * time.Millisecond)
+		if ss := p.sigs.byID[id]; ss != nil {
+			var until time.Time
+			if b.RemainingMs > 0 {
+				until = now.Add(time.Duration(b.RemainingMs) * time.Millisecond)
+			}
+			ss.setBackoff(b.Consecutive, until)
 		}
-		p.sigFail[id] = sb
 	}
-	p.resMu.Unlock()
 
 	// A snapshot written by a markov proxy restores into a markov proxy;
 	// a static configuration ignores the tables (and vice versa — a

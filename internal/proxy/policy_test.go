@@ -169,9 +169,7 @@ func TestStaticChainOrderDifferential(t *testing.T) {
 		for b := 0; b < k; b++ {
 			if rng.Intn(5) == 0 {
 				ref.suspended[branchID(b)] = true
-				p.resMu.Lock()
-				p.sigFail[branchID(b)] = &sigBackoff{consecutive: p.res.PrefetchFailureLimit, until: now.Add(time.Hour)}
-				p.resMu.Unlock()
+				p.sigs.byID[branchID(b)].setBackoff(p.res.PrefetchFailureLimit, now.Add(time.Hour))
 			}
 		}
 		for h := 0; h < 3; h++ {
@@ -193,7 +191,7 @@ func TestStaticChainOrderDifferential(t *testing.T) {
 		home := &httpmsg.Request{Method: "GET", Host: "h.example", Path: "/home"}
 		if rng.Intn(3) == 0 {
 			depth = 1 + rng.Intn(maxChainDepth+2)
-			p.learn(p.user(user), g.Sig("st:home#0"), home, homeResponse(), depth, false)
+			p.learn(p.user(user), p.sigs.byID["st:home#0"], home, homeResponse(), depth, false)
 		} else if _, err := tr.RoundTrip(home); err != nil {
 			t.Fatal(err)
 		}

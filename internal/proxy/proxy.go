@@ -6,6 +6,7 @@
 package proxy
 
 import (
+	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -147,7 +148,10 @@ const (
 // Proxy is the acceleration proxy. It implements http.Handler; point mobile
 // clients at it as their HTTP proxy.
 type Proxy struct {
-	opts  Options
+	opts Options
+	// sigs holds one record per graph signature — policy, learn plan, counters,
+	// backoff, sample — built once in New; stats is the exported view over it.
+	sigs  *sigTable
 	stats *Stats
 	sched *sched.Scheduler
 	// clock reads opts.Now at call time — tests rebind it after New — and is
@@ -169,14 +173,11 @@ type Proxy struct {
 	fwdUp    resilience.Upstream
 	preUp    resilience.Upstream
 
-	// sigFail tracks per-signature consecutive prefetch failures and the
-	// exponential-backoff suspension window they earn.
-	resMu   sync.Mutex
-	sigFail map[string]*sigBackoff
-
-	mu      sync.Mutex
-	users   map[string]*user
-	samples map[string]*httpmsg.Request
+	// mu guards the user table alone. recent orders it by last touch, most
+	// recent first, so eviction and pruning work from the back.
+	mu     sync.Mutex
+	users  map[string]*user
+	recent *list.List // of *user
 
 	// store holds prefetched responses: per-user scopes plus the cross-user
 	// shared tier; inflight prefetch dedup rides on the same scopes.
@@ -209,9 +210,6 @@ type Proxy struct {
 	skips    prefetchSkips
 	// issued counts prefetches accepted by the scheduler, by trigger.
 	issued [numTriggers]*obs.Counter
-	// plans holds each predecessor signature's compiled learnPlan (learn.go),
-	// built once from the graph and the configuration; read-only afterwards.
-	plans map[string]*learnPlan
 
 	// budget counts request-latency-budget events (budget.go).
 	budget struct {
@@ -232,20 +230,14 @@ type Proxy struct {
 	ttfb        *obs.Histogram
 }
 
-// sigBackoff is one signature's failure streak and suspension deadline.
-type sigBackoff struct {
-	consecutive int
-	until       time.Time
-}
-
 // SampleRequest returns a successfully prefetched concrete request for the
 // signature, or nil. The verification phase uses it to probe expiration
 // times (§4.3).
 func (p *Proxy) SampleRequest(sigID string) *httpmsg.Request {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if r, ok := p.samples[sigID]; ok {
-		return r.Clone()
+	if st := p.sigs.byID[sigID]; st != nil {
+		if r := st.sample.Load(); r != nil {
+			return r.Clone()
+		}
 	}
 	return nil
 }
@@ -254,7 +246,7 @@ func (p *Proxy) SampleRequest(sigID string) *httpmsg.Request {
 // it instantiates and the values extracted for it, nothing of the response
 // they came from.
 type pendingInstance struct {
-	sp    *sig.SuccPlan
+	sp    *planSucc
 	vals  []string
 	depth int
 	trig  trigger
@@ -293,7 +285,10 @@ type user struct {
 	exemplars map[string]*exemplar         // sigID → latest live example
 	pending   map[string][]pendingInstance // sigID → instances awaiting exemplar
 
-	lastSeen time.Time // guarded by Proxy.mu, not mu
+	// lastSeen and elem (the user's place in Proxy.recent) are guarded by
+	// Proxy.mu, not mu.
+	lastSeen time.Time
+	elem     *list.Element
 }
 
 // New builds a proxy.
@@ -301,7 +296,7 @@ func New(opts Options) *Proxy {
 	if opts.Workers == 0 {
 		opts.Workers = 8
 	}
-	if opts.MaxUsers == 0 {
+	if opts.MaxUsers <= 0 {
 		opts.MaxUsers = 10000
 	}
 	if opts.Rand == nil {
@@ -338,13 +333,14 @@ func New(opts Options) *Proxy {
 		opts.MaxBodyBytes = 64 << 20
 	}
 	reg := obs.NewRegistry()
+	sigs := newSigTable(opts.Graph, opts.Config)
 	p := &Proxy{
 		opts:    opts,
 		reg:     reg,
-		stats:   NewStatsOn(reg),
+		sigs:    sigs,
+		stats:   newStats(reg, sigs),
 		users:   map[string]*user{},
-		samples: map[string]*httpmsg.Request{},
-		sigFail: map[string]*sigBackoff{},
+		recent:  list.New(),
 		flights: map[string]*flight{},
 	}
 	p.clock = func() time.Time { return p.opts.Now() }
@@ -387,7 +383,7 @@ func New(opts Options) *Proxy {
 	p.initPersist()
 	var tier cache.Tier
 	if p.persist.tier != nil {
-		tier = costedTier{p.persist.tier, p.stats}
+		tier = costedTier{p.persist.tier, p.sigs}
 	}
 	p.store = cache.New(cache.Options{
 		Shards:             p.cacheCfg.Shards,
@@ -408,7 +404,6 @@ func New(opts Options) *Proxy {
 		Now:      p.clock,
 	})
 	p.initPolicy()
-	p.plans = buildLearnPlans(opts.Graph, opts.Config)
 	p.registerBridges(reg)
 	p.registerStreamBridges(reg)
 	p.registerPersistBridges(reg)
@@ -562,16 +557,13 @@ func (p *Proxy) user(key string) *user {
 	p.mu.Lock()
 	u, ok := p.users[key]
 	var evicted string
-	if !ok {
-		if len(p.users) >= p.opts.MaxUsers {
-			evicted = p.evictIdleUserLocked()
+	if ok {
+		p.recent.MoveToFront(u.elem)
+	} else {
+		if len(p.users) >= p.opts.MaxUsers { // the least recently seen user makes room
+			evicted = p.forgetLocked(p.recent.Back().Value.(*user))
 		}
-		u = &user{
-			key:       key,
-			exemplars: map[string]*exemplar{},
-			pending:   map[string][]pendingInstance{},
-		}
-		p.users[key] = u
+		u = p.addUserLocked(key)
 	}
 	u.lastSeen = p.opts.Now()
 	p.mu.Unlock()
@@ -581,32 +573,37 @@ func (p *Proxy) user(key string) *user {
 	return u
 }
 
-// evictIdleUserLocked forgets the least recently seen user (p.mu held) and
-// returns its key; the caller drops the cache scope after unlocking.
-func (p *Proxy) evictIdleUserLocked() string {
-	var oldestKey string
-	var oldest time.Time
-	for k, u := range p.users {
-		if oldestKey == "" || u.lastSeen.Before(oldest) {
-			oldestKey, oldest = k, u.lastSeen
-		}
-	}
-	delete(p.users, oldestKey)
-	return oldestKey
+// addUserLocked starts tracking key as the most recently seen user (p.mu held).
+func (p *Proxy) addUserLocked(key string) *user {
+	u := &user{key: key, exemplars: map[string]*exemplar{}, pending: map[string][]pendingInstance{}}
+	u.elem = p.recent.PushFront(u)
+	p.users[key] = u
+	return u
 }
 
-// dropUsers forgets every tracked user pick selects, then drops their cache
-// scopes — after releasing p.mu: with a state directory DropScope ends in a
-// directory walk and removal per user, and every foreground request passes
-// through p.user().
-func (p *Proxy) dropUsers(pick func(key string, u *user) bool) int {
+// forgetLocked removes u from the user table (p.mu held) and returns its key.
+func (p *Proxy) forgetLocked(u *user) string {
+	p.recent.Remove(u.elem)
+	delete(p.users, u.key)
+	return u.key
+}
+
+// dropUsers forgets the tracked users pick selects, least recently seen
+// first, and returns how many; with stopAtKeep the walk ends at the first user
+// pick keeps (idleness only falls with recency). Cache scopes are dropped
+// after p.mu is released: with a state directory DropScope ends in a directory
+// walk and removal per user, and every foreground request passes p.user().
+func (p *Proxy) dropUsers(stopAtKeep bool, pick func(*user) bool) int {
 	var victims []string
 	p.mu.Lock()
-	for k, u := range p.users {
-		if pick(k, u) {
-			delete(p.users, k)
-			victims = append(victims, k)
+	for e := p.recent.Back(); e != nil; {
+		u, next := e.Value.(*user), e.Prev()
+		if pick(u) {
+			victims = append(victims, p.forgetLocked(u))
+		} else if stopAtKeep {
+			break
 		}
+		e = next
 	}
 	p.mu.Unlock()
 	for _, k := range victims {
@@ -620,7 +617,7 @@ func (p *Proxy) dropUsers(pick func(key string, u *user) bool) int {
 // deployments call this periodically.
 func (p *Proxy) PruneUsers(maxIdle time.Duration) int {
 	cutoff := p.opts.Now().Add(-maxIdle)
-	return p.dropUsers(func(_ string, u *user) bool { return u.lastSeen.Before(cutoff) })
+	return p.dropUsers(true, func(u *user) bool { return u.lastSeen.Before(cutoff) })
 }
 
 // UserCount reports the number of tracked user states.
@@ -738,17 +735,15 @@ func (p *Proxy) healthV1() adminv1.HealthResponse {
 	}
 
 	suspended := map[string]adminv1.SuspendedSignature{}
-	p.resMu.Lock()
-	for id, b := range p.sigFail {
-		if now.Before(b.until) {
-			suspended[id] = adminv1.SuspendedSignature{
-				ConsecutiveFailures: b.consecutive,
-				ResumeInMs:          b.until.Sub(now).Milliseconds(),
+	for _, st := range p.sigs.all {
+		if failures, until := st.backoff(); now.Before(until) {
+			suspended[st.sig.ID] = adminv1.SuspendedSignature{
+				ConsecutiveFailures: failures,
+				ResumeInMs:          until.Sub(now).Milliseconds(),
 			}
 			degraded = true
 		}
 	}
-	p.resMu.Unlock()
 
 	// A draining proxy is not "ok" even when every origin is.
 	if p.draining.Load() {
@@ -912,48 +907,6 @@ func (p *Proxy) requestsV1() adminv1.Requests {
 	return out
 }
 
-// sigSuspended reports whether a signature is inside its failure-backoff
-// suspension window.
-func (p *Proxy) sigSuspended(sigID string) bool {
-	p.resMu.Lock()
-	defer p.resMu.Unlock()
-	b := p.sigFail[sigID]
-	return b != nil && p.opts.Now().Before(b.until)
-}
-
-// recordSigFailure notes one consecutive prefetch failure for a signature;
-// at PrefetchFailureLimit the signature is suspended, with the window
-// doubling per further failure up to PrefetchBackoffMax.
-func (p *Proxy) recordSigFailure(sigID string) {
-	p.resMu.Lock()
-	defer p.resMu.Unlock()
-	b := p.sigFail[sigID]
-	if b == nil {
-		b = &sigBackoff{}
-		p.sigFail[sigID] = b
-	}
-	b.consecutive++
-	if b.consecutive < p.res.PrefetchFailureLimit {
-		return
-	}
-	d := time.Duration(p.res.PrefetchBackoffBase)
-	max := time.Duration(p.res.PrefetchBackoffMax)
-	for i := p.res.PrefetchFailureLimit; i < b.consecutive && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	b.until = p.opts.Now().Add(d)
-}
-
-// recordSigSuccess clears a signature's failure streak.
-func (p *Proxy) recordSigSuccess(sigID string) {
-	p.resMu.Lock()
-	defer p.resMu.Unlock()
-	delete(p.sigFail, sigID)
-}
-
 // lookup probes the user's cache scope, then the cross-user shared tier,
 // for a fresh entry; shared reports which tier answered. Expired entries
 // are dropped by the store at lookup (invariant: no response older than its
@@ -987,8 +940,8 @@ func (p *Proxy) refreshExpired(u *user, e *cache.Entry) {
 	// it rides in the foreground class and survives overload shedding. The
 	// entry (and its request) may be shared across users hitting the same
 	// key; Clone so the canonical-key memoization stays goroutine-local.
-	if s := p.opts.Graph.Sig(e.SigID); s != nil {
-		p.maybePrefetch(u, s, e.Req.Clone(), 0, trigRefresh)
+	if st := p.sigs.byID[e.SigID]; st != nil {
+		p.maybePrefetch(u, st, e.Req.Clone(), 0, trigRefresh)
 	}
 }
 
@@ -1012,7 +965,8 @@ func (p *Proxy) sharedEligible(s *sig.Signature, req *httpmsg.Request) bool {
 // not live but at depth 0 is one a client was answered from the cache with (a
 // hit, or an attach to the prefetch), anything deeper a link of a speculated
 // chain.
-func (p *Proxy) learn(u *user, s *sig.Signature, req *httpmsg.Request, resp *httpmsg.Response, depth int, live bool) {
+func (p *Proxy) learn(u *user, st *sigState, req *httpmsg.Request, resp *httpmsg.Response, depth int, live bool) {
+	s := st.sig
 	trig := trigChain
 	if live {
 		trig = trigMiss
@@ -1022,7 +976,7 @@ func (p *Proxy) learn(u *user, s *sig.Signature, req *httpmsg.Request, resp *htt
 	// Successor routine (learning target is a successor): adapt to the most
 	// recent condition — only from live client traffic, never from our own
 	// synthetic prefetch requests.
-	if live && len(p.opts.Graph.DepsInto(s.ID)) > 0 {
+	if live && st.successor {
 		if ex := learnExemplar(s, req); ex != nil {
 			u.mu.Lock()
 			u.exemplars[s.ID] = ex
@@ -1038,7 +992,7 @@ func (p *Proxy) learn(u *user, s *sig.Signature, req *httpmsg.Request, resp *htt
 	// Predecessor routine: read the values the plan's edges name — nothing
 	// else of the body — and build successor instances. A signature nothing
 	// depends on has no plan, and its body is never looked at.
-	lp := p.plans[s.ID]
+	lp := st.plan
 	if lp == nil || resp.Status != http.StatusOK || !resp.BodyComplete() {
 		return
 	}
@@ -1054,7 +1008,7 @@ func (p *Proxy) learn(u *user, s *sig.Signature, req *httpmsg.Request, resp *htt
 	cands := make([]policy.Candidate, 0, len(lp.succs))
 	for i := range lp.succs {
 		ps := &lp.succs[i]
-		cpol := p.opts.Config.Policy(ps.Sig.Hash())
+		cpol := ps.st.pol
 		if (cpol != nil && !cpol.Prefetch) || !ps.holds(scan) {
 			continue
 		}
@@ -1080,14 +1034,14 @@ func (p *Proxy) learn(u *user, s *sig.Signature, req *httpmsg.Request, resp *htt
 			continue
 		}
 		for _, vals := range insts {
-			p.instantiate(u, ps.SuccPlan, vals, depth, trig)
+			p.instantiate(u, ps, vals, depth, trig)
 		}
 	}
 }
 
 // instantiate materializes one successor instance, parking it when run-time
 // values are still missing, and schedules the prefetch when ready.
-func (p *Proxy) instantiate(u *user, sp *sig.SuccPlan, vals []string, depth int, trig trigger) {
+func (p *Proxy) instantiate(u *user, sp *planSucc, vals []string, depth int, trig trigger) {
 	s := sp.Sig
 	u.mu.Lock()
 	ex := u.exemplars[s.ID]
@@ -1107,7 +1061,7 @@ func (p *Proxy) instantiate(u *user, sp *sig.SuccPlan, vals []string, depth int,
 		return
 	}
 	u.mu.Unlock()
-	req, ok := materialize(sp, vals, ex)
+	req, ok := materialize(sp.SuccPlan, vals, ex)
 	if !ok {
 		// The exemplar could not resolve every run-time value (stale wilds,
 		// deps on other predecessors): the candidate silently vanishing here
@@ -1115,7 +1069,7 @@ func (p *Proxy) instantiate(u *user, sp *sig.SuccPlan, vals []string, depth int,
 		p.countSkip(skipNoExemplar)
 		return
 	}
-	p.maybePrefetch(u, s, req, depth, trig)
+	p.maybePrefetch(u, sp.st, req, depth, trig)
 }
 
 // prefetch is one speculative fetch from issue to commit: the reconstructed
@@ -1130,7 +1084,7 @@ type prefetch struct {
 	p      *Proxy
 	task   sched.Task
 	u      *user
-	s      *sig.Signature
+	st     *sigState
 	req    *httpmsg.Request
 	scope  string
 	key    string
@@ -1151,8 +1105,14 @@ func (pf *prefetch) Abandon() { pf.p.store.CancelIssue(pf.scope, pf.key) }
 // reliably errors.
 func (pf *prefetch) OnPanic(any) {
 	pf.Abandon()
-	pf.p.stats.CountPrefetchError(pf.s.ID)
-	pf.p.recordSigFailure(pf.s.ID)
+	pf.p.failPrefetch(pf.st)
+}
+
+// failPrefetch counts one failed prefetch of the signature — a transport
+// error, a body that died mid-stream, a panic — and feeds its backoff.
+func (p *Proxy) failPrefetch(st *sigState) {
+	st.prefetchErrors.Add(1)
+	st.fail(p.opts.Now(), &p.res)
 }
 
 // overDataBudget reports whether the current window's prefetch bytes have
@@ -1168,16 +1128,16 @@ func (p *Proxy) overDataBudget() bool {
 // whose breaker is not admitting traffic stops producing prefetch work
 // here, before it occupies queue slots, workers, or data budget. Only the
 // resilience gates count as suppression.
-func (p *Proxy) mayIssue(userKey, sigID, host string, cpol *config.Policy) bool {
-	prob := p.opts.Config.EffectiveProbability(cpol) * p.opts.Config.UserScale(userKey)
+func (p *Proxy) mayIssue(userKey string, st *sigState, host string) bool {
+	prob := p.opts.Config.EffectiveProbability(st.pol) * p.opts.Config.UserScale(userKey)
 	if prob <= 0 || (prob < 1 && p.opts.Rand() >= prob) {
 		return false
 	}
 	if p.overDataBudget() {
 		return false
 	}
-	if p.sigSuspended(sigID) || !p.breakers.Ready(host) {
-		p.stats.CountPrefetchSuppressed(sigID)
+	if _, until := st.backoff(); p.opts.Now().Before(until) || !p.breakers.Ready(host) {
+		st.prefetchSuppressed.Add(1)
 		return false
 	}
 	return true
@@ -1186,15 +1146,14 @@ func (p *Proxy) mayIssue(userKey, sigID, host string, cpol *config.Policy) bool 
 // maybePrefetch applies the issue gates and dedup, then schedules the
 // prefetch at its chain depth, under its class's queue share and enqueue
 // deadline.
-func (p *Proxy) maybePrefetch(u *user, s *sig.Signature, req *httpmsg.Request, depth int, trig trigger) {
-	cpol := p.opts.Config.Policy(s.Hash())
-	if !p.mayIssue(u.key, s.ID, req.Host, cpol) {
+func (p *Proxy) maybePrefetch(u *user, st *sigState, req *httpmsg.Request, depth int, trig trigger) {
+	if !p.mayIssue(u.key, st, req.Host) {
 		return
 	}
 	// Shared-eligible requests prefetch into the cross-user tier; TryIssue
 	// then singleflights the fetch across every user wanting this key.
-	scope, key, expiry := u.key, req.CanonicalKey(), p.opts.Config.Expiration(cpol)
-	if p.sharedEligible(s, req) {
+	scope, key, expiry := u.key, req.CanonicalKey(), p.opts.Config.Expiration(st.pol)
+	if p.sharedEligible(st.sig, req) {
 		scope = cache.SharedScope
 	}
 	ikey := cache.IssueKey(scope, key)
@@ -1216,8 +1175,8 @@ func (p *Proxy) maybePrefetch(u *user, s *sig.Signature, req *httpmsg.Request, d
 	case depth == 0:
 		class = sched.ClassShallow
 	}
-	pf := &prefetch{p: p, u: u, s: s, req: req, scope: scope, key: key, expiry: expiry}
-	pf.task = sched.Task{SigID: s.ID, Class: class, Depth: depth, Key: ikey, Job: pf}
+	pf := &prefetch{p: p, u: u, st: st, req: req, scope: scope, key: key, expiry: expiry}
+	pf.task = sched.Task{SigID: st.sig.ID, Class: class, Depth: depth, Key: ikey, Job: pf}
 	if qd := time.Duration(p.ovl.QueueDeadline); qd > 0 {
 		pf.task.Deadline = p.opts.Now().Add(qd)
 	}
@@ -1256,7 +1215,7 @@ func (p *Proxy) runPrefetch(pf *prefetch) {
 		e := p.clusterPeerFill(ctx, pf.key, true, reqBudget{})
 		cancel()
 		if e != nil {
-			p.stats.CountPrefetch(pf.s.ID, 0)
+			pf.st.countPrefetch(0)
 			return
 		}
 	}
@@ -1306,19 +1265,17 @@ func (p *Proxy) ridePrefetch(pf *prefetch, fl *flight, owner bool) {
 	}
 	// Commit: the signature works again, the request becomes the
 	// verification sample, and the Put clears the claim.
-	p.recordSigSuccess(pf.s.ID)
-	p.mu.Lock()
-	p.samples[pf.s.ID] = pf.req
-	p.mu.Unlock()
+	pf.st.setBackoff(0, time.Time{})
+	pf.st.sample.Store(pf.req)
 	resp := &httpmsg.Response{Status: fl.status, Header: fl.header, Body: body}
 	p.store.Put(pf.scope, pf.key, &cache.Entry{
 		Resp:    resp,
 		Req:     pf.req,
-		SigID:   pf.s.ID,
+		SigID:   pf.st.sig.ID,
 		Expires: p.opts.Now().Add(pf.expiry),
 		// What a miss on this entry would cost its client: the eviction
 		// order keeps slow-origin responses over cheap-to-refetch bulk.
-		Cost: p.stats.RespTime(pf.s.ID),
+		Cost: pf.st.avgRespTime(),
 		// Foreground-class prefetches are refreshes of entries clients are
 		// demonstrably using; hits on them report as refresh-hit.
 		Refreshed: pf.task.Class == sched.ClassForeground,
@@ -1335,7 +1292,7 @@ func (p *Proxy) ridePrefetch(pf *prefetch, fl *flight, owner bool) {
 		if fl.demanded.Load() {
 			depth = 0
 		}
-		p.learn(pf.u, pf.s, pf.req, resp, depth, false)
+		p.learn(pf.u, pf.st, pf.req, resp, depth, false)
 	}
 }
 
@@ -1343,9 +1300,9 @@ func (p *Proxy) ridePrefetch(pf *prefetch, fl *flight, owner bool) {
 // it opened. It returns the complete 200 capture, or ok=false after
 // accounting for what went wrong.
 func (p *Proxy) fetchFlight(pf *prefetch, fkey string, fl *flight) (body []byte, ok bool) {
-	sigID := pf.s.ID
+	st := pf.st
 	sent := pf.req
-	if cpol := p.opts.Config.Policy(pf.s.Hash()); cpol != nil && len(cpol.AddHeader) > 0 {
+	if cpol := st.pol; cpol != nil && len(cpol.AddHeader) > 0 {
 		sent = sent.Clone()
 		for _, h := range cpol.AddHeader {
 			sent.Header = append(sent.Header, httpmsg.Field{Key: h.Key, Value: h.Value})
@@ -1361,10 +1318,9 @@ func (p *Proxy) fetchFlight(pf *prefetch, fkey string, fl *flight) (body []byte,
 		if errors.Is(err, resilience.ErrOpen) {
 			// The breaker tripped between queueing and execution; this is
 			// suppression, not a fresh origin failure.
-			p.stats.CountPrefetchSuppressed(sigID)
+			st.prefetchSuppressed.Add(1)
 		} else {
-			p.stats.CountPrefetchError(sigID)
-			p.recordSigFailure(sigID)
+			p.failPrefetch(st)
 		}
 		return nil, false
 	}
@@ -1377,15 +1333,15 @@ func (p *Proxy) fetchFlight(pf *prefetch, fkey string, fl *flight) (body []byte,
 	body, ok = fl.sp.Bytes()
 	fl.sp.Discard()
 	sz := fl.sp.Size()
-	p.stats.ObserveRespTime(sigID, p.opts.Now().Sub(start))
-	p.stats.CountPrefetch(sigID, sz)
+	st.observeRespTime(p.opts.Now().Sub(start))
+	st.countPrefetch(sz)
 	p.dataUsed.Add(p.opts.Now(), sz)
 	switch {
 	case resp.Status != http.StatusOK:
 		// The origin rejected our reconstruction; do not cache errors
 		// (R3: never alter app behaviour with synthetic failures).
-		p.stats.CountPrefetchReject(sigID)
-		p.recordSigFailure(sigID)
+		st.prefetchRejects.Add(1)
+		st.fail(p.opts.Now(), &p.res)
 		return nil, false
 	case !ok && fl.sp.Overflowed():
 		// Over the capture cap: no complete entity to cache. Not a signature
@@ -1395,8 +1351,7 @@ func (p *Proxy) fetchFlight(pf *prefetch, fkey string, fl *flight) (body []byte,
 	case !ok:
 		// The body died mid-stream: an origin failure like a failed round
 		// trip, just later.
-		p.stats.CountPrefetchError(sigID)
-		p.recordSigFailure(sigID)
+		p.failPrefetch(st)
 	}
 	return body, ok
 }
@@ -1423,6 +1378,6 @@ func (p *Proxy) adoptFlight(pf *prefetch, fl *flight, rd *stream.Reader) (body [
 	if fl.err != nil || fl.status != http.StatusOK || !ok {
 		return nil, false
 	}
-	p.stats.CountPrefetch(pf.s.ID, 0) // zero-byte: the foreground fetch paid for it
+	pf.st.countPrefetch(0) // zero-byte: the foreground fetch paid for it
 	return body, true
 }

@@ -405,7 +405,7 @@ func TestPrefetchBodyErrorCountsAsFailure(t *testing.T) {
 			p.store.CancelIssue(scope, key)
 		}
 	}
-	if !p.sigSuspended("t:item#0") {
+	if _, until := p.sigs.byID["t:item#0"].backoff(); !p.opts.Now().Before(until) {
 		t.Fatal("signature not suspended after prefetch_failure_limit broken bodies")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"appx/internal/cache"
 	"appx/internal/httpmsg"
 	"appx/internal/obs"
-	"appx/internal/sig"
 )
 
 // The foreground request lifecycle (DESIGN.md §8). One proxied request is one
@@ -147,15 +146,23 @@ func (p *Proxy) serve(x *exchange, r *http.Request) obs.Outcome {
 	// The match decides whether this miss becomes a flight (spooled,
 	// capturable, attachable) or — unmatched or prefetch disabled — a plain
 	// passthrough, forwarded verbatim, Range header and all.
-	var matched []*sig.Signature
+	// Each matched signature is resolved to its record here, once; accounting,
+	// learning and the prefetches it spawns follow the pointer. (A signature
+	// added to the graph after New has no record and counts as unmatched.)
+	var buf [4]*sigState
+	matched := buf[:0]
 	if !p.opts.DisablePrefetch {
-		matched = p.opts.Graph.MatchRequest(req)
+		for _, s := range p.opts.Graph.MatchRequest(req) {
+			if st := p.sigs.byID[s.ID]; st != nil {
+				matched = append(matched, st)
+			}
+		}
 	}
 	if len(matched) == 0 {
 		return p.passthrough(x)
 	}
 	lead := matched[0]
-	shareable := p.sharedEligible(lead, req)
+	shareable := p.sharedEligible(lead.sig, req)
 
 	// Cluster peer fill: a shared-eligible miss asks ring siblings for the
 	// entry before paying an origin round trip. Only cacheable targets
@@ -163,7 +170,7 @@ func (p *Proxy) serve(x *exchange, r *http.Request) obs.Outcome {
 	// in) and whose responses are user-agnostic. The fill Puts into the
 	// local shared tier, so it both answers this request and warms the
 	// instance.
-	if p.cluster != nil && shareable && len(p.opts.Graph.DepsInto(lead.ID)) > 0 {
+	if p.cluster != nil && shareable && lead.successor {
 		if entry := p.clusterPeerFill(x.ctx, key, false, x.bgt); entry != nil {
 			return p.serveEntry(x, u, entry, true, obs.OutcomePeerHit)
 		}
@@ -183,7 +190,7 @@ func (p *Proxy) serve(x *exchange, r *http.Request) obs.Outcome {
 	}
 	if p.attachFlight(x, fl) {
 		p.streamStats.attachHits.Add(1)
-		p.attribute(x, lead.ID)
+		p.attribute(x, lead.sig.ID)
 		return obs.OutcomeAttachHit
 	}
 	// The flight failed, answered non-200, or slid past this client's
@@ -214,10 +221,11 @@ func (p *Proxy) attribute(x *exchange, sigID string) {
 // promoted. (With DisablePrefetch nothing is ever looked up or filled, so no
 // request gets here.)
 func (p *Proxy) serveEntry(x *exchange, u *user, entry *cache.Entry, shared bool, outcome obs.Outcome) obs.Outcome {
+	st := p.sigs.byID[entry.SigID]
 	p.attribute(x, entry.SigID)
-	p.stats.CountHit(entry.SigID, int64(len(entry.Resp.Body)), p.stats.RespTime(entry.SigID), entry.FirstUse(), shared)
+	p.stats.countHit(st, int64(len(entry.Resp.Body)), entry.FirstUse(), shared)
 	p.writeBuffered(x.w, x.req, entry.Resp)
-	teaches := p.plans[entry.SigID] != nil && !p.opts.DisableChaining
+	teaches := st != nil && st.plan != nil && !p.opts.DisableChaining
 	if f, ok := x.w.(http.Flusher); ok && teaches {
 		// A small response sits in net/http's buffer until the handler
 		// returns: push it out, so the client is not kept waiting while the
@@ -226,7 +234,7 @@ func (p *Proxy) serveEntry(x *exchange, u *user, entry *cache.Entry, shared bool
 	}
 	p.firstByte(x)
 	if teaches {
-		p.learn(u, p.opts.Graph.Sig(entry.SigID), x.req, entry.Resp, 0, false)
+		p.learn(u, st, x.req, entry.Resp, 0, false)
 		x.sp.EndStage(obs.StageLearn)
 	}
 	return outcome
@@ -278,9 +286,9 @@ func (p *Proxy) passthrough(x *exchange) obs.Outcome {
 
 // readsBody reports whether learning from any of the matched signatures
 // reads the response body: only predecessors with a read plan do.
-func (p *Proxy) readsBody(matched []*sig.Signature) bool {
-	for _, s := range matched {
-		if p.plans[s.ID] != nil {
+func readsBody(matched []*sigState) bool {
+	for _, st := range matched {
+		if st.plan != nil {
 			return true
 		}
 	}
@@ -291,9 +299,9 @@ func (p *Proxy) readsBody(matched []*sig.Signature) bool {
 // entity, publish headers to any attachers, pump the body through the spool
 // while serving this client from it, then feed the capture into stats and
 // learning. fkey names the flight in the registry.
-func (p *Proxy) runFlight(x *exchange, u *user, matched []*sig.Signature, fkey string, fl *flight) obs.Outcome {
-	lead := matched[0].ID
-	p.attribute(x, lead)
+func (p *Proxy) runFlight(x *exchange, u *user, matched []*sigState, fkey string, fl *flight) obs.Outcome {
+	lead := matched[0]
+	p.attribute(x, lead.sig.ID)
 	// The origin always sees the whole-entity request: Range is stripped and
 	// the 206 (if asked for) is sliced locally from the spool, so the capture
 	// stays a complete entity every attacher and the cache can share.
@@ -331,22 +339,23 @@ func (p *Proxy) runFlight(x *exchange, u *user, matched []*sig.Signature, fkey s
 	if !ok && fl.sp.Overflowed() {
 		p.streamStats.bodyOverflows.Add(1)
 	}
-	p.stats.ObserveRespTime(lead, elapsed)
-	p.stats.CountMiss(lead, fl.sp.Size())
+	lead.observeRespTime(elapsed)
+	lead.misses.Add(1)
+	p.stats.forwardedBytes.Add(fl.sp.Size())
 	if ok {
 		lresp := &httpmsg.Response{Status: fl.status, Header: fl.header}
 		// The chunks are concatenated into one contiguous body only when
 		// learning will read it — some matched signature has a read plan.
 		// Every other capture (a streamed blob nothing depends on) is
 		// accounted from the spool and never copied.
-		if p.readsBody(matched) {
+		if readsBody(matched) {
 			lresp.Body, _ = fl.sp.Bytes()
 		}
 		// Ambiguous URI patterns (fully dynamic URLs look identical) mean one
 		// live transaction can instantiate several signatures; learn through
 		// every match so each keeps a usable exemplar.
-		for _, s := range matched {
-			p.learn(u, s, x.req, lresp, 0, true)
+		for _, st := range matched {
+			p.learn(u, st, x.req, lresp, 0, true)
 		}
 		x.sp.EndStage(obs.StageLearn)
 	}

@@ -2,49 +2,150 @@ package proxy
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"appx/internal/config"
+	"appx/internal/httpmsg"
 	"appx/internal/obs"
+	"appx/internal/sig"
 )
 
-// sigStats aggregates per-signature measurements used for prefetch
-// prioritization (§5) and reporting (§6).
-type sigStats struct {
-	// ewmaRespTime is the running average origin response time.
-	ewmaRespTime time.Duration
-	samples      int
-	// prefetches / hits / misses count issued prefetch requests, cache hits
-	// served to clients, and forwarded client requests for this signature.
-	// sharedHits is the subset of hits served from the cross-user shared
-	// cache tier.
-	prefetches int
-	hits       int
-	sharedHits int
-	misses     int
+// sigState is everything the proxy keeps about one graph signature: §5 ranks
+// a prefetch by its signature's response time and hit rate, §4.3 disables it
+// on that signature's errors and probes expiry with its sample request. The
+// first block is fixed when New builds the table; the rest is synchronised
+// inside the record, so no lock is shared between signatures. A nil *sigState
+// stands for an ID the graph does not carry (a peer fill or disk-tier entry
+// of another build): it reads as the zero record and drops writes.
+type sigState struct {
+	sig *sig.Signature
+	// pol is the configured policy, nil for the defaults; its Prefetch
+	// switch, Probability and ExpirationTime are read live through it.
+	pol *config.Policy
+	// plan is the compiled predecessor routine (learn.go); nil when nothing
+	// depends on the signature, whose body is then never looked at.
+	plan *learnPlan
+	// successor: some dependency feeds the signature, so its live instances
+	// are kept as exemplars.
+	successor bool
+
+	// prefetches / hits / misses count completed prefetch requests, cache
+	// hits served to clients, and forwarded client requests; sharedHits is
+	// the subset of hits served from the cross-user shared tier.
+	prefetches, hits, sharedHits, misses atomic.Int64
 	// prefetchedBytes counts response bytes fetched ahead of time;
 	// servedBytes counts prefetched bytes actually delivered to clients.
-	prefetchedBytes int64
-	servedBytes     int64
-	// prefetchErrors counts transport failures; prefetchRejects counts
-	// non-200 origin answers to reconstructed requests — the §4.3
-	// verification phase disables signatures showing either.
-	prefetchErrors  int
-	prefetchRejects int
-	// prefetchSuppressed counts prefetches the resilience layer declined to
-	// issue (open circuit breaker or suspended signature backoff).
-	prefetchSuppressed int
-	// usedEntries counts distinct prefetched responses served at least
-	// once (the numerator of the paper's "ratio of data actually used").
-	usedEntries int
+	prefetchedBytes, servedBytes atomic.Int64
+	// prefetchErrors counts transport failures and prefetchRejects non-200
+	// origin answers to reconstructed requests (the §4.3 verification phase
+	// disables signatures showing either); prefetchSuppressed counts
+	// prefetches the resilience layer declined to issue.
+	prefetchErrors, prefetchRejects, prefetchSuppressed atomic.Int64
+	// usedEntries counts distinct prefetched responses served at least once
+	// (the numerator of the paper's "ratio of data actually used").
+	usedEntries atomic.Int64
+	// respTime is the running average origin response time in nanoseconds
+	// (EWMA, α = 1/4 after the first sample): folded under mu, read without.
+	respTime atomic.Int64
+	// sample is the latest committed prefetch request, immutable once stored.
+	sample atomic.Pointer[httpmsg.Request]
+
+	// mu serialises the two read-modify-write fields: the response-time fold
+	// and the backoff (consecutive failures, end of the window they earned).
+	mu       sync.Mutex
+	observed bool // respTime holds a sample
+	failures int
+	until    time.Time
 }
 
-// Stats tracks proxy-wide counters, safe for concurrent use. The proxy-wide
-// tallies live as obs.Counter registry series; the per-signature map (EWMA
-// response times, priority inputs) keeps its mutex — it is read rarely and
-// keyed dynamically.
+// observeRespTime folds one origin response time into the running average.
+func (st *sigState) observeRespTime(d time.Duration) {
+	if st == nil {
+		return
+	}
+	st.mu.Lock()
+	if st.observed {
+		d = (time.Duration(st.respTime.Load())*3 + d) / 4
+	}
+	st.observed = true
+	st.respTime.Store(int64(d))
+	st.mu.Unlock()
+}
+
+// avgRespTime is what a miss on this signature costs its client.
+func (st *sigState) avgRespTime() time.Duration {
+	if st == nil {
+		return 0
+	}
+	return time.Duration(st.respTime.Load())
+}
+
+// countPrefetch records a completed prefetch and its response size.
+func (st *sigState) countPrefetch(bytes int64) {
+	st.prefetches.Add(1)
+	st.prefetchedBytes.Add(bytes)
+}
+
+// backoff returns the failure streak and the end of its suspension window.
+func (st *sigState) backoff() (failures int, until time.Time) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.failures, st.until
+}
+
+// setBackoff replaces the failure streak: a restore reinstates one, a
+// committed prefetch clears it.
+func (st *sigState) setBackoff(failures int, until time.Time) {
+	st.mu.Lock()
+	st.failures, st.until = failures, until
+	st.mu.Unlock()
+}
+
+// fail notes one more consecutive prefetch failure; at PrefetchFailureLimit
+// the signature is suspended, the window doubling per further failure from
+// PrefetchBackoffBase up to PrefetchBackoffMax.
+func (st *sigState) fail(now time.Time, res *config.Resilience) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.failures++
+	if st.failures < res.PrefetchFailureLimit {
+		return
+	}
+	d, ceil := time.Duration(res.PrefetchBackoffBase), time.Duration(res.PrefetchBackoffMax)
+	for i := res.PrefetchFailureLimit; i < st.failures && d < ceil; i++ {
+		d *= 2
+	}
+	st.until = now.Add(min(d, ceil))
+}
+
+// sigTable holds one sigState per graph signature. New fills it and nothing
+// writes the map or the slice afterwards, so both are read without a lock.
+type sigTable struct {
+	byID map[string]*sigState
+	all  []*sigState // graph order
+}
+
+// newSigTable builds the record of every signature in g, resolving its
+// policy from cfg once. Plans come second: their successors point at records.
+func newSigTable(g *sig.Graph, cfg *config.Config) *sigTable {
+	t := &sigTable{byID: make(map[string]*sigState, len(g.Sigs))}
+	for _, s := range g.Sigs {
+		st := &sigState{sig: s, pol: cfg.Policy(s.Hash()), successor: len(g.DepsInto(s.ID)) > 0}
+		t.byID[s.ID] = st
+		t.all = append(t.all, st)
+	}
+	for _, st := range t.all {
+		st.plan = buildLearnPlan(g, t, st.sig.ID)
+	}
+	return t
+}
+
+// Stats is the proxy's counters: a view over the signature table plus the
+// proxy-wide tallies, which live as obs.Counter registry series. Safe for
+// concurrent use.
 type Stats struct {
-	mu   sync.Mutex
-	sigs map[string]*sigStats
+	sigs *sigTable
 
 	// forwardedBytes counts origin response bytes fetched on behalf of live
 	// client requests (the baseline data usage).
@@ -56,93 +157,56 @@ type Stats struct {
 	retries *obs.Counter
 }
 
-// NewStatsOn returns empty statistics registering their proxy-wide tallies
-// (and scrape-time aggregate views of the per-signature map) on reg.
-func NewStatsOn(reg *obs.Registry) *Stats {
+// newStats returns the statistics over sigs, registering the proxy-wide
+// tallies and scrape-time sums over the table on reg.
+func newStats(reg *obs.Registry, sigs *sigTable) *Stats {
 	s := &Stats{
-		sigs:           make(map[string]*sigStats),
+		sigs:           sigs,
 		forwardedBytes: reg.Counter("appx_forwarded_bytes_total", "Origin response bytes forwarded to clients."),
 		savedLatencyNs: reg.Counter("appx_saved_latency_nanoseconds_total", "Estimated client latency hidden by cache hits."),
 		retries:        reg.Counter("appx_origin_retries_total", "Origin attempts beyond the first."),
 	}
-	agg := func(read func(Snapshot) int64) func() int64 {
-		return func() int64 { return read(s.Snapshot()) }
+	sum := func(counter func(*sigState) *atomic.Int64) func() int64 {
+		return func() (n int64) {
+			for _, st := range sigs.all {
+				n += counter(st).Load()
+			}
+			return n
+		}
 	}
 	reg.CounterFunc("appx_cache_hits_total", "Client requests served from the prefetch store.",
-		agg(func(sn Snapshot) int64 { return int64(sn.Hits) }))
+		sum(func(st *sigState) *atomic.Int64 { return &st.hits }))
 	reg.CounterFunc("appx_cache_misses_total", "Client requests forwarded to the origin.",
-		agg(func(sn Snapshot) int64 { return int64(sn.Misses) }))
+		sum(func(st *sigState) *atomic.Int64 { return &st.misses }))
 	reg.CounterFunc("appx_prefetches_total", "Prefetch requests completed.",
-		agg(func(sn Snapshot) int64 { return int64(sn.Prefetches) }))
+		sum(func(st *sigState) *atomic.Int64 { return &st.prefetches }))
 	reg.CounterFunc("appx_prefetch_errors_total", "Prefetch transport failures.",
-		agg(func(sn Snapshot) int64 { return int64(sn.PrefetchErrors) }))
+		sum(func(st *sigState) *atomic.Int64 { return &st.prefetchErrors }))
 	reg.CounterFunc("appx_prefetch_suppressed_total", "Prefetches declined by resilience or overload gates.",
-		agg(func(sn Snapshot) int64 { return int64(sn.PrefetchSuppressed) }))
+		sum(func(st *sigState) *atomic.Int64 { return &st.prefetchSuppressed }))
 	return s
 }
 
-// NewStats returns empty statistics on a private registry (tests and
-// standalone use; the proxy shares one registry across subsystems).
-func NewStats() *Stats { return NewStatsOn(obs.NewRegistry()) }
-
-func (s *Stats) sig(id string) *sigStats {
-	st, ok := s.sigs[id]
-	if !ok {
-		st = &sigStats{}
-		s.sigs[id] = st
-	}
-	return st
-}
-
 // ObserveRespTime folds one origin response time into the signature's
-// running average (EWMA, α = 1/4 after warm-up).
-func (s *Stats) ObserveRespTime(sigID string, d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.sig(sigID)
-	if st.samples == 0 {
-		st.ewmaRespTime = d
-	} else {
-		st.ewmaRespTime = (st.ewmaRespTime*3 + d) / 4
-	}
-	st.samples++
-}
+// running average.
+func (s *Stats) ObserveRespTime(sigID string, d time.Duration) { s.sigs.byID[sigID].observeRespTime(d) }
 
 // RespTime returns the signature's average origin response time.
-func (s *Stats) RespTime(sigID string) time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sig(sigID).ewmaRespTime
-}
+func (s *Stats) RespTime(sigID string) time.Duration { return s.sigs.byID[sigID].avgRespTime() }
 
-// CountPrefetch records an issued prefetch and its response size.
-func (s *Stats) CountPrefetch(sigID string, bytes int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.sig(sigID)
-	st.prefetches++
-	st.prefetchedBytes += bytes
-}
-
-// CountPrefetchError records a prefetch transport failure.
-func (s *Stats) CountPrefetchError(sigID string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sig(sigID).prefetchErrors++
-}
-
-// CountPrefetchReject records a non-200 origin answer to a prefetch.
-func (s *Stats) CountPrefetchReject(sigID string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sig(sigID).prefetchRejects++
-}
-
-// CountPrefetchSuppressed records a prefetch the resilience layer skipped.
-func (s *Stats) CountPrefetchSuppressed(sigID string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sig(sigID).prefetchSuppressed++
+// Priority computes the §5 scheduling priority: a linear combination of the
+// signature's average response time (in seconds) and its hit rate. A
+// signature never prefetched before gets a neutral hit rate of 0.5 so new
+// opportunities are explored.
+func (s *Stats) Priority(sigID string) float64 {
+	st, hitRate := s.sigs.byID[sigID], 0.5
+	if st == nil {
+		return hitRate
+	}
+	if n := st.prefetches.Load(); n > 0 {
+		hitRate = float64(st.hits.Load()) / float64(n)
+	}
+	return st.avgRespTime().Seconds() + hitRate
 }
 
 // CountRetry records one origin retry attempt.
@@ -151,47 +215,23 @@ func (s *Stats) CountRetry() { s.retries.Inc() }
 // Retries reports the proxy-wide origin retry count.
 func (s *Stats) Retries() int { return int(s.retries.Value()) }
 
-// CountHit records a client request served from the prefetch cache.
-// firstUse marks the first time this particular cached entry is served;
-// shared marks hits served from the cross-user tier.
-func (s *Stats) CountHit(sigID string, bytes int64, saved time.Duration, firstUse, shared bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.sig(sigID)
-	st.hits++
+// countHit records a client request served from the prefetch cache, and the
+// latency it hid: the signature's average origin response time. firstUse
+// marks the first time this particular cached entry is served; shared marks
+// hits served from the cross-user tier.
+func (s *Stats) countHit(st *sigState, bytes int64, firstUse, shared bool) {
+	if st == nil {
+		return
+	}
+	st.hits.Add(1)
 	if shared {
-		st.sharedHits++
+		st.sharedHits.Add(1)
 	}
-	st.servedBytes += bytes
+	st.servedBytes.Add(bytes)
 	if firstUse {
-		st.usedEntries++
+		st.usedEntries.Add(1)
 	}
-	s.savedLatencyNs.Add(int64(saved))
-}
-
-// CountMiss records a client request forwarded to the origin.
-func (s *Stats) CountMiss(sigID string, bytes int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.sig(sigID)
-	st.misses++
-	s.forwardedBytes.Add(bytes)
-}
-
-// Priority computes the §5 scheduling priority: a linear combination of the
-// signature's average response time (normalized to seconds) and its hit
-// rate. Signatures never prefetched before get a neutral hit rate of 0.5 so
-// new opportunities are explored.
-func (s *Stats) Priority(sigID string) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.sig(sigID)
-	respSec := st.ewmaRespTime.Seconds()
-	hitRate := 0.5
-	if st.prefetches > 0 {
-		hitRate = float64(st.hits) / float64(st.prefetches)
-	}
-	return respSec + hitRate
+	s.savedLatencyNs.Add(int64(st.avgRespTime()))
 }
 
 // Snapshot is an immutable view of the aggregate counters.
@@ -226,38 +266,41 @@ type SigSnapshot struct {
 	PrefetchSuppressed int
 }
 
-// Snapshot captures current counters.
+// Snapshot captures current counters. PerSig lists the signatures that have
+// counted anything.
 func (s *Stats) Snapshot() Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := Snapshot{
-		PerSig:         make(map[string]SigSnapshot, len(s.sigs)),
+		PerSig:         map[string]SigSnapshot{},
 		ForwardedBytes: s.forwardedBytes.Value(),
 		SavedLatency:   time.Duration(s.savedLatencyNs.Value()),
 		Retries:        int(s.retries.Value()),
 	}
-	for id, st := range s.sigs {
-		out.PerSig[id] = SigSnapshot{
-			RespTime:           st.ewmaRespTime,
-			Prefetches:         st.prefetches,
-			Hits:               st.hits,
-			SharedHits:         st.sharedHits,
-			Misses:             st.misses,
-			PrefetchedBytes:    st.prefetchedBytes,
-			ServedBytes:        st.servedBytes,
-			PrefetchErrors:     st.prefetchErrors,
-			PrefetchRejects:    st.prefetchRejects,
-			PrefetchSuppressed: st.prefetchSuppressed,
+	for _, st := range s.sigs.all {
+		ss := SigSnapshot{
+			RespTime:           st.avgRespTime(),
+			Prefetches:         int(st.prefetches.Load()),
+			Hits:               int(st.hits.Load()),
+			SharedHits:         int(st.sharedHits.Load()),
+			Misses:             int(st.misses.Load()),
+			PrefetchedBytes:    st.prefetchedBytes.Load(),
+			ServedBytes:        st.servedBytes.Load(),
+			PrefetchErrors:     int(st.prefetchErrors.Load()),
+			PrefetchRejects:    int(st.prefetchRejects.Load()),
+			PrefetchSuppressed: int(st.prefetchSuppressed.Load()),
 		}
-		out.UsedEntries += st.usedEntries
-		out.PrefetchedBytes += st.prefetchedBytes
-		out.ServedBytes += st.servedBytes
-		out.Hits += st.hits
-		out.SharedHits += st.sharedHits
-		out.Misses += st.misses
-		out.Prefetches += st.prefetches
-		out.PrefetchErrors += st.prefetchErrors
-		out.PrefetchSuppressed += st.prefetchSuppressed
+		if ss == (SigSnapshot{}) {
+			continue
+		}
+		out.PerSig[st.sig.ID] = ss
+		out.UsedEntries += int(st.usedEntries.Load())
+		out.PrefetchedBytes += ss.PrefetchedBytes
+		out.ServedBytes += ss.ServedBytes
+		out.Hits += ss.Hits
+		out.SharedHits += ss.SharedHits
+		out.Misses += ss.Misses
+		out.Prefetches += ss.Prefetches
+		out.PrefetchErrors += ss.PrefetchErrors
+		out.PrefetchSuppressed += ss.PrefetchSuppressed
 	}
 	return out
 }

@@ -3,10 +3,25 @@ package proxy
 import (
 	"testing"
 	"time"
+
+	"appx/internal/obs"
+	"appx/internal/sig"
 )
 
+// newTestStats returns statistics over a table of bare records, one per ID,
+// and the table's lookup.
+func newTestStats(ids ...string) (*Stats, func(string) *sigState) {
+	t := &sigTable{byID: map[string]*sigState{}}
+	for _, id := range ids {
+		st := &sigState{sig: &sig.Signature{ID: id}}
+		t.byID[id] = st
+		t.all = append(t.all, st)
+	}
+	return newStats(obs.NewRegistry(), t), func(id string) *sigState { return t.byID[id] }
+}
+
 func TestObserveRespTimeEWMA(t *testing.T) {
-	s := NewStats()
+	s, _ := newTestStats("a")
 	s.ObserveRespTime("a", 100*time.Millisecond)
 	if got := s.RespTime("a"); got != 100*time.Millisecond {
 		t.Fatalf("first sample = %v", got)
@@ -19,16 +34,16 @@ func TestObserveRespTimeEWMA(t *testing.T) {
 }
 
 func TestPriorityOrdering(t *testing.T) {
-	s := NewStats()
+	s, rec := newTestStats("slow-good", "fast-bad")
 	// Slow signature with good hit rate beats fast one with poor hit rate
 	// (§5: linear combination of response time and hit rate).
 	s.ObserveRespTime("slow-good", 900*time.Millisecond)
-	s.CountPrefetch("slow-good", 10)
-	s.CountHit("slow-good", 10, 0, true, false)
+	rec("slow-good").countPrefetch(10)
+	s.countHit(rec("slow-good"), 10, true, false)
 
 	s.ObserveRespTime("fast-bad", 50*time.Millisecond)
 	for i := 0; i < 10; i++ {
-		s.CountPrefetch("fast-bad", 10)
+		rec("fast-bad").countPrefetch(10)
 	}
 
 	if s.Priority("slow-good") <= s.Priority("fast-bad") {
@@ -42,14 +57,16 @@ func TestPriorityOrdering(t *testing.T) {
 }
 
 func TestSnapshotAggregation(t *testing.T) {
-	s := NewStats()
-	s.CountPrefetch("a", 100)
-	s.CountPrefetch("a", 100)
-	s.CountHit("a", 100, 10*time.Millisecond, true, false)
-	s.CountHit("a", 100, 10*time.Millisecond, false, true) // repeat serve, from the shared tier
-	s.CountMiss("a", 300)
-	s.CountPrefetchError("b")
-	s.CountPrefetchReject("b")
+	s, rec := newTestStats("a", "b")
+	s.ObserveRespTime("a", 10*time.Millisecond) // what each hit below saves
+	rec("a").countPrefetch(100)
+	rec("a").countPrefetch(100)
+	s.countHit(rec("a"), 100, true, false)
+	s.countHit(rec("a"), 100, false, true) // repeat serve, from the shared tier
+	rec("a").misses.Add(1)
+	s.forwardedBytes.Add(300)
+	rec("b").prefetchErrors.Add(1)
+	rec("b").prefetchRejects.Add(1)
 
 	snap := s.Snapshot()
 	if snap.Prefetches != 2 || snap.Hits != 2 || snap.Misses != 1 {
@@ -76,11 +93,12 @@ func TestSnapshotAggregation(t *testing.T) {
 }
 
 func TestSnapshotDerivedMetrics(t *testing.T) {
-	s := NewStats()
-	s.CountMiss("a", 1000)               // forwarded
-	s.CountPrefetch("a", 500)            // prefetched, unused
-	s.CountPrefetch("a", 500)            // prefetched...
-	s.CountHit("a", 500, 0, true, false) // ...and consumed
+	s, rec := newTestStats("a")
+	rec("a").misses.Add(1)
+	s.forwardedBytes.Add(1000)             // forwarded
+	rec("a").countPrefetch(500)            // prefetched, unused
+	rec("a").countPrefetch(500)            // prefetched...
+	s.countHit(rec("a"), 500, true, false) // ...and consumed
 	snap := s.Snapshot()
 	// baseline = forwarded + served = 1500; total = forwarded + prefetched = 2000.
 	if got := snap.NormalizedDataUsage(); got < 1.33 || got > 1.34 {
@@ -92,7 +110,8 @@ func TestSnapshotDerivedMetrics(t *testing.T) {
 	if got := snap.UsedPrefetchRatio(); got != 0.5 {
 		t.Fatalf("used ratio = %v", got)
 	}
-	empty := NewStats().Snapshot()
+	es, _ := newTestStats()
+	empty := es.Snapshot()
 	if empty.NormalizedDataUsage() != 1 || empty.HitRatio() != 0 || empty.UsedPrefetchRatio() != 0 {
 		t.Fatal("empty snapshot derived metrics wrong")
 	}
