@@ -98,13 +98,15 @@ func renderAdmin(w io.Writer, v *adminView) {
 		s.Prefetches, s.PrefetchErrors, s.SuppressedPrefetches)
 	for _, id := range sortedKeys(s.Cache.Signatures) {
 		if cs := s.Cache.Signatures[id]; cs.Evicted > 0 {
-			fmt.Fprintf(w, "  %s: stored %d, hits %d, evicted %d (%d never served)\n",
-				id, cs.Stored, cs.Hits, cs.Evicted, cs.EvictedUnused)
+			fmt.Fprintf(w, "  %s: stored %d, hits %d, evicted %d (%d never served), %dB unread\n",
+				id, cs.Stored, cs.Hits, cs.Evicted, cs.EvictedUnused, cs.EvictedUnusedBytes)
 		}
 	}
 	is := s.Sched.Issued
 	fmt.Fprintf(w, "prefetches issued by: miss %d  hit %d  chain %d  refresh %d   promoted in queue: %d\n",
 		is.Miss, is.Hit, is.Chain, is.Refresh, s.Sched.Promoted)
+	fmt.Fprintf(w, "prefetches dropped at dispatch: no room %d  data budget %d\n",
+		s.Policy.NoRoomSkips, s.Policy.DataBudgetSkips)
 	fmt.Fprintf(w, "saved latency: %s  data used: %dB\n",
 		time.Duration(s.SavedLatencyMs)*time.Millisecond, s.DataUsedBytes)
 

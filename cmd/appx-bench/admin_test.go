@@ -19,8 +19,9 @@ func TestAdminModeDecodesTypedViews(t *testing.T) {
 		CacheResidentBytes: 4096, SavedLatencyMs: 1500,
 		Overload: adminv1.Overload{Mode: "normal", Admitted: 10},
 		Sched:    adminv1.Sched{Promoted: 4, Issued: adminv1.SchedIssued{Miss: 30, Hit: 9, Chain: 60}},
+		Policy:   adminv1.PolicyEntry{NoRoomSkips: 17, DataBudgetSkips: 2},
 		Cache: adminv1.Cache{Signatures: map[string]adminv1.CacheSignature{
-			"t:img#0":  {Stored: 180, Hits: 12, Evicted: 150, EvictedUnused: 140},
+			"t:img#0":  {Stored: 180, Hits: 12, Evicted: 150, EvictedUnused: 140, EvictedUnusedBytes: 44100000},
 			"t:item#0": {Stored: 40, Hits: 31},
 		}},
 		Requests: adminv1.Requests{
@@ -88,8 +89,9 @@ func TestAdminModeDecodesTypedViews(t *testing.T) {
 		"prefetch-hit",
 		"stage p95:",
 		"hit ratio 0.700",
-		"t:img#0: stored 180, hits 12, evicted 150 (140 never served)",
+		"t:img#0: stored 180, hits 12, evicted 150 (140 never served), 44100000B unread",
 		"issued by: miss 30  hit 9  chain 60  refresh 0   promoted in queue: 4",
+		"dropped at dispatch: no room 17  data budget 2",
 		"#10",
 		"sig=t:item#0",
 	} {

@@ -227,3 +227,33 @@ func BenchmarkPutAtScopeCap(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkRoomFor measures the room check a speculative prefetch makes at
+// dispatch, against a user at the entry cap in a shard 31 other users share:
+// one shard lock, one look at the head of the scope's eviction order,
+// whatever the scope holds.
+func BenchmarkRoomFor(b *testing.B) {
+	const scopes, capEntries = 32, 128
+	now := time.Unix(1_700_000_000, 0)
+	s := New(Options{Shards: 1, Now: func() time.Time { return now },
+		MaxEntriesPerScope: capEntries, MaxBytes: -1, PerScopeBytes: -1})
+	body := make([]byte, 128)
+	for sc := 0; sc < scopes; sc++ {
+		for i := 0; i < capEntries; i++ {
+			s.Put(fmt.Sprintf("user-%d", sc), fmt.Sprintf("k%d", i), &Entry{
+				Resp: &httpmsg.Response{Status: 200, Body: body}, SigID: "bench",
+				Expires: now.Add(time.Hour), Cost: 20 * time.Millisecond, Root: 1})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	admitted := 0
+	for i := 0; i < b.N; i++ {
+		if s.RoomFor("user-0", 128, uint64(i&1)+1) {
+			admitted++
+		}
+	}
+	if b.N > 1 && admitted != b.N/2 {
+		b.Fatalf("admitted %d of %d: want every root-2 query and no root-1 query", admitted, b.N)
+	}
+}

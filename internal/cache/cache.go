@@ -110,6 +110,11 @@ type Entry struct {
 	// entry is ordered by recency alone and leaves before any costed entry
 	// of the same age.
 	Cost time.Duration
+	// Root orders entries by the live transaction their prefetch chain
+	// descends from (a per-user count; later is larger). Zero — an entry that
+	// was not prefetched here — is older than every chain. Only RoomFor reads
+	// it; the eviction order does not.
+	Root uint64
 
 	used atomic.Bool
 }
@@ -313,10 +318,12 @@ type EvictionCounts struct {
 // entries stored (misses cannot be attributed to a signature: an absent
 // key names no signature). Evicted counts entries a capacity limit pushed
 // out (scope caps and the global budget — not expiry, replacement or a
-// dropped scope); EvictedUnused those of them no client was ever served.
+// dropped scope); EvictedUnused those of them no client was ever served, and
+// EvictedUnusedBytes their resident size: origin bytes that bought nothing.
 type SigStats struct {
 	Puts, Hits, Expired    int64
 	Evicted, EvictedUnused int64
+	EvictedUnusedBytes     int64
 }
 
 // HitRatio returns hits per stored entry (may exceed 1: one entry can be
@@ -606,6 +613,7 @@ func (s *Store) evictLocked(sh *shard, en *entry) {
 	st.Evicted++
 	if !en.payload.used.Load() {
 		st.EvictedUnused++
+		st.EvictedUnusedBytes += en.size
 	}
 }
 
@@ -680,6 +688,83 @@ func (s *Store) TryIssue(scope, key string, window time.Duration) bool {
 	}
 	sh.issued[ik] = now.Add(window)
 	return true
+}
+
+// RoomFor reports whether scope has room for bytes more resident bytes — one
+// new entry and whatever else the caller already has on its way to the scope
+// — descending from live transaction root, without doing harm: every entry
+// their Puts would evict has been served to a client or descends from an
+// earlier transaction than root. What is refused is speculation whose only
+// room is an unread sibling's — integrated prefetching and caching's "do no
+// harm" (Cao, Felten, Karlin, Li): never evict A to prefetch B when A is due
+// no later than B, with the chain's root as the one notion of "due" the store
+// is told. It replays the evictions in their order and changes nothing; under
+// the caps, and at the first unread sibling — the common answers of a scope
+// with room and of a scope full of speculation — it has looked at no more than
+// the head. The shared scope, exempt from the caps, always has room.
+func (s *Store) RoomFor(scope string, bytes int64, root uint64) bool {
+	if scope == SharedScope {
+		return true
+	}
+	sh := s.shardOf(scope, "")
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sc := sh.byScope[scope]
+	if sc == nil {
+		return true
+	}
+	var needBytes int64
+	var needSlots int
+	if s.opts.PerScopeBytes > 0 {
+		needBytes = sc.bytes + bytes - s.opts.PerScopeBytes
+	}
+	if s.opts.MaxEntriesPerScope > 0 {
+		needSlots = len(sc.entries) + 1 - s.opts.MaxEntriesPerScope
+	}
+	if needBytes <= 0 && needSlots <= 0 {
+		return true
+	}
+	// The victims are the heap's smallest entries, in order: the root, then
+	// the least of what the entries taken so far sit directly above. The
+	// frontier is built only for a second victim; the common answers allocate
+	// nothing.
+	var next *victimWalk
+	for at := 0; ; at = heap.Pop(next).(int) {
+		v := sc.order[at]
+		if !v.payload.used.Load() && v.payload.Root >= root {
+			return false
+		}
+		needBytes, needSlots = needBytes-v.size, needSlots-1
+		if needBytes <= 0 && needSlots <= 0 {
+			return true
+		}
+		if next == nil {
+			next = &victimWalk{order: sc.order}
+		}
+		for c := 2*at + 1; c <= 2*at+2 && c < len(sc.order); c++ {
+			heap.Push(next, c)
+		}
+		if len(next.at) == 0 {
+			return true // the whole scope goes: a Put never evicts what it stores
+		}
+	}
+}
+
+// victimWalk is RoomFor's frontier: positions in an eviction heap, least
+// entry first.
+type victimWalk struct {
+	order evictHeap
+	at    []int
+}
+
+func (w *victimWalk) Len() int           { return len(w.at) }
+func (w *victimWalk) Less(i, j int) bool { return w.order.Less(w.at[i], w.at[j]) }
+func (w *victimWalk) Swap(i, j int)      { w.at[i], w.at[j] = w.at[j], w.at[i] }
+func (w *victimWalk) Push(x any)         { w.at = append(w.at, x.(int)) }
+func (w *victimWalk) Pop() any {
+	x := w.at[len(w.at)-1]
+	w.at = w.at[:len(w.at)-1]
+	return x
 }
 
 // CancelIssue releases a TryIssue claim after a failed or abandoned
@@ -847,6 +932,7 @@ func (s *Store) Metrics() Metrics {
 			agg.Expired += st.Expired
 			agg.Evicted += st.Evicted
 			agg.EvictedUnused += st.EvictedUnused
+			agg.EvictedUnusedBytes += st.EvictedUnusedBytes
 			m.PerSig[id] = agg
 		}
 		sh.mu.Unlock()

@@ -90,13 +90,15 @@ type CacheEvictions struct {
 // CacheSignature is one signature's slice of the prefetch store: entries
 // stored, lookups they answered, and how they left. Evicted counts capacity
 // evictions (user caps and the global budget); EvictedUnused those no client
-// had been served — prefetch bytes the cap threw away before they paid off.
+// had been served and EvictedUnusedBytes their resident size — prefetch bytes
+// the cap threw away before they paid off.
 type CacheSignature struct {
-	Stored        int64 `json:"stored"`
-	Hits          int64 `json:"hits"`
-	Expired       int64 `json:"expired"`
-	Evicted       int64 `json:"evicted"`
-	EvictedUnused int64 `json:"evictedUnused"`
+	Stored             int64 `json:"stored"`
+	Hits               int64 `json:"hits"`
+	Expired            int64 `json:"expired"`
+	Evicted            int64 `json:"evicted"`
+	EvictedUnused      int64 `json:"evictedUnused"`
+	EvictedUnusedBytes int64 `json:"evictedUnusedBytes"`
 }
 
 // Cache is the prefetch-store block of the stats and health responses.
@@ -265,12 +267,16 @@ type PolicyEntry struct {
 	// RankP95Micros is the p95 latency of one Rank call, in microseconds.
 	RankP95Micros float64 `json:"rankP95Micros"`
 	// Skip counters mirror appx_prefetch_skipped_total by reason:
-	// candidates dropped before reaching the scheduler.
+	// candidates dropped before reaching the scheduler, and (the last two)
+	// tasks dropped at dispatch — no room in the user's cache scope for more
+	// speculation, data budget used up.
 	NoExemplarSkips  int64 `json:"noExemplarSkips"`
 	NoDepValueSkips  int64 `json:"noDepValueSkips"`
 	PendingFullSkips int64 `json:"pendingFullSkips"`
 	DepthSkips       int64 `json:"depthSkips"`
 	UnlikelySkips    int64 `json:"unlikelySkips"`
+	NoRoomSkips      int64 `json:"noRoomSkips"`
+	DataBudgetSkips  int64 `json:"dataBudgetSkips"`
 }
 
 // HeaderField is one stored response header in a ClusterEntry.

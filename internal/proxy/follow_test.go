@@ -64,6 +64,13 @@ type edge struct{ pred, succ, path string }
 // renders the origin's answer to <name>?id=<id>.
 func newFollowLab(t *testing.T, edges []edge, entriesPerUser int, body func(name, id string) string) *followLab {
 	t.Helper()
+	return newFollowLabWith(t, edges, body, func(cfg *config.Config) { cfg.Cache.MaxEntriesPerUser = entriesPerUser })
+}
+
+// newFollowLabWith is newFollowLab with the configuration (shared tier off)
+// handed to tune before the proxy is built.
+func newFollowLabWith(t *testing.T, edges []edge, body func(name, id string) string, tune func(*config.Config)) *followLab {
+	t.Helper()
 	l := &followLab{t: t, g: sig.NewGraph("t"), gate: make(chan struct{})}
 	add := func(name string) *sig.Signature {
 		if s := l.g.Sig("t:" + name + "#0"); s != nil {
@@ -101,7 +108,8 @@ func newFollowLab(t *testing.T, edges []edge, entriesPerUser int, body func(name
 		return resp, nil
 	})
 	cfg := config.Default(l.g)
-	cfg.Cache = &config.Cache{DisableSharedTier: true, MaxEntriesPerUser: entriesPerUser}
+	cfg.Cache = &config.Cache{DisableSharedTier: true}
+	tune(cfg)
 	frozen := time.Unix(1_700_000_000, 0)
 	l.p = New(Options{Graph: l.g, Config: cfg, Upstream: up, Workers: 1, Now: func() time.Time { return frozen }})
 	t.Cleanup(l.p.Close)
@@ -365,8 +373,11 @@ func (l *followLab) claimedMenuPrefetch(id string) *prefetch {
 	return pf
 }
 
-func menuKey(id string) string {
-	return (&httpmsg.Request{Method: "GET", Host: "h.example", Path: "/menu",
+func menuKey(id string) string { return labKey("menu", id) }
+
+// labKey is the cache key of the lab's GET h.example/<name>?id=<id>.
+func labKey(name, id string) string {
+	return (&httpmsg.Request{Method: "GET", Host: "h.example", Path: "/" + name,
 		Query: []httpmsg.Field{{Key: "id", Value: id}}}).CanonicalKey()
 }
 
@@ -380,7 +391,7 @@ func TestDedupPromotesQueuedChild(t *testing.T) {
 	l := newFollowLab(t, storefront[:3], 0, storefrontBody(stores, 1))
 	l.teach("A", "store", "menu", "item")
 	l.park(func(name, id string) bool { return name == "item" })
-	l.get("A", "list", "A")
+	l.getQueued("A", "list", "A")
 	waitFor(t, "the first item to reach the origin", func() bool {
 		s := l.seen()
 		return len(s) > 0 && s[len(s)-1] == "item?A1m-1"

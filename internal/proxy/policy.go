@@ -25,12 +25,15 @@ import (
 // predecessor transaction (rankCandidates); what does not vary by policy —
 // the issue-time gates — is Proxy.mayIssue.
 
-// Skip reasons for candidates dropped before reaching the scheduler, beyond
-// the policy package's own (ReasonDepth, ReasonUnlikely).
+// Skip reasons beyond the policy package's own (ReasonDepth, ReasonUnlikely):
+// the first three drop a candidate before it reaches the scheduler, the last
+// two a task at dispatch (runPrefetch), before any origin byte moves.
 const (
 	skipNoExemplar  = "no_exemplar"   // materialize failed: run-time values missing
 	skipNoDepValues = "no_dep_values" // predecessor response yielded no dependency values
 	skipPendingFull = "pending_full"  // per-signature parked-instance cap hit
+	skipNoRoom      = "no_room"       // speculation whose only room is an unread sibling's
+	skipDataBudget  = "data_budget"   // the window's data budget ran out while it was queued
 )
 
 // prefetchSkips counts dropped candidates by reason
@@ -41,6 +44,8 @@ type prefetchSkips struct {
 	pendingFull atomic.Int64
 	depth       atomic.Int64
 	unlikely    atomic.Int64
+	noRoom      atomic.Int64
+	dataBudget  atomic.Int64
 }
 
 // countSkip attributes one dropped candidate to its reason.
@@ -56,6 +61,10 @@ func (p *Proxy) countSkip(reason string) {
 		p.skips.depth.Add(1)
 	case policy.ReasonUnlikely:
 		p.skips.unlikely.Add(1)
+	case skipNoRoom:
+		p.skips.noRoom.Add(1)
+	case skipDataBudget:
+		p.skips.dataBudget.Add(1)
 	}
 }
 
@@ -135,10 +144,12 @@ func (p *Proxy) registerPolicyBridges(reg *obs.Registry) {
 		{skipPendingFull, &p.skips.pendingFull},
 		{policy.ReasonDepth, &p.skips.depth},
 		{policy.ReasonUnlikely, &p.skips.unlikely},
+		{skipNoRoom, &p.skips.noRoom},
+		{skipDataBudget, &p.skips.dataBudget},
 	} {
 		c := s.c
 		reg.CounterFunc(`appx_prefetch_skipped_total{reason="`+s.reason+`"}`,
-			"Prefetch candidates dropped before scheduling, by reason.", c.Load)
+			"Prefetch candidates dropped before scheduling or at dispatch, by reason.", c.Load)
 	}
 }
 
@@ -161,5 +172,7 @@ func (p *Proxy) policyV1() adminv1.PolicyEntry {
 		PendingFullSkips: p.skips.pendingFull.Load(),
 		DepthSkips:       p.skips.depth.Load(),
 		UnlikelySkips:    p.skips.unlikely.Load(),
+		NoRoomSkips:      p.skips.noRoom.Load(),
+		DataBudgetSkips:  p.skips.dataBudget.Load(),
 	}
 }

@@ -249,6 +249,7 @@ type pendingInstance struct {
 	sp    *planSucc
 	vals  []string
 	depth int
+	root  uint64
 	trig  trigger
 }
 
@@ -284,6 +285,16 @@ type user struct {
 	mu        sync.Mutex
 	exemplars map[string]*exemplar         // sigID → latest live example
 	pending   map[string][]pendingInstance // sigID → instances awaiting exemplar
+
+	// roots counts the live transactions of this user that taught — misses and
+	// hits. Everything a transaction spawns, down its whole chain, carries that
+	// transaction's count as its root: the one notion of which speculation is
+	// due sooner that the room check has (reserveRoom).
+	roots atomic.Uint64
+	// expected sums the expected sizes of this user's speculative prefetches
+	// that passed the room check and have not yet committed, so workers
+	// checking side by side do not all see the same free room.
+	expected atomic.Int64
 
 	// lastSeen and elem (the user's place in Proxy.recent) are guarded by
 	// Proxy.mu, not mu.
@@ -464,14 +475,18 @@ func (p *Proxy) registerBridges(reg *obs.Registry) {
 		func() int64 { return p.store.Metrics().Evictions.Expired })
 	reg.CounterFunc(`appx_cache_evictions_total{cause="budget"}`, "Cache evictions by cause.",
 		func() int64 { return p.store.Metrics().Evictions.Budget })
-	reg.CounterFunc("appx_cache_evicted_unused_total", "Entries a capacity limit evicted before any client was served them.",
-		func() int64 {
-			var n int64
+	sumCacheSigs := func(field func(cache.SigStats) int64) func() int64 {
+		return func() (n int64) {
 			for _, st := range p.store.Metrics().PerSig {
-				n += st.EvictedUnused
+				n += field(st)
 			}
 			return n
-		})
+		}
+	}
+	reg.CounterFunc("appx_cache_evicted_unused_total", "Entries a capacity limit evicted before any client was served them.",
+		sumCacheSigs(func(st cache.SigStats) int64 { return st.EvictedUnused }))
+	reg.CounterFunc("appx_cache_evicted_unused_bytes_total", "Resident bytes of entries a capacity limit evicted before any client was served them.",
+		sumCacheSigs(func(st cache.SigStats) int64 { return st.EvictedUnusedBytes }))
 	reg.CounterFunc("appx_budget_inherited_total", "Requests arriving with a propagated latency budget.",
 		p.budget.inherited.Load)
 	reg.CounterFunc("appx_budget_clamped_total", "Inherited budgets clamped to the local limit.",
@@ -776,11 +791,12 @@ func (p *Proxy) cacheV1() adminv1.Cache {
 	sigs := make(map[string]adminv1.CacheSignature, len(cm.PerSig))
 	for id, st := range cm.PerSig {
 		sigs[id] = adminv1.CacheSignature{
-			Stored:        st.Puts,
-			Hits:          st.Hits,
-			Expired:       st.Expired,
-			Evicted:       st.Evicted,
-			EvictedUnused: st.EvictedUnused,
+			Stored:             st.Puts,
+			Hits:               st.Hits,
+			Expired:            st.Expired,
+			Evicted:            st.Evicted,
+			EvictedUnused:      st.EvictedUnused,
+			EvictedUnusedBytes: st.EvictedUnusedBytes,
 		}
 	}
 	return adminv1.Cache{
@@ -941,7 +957,7 @@ func (p *Proxy) refreshExpired(u *user, e *cache.Entry) {
 	// entry (and its request) may be shared across users hitting the same
 	// key; Clone so the canonical-key memoization stays goroutine-local.
 	if st := p.sigs.byID[e.SigID]; st != nil {
-		p.maybePrefetch(u, st, e.Req.Clone(), 0, trigRefresh)
+		p.maybePrefetch(u, st, e.Req.Clone(), 0, e.Root, trigRefresh)
 	}
 }
 
@@ -958,14 +974,20 @@ func (p *Proxy) sharedEligible(s *sig.Signature, req *httpmsg.Request) bool {
 	return policy.SharedEligible(req.Header)
 }
 
-// learn runs the Figure-6 flowchart for one completed transaction:
-// successor targets update the exemplar and release pending instances;
-// predecessor targets spawn successor instances at depth. live marks a
-// transaction the client's own request fetched (a miss); a transaction that is
-// not live but at depth 0 is one a client was answered from the cache with (a
-// hit, or an attach to the prefetch), anything deeper a link of a speculated
-// chain.
+// learn is learnFrom for a transaction that starts a chain of its own — one a
+// client just made or was just answered with: it takes the user's next root.
 func (p *Proxy) learn(u *user, st *sigState, req *httpmsg.Request, resp *httpmsg.Response, depth int, live bool) {
+	p.learnFrom(u, st, req, resp, depth, u.roots.Add(1), live)
+}
+
+// learnFrom runs the Figure-6 flowchart for one completed transaction:
+// successor targets update the exemplar and release pending instances;
+// predecessor targets spawn successor instances at depth, descending from the
+// live transaction root. live marks a transaction the client's own request
+// fetched (a miss); a transaction that is not live but at depth 0 is one a
+// client was answered from the cache with (a hit, or an attach to the
+// prefetch), anything deeper a link of a speculated chain.
+func (p *Proxy) learnFrom(u *user, st *sigState, req *httpmsg.Request, resp *httpmsg.Response, depth int, root uint64, live bool) {
 	s := st.sig
 	trig := trigChain
 	if live {
@@ -984,7 +1006,7 @@ func (p *Proxy) learn(u *user, st *sigState, req *httpmsg.Request, resp *httpmsg
 			delete(u.pending, s.ID)
 			u.mu.Unlock()
 			for _, pi := range released {
-				p.instantiate(u, pi.sp, pi.vals, pi.depth, pi.trig)
+				p.instantiate(u, pi.sp, pi.vals, pi.depth, pi.root, pi.trig)
 			}
 		}
 	}
@@ -1034,14 +1056,14 @@ func (p *Proxy) learn(u *user, st *sigState, req *httpmsg.Request, resp *httpmsg
 			continue
 		}
 		for _, vals := range insts {
-			p.instantiate(u, ps, vals, depth, trig)
+			p.instantiate(u, ps, vals, depth, root, trig)
 		}
 	}
 }
 
 // instantiate materializes one successor instance, parking it when run-time
 // values are still missing, and schedules the prefetch when ready.
-func (p *Proxy) instantiate(u *user, sp *planSucc, vals []string, depth int, trig trigger) {
+func (p *Proxy) instantiate(u *user, sp *planSucc, vals []string, depth int, root uint64, trig trigger) {
 	s := sp.Sig
 	u.mu.Lock()
 	ex := u.exemplars[s.ID]
@@ -1052,7 +1074,7 @@ func (p *Proxy) instantiate(u *user, sp *planSucc, vals []string, depth int, tri
 	if ex == nil {
 		parked := len(u.pending[s.ID]) < maxPendingPerSig
 		if parked {
-			u.pending[s.ID] = append(u.pending[s.ID], pendingInstance{sp: sp, vals: vals, depth: depth, trig: trig})
+			u.pending[s.ID] = append(u.pending[s.ID], pendingInstance{sp: sp, vals: vals, depth: depth, root: root, trig: trig})
 		}
 		u.mu.Unlock()
 		if !parked {
@@ -1069,7 +1091,7 @@ func (p *Proxy) instantiate(u *user, sp *planSucc, vals []string, depth int, tri
 		p.countSkip(skipNoExemplar)
 		return
 	}
-	p.maybePrefetch(u, sp.st, req, depth, trig)
+	p.maybePrefetch(u, sp.st, req, depth, root, trig)
 }
 
 // prefetch is one speculative fetch from issue to commit: the reconstructed
@@ -1077,7 +1099,8 @@ func (p *Proxy) instantiate(u *user, sp *planSucc, vals []string, depth int, tri
 // It is its own scheduler task and the task's sched.Job, so issuing an
 // instance allocates this one value; the task carries its place in the
 // dependency chain (Depth, which a Promote may lower while it waits) and the
-// claim's issue key (Key), which also names its flight. req is immutable once
+// claim's issue key (Key), which also names its flight; root is the live
+// transaction the chain descends from. req is immutable once
 // issued: the commit shares it with the sample table and the cache entry,
 // whose readers clone.
 type prefetch struct {
@@ -1089,6 +1112,7 @@ type prefetch struct {
 	scope  string
 	key    string
 	expiry time.Duration
+	root   uint64
 }
 
 // Run implements sched.Job.
@@ -1146,7 +1170,7 @@ func (p *Proxy) mayIssue(userKey string, st *sigState, host string) bool {
 // maybePrefetch applies the issue gates and dedup, then schedules the
 // prefetch at its chain depth, under its class's queue share and enqueue
 // deadline.
-func (p *Proxy) maybePrefetch(u *user, st *sigState, req *httpmsg.Request, depth int, trig trigger) {
+func (p *Proxy) maybePrefetch(u *user, st *sigState, req *httpmsg.Request, depth int, root uint64, trig trigger) {
 	if !p.mayIssue(u.key, st, req.Host) {
 		return
 	}
@@ -1175,7 +1199,7 @@ func (p *Proxy) maybePrefetch(u *user, st *sigState, req *httpmsg.Request, depth
 	case depth == 0:
 		class = sched.ClassShallow
 	}
-	pf := &prefetch{p: p, u: u, st: st, req: req, scope: scope, key: key, expiry: expiry}
+	pf := &prefetch{p: p, u: u, st: st, req: req, scope: scope, key: key, expiry: expiry, root: root}
 	pf.task = sched.Task{SigID: st.sig.ID, Class: class, Depth: depth, Key: ikey, Job: pf}
 	if qd := time.Duration(p.ovl.QueueDeadline); qd > 0 {
 		pf.task.Deadline = p.opts.Now().Add(qd)
@@ -1196,12 +1220,29 @@ func (p *Proxy) maybePrefetch(u *user, st *sigState, req *httpmsg.Request, depth
 // so the signature's failure backoff — not a stale issued entry — governs
 // when reconstruction is retried.
 func (p *Proxy) runPrefetch(pf *prefetch) {
+	// A foreground miss on this key committed its own capture under the claim
+	// while the task waited (runFlight): the entry is there, and this is a
+	// zero-byte prefetch like an adopted flight's.
+	if _, fresh := p.store.Peek(pf.scope, pf.key); fresh {
+		pf.st.countPrefetch(0)
+		return
+	}
 	// Budget re-checked at execution time: instances queued before the
 	// budget ran out must not blow past it (C4).
 	if p.overDataBudget() {
-		p.store.CancelIssue(pf.scope, pf.key)
+		pf.Abandon()
+		p.countSkip(skipDataBudget)
 		return
 	}
+	// Room is re-checked here too, where the scope is as full as it will be
+	// when the response lands, and before any origin byte moves.
+	expect, ok := p.reserveRoom(pf)
+	if !ok {
+		pf.Abandon()
+		p.countSkip(skipNoRoom)
+		return
+	}
+	defer pf.u.expected.Add(-expect)
 	// Shared-tier prefetches try ring siblings before the origin: the claim
 	// this task already holds is the cluster flight, so the fill neither
 	// re-claims nor releases on miss (the origin fetch below still owns it).
@@ -1225,6 +1266,30 @@ func (p *Proxy) runPrefetch(pf *prefetch) {
 	// other way: wait for the shared fetch and cache its capture.
 	fl, owner := p.openFlight(pf.task.Key)
 	p.ridePrefetch(pf, fl, owner)
+}
+
+// reserveRoom makes room a precondition of speculation. A task still
+// speculative when a worker picks it up (depth 1 or more: nothing a client has
+// just asked for or been answered with names it, and it is no refresh) is
+// refused when its expected bytes — the signature's mean prefetched size — on
+// top of what the user's scope holds and what the user's other admitted tasks
+// are about to add would only fit by evicting an entry no client has read from
+// the same live transaction or a later one (cache.Store.RoomFor): past the
+// cap, a burst buys evictions, not hits. An admitted task's expected bytes
+// count against the user until the caller gives expect back, when the task
+// returns. Depth-0 tasks, shared-scope tasks and signatures with no size
+// sample yet pass without a lock.
+func (p *Proxy) reserveRoom(pf *prefetch) (expect int64, ok bool) {
+	n := pf.st.prefetches.Load()
+	if pf.task.Depth < 1 || pf.scope == cache.SharedScope || n == 0 {
+		return 0, true
+	}
+	expect = pf.st.prefetchedBytes.Load() / n
+	if p.store.RoomFor(pf.scope, pf.u.expected.Add(expect), pf.root) {
+		return expect, true
+	}
+	pf.u.expected.Add(-expect)
+	return 0, false
 }
 
 // ridePrefetch is the rest of a prefetch once the worker has looked up the
@@ -1276,6 +1341,7 @@ func (p *Proxy) ridePrefetch(pf *prefetch, fl *flight, owner bool) {
 		// What a miss on this entry would cost its client: the eviction
 		// order keeps slow-origin responses over cheap-to-refetch bulk.
 		Cost: pf.st.avgRespTime(),
+		Root: pf.root,
 		// Foreground-class prefetches are refreshes of entries clients are
 		// demonstrably using; hits on them report as refresh-hit.
 		Refreshed: pf.task.Class == sched.ClassForeground,
@@ -1292,7 +1358,7 @@ func (p *Proxy) ridePrefetch(pf *prefetch, fl *flight, owner bool) {
 		if fl.demanded.Load() {
 			depth = 0
 		}
-		p.learn(pf.u, pf.st, pf.req, resp, depth, false)
+		p.learnFrom(pf.u, pf.st, pf.req, resp, depth, pf.root, false)
 	}
 }
 
@@ -1363,9 +1429,11 @@ func (p *Proxy) fetchFlight(pf *prefetch, fkey string, fl *flight) (body []byte,
 // error, non-200, over-cap body.
 func (p *Proxy) adoptFlight(pf *prefetch, fl *flight, rd *stream.Reader) (body []byte, ok bool) {
 	defer rd.Close()
+	timeout := time.NewTimer(time.Duration(p.res.PrefetchTimeout))
+	defer timeout.Stop()
 	select {
 	case <-fl.ready:
-	case <-time.After(time.Duration(p.res.PrefetchTimeout)):
+	case <-timeout.C:
 		// The owner never published headers (wedged origin); give up the
 		// claim rather than pin a worker on someone else's fetch.
 		return nil, false

@@ -338,6 +338,18 @@ func (s *Scheduler) Promote(key string, depth int) bool {
 	return true
 }
 
+// Queued reports whether a task holding key waits in the queue — accepted, not
+// yet handed to a worker — and the class it was submitted in.
+func (s *Scheduler) Queued(key string) (Class, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t := s.keyed[key]
+	if t == nil {
+		return 0, false
+	}
+	return t.Class, true
+}
+
 // unkeyLocked forgets a task leaving the queue. A key can outlive its claim
 // (the claim's window lapsed while the task waited) and be taken again, so
 // only the task the index currently names is removed.

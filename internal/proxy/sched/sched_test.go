@@ -171,6 +171,30 @@ func TestPromote(t *testing.T) {
 	}
 }
 
+// Queued names a task exactly while it waits: not before Submit, not once a
+// worker has it, not after Close.
+func TestQueued(t *testing.T) {
+	s, release := stalled(t, Config{})
+	if _, ok := s.Queued("k"); ok {
+		t.Fatal("Queued found a key nobody submitted")
+	}
+	running := make(chan struct{})
+	s.Submit(&Task{SigID: "x", Class: ClassDeep, Depth: 2, Key: "k", Run: func() { close(running); <-release }})
+	if class, ok := s.Queued("k"); !ok || class != ClassDeep {
+		t.Fatalf("Queued = %v, %v for a waiting deep task", class, ok)
+	}
+	release <- struct{}{} // the blocker returns; the worker picks k up
+	<-running
+	if _, ok := s.Queued("k"); ok {
+		t.Fatal("Queued still names a task a worker is running")
+	}
+	close(release)
+	s.Close()
+	if _, ok := s.Queued("k"); ok {
+		t.Fatal("Queued found a key after Close")
+	}
+}
+
 func TestCloseRejectsSubmit(t *testing.T) {
 	s := New(2, func(string) float64 { return 0 })
 	s.Close()

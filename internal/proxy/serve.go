@@ -9,6 +9,7 @@ import (
 	"appx/internal/cache"
 	"appx/internal/httpmsg"
 	"appx/internal/obs"
+	"appx/internal/proxy/sched"
 )
 
 // The foreground request lifecycle (DESIGN.md §8). One proxied request is one
@@ -186,7 +187,7 @@ func (p *Proxy) serve(x *exchange, r *http.Request) obs.Outcome {
 	fkey := cache.IssueKey(scope, key)
 	fl, owner := p.openFlight(fkey)
 	if owner {
-		return p.runFlight(x, u, matched, fkey, fl)
+		return p.runFlight(x, u, matched, scope, fkey, fl)
 	}
 	if p.attachFlight(x, fl) {
 		p.streamStats.attachHits.Add(1)
@@ -298,8 +299,9 @@ func readsBody(matched []*sigState) bool {
 // runFlight executes the owner side of a foreground flight: fetch the whole
 // entity, publish headers to any attachers, pump the body through the spool
 // while serving this client from it, then feed the capture into stats and
-// learning. fkey names the flight in the registry.
-func (p *Proxy) runFlight(x *exchange, u *user, matched []*sigState, fkey string, fl *flight) obs.Outcome {
+// learning. fkey names the flight in the registry, scope the cache scope a
+// prefetch of the same request would fill.
+func (p *Proxy) runFlight(x *exchange, u *user, matched []*sigState, scope, fkey string, fl *flight) obs.Outcome {
 	lead := matched[0]
 	p.attribute(x, lead.sig.ID)
 	// The origin always sees the whole-entity request: Range is stripped and
@@ -343,19 +345,36 @@ func (p *Proxy) runFlight(x *exchange, u *user, matched []*sigState, fkey string
 	lead.misses.Add(1)
 	p.stats.forwardedBytes.Add(fl.sp.Size())
 	if ok {
+		// A prefetch of this very key still waits in the queue: its claim
+		// stands, and no worker opened or adopted this flight. The capture is
+		// committed under that claim, as an adopting worker would have
+		// committed it — or the task fetches the same bytes again when it runs
+		// (now it finds the key resident and returns, runPrefetch).
+		class, queued := p.sched.Queued(fkey)
+		commit := queued && fl.status == http.StatusOK
 		lresp := &httpmsg.Response{Status: fl.status, Header: fl.header}
 		// The chunks are concatenated into one contiguous body only when
-		// learning will read it — some matched signature has a read plan.
-		// Every other capture (a streamed blob nothing depends on) is
-		// accounted from the spool and never copied.
-		if readsBody(matched) {
+		// something will read it — the cache, or learning because some matched
+		// signature has a read plan. Every other capture (a streamed blob
+		// nothing depends on) is accounted from the spool and never copied.
+		if commit || readsBody(matched) {
 			lresp.Body, _ = fl.sp.Bytes()
+		}
+		root := u.roots.Add(1)
+		if commit {
+			e := &cache.Entry{Resp: lresp, Req: sent, SigID: lead.sig.ID,
+				Expires: p.opts.Now().Add(p.opts.Config.Expiration(lead.pol)),
+				Cost:    lead.avgRespTime(), Root: root,
+				Refreshed: class == sched.ClassForeground}
+			e.FirstUse() // this client has been served it
+			p.store.Put(scope, x.req.CanonicalKey(), e)
 		}
 		// Ambiguous URI patterns (fully dynamic URLs look identical) mean one
 		// live transaction can instantiate several signatures; learn through
-		// every match so each keeps a usable exemplar.
+		// every match so each keeps a usable exemplar. One transaction, one
+		// root.
 		for _, st := range matched {
-			p.learn(u, st, x.req, lresp, 0, true)
+			p.learnFrom(u, st, x.req, lresp, 0, root, true)
 		}
 		x.sp.EndStage(obs.StageLearn)
 	}

@@ -305,8 +305,12 @@ func (s *Stats) Snapshot() Snapshot {
 	return out
 }
 
-// NormalizedDataUsage returns (forwarded+prefetched)/forwarded — the
-// paper's Figure-16 data-usage metric. 1.0 when nothing was forwarded.
+// NormalizedDataUsage returns (forwarded+prefetched)/(forwarded+served):
+// origin bytes fetched over the response-body bytes clients consumed, which
+// stand in for what an Orig run would have fetched; 1.0 when nothing was
+// consumed. exp's Figure-16 and Figure-17 columns are this value; bench/'s
+// data_usage_x divides the same numerator by the bytes the benchmark's own
+// clients counted on receipt.
 func (s Snapshot) NormalizedDataUsage() float64 {
 	if s.ForwardedBytes+s.ServedBytes == 0 {
 		return 1
