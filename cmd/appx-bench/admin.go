@@ -107,6 +107,9 @@ func renderAdmin(w io.Writer, v *adminView) {
 		is.Miss, is.Hit, is.Chain, is.Refresh, s.Sched.Promoted)
 	fmt.Fprintf(w, "prefetches dropped at dispatch: no room %d  data budget %d\n",
 		s.Policy.NoRoomSkips, s.Policy.DataBudgetSkips)
+	mr, b := s.MissReasons, s.Borrowed
+	fmt.Fprintf(w, "misses by reason: unpredicted %d  no exemplar %d  queued %d  other %d   borrowed first visits: issued %d  used %d  rejected %d\n",
+		mr.Unpredicted, mr.NoExemplar, mr.Queued, mr.Other, b.Issued, b.Used, b.Rejected)
 	fmt.Fprintf(w, "saved latency: %s  data used: %dB\n",
 		time.Duration(s.SavedLatencyMs)*time.Millisecond, s.DataUsedBytes)
 

@@ -20,6 +20,11 @@ func TestAdminModeDecodesTypedViews(t *testing.T) {
 		Overload: adminv1.Overload{Mode: "normal", Admitted: 10},
 		Sched:    adminv1.Sched{Promoted: 4, Issued: adminv1.SchedIssued{Miss: 30, Hit: 9, Chain: 60}},
 		Policy:   adminv1.PolicyEntry{NoRoomSkips: 17, DataBudgetSkips: 2},
+		MissReasons: adminv1.MissReasons{
+			MissCounts: adminv1.MissCounts{Unpredicted: 145, NoExemplar: 68, Queued: 55, Other: 9},
+			Signatures: map[string]adminv1.MissCounts{"t:item#0": {NoExemplar: 68, Queued: 55, Other: 9}},
+		},
+		Borrowed: adminv1.Borrowed{Issued: 300, Used: 120, Rejected: 2},
 		Cache: adminv1.Cache{Signatures: map[string]adminv1.CacheSignature{
 			"t:img#0":  {Stored: 180, Hits: 12, Evicted: 150, EvictedUnused: 140, EvictedUnusedBytes: 44100000},
 			"t:item#0": {Stored: 40, Hits: 31},
@@ -92,6 +97,7 @@ func TestAdminModeDecodesTypedViews(t *testing.T) {
 		"t:img#0: stored 180, hits 12, evicted 150 (140 never served), 44100000B unread",
 		"issued by: miss 30  hit 9  chain 60  refresh 0   promoted in queue: 4",
 		"dropped at dispatch: no room 17  data budget 2",
+		"misses by reason: unpredicted 145  no exemplar 68  queued 55  other 9   borrowed first visits: issued 300  used 120  rejected 2",
 		"#10",
 		"sig=t:item#0",
 	} {

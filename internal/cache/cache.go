@@ -104,6 +104,10 @@ type Entry struct {
 	// expired entry (kept warm for a demonstrated client) rather than a
 	// speculative prefetch — telemetry distinguishes the two hit kinds.
 	Refreshed bool
+	// Borrowed marks an entry whose request was built from what the user's
+	// device had shown the proxy on other signatures, before any live
+	// instance of its own: telemetry counts how many of them are served.
+	Borrowed bool
 	// Cost is the latency a miss on this entry would cost the client: its
 	// signature's origin response time when it was stored. Eviction weighs
 	// it against the entry's size (see scopeState). Zero means unknown: the

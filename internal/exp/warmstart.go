@@ -12,6 +12,7 @@ import (
 	"appx/internal/httpmsg"
 	"appx/internal/persist"
 	"appx/internal/proxy"
+	"appx/internal/sig"
 )
 
 // WarmStartRow is one post-restart batch (one user session: feed open plus
@@ -133,8 +134,20 @@ func warmstartUpstream() proxy.UpstreamFunc {
 	}
 }
 
-func warmstartProxy(dir string) *proxy.Proxy {
+// warmstartGraph is the cachesweep graph with an optional field on the
+// asset: its instance class is known only from a live asset request, so a
+// fresh user's first assets wait for one — the proxy cannot build them from
+// the feed request alone — and what a cold restart lacks is what the warm
+// one restored.
+func warmstartGraph() *sig.Graph {
 	g := cacheSweepGraph()
+	asset := g.Sig("cw:asset#0")
+	asset.Query = append(asset.Query, sig.Field{Key: "thumb", Value: sig.Literal("1"), Optional: true})
+	return g
+}
+
+func warmstartProxy(dir string) *proxy.Proxy {
+	g := warmstartGraph()
 	now := time.Unix(1_700_000_000, 0)
 	return proxy.New(proxy.Options{Graph: g, Upstream: warmstartUpstream(), Workers: 1,
 		StateDir: dir,

@@ -273,6 +273,23 @@ var hopByHop = map[string]bool{
 	"if-range":          true,
 }
 
+// KeyedHeader reports whether CanonicalKey covers the header named key
+// (case-insensitive). It allocates nothing.
+func KeyedHeader(key string) bool {
+	var lower [len("transfer-encoding")]byte // the longest hop-by-hop name
+	if len(key) > len(lower) {
+		return true
+	}
+	for i := 0; i < len(key); i++ {
+		c := key[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		lower[i] = c
+	}
+	return !hopByHop[string(lower[:len(key)])]
+}
+
 // keyScratch pools CanonicalKey's working state: the canonical byte stream
 // fed to the hash and the sort buffer for query/header/form fields. The
 // proxy keys every request (twice per prefetched transaction: planning and

@@ -80,6 +80,18 @@ func TestCanonicalKeyIgnoresHopByHop(t *testing.T) {
 	}
 }
 
+// KeyedHeader agrees with CanonicalKey about which headers it covers.
+func TestKeyedHeaderAgreesWithCanonicalKey(t *testing.T) {
+	base := sampleRequest().CanonicalKey()
+	for _, key := range []string{"Content-Type", "content-length", "Range", "If-Range", "Connection", "Cookie", "User-Agent", "X-Device"} {
+		r := sampleRequest()
+		r.Header = append(r.Header, Field{Key: key, Value: "changed"})
+		if keyed := r.CanonicalKey() != base; KeyedHeader(key) != keyed {
+			t.Errorf("KeyedHeader(%q) = %v, CanonicalKey covers it: %v", key, !keyed, keyed)
+		}
+	}
+}
+
 func TestCanonicalKeyJSONBody(t *testing.T) {
 	a := &Request{Method: "POST", Host: "h", Path: "/p", BodyKind: BodyJSON,
 		BodyJSON: map[string]any{"b": float64(1), "a": "x"}}

@@ -279,6 +279,37 @@ type PolicyEntry struct {
 	DataBudgetSkips  int64 `json:"dataBudgetSkips"`
 }
 
+// MissCounts splits foreground misses of matched signatures by why no
+// prefetch answered them (appx_miss_total{reason}): no dependency feeds the
+// signature (Unpredicted); the user had no live instance of it and the
+// proxy's profile of the user's device could not build one (NoExemplar);
+// its prefetch still waited in the queue (Queued); anything else — derived
+// and since evicted, expired or refused, or never derived for this value
+// (Other).
+type MissCounts struct {
+	Unpredicted int64 `json:"unpredicted"`
+	NoExemplar  int64 `json:"noExemplar"`
+	Queued      int64 `json:"queued"`
+	Other       int64 `json:"other"`
+}
+
+// MissReasons is the miss-reason block of /appx/v1/stats: the totals, and
+// per signature those that missed at all.
+type MissReasons struct {
+	MissCounts
+	Signatures map[string]MissCounts `json:"signatures,omitempty"`
+}
+
+// Borrowed is the first-visit block of /appx/v1/stats: prefetches issued
+// from an exemplar built from what the user's device sent on other
+// signatures, how many of their entries a client was served, and how many
+// the origin rejected.
+type Borrowed struct {
+	Issued   int64 `json:"issued"`
+	Used     int64 `json:"used"`
+	Rejected int64 `json:"rejected"`
+}
+
 // HeaderField is one stored response header in a ClusterEntry.
 type HeaderField struct {
 	Key   string `json:"key"`
@@ -325,6 +356,8 @@ type StatsResponse struct {
 	Cluster              Cluster     `json:"cluster"`
 	Budget               Budget      `json:"budget"`
 	Policy               PolicyEntry `json:"policy"`
+	MissReasons          MissReasons `json:"missReasons"`
+	Borrowed             Borrowed    `json:"borrowed"`
 }
 
 // HealthResponse is the body of GET /appx/v1/health.

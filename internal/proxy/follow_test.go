@@ -36,12 +36,16 @@ type followLab struct {
 	p *Proxy
 
 	mu       sync.Mutex
-	arrivals []string // "<name>?<id>", in the order requests reached the origin
+	arrivals []string           // "<name>?<id>", in the order requests reached the origin
+	sent     []*httpmsg.Request // the requests themselves, in the same order
 	// parked requests wait at the origin before it answers; held ones are
 	// answered at once, headers first, and their body waits. Both until
 	// release.
 	parked, held func(name, id string) bool
 	gate         chan struct{}
+	// answer, when set, finishes the origin's response to a request: its
+	// status and headers.
+	answer func(r *httpmsg.Request, resp *httpmsg.Response)
 }
 
 // gatedBody is a response body that yields nothing until its gate opens.
@@ -71,35 +75,51 @@ func newFollowLab(t *testing.T, edges []edge, entriesPerUser int, body func(name
 // handed to tune before the proxy is built.
 func newFollowLabWith(t *testing.T, edges []edge, body func(name, id string) string, tune func(*config.Config)) *followLab {
 	t.Helper()
-	l := &followLab{t: t, g: sig.NewGraph("t"), gate: make(chan struct{})}
+	return newFollowLabOn(t, followGraph(edges), body, tune)
+}
+
+// followGraph is the lab's graph of edges.
+func followGraph(edges []edge) *sig.Graph {
+	g := sig.NewGraph("t")
 	add := func(name string) *sig.Signature {
-		if s := l.g.Sig("t:" + name + "#0"); s != nil {
+		if s := g.Sig("t:" + name + "#0"); s != nil {
 			return s
 		}
 		s := &sig.Signature{ID: "t:" + name + "#0", Method: "GET", URI: sig.Literal("h.example/" + name)}
-		l.g.Add(s)
+		g.Add(s)
 		return s
 	}
 	for _, e := range edges {
 		pred, succ := add(e.pred), add(e.succ)
 		succ.Query = []sig.Field{{Key: "id", Value: sig.DepValue(pred.ID, e.path)}}
-		l.g.AddDep(sig.Dependency{PredID: pred.ID, SuccID: succ.ID, RespPath: e.path,
+		g.AddDep(sig.Dependency{PredID: pred.ID, SuccID: succ.ID, RespPath: e.path,
 			Loc: sig.FieldLoc{Where: "query", Key: "id"}})
 	}
+	return g
+}
+
+// newFollowLabOn is newFollowLabWith over a graph built by the caller.
+func newFollowLabOn(t *testing.T, g *sig.Graph, body func(name, id string) string, tune func(*config.Config)) *followLab {
+	t.Helper()
+	l := &followLab{t: t, g: g, gate: make(chan struct{})}
 	up := UpstreamFunc(func(ctx context.Context, r *httpmsg.Request) (*httpmsg.Response, error) {
 		name := strings.TrimPrefix(r.Path, "/")
 		id, _ := r.GetQuery("id")
 		l.mu.Lock()
 		l.arrivals = append(l.arrivals, name+"?"+id)
+		l.sent = append(l.sent, r)
 		wait := l.parked != nil && l.parked(name, id)
 		hold := l.held != nil && l.held(name, id)
-		gate := l.gate
+		gate, answer := l.gate, l.answer
 		l.mu.Unlock()
 		if wait {
 			<-gate
 		}
 		resp := &httpmsg.Response{Status: 200,
 			Header: []httpmsg.Field{{Key: "Content-Type", Value: "application/json"}}}
+		if answer != nil {
+			answer(r, resp)
+		}
 		if hold {
 			resp.SetStream(gatedBody{gate, strings.NewReader(body(name, id))})
 		} else {
@@ -168,6 +188,13 @@ func (l *followLab) since(n int) []string { return l.seen()[n:] }
 // get sends one client request as user and returns the span outcome.
 func (l *followLab) get(user, name, id string, header ...httpmsg.Field) obs.Outcome {
 	l.t.Helper()
+	_, out := l.fetch(user, name, id, header...)
+	return out
+}
+
+// fetch is get returning the response the client was served too.
+func (l *followLab) fetch(user, name, id string, header ...httpmsg.Field) (*httpmsg.Response, obs.Outcome) {
+	l.t.Helper()
 	req := &httpmsg.Request{Method: "GET", Host: "h.example", Path: "/" + name,
 		Query: []httpmsg.Field{{Key: "id", Value: id}}, Header: header}
 	resp, err := (&proxyTransport{p: l.p, user: user}).RoundTrip(req)
@@ -176,11 +203,11 @@ func (l *followLab) get(user, name, id string, header ...httpmsg.Field) obs.Outc
 	}
 	for _, sp := range l.p.RecentSpans(16) {
 		if sp.User == user && sp.SigID == "t:"+name+"#0" {
-			return sp.Outcome
+			return resp, sp.Outcome
 		}
 	}
 	l.t.Fatalf("no span for /%s?id=%s as %s", name, id, user)
-	return obs.OutcomeUnknown
+	return nil, obs.OutcomeUnknown
 }
 
 // teach gives user a live example of every named signature, leaf first, so

@@ -136,6 +136,10 @@ type planSucc struct {
 	// parse, which no response satisfies.
 	cond     *config.Condition
 	condRead int
+	// borrow: a user's profile may build this successor's first instance —
+	// no optional field, and every unknown part a device value or a Dep on
+	// this predecessor (borrow.go).
+	borrow bool
 }
 
 // buildLearnPlan compiles the learnPlan of predecessor predID against the
@@ -155,6 +159,7 @@ func buildLearnPlan(g *sig.Graph, t *sigTable, predID string) *learnPlan {
 				lp.paths = append(lp.paths, path)
 			}
 		}
+		ps.borrow = ps.borrowable()
 		lp.succs = append(lp.succs, ps)
 	}
 	return lp

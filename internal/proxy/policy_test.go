@@ -18,6 +18,7 @@ import (
 	"appx/internal/config"
 	"appx/internal/httpmsg"
 	"appx/internal/policy"
+	"appx/internal/proxy/sched"
 	"appx/internal/sig"
 )
 
@@ -112,12 +113,13 @@ func (r *refGates) issue(sigID, host string, prior float64) (issued, suppressed 
 
 // TestStaticChainOrderDifferential pins the fan-out and the issue gates to
 // the pre-split behaviour over 1000 seeded random states — star graphs in
-// random dependency order, exemplars for a random subset of branches,
-// per-branch and per-user probabilities, suspended signatures, open
-// breakers, the data budget spent or not, fan-out at random chain depths.
-// Proxy and reference must consume the same probability draws and agree on
-// which prefetches reach the origin and in what order, on what counted as
-// suppressed, and on every appx_prefetch_skipped_total reason.
+// random dependency order, exemplars for a random subset of branches (the
+// others borrow theirs from the user's profile), per-branch and per-user
+// probabilities, suspended signatures, open breakers, the data budget spent
+// or not, fan-out at random chain depths. Proxy and reference must consume
+// the same probability draws and agree on which prefetches reach the origin
+// and in what order, on what counted as suppressed, and on every
+// appx_prefetch_skipped_total reason.
 func TestStaticChainOrderDifferential(t *testing.T) {
 	const user = "9.9.9.9"
 	now := time.Unix(1_700_000_000, 0)
@@ -149,7 +151,8 @@ func TestStaticChainOrderDifferential(t *testing.T) {
 			Now: func() time.Time { return now }, Rand: draws.Float64})
 
 		// Teach exemplars for a random subset of branches (always at least
-		// one) via live visits; the others park at fan-out.
+		// one) via live visits. The others borrow at fan-out: no branch
+		// names a header, so any visit is stack evidence for all of them.
 		scanned := map[int]bool{}
 		tr := &proxyTransport{p: p, user: user}
 		for b := 0; b < k; b++ {
@@ -186,19 +189,24 @@ func TestStaticChainOrderDifferential(t *testing.T) {
 
 		// Fan out from home: a live request at depth 0, a prefetched home
 		// response fed to learn — as runPrefetch does — at chain depths up to
-		// past the ceiling.
+		// past the ceiling. The one worker is held until the whole fan-out is
+		// queued, so depth alone orders what it issued.
 		depth := 0
 		home := &httpmsg.Request{Method: "GET", Host: "h.example", Path: "/home"}
+		busy := make(stall)
+		p.sched.Submit(&sched.Task{Job: busy})
 		if rng.Intn(3) == 0 {
 			depth = 1 + rng.Intn(maxChainDepth+2)
 			p.learn(p.user(user), p.sigs.byID["st:home#0"], home, homeResponse(), depth, false)
 		} else if _, err := tr.RoundTrip(home); err != nil {
 			t.Fatal(err)
 		}
+		close(busy)
 		p.Drain()
 
-		// The pre-policy fan-out walked g.Successors(home) in index order.
-		var want []string
+		// The pre-policy fan-out walked g.Successors(home) in index order; a
+		// borrowed instance is issued one link further out, after them.
+		var want, borrowed []string
 		wantSuppressed := map[string]int{}
 		var wantDepthSkips int64
 		for _, succID := range g.Successors("st:home#0") {
@@ -210,17 +218,18 @@ func TestStaticChainOrderDifferential(t *testing.T) {
 				wantDepthSkips++
 				continue
 			}
-			if !scanned[b] {
-				continue
-			}
 			issued, suppressed := ref.issue(succID, branchHost(b), priors[b]*scale)
-			if issued {
+			switch {
+			case issued && scanned[b]:
 				want = append(want, fmt.Sprintf("/b%d", b))
+			case issued:
+				borrowed = append(borrowed, fmt.Sprintf("/b%d", b))
 			}
 			if suppressed {
 				wantSuppressed[succID]++
 			}
 		}
+		want = append(want, borrowed...)
 		state := fmt.Sprintf("iter %d (k=%d order=%v scanned=%v priors=%v scale=%v depth=%d gates=%+v)",
 			iter, k, order, scanned, priors, scale, depth, ref)
 		if got := fetched(); !reflect.DeepEqual(got, want) {

@@ -210,6 +210,10 @@ type Proxy struct {
 	skips    prefetchSkips
 	// issued counts prefetches accepted by the scheduler, by trigger.
 	issued [numTriggers]*obs.Counter
+	// borrowed counts prefetches issued from a profile-built exemplar,
+	// borrowedUsed their entries served at least once, and borrowRejected
+	// those the origin rejected.
+	borrowed, borrowedUsed, borrowRejected *obs.Counter
 
 	// budget counts request-latency-budget events (budget.go).
 	budget struct {
@@ -285,6 +289,10 @@ type user struct {
 	mu        sync.Mutex
 	exemplars map[string]*exemplar         // sigID → latest live example
 	pending   map[string][]pendingInstance // sigID → instances awaiting exemplar
+	// prof is what the user's device has shown the proxy, from which a
+	// signature with no exemplar may borrow one (borrow.go). It is not
+	// persisted: the first requests after a restart rebuild it.
+	prof profile
 
 	// roots counts the live transactions of this user that taught — misses and
 	// hits. Everything a transaction spawns, down its whole chain, carries that
@@ -470,6 +478,22 @@ func (p *Proxy) registerBridges(reg *obs.Registry) {
 	for t := range p.issued {
 		p.issued[t] = reg.Counter(`appx_prefetch_issued_total{trigger="`+trigger(t).String()+`"}`,
 			"Prefetches accepted by the scheduler, by what caused them.")
+	}
+	p.borrowed = reg.Counter("appx_prefetch_borrowed_total",
+		"Prefetches issued from an exemplar built from the user's device profile.")
+	p.borrowedUsed = reg.Counter("appx_prefetch_borrowed_used_total",
+		"Borrowed prefetches whose entry was served at least once.")
+	p.borrowRejected = reg.Counter("appx_prefetch_borrowed_rejected_total",
+		"Borrowed prefetches the origin rejected; borrowing stops for that user and signature.")
+	for r := missReason(0); r < numMissReasons; r++ {
+		reg.CounterFunc(`appx_miss_total{reason="`+r.String()+`"}`,
+			"Foreground misses of matched signatures, by why no prefetch answered them.",
+			func() (n int64) {
+				for _, st := range p.sigs.all {
+					n += st.missReasons[r].Load()
+				}
+				return n
+			})
 	}
 	reg.CounterFunc(`appx_cache_evictions_total{cause="expired"}`, "Cache evictions by cause.",
 		func() int64 { return p.store.Metrics().Evictions.Expired })
@@ -715,7 +739,36 @@ func (p *Proxy) statsV1() adminv1.StatsResponse {
 		Cluster:              p.clusterV1(),
 		Budget:               p.budgetV1(),
 		Policy:               p.policyV1(),
+		MissReasons:          p.missReasonsV1(),
+		Borrowed: adminv1.Borrowed{
+			Issued:   p.borrowed.Value(),
+			Used:     p.borrowedUsed.Value(),
+			Rejected: p.borrowRejected.Value(),
+		},
 	}
+}
+
+// missReasonsV1 assembles the miss-reason block of /appx/v1/stats: the
+// totals, and the signatures that missed at all.
+func (p *Proxy) missReasonsV1() adminv1.MissReasons {
+	out := adminv1.MissReasons{Signatures: map[string]adminv1.MissCounts{}}
+	for _, st := range p.sigs.all {
+		c := adminv1.MissCounts{
+			Unpredicted: st.missReasons[missUnpredicted].Load(),
+			NoExemplar:  st.missReasons[missNoExemplar].Load(),
+			Queued:      st.missReasons[missQueued].Load(),
+			Other:       st.missReasons[missOther].Load(),
+		}
+		if c == (adminv1.MissCounts{}) {
+			continue
+		}
+		out.Signatures[st.sig.ID] = c
+		out.Unpredicted += c.Unpredicted
+		out.NoExemplar += c.NoExemplar
+		out.Queued += c.Queued
+		out.Other += c.Other
+	}
+	return out
 }
 
 // budgetV1 assembles the typed budget block of /appx/v1/stats.
@@ -957,7 +1010,7 @@ func (p *Proxy) refreshExpired(u *user, e *cache.Entry) {
 	// entry (and its request) may be shared across users hitting the same
 	// key; Clone so the canonical-key memoization stays goroutine-local.
 	if st := p.sigs.byID[e.SigID]; st != nil {
-		p.maybePrefetch(u, st, e.Req.Clone(), 0, e.Root, trigRefresh)
+		p.maybePrefetch(u, st, e.Req.Clone(), 0, e.Root, trigRefresh, false)
 	}
 }
 
@@ -1067,10 +1120,18 @@ func (p *Proxy) instantiate(u *user, sp *planSucc, vals []string, depth int, roo
 	s := sp.Sig
 	u.mu.Lock()
 	ex := u.exemplars[s.ID]
-	// Every signature waits for at least one live example before its
-	// instances are issued: the client's HTTP stack contributes run-time
-	// headers no static pattern can predict, and the exact-match guarantee
-	// (R2) requires reproducing them.
+	// The client's HTTP stack contributes run-time headers no static pattern
+	// can predict, and the exact-match guarantee (R2) requires reproducing
+	// them: a live example of the signature supplies them. Before the user
+	// has sent one, the user's profile may build the exemplar from what the
+	// device sent on other signatures (borrow.go). That guess is issued one
+	// link further out, so it never queues ahead of what the client is
+	// fetching now; otherwise the instance waits for a live example.
+	borrowed := false
+	if ex == nil {
+		ex = u.prof.exemplarFor(sp, vals)
+		borrowed = ex != nil
+	}
 	if ex == nil {
 		parked := len(u.pending[s.ID]) < maxPendingPerSig
 		if parked {
@@ -1091,18 +1152,22 @@ func (p *Proxy) instantiate(u *user, sp *planSucc, vals []string, depth int, roo
 		p.countSkip(skipNoExemplar)
 		return
 	}
-	p.maybePrefetch(u, sp.st, req, depth, root, trig)
+	if borrowed {
+		depth++
+	}
+	p.maybePrefetch(u, sp.st, req, depth, root, trig, borrowed)
 }
 
 // prefetch is one speculative fetch from issue to commit: the reconstructed
 // request and the cache slot (scope, key, expiry) its TryIssue claim holds.
 // It is its own scheduler task and the task's sched.Job, so issuing an
 // instance allocates this one value; the task carries its place in the
-// dependency chain (Depth, which a Promote may lower while it waits) and the
-// claim's issue key (Key), which also names its flight; root is the live
-// transaction the chain descends from. req is immutable once
-// issued: the commit shares it with the sample table and the cache entry,
-// whose readers clone.
+// dependency chain (Depth, which a Promote may lower while it waits), the
+// claim's issue key (Key), which also names its flight, and whether the
+// request was built from the user's profile (Guess); root is the live
+// transaction the chain descends from. req is immutable once issued: the
+// commit shares it with the sample table and the cache entry, whose readers
+// clone.
 type prefetch struct {
 	p      *Proxy
 	task   sched.Task
@@ -1169,8 +1234,8 @@ func (p *Proxy) mayIssue(userKey string, st *sigState, host string) bool {
 
 // maybePrefetch applies the issue gates and dedup, then schedules the
 // prefetch at its chain depth, under its class's queue share and enqueue
-// deadline.
-func (p *Proxy) maybePrefetch(u *user, st *sigState, req *httpmsg.Request, depth int, root uint64, trig trigger) {
+// deadline. borrowed marks a request built from the user's profile.
+func (p *Proxy) maybePrefetch(u *user, st *sigState, req *httpmsg.Request, depth int, root uint64, trig trigger, borrowed bool) {
 	if !p.mayIssue(u.key, st, req.Host) {
 		return
 	}
@@ -1200,7 +1265,7 @@ func (p *Proxy) maybePrefetch(u *user, st *sigState, req *httpmsg.Request, depth
 		class = sched.ClassShallow
 	}
 	pf := &prefetch{p: p, u: u, st: st, req: req, scope: scope, key: key, expiry: expiry, root: root}
-	pf.task = sched.Task{SigID: st.sig.ID, Class: class, Depth: depth, Key: ikey, Job: pf}
+	pf.task = sched.Task{SigID: st.sig.ID, Class: class, Depth: depth, Key: ikey, Guess: borrowed, Job: pf}
 	if qd := time.Duration(p.ovl.QueueDeadline); qd > 0 {
 		pf.task.Deadline = p.opts.Now().Add(qd)
 	}
@@ -1210,6 +1275,9 @@ func (p *Proxy) maybePrefetch(u *user, st *sigState, req *httpmsg.Request, depth
 		return
 	}
 	p.issued[trig].Inc()
+	if borrowed {
+		p.borrowed.Inc()
+	}
 }
 
 // runPrefetch executes one prefetch: obtains the response — from a ring
@@ -1224,7 +1292,7 @@ func (p *Proxy) runPrefetch(pf *prefetch) {
 	// while the task waited (runFlight): the entry is there, and this is a
 	// zero-byte prefetch like an adopted flight's.
 	if _, fresh := p.store.Peek(pf.scope, pf.key); fresh {
-		pf.st.countPrefetch(0)
+		pf.zeroByte()
 		return
 	}
 	// Budget re-checked at execution time: instances queued before the
@@ -1256,7 +1324,7 @@ func (p *Proxy) runPrefetch(pf *prefetch) {
 		e := p.clusterPeerFill(ctx, pf.key, true, reqBudget{})
 		cancel()
 		if e != nil {
-			pf.st.countPrefetch(0)
+			pf.zeroByte()
 			return
 		}
 	}
@@ -1345,6 +1413,7 @@ func (p *Proxy) ridePrefetch(pf *prefetch, fl *flight, owner bool) {
 		// Foreground-class prefetches are refreshes of entries clients are
 		// demonstrably using; hits on them report as refresh-hit.
 		Refreshed: pf.task.Class == sched.ClassForeground,
+		Borrowed:  pf.task.Guess,
 	})
 	// Chain continuation — only from a fetch this worker made itself; an
 	// adopted capture is learned from live by the foreground owner. The next
@@ -1403,6 +1472,13 @@ func (p *Proxy) fetchFlight(pf *prefetch, fkey string, fl *flight) (body []byte,
 	st.countPrefetch(sz)
 	p.dataUsed.Add(p.opts.Now(), sz)
 	switch {
+	case resp.Status != http.StatusOK && pf.task.Guess:
+		// A guess from the user's profile was wrong: that user stops
+		// guessing for this signature. The signature itself may work for
+		// everyone, so neither its backoff nor the verification phase's
+		// reject count hears of it.
+		p.refuseBorrow(pf.u, st)
+		return nil, false
 	case resp.Status != http.StatusOK:
 		// The origin rejected our reconstruction; do not cache errors
 		// (R3: never alter app behaviour with synthetic failures).
@@ -1446,6 +1522,15 @@ func (p *Proxy) adoptFlight(pf *prefetch, fl *flight, rd *stream.Reader) (body [
 	if fl.err != nil || fl.status != http.StatusOK || !ok {
 		return nil, false
 	}
-	pf.st.countPrefetch(0) // zero-byte: the foreground fetch paid for it
+	pf.zeroByte() // the foreground fetch paid for it
 	return body, true
+}
+
+// zeroByte counts a prefetch whose entry another fetch paid for — a
+// foreground miss committed under its claim, a peer fill, an adopted flight —
+// and keeps its request as the signature's verification sample: its key is
+// the entry's, so it is a request a client sent.
+func (pf *prefetch) zeroByte() {
+	pf.st.countPrefetch(0)
+	pf.st.sample.Store(pf.req)
 }

@@ -8,7 +8,9 @@
 // from a live client request (its chain depth), the nearest work runs first
 // and the §5 priority decides only among tasks equally far away, and a task
 // a client has since come closer to is promoted where it waits (Promote).
-// The scheduler is also overload-safe: tasks carry a class (foreground
+// Running tasks are never preempted, so tasks marked as guesses never hold
+// every worker: nearer work arriving behind a burst of them still finds one
+// free. The scheduler is also overload-safe: tasks carry a class (foreground
 // refresh, shallow prefetch, deep prefetch) that sets how far into a filling
 // queue they are admitted, so speculative work is shed first; tasks carry an
 // enqueue deadline so stale work is dropped at dispatch instead of run; every
@@ -70,6 +72,11 @@ type Task struct {
 	// Key, when non-empty, names the task for Promote; at most one queued
 	// task holds a key at a time (the proxy passes the dedup claim's key).
 	Key string
+	// Guess marks work the submitter is least sure of (the proxy's borrowed
+	// first visits). Guesses never hold every worker at once: a burst of
+	// them, each holding a worker for a whole origin round trip, cannot keep
+	// nearer work that arrives meanwhile from starting.
+	Guess bool
 	// Deadline, when non-zero, sheds the task if it has not started running
 	// by then: it is rejected at Submit when already past, and dropped at
 	// dispatch when it expired while queued.
@@ -181,9 +188,11 @@ func (m Metrics) ByClass(c Class) ClassMetrics {
 // — signature first, ahead of what another user's client is about to ask for.
 type taskHeap []*Task
 
-func (h taskHeap) Len() int { return len(h) }
-func (h taskHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
+func (h taskHeap) Len() int           { return len(h) }
+func (h taskHeap) Less(i, j int) bool { return before(h[i], h[j]) }
+
+// before is the dispatch order of taskHeap.
+func before(a, b *Task) bool {
 	if af, bf := a.Class == ClassForeground, b.Class == ClassForeground; af != bf {
 		return af
 	}
@@ -220,11 +229,17 @@ type Scheduler struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// inbox collects submissions; workers batch-move it into ready,
-	// computing each task's priority once at that point.
-	inbox []*Task
-	ready taskHeap
-	// keyed finds a queued (inbox or ready) task by its Key, for Promote.
+	// inbox collects submissions; workers batch-move it into ready, or
+	// guesses for Guess tasks, computing each task's priority once at that
+	// point. guessing counts running guesses, at most guessCap: one worker
+	// fewer than the pool, unless the pool is one worker.
+	inbox    []*Task
+	ready    taskHeap
+	guesses  taskHeap
+	guessing int
+	guessCap int
+	// keyed finds a queued (inbox, ready or guesses) task by its Key, for
+	// Promote.
 	keyed      map[string]*Task
 	seq        int64
 	closed     bool
@@ -257,7 +272,8 @@ func NewWith(cfg Config) *Scheduler {
 	if cfg.Priority == nil {
 		cfg.Priority = func(string) float64 { return 0 }
 	}
-	s := &Scheduler{priority: cfg.Priority, now: cfg.Now, maxQueue: cfg.MaxQueue, keyed: map[string]*Task{}}
+	s := &Scheduler{priority: cfg.Priority, now: cfg.Now, maxQueue: cfg.MaxQueue, keyed: map[string]*Task{},
+		guessCap: atLeast1(cfg.Workers - 1)}
 	s.classLimit[ClassForeground] = cfg.MaxQueue
 	s.classLimit[ClassShallow] = atLeast1(cfg.MaxQueue * 3 / 4)
 	s.classLimit[ClassDeep] = atLeast1(cfg.MaxQueue / 2)
@@ -300,7 +316,7 @@ func (s *Scheduler) Submit(t *Task) bool {
 		s.mu.Unlock()
 		return false
 	}
-	if len(s.inbox)+len(s.ready) >= s.classLimit[c] {
+	if s.queuedLocked() >= s.classLimit[c] {
 		s.classes[c].DroppedFull++
 		s.mu.Unlock()
 		return false
@@ -332,7 +348,7 @@ func (s *Scheduler) Promote(key string, depth int) bool {
 	}
 	t.Depth = depth
 	if t.pos >= 0 {
-		heap.Fix(&s.ready, t.pos)
+		heap.Fix(s.heapOf(t), t.pos)
 	}
 	s.promoted++
 	return true
@@ -359,11 +375,21 @@ func (s *Scheduler) unkeyLocked(t *Task) {
 	}
 }
 
+// heapOf returns the dispatch heap a task waits in once out of the inbox.
+func (s *Scheduler) heapOf(t *Task) *taskHeap {
+	if t.Guess {
+		return &s.guesses
+	}
+	return &s.ready
+}
+
+func (s *Scheduler) queuedLocked() int { return len(s.inbox) + len(s.ready) + len(s.guesses) }
+
 // QueueLen reports the number of queued (not yet running) tasks.
 func (s *Scheduler) QueueLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.inbox) + len(s.ready)
+	return s.queuedLocked()
 }
 
 // Cap reports the queue bound.
@@ -397,10 +423,11 @@ func (s *Scheduler) Close() {
 		return
 	}
 	s.closed = true
-	orphans := make([]*Task, 0, len(s.inbox)+len(s.ready))
+	orphans := make([]*Task, 0, s.queuedLocked())
 	orphans = append(orphans, s.inbox...)
 	orphans = append(orphans, s.ready...)
-	s.inbox, s.ready, s.keyed = nil, nil, nil
+	orphans = append(orphans, s.guesses...)
+	s.inbox, s.ready, s.guesses, s.keyed = nil, nil, nil, nil
 	for _, t := range orphans {
 		s.classes[classIdx(t.Class)].DroppedClosed++
 	}
@@ -427,16 +454,30 @@ func (s *Scheduler) mergeInboxLocked() {
 		}
 		s.seq++
 		t.prio, t.seq = p, s.seq
-		heap.Push(&s.ready, t)
+		heap.Push(s.heapOf(t), t)
 	}
 	s.inbox = s.inbox[:0]
+}
+
+// popLocked takes the next task to dispatch, nil when none may start: the
+// ready heap's top or, while guesses hold fewer than guessCap workers and
+// it dispatches first, the guess heap's.
+func (s *Scheduler) popLocked() *Task {
+	h := &s.ready
+	if len(s.guesses) > 0 && s.guessing < s.guessCap && (len(s.ready) == 0 || before(s.guesses[0], s.ready[0])) {
+		h = &s.guesses
+	}
+	if len(*h) == 0 {
+		return nil
+	}
+	return heap.Pop(h).(*Task)
 }
 
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
-		for len(s.inbox) == 0 && len(s.ready) == 0 && !s.closed {
+		for len(s.inbox) == 0 && len(s.ready) == 0 && (len(s.guesses) == 0 || s.guessing >= s.guessCap) && !s.closed {
 			s.cond.Wait()
 		}
 		if s.closed {
@@ -447,8 +488,7 @@ func (s *Scheduler) worker() {
 		var expired []*Task
 		var t *Task
 		now := s.now()
-		for len(s.ready) > 0 {
-			next := heap.Pop(&s.ready).(*Task)
+		for next := s.popLocked(); next != nil; next = s.popLocked() {
 			s.unkeyLocked(next)
 			if !next.Deadline.IsZero() && now.After(next.Deadline) {
 				s.classes[classIdx(next.Class)].DroppedExpired++
@@ -457,6 +497,9 @@ func (s *Scheduler) worker() {
 			}
 			t = next
 			s.classes[classIdx(t.Class)].Ran++
+			if t.Guess {
+				s.guessing++
+			}
 			break
 		}
 		s.mu.Unlock()
@@ -467,6 +510,14 @@ func (s *Scheduler) worker() {
 			continue
 		}
 		s.runTask(t)
+		if t.Guess {
+			// A guess slot is free again: a worker idling on a full one may
+			// start the next guess.
+			s.mu.Lock()
+			s.guessing--
+			s.mu.Unlock()
+			s.cond.Signal()
+		}
 	}
 }
 

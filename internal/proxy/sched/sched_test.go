@@ -501,3 +501,53 @@ func (j *countingJob) Run() {
 }
 func (j *countingJob) Abandon()      { j.abandoned++ }
 func (j *countingJob) OnPanic(v any) { j.panicked = v }
+
+// TestGuessesLeaveAWorker: guesses never hold every worker. With two workers
+// and three guesses waiting on a gate, one guess runs; a task submitted
+// meanwhile starts on the other worker although it is deeper than every
+// guess, and the other guesses wait for the running one. Promote and Close
+// reach guesses where they wait.
+func TestGuessesLeaveAWorker(t *testing.T) {
+	s := New(2, nil)
+	release := make(chan struct{})
+	started := make(chan string, 8)
+	for i := 0; i < 3; i++ {
+		s.Submit(&Task{SigID: "g", Guess: true, Depth: 1, Key: strconv.Itoa(i),
+			Run: func() { started <- "guess"; <-release }})
+	}
+	if got := <-started; got != "guess" {
+		t.Fatalf("first start %q", got)
+	}
+	s.Submit(&Task{SigID: "n", Depth: 5, Run: func() { started <- "near" }})
+	select {
+	case got := <-started:
+		if got != "near" {
+			t.Fatalf("a second guess started while one ran on a two-worker pool")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the non-guess task never started")
+	}
+	s.mu.Lock()
+	running, waiting := s.guessing, len(s.guesses)
+	s.mu.Unlock()
+	if running != 1 || waiting != 2 || s.QueueLen() != 2 {
+		t.Fatalf("%d guesses running, %d waiting (queue %d), want 1 and 2", running, waiting, s.QueueLen())
+	}
+	if !s.Promote("2", 0) {
+		t.Fatal("Promote missed a waiting guess")
+	}
+	// Close drops the waiting guesses at once, then waits for the running
+	// one, which the gate still holds.
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	for deadline := time.Now().Add(10 * time.Second); s.QueueLen() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("Close left guesses queued")
+		}
+	}
+	close(release)
+	<-closed
+	if m := s.Metrics(); m.Foreground.DroppedClosed != 2 || m.Promoted != 1 {
+		t.Fatalf("metrics %+v, want the two waiting guesses dropped at Close", m)
+	}
+}

@@ -160,7 +160,7 @@ func (p *Proxy) serve(x *exchange, r *http.Request) obs.Outcome {
 		}
 	}
 	if len(matched) == 0 {
-		return p.passthrough(x)
+		return p.passthrough(x, u)
 	}
 	lead := matched[0]
 	shareable := p.sharedEligible(lead.sig, req)
@@ -192,12 +192,15 @@ func (p *Proxy) serve(x *exchange, r *http.Request) obs.Outcome {
 	if p.attachFlight(x, fl) {
 		p.streamStats.attachHits.Add(1)
 		p.attribute(x, lead.sig.ID)
+		if absorbCookies(u, req.Host, fl.header) {
+			p.retryParked(u)
+		}
 		return obs.OutcomeAttachHit
 	}
 	// The flight failed, answered non-200, or slid past this client's
 	// range: fetch independently, without opening a second flight (a
 	// failing key must not stack spools).
-	return p.passthrough(x)
+	return p.passthrough(x, u)
 }
 
 // attribute ties the exchange to the signature answering it. A matched live
@@ -224,7 +227,11 @@ func (p *Proxy) attribute(x *exchange, sigID string) {
 func (p *Proxy) serveEntry(x *exchange, u *user, entry *cache.Entry, shared bool, outcome obs.Outcome) obs.Outcome {
 	st := p.sigs.byID[entry.SigID]
 	p.attribute(x, entry.SigID)
-	p.stats.countHit(st, int64(len(entry.Resp.Body)), entry.FirstUse(), shared)
+	first := entry.FirstUse()
+	p.stats.countHit(st, int64(len(entry.Resp.Body)), first, shared)
+	if first && entry.Borrowed {
+		p.borrowedUsed.Inc()
+	}
 	p.writeBuffered(x.w, x.req, entry.Resp)
 	teaches := st != nil && st.plan != nil && !p.opts.DisableChaining
 	if f, ok := x.w.(http.Flusher); ok && teaches {
@@ -234,9 +241,15 @@ func (p *Proxy) serveEntry(x *exchange, u *user, entry *cache.Entry, shared bool
 		f.Flush()
 	}
 	p.firstByte(x)
+	// The cookies the client was just handed are the ones its next requests
+	// carry, this hit's children included.
+	cookied := absorbCookies(u, x.req.Host, entry.Resp.Header)
 	if teaches {
 		p.learn(u, st, x.req, entry.Resp, 0, false)
 		x.sp.EndStage(obs.StageLearn)
+	}
+	if cookied {
+		p.retryParked(u)
 	}
 	return outcome
 }
@@ -273,8 +286,9 @@ func (p *Proxy) fetchOrigin(x *exchange, sent *httpmsg.Request) (*httpmsg.Respon
 }
 
 // passthrough forwards the request on the client's behalf and streams the
-// answer through untouched: no spool, no capture, no learning.
-func (p *Proxy) passthrough(x *exchange) obs.Outcome {
+// answer through untouched: no spool, no capture, no learning beyond the
+// cookies it sets for the user.
+func (p *Proxy) passthrough(x *exchange, u *user) obs.Outcome {
 	resp, err := p.fetchOrigin(x, x.req)
 	if err != nil {
 		return obs.OutcomeError
@@ -282,6 +296,9 @@ func (p *Proxy) passthrough(x *exchange) obs.Outcome {
 	x.first = p.opts.Now()
 	resp.WriteTo(x.w)
 	x.sp.EndStage(obs.StageWrite)
+	if absorbCookies(u, x.req.Host, resp.Header) {
+		p.retryParked(u)
+	}
 	return obs.OutcomeOrigin
 }
 
@@ -344,13 +361,18 @@ func (p *Proxy) runFlight(x *exchange, u *user, matched []*sigState, scope, fkey
 	lead.observeRespTime(elapsed)
 	lead.misses.Add(1)
 	p.stats.forwardedBytes.Add(fl.sp.Size())
+	// A prefetch of this very key still waits in the queue: its claim stands,
+	// and no worker opened or adopted this flight.
+	class, queued := p.sched.Queued(fkey)
+	// The miss is classified, and what the request and its response show of
+	// the user's device is folded into the profile, before learning: the
+	// fan-out below may borrow from it.
+	taught := noteMiss(u, lead, x.req, fl.header, queued)
 	if ok {
-		// A prefetch of this very key still waits in the queue: its claim
-		// stands, and no worker opened or adopted this flight. The capture is
-		// committed under that claim, as an adopting worker would have
-		// committed it — or the task fetches the same bytes again when it runs
-		// (now it finds the key resident and returns, runPrefetch).
-		class, queued := p.sched.Queued(fkey)
+		// The capture is committed under a queued prefetch's claim, as an
+		// adopting worker would have committed it — or the task fetches the
+		// same bytes again when it runs (now it finds the key resident and
+		// returns, runPrefetch).
 		commit := queued && fl.status == http.StatusOK
 		lresp := &httpmsg.Response{Status: fl.status, Header: fl.header}
 		// The chunks are concatenated into one contiguous body only when
@@ -379,5 +401,10 @@ func (p *Proxy) runFlight(x *exchange, u *user, matched []*sigState, scope, fkey
 		x.sp.EndStage(obs.StageLearn)
 	}
 	fl.sp.Discard()
+	// Instances parked before the profile learned what it learned here are
+	// retried after this transaction's own fan-out.
+	if taught {
+		p.retryParked(u)
+	}
 	return obs.OutcomeOrigin
 }

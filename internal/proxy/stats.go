@@ -29,11 +29,23 @@ type sigState struct {
 	// successor: some dependency feeds the signature, so its live instances
 	// are kept as exemplars.
 	successor bool
+	// The borrow rule's pieces (borrow.go): the lower-cased header names the
+	// signature names, sorted; the fields whose one unknown part is a device
+	// value; whether a profile may build its exemplar at all (no optional
+	// field, every unknown part a Dep or a device value), and whether one of
+	// those is a cookie.
+	names   []string
+	slots   []devSlot
+	borrows bool
+	cookies bool
 
 	// prefetches / hits / misses count completed prefetch requests, cache
 	// hits served to clients, and forwarded client requests; sharedHits is
 	// the subset of hits served from the cross-user shared tier.
 	prefetches, hits, sharedHits, misses atomic.Int64
+	// missReasons splits the forwarded requests of runFlight by why no
+	// prefetch answered them.
+	missReasons [numMissReasons]atomic.Int64
 	// prefetchedBytes counts response bytes fetched ahead of time;
 	// servedBytes counts prefetched bytes actually delivered to clients.
 	prefetchedBytes, servedBytes atomic.Int64
@@ -127,11 +139,13 @@ type sigTable struct {
 }
 
 // newSigTable builds the record of every signature in g, resolving its
-// policy from cfg once. Plans come second: their successors point at records.
+// policy from cfg and compiling its borrow pieces once. Plans come second:
+// their successors point at records.
 func newSigTable(g *sig.Graph, cfg *config.Config) *sigTable {
 	t := &sigTable{byID: make(map[string]*sigState, len(g.Sigs))}
 	for _, s := range g.Sigs {
 		st := &sigState{sig: s, pol: cfg.Policy(s.Hash()), successor: len(g.DepsInto(s.ID)) > 0}
+		st.compileShape()
 		t.byID[s.ID] = st
 		t.all = append(t.all, st)
 	}

@@ -3,8 +3,9 @@
 // UI fuzzer through the freshly generated proxy against live origins. A
 // prefetchable signature survives only if the proxy actually managed to
 // reconstruct and prefetch it successfully; signatures whose reconstructions
-// error out, are rejected by the origin, or never resolve their run-time
-// values are removed from the prefetching set. The phase also estimates a
+// error out, are rejected by the origin (when prefetched, or when a
+// prefetched request is sent again), or never resolve their run-time values
+// are removed from the prefetching set. The phase also estimates a
 // per-signature expiration time by re-fetching each verified request with a
 // doubling period until the response changes, and emits the initial proxy
 // configuration.
@@ -153,6 +154,14 @@ func Run(o Options) (*Report, error) {
 		case st.Prefetches == 0:
 			reason = ReasonUnresolved
 		}
+		// A verified request must still be accepted when sent again. One the
+		// origin takes only once (a single-use token) fails whenever the
+		// client sends it before the prefetch does, which the fuzzing session
+		// may or may not have provoked.
+		sample := px.SampleRequest(id)
+		if reason == "" && sample != nil && !accepted(up, sample) {
+			reason = ReasonRejected
+		}
 		pol := cfg.Policy(s.Hash())
 		if pol == nil {
 			pol = &config.Policy{Hash: s.Hash(), URI: s.URI.String(), Probability: 1}
@@ -165,7 +174,7 @@ func Run(o Options) (*Report, error) {
 		}
 		rep.Verified = append(rep.Verified, id)
 		// Estimate expiry from a concrete verified request.
-		if sample := px.SampleRequest(id); sample != nil {
+		if sample != nil {
 			exp := EstimateExpiration(func() ([]byte, error) {
 				resp, err := up.RoundTrip(context.Background(), sample)
 				if err != nil {
@@ -183,6 +192,16 @@ func Run(o Options) (*Report, error) {
 		}
 	}
 	return rep, nil
+}
+
+// accepted reports whether the origin answers req with 200.
+func accepted(up proxy.Upstream, req *httpmsg.Request) bool {
+	resp, err := up.RoundTrip(context.Background(), req)
+	if err != nil {
+		return false
+	}
+	resp.Buffer(0)
+	return resp.Status == http.StatusOK
 }
 
 // EstimateExpiration probes how long a response stays identical: it
