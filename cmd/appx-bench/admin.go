@@ -107,6 +107,8 @@ func renderAdmin(w io.Writer, v *adminView) {
 		is.Miss, is.Hit, is.Chain, is.Refresh, s.Sched.Promoted)
 	fmt.Fprintf(w, "prefetches dropped at dispatch: no room %d  data budget %d\n",
 		s.Policy.NoRoomSkips, s.Policy.DataBudgetSkips)
+	fmt.Fprintf(w, "prefetch queue wait (mean): foreground %.2fms  shallow %.2fms  deep %.2fms   guesses held by cap: %d\n",
+		s.Sched.Foreground.MeanWaitMs, s.Sched.Shallow.MeanWaitMs, s.Sched.Deep.MeanWaitMs, s.Sched.GuessesHeld)
 	mr, b := s.MissReasons, s.Borrowed
 	fmt.Fprintf(w, "misses by reason: unpredicted %d  no exemplar %d  queued %d  other %d   borrowed first visits: issued %d  used %d  rejected %d\n",
 		mr.Unpredicted, mr.NoExemplar, mr.Queued, mr.Other, b.Issued, b.Used, b.Rejected)

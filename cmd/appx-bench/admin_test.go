@@ -18,8 +18,9 @@ func TestAdminModeDecodesTypedViews(t *testing.T) {
 		Hits: 7, Misses: 3, HitRatio: 0.7, Prefetches: 12,
 		CacheResidentBytes: 4096, SavedLatencyMs: 1500,
 		Overload: adminv1.Overload{Mode: "normal", Admitted: 10},
-		Sched:    adminv1.Sched{Promoted: 4, Issued: adminv1.SchedIssued{Miss: 30, Hit: 9, Chain: 60}},
-		Policy:   adminv1.PolicyEntry{NoRoomSkips: 17, DataBudgetSkips: 2},
+		Sched: adminv1.Sched{Promoted: 4, GuessesHeld: 11, Issued: adminv1.SchedIssued{Miss: 30, Hit: 9, Chain: 60},
+			Shallow: adminv1.SchedClass{MeanWaitMs: 1.5}, Deep: adminv1.SchedClass{MeanWaitMs: 42.25}},
+		Policy: adminv1.PolicyEntry{NoRoomSkips: 17, DataBudgetSkips: 2},
 		MissReasons: adminv1.MissReasons{
 			MissCounts: adminv1.MissCounts{Unpredicted: 145, NoExemplar: 68, Queued: 55, Other: 9},
 			Signatures: map[string]adminv1.MissCounts{"t:item#0": {NoExemplar: 68, Queued: 55, Other: 9}},
@@ -97,6 +98,7 @@ func TestAdminModeDecodesTypedViews(t *testing.T) {
 		"t:img#0: stored 180, hits 12, evicted 150 (140 never served), 44100000B unread",
 		"issued by: miss 30  hit 9  chain 60  refresh 0   promoted in queue: 4",
 		"dropped at dispatch: no room 17  data budget 2",
+		"prefetch queue wait (mean): foreground 0.00ms  shallow 1.50ms  deep 42.25ms   guesses held by cap: 11",
 		"misses by reason: unpredicted 145  no exemplar 68  queued 55  other 9   borrowed first visits: issued 300  used 120  rejected 2",
 		"#10",
 		"sig=t:item#0",

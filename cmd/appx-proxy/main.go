@@ -127,7 +127,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.origins, "origin", "", "comma-separated host=addr overrides; empty = start built-in origins in process")
 	fs.BoolVar(&o.doVerify, "verify", false, "run Phase 2 verification before serving")
 	fs.Float64Var(&o.scale, "scale", 1, "emulated time scale for in-process origins")
-	fs.IntVar(&o.px.Workers, "workers", 8, "prefetch worker pool size")
+	fs.IntVar(&o.px.Workers, "workers", proxy.DefaultWorkers, "prefetch worker pool size")
 	fs.IntVar(&o.px.SpanBuffer, "span-buffer", 0, "recent request spans kept for /appx/v1/spans (0 = default 1024)")
 
 	fs.StringVar(&o.px.PrefetchPolicy, "prefetch-policy", "static", "prefetch decision policy: static or markov")

@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -263,6 +264,21 @@ func TestFlagSurface(t *testing.T) {
 	sort.Strings(got)
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("flag surface changed:\n got  %v\n want %v", got, want)
+	}
+}
+
+// TestWorkersDefault: the -workers default is the proxy's own pool default,
+// defined once.
+func TestWorkersDefault(t *testing.T) {
+	fs := flag.NewFlagSet("appx-proxy", flag.ContinueOnError)
+	var o options
+	registerFlags(fs, &o)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if o.px.Workers != proxy.DefaultWorkers || fs.Lookup("workers").DefValue != strconv.Itoa(proxy.DefaultWorkers) {
+		t.Fatalf("-workers default %d (%s), want proxy.DefaultWorkers %d",
+			o.px.Workers, fs.Lookup("workers").DefValue, proxy.DefaultWorkers)
 	}
 }
 

@@ -264,7 +264,14 @@ func (q *delayQueue) read(p []byte, done <-chan struct{}) (int, error) {
 			}
 			n := copy(p, head.data)
 			if n == len(head.data) {
+				// Clear the slot before popping it, and let the backing
+				// array go once it is drained: an idle connection must not
+				// pin the bytes it already delivered.
+				q.chunks[0] = chunk{}
 				q.chunks = q.chunks[1:]
+				if len(q.chunks) == 0 {
+					q.chunks = nil
+				}
 			} else {
 				head.data = head.data[n:]
 			}

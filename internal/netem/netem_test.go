@@ -238,3 +238,53 @@ func TestOrderingPreserved(t *testing.T) {
 		t.Fatal("byte stream reordered or corrupted")
 	}
 }
+
+// TestDeliveredChunksReleased: once a shaped connection has delivered a
+// chunk, its queue no longer references it. The whole 1 MiB response is
+// queued before the first read, so every chunk passes through one backing
+// array; after reading to EOF no slot of that array still holds data, and
+// the queue has let the array go.
+func TestDeliveredChunksReleased(t *testing.T) {
+	base, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer base.Close()
+	const size = 1 << 20
+	go func() {
+		c, err := base.Accept()
+		if err != nil {
+			return
+		}
+		c.Write(bytes.Repeat([]byte{'x'}, size))
+		c.Close()
+	}()
+	d := Dialer{Link: Link{RTT: 2 * time.Millisecond}}
+	conn, err := d.Dial("tcp", base.Addr().String())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer conn.Close()
+	q := conn.(*shapedConn).inbox
+	<-q.closed // the read loop has queued every chunk and seen EOF
+	q.mu.Lock()
+	queued := q.chunks
+	q.mu.Unlock()
+	if len(queued) < 2 {
+		t.Fatalf("%d chunks queued, want the response split over several", len(queued))
+	}
+	data, err := io.ReadAll(conn)
+	if len(data) != size || err != nil {
+		t.Fatalf("ReadAll = %d bytes, %v", len(data), err)
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for i, c := range queued {
+		if c.data != nil {
+			t.Fatalf("slot %d of %d still holds %d delivered bytes", i, len(queued), len(c.data))
+		}
+	}
+	if q.chunks != nil {
+		t.Fatalf("drained queue keeps a backing array of cap %d", cap(q.chunks))
+	}
+}

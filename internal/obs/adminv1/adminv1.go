@@ -45,13 +45,15 @@ type Overload struct {
 	ClientP99Ms   int64  `json:"clientP99Ms"`
 }
 
-// SchedClass is one priority class's scheduler counters.
+// SchedClass is one priority class's scheduler counters. MeanWaitMs is the
+// mean time a task that ran had waited in the queue.
 type SchedClass struct {
-	Submitted      int64 `json:"submitted"`
-	Ran            int64 `json:"ran"`
-	DroppedFull    int64 `json:"droppedFull"`
-	DroppedClosed  int64 `json:"droppedClosed"`
-	DroppedExpired int64 `json:"droppedExpired"`
+	Submitted      int64   `json:"submitted"`
+	Ran            int64   `json:"ran"`
+	DroppedFull    int64   `json:"droppedFull"`
+	DroppedClosed  int64   `json:"droppedClosed"`
+	DroppedExpired int64   `json:"droppedExpired"`
+	MeanWaitMs     float64 `json:"meanWaitMs"`
 }
 
 // SchedIssued counts prefetches the scheduler accepted by what caused them:
@@ -65,16 +67,19 @@ type SchedIssued struct {
 }
 
 // Sched is the prefetch scheduler block shared by stats and health. Promoted
-// counts queued prefetches that moved up because demand reached them.
+// counts queued prefetches that moved up because demand reached them;
+// GuessesHeld counts borrowed guesses a free worker skipped because the
+// guess cap (every worker but one) was full.
 type Sched struct {
-	Queue      int         `json:"queue"`
-	Capacity   int         `json:"capacity"`
-	Panics     int64       `json:"panics"`
-	Promoted   int64       `json:"promoted"`
-	Issued     SchedIssued `json:"issued"`
-	Foreground SchedClass  `json:"foreground"`
-	Shallow    SchedClass  `json:"shallow"`
-	Deep       SchedClass  `json:"deep"`
+	Queue       int         `json:"queue"`
+	Capacity    int         `json:"capacity"`
+	Panics      int64       `json:"panics"`
+	Promoted    int64       `json:"promoted"`
+	GuessesHeld int64       `json:"guessesHeld"`
+	Issued      SchedIssued `json:"issued"`
+	Foreground  SchedClass  `json:"foreground"`
+	Shallow     SchedClass  `json:"shallow"`
+	Deep        SchedClass  `json:"deep"`
 }
 
 // CacheEvictions breaks evicted entries down by cause.

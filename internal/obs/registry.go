@@ -53,6 +53,7 @@ type metricKind int
 const (
 	kindCounter metricKind = iota
 	kindCounterFunc
+	kindCounterFloatFunc
 	kindGaugeFunc
 	kindHistogram
 )
@@ -67,7 +68,7 @@ type metric struct {
 
 	counter   *Counter
 	counterFn func() int64
-	gaugeFn   func() float64
+	gaugeFn   func() float64 // also the value of a kindCounterFloatFunc
 	hist      *Histogram
 }
 
@@ -116,6 +117,12 @@ func (r *Registry) Counter(name, help string) *Counter {
 // counters (scheduler class tallies, cache eviction causes).
 func (r *Registry) CounterFunc(name, help string, fn func() int64) {
 	r.register(&metric{name: name, help: help, kind: kindCounterFunc, counterFn: fn})
+}
+
+// CounterFloatFunc registers a counter series with a fractional value read
+// from fn at scrape time, for monotone sums in base units such as seconds.
+func (r *Registry) CounterFloatFunc(name, help string, fn func() float64) {
+	r.register(&metric{name: name, help: help, kind: kindCounterFloatFunc, gaugeFn: fn})
 }
 
 // GaugeFunc registers a gauge series read from fn at scrape time (queue
@@ -298,7 +305,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(w, "%s %d\n", m.name, m.counter.Value())
 		case kindCounterFunc:
 			fmt.Fprintf(w, "%s %d\n", m.name, m.counterFn())
-		case kindGaugeFunc:
+		case kindGaugeFunc, kindCounterFloatFunc:
 			fmt.Fprintf(w, "%s %s\n", m.name, fmtFloat(m.gaugeFn()))
 		case kindHistogram:
 			writeHistogram(w, m)

@@ -18,6 +18,7 @@ func TestCounterAndFuncs(t *testing.T) {
 	var backing int64 = 7
 	r.CounterFunc("appx_cf_total", "func counter", func() int64 { return backing })
 	r.GaugeFunc("appx_gauge", "func gauge", func() float64 { return 2.5 })
+	r.CounterFloatFunc("appx_cff_seconds_total", "float func counter", func() float64 { return 0.125 })
 
 	var b strings.Builder
 	r.WritePrometheus(&b)
@@ -29,6 +30,8 @@ func TestCounterAndFuncs(t *testing.T) {
 		"appx_cf_total 7",
 		"# TYPE appx_gauge gauge",
 		"appx_gauge 2.5",
+		"# TYPE appx_cff_seconds_total counter",
+		"appx_cff_seconds_total 0.125",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)

@@ -36,13 +36,21 @@ import (
 	"appx/internal/stream"
 )
 
+// DefaultWorkers is the prefetch pool size when Options.Workers is zero, and
+// appx-proxy's -workers default. Sixteen is the knee of a sweep on the
+// emulated session replay: a launch's borrowed guesses, each holding a worker
+// for one origin round trip, saturate eight workers for the whole replay,
+// while each doubling past sixteen buys about 1 % of tail latency for the
+// memory of one more set of idle origin connections.
+const DefaultWorkers = 16
+
 // Options configures a Proxy.
 type Options struct {
 	Graph    *sig.Graph
 	Config   *config.Config
 	Upstream Upstream
 
-	// Workers sizes the prefetch pool (default 8).
+	// Workers sizes the prefetch pool (default DefaultWorkers).
 	Workers int
 	// MaxCacheEntriesPerUser overrides the cache config's per-user entry
 	// cap when > 0 (default: config.Cache.MaxEntriesPerUser, 4096).
@@ -313,7 +321,7 @@ type user struct {
 // New builds a proxy.
 func New(opts Options) *Proxy {
 	if opts.Workers == 0 {
-		opts.Workers = 8
+		opts.Workers = DefaultWorkers
 	}
 	if opts.MaxUsers <= 0 {
 		opts.MaxUsers = 10000
@@ -472,9 +480,14 @@ func (p *Proxy) registerBridges(reg *obs.Registry) {
 		reg.CounterFunc(`appx_sched_ran_total{class="`+c.String()+`"}`,
 			"Prefetch tasks dispatched to a worker by class.",
 			func() int64 { return p.sched.Metrics().ByClass(c).Ran })
+		reg.CounterFloatFunc(`appx_prefetch_queue_wait_seconds_total{class="`+c.String()+`"}`,
+			"Time dispatched prefetch tasks waited in the queue, summed by class.",
+			func() float64 { return time.Duration(p.sched.Metrics().ByClass(c).WaitNanos).Seconds() })
 	}
 	reg.CounterFunc("appx_prefetch_promoted_total", "Queued prefetches moved up because demand reached them.",
 		func() int64 { return p.sched.Metrics().Promoted })
+	reg.CounterFunc("appx_prefetch_guesses_held_total", "Borrowed guesses a free worker skipped because guesses already held all workers but one.",
+		func() int64 { return p.sched.Metrics().GuessesHeld })
 	for t := range p.issued {
 		p.issued[t] = reg.Counter(`appx_prefetch_issued_total{trigger="`+trigger(t).String()+`"}`,
 			"Prefetches accepted by the scheduler, by what caused them.")
@@ -928,13 +941,15 @@ func (p *Proxy) schedV1() adminv1.Sched {
 			// The admin surface reports sheds by cause, refused or shed later.
 			DroppedClosed:  c.DroppedClosed + c.RejectedClosed,
 			DroppedExpired: c.DroppedExpired + c.RejectedExpired,
+			MeanWaitMs:     float64(c.MeanWait()) / float64(time.Millisecond),
 		}
 	}
 	return adminv1.Sched{
-		Queue:    p.sched.QueueLen(),
-		Capacity: p.sched.Cap(),
-		Panics:   m.Panics,
-		Promoted: m.Promoted,
+		Queue:       p.sched.QueueLen(),
+		Capacity:    p.sched.Cap(),
+		Panics:      m.Panics,
+		Promoted:    m.Promoted,
+		GuessesHeld: m.GuessesHeld,
 		Issued: adminv1.SchedIssued{
 			Miss:    p.issued[trigMiss].Value(),
 			Hit:     p.issued[trigHit].Value(),

@@ -14,8 +14,9 @@
 // refresh, shallow prefetch, deep prefetch) that sets how far into a filling
 // queue they are admitted, so speculative work is shed first; tasks carry an
 // enqueue deadline so stale work is dropped at dispatch instead of run; every
-// shed is counted per class and reason; and a panicking task is recovered
-// without taking down the worker pool or deadlocking Drain.
+// shed is counted per class and reason, and every dispatch's queue wait is
+// summed per class, so a saturated pool shows; and a panicking task is
+// recovered without taking down the worker pool or deadlocking Drain.
 package sched
 
 import (
@@ -96,11 +97,15 @@ type Task struct {
 	Job Job
 
 	// Queue bookkeeping, owned by the scheduler from Submit to dispatch: the
-	// priority snapshot, the submission order, and the position in the ready
-	// heap (-1 while still in the inbox). A submitted Task must not be copied.
-	prio float64
-	seq  int64
-	pos  int
+	// priority snapshot, the submission order, the position in the ready
+	// heap (-1 while still in the inbox), the Submit instant, and whether a
+	// full guess cap has held the task back. A submitted Task must not be
+	// copied.
+	prio      float64
+	seq       int64
+	pos       int
+	submitted time.Time
+	held      bool
 }
 
 // Job is a task's behaviour as one value; see Task.Job.
@@ -127,8 +132,8 @@ type Config struct {
 	// derive from it: foreground may fill the whole queue, shallow 3/4 of
 	// it, deep 1/2.
 	MaxQueue int
-	// Now supplies time for deadline checks; defaults to time.Now.
-	// Injected so frozen-clock tests drive expiry deterministically.
+	// Now supplies time for deadline checks and queue waits; defaults to
+	// time.Now. Injected so frozen-clock tests drive expiry deterministically.
 	Now func() time.Time
 }
 
@@ -150,6 +155,17 @@ type ClassMetrics struct {
 	// ran: still queued at Close, or past their deadline at dispatch.
 	DroppedClosed  int64
 	DroppedExpired int64
+	// WaitNanos sums the queue wait, Submit to dispatch, of the tasks counted
+	// in Ran; WaitNanos/Ran is the class's mean wait. Shed tasks book none.
+	WaitNanos int64
+}
+
+// MeanWait is the class's mean queue wait over the tasks that ran.
+func (c ClassMetrics) MeanWait() time.Duration {
+	if c.Ran == 0 {
+		return 0
+	}
+	return time.Duration(c.WaitNanos / c.Ran)
 }
 
 // Dropped is the class's total shed count: refused at Submit or shed after.
@@ -166,6 +182,9 @@ type Metrics struct {
 	Panics int64
 	// Promoted counts queued tasks Promote moved to a shallower depth.
 	Promoted int64
+	// GuessesHeld counts guesses a free worker would have started next but
+	// the full guess cap held back; each guess is counted once.
+	GuessesHeld int64
 }
 
 // ByClass returns the snapshot for one class.
@@ -250,6 +269,7 @@ type Scheduler struct {
 	classes    [numClasses]ClassMetrics
 	panics     int64
 	promoted   int64
+	held       int64
 }
 
 // New starts a scheduler with the given worker count (minimum 1) and
@@ -311,7 +331,8 @@ func (s *Scheduler) Submit(t *Task) bool {
 		s.mu.Unlock()
 		return false
 	}
-	if !t.Deadline.IsZero() && s.now().After(t.Deadline) {
+	now := s.now()
+	if !t.Deadline.IsZero() && now.After(t.Deadline) {
 		s.classes[c].RejectedExpired++
 		s.mu.Unlock()
 		return false
@@ -322,7 +343,7 @@ func (s *Scheduler) Submit(t *Task) bool {
 		return false
 	}
 	s.classes[c].Submitted++
-	t.pos = -1
+	t.pos, t.submitted = -1, now
 	if t.Key != "" {
 		s.keyed[t.Key] = t
 	}
@@ -400,11 +421,12 @@ func (s *Scheduler) Metrics() Metrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Metrics{
-		Foreground: s.classes[ClassForeground],
-		Shallow:    s.classes[ClassShallow],
-		Deep:       s.classes[ClassDeep],
-		Panics:     s.panics,
-		Promoted:   s.promoted,
+		Foreground:  s.classes[ClassForeground],
+		Shallow:     s.classes[ClassShallow],
+		Deep:        s.classes[ClassDeep],
+		Panics:      s.panics,
+		Promoted:    s.promoted,
+		GuessesHeld: s.held,
 	}
 }
 
@@ -464,8 +486,12 @@ func (s *Scheduler) mergeInboxLocked() {
 // it dispatches first, the guess heap's.
 func (s *Scheduler) popLocked() *Task {
 	h := &s.ready
-	if len(s.guesses) > 0 && s.guessing < s.guessCap && (len(s.ready) == 0 || before(s.guesses[0], s.ready[0])) {
-		h = &s.guesses
+	if len(s.guesses) > 0 && (len(s.ready) == 0 || before(s.guesses[0], s.ready[0])) {
+		if s.guessing < s.guessCap {
+			h = &s.guesses
+		} else {
+			s.holdLocked()
+		}
 	}
 	if len(*h) == 0 {
 		return nil
@@ -473,11 +499,24 @@ func (s *Scheduler) popLocked() *Task {
 	return heap.Pop(h).(*Task)
 }
 
+// holdLocked counts the guess at the head of its heap as held back by the
+// full guess cap, once per guess.
+func (s *Scheduler) holdLocked() {
+	if g := s.guesses[0]; !g.held {
+		g.held = true
+		s.held++
+	}
+}
+
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
 		for len(s.inbox) == 0 && len(s.ready) == 0 && (len(s.guesses) == 0 || s.guessing >= s.guessCap) && !s.closed {
+			if len(s.guesses) > 0 {
+				// This worker is free and a guess waits: only the cap stops it.
+				s.holdLocked()
+			}
 			s.cond.Wait()
 		}
 		if s.closed {
@@ -496,7 +535,9 @@ func (s *Scheduler) worker() {
 				continue
 			}
 			t = next
-			s.classes[classIdx(t.Class)].Ran++
+			c := &s.classes[classIdx(t.Class)]
+			c.Ran++
+			c.WaitNanos += int64(max(now.Sub(t.submitted), 0))
 			if t.Guess {
 				s.guessing++
 			}

@@ -551,3 +551,78 @@ func TestGuessesLeaveAWorker(t *testing.T) {
 		t.Fatalf("metrics %+v, want the two waiting guesses dropped at Close", m)
 	}
 }
+
+// TestGuessesLeaveAWorkerSixteen: the guess cap on a pool of sixteen. Fifteen
+// guesses run, the others wait, and a task submitted meanwhile starts on the
+// sixteenth worker although it is deeper than every guess. The head of the
+// waiting guesses is counted as held back once.
+func TestGuessesLeaveAWorkerSixteen(t *testing.T) {
+	s := New(16, nil)
+	defer s.Close()
+	release := make(chan struct{})
+	started := make(chan string, 32)
+	for i := 0; i < 20; i++ {
+		s.Submit(&Task{SigID: "g", Guess: true, Depth: 1, Run: func() { started <- "guess"; <-release }})
+	}
+	for i := 0; i < 15; i++ {
+		if got := <-started; got != "guess" {
+			t.Fatalf("start %d is %q", i, got)
+		}
+	}
+	s.Submit(&Task{SigID: "n", Depth: 5, Run: func() { started <- "near" }})
+	select {
+	case got := <-started:
+		if got != "near" {
+			t.Fatal("a sixteenth guess started on a sixteen-worker pool")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the non-guess task never started")
+	}
+	s.mu.Lock()
+	running, waiting := s.guessing, len(s.guesses)
+	s.mu.Unlock()
+	if running != 15 || waiting != 5 {
+		t.Fatalf("%d guesses running, %d waiting, want 15 and 5", running, waiting)
+	}
+	if m := s.Metrics(); m.GuessesHeld != 1 {
+		t.Fatalf("guesses held = %d, want the waiting head counted once", m.GuessesHeld)
+	}
+	close(release)
+	s.Drain()
+}
+
+// TestQueueWaitSums: a task's queue wait, Submit to dispatch on the
+// scheduler's clock, is booked under the class it was submitted in — after a
+// Promote and for a guess alike — and a task shed at dispatch books none.
+func TestQueueWaitSums(t *testing.T) {
+	var mu sync.Mutex
+	now := time.Unix(1000, 0)
+	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
+	s, release := stalled(t, Config{Now: clock})
+	defer s.Close()
+
+	run := func() {}
+	s.Submit(&Task{SigID: "promoted", Class: ClassDeep, Depth: 3, Key: "p", Run: run})
+	s.Submit(&Task{SigID: "guess", Class: ClassShallow, Depth: 1, Guess: true, Run: run})
+	s.Submit(&Task{SigID: "stale", Class: ClassForeground, Deadline: now.Add(10 * time.Millisecond), Run: run})
+	mu.Lock()
+	now = now.Add(30 * time.Millisecond)
+	mu.Unlock()
+	if !s.Promote("p", 0) {
+		t.Fatal("Promote missed the queued task")
+	}
+	close(release)
+	s.Drain()
+
+	m := s.Metrics()
+	if m.Deep.Ran != 1 || m.Deep.WaitNanos != int64(30*time.Millisecond) || m.Deep.MeanWait() != 30*time.Millisecond {
+		t.Fatalf("deep %+v, want one task that waited 30ms", m.Deep)
+	}
+	if m.Shallow.Ran != 1 || m.Shallow.WaitNanos != int64(30*time.Millisecond) {
+		t.Fatalf("shallow %+v, want the guess's 30ms", m.Shallow)
+	}
+	// The blocker ran at once; the stale task was shed and books nothing.
+	if f := m.Foreground; f.Ran != 1 || f.DroppedExpired != 1 || f.WaitNanos != 0 || f.MeanWait() != 0 {
+		t.Fatalf("foreground %+v, want no wait booked", f)
+	}
+}
