@@ -1,6 +1,6 @@
 # Convenience targets; scripts/check.sh is the canonical gate.
 
-.PHONY: build test check bench bench-ratchet bench-cache bench-overload bench-match bench-cluster bench-chaos bench-policy
+.PHONY: build test check bench bench-ratchet bench-cache bench-overload bench-match bench-cluster bench-chaos
 
 build:
 	go build ./...
@@ -55,9 +55,3 @@ bench-cluster:
 CHAOS_SEED ?= 42
 bench-chaos:
 	go run ./cmd/appx-bench -experiment chaossweep -chaos-seed $(CHAOS_SEED)
-
-# bench-policy replays the hostile workloads (flash crowd, mixed fleet,
-# sequential scan, diurnal gap, legacy replay) against the static and markov
-# prefetch policies and writes BENCH_policy.json.
-bench-policy:
-	go run ./cmd/appx-bench -experiment policysweep

@@ -9,9 +9,9 @@
 //
 // Experiments: table1 table2 table3 fig11 fig12 fig13 fig14 fig15 fig16
 // fig17 ablation mech faultsweep cachesweep overload matchsweep warmstart
-// clustersweep chaossweep stream policysweep all. The stream and policysweep
-// experiments additionally write machine-readable results to
-// BENCH_stream.json and BENCH_policy.json in the working directory.
+// clustersweep chaossweep stream all. The stream experiment additionally
+// writes machine-readable results to BENCH_stream.json in the working
+// directory.
 //
 // With -admin it is an operator client instead: it fetches the typed
 // /appx/v1/{stats,health,spans} views from a running appx-proxy and renders
@@ -223,18 +223,6 @@ func run(which string, p exp.Params, chaosSeed int64) error {
 			return err
 		}
 		fmt.Println("wrote BENCH_stream.json")
-		fmt.Println()
-	}
-	if want("policysweep") {
-		res, err := exp.RunPolicySweep(p.Seed)
-		if err != nil {
-			return err
-		}
-		section(res.Render())
-		if err := res.WriteJSON("BENCH_policy.json"); err != nil {
-			return err
-		}
-		fmt.Println("wrote BENCH_policy.json")
 		fmt.Println()
 	}
 	return nil

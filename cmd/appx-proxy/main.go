@@ -44,12 +44,6 @@
 // work as it fills, and queued prefetches past their deadline are dropped at
 // dispatch. All of it is tuned by the config file's "overload" section.
 //
-// Prefetch decisions run through a pluggable policy (-prefetch-policy):
-// "static" issues candidates in dependency-graph order, "markov" learns a
-// per-user first-order transition model and reorders/prunes chains by
-// observed behaviour (-policy-decay sets the history half-life,
-// -policy-max-users bounds the model's footprint).
-//
 // Cluster mode scales the proxy across instances: -cluster-self names this
 // instance, -cluster-peers the static fleet seed list (the same value works
 // on every instance), and the fleet forms a consistent-hash ring
@@ -130,10 +124,6 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.IntVar(&o.px.Workers, "workers", proxy.DefaultWorkers, "prefetch worker pool size")
 	fs.IntVar(&o.px.SpanBuffer, "span-buffer", 0, "recent request spans kept for /appx/v1/spans (0 = default 1024)")
 
-	fs.StringVar(&o.px.PrefetchPolicy, "prefetch-policy", "static", "prefetch decision policy: static or markov")
-	fs.DurationVar(&o.px.PolicyDecay, "policy-decay", 0, "markov history half-life (0 = built-in default)")
-	fs.IntVar(&o.px.PolicyMaxUsers, "policy-max-users", 0, "markov per-user model cap (0 = built-in default)")
-
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 10*time.Second, "how long shutdown waits for in-flight requests to finish")
 	fs.DurationVar(&o.pruneInterval, "prune-interval", 5*time.Minute, "how often to prune idle per-user state (<=0 disables)")
 	fs.DurationVar(&o.pruneMaxIdle, "prune-max-idle", 30*time.Minute, "idle age past which per-user state is pruned")
@@ -160,30 +150,10 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.Int64Var(&o.px.MaxBodyBytes, "max-body-bytes", 0, "largest accepted client request body, 413 past it (0 = default 64MiB, <0 = unlimited)")
 }
 
-// validate checks flag values that have a closed set of legal settings.
-func (o options) validate() error {
-	switch o.px.PrefetchPolicy {
-	case "static", "markov":
-	default:
-		return fmt.Errorf("unknown -prefetch-policy %q (want static or markov)", o.px.PrefetchPolicy)
-	}
-	if o.px.PolicyDecay < 0 {
-		return fmt.Errorf("-policy-decay must be >= 0, got %v", o.px.PolicyDecay)
-	}
-	if o.px.PolicyMaxUsers < 0 {
-		return fmt.Errorf("-policy-max-users must be >= 0, got %d", o.px.PolicyMaxUsers)
-	}
-	return nil
-}
-
 func main() {
 	var o options
 	registerFlags(flag.CommandLine, &o)
 	flag.Parse()
-	if err := o.validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "appx-proxy:", err)
-		os.Exit(2)
-	}
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "appx-proxy:", err)
 		os.Exit(1)

@@ -252,10 +252,9 @@ func TestFlagSurface(t *testing.T) {
 		"app", "capture-max-bytes", "cluster-peers", "cluster-probe-interval",
 		"cluster-replicas", "cluster-self", "cluster-vnodes", "config",
 		"drain-timeout", "fault", "fault-seed", "hedge-delay", "hedge-rate-cap",
-		"listen", "max-body-bytes", "no-hedging", "origin", "policy-decay",
-		"policy-max-users", "prefetch-policy", "prune-interval", "prune-max-idle",
-		"request-budget", "scale", "sigs", "snapshot-interval", "span-buffer",
-		"state-dir", "stream-chunk-bytes", "verify", "workers",
+		"listen", "max-body-bytes", "no-hedging", "origin", "prune-interval",
+		"prune-max-idle", "request-budget", "scale", "sigs", "snapshot-interval",
+		"span-buffer", "state-dir", "stream-chunk-bytes", "verify", "workers",
 	}
 	fs := flag.NewFlagSet("appx-proxy", flag.ContinueOnError)
 	registerFlags(fs, new(options))
@@ -264,6 +263,36 @@ func TestFlagSurface(t *testing.T) {
 	sort.Strings(got)
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("flag surface changed:\n got  %v\n want %v", got, want)
+	}
+}
+
+// TestReadmeFlagRowsNameLiveFlags: every `| `-name` |` row of README.md's
+// flag tables names a flag registerFlags declares, so a deleted flag cannot
+// stay documented.
+func TestReadmeFlagRowsNameLiveFlags(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := flag.NewFlagSet("appx-proxy", flag.ContinueOnError)
+	registerFlags(fs, new(options))
+	rows := 0
+	for _, line := range strings.Split(string(readme), "\n") {
+		rest, ok := strings.CutPrefix(line, "| `-")
+		if !ok {
+			continue
+		}
+		name, _, ok := strings.Cut(rest, "`")
+		if !ok {
+			continue
+		}
+		rows++
+		if fs.Lookup(name) == nil {
+			t.Errorf("README documents -%s, which appx-proxy does not declare", name)
+		}
+	}
+	if rows == 0 {
+		t.Fatal("README has no flag rows")
 	}
 }
 

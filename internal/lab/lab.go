@@ -58,13 +58,6 @@ type Options struct {
 	// extension beyond the paper's per-user prototype) would let one user's
 	// prefetch serve another, changing what Figure 16's metric means.
 	SharedTier bool
-	// PrefetchPolicy selects the prefetch decision policy ("static" default,
-	// "markov" enables the per-user transition model).
-	PrefetchPolicy string
-	// PolicyDecay overrides the markov history half-life (0 = default).
-	PolicyDecay time.Duration
-	// PolicyMaxUsers bounds the markov model's per-user footprint (0 = default).
-	PolicyMaxUsers int
 }
 
 // Lab is a running evaluation environment.
@@ -149,9 +142,6 @@ func New(o Options) (*Lab, error) {
 		DisablePrefetch: !o.Prefetch,
 		DisableChaining: o.DisableChaining,
 		RefreshExpired:  o.RefreshExpired,
-		PrefetchPolicy:  o.PrefetchPolicy,
-		PolicyDecay:     o.PolicyDecay,
-		PolicyMaxUsers:  o.PolicyMaxUsers,
 	})
 
 	l.proxyLn, err = net.Listen("tcp", "127.0.0.1:0")

@@ -250,36 +250,15 @@ type Budget struct {
 	Exhausted int64 `json:"exhausted"`
 }
 
-// PolicyEntry is the prefetch-policy block of /appx/v1/stats: which policy
-// is configured, the history model's size, and the decision-path telemetry.
+// PolicyEntry is the prefetch-policy block of /appx/v1/stats. Its counters
+// mirror appx_prefetch_skipped_total by reason: candidates dropped before
+// reaching the scheduler, and (the last two) tasks dropped at dispatch — no
+// room in the user's cache scope for more speculation, data budget used up.
 type PolicyEntry struct {
-	// Configured is the policy selected by -prefetch-policy.
-	Configured string `json:"configured"`
-	// Users / Rows / Transitions size the history model (zero for static).
-	Users       int `json:"users"`
-	Rows        int `json:"rows"`
-	Transitions int `json:"transitions"`
-	// TableBytes estimates the transition tables' memory footprint.
-	TableBytes int64 `json:"tableBytes"`
-	// Observations counts live hits folded into the model.
-	Observations int64 `json:"observations"`
-	// RankCalls counts policy ranking decisions.
-	RankCalls int64 `json:"rankCalls"`
-	// Pruned counts candidates dropped as history-unlikely.
-	Pruned int64 `json:"pruned"`
-	// Reordered counts Rank calls that changed the candidate order.
-	Reordered int64 `json:"reordered"`
-	// RankP95Micros is the p95 latency of one Rank call, in microseconds.
-	RankP95Micros float64 `json:"rankP95Micros"`
-	// Skip counters mirror appx_prefetch_skipped_total by reason:
-	// candidates dropped before reaching the scheduler, and (the last two)
-	// tasks dropped at dispatch — no room in the user's cache scope for more
-	// speculation, data budget used up.
 	NoExemplarSkips  int64 `json:"noExemplarSkips"`
 	NoDepValueSkips  int64 `json:"noDepValueSkips"`
 	PendingFullSkips int64 `json:"pendingFullSkips"`
 	DepthSkips       int64 `json:"depthSkips"`
-	UnlikelySkips    int64 `json:"unlikelySkips"`
 	NoRoomSkips      int64 `json:"noRoomSkips"`
 	DataBudgetSkips  int64 `json:"dataBudgetSkips"`
 }

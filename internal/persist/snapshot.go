@@ -29,45 +29,6 @@ type State struct {
 
 	Breakers   map[string]BreakerState `json:"breakers,omitempty"`
 	SigBackoff map[string]BackoffState `json:"sigBackoff,omitempty"`
-
-	// Policy carries the prefetch policy's learned transition tables (the
-	// markov model), when one is active. Like Users it is gated on the
-	// graph fingerprint: transition counts between signatures of a
-	// different graph are meaningless.
-	Policy *PolicyState `json:"policy,omitempty"`
-}
-
-// PolicyState is the serialized form of a history-aware prefetch policy's
-// model: per-user first-order transition tables plus the cross-user global
-// table that seeds priors for users with thin history.
-type PolicyState struct {
-	// Name identifies the policy implementation that produced the tables.
-	Name   string       `json:"name"`
-	Users  []PolicyUser `json:"users,omitempty"`
-	Global []PolicyRow  `json:"global,omitempty"`
-}
-
-// PolicyUser is one user's transition model.
-type PolicyUser struct {
-	Key      string      `json:"key"`
-	LastSig  string      `json:"lastSig,omitempty"`
-	LastAt   time.Time   `json:"lastAt,omitempty"`
-	LastSeen time.Time   `json:"lastSeen,omitempty"`
-	Rows     []PolicyRow `json:"rows,omitempty"`
-}
-
-// PolicyRow is the decayed successor counts observed after one signature.
-type PolicyRow struct {
-	From  string        `json:"from"`
-	Total float64       `json:"total"`
-	At    time.Time     `json:"at"`
-	To    []PolicyCount `json:"to,omitempty"`
-}
-
-// PolicyCount is one (successor, decayed count) pair.
-type PolicyCount struct {
-	Sig string  `json:"sig"`
-	N   float64 `json:"n"`
 }
 
 // UserState is one user's learned context.
@@ -113,7 +74,9 @@ func EncodeSnapshot(st *State) ([]byte, error) {
 }
 
 // DecodeSnapshot validates and parses an enveloped snapshot. Malformed
-// input of any shape returns a *DecodeError, never a panic.
+// input of any shape returns a *DecodeError, never a panic. Unknown keys
+// are ignored, so a snapshot carrying a section this version dropped (an
+// older proxy's "policy" tables) still restores.
 func DecodeSnapshot(data []byte) (*State, error) {
 	payload, err := Decode(MagicSnapshot, data)
 	if err != nil {

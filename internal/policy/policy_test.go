@@ -76,9 +76,6 @@ func TestStaticPreservesOrder(t *testing.T) {
 			t.Fatalf("order changed at %d: %+v", i, d)
 		}
 	}
-	if st := NewStatic(Hooks{}).Stats(); st.Users != 0 || st.Pruned != 0 {
-		t.Fatalf("static stats carry model state: %+v", st)
-	}
 }
 
 // TestHooksDecideDepth: the depth rule is the exact complement of the old

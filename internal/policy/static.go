@@ -1,28 +1,21 @@
 package policy
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
-// Static is the historical prefetch policy: candidates keep their
+// Static is the prefetch fan-out rule: candidates keep their
 // dependency-graph order, no history is consulted, and only the chain-depth
-// ceiling prunes. It is the differential baseline every proxy behaviour
-// test pins against.
+// ceiling prunes. The differential tests pin it to the behaviour before the
+// rule had a package of its own.
 type Static struct {
-	hooks     Hooks
-	rankCalls atomic.Int64
+	hooks Hooks
 }
 
-// NewStatic builds the static policy.
+// NewStatic builds the fan-out rule.
 func NewStatic(hooks Hooks) *Static { return &Static{hooks: hooks} }
 
-// Name implements Policy.
-func (s *Static) Name() string { return "static" }
-
-// Rank implements Policy: apply the depth ceiling, preserve input order.
+// Rank applies the depth ceiling and preserves input order. user and from
+// are unused: the rule keeps no history.
 func (s *Static) Rank(user, from string, cands []Candidate) []Decision {
-	s.rankCalls.Add(1)
 	ds := make([]Decision, len(cands))
 	for i, c := range cands {
 		ds[i] = s.hooks.decide(c)
@@ -30,8 +23,5 @@ func (s *Static) Rank(user, from string, cands []Candidate) []Decision {
 	return ds
 }
 
-// Observe implements Policy; static learns nothing.
+// Observe is a no-op: the rule learns nothing from traffic.
 func (s *Static) Observe(user, sigID string, now time.Time) {}
-
-// Stats implements Policy.
-func (s *Static) Stats() Stats { return Stats{RankCalls: s.rankCalls.Load()} }

@@ -192,8 +192,8 @@ func (h *diffHarness) finish(t *testing.T) (issued int) {
 			t.Fatalf("appx_prefetch_skipped_total{reason=%q} = %d, reference %d", reason, n, h.ref.skips[reason])
 		}
 	}
-	if d, u := h.p.skips.depth.Load(), h.p.skips.unlikely.Load(); d != 0 || u != 0 {
-		t.Fatalf("depth/unlikely skips %d/%d at depth 0 under the static policy", d, u)
+	if d := h.p.skips.depth.Load(); d != 0 {
+		t.Fatalf("%d depth skips at depth 0", d)
 	}
 	parked := map[string][]string{}
 	h.u.mu.Lock()

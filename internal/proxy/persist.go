@@ -263,13 +263,6 @@ func (p *Proxy) exportState() *persist.State {
 			}
 		}
 	}
-
-	// The history policy's transition tables ride the same snapshot (and the
-	// same fingerprint gate: transition counts between signatures of a
-	// different graph are meaningless).
-	if m := p.markov(); m != nil {
-		st.Policy = m.Export()
-	}
 	return st
 }
 
@@ -340,13 +333,6 @@ func (p *Proxy) applyState(st *persist.State) {
 			}
 			ss.setBackoff(b.Consecutive, until)
 		}
-	}
-
-	// A snapshot written by a markov proxy restores into a markov proxy;
-	// a static configuration ignores the tables (and vice versa — a
-	// snapshot without them simply leaves the model cold).
-	if m := p.markov(); st.Policy != nil && m != nil {
-		m.Restore(st.Policy)
 	}
 }
 

@@ -8,11 +8,13 @@ package proxy
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"appx/internal/httpmsg"
 	"appx/internal/persist"
@@ -161,6 +163,70 @@ func TestRestoredExemplarsPrefetchWithoutRetraining(t *testing.T) {
 	hits, total := replayItems(t, p2, "4.4.4.4", itemCalls)
 	if hits != total {
 		t.Fatalf("restored exemplar produced %d/%d hits, want all", hits, total)
+	}
+}
+
+// TestParentSnapshotRestores: a snapshot written before the history model
+// was deleted carries a "policy" section of per-user transition tables this
+// version no longer reads. Decoding skips it, and everything else the
+// snapshot holds — users, exemplars, samples, signature backoff — restores
+// warm.
+func TestParentSnapshotRestores(t *testing.T) {
+	dir := t.TempDir()
+	g := sharedGraph()
+	up, _ := persistLabUpstream()
+	now := time.Unix(1_700_000_000, 0)
+	opts := Options{Graph: g, Upstream: up, StateDir: dir, Now: func() time.Time { return now }}
+
+	p1 := New(opts)
+	trainAndWarm(t, p1)
+	p1.sigs.byID["t:item#0"].setBackoff(2, now.Add(time.Minute))
+	want := p1.exportState()
+	if len(want.Users) != 1 || len(want.Users[0].Exemplars) == 0 || len(want.Samples) == 0 || len(want.SigBackoff) == 0 {
+		t.Fatalf("trained state lacks something to restore: %+v", want)
+	}
+	payload, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1.Close()
+
+	// The section exactly as the older proxy wrote it.
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(payload, &fields); err != nil {
+		t.Fatal(err)
+	}
+	row := `{"from":"t:list#0","total":3,"at":"2023-11-14T22:13:20Z","to":[{"sig":"t:item#0","n":3}]}`
+	fields["policy"] = json.RawMessage(`{"users":[{"key":"1.1.1.1","lastSig":"t:list#0",` +
+		`"lastAt":"2023-11-14T22:13:20Z","lastSeen":"2023-11-14T22:13:20Z","rows":[` + row + `]}],"global":[` + row + `]}`)
+	if payload, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, persist.SnapshotFile), persist.Encode(persist.MagicSnapshot, payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	p2 := New(opts)
+	defer p2.Close()
+	if got := p2.RestoreOutcome(); got != RestoreWarm {
+		t.Fatalf("restore outcome = %q (%s), want %q", got, p2.RestoreDetail(), RestoreWarm)
+	}
+	// Restored users, exemplars, samples and backoff export exactly as
+	// they were saved (the frozen clock keeps LastSeen and RemainingMs equal).
+	got := p2.exportState()
+	for _, part := range []struct {
+		name      string
+		got, want any
+	}{
+		{"users", got.Users, want.Users},
+		{"samples", got.Samples, want.Samples},
+		{"sigBackoff", got.SigBackoff, want.SigBackoff},
+	} {
+		g, _ := json.Marshal(part.got)
+		w, _ := json.Marshal(part.want)
+		if string(g) != string(w) {
+			t.Fatalf("restored %s differ:\n got %s\nwant %s", part.name, g, w)
+		}
 	}
 }
 

@@ -2,32 +2,20 @@ package proxy
 
 import (
 	"sync/atomic"
-	"time"
 
 	"appx/internal/obs"
 	"appx/internal/obs/adminv1"
 	"appx/internal/policy"
 )
 
-// Prefetch-policy wiring. What varies by policy — which fan-out candidates
-// survive and in what order — lives in internal/policy behind the Policy
-// interface, with two implementations:
-//
-//   - static: the historical behaviour, candidates in dependency-graph
-//     order. The differential tests pin it byte-identical to the pre-policy
-//     proxy.
-//   - markov: a per-user first-order transition model that reorders and
-//     prunes chains by observed behaviour, fed by observePolicy on every
-//     attributed live hit and carried across restarts by the snapshot
-//     ladder.
-//
-// Selection is -prefetch-policy. The policy is consulted once per
-// predecessor transaction (rankCandidates); what does not vary by policy —
-// the issue-time gates — is Proxy.mayIssue.
+// Prefetch fan-out wiring. Which fan-out candidates survive and in what
+// order is policy.Static, consulted once per predecessor transaction
+// (learn); the issue-time gates are Proxy.mayIssue. What this file adds is
+// the accounting of every candidate or task dropped on the way.
 
-// Skip reasons beyond the policy package's own (ReasonDepth, ReasonUnlikely):
-// the first three drop a candidate before it reaches the scheduler, the last
-// two a task at dispatch (runPrefetch), before any origin byte moves.
+// Skip reasons beyond the policy package's own (ReasonDepth): the first
+// three drop a candidate before it reaches the scheduler, the last two a
+// task at dispatch (runPrefetch), before any origin byte moves.
 const (
 	skipNoExemplar  = "no_exemplar"   // materialize failed: run-time values missing
 	skipNoDepValues = "no_dep_values" // predecessor response yielded no dependency values
@@ -43,7 +31,6 @@ type prefetchSkips struct {
 	noDepValues atomic.Int64
 	pendingFull atomic.Int64
 	depth       atomic.Int64
-	unlikely    atomic.Int64
 	noRoom      atomic.Int64
 	dataBudget  atomic.Int64
 }
@@ -59,8 +46,6 @@ func (p *Proxy) countSkip(reason string) {
 		p.skips.pendingFull.Add(1)
 	case policy.ReasonDepth:
 		p.skips.depth.Add(1)
-	case policy.ReasonUnlikely:
-		p.skips.unlikely.Add(1)
 	case skipNoRoom:
 		p.skips.noRoom.Add(1)
 	case skipDataBudget:
@@ -68,73 +53,8 @@ func (p *Proxy) countSkip(reason string) {
 	}
 }
 
-// rankBounds buckets the Rank-latency histogram on a microsecond scale: a
-// rank call is a handful of map reads and must never show up in request
-// latency.
-var rankBounds = []time.Duration{
-	time.Microsecond, 2 * time.Microsecond, 5 * time.Microsecond,
-	10 * time.Microsecond, 25 * time.Microsecond, 50 * time.Microsecond,
-	100 * time.Microsecond, 250 * time.Microsecond,
-	time.Millisecond, 5 * time.Millisecond,
-}
-
-// initPolicy builds the configured policy.
-func (p *Proxy) initPolicy() {
-	hooks := policy.Hooks{MaxDepth: maxChainDepth}
-	if p.opts.PrefetchPolicy == "markov" {
-		p.pol = policy.NewMarkov(hooks, policy.MarkovConfig{
-			HalfLife: p.opts.PolicyDecay,
-			MaxUsers: p.opts.PolicyMaxUsers,
-			Now:      p.clock,
-		})
-	} else {
-		p.pol = policy.NewStatic(hooks)
-	}
-	p.rankHist = p.reg.Histogram("appx_policy_rank_seconds",
-		"Latency of one prefetch-policy Rank call.", rankBounds)
-}
-
-// markov returns the history model behind the configured policy, or nil
-// when the policy keeps none.
-func (p *Proxy) markov() *policy.Markov {
-	m, _ := p.pol.(*policy.Markov)
-	return m
-}
-
-// rankCandidates runs one policy ranking, timed.
-func (p *Proxy) rankCandidates(userKey, from string, cands []policy.Candidate) []policy.Decision {
-	start := p.opts.Now()
-	ds := p.pol.Rank(userKey, from, cands)
-	p.rankHist.Observe(p.opts.Now().Sub(start))
-	return ds
-}
-
-// observePolicy feeds one attributed live hit into the history model.
-// Static configurations skip the call — and its clock read — entirely.
-func (p *Proxy) observePolicy(userKey, sigID string) {
-	if m := p.markov(); m != nil {
-		m.Observe(userKey, sigID, p.opts.Now())
-	}
-}
-
-// registerPolicyBridges exposes the policy layer on the metrics registry.
-func (p *Proxy) registerPolicyBridges(reg *obs.Registry) {
-	reg.GaugeFunc("appx_policy_users", "Per-user history models held.",
-		func() float64 { return float64(p.pol.Stats().Users) })
-	reg.GaugeFunc("appx_policy_rows", "Transition rows across users and the global table.",
-		func() float64 { return float64(p.pol.Stats().Rows) })
-	reg.GaugeFunc("appx_policy_transitions", "Tracked (from, to) transition pairs.",
-		func() float64 { return float64(p.pol.Stats().Transitions) })
-	reg.GaugeFunc("appx_policy_table_bytes", "Estimated transition-table memory footprint.",
-		func() float64 { return float64(p.pol.Stats().TableBytes) })
-	reg.CounterFunc("appx_policy_observations_total", "Live hits folded into the history model.",
-		func() int64 { return p.pol.Stats().Observations })
-	reg.CounterFunc("appx_policy_rank_total", "Policy Rank calls.",
-		func() int64 { return p.pol.Stats().RankCalls })
-	reg.CounterFunc("appx_policy_pruned_total", "Candidates pruned as history-unlikely.",
-		func() int64 { return p.pol.Stats().Pruned })
-	reg.CounterFunc("appx_policy_reordered_total", "Rank calls that changed candidate order.",
-		func() int64 { return p.pol.Stats().Reordered })
+// registerSkipBridges exposes the skip counters on the metrics registry.
+func (p *Proxy) registerSkipBridges(reg *obs.Registry) {
 	for _, s := range []struct {
 		reason string
 		c      *atomic.Int64
@@ -143,7 +63,6 @@ func (p *Proxy) registerPolicyBridges(reg *obs.Registry) {
 		{skipNoDepValues, &p.skips.noDepValues},
 		{skipPendingFull, &p.skips.pendingFull},
 		{policy.ReasonDepth, &p.skips.depth},
-		{policy.ReasonUnlikely, &p.skips.unlikely},
 		{skipNoRoom, &p.skips.noRoom},
 		{skipDataBudget, &p.skips.dataBudget},
 	} {
@@ -155,23 +74,11 @@ func (p *Proxy) registerPolicyBridges(reg *obs.Registry) {
 
 // policyV1 assembles the typed policy block of /appx/v1/stats.
 func (p *Proxy) policyV1() adminv1.PolicyEntry {
-	st := p.pol.Stats()
 	return adminv1.PolicyEntry{
-		Configured:       p.pol.Name(),
-		Users:            st.Users,
-		Rows:             st.Rows,
-		Transitions:      st.Transitions,
-		TableBytes:       st.TableBytes,
-		Observations:     st.Observations,
-		RankCalls:        st.RankCalls,
-		Pruned:           st.Pruned,
-		Reordered:        st.Reordered,
-		RankP95Micros:    float64(p.rankHist.Quantile(0.95)) / float64(time.Microsecond),
 		NoExemplarSkips:  p.skips.noExemplar.Load(),
 		NoDepValueSkips:  p.skips.noDepValues.Load(),
 		PendingFullSkips: p.skips.pendingFull.Load(),
 		DepthSkips:       p.skips.depth.Load(),
-		UnlikelySkips:    p.skips.unlikely.Load(),
 		NoRoomSkips:      p.skips.noRoom.Load(),
 		DataBudgetSkips:  p.skips.dataBudget.Load(),
 	}

@@ -1,13 +1,11 @@
 package proxy
 
-// Tests for the pluggable prefetch-policy layer: the static policy must be
-// differentially identical to the pre-policy inline chain logic (same
-// candidates prefetched, same order), dropped candidates must be counted by
-// reason, and the markov model must survive the persistence ladder.
+// Tests for the prefetch fan-out rule: it must be differentially identical
+// to the pre-policy inline chain logic (same candidates prefetched, same
+// order), and dropped candidates must be counted by reason.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -17,7 +15,6 @@ import (
 
 	"appx/internal/config"
 	"appx/internal/httpmsg"
-	"appx/internal/policy"
 	"appx/internal/proxy/sched"
 	"appx/internal/sig"
 )
@@ -245,7 +242,7 @@ func TestStaticChainOrderDifferential(t *testing.T) {
 			}
 		}
 		skips := p.statsV1().Policy
-		if skips.DepthSkips != wantDepthSkips || skips.UnlikelySkips != 0 ||
+		if skips.DepthSkips != wantDepthSkips ||
 			skips.NoExemplarSkips != 0 || skips.NoDepValueSkips != 0 || skips.PendingFullSkips != 0 {
 			t.Fatalf("%s: skip counts %+v, want %d depth skips and nothing else", state, skips, wantDepthSkips)
 		}
@@ -309,77 +306,5 @@ func TestNoExemplarSkipCounted(t *testing.T) {
 	}
 	if got := p.statsV1().Policy.NoExemplarSkips; got == 0 {
 		t.Fatalf("stats policy block NoExemplarSkips = %d", got)
-	}
-}
-
-// TestMarkovPersistRoundTrip: the markov tables ride the snapshot ladder —
-// a warm restart restores them byte-identically, and a proxy configured
-// with the static policy ignores the snapshot's policy block.
-func TestMarkovPersistRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	g := starGraph([]int{0, 1, 2})
-	up, _, _ := starUpstream()
-	now := time.Unix(1_700_000_000, 0)
-	opts := func() Options {
-		return Options{Graph: g, Upstream: up, StateDir: dir,
-			PrefetchPolicy: "markov",
-			Now:            func() time.Time { return now }}
-	}
-
-	p1 := New(opts())
-	for i := 0; i < 5; i++ {
-		at := now.Add(time.Duration(i) * 10 * time.Second)
-		p1.markov().Observe("u1", "st:home#0", at)
-		p1.markov().Observe("u1", "st:b1#0", at.Add(2*time.Second))
-	}
-	want := p1.markov().Export()
-	if len(want.Users) == 0 || len(want.Global) == 0 {
-		t.Fatalf("model empty before snapshot: %+v", want)
-	}
-	if err := p1.SnapshotNow(); err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
-	p1.Close()
-
-	p2 := New(opts())
-	defer p2.Close()
-	if got := p2.RestoreOutcome(); got != RestoreWarm {
-		t.Fatalf("restore outcome = %q (%s)", got, p2.RestoreDetail())
-	}
-	// Compare as JSON: the snapshot round trip normalizes time.Time
-	// locations, which DeepEqual would flag despite equal instants.
-	gotJSON, _ := json.Marshal(p2.markov().Export())
-	wantJSON, _ := json.Marshal(want)
-	if string(gotJSON) != string(wantJSON) {
-		t.Fatalf("restored markov state differs:\n got %s\nwant %s", gotJSON, wantJSON)
-	}
-	// The restored history must rank: the favourite branch stays, the
-	// never-taken ones prune.
-	ds := p2.markov().Rank("u1", "st:home#0", []policy.Candidate{
-		{SigID: "st:b0#0", Index: 0, Prior: 1},
-		{SigID: "st:b1#0", Index: 1, Prior: 1},
-		{SigID: "st:b2#0", Index: 2, Prior: 1},
-	})
-	if ds[0].SigID != "st:b1#0" || !ds[0].Keep {
-		t.Fatalf("restored model lost its favourite: %+v", ds)
-	}
-
-	// A static-policy proxy on the same state directory restores warm but
-	// has no model to fill — the policy block is simply ignored.
-	sOpts := opts()
-	sOpts.PrefetchPolicy = "static"
-	p3 := New(sOpts)
-	defer p3.Close()
-	if p3.markov() != nil {
-		t.Fatal("static proxy grew a markov model from the snapshot")
-	}
-	if got := p3.statsV1().Policy; got.Configured != "static" {
-		t.Fatalf("policy stats block = %+v", got)
-	}
-
-	// And the markov proxy's stats block reports the restored model.
-	pol := p2.statsV1().Policy
-	if pol.Configured != "markov" || pol.Users != 1 || pol.Transitions == 0 {
-		t.Fatalf("markov policy stats block = %+v", pol)
 	}
 }

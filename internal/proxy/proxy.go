@@ -91,19 +91,6 @@ type Options struct {
 	// CaptureMaxBytes (default 64 MiB; negative disables both guards).
 	MaxBodyBytes int64
 
-	// PrefetchPolicy selects the prefetch decision policy: "static" (the
-	// default — candidates in dependency-graph order, the historical
-	// behaviour) or "markov" (per-user history reorders and prunes chains
-	// by observed transition probability). Unknown values fall back to
-	// static.
-	PrefetchPolicy string
-	// PolicyDecay is the markov model's transition-count half-life
-	// (default policy.DefaultHalfLife, 10m).
-	PolicyDecay time.Duration
-	// PolicyMaxUsers bounds tracked per-user markov models (default
-	// policy.DefaultMaxUsers, 10000).
-	PolicyMaxUsers int
-
 	// StateDir enables crash-safe persistence: a disk cache tier under
 	// <StateDir>/cache plus snapshot/restore of learned soft state in
 	// <StateDir>/snapshot.appx. Empty disables persistence.
@@ -210,12 +197,10 @@ type Proxy struct {
 	// sibling peer fill. Nil when Options.Cluster is not enabled.
 	cluster *clusterState
 
-	// Prefetch fan-out policy (policy.go in this package), selected by
-	// Options.PrefetchPolicy. skips counts candidates dropped before reaching
-	// the scheduler, by reason.
-	pol      policy.Policy
-	rankHist *obs.Histogram
-	skips    prefetchSkips
+	// Prefetch fan-out rule; skips counts candidates dropped before reaching
+	// the scheduler or at dispatch, by reason (policy.go in this package).
+	pol   *policy.Static
+	skips prefetchSkips
 	// issued counts prefetches accepted by the scheduler, by trigger.
 	issued [numTriggers]*obs.Counter
 	// borrowed counts prefetches issued from a profile-built exemplar,
@@ -430,11 +415,11 @@ func New(opts Options) *Proxy {
 		MaxQueue: p.ovl.MaxQueue,
 		Now:      p.clock,
 	})
-	p.initPolicy()
+	p.pol = policy.NewStatic(policy.Hooks{MaxDepth: maxChainDepth})
 	p.registerBridges(reg)
 	p.registerStreamBridges(reg)
 	p.registerPersistBridges(reg)
-	p.registerPolicyBridges(reg)
+	p.registerSkipBridges(reg)
 	// Restore before any request is served; the snapshot loop starts only
 	// after the restored state is in place.
 	p.restorePersist()
@@ -1091,7 +1076,7 @@ func (p *Proxy) learnFrom(u *user, st *sigState, req *httpmsg.Request, resp *htt
 		return
 	}
 	// Build the candidate batch in dependency-graph order, then let the
-	// policy decide which survive (Keep) and in what order they are
+	// fan-out rule decide which survive (Keep) and in what order they are
 	// attempted. Whether a survivor may run is decided at issue time
 	// (mayIssue), because an instance can park awaiting an exemplar for
 	// arbitrarily long between fan-out and issue.
@@ -1112,7 +1097,7 @@ func (p *Proxy) learnFrom(u *user, st *sigState, req *httpmsg.Request, resp *htt
 	if len(cands) == 0 {
 		return
 	}
-	for _, d := range p.rankCandidates(u.key, s.ID, cands) {
+	for _, d := range p.pol.Rank(u.key, s.ID, cands) {
 		if !d.Keep {
 			p.countSkip(d.KeepReason)
 			continue

@@ -191,7 +191,7 @@ func (p *Proxy) serve(x *exchange, r *http.Request) obs.Outcome {
 	}
 	if p.attachFlight(x, fl) {
 		p.streamStats.attachHits.Add(1)
-		p.attribute(x, lead.sig.ID)
+		x.sigID = lead.sig.ID
 		if absorbCookies(u, req.Host, fl.header) {
 			p.retryParked(u)
 		}
@@ -201,14 +201,6 @@ func (p *Proxy) serve(x *exchange, r *http.Request) obs.Outcome {
 	// range: fetch independently, without opening a second flight (a
 	// failing key must not stack spools).
 	return p.passthrough(x, u)
-}
-
-// attribute ties the exchange to the signature answering it. A matched live
-// request is history evidence for the prefetch policy whether it hits or
-// misses, so the policy observes it here, before any learning it triggers.
-func (p *Proxy) attribute(x *exchange, sigID string) {
-	x.sigID = sigID
-	p.observePolicy(x.user, sigID)
 }
 
 // serveEntry answers the exchange from a complete buffered entry — a local
@@ -226,7 +218,7 @@ func (p *Proxy) attribute(x *exchange, sigID string) {
 // request gets here.)
 func (p *Proxy) serveEntry(x *exchange, u *user, entry *cache.Entry, shared bool, outcome obs.Outcome) obs.Outcome {
 	st := p.sigs.byID[entry.SigID]
-	p.attribute(x, entry.SigID)
+	x.sigID = entry.SigID
 	first := entry.FirstUse()
 	p.stats.countHit(st, int64(len(entry.Resp.Body)), first, shared)
 	if first && entry.Borrowed {
@@ -320,7 +312,7 @@ func readsBody(matched []*sigState) bool {
 // prefetch of the same request would fill.
 func (p *Proxy) runFlight(x *exchange, u *user, matched []*sigState, scope, fkey string, fl *flight) obs.Outcome {
 	lead := matched[0]
-	p.attribute(x, lead.sig.ID)
+	x.sigID = lead.sig.ID
 	// The origin always sees the whole-entity request: Range is stripped and
 	// the 206 (if asked for) is sliced locally from the spool, so the capture
 	// stays a complete entity every attacher and the cache can share.

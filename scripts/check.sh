@@ -36,7 +36,11 @@ go test -run '^$' -bench . -benchtime 1x \
     ./internal/cache/ ./internal/jsonpath/ ./internal/obs/ ./internal/persist/ \
     ./internal/proxy/ ./internal/proxy/sched/ ./internal/sig/ ./internal/stream/
 
-# bench/ is a module of its own, so ./... above never compiles it.
+# bench/ is a module of its own, so ./... above never compiles it: vet it
+# too, since it compiles against internal APIs a change may narrow.
+echo "== go vet -C bench ./..."
+go vet -C bench ./...
+
 echo "== go test -C bench ./..."
 go test -C bench ./...
 
