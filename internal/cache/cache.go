@@ -16,15 +16,13 @@
 // to every user. Safety rests on the proxy's exact-match rule (R3) — a
 // cached response is only ever served to a byte-identical request — so the
 // shared tier changes *who pays for the origin fetch*, never *what any
-// client observes*. Inflight deduplication (TryIssue/CancelIssue) rides on
-// the same scopes, so N concurrent users wanting one shared entry trigger a
-// single origin fetch.
+// client observes*. The store holds responses only: which fetch is on its way
+// to a slot, and who may start one, is the proxy's key table.
 package cache
 
 import (
 	"container/heap"
 	"math"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -277,15 +275,14 @@ func (h *entryHeap) Pop() any {
 }
 
 // shard is one lock domain: a fraction of the scopes (and of the shared
-// tier's keys), with its own expiry heap and inflight-dedup map. Hot-path
-// counters live here too, guarded by the lock the operation already holds,
-// so telemetry adds no cross-shard synchronization.
+// tier's keys), with its own expiry heap. Hot-path counters live here too,
+// guarded by the lock the operation already holds, so telemetry adds no
+// cross-shard synchronization.
 type shard struct {
 	mu      sync.Mutex
 	byScope map[string]*scopeState // non-empty scopes only
 	heap    entryHeap
-	tick    uint64               // touch counter: recency across the shard
-	issued  map[string]time.Time // scope+NUL+key → dedup deadline
+	tick    uint64 // touch counter: recency across the shard
 
 	hits, misses, sharedHits, puts int64
 	sigs                           map[string]*SigStats
@@ -394,7 +391,6 @@ func New(opts Options) *Store {
 	for i := range s.shards {
 		s.shards[i] = &shard{
 			byScope: map[string]*scopeState{},
-			issued:  map[string]time.Time{},
 			sigs:    map[string]*SigStats{},
 		}
 	}
@@ -418,26 +414,6 @@ func (s *Store) shardOf(scope, key string) *shard {
 	}
 	return s.shards[h%uint32(len(s.shards))]
 }
-
-// issueKey builds the inflight-dedup map key. The scope *kind* is part of
-// the key: the old scope+"\x00"+key concatenation let a user-scoped and a
-// shared-scoped fetch of the same canonical key collide (and was ambiguous
-// outright — ("a", "b\x00c") equaled ("a\x00b", "c")), so one user's
-// prefetch claim could starve the shared tier's singleflight. Shared keys
-// get a fixed "s\x00" tag; user keys get a "u<len>\x00" tag whose length
-// prefix makes the scope/key split structurally unambiguous.
-func issueKey(scope, key string) string {
-	if scope == SharedScope {
-		return "s\x00" + key
-	}
-	return "u" + strconv.Itoa(len(scope)) + "\x00" + scope + key
-}
-
-// IssueKey exposes the inflight-dedup key. The cluster layer uses
-// IssueKey(SharedScope, canonicalKey) as the fleet-wide flight key for peer
-// fills: it is identical on every instance and collision-free against user
-// claims by construction.
-func IssueKey(scope, key string) string { return issueKey(scope, key) }
 
 // Get looks up scope/key. fresh=true means the entry is valid to serve.
 // A non-nil entry with fresh=false was expired at lookup: it has been
@@ -507,10 +483,9 @@ func (s *Store) Peek(scope, key string) (*Entry, bool) {
 	return en.payload, true
 }
 
-// Put stores an entry, replacing any previous one under the same key,
-// clearing the inflight-dedup record, and enforcing the scope caps and the
-// global budget. When a lower tier is configured the entry is also spilled
-// to it write-behind.
+// Put stores an entry, replacing any previous one under the same key, and
+// enforces the scope caps and the global budget. When a lower tier is
+// configured the entry is also spilled to it write-behind.
 func (s *Store) Put(scope, key string, p *Entry) {
 	s.put(scope, key, p, true)
 }
@@ -536,7 +511,6 @@ func (s *Store) put(scope, key string, p *Entry, spill bool) {
 	heap.Push(&sc.order, en)
 	heap.Push(&sh.heap, en)
 	sc.bytes += sz
-	delete(sh.issued, issueKey(scope, key))
 	s.resident.Add(sz)
 	if scope != SharedScope {
 		// Per-scope fairness caps: evict the scope's own entries, never
@@ -673,27 +647,6 @@ func (s *Store) evictGlobal(pref *shard) {
 	}
 }
 
-// TryIssue claims the right to prefetch scope/key: it fails when a fresh
-// entry already exists or another prefetch for the same key is inflight
-// (issued within window). On success the claim stands until Put,
-// CancelIssue, or the window elapses — singleflight across all users of a
-// shared key.
-func (s *Store) TryIssue(scope, key string, window time.Duration) bool {
-	sh := s.shardOf(scope, key)
-	now := s.opts.Now()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if en := sh.lookupLocked(scope, key); en != nil && now.Before(en.payload.Expires) {
-		return false
-	}
-	ik := issueKey(scope, key)
-	if dl, ok := sh.issued[ik]; ok && now.Before(dl) {
-		return false
-	}
-	sh.issued[ik] = now.Add(window)
-	return true
-}
-
 // RoomFor reports whether scope has room for bytes more resident bytes — one
 // new entry and whatever else the caller already has on its way to the scope
 // — descending from live transaction root, without doing harm: every entry
@@ -771,24 +724,14 @@ func (w *victimWalk) Pop() any {
 	return x
 }
 
-// CancelIssue releases a TryIssue claim after a failed or abandoned
-// prefetch, so the next opportunity may retry immediately.
-func (s *Store) CancelIssue(scope, key string) {
-	sh := s.shardOf(scope, key)
-	sh.mu.Lock()
-	delete(sh.issued, issueKey(scope, key))
-	sh.mu.Unlock()
-}
-
-// DropScope removes every entry and inflight claim of a scope (user
-// eviction). Returns entries and bytes dropped. A user scope lives in one
-// shard; dropping SharedScope touches all of them.
+// DropScope removes every entry of a scope (user eviction). Returns entries
+// and bytes dropped. A user scope lives in one shard; dropping SharedScope
+// touches all of them.
 func (s *Store) DropScope(scope string) (entries int, bytes int64) {
 	targets := []*shard{s.shardOf(scope, "")}
 	if scope == SharedScope {
 		targets = s.shards
 	}
-	prefix := issueKey(scope, "")
 	for _, sh := range targets {
 		sh.mu.Lock()
 		if sc := sh.byScope[scope]; sc != nil {
@@ -801,11 +744,6 @@ func (s *Store) DropScope(scope string) (entries int, bytes int64) {
 			bytes += sc.bytes
 			s.resident.Add(-sc.bytes)
 			delete(sh.byScope, scope)
-		}
-		for ik := range sh.issued {
-			if len(ik) > len(prefix) && ik[:len(prefix)] == prefix {
-				delete(sh.issued, ik)
-			}
 		}
 		sh.mu.Unlock()
 	}
@@ -820,8 +758,7 @@ func (s *Store) DropScope(scope string) (entries int, bytes int64) {
 }
 
 // SweepExpired pops every expired entry off each shard's expiry heap —
-// O(expired · log n), no full scans — and prunes lapsed inflight claims.
-// Returns entries removed.
+// O(expired · log n), no full scans. Returns entries removed.
 func (s *Store) SweepExpired() int {
 	now := s.opts.Now()
 	removed := 0
@@ -833,11 +770,6 @@ func (s *Store) SweepExpired() int {
 			removed++
 			s.evExpired.Add(1)
 			sh.sigStat(en.payload.SigID).Expired++
-		}
-		for ik, dl := range sh.issued {
-			if !now.Before(dl) {
-				delete(sh.issued, ik)
-			}
 		}
 		sh.mu.Unlock()
 	}

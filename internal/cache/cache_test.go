@@ -157,39 +157,6 @@ func TestSharedScopeExemptFromScopeCaps(t *testing.T) {
 	}
 }
 
-func TestTryIssueSingleflight(t *testing.T) {
-	now := time.Unix(1_700_000_000, 0)
-	s := testStore(Options{}, &now)
-	window := time.Minute
-
-	if !s.TryIssue(SharedScope, "k", window) {
-		t.Fatal("first claim refused")
-	}
-	if s.TryIssue(SharedScope, "k", window) {
-		t.Fatal("second claim admitted while first inflight")
-	}
-	// A failed prefetch releases the claim for immediate retry.
-	s.CancelIssue(SharedScope, "k")
-	if !s.TryIssue(SharedScope, "k", window) {
-		t.Fatal("claim refused after cancel")
-	}
-	// A successful Put both clears the claim and blocks further claims via
-	// the fresh entry itself.
-	s.Put(SharedScope, "k", ent("sig", 10, now.Add(time.Hour)))
-	if s.TryIssue(SharedScope, "k", window) {
-		t.Fatal("claim admitted while a fresh entry exists")
-	}
-	// An abandoned claim (worker died without Put or Cancel) lapses with
-	// its window.
-	if !s.TryIssue("u1", "k2", window) {
-		t.Fatal("unrelated claim refused")
-	}
-	now = now.Add(window)
-	if !s.TryIssue("u1", "k2", window) {
-		t.Fatal("claim not released after its window lapsed")
-	}
-}
-
 func TestDropScope(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	s := testStore(Options{}, &now)
@@ -198,14 +165,10 @@ func TestDropScope(t *testing.T) {
 		s.Put("u1", fmt.Sprintf("k%d", i), ent("sig", 100, exp))
 		s.Put(SharedScope, fmt.Sprintf("s%d", i), ent("sig", 100, exp))
 	}
-	s.TryIssue("u1", "inflight", time.Minute)
 
 	n, bytes := s.DropScope("u1")
 	if n != 5 || bytes == 0 {
 		t.Fatalf("DropScope(u1) = (%d, %d), want 5 entries and nonzero bytes", n, bytes)
-	}
-	if !s.TryIssue("u1", "inflight", time.Minute) {
-		t.Fatal("inflight claim survived its scope's drop")
 	}
 	// Shared entries hash across all shards; dropping the shared scope must
 	// reach every one.
@@ -298,46 +261,6 @@ func TestSweeperLifecycle(t *testing.T) {
 	}
 	s.Close()
 	s.Close() // idempotent
-}
-
-// The inflight-dedup key must include the scope *kind*: under the old
-// scope+NUL+key concatenation these pairs collided, so one claim starved
-// the other's singleflight.
-func TestTryIssueScopeKindDisjoint(t *testing.T) {
-	now := time.Unix(1_700_000_000, 0)
-	s := testStore(Options{Shards: 1}, &now) // one shard forces map sharing
-
-	// Structural ambiguity of raw concatenation: ("a", "b\x00c") vs
-	// ("a\x00b", "c") serialize identically without a length prefix.
-	if !s.TryIssue("a", "b\x00c", time.Minute) {
-		t.Fatal("first claim refused")
-	}
-	if !s.TryIssue("a\x00b", "c", time.Minute) {
-		t.Fatal(`claim ("a\x00b", "c") collided with ("a", "b\x00c")`)
-	}
-
-	// Shared vs user scope of the same canonical key must be independent
-	// flights — the cluster peer-fill key is IssueKey(SharedScope, key).
-	if !s.TryIssue(SharedScope, "ckey", time.Minute) {
-		t.Fatal("shared claim refused")
-	}
-	if !s.TryIssue("some-user", "ckey", time.Minute) {
-		t.Fatal("user claim collided with shared claim of the same key")
-	}
-	if s.TryIssue(SharedScope, "ckey", time.Minute) {
-		t.Fatal("duplicate shared claim admitted")
-	}
-
-	// DropScope must release exactly its own scope's claims under the new
-	// key scheme.
-	s.CancelIssue("a", "b\x00c")
-	s.DropScope("some-user")
-	if !s.TryIssue("some-user", "ckey", time.Minute) {
-		t.Fatal("DropScope did not release the user's claim")
-	}
-	if s.TryIssue(SharedScope, "ckey", time.Minute) {
-		t.Fatal("DropScope of a user scope released the shared claim")
-	}
 }
 
 // Peek must be side-effect-free: no counters, no priority refresh, no removal

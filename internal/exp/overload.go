@@ -123,7 +123,7 @@ func runOverloadPoint(load float64) (*OverloadRow, error) {
 
 	// The origin burns a fixed service time per request and hands out
 	// globally fresh ids, so every list round spawns brand-new prefetch work
-	// instead of deduplicating against the last round's.
+	// instead of deduplicating against the last round's or another client's.
 	var idSeq atomic.Int64
 	up := proxy.UpstreamFunc(func(_ context.Context, r *httpmsg.Request) (*httpmsg.Response, error) {
 		time.Sleep(overloadSvc)
@@ -163,6 +163,10 @@ func runOverloadPoint(load float64) (*OverloadRow, error) {
 			Header: []httpmsg.Field{{Key: "X-Appx-User", Value: user}}}
 		if id != "" {
 			req.Query = []httpmsg.Field{{Key: "id", Value: id}}
+		} else {
+			// A list carries the user's credential: each client's lists are its
+			// own, never one response attached to by every client at once.
+			req.Header = append(req.Header, httpmsg.Field{Key: "Authorization", Value: "Bearer " + user})
 		}
 		return httpmsg.ServeViaHandler(px, req)
 	}

@@ -26,12 +26,6 @@ const (
 	clusterForwardedHeader = "X-Appx-Cluster-Forwarded"
 )
 
-// clusterFillClaimWindow bounds how long a foreground peer-fill attempt
-// holds the shared-tier singleflight claim; the claim is released on the
-// fill's Put or CancelIssue long before this, so the window only matters if
-// the filling goroutine dies.
-const clusterFillClaimWindow = 10 * time.Second
-
 // clusterState is the proxy side of cluster mode: the membership/routing
 // engine plus this instance's forwarding and peer-fill counters.
 type clusterState struct {
@@ -178,21 +172,21 @@ func (p *Proxy) clusterRelay(x *exchange, addr string) bool {
 }
 
 // clusterPeerFill tries to satisfy a shared-tier miss from ring siblings
-// before the origin. The fleet-wide flight key IssueKey(SharedScope, key)
-// rides the cache's inflight-dedup machinery: exactly one local goroutine
-// peeks peers for a key at a time, and because every instance walks the
-// same owner-first sibling order, concurrent missing instances converge on
-// the instance that fetched (or is fetching) the entry.
+// before the origin. The fleet-wide flight key issueKey(SharedScope, key) is
+// claimed in the key table: exactly one local goroutine peeks peers for a key
+// at a time, and because every instance walks the same owner-first sibling
+// order, concurrent missing instances converge on the instance that fetched
+// (or is fetching) the entry.
 //
-// claimed says the caller already holds the TryIssue claim (the prefetch
-// path); otherwise the fill claims it and releases it on a miss. A peer hit
-// is Put into the local shared tier — which clears the claim — so the next
-// request is a plain local hit.
+// claimed says the caller already holds the key's claim (the prefetch path);
+// otherwise the fill holds it, with no task behind it, while it asks, and
+// releases it — a miss or a panic included — after any Put of a peer hit.
 func (p *Proxy) clusterPeerFill(ctx context.Context, key string, claimed bool, bgt reqBudget) *cache.Entry {
 	st := p.cluster
+	ikey := issueKey(cache.SharedScope, key)
 	// Dead-breaker peers drop out before the race starts, so the hedge
 	// successor is always a peer worth asking.
-	peers := st.c.FillPeers(cache.IssueKey(cache.SharedScope, key))
+	peers := st.c.FillPeers(ikey)
 	ready := peers[:0]
 	for _, addr := range peers {
 		if st.c.PeerReady(addr) {
@@ -208,10 +202,14 @@ func (p *Proxy) clusterPeerFill(ctx context.Context, key string, claimed bool, b
 		p.budget.exhausted.Add(1)
 		return nil
 	}
-	if !claimed && !p.store.TryIssue(cache.SharedScope, key, clusterFillClaimWindow) {
-		// Another goroutine is already filling or fetching this key; let the
-		// caller fall through to its own path rather than wait.
-		return nil
+	if !claimed {
+		fill := new(prefetch)
+		if ok, _ := p.keys.claim(ikey, fill, false); !ok {
+			// Another goroutine is already filling or fetching this key; let
+			// the caller fall through to its own path rather than wait.
+			return nil
+		}
+		defer p.keys.release(ikey, fill)
 	}
 	st.fillAttempts.Add(1)
 	if e := p.hedgedPeek(ctx, ready, key, bgt); e != nil {
@@ -220,9 +218,6 @@ func (p *Proxy) clusterPeerFill(ctx context.Context, key string, claimed bool, b
 		return e
 	}
 	st.fillMisses.Add(1)
-	if !claimed {
-		p.store.CancelIssue(cache.SharedScope, key)
-	}
 	return nil
 }
 

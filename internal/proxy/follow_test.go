@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"appx/internal/cache"
 	"appx/internal/config"
 	"appx/internal/httpmsg"
 	"appx/internal/obs"
@@ -22,7 +21,8 @@ import (
 
 // The proxy's attention follows the user (DESIGN.md §6, §14): these tests
 // pin the dispatch order across users, what a hit, a deduplicated instance
-// and an attach do to a chain, and the released-flight retry. All of them run
+// and an attach do to a chain, and a worker adopting a foreground flight. All
+// of them run
 // on a frozen clock — every origin time is zero, so the §5 priority is its
 // hit-rate term alone and the cache evicts by recency — one prefetch worker,
 // and a stub origin that parks chosen requests on a channel: what reaches the
@@ -393,9 +393,10 @@ func (l *followLab) claimedMenuPrefetch(id string) *prefetch {
 	req := &httpmsg.Request{Method: "GET", Scheme: "http", Host: "h.example", Path: "/menu",
 		Query: []httpmsg.Field{{Key: "id", Value: id}}}
 	pf := &prefetch{p: l.p, u: l.p.user("A"), st: l.p.sigs.byID[s.ID], req: req, scope: "A", key: req.CanonicalKey(), expiry: time.Minute}
-	pf.task = sched.Task{SigID: s.ID, Class: sched.ClassShallow, Key: cache.IssueKey(pf.scope, pf.key), Job: pf}
-	if !l.p.store.TryIssue(pf.scope, pf.key, pf.expiry) {
-		l.t.Fatal("TryIssue refused: nothing holds the key")
+	pf.ikey = issueKey(pf.scope, pf.key)
+	pf.task = sched.Task{SigID: s.ID, Class: sched.ClassShallow, Job: pf}
+	if ok, _ := l.p.keys.claim(pf.ikey, pf, true); !ok {
+		l.t.Fatal("claim refused: nothing holds the key")
 	}
 	return pf
 }
@@ -411,7 +412,7 @@ func labKey(name, id string) string {
 // TestDedupPromotesQueuedChild: three items wait at depth 2 behind a busy
 // worker when the client asks for the menu the last one hangs off, in a form
 // the prefetched entry does not answer (a miss). The live learn re-derives
-// that item, loses TryIssue to the queued claim — and the queued task moves
+// that item, loses its claim to the queued one — and the queued task moves
 // to depth 0 instead of the demand being dropped: it runs next.
 func TestDedupPromotesQueuedChild(t *testing.T) {
 	const stores = 3
@@ -462,12 +463,8 @@ func TestAttachContinuesChainAtDepthZero(t *testing.T) {
 	// client attaches to that flight and waits with it.
 	l.hold(func(name, id string) bool { return name == "menu" })
 	l.getQueued("A", "list", "A")
-	fkey := cache.IssueKey("A", menuKey("A1m"))
-	flight := func() *flight {
-		l.p.flightMu.Lock()
-		defer l.p.flightMu.Unlock()
-		return l.p.flights[fkey]
-	}
+	fkey := issueKey("A", menuKey("A1m"))
+	flight := func() *flight { return l.p.keys.snapshot()[fkey].fl }
 	waitFor(t, "the first menu's prefetch to publish its headers", func() bool {
 		fl := flight()
 		if fl == nil {
@@ -497,16 +494,17 @@ func TestAttachContinuesChainAtDepthZero(t *testing.T) {
 	}
 }
 
-// TestPrefetchReopensReleasedFlight: a prefetch worker looks the key's flight
-// up while a foreground miss still owns it, and gets to attaching only after
-// that flight has finished and released its spool. Foreground misses are never
-// cached, so a worker that gives up there leaves the key cold; closeFlight
-// precedes Discard, so looking again makes it the owner and it fetches.
+// TestPrefetchLookupPinsForegroundFlight: a prefetch worker looks the key up
+// while a foreground miss still owns its flight, and gets to adopting it only
+// after the client has its response. The reader the lookup took pins the
+// spool, so the worker caches the foreground fetch's capture: the origin sees
+// the menu once, and the client's next request for it is a hit.
 //
-// Nothing can hold a worker between its two steps, so the test takes them
-// itself around a real foreground flight: openFlight, then — once the client
-// has its response — the rest of runPrefetch.
-func TestPrefetchReopensReleasedFlight(t *testing.T) {
+// Nothing can hold a worker between its lookup and its adoption, so the test
+// takes both steps itself around a real foreground flight: the dispatch
+// transition, then — once the client has its response — the rest of
+// runPrefetch.
+func TestPrefetchLookupPinsForegroundFlight(t *testing.T) {
 	l := newFollowLab(t, storefront[:2], 0, storefrontBody(1, 0))
 	l.teach("A", "store", "menu")
 	l.park(func(name, id string) bool { return name == "menu" })
@@ -518,24 +516,21 @@ func TestPrefetchReopensReleasedFlight(t *testing.T) {
 	})
 
 	pf := l.claimedMenuPrefetch("M")
-	fl, owner := l.p.openFlight(pf.task.Key)
-	if owner {
-		t.Fatal("the worker's first look found no foreground flight")
+	fl, rd := l.p.keys.dispatch(pf.ikey, pf)
+	if fl == nil || rd == nil {
+		t.Fatal("the worker's lookup found no foreground flight to read")
 	}
 	l.release()
 	if out := <-done; out != obs.OutcomeOrigin {
 		t.Fatalf("client: %v, want origin", out)
 	}
-	if _, err := fl.sp.ReaderAt(0); err == nil {
-		t.Fatal("the foreground flight's spool is still attachable after its teardown")
-	}
 
-	l.p.ridePrefetch(pf, fl, owner)
+	l.p.ridePrefetch(pf, fl, rd, false)
 	if e, fresh := l.p.Cache().Peek("A", pf.key); e == nil || !fresh {
 		t.Fatal("the prefetch cached nothing")
 	}
-	if got := l.seen(); got[len(got)-1] != "menu?M" || strings.Count(strings.Join(got, " "), "menu?M") != 2 {
-		t.Fatalf("origin saw %v, want the worker's own fetch of menu?M after the client's", got)
+	if got := l.seen(); strings.Count(strings.Join(got, " "), "menu?M") != 1 {
+		t.Fatalf("origin saw %v, want menu?M once", got)
 	}
 	if out := l.get("A", "menu", "M"); out != obs.OutcomePrefetchHit {
 		t.Fatalf("menu after the prefetch: %v, want prefetch-hit", out)
@@ -552,17 +547,17 @@ func TestPrefetchGivesUpOnFailedFlight(t *testing.T) {
 	pf := l.claimedMenuPrefetch("M")
 	// A foreground owner whose origin fails: the worker attached in time and
 	// sees the error.
-	own, _ := l.p.openFlight(pf.task.Key)
-	fl, owner := l.p.openFlight(pf.task.Key)
+	own, _, _ := l.p.keys.open(pf.ikey)
+	fl, rd, owner := l.p.keys.open(pf.ikey)
 	rode := make(chan struct{})
-	go func() { l.p.ridePrefetch(pf, fl, owner); close(rode) }()
+	go func() { l.p.ridePrefetch(pf, fl, rd, owner); close(rode) }()
 	waitFor(t, "the worker to attach", func() bool { return own.sp.Readers() == 1 })
-	l.p.failFlight(pf.task.Key, own, errors.New("origin down"))
+	l.p.failFlight(pf.ikey, own, errors.New("origin down"))
 	<-rode
 	if got := l.seen(); len(got) != 0 {
 		t.Fatalf("the worker fetched on its own after a failed flight: %v", got)
 	}
-	if !l.p.store.TryIssue(pf.scope, pf.key, pf.expiry) {
+	if _, held := l.p.keys.snapshot()[pf.ikey]; held {
 		t.Fatal("the claim was not given back")
 	}
 }

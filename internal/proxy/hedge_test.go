@@ -90,7 +90,7 @@ func fakePeer(t *testing.T, delay time.Duration, sigID string) string {
 func findKeyOrdered(p *Proxy, slow, fast string) string {
 	for i := 0; i < 100000; i++ {
 		key := fmt.Sprintf("GET h.example/item?id=%d", i)
-		peers := p.cluster.c.FillPeers(cache.IssueKey(cache.SharedScope, key))
+		peers := p.cluster.c.FillPeers(issueKey(cache.SharedScope, key))
 		if len(peers) >= 2 && peers[0] == slow && peers[1] == fast {
 			return key
 		}

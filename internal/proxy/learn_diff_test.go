@@ -108,7 +108,7 @@ func (r *refLearner) instantiate(s *sig.Signature, pred string, combo map[string
 	if r.p.opts.Config.EffectiveProbability(r.p.opts.Config.Policy(s.Hash())) <= 0 {
 		return
 	}
-	// TryIssue: one fetch per cache slot while its entry is fresh.
+	// The claim: one fetch per cache slot while its entry is fresh.
 	scope := "user"
 	if r.p.sharedEligible(s, req) {
 		scope = cache.SharedScope

@@ -175,7 +175,7 @@ type Proxy struct {
 	recent *list.List // of *user
 
 	// store holds prefetched responses: per-user scopes plus the cross-user
-	// shared tier; inflight prefetch dedup rides on the same scopes.
+	// shared tier.
 	store    *cache.Store
 	cacheCfg config.Cache
 
@@ -215,14 +215,14 @@ type Proxy struct {
 		exhausted atomic.Int64
 	}
 
-	// Streaming data plane (stream.go): pooled body chunks, the in-flight
-	// fetch registry clients attach to, resolved caps, and data-plane
-	// telemetry.
+	// keys is the key table (keys.go): per issue key, the prefetch that
+	// claims it and the origin fetch in flight for it.
+	keys *keyTable
+
+	// Streaming data plane (stream.go): pooled body chunks, resolved caps,
+	// and data-plane telemetry.
 	chunks      *stream.Pool
-	captureCap  int64
 	maxBody     int64
-	flightMu    sync.Mutex
-	flights     map[string]*flight
 	streamStats streamStatCounters
 	ttfb        *obs.Histogram
 }
@@ -347,18 +347,18 @@ func New(opts Options) *Proxy {
 	reg := obs.NewRegistry()
 	sigs := newSigTable(opts.Graph, opts.Config)
 	p := &Proxy{
-		opts:    opts,
-		reg:     reg,
-		sigs:    sigs,
-		stats:   newStats(reg, sigs),
-		users:   map[string]*user{},
-		recent:  list.New(),
-		flights: map[string]*flight{},
+		opts:   opts,
+		reg:    reg,
+		sigs:   sigs,
+		stats:  newStats(reg, sigs),
+		users:  map[string]*user{},
+		recent: list.New(),
 	}
 	p.clock = func() time.Time { return p.opts.Now() }
 	p.spans = obs.NewSpanRecorder(reg, opts.SpanBuffer, p.clock)
 	p.chunks = stream.NewPool(opts.StreamChunkBytes)
-	p.captureCap = opts.CaptureMaxBytes
+	p.keys = &keyTable{keys: map[string]keyState{},
+		spool: func() *stream.Spool { return stream.NewSpool(p.chunks, opts.CaptureMaxBytes, p.clock) }}
 	p.maxBody = opts.MaxBodyBytes
 	if p.maxBody < 0 {
 		p.maxBody = 0 // explicit opt-out: unlimited request bodies
@@ -1159,13 +1159,12 @@ func (p *Proxy) instantiate(u *user, sp *planSucc, vals []string, depth int, roo
 }
 
 // prefetch is one speculative fetch from issue to commit: the reconstructed
-// request and the cache slot (scope, key, expiry) its TryIssue claim holds.
-// It is its own scheduler task and the task's sched.Job, so issuing an
-// instance allocates this one value; the task carries its place in the
-// dependency chain (Depth, which a Promote may lower while it waits), the
-// claim's issue key (Key), which also names its flight, and whether the
-// request was built from the user's profile (Guess); root is the live
-// transaction the chain descends from. req is immutable once issued: the
+// request, the cache slot (scope, key, expiry) it fills and the issue key
+// (ikey) it claims, which also names its flight. It is its own scheduler task
+// and sched.Job, so issuing an instance allocates this one value; the task
+// carries its chain Depth (which a Promote may lower while it waits) and
+// whether the request was built from the user's profile (Guess); root is the
+// live transaction the chain descends from. req is immutable once issued: the
 // commit shares it with the sample table and the cache entry, whose readers
 // clone.
 type prefetch struct {
@@ -1176,6 +1175,7 @@ type prefetch struct {
 	req    *httpmsg.Request
 	scope  string
 	key    string
+	ikey   string
 	expiry time.Duration
 	root   uint64
 }
@@ -1184,18 +1184,21 @@ type prefetch struct {
 func (pf *prefetch) Run() { pf.p.runPrefetch(pf) }
 
 // Abandon implements sched.Job for a task shed after it was accepted
-// (deadline expiry at dispatch, or Close): it gives the dedup claim back so
-// a later, fresher instance can re-issue the fetch.
-func (pf *prefetch) Abandon() { pf.p.store.CancelIssue(pf.scope, pf.key) }
+// (deadline expiry at dispatch, or Close): it gives the claim back so a
+// later, fresher instance can re-issue the fetch.
+func (pf *prefetch) Abandon() { pf.release() }
 
 // OnPanic implements sched.Job. A panicking prefetch counts as a prefetch
 // failure: it releases its claim and feeds the signature's backoff, so a
 // reconstruction that reliably panics suspends itself like one that
 // reliably errors.
 func (pf *prefetch) OnPanic(any) {
-	pf.Abandon()
+	pf.release()
 	pf.p.failPrefetch(pf.st)
 }
+
+// release gives the prefetch's claim back: after its Put, or on giving up.
+func (pf *prefetch) release() { pf.p.keys.release(pf.ikey, pf) }
 
 // failPrefetch counts one failed prefetch of the signature — a transport
 // error, a body that died mid-stream, a panic — and feeds its backoff.
@@ -1239,19 +1242,13 @@ func (p *Proxy) maybePrefetch(u *user, st *sigState, req *httpmsg.Request, depth
 	if !p.mayIssue(u.key, st, req.Host) {
 		return
 	}
-	// Shared-eligible requests prefetch into the cross-user tier; TryIssue
-	// then singleflights the fetch across every user wanting this key.
+	// Shared-eligible requests prefetch into the cross-user tier, where the
+	// claim singleflights the fetch across every user wanting this key.
 	scope, key, expiry := u.key, req.CanonicalKey(), p.opts.Config.Expiration(st.pol)
 	if p.sharedEligible(st.sig, req) {
 		scope = cache.SharedScope
 	}
-	ikey := cache.IssueKey(scope, key)
-	if !p.store.TryIssue(scope, key, expiry) {
-		// The entry is resident, or already on its way. If its prefetch still
-		// waits in the queue further from a client than this instance is, the
-		// demand that re-derived it moves it up instead of being dropped as a
-		// duplicate.
-		p.sched.Promote(ikey, depth)
+	if _, fresh := p.store.Peek(scope, key); fresh {
 		return
 	}
 	// The class is what sheds first when the queue fills: chain tails are the
@@ -1264,14 +1261,23 @@ func (p *Proxy) maybePrefetch(u *user, st *sigState, req *httpmsg.Request, depth
 	case depth == 0:
 		class = sched.ClassShallow
 	}
-	pf := &prefetch{p: p, u: u, st: st, req: req, scope: scope, key: key, expiry: expiry, root: root}
-	pf.task = sched.Task{SigID: st.sig.ID, Class: class, Depth: depth, Key: ikey, Guess: borrowed, Job: pf}
+	pf := &prefetch{p: p, u: u, st: st, req: req, scope: scope, key: key, ikey: issueKey(scope, key), expiry: expiry, root: root}
+	pf.task = sched.Task{SigID: st.sig.ID, Class: class, Depth: depth, Guess: borrowed, Job: pf}
 	if qd := time.Duration(p.ovl.QueueDeadline); qd > 0 {
 		pf.task.Deadline = p.opts.Now().Add(qd)
 	}
+	if ok, waiting := p.keys.claim(pf.ikey, pf, true); !ok {
+		// Already on its way. If its prefetch still waits in the queue
+		// further from a client than this instance is, the demand that
+		// re-derived it moves it up instead of being dropped as a duplicate.
+		if waiting != nil {
+			p.sched.Promote(&waiting.task, depth)
+		}
+		return
+	}
 	// A rejected Submit leaves the task, and so the claim, with the caller.
 	if !p.sched.Submit(&pf.task) {
-		pf.Abandon()
+		pf.release()
 		return
 	}
 	p.issued[trig].Inc()
@@ -1280,14 +1286,21 @@ func (p *Proxy) maybePrefetch(u *user, st *sigState, req *httpmsg.Request, depth
 	}
 }
 
-// runPrefetch executes one prefetch: obtains the response — from a ring
-// sibling, from a flight this worker opens, or from a foreground flight
-// already fetching the key — commits the capture under the claim the task
-// holds, and feeds the transaction back into learning so dependency chains
-// prefetch end-to-end (Figure 3(c)). Every shortfall gives the claim back,
-// so the signature's failure backoff — not a stale issued entry — governs
-// when reconstruction is retried.
+// runPrefetch executes one prefetch: obtains the response — from a foreground
+// flight already fetching the key, from a ring sibling, or from a flight this
+// worker opens — commits the capture under the claim the task holds, and
+// feeds the transaction back into learning so dependency chains prefetch
+// end-to-end (Figure 3(c)). Every shortfall gives the claim back, so the
+// signature's failure backoff — not a stale claim — governs when
+// reconstruction is retried.
 func (p *Proxy) runPrefetch(pf *prefetch) {
+	// A foreground fetch of the key is under way: adopt it and cache its
+	// capture. A client asked for the key and the fetch costs no origin
+	// bytes, so neither the data budget nor the room check applies.
+	if fl, rd := p.keys.dispatch(pf.ikey, pf); fl != nil {
+		p.ridePrefetch(pf, fl, rd, false)
+		return
+	}
 	// A foreground miss on this key committed its own capture under the claim
 	// while the task waited (runFlight): the entry is there, and this is a
 	// zero-byte prefetch like an adopted flight's.
@@ -1298,7 +1311,7 @@ func (p *Proxy) runPrefetch(pf *prefetch) {
 	// Budget re-checked at execution time: instances queued before the
 	// budget ran out must not blow past it (C4).
 	if p.overDataBudget() {
-		pf.Abandon()
+		pf.release()
 		p.countSkip(skipDataBudget)
 		return
 	}
@@ -1306,20 +1319,15 @@ func (p *Proxy) runPrefetch(pf *prefetch) {
 	// when the response lands, and before any origin byte moves.
 	expect, ok := p.reserveRoom(pf)
 	if !ok {
-		pf.Abandon()
+		pf.release()
 		p.countSkip(skipNoRoom)
 		return
 	}
 	defer pf.u.expected.Add(-expect)
-	// Shared-tier prefetches try ring siblings before the origin: the claim
-	// this task already holds is the cluster flight, so the fill neither
-	// re-claims nor releases on miss (the origin fetch below still owns it).
-	// A peer hit counts as a zero-byte prefetch — the entry is as warm as a
-	// fetched one but cost no origin traffic.
+	// Shared-tier prefetches try ring siblings, under the claim this task
+	// holds, before the origin; a peer hit is a zero-byte prefetch. The
+	// cluster context dies with BeginDrain, and background fills with it.
 	if p.cluster != nil && pf.scope == cache.SharedScope {
-		// Parent on the cluster context, not Background: BeginDrain cancels
-		// it, so background fills die with the drain instead of waiting out
-		// PrefetchTimeout.
 		ctx, cancel := context.WithTimeout(p.cluster.c.Context(), time.Duration(p.res.PrefetchTimeout))
 		e := p.clusterPeerFill(ctx, pf.key, true, reqBudget{})
 		cancel()
@@ -1328,12 +1336,10 @@ func (p *Proxy) runPrefetch(pf *prefetch) {
 			return
 		}
 	}
-	// The prefetch is a flight too: foreground misses for the same key
-	// attach to it instead of paying their own origin round trip. And when a
-	// foreground fetch already owns the flight, this worker rides it the
-	// other way: wait for the shared fetch and cache its capture.
-	fl, owner := p.openFlight(pf.task.Key)
-	p.ridePrefetch(pf, fl, owner)
+	// The prefetch is a flight too, which foreground misses attach to — or
+	// it adopts the flight a foreground miss opened since dispatch.
+	fl, rd, owner := p.keys.open(pf.ikey)
+	p.ridePrefetch(pf, fl, rd, owner)
 }
 
 // reserveRoom makes room a precondition of speculation. A task still
@@ -1361,43 +1367,24 @@ func (p *Proxy) reserveRoom(pf *prefetch) (expect int64, ok bool) {
 }
 
 // ridePrefetch is the rest of a prefetch once the worker has looked up the
-// key's flight: fetch through it or adopt it, commit, continue the chain.
-func (p *Proxy) ridePrefetch(pf *prefetch, fl *flight, owner bool) {
-	fkey := pf.task.Key
-	var rd *stream.Reader
-	if !owner {
-		var err error
-		rd, err = fl.sp.ReaderAt(0)
-		if errors.Is(err, stream.ErrReleased) {
-			// The flight was found between its owner's last byte and its
-			// teardown. closeFlight precedes Discard there, so the registry has
-			// already forgotten it and opening again makes this worker the
-			// owner (or a reader of a newer fetch); giving up instead would
-			// leave the key cold, because a foreground fetch caches nothing.
-			if fl, owner = p.openFlight(fkey); owner {
-				err = nil
-			} else {
-				rd, err = fl.sp.ReaderAt(0)
-			}
-		}
-		if err != nil {
-			p.store.CancelIssue(pf.scope, pf.key)
-			return
-		}
-	}
+// key's flight: fetch through it as its owner, or adopt it through rd (nil
+// when its body had slid past the start), then commit and continue the chain.
+func (p *Proxy) ridePrefetch(pf *prefetch, fl *flight, rd *stream.Reader, owner bool) {
 	var body []byte
-	var ok bool
-	if owner {
-		body, ok = p.fetchFlight(pf, fkey, fl)
-	} else {
+	ok := false
+	switch {
+	case owner:
+		body, ok = p.fetchFlight(pf, fl)
+	case rd != nil:
 		body, ok = p.adoptFlight(pf, fl, rd)
 	}
 	if !ok {
-		p.store.CancelIssue(pf.scope, pf.key)
+		pf.release()
 		return
 	}
 	// Commit: the signature works again, the request becomes the
-	// verification sample, and the Put clears the claim.
+	// verification sample, and the claim ends once the entry is in — commit,
+	// Put, release, in that order, so whoever claims the key next finds it.
 	pf.st.setBackoff(0, time.Time{})
 	pf.st.sample.Store(pf.req)
 	resp := &httpmsg.Response{Status: fl.status, Header: fl.header, Body: body}
@@ -1415,6 +1402,7 @@ func (p *Proxy) ridePrefetch(pf *prefetch, fl *flight, owner bool) {
 		Refreshed: pf.task.Class == sched.ClassForeground,
 		Borrowed:  pf.task.Guess,
 	})
+	pf.release()
 	// Chain continuation — only from a fetch this worker made itself; an
 	// adopted capture is learned from live by the foreground owner. The next
 	// link is one further from a client than this one was, unless a client
@@ -1434,7 +1422,7 @@ func (p *Proxy) ridePrefetch(pf *prefetch, fl *flight, owner bool) {
 // fetchFlight is the prefetch worker's own origin fetch through the flight
 // it opened. It returns the complete 200 capture, or ok=false after
 // accounting for what went wrong.
-func (p *Proxy) fetchFlight(pf *prefetch, fkey string, fl *flight) (body []byte, ok bool) {
+func (p *Proxy) fetchFlight(pf *prefetch, fl *flight) (body []byte, ok bool) {
 	st := pf.st
 	sent := pf.req
 	if cpol := st.pol; cpol != nil && len(cpol.AddHeader) > 0 {
@@ -1449,7 +1437,7 @@ func (p *Proxy) fetchFlight(pf *prefetch, fkey string, fl *flight) (body []byte,
 	start := p.opts.Now()
 	resp, err := p.preUp.RoundTrip(context.Background(), sent)
 	if err != nil {
-		p.failFlight(fkey, fl, err)
+		p.failFlight(pf.ikey, fl, err)
 		if errors.Is(err, resilience.ErrOpen) {
 			// The breaker tripped between queueing and execution; this is
 			// suppression, not a fresh origin failure.
@@ -1464,7 +1452,7 @@ func (p *Proxy) fetchFlight(pf *prefetch, fkey string, fl *flight) (body []byte,
 	// as bytes arrive, and an over-cap body with nobody attached is
 	// abandoned mid-stream (consume-or-cancel) instead of read to EOF.
 	p.pump(fl, resp)
-	p.closeFlight(fkey, fl)
+	p.keys.settle(pf.ikey, fl)
 	body, ok = fl.sp.Bytes()
 	fl.sp.Discard()
 	sz := fl.sp.Size()
@@ -1522,15 +1510,16 @@ func (p *Proxy) adoptFlight(pf *prefetch, fl *flight, rd *stream.Reader) (body [
 	if fl.err != nil || fl.status != http.StatusOK || !ok {
 		return nil, false
 	}
-	pf.zeroByte() // the foreground fetch paid for it
+	pf.st.countPrefetch(0) // the foreground fetch paid for it
 	return body, true
 }
 
-// zeroByte counts a prefetch whose entry another fetch paid for — a
-// foreground miss committed under its claim, a peer fill, an adopted flight —
-// and keeps its request as the signature's verification sample: its key is
-// the entry's, so it is a request a client sent.
+// zeroByte ends a prefetch whose entry another fetch put in the store — a
+// foreground miss under its claim, a peer fill: it counts a zero-byte
+// prefetch, keeps its request (the entry's key: a request a client sent) as
+// the signature's verification sample, and gives the claim back.
 func (pf *prefetch) zeroByte() {
 	pf.st.countPrefetch(0)
 	pf.st.sample.Store(pf.req)
+	pf.release()
 }

@@ -78,7 +78,7 @@ type breaker struct {
 	probing   bool // a half-open probe is in flight
 }
 
-// Breakers is a set of circuit breakers keyed by origin host. The zero
+// Breakers is a set of circuit breakers, one per origin host. The zero
 // value is not usable; call NewBreakers.
 type Breakers struct {
 	opts BreakerOptions

@@ -399,10 +399,9 @@ func TestPrefetchBodyErrorCountsAsFailure(t *testing.T) {
 	// The dedup claim is free again in whichever scope held it.
 	for _, key := range brokenKeys {
 		for _, scope := range []string{"body-user", cache.SharedScope} {
-			if !p.store.TryIssue(scope, key, time.Minute) {
+			if p.keys.snapshot()[issueKey(scope, key)].holder != nil {
 				t.Fatalf("claim %q/%q still held after its prefetch failed", scope, key)
 			}
-			p.store.CancelIssue(scope, key)
 		}
 	}
 	if _, until := p.sigs.byID["t:item#0"].backoff(); !p.opts.Now().Before(until) {

@@ -93,10 +93,9 @@ func (l *followLab) checkFilled(list string, fit int) {
 	}
 	for i := fit + 1; i <= roomStores; i++ {
 		key := labKey("menu", fmt.Sprintf("%s%dm", list, i))
-		if !l.p.store.TryIssue("A", key, 1) {
+		if l.p.keys.snapshot()[issueKey("A", key)].holder != nil {
 			l.t.Fatalf("menu %s%dm was refused and still holds its claim", list, i)
 		}
-		l.p.store.CancelIssue("A", key)
 	}
 	var text strings.Builder
 	l.p.Registry().WritePrometheus(&text)
@@ -258,7 +257,7 @@ func TestDataBudgetDropIsCounted(t *testing.T) {
 		t.Fatalf("metrics lack %q", want)
 	}
 	for _, id := range []string{"A2", "A3"} {
-		if !l.p.store.TryIssue("A", labKey("store", id), 1) {
+		if l.p.keys.snapshot()[issueKey("A", labKey("store", id))].holder != nil {
 			t.Fatalf("store %s was dropped and still holds its claim", id)
 		}
 	}

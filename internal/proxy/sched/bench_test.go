@@ -66,21 +66,13 @@ func BenchmarkDispatchDepth4096(b *testing.B) {
 	}
 }
 
-// benchQueue is the default queue bound: the most tasks the key index and the
-// heap hold in a running proxy.
+// benchQueue is the default queue bound: the most tasks the heap holds in a
+// running proxy.
 const benchQueue = 4096
 
-func benchKeys() []string {
-	keys := make([]string, benchQueue)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("user-%d\x00GET http://api.example/item?id=%d", i%64, i)
-	}
-	return keys
-}
-
-// benchSubmit times the enqueue path alone (bound checks, class accounting)
-// with the pool stalled; with keys, every task is one Promote can find.
-func benchSubmit(b *testing.B, keys []string) {
+// BenchmarkSubmit times the enqueue path alone (bound checks, class
+// accounting) with the pool stalled.
+func BenchmarkSubmit(b *testing.B) {
 	pr := newBenchPriority(64)
 	s := NewWith(Config{Workers: 1, Priority: pr.get, MaxQueue: b.N + 2})
 	defer s.Close()
@@ -92,35 +84,27 @@ func benchSubmit(b *testing.B, keys []string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t := &Task{SigID: "sig#1", Class: ClassShallow, Deadline: deadline, Run: func() {}}
-		if keys != nil {
-			t.Key = keys[i%len(keys)]
-		}
-		s.Submit(t)
+		s.Submit(&Task{SigID: "sig#1", Class: ClassShallow, Deadline: deadline, Run: func() {}})
 	}
 	b.StopTimer()
 	close(release)
 	s.Drain()
 }
 
-func BenchmarkSubmit(b *testing.B) { benchSubmit(b, nil) }
-
-// BenchmarkSubmitKeyed adds one write into a key index of a full queue's size.
-func BenchmarkSubmitKeyed(b *testing.B) { benchSubmit(b, benchKeys()) }
-
-// BenchmarkPromote re-orders a full queue: every call finds a task by key
-// and lifts it one depth above the tasks not yet lifted this round, so each
-// one sifts through the heap.
+// BenchmarkPromote re-orders a full queue: every call lifts one task one
+// depth above the tasks not yet lifted this round, so each one sifts through
+// the heap.
 func BenchmarkPromote(b *testing.B) {
 	pr := newBenchPriority(64)
 	s := NewWith(Config{Workers: 1, Priority: pr.get, MaxQueue: 2 * (benchQueue + 2)})
 	defer s.Close()
 	release := make(chan struct{})
 	s.Submit(&Task{SigID: "block", Run: func() { <-release }})
-	keys := benchKeys()
 	top := b.N/benchQueue + 2
-	for i, k := range keys {
-		s.Submit(&Task{SigID: fmt.Sprintf("sig#%d", i%64), Class: ClassDeep, Depth: top, Key: k, Run: func() {}})
+	tasks := make([]*Task, benchQueue)
+	for i := range tasks {
+		tasks[i] = &Task{SigID: fmt.Sprintf("sig#%d", i%64), Class: ClassDeep, Depth: top, Run: func() {}}
+		s.Submit(tasks[i])
 	}
 	// One dispatch merges the inbox into the heap, then the worker parks again.
 	gate, parked := make(chan struct{}), make(chan struct{})
@@ -130,7 +114,7 @@ func BenchmarkPromote(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !s.Promote(keys[i%benchQueue], top-1-i/benchQueue) {
+		if !s.Promote(tasks[i%benchQueue], top-1-i/benchQueue) {
 			b.Fatal("Promote found nothing to move")
 		}
 	}

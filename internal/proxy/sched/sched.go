@@ -70,9 +70,6 @@ type Task struct {
 	// children of a transaction a client just made, n for the nth link of a
 	// chain speculated from there. Nearer tasks dispatch first.
 	Depth int
-	// Key, when non-empty, names the task for Promote; at most one queued
-	// task holds a key at a time (the proxy passes the dedup claim's key).
-	Key string
 	// Guess marks work the submitter is least sure of (the proxy's borrowed
 	// first visits). Guesses never hold every worker at once: a burst of
 	// them, each holding a worker for a whole origin round trip, cannot keep
@@ -98,14 +95,15 @@ type Task struct {
 
 	// Queue bookkeeping, owned by the scheduler from Submit to dispatch: the
 	// priority snapshot, the submission order, the position in the ready
-	// heap (-1 while still in the inbox), the Submit instant, and whether a
-	// full guess cap has held the task back. A submitted Task must not be
-	// copied.
+	// heap (-1 while still in the inbox), the Submit instant, whether a full
+	// guess cap has held the task back, and whether the task waits in the
+	// queue at all. A submitted Task must not be copied.
 	prio      float64
 	seq       int64
 	pos       int
 	submitted time.Time
 	held      bool
+	queued    bool
 }
 
 // Job is a task's behaviour as one value; see Task.Job.
@@ -252,14 +250,11 @@ type Scheduler struct {
 	// guesses for Guess tasks, computing each task's priority once at that
 	// point. guessing counts running guesses, at most guessCap: one worker
 	// fewer than the pool, unless the pool is one worker.
-	inbox    []*Task
-	ready    taskHeap
-	guesses  taskHeap
-	guessing int
-	guessCap int
-	// keyed finds a queued (inbox, ready or guesses) task by its Key, for
-	// Promote.
-	keyed      map[string]*Task
+	inbox      []*Task
+	ready      taskHeap
+	guesses    taskHeap
+	guessing   int
+	guessCap   int
 	seq        int64
 	closed     bool
 	wg         sync.WaitGroup
@@ -292,7 +287,7 @@ func NewWith(cfg Config) *Scheduler {
 	if cfg.Priority == nil {
 		cfg.Priority = func(string) float64 { return 0 }
 	}
-	s := &Scheduler{priority: cfg.Priority, now: cfg.Now, maxQueue: cfg.MaxQueue, keyed: map[string]*Task{},
+	s := &Scheduler{priority: cfg.Priority, now: cfg.Now, maxQueue: cfg.MaxQueue,
 		guessCap: atLeast1(cfg.Workers - 1)}
 	s.classLimit[ClassForeground] = cfg.MaxQueue
 	s.classLimit[ClassShallow] = atLeast1(cfg.MaxQueue * 3 / 4)
@@ -343,10 +338,7 @@ func (s *Scheduler) Submit(t *Task) bool {
 		return false
 	}
 	s.classes[c].Submitted++
-	t.pos, t.submitted = -1, now
-	if t.Key != "" {
-		s.keyed[t.Key] = t
-	}
+	t.pos, t.submitted, t.queued = -1, now, true
 	s.inbox = append(s.inbox, t)
 	s.pending.Add(1)
 	s.mu.Unlock()
@@ -354,17 +346,15 @@ func (s *Scheduler) Submit(t *Task) bool {
 	return true
 }
 
-// Promote tells the scheduler that demand has come within depth of the
-// queued task holding key: a task waiting at a greater depth moves to depth
-// and is re-ordered where it waits, O(log n). It reports whether a task
-// moved; an unknown key, a task already running or finished, and a task
-// already that near are all no-ops. The task stays booked under the class it
-// was submitted in.
-func (s *Scheduler) Promote(key string, depth int) bool {
+// Promote tells the scheduler that demand has come within depth of task t:
+// if t still waits at a greater depth it moves to depth and is re-ordered
+// where it waits, O(log n). It reports whether t moved; a task never
+// submitted, already running, finished or shed, and a task already that near
+// are all no-ops. The task stays booked under the class it was submitted in.
+func (s *Scheduler) Promote(t *Task, depth int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t := s.keyed[key]
-	if t == nil || t.Depth <= depth {
+	if !t.queued || t.Depth <= depth {
 		return false
 	}
 	t.Depth = depth
@@ -373,27 +363,6 @@ func (s *Scheduler) Promote(key string, depth int) bool {
 	}
 	s.promoted++
 	return true
-}
-
-// Queued reports whether a task holding key waits in the queue — accepted, not
-// yet handed to a worker — and the class it was submitted in.
-func (s *Scheduler) Queued(key string) (Class, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := s.keyed[key]
-	if t == nil {
-		return 0, false
-	}
-	return t.Class, true
-}
-
-// unkeyLocked forgets a task leaving the queue. A key can outlive its claim
-// (the claim's window lapsed while the task waited) and be taken again, so
-// only the task the index currently names is removed.
-func (s *Scheduler) unkeyLocked(t *Task) {
-	if t.Key != "" && s.keyed[t.Key] == t {
-		delete(s.keyed, t.Key)
-	}
 }
 
 // heapOf returns the dispatch heap a task waits in once out of the inbox.
@@ -449,8 +418,9 @@ func (s *Scheduler) Close() {
 	orphans = append(orphans, s.inbox...)
 	orphans = append(orphans, s.ready...)
 	orphans = append(orphans, s.guesses...)
-	s.inbox, s.ready, s.guesses, s.keyed = nil, nil, nil, nil
+	s.inbox, s.ready, s.guesses = nil, nil, nil
 	for _, t := range orphans {
+		t.queued = false
 		s.classes[classIdx(t.Class)].DroppedClosed++
 	}
 	s.mu.Unlock()
@@ -528,7 +498,7 @@ func (s *Scheduler) worker() {
 		var t *Task
 		now := s.now()
 		for next := s.popLocked(); next != nil; next = s.popLocked() {
-			s.unkeyLocked(next)
+			next.queued = false
 			if !next.Deadline.IsZero() && now.After(next.Deadline) {
 				s.classes[classIdx(next.Class)].DroppedExpired++
 				expired = append(expired, next)

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"reflect"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -110,45 +109,51 @@ func TestClassOrdering(t *testing.T) {
 	}
 }
 
-// TestPromote: Promote moves exactly the keyed task, whether it still sits in
-// the inbox or already in the heap, is a no-op for a key nobody holds, a task
-// that is running or finished and a task already that near, and never moves
-// the class a task is counted under.
+// TestPromote: Promote moves exactly the task it is handed, whether it still
+// sits in the inbox or already in the heap, is a no-op for a task never
+// submitted, one that is running or finished and one already that near, and
+// never moves the class a task is counted under.
 func TestPromote(t *testing.T) {
 	s, release := stalled(t, Config{})
 	defer s.Close()
-	if s.Promote("block", 0) || s.Promote("nobody", 0) {
-		t.Fatal("Promote moved an unkeyed running task or an unknown key")
+	if s.Promote(&Task{SigID: "nobody", Depth: 3}, 0) {
+		t.Fatal("Promote moved a task nobody submitted")
 	}
 
 	var mu sync.Mutex
 	var order []string
-	submit := func(key string, depth int) {
+	tasks := map[string]*Task{}
+	submit := func(name string, depth int) {
 		class := ClassDeep
 		if depth == 0 {
 			class = ClassShallow
 		}
-		s.Submit(&Task{SigID: "x", Class: class, Depth: depth, Key: key,
-			Run: func() { mu.Lock(); order = append(order, key); mu.Unlock() }})
+		tasks[name] = &Task{SigID: "x", Class: class, Depth: depth,
+			Run: func() { mu.Lock(); order = append(order, name); mu.Unlock() }}
+		s.Submit(tasks[name])
 	}
 	submit("a3", 3)
 	submit("b2", 2)
 	submit("c2", 2)
 	submit("d1", 1)
 	submit("e0", 0)
-	if !s.Promote("c2", 1) { // still in the inbox: nothing has merged it
+	if !s.Promote(tasks["c2"], 1) { // still in the inbox: nothing has merged it
 		t.Fatal("Promote of an inbox task reported no move")
 	}
-	if s.Promote("c2", 1) || s.Promote("d1", 4) || s.Promote("e0", 0) {
+	if s.Promote(tasks["c2"], 1) || s.Promote(tasks["d1"], 4) || s.Promote(tasks["e0"], 0) {
 		t.Fatal("Promote moved a task already that near")
 	}
 	// Let the worker merge the inbox and park again inside a foreground
 	// task, which runs ahead of everything: the rest now wait in the heap.
 	gate, parked := make(chan struct{}), make(chan struct{})
-	s.Submit(&Task{SigID: "x", Class: ClassForeground, Run: func() { close(parked); <-gate }})
+	fg := &Task{SigID: "x", Class: ClassForeground, Depth: 2, Run: func() { close(parked); <-gate }}
+	s.Submit(fg)
 	close(release)
 	<-parked
-	if !s.Promote("a3", 0) { // in the heap: re-ordered where it waits
+	if s.Promote(fg, 0) {
+		t.Fatal("Promote moved a running task")
+	}
+	if !s.Promote(tasks["a3"], 0) { // in the heap: re-ordered where it waits
 		t.Fatal("Promote of a heap task reported no move")
 	}
 	close(gate)
@@ -158,7 +163,7 @@ func TestPromote(t *testing.T) {
 	if want := []string{"a3", "e0", "c2", "d1", "b2"}; !reflect.DeepEqual(order, want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
-	if s.Promote("a3", 0) || s.Promote("b2", 0) {
+	if s.Promote(tasks["a3"], 0) || s.Promote(tasks["b2"], 0) {
 		t.Fatal("Promote moved a finished task")
 	}
 	m := s.Metrics()
@@ -168,30 +173,6 @@ func TestPromote(t *testing.T) {
 	// a3 ran at depth 0 but was submitted deep, and is counted there.
 	if m.Shallow.Submitted != 1 || m.Shallow.Ran != 1 || m.Deep.Submitted != 4 || m.Deep.Ran != 4 {
 		t.Fatalf("class accounting moved with the promotion: %+v", m)
-	}
-}
-
-// Queued names a task exactly while it waits: not before Submit, not once a
-// worker has it, not after Close.
-func TestQueued(t *testing.T) {
-	s, release := stalled(t, Config{})
-	if _, ok := s.Queued("k"); ok {
-		t.Fatal("Queued found a key nobody submitted")
-	}
-	running := make(chan struct{})
-	s.Submit(&Task{SigID: "x", Class: ClassDeep, Depth: 2, Key: "k", Run: func() { close(running); <-release }})
-	if class, ok := s.Queued("k"); !ok || class != ClassDeep {
-		t.Fatalf("Queued = %v, %v for a waiting deep task", class, ok)
-	}
-	release <- struct{}{} // the blocker returns; the worker picks k up
-	<-running
-	if _, ok := s.Queued("k"); ok {
-		t.Fatal("Queued still names a task a worker is running")
-	}
-	close(release)
-	s.Close()
-	if _, ok := s.Queued("k"); ok {
-		t.Fatal("Queued found a key after Close")
 	}
 }
 
@@ -392,6 +373,9 @@ func TestDeadlineExpiredAtDispatch(t *testing.T) {
 // regression test.
 func TestStressSubmitCloseDrain(t *testing.T) {
 	s := NewWith(Config{Workers: 4, MaxQueue: 64})
+	// tasks[g] is goroutine g's last 50 tasks; each slot is written by g alone
+	// and read by the next goroutine, which promotes what it finds there.
+	var tasks [4][50]atomic.Pointer[Task]
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -399,15 +383,19 @@ func TestStressSubmitCloseDrain(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				cls := Class(i % 3)
-				// Keys collide across goroutines on purpose: a key taken again
-				// while its first holder still waits must not strand either.
-				task := &Task{SigID: "s", Class: cls, Depth: i % 5, Key: strconv.Itoa(i % 50),
+				task := &Task{SigID: "s", Class: cls, Depth: i % 5,
 					Run: func() {}, Abandon: func() {}}
 				if i%97 == 0 {
 					task.Run = func() { panic("stress") }
 				}
 				s.Submit(task)
-				s.Promote(strconv.Itoa((i+g)%50), i%3)
+				// Promotions collide across goroutines on purpose: a task
+				// promoted by another goroutine while it is dispatched, run or
+				// shed at Close must not strand it or corrupt the heap.
+				tasks[g][i%50].Store(task)
+				if other := tasks[(g+1)%4][(i+g)%50].Load(); other != nil {
+					s.Promote(other, i%3)
+				}
 				if i%25 == 0 {
 					_ = s.QueueLen()
 					_ = s.Metrics()
@@ -511,9 +499,11 @@ func TestGuessesLeaveAWorker(t *testing.T) {
 	s := New(2, nil)
 	release := make(chan struct{})
 	started := make(chan string, 8)
+	var guesses [3]*Task
 	for i := 0; i < 3; i++ {
-		s.Submit(&Task{SigID: "g", Guess: true, Depth: 1, Key: strconv.Itoa(i),
-			Run: func() { started <- "guess"; <-release }})
+		guesses[i] = &Task{SigID: "g", Guess: true, Depth: 1,
+			Run: func() { started <- "guess"; <-release }}
+		s.Submit(guesses[i])
 	}
 	if got := <-started; got != "guess" {
 		t.Fatalf("first start %q", got)
@@ -533,7 +523,7 @@ func TestGuessesLeaveAWorker(t *testing.T) {
 	if running != 1 || waiting != 2 || s.QueueLen() != 2 {
 		t.Fatalf("%d guesses running, %d waiting (queue %d), want 1 and 2", running, waiting, s.QueueLen())
 	}
-	if !s.Promote("2", 0) {
+	if !s.Promote(guesses[2], 0) {
 		t.Fatal("Promote missed a waiting guess")
 	}
 	// Close drops the waiting guesses at once, then waits for the running
@@ -602,13 +592,14 @@ func TestQueueWaitSums(t *testing.T) {
 	defer s.Close()
 
 	run := func() {}
-	s.Submit(&Task{SigID: "promoted", Class: ClassDeep, Depth: 3, Key: "p", Run: run})
+	promoted := &Task{SigID: "promoted", Class: ClassDeep, Depth: 3, Run: run}
+	s.Submit(promoted)
 	s.Submit(&Task{SigID: "guess", Class: ClassShallow, Depth: 1, Guess: true, Run: run})
 	s.Submit(&Task{SigID: "stale", Class: ClassForeground, Deadline: now.Add(10 * time.Millisecond), Run: run})
 	mu.Lock()
 	now = now.Add(30 * time.Millisecond)
 	mu.Unlock()
-	if !s.Promote("p", 0) {
+	if !s.Promote(promoted, 0) {
 		t.Fatal("Promote missed the queued task")
 	}
 	close(release)

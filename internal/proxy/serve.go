@@ -184,23 +184,34 @@ func (p *Proxy) serve(x *exchange, r *http.Request) obs.Outcome {
 	if shareable {
 		scope = cache.SharedScope
 	}
-	fkey := cache.IssueKey(scope, key)
-	fl, owner := p.openFlight(fkey)
-	if owner {
-		return p.runFlight(x, u, matched, scope, fkey, fl)
-	}
-	if p.attachFlight(x, fl) {
-		p.streamStats.attachHits.Add(1)
-		x.sigID = lead.sig.ID
-		if absorbCookies(u, req.Host, fl.header) {
-			p.retryParked(u)
+	fkey := issueKey(scope, key)
+	for retried := false; ; retried = true {
+		fl, rd, owner := p.keys.open(fkey)
+		if owner {
+			return p.runFlight(x, u, matched, scope, fkey, fl)
 		}
-		return obs.OutcomeAttachHit
+		served, failed := p.attachFlight(x, fl, rd)
+		switch {
+		case served:
+			p.streamStats.attachHits.Add(1)
+			x.sigID = lead.sig.ID
+			if absorbCookies(u, req.Host, fl.header) {
+				p.retryParked(u)
+			}
+			return obs.OutcomeAttachHit
+		case failed && !retried:
+			// The flight failed and has left the table: look again, so even a
+			// failing key is fetched once at a time.
+			continue
+		case failed:
+			x.sigID = lead.sig.ID
+			http.Error(x.w, "proxy: upstream: "+fl.err.Error(), http.StatusBadGateway)
+			return obs.OutcomeError
+		}
+		// The flight answered non-200 or slid past this client's range: fetch
+		// independently, without opening a second flight.
+		return p.passthrough(x, u)
 	}
-	// The flight failed, answered non-200, or slid past this client's
-	// range: fetch independently, without opening a second flight (a
-	// failing key must not stack spools).
-	return p.passthrough(x, u)
 }
 
 // serveEntry answers the exchange from a complete buffered entry — a local
@@ -308,7 +319,7 @@ func readsBody(matched []*sigState) bool {
 // runFlight executes the owner side of a foreground flight: fetch the whole
 // entity, publish headers to any attachers, pump the body through the spool
 // while serving this client from it, then feed the capture into stats and
-// learning. fkey names the flight in the registry, scope the cache scope a
+// learning. fkey names the flight in the key table, scope the cache scope a
 // prefetch of the same request would fill.
 func (p *Proxy) runFlight(x *exchange, u *user, matched []*sigState, scope, fkey string, fl *flight) obs.Outcome {
 	lead := matched[0]
@@ -345,7 +356,7 @@ func (p *Proxy) runFlight(x *exchange, u *user, matched []*sigState, scope, fkey
 	// even when this client disconnected mid-stream; over-cap bodies are
 	// abandoned by the pump as soon as the last reader detaches.
 	fl.sp.Wait()
-	p.closeFlight(fkey, fl)
+	waiting := p.keys.settle(fkey, fl) // a prefetch of this key still queued
 	ok := fl.sp.Complete()
 	if !ok && fl.sp.Overflowed() {
 		p.streamStats.bodyOverflows.Add(1)
@@ -353,19 +364,14 @@ func (p *Proxy) runFlight(x *exchange, u *user, matched []*sigState, scope, fkey
 	lead.observeRespTime(elapsed)
 	lead.misses.Add(1)
 	p.stats.forwardedBytes.Add(fl.sp.Size())
-	// A prefetch of this very key still waits in the queue: its claim stands,
-	// and no worker opened or adopted this flight.
-	class, queued := p.sched.Queued(fkey)
 	// The miss is classified, and what the request and its response show of
 	// the user's device is folded into the profile, before learning: the
 	// fan-out below may borrow from it.
-	taught := noteMiss(u, lead, x.req, fl.header, queued)
+	taught := noteMiss(u, lead, x.req, fl.header, waiting != nil)
 	if ok {
 		// The capture is committed under a queued prefetch's claim, as an
-		// adopting worker would have committed it — or the task fetches the
-		// same bytes again when it runs (now it finds the key resident and
-		// returns, runPrefetch).
-		commit := queued && fl.status == http.StatusOK
+		// adopting worker would have; the task then finds the key resident.
+		commit := waiting != nil && fl.status == http.StatusOK
 		lresp := &httpmsg.Response{Status: fl.status, Header: fl.header}
 		// The chunks are concatenated into one contiguous body only when
 		// something will read it — the cache, or learning because some matched
@@ -379,7 +385,7 @@ func (p *Proxy) runFlight(x *exchange, u *user, matched []*sigState, scope, fkey
 			e := &cache.Entry{Resp: lresp, Req: sent, SigID: lead.sig.ID,
 				Expires: p.opts.Now().Add(p.opts.Config.Expiration(lead.pol)),
 				Cost:    lead.avgRespTime(), Root: root,
-				Refreshed: class == sched.ClassForeground}
+				Refreshed: waiting.task.Class == sched.ClassForeground}
 			e.FirstUse() // this client has been served it
 			p.store.Put(scope, x.req.CanonicalKey(), e)
 		}

@@ -203,8 +203,14 @@ func TestFlightExitPathsFinishOnce(t *testing.T) {
 	if after.spans-before.spans != 1 || after.ttfb != before.ttfb {
 		t.Fatalf("failed flight recorded %+v → %+v, want 1 span, 0 TTFB samples", before, after)
 	}
-	if len(pf.flights) != 0 {
-		t.Fatalf("%d flights left registered after a failed fetch", len(pf.flights))
+	flights := 0
+	for _, ks := range pf.keys.snapshot() {
+		if ks.fl != nil {
+			flights++
+		}
+	}
+	if flights != 0 {
+		t.Fatalf("%d flights left registered after a failed fetch", flights)
 	}
 }
 

@@ -20,15 +20,11 @@ import (
 // matched-and-cacheable origin fetch becomes a "flight": one owner pumps the
 // origin stream into a spool, any number of attached clients read from it
 // concurrently, and a bounded prefix is captured for cache insertion and
-// learning. Ownership rules:
-//
-//   - The goroutine that opened the flight (owner) is the only writer: it
-//     pumps, closes the spool's writer, extracts the capture, removes the
-//     flight from the registry, and Discards the spool — in that order.
-//   - Attachers only ever read (ReaderAt) and must close their reader on
-//     every path; a dangling reader would hold the overflow window open.
-//   - The registry lock (flightMu) guards only the map; all body state is
-//     behind the spool's own lock.
+// learning. The goroutine that opened the flight in the key table (owner) is
+// the only writer: it pumps, closes the spool's writer, settles the flight out
+// of the table, extracts the capture, and Discards the spool, in that order.
+// Attachers only ever read and must close their reader on every path; a
+// dangling reader would hold the overflow window open.
 
 // errPumpAbandoned marks a pump abort: the body overflowed the capture cap
 // with no attached readers, so continuing to consume would buy nothing.
@@ -50,32 +46,6 @@ type flight struct {
 	demanded atomic.Bool
 }
 
-// openFlight returns the flight for fkey, creating it when absent. owner
-// reports whether this caller created it (and therefore must run the fetch,
-// pump, and teardown).
-func (p *Proxy) openFlight(fkey string) (f *flight, owner bool) {
-	p.flightMu.Lock()
-	defer p.flightMu.Unlock()
-	if f, ok := p.flights[fkey]; ok {
-		return f, false
-	}
-	f = &flight{
-		sp:    stream.NewSpool(p.chunks, p.captureCap, p.clock),
-		ready: make(chan struct{}),
-	}
-	p.flights[fkey] = f
-	return f, true
-}
-
-// closeFlight removes f from the registry (no-op if already replaced).
-func (p *Proxy) closeFlight(fkey string, f *flight) {
-	p.flightMu.Lock()
-	if p.flights[fkey] == f {
-		delete(p.flights, fkey)
-	}
-	p.flightMu.Unlock()
-}
-
 // publish makes the origin's answer visible to attachers: status and
 // headers become final.
 func (f *flight) publish(resp *httpmsg.Response) {
@@ -84,13 +54,13 @@ func (f *flight) publish(resp *httpmsg.Response) {
 	close(f.ready)
 }
 
-// failFlight seals a flight whose origin fetch never produced a body and
-// releases everything: attachers see err, the registry forgets the flight.
+// failFlight seals a flight whose origin fetch never produced a body. The key
+// table forgets it before attachers see err, so a second look never finds it.
 func (p *Proxy) failFlight(fkey string, f *flight, err error) {
+	p.keys.settle(fkey, f)
 	f.err = err
 	close(f.ready)
 	f.sp.CloseWriter(err)
-	p.closeFlight(fkey, f)
 	f.sp.Discard()
 }
 
@@ -326,38 +296,48 @@ func (fw flushWriter) Write(p []byte) (int, error) {
 }
 
 // attachFlight serves one attaching client from another request's in-flight
-// fetch: waits for headers, resolves any Range, opens a spool reader, and
-// streams. Returns false — without having written anything — when the
-// attacher must fetch on its own: flight error, non-200 answer, or the
-// retained window already slid past the requested offset.
-func (p *Proxy) attachFlight(x *exchange, f *flight) bool {
+// fetch through rd, the reader from offset 0 the key table handed it: waits
+// for headers, resolves any Range, and streams. served is false — nothing
+// written — when the attacher must fetch on its own; failed says the flight's
+// origin fetch failed, and the table no longer holds it.
+func (p *Proxy) attachFlight(x *exchange, f *flight, rd *stream.Reader) (served, failed bool) {
 	f.demanded.Store(true)
+	if rd == nil {
+		return false, false // an over-cap body had slid past the start
+	}
+	defer func() { rd.Close() }()
 	select {
 	case <-f.ready:
 	case <-x.ctx.Done():
-		return false
+		return false, false
+	}
+	if f.err != nil {
+		return false, true
 	}
 	// A non-200 flight is the owner's conversation with the origin
-	// (reconstruction reject, redirect, error); attaching would replay a
-	// response this client never provoked. Fetch independently instead.
-	if f.err != nil || f.status != http.StatusOK {
-		return false
+	// (reconstruction reject, redirect); attaching would replay a response
+	// this client never provoked. Fetch independently instead.
+	if f.status != http.StatusOK {
+		return false, false
 	}
 	off, length, contentRange, unsat := flightRange(x.req, f)
 	if unsat {
 		writeRangeHeaders(x.w, f.header, http.StatusRequestedRangeNotSatisfiable, contentRange, 0)
 		p.firstByte(x)
-		return true
+		return true, false
 	}
-	rd, err := f.sp.ReaderAt(off)
-	if err != nil {
-		// The window slid past this offset (over-cap body): this client can
-		// no longer be served from the flight.
-		return false
+	if off != 0 {
+		// A reader at the range's start takes over: one parked at 0 would hold
+		// an over-cap body's window open.
+		at, err := f.sp.ReaderAt(off)
+		if err != nil {
+			return false, false // the window slid past this offset
+		}
+		rd.Close()
+		rd = at
 	}
-	defer rd.Close()
 	p.serveSpool(x, f, rd, length, contentRange)
-	return true
+	return true, false
 }
 
 // serveSpool writes the status line and headers for one flight-served

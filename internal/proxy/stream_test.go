@@ -463,3 +463,64 @@ func TestWholePathAllocBudget(t *testing.T) {
 		t.Fatalf("miss path costs %0.1f allocs/request, want O(1) ≤ 400", large)
 	}
 }
+
+// FuzzParseRange feeds client-supplied Range and If-Range values, against a
+// body of any size up to 64 KiB, through parseRange, byteRange.resolve,
+// ifRangeApplies, requestedRange and writeBuffered. Nothing panics; a
+// satisfiable range lies inside the body; and a 206 carries exactly
+// body[start:start+length], a 416 nothing, anything else the whole body.
+func FuzzParseRange(f *testing.F) {
+	for _, seed := range []struct{ rng, ifRange string }{
+		{"bytes=100-199", ""}, {"bytes=900-", ""}, {"bytes=-100", ""}, {"bytes=990-2000", ""},
+		{"bytes=1000-", ""}, {"bytes=-0", ""}, {"bytes=0-9", `"v1"`}, {"bytes=0-9", `"v2"`},
+		{"bytes=0-9", "Wed, 21 Oct 2015 07:28:00 GMT"}, {"bytes=0-9", "Thu, 22 Oct 2015 07:28:00 GMT"},
+		{"bytes=0-1,5-6", ""}, {"bytes=abc", ""}, {"items=0-1", ""}, {"", ""},
+	} {
+		f.Add(seed.rng, seed.ifRange, uint16(1000))
+	}
+	header := []httpmsg.Field{{Key: "Etag", Value: `"v1"`}, {Key: "Last-Modified", Value: "Wed, 21 Oct 2015 07:28:00 GMT"}}
+	f.Fuzz(func(t *testing.T, rangeHeader, ifRange string, n uint16) {
+		size := int64(n)
+		body := make([]byte, n)
+		for i := range body {
+			body[i] = byte(i % 251) // a prime period: a slice off by any offset differs
+		}
+		if br, ok := parseRange(rangeHeader); ok {
+			if start, length, sat := br.resolve(size); sat && (start < 0 || length < 1 || start+length > size) {
+				t.Fatalf("%q on %d bytes resolved to [%d, +%d): outside the body", rangeHeader, size, start, length)
+			}
+		}
+		req := &httpmsg.Request{Method: "GET", Host: "h.example", Path: "/big"}
+		if rangeHeader != "" {
+			req.Header = append(req.Header, httpmsg.Field{Key: "Range", Value: rangeHeader})
+		}
+		if ifRange != "" {
+			req.Header = append(req.Header, httpmsg.Field{Key: "If-Range", Value: ifRange})
+		}
+		applies := ifRangeApplies(req, header)
+		br, ranged := requestedRange(req, http.StatusOK, header)
+		if ranged && !applies {
+			t.Fatalf("Range %q honoured although If-Range %q does not apply", rangeHeader, ifRange)
+		}
+		rec := httptest.NewRecorder()
+		new(Proxy).writeBuffered(rec, req, &httpmsg.Response{Status: http.StatusOK, Header: header, Body: body})
+		got := rec.Body.Bytes()
+		start, length, sat := br.resolve(size)
+		switch {
+		case !ranged:
+			if rec.Code != http.StatusOK || !bytes.Equal(got, body) {
+				t.Fatalf("unranged: %d with %d bytes, want 200 with the whole %d", rec.Code, len(got), size)
+			}
+		case !sat:
+			if rec.Code != http.StatusRequestedRangeNotSatisfiable || len(got) != 0 {
+				t.Fatalf("unsatisfiable %q: %d with %d bytes, want an empty 416", rangeHeader, rec.Code, len(got))
+			}
+		default:
+			want := fmt.Sprintf("bytes %d-%d/%d", start, start+length-1, size)
+			if rec.Code != http.StatusPartialContent || !bytes.Equal(got, body[start:start+length]) || rec.Header().Get("Content-Range") != want {
+				t.Fatalf("%q on %d bytes: %d %q with %d bytes, want 206 %q with body[%d:%d]",
+					rangeHeader, size, rec.Code, rec.Header().Get("Content-Range"), len(got), want, start, start+length)
+			}
+		}
+	})
+}

@@ -36,6 +36,17 @@ go test -run '^$' -bench . -benchtime 1x \
     ./internal/cache/ ./internal/jsonpath/ ./internal/obs/ ./internal/persist/ \
     ./internal/proxy/ ./internal/proxy/sched/ ./internal/sig/ ./internal/stream/
 
+# Every native fuzz target gets a few seconds of fuzzing past its seed
+# corpus (the test passes above run the seeds alone). The targets are listed,
+# not named here, so a new one joins without an edit.
+echo "== fuzz smoke"
+go test -list '^Fuzz' ./... |
+    awk '/^Fuzz/ { t[n++] = $1 } /^ok / { for (i = 0; i < n; i++) print $2, t[i]; n = 0 }' |
+    while read -r pkg target; do
+        echo "-- $pkg $target"
+        go test -run '^$' -fuzz "^${target}\$" -fuzztime 5s "$pkg"
+    done
+
 # bench/ is a module of its own, so ./... above never compiles it: vet it
 # too, since it compiles against internal APIs a change may narrow.
 echo "== go vet -C bench ./..."
