@@ -34,9 +34,8 @@
 // The admin API is versioned under /appx/v1 (served directly, not
 // proxied): /appx/v1/health reports breaker states, suspended signatures,
 // and the overload mode; /appx/v1/stats adds cache and request-lifecycle
-// telemetry; /appx/v1/spans returns the most recent per-request spans
-// (-span-buffer bounds the ring); /appx/v1/metrics is the same registry in
-// Prometheus text format.
+// telemetry; /appx/v1/spans returns the most recent per-request spans;
+// /appx/v1/metrics is the same registry in Prometheus text format.
 //
 // The proxy protects itself under overload: an admission gate bounds
 // concurrently served client requests (arrivals past it wait briefly, then
@@ -46,10 +45,10 @@
 //
 // Cluster mode scales the proxy across instances: -cluster-self names this
 // instance, -cluster-peers the static fleet seed list (the same value works
-// on every instance), and the fleet forms a consistent-hash ring
-// (-cluster-vnodes) that pins each user's learned state to one owner.
-// Requests landing on a non-owner are relayed there; user-agnostic cache
-// misses try ring siblings (-cluster-replicas of them) before the origin.
+// on every instance), and the fleet forms a consistent-hash ring that pins
+// each user's learned state to one owner. Requests landing on a non-owner
+// are relayed there; user-agnostic cache misses try two ring siblings before
+// the origin, hedging a slow one.
 // Peers are health-probed every -cluster-probe-interval over /appx/v1/health
 // and dead instances are rebalanced around without failing foreground
 // requests:
@@ -122,7 +121,6 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.BoolVar(&o.doVerify, "verify", false, "run Phase 2 verification before serving")
 	fs.Float64Var(&o.scale, "scale", 1, "emulated time scale for in-process origins")
 	fs.IntVar(&o.px.Workers, "workers", proxy.DefaultWorkers, "prefetch worker pool size")
-	fs.IntVar(&o.px.SpanBuffer, "span-buffer", 0, "recent request spans kept for /appx/v1/spans (0 = default 1024)")
 
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 10*time.Second, "how long shutdown waits for in-flight requests to finish")
 	fs.DurationVar(&o.pruneInterval, "prune-interval", 5*time.Minute, "how often to prune idle per-user state (<=0 disables)")
@@ -136,14 +134,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 
 	fs.StringVar(&o.px.Cluster.Self, "cluster-self", "", "this instance's advertised host:port; non-empty enables cluster mode")
 	fs.StringVar(&o.clusterPeers, "cluster-peers", "", "comma-separated host:port seed list (may include self; same value on every instance)")
-	fs.IntVar(&o.px.Cluster.VNodes, "cluster-vnodes", 0, "virtual nodes per ring member (0 = default 128)")
-	fs.IntVar(&o.px.Cluster.Replicas, "cluster-replicas", 0, "ring siblings consulted per peer fill (0 = default 2)")
 	fs.DurationVar(&o.px.Cluster.ProbeInterval, "cluster-probe-interval", 0, "peer health-probe period (0 = default 1s)")
-
-	fs.DurationVar(&o.px.RequestBudget, "request-budget", 0, "per-request latency budget; decremented across stages and propagated (clamped, never grown) over relay hops (0 disables)")
-	fs.DurationVar(&o.px.HedgeDelay, "hedge-delay", 0, "static fallback delay before a slow peer-fill peek is hedged to the next ring successor (0 = default 30ms; adaptive per-peer p90 takes over with samples)")
-	fs.Float64Var(&o.px.HedgeRateCap, "hedge-rate-cap", 0, "hedge launches per second across the instance (0 = default 64)")
-	fs.BoolVar(&o.px.DisableHedging, "no-hedging", false, "disable hedged peer reads; slow peers are waited out sequentially")
 
 	fs.IntVar(&o.px.StreamChunkBytes, "stream-chunk-bytes", 0, "pooled body-chunk size on the streaming data plane (0 = default 64KiB)")
 	fs.Int64Var(&o.px.CaptureMaxBytes, "capture-max-bytes", 0, "largest response body captured for cache insertion; bigger bodies stream through uncached (0 = default 4MiB)")

@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"sort"
@@ -250,11 +251,10 @@ func TestShutdownAbortsClusterProbes(t *testing.T) {
 func TestFlagSurface(t *testing.T) {
 	want := []string{
 		"app", "capture-max-bytes", "cluster-peers", "cluster-probe-interval",
-		"cluster-replicas", "cluster-self", "cluster-vnodes", "config",
-		"drain-timeout", "fault", "fault-seed", "hedge-delay", "hedge-rate-cap",
-		"listen", "max-body-bytes", "no-hedging", "origin", "prune-interval",
-		"prune-max-idle", "request-budget", "scale", "sigs", "snapshot-interval",
-		"span-buffer", "state-dir", "stream-chunk-bytes", "verify", "workers",
+		"cluster-self", "config", "drain-timeout", "fault", "fault-seed",
+		"listen", "max-body-bytes", "origin", "prune-interval", "prune-max-idle",
+		"scale", "sigs", "snapshot-interval", "state-dir", "stream-chunk-bytes",
+		"verify", "workers",
 	}
 	fs := flag.NewFlagSet("appx-proxy", flag.ContinueOnError)
 	registerFlags(fs, new(options))
@@ -263,6 +263,31 @@ func TestFlagSurface(t *testing.T) {
 	sort.Strings(got)
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("flag surface changed:\n got  %v\n want %v", got, want)
+	}
+}
+
+// TestOptionsSurface pins the field names of proxy.Options and
+// cluster.Config, the two structs the flags fill: a new knob has to edit this
+// test, and should first show that some caller needs a value other than its
+// default.
+func TestOptionsSurface(t *testing.T) {
+	for _, tc := range []struct {
+		v    any
+		want string
+	}{
+		{proxy.Options{}, "Graph Config Upstream Workers MaxCacheEntriesPerUser MaxUsers " +
+			"DisablePrefetch DisableChaining RefreshExpired Rand Now UserKey StreamChunkBytes " +
+			"CaptureMaxBytes MaxBodyBytes StateDir SnapshotInterval PersistFaults Cluster DisableHedging"},
+		{cluster.Config{}, "Self Peers ProbeInterval ProbeTimeout FailureThreshold Now Dial"},
+	} {
+		typ := reflect.TypeOf(tc.v)
+		var got []string
+		for i := 0; i < typ.NumField(); i++ {
+			got = append(got, typ.Field(i).Name)
+		}
+		if strings.Join(got, " ") != tc.want {
+			t.Errorf("%v fields changed:\n got  %s\n want %s", typ, strings.Join(got, " "), tc.want)
+		}
 	}
 }
 

@@ -57,12 +57,6 @@ type Options struct {
 	// Users is the number of driven user sessions per batch (default 6),
 	// ring-spread so every instance owns a share.
 	Users int
-	// RequestBudget is each instance's per-request latency budget
-	// (default 2s); it propagates over relay hops like production.
-	RequestBudget time.Duration
-	// HedgeDelay overrides the static peer-fill hedge delay (default 25ms
-	// here, so loopback stalls trip hedges quickly).
-	HedgeDelay time.Duration
 	// DisableHedging turns hedged peer reads off — the control arm of the
 	// slow-peer comparison.
 	DisableHedging bool
@@ -81,12 +75,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Users <= 0 {
 		o.Users = 6
-	}
-	if o.RequestBudget == 0 {
-		o.RequestBudget = 2 * time.Second
-	}
-	if o.HedgeDelay == 0 {
-		o.HedgeDelay = 25 * time.Millisecond
 	}
 	return o
 }
@@ -181,13 +169,10 @@ func (h *Harness) start(i int, ln net.Listener) {
 		Graph:          chaosGraph(),
 		Upstream:       h.upstream(),
 		Workers:        1,
-		RequestBudget:  h.opts.RequestBudget,
-		HedgeDelay:     h.opts.HedgeDelay,
 		DisableHedging: h.opts.DisableHedging,
 		Cluster: cluster.Config{
 			Self:          self,
 			Peers:         h.addrs,
-			Replicas:      2,
 			ProbeInterval: probeInterval,
 			ProbeTimeout:  probeTimeout,
 			Dial:          dial,
@@ -252,7 +237,7 @@ func newHarness(opts Options) (*Harness, error) {
 // spreadUsers picks user names so user k is owned by addrs[k%n] — every
 // instance owns a share of the workload whatever ephemeral ports it got.
 func spreadUsers(addrs []string, count int) []string {
-	r := cluster.NewRing(cluster.DefaultVNodes)
+	r := cluster.NewRing()
 	for _, a := range addrs {
 		r.Add(a)
 	}

@@ -23,12 +23,6 @@ type Config struct {
 	// ignored. Membership beyond this list is not discovered — dead peers
 	// are probed forever and rejoin when they answer again.
 	Peers []string
-	// VNodes is the virtual-node count per ring member (default
-	// DefaultVNodes = 128).
-	VNodes int
-	// Replicas is how many ring siblings (beyond the owner) a peer fill
-	// consults (default 2).
-	Replicas int
 	// ProbeInterval is the health-probe period (default 1s).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one health probe (default 500ms).
@@ -50,13 +44,11 @@ type Config struct {
 // Enabled reports whether this config turns clustering on.
 func (c Config) Enabled() bool { return c.Self != "" }
 
+// Replicas is how many ring siblings (beyond the owner) a peer fill
+// consults.
+const Replicas = 2
+
 func (c *Config) fill() {
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
-	}
-	if c.Replicas <= 0 {
-		c.Replicas = 2
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
 	}
@@ -207,9 +199,6 @@ func (c *Cluster) Peers() []string { return c.peers }
 // the cluster during a drain instead of waiting out its own timeout.
 func (c *Cluster) Context() context.Context { return c.ctx }
 
-// Replicas returns the peer-fill fan-out bound.
-func (c *Cluster) Replicas() int { return c.cfg.Replicas }
-
 // OnChange registers fn to run (on the probe goroutine) after every
 // membership change that rebuilt the ring. The proxy hooks its incremental
 // rebalance here.
@@ -289,7 +278,7 @@ func (c *Cluster) rebuildRing() {
 }
 
 func (c *Cluster) rebuildRingLocked() {
-	r := NewRing(c.cfg.VNodes)
+	r := NewRing()
 	r.Add(c.cfg.Self)
 	for _, p := range c.peers {
 		if c.alive[p] {
@@ -324,11 +313,11 @@ func (c *Cluster) Owns(userKey string) bool {
 // key, so concurrent missing instances converge on the same first target.
 func (c *Cluster) FillPeers(flightKey string) []string {
 	c.mu.Lock()
-	succ := c.ring.Successors(flightKey, c.cfg.Replicas+1)
+	succ := c.ring.Successors(flightKey, Replicas+1)
 	c.mu.Unlock()
-	out := make([]string, 0, c.cfg.Replicas)
+	out := make([]string, 0, Replicas)
 	for _, s := range succ {
-		if s == c.cfg.Self || len(out) == c.cfg.Replicas {
+		if s == c.cfg.Self || len(out) == Replicas {
 			continue
 		}
 		out = append(out, s)
@@ -366,7 +355,6 @@ func (c *Cluster) Stats() adminv1.Cluster {
 	out := adminv1.Cluster{
 		Enabled:       true,
 		Self:          c.cfg.Self,
-		VNodes:        c.cfg.VNodes,
 		ProbeFailures: c.probeFailures.Load(),
 		RingRebuilds:  c.rebuilds.Load(),
 	}

@@ -52,7 +52,6 @@ func TestMembershipProbeTransitions(t *testing.T) {
 	cfg := Config{
 		Self:             "127.0.0.1:1", // never dialed; only a ring name
 		Peers:            []string{peer.addr()},
-		VNodes:           32,
 		ProbeInterval:    10 * time.Millisecond,
 		ProbeTimeout:     time.Second,
 		FailureThreshold: 3,
@@ -116,7 +115,7 @@ func TestMembershipProbeTransitions(t *testing.T) {
 // TestClusterOwnerAnonymous: requests with no user key stay local — there
 // is no per-user state to pin anywhere.
 func TestClusterOwnerAnonymous(t *testing.T) {
-	c := New(Config{Self: "a:1", Peers: []string{"b:1"}, VNodes: 16})
+	c := New(Config{Self: "a:1", Peers: []string{"b:1"}})
 	defer c.Close()
 	if addr, self := c.Owner(""); !self || addr != "a:1" {
 		t.Fatalf("anonymous Owner = (%s, %v), want self", addr, self)
@@ -126,12 +125,12 @@ func TestClusterOwnerAnonymous(t *testing.T) {
 // TestFillPeersExcludesSelf: the sibling walk never peeks the asking
 // instance and respects the replica bound.
 func TestFillPeersExcludesSelf(t *testing.T) {
-	c := New(Config{Self: "a:1", Peers: []string{"b:1", "c:1", "d:1"}, VNodes: 32, Replicas: 2})
+	c := New(Config{Self: "a:1", Peers: []string{"b:1", "c:1", "d:1"}})
 	defer c.Close()
 	for _, k := range []string{"k1", "k2", "k3", "k4", "k5"} {
 		peers := c.FillPeers(k)
-		if len(peers) > 2 {
-			t.Fatalf("FillPeers(%q) returned %d peers, replica bound is 2", k, len(peers))
+		if len(peers) > Replicas {
+			t.Fatalf("FillPeers(%q) returned %d peers, replica bound is %d", k, len(peers), Replicas)
 		}
 		for _, p := range peers {
 			if p == "a:1" {

@@ -16,7 +16,8 @@ package cluster
 
 import "sort"
 
-// DefaultVNodes is the virtual-node count per member. At 128 vnodes the
+// VNodes is the virtual-node count per member. Every instance must use the
+// same count for ownership to agree, so it is a constant. At 128 vnodes the
 // ring's key distribution is bounded by construction: the busiest member
 // owns at most ~1.25x the mean share (pinned by TestRingDistributionSkew).
 // This is how the ring bounds load while staying a pure function of
@@ -24,7 +25,7 @@ import "sort"
 // current load) was rejected because instances would consult divergent
 // local load views and route the same user differently, and ownership that
 // flaps is worse than ownership 25% above mean.
-const DefaultVNodes = 128
+const VNodes = 128
 
 // point is one virtual node: a position on the hash circle and the member
 // that owns the arc ending there.
@@ -37,18 +38,13 @@ type point struct {
 // structure with no internal locking; Cluster guards it and rebuilds it on
 // membership changes. The zero value is not usable; call NewRing.
 type Ring struct {
-	vnodes  int
 	points  []point // sorted by (hash, node)
 	members map[string]struct{}
 }
 
-// NewRing builds an empty ring with the given virtual-node count per member
-// (<=0 takes DefaultVNodes).
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
-	return &Ring{vnodes: vnodes, members: map[string]struct{}{}}
+// NewRing builds an empty ring.
+func NewRing() *Ring {
+	return &Ring{members: map[string]struct{}{}}
 }
 
 // hash64 is FNV-1a finished with the murmur3 avalanche mix. Plain FNV
@@ -101,7 +97,7 @@ func (r *Ring) Add(node string) {
 		return
 	}
 	r.members[node] = struct{}{}
-	for i := 0; i < r.vnodes; i++ {
+	for i := 0; i < VNodes; i++ {
 		r.points = append(r.points, point{hash: hash64(vnodeLabel(node, i)), node: node})
 	}
 	sort.Slice(r.points, func(i, j int) bool {

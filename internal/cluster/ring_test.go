@@ -6,13 +6,13 @@ import (
 )
 
 // TestRingDistributionSkew pins the bound the ownership design relies on: at
-// the default 128 vnodes, no member of a 3-node ring owns more than 1.25x
+// 128 vnodes, no member of a 3-node ring owns more than 1.25x
 // the mean key share. DESIGN.md §10 cites this in place of a dynamic
 // bounded-load walk.
 func TestRingDistributionSkew(t *testing.T) {
 	const keys = 60000
 	nodes := []string{"127.0.0.1:7001", "127.0.0.1:7002", "127.0.0.1:7003"}
-	r := NewRing(DefaultVNodes)
+	r := NewRing()
 	for _, n := range nodes {
 		r.Add(n)
 	}
@@ -37,7 +37,7 @@ func TestRingDistributionSkew(t *testing.T) {
 // between survivors.
 func TestRingMinimalMovementJoin(t *testing.T) {
 	const keys = 20000
-	r := NewRing(DefaultVNodes)
+	r := NewRing()
 	r.Add("a:1")
 	r.Add("b:1")
 	r.Add("c:1")
@@ -68,7 +68,7 @@ func TestRingMinimalMovementJoin(t *testing.T) {
 // departed member owned change owner.
 func TestRingMinimalMovementLeave(t *testing.T) {
 	const keys = 20000
-	r := NewRing(DefaultVNodes)
+	r := NewRing()
 	for _, n := range []string{"a:1", "b:1", "c:1"} {
 		r.Add(n)
 	}
@@ -92,8 +92,8 @@ func TestRingMinimalMovementLeave(t *testing.T) {
 // membership agree on every owner regardless of insertion order — the
 // property the whole fleet-wide routing scheme rests on.
 func TestRingDeterminism(t *testing.T) {
-	r1 := NewRing(64)
-	r2 := NewRing(64)
+	r1 := NewRing()
+	r2 := NewRing()
 	for _, n := range []string{"a:1", "b:1", "c:1"} {
 		r1.Add(n)
 	}
@@ -111,7 +111,7 @@ func TestRingDeterminism(t *testing.T) {
 // TestRingSuccessors checks the sibling-walk order: distinct members, owner
 // first, capped at the member count.
 func TestRingSuccessors(t *testing.T) {
-	r := NewRing(DefaultVNodes)
+	r := NewRing()
 	for _, n := range []string{"a:1", "b:1", "c:1"} {
 		r.Add(n)
 	}
@@ -137,7 +137,7 @@ func TestRingSuccessors(t *testing.T) {
 // TestRingEmptyAndSingle covers the degenerate shapes the proxy hits while
 // probes are still deciding peers are dead.
 func TestRingEmptyAndSingle(t *testing.T) {
-	r := NewRing(8)
+	r := NewRing()
 	if got := r.Owner("k"); got != "" {
 		t.Fatalf("empty ring Owner = %q, want empty", got)
 	}
@@ -149,8 +149,8 @@ func TestRingEmptyAndSingle(t *testing.T) {
 		t.Fatalf("single ring Owner = %q", got)
 	}
 	r.Add("only:1") // duplicate add is a no-op
-	if n := len(r.points); n != 8 {
-		t.Fatalf("duplicate Add grew points to %d, want 8", n)
+	if n := len(r.points); n != VNodes {
+		t.Fatalf("duplicate Add grew points to %d, want %d", n, VNodes)
 	}
 	r.Remove("absent:1") // absent remove is a no-op
 	if r.Len() != 1 {

@@ -7,14 +7,18 @@ import (
 	"appx/internal/chaos"
 )
 
-// ChaosSweepRow is one schedule's outcome: workload tallies, the worst
-// per-instance fill p99, hedge activity, and every oracle violation.
+// ChaosSweepRow is one schedule's outcome: workload tallies, origin
+// fetches, the worst per-instance fill p99, hedge activity, and every oracle
+// violation.
 type ChaosSweepRow struct {
 	Schedule     string
 	Requests     int
 	Availability float64
 	Sheds        int
 	Failures     int
+	// Origin counts fetches that reached the origin, prefetches included:
+	// what the fleet's sharing (peer fill, relay) failed to absorb.
+	Origin       int64
 	P50Ms        float64
 	P99Ms        float64
 	FillP99Ms    float64
@@ -78,6 +82,7 @@ func RunChaosSweep(seed int64) (*ChaosSweep, error) {
 			Availability: rep.Availability,
 			Sheds:        rep.Sheds,
 			Failures:     rep.Failures,
+			Origin:       rep.Origin,
 			P50Ms:        rep.P50Ms,
 			P99Ms:        rep.P99Ms,
 			FillP99Ms:    rep.FillP99Ms,
@@ -119,6 +124,7 @@ func (c *ChaosSweep) Render() string {
 			fmtPct(r.Availability),
 			fmt.Sprintf("%d", r.Sheds),
 			fmt.Sprintf("%d", r.Failures),
+			fmt.Sprintf("%d", r.Origin),
 			fmt.Sprintf("%.2f", r.P50Ms),
 			fmt.Sprintf("%.2f", r.P99Ms),
 			fmt.Sprintf("%.2f", r.FillP99Ms),
@@ -133,7 +139,7 @@ func (c *ChaosSweep) Render() string {
 			"oracle: %d violations across all runs\n",
 		c.Seed, c.Instances, c.HedgedFillP99Ms, c.UnhedgedFillP99Ms, c.Violations())
 	out := head + table(
-		[]string{"schedule", "requests", "avail", "sheds", "failures", "p50 ms", "p99 ms", "fill p99 ms", "hedge w/l", "disk faults", "oracle"},
+		[]string{"schedule", "requests", "avail", "sheds", "failures", "origin", "p50 ms", "p99 ms", "fill p99 ms", "hedge w/l", "disk faults", "oracle"},
 		rows)
 	for _, r := range c.Rows {
 		for _, v := range r.Violations {

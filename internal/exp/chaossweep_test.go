@@ -2,10 +2,11 @@ package exp
 
 import "testing"
 
-// TestChaosSweepAcceptance pins the issue's acceptance bars: at least four
+// TestChaosSweepAcceptance pins the sweep's acceptance bars: at least four
 // distinct seeded schedules run against the 3-instance cluster with zero
-// oracle violations and >= 99% availability (sheds excluded), and the
-// slow-peer schedule must show hedged reads beating the unhedged control on
+// oracle violations and >= 99% availability (sheds excluded); the slow-peer
+// schedule's misses are absorbed by peer fill, so at most a quarter of its
+// requests reach the origin; and hedged reads beat the unhedged control on
 // fill p99. The margin is the injected 100ms stall, so the comparison holds
 // under -race despite its slowdown.
 func TestChaosSweepAcceptance(t *testing.T) {
@@ -40,6 +41,10 @@ func TestChaosSweepAcceptance(t *testing.T) {
 	}
 	if sp, ok := seen["slowpeer"]; !ok || sp.Hedges == 0 || sp.HedgeWins == 0 {
 		t.Fatalf("slowpeer schedule launched no winning hedges: %+v", seen["slowpeer"])
+	}
+	if sp := seen["slowpeer"]; 4*sp.Origin > int64(sp.Requests) {
+		t.Fatalf("slowpeer: %d of %d requests reached the origin, want at most a quarter (peer fill absorbs them)",
+			sp.Origin, sp.Requests)
 	}
 	if res.HedgedFillP99Ms <= 0 || res.UnhedgedFillP99Ms <= 0 {
 		t.Fatalf("fill p99 missing: hedged %.2f, unhedged %.2f", res.HedgedFillP99Ms, res.UnhedgedFillP99Ms)

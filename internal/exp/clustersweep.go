@@ -99,7 +99,6 @@ func (f *csFleet) start(i int, ln net.Listener, clustered bool) {
 		cc = cluster.Config{
 			Self:          f.addrs[i],
 			Peers:         f.addrs,
-			Replicas:      2,
 			ProbeInterval: 25 * time.Millisecond,
 			ProbeTimeout:  250 * time.Millisecond,
 		}
@@ -315,7 +314,7 @@ type csResult struct {
 // matter which ephemeral ports the fleet landed on. The independent
 // baseline reuses the same names, so both topologies see the same load.
 func spreadUsers(addrs []string, count int) []string {
-	r := cluster.NewRing(cluster.DefaultVNodes)
+	r := cluster.NewRing()
 	for _, a := range addrs {
 		r.Add(a)
 	}

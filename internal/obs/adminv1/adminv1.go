@@ -197,7 +197,6 @@ type ClusterPeerFill struct {
 type Cluster struct {
 	Enabled          bool                   `json:"enabled"`
 	Self             string                 `json:"self"`
-	VNodes           int                    `json:"vnodes"`
 	Members          []string               `json:"members"`
 	Peers            map[string]ClusterPeer `json:"peers,omitempty"`
 	Forwarded        int64                  `json:"forwarded"`
@@ -218,11 +217,6 @@ type Cluster struct {
 // Hedge is the hedged-peer-read block inside Cluster.
 type Hedge struct {
 	Enabled bool `json:"enabled"`
-	// DelayMs is the static fallback hedging delay; per-peer adaptive
-	// delays take over once a peer has enough observed fills.
-	DelayMs int64 `json:"delayMs"`
-	// RateCap is the cluster-wide hedge launch cap per second.
-	RateCap float64 `json:"rateCap"`
 	// Launched counts hedge attempts actually sent.
 	Launched int64 `json:"launched"`
 	// Wins counts hedges whose response won the race.
@@ -231,23 +225,6 @@ type Hedge struct {
 	Losses int64 `json:"losses"`
 	// Suppressed counts hedges withheld by the rate cap.
 	Suppressed int64 `json:"suppressed"`
-}
-
-// Budget is the request-latency-budget block of /appx/v1/stats.
-type Budget struct {
-	Enabled bool `json:"enabled"`
-	// LimitMs is the locally configured per-request budget (0 = none; the
-	// instance then only honours inherited budgets).
-	LimitMs int64 `json:"limitMs"`
-	// Inherited counts requests that arrived with a relay-propagated budget
-	// header.
-	Inherited int64 `json:"inherited"`
-	// Clamped counts inherited budgets larger than the local limit (the
-	// smaller value always wins — a budget never grows across hops).
-	Clamped int64 `json:"clamped"`
-	// Exhausted counts stage attempts skipped because the budget had
-	// already run out.
-	Exhausted int64 `json:"exhausted"`
 }
 
 // PolicyEntry is the prefetch-policy block of /appx/v1/stats. Its counters
@@ -338,7 +315,6 @@ type StatsResponse struct {
 	Cache                Cache       `json:"cache"`
 	Persist              Persist     `json:"persist"`
 	Cluster              Cluster     `json:"cluster"`
-	Budget               Budget      `json:"budget"`
 	Policy               PolicyEntry `json:"policy"`
 	MissReasons          MissReasons `json:"missReasons"`
 	Borrowed             Borrowed    `json:"borrowed"`

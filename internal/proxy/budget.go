@@ -1,111 +1,9 @@
 package proxy
 
 import (
-	"context"
-	"strconv"
 	"sync"
 	"time"
-
-	"appx/internal/httpmsg"
 )
-
-// budgetHeader carries a request's remaining latency budget (integer
-// milliseconds) across relay hops. A receiving instance takes the minimum of
-// the inherited value and its own configured budget — the budget is clamped,
-// never grown — so a forwarded request or peer fill can never outlive the
-// patience of the client that started the chain.
-const budgetHeader = "X-Appx-Budget-Ms"
-
-// reqBudget is one request's latency budget, fixed at acceptance as an
-// absolute deadline against the proxy clock. Stages consume it implicitly:
-// whatever time parsing or a cache miss burned is gone when the relay or
-// peer fill asks what remains. The zero value is "no budget" — every stage
-// falls back to its static timeout.
-type reqBudget struct {
-	deadline time.Time
-}
-
-// active reports whether a budget was set for this request.
-func (b reqBudget) active() bool { return !b.deadline.IsZero() }
-
-// remaining returns the budget left at now (never negative).
-func (b reqBudget) remaining(now time.Time) time.Duration {
-	if !b.active() {
-		return 0
-	}
-	if rem := b.deadline.Sub(now); rem > 0 {
-		return rem
-	}
-	return 0
-}
-
-// exhausted reports whether an active budget has run out.
-func (b reqBudget) exhausted(now time.Time) bool {
-	return b.active() && b.remaining(now) <= 0
-}
-
-// headerValue renders the remaining budget for propagation (min 1ms: a
-// budget worth forwarding is never rendered as zero, which receivers would
-// read as "no budget").
-func (b reqBudget) headerValue(now time.Time) string {
-	ms := b.remaining(now).Milliseconds()
-	if ms < 1 {
-		ms = 1
-	}
-	return strconv.FormatInt(ms, 10)
-}
-
-// bound derives a per-attempt context from ctx limited by the smaller of
-// cap and the budget's remaining time. cap <= 0 means "budget only"; with
-// neither, the context is merely cancelable. Context expiry runs on real
-// time (the runtime's timers), while remaining is computed against the
-// injectable proxy clock — tests that freeze the clock get deterministic
-// budget arithmetic without wedging live I/O.
-func (b reqBudget) bound(ctx context.Context, now time.Time, cap time.Duration) (context.Context, context.CancelFunc) {
-	d := cap
-	if b.active() {
-		rem := b.remaining(now)
-		if rem < time.Millisecond {
-			// Exhausted: expire almost immediately rather than hang unbounded.
-			rem = time.Millisecond
-		}
-		if d <= 0 || rem < d {
-			d = rem
-		}
-	}
-	if d <= 0 {
-		return context.WithCancel(ctx)
-	}
-	return context.WithTimeout(ctx, d)
-}
-
-// acceptBudget reads (and strips) the propagated budget header from req and
-// combines it with the locally configured budget: the smaller wins. Called
-// once per request, before any routing decision, so the header can never
-// leak to the origin or into canonical keys on any path.
-func (p *Proxy) acceptBudget(req *httpmsg.Request) reqBudget {
-	var inherited time.Duration
-	if v, ok := req.GetHeader(budgetHeader); ok {
-		req.DeleteHeader(budgetHeader)
-		if ms, err := strconv.ParseInt(v, 10, 64); err == nil && ms > 0 {
-			inherited = time.Duration(ms) * time.Millisecond
-			p.budget.inherited.Add(1)
-		}
-	}
-	b := inherited
-	if local := p.opts.RequestBudget; local > 0 {
-		if b <= 0 || b > local {
-			if b > local {
-				p.budget.clamped.Add(1)
-			}
-			b = local
-		}
-	}
-	if b <= 0 {
-		return reqBudget{}
-	}
-	return reqBudget{deadline: p.opts.Now().Add(b)}
-}
 
 // usageWindow accounts prefetch bytes over rolling budget periods: usage
 // resets when a window elapses, so a data budget (C4, the paper's cellular

@@ -55,7 +55,7 @@ func (p *Proxy) initCluster(reg *obs.Registry) {
 	st := &clusterState{c: cluster.New(p.opts.Cluster)}
 	// The hedge state registers one histogram per configured peer; peers are
 	// fixed after New, so this is the one place registration is safe.
-	st.hedge = newHedgeState(p.opts, reg, st.c.Peers())
+	st.hedge = newHedgeState(p.opts.DisableHedging, reg, st.c.Peers())
 	p.cluster = st
 	st.c.OnChange(p.rebalanceCluster)
 	p.registerClusterBridges(reg)
@@ -114,32 +114,19 @@ func (p *Proxy) rebalanceCluster() {
 // instance can still serve). Transport failures feed the peer's breaker;
 // shed responses do not.
 func (p *Proxy) clusterRelay(x *exchange, addr string) bool {
-	st, bgt := p.cluster, x.bgt
+	st := p.cluster
 	if !st.c.PeerReady(addr) {
 		st.forwardFallbacks.Add(1)
 		return false
 	}
-	now := p.opts.Now()
-	// An exhausted budget cannot afford a network hop; whatever latency the
-	// local path costs is the best remaining option.
-	if bgt.exhausted(now) {
-		p.budget.exhausted.Add(1)
-		st.forwardFallbacks.Add(1)
-		return false
-	}
 	// The clone carries the addressing metadata the owner needs: the user
-	// key (the relay's UserKey extraction already consumed it), the hop
-	// marker, and the remaining budget — clamped at the receiver, so hops
-	// only ever shrink it. The local req stays clean for the fallback path.
+	// key (the relay's UserKey extraction already consumed it) and the hop
+	// marker. The local req stays clean for the fallback path. The client's
+	// context bounds the hop.
 	fwd := x.req.Clone()
 	fwd.SetHeader(userHeader, x.user)
 	fwd.SetHeader(clusterHopHeader, st.c.Self())
-	if bgt.active() {
-		fwd.SetHeader(budgetHeader, bgt.headerValue(now))
-	}
-	rctx, rcancel := bgt.bound(x.ctx, now, 0)
-	defer rcancel()
-	resp, err := st.c.Forward(rctx, addr, fwd)
+	resp, err := st.c.Forward(x.ctx, addr, fwd)
 	if err != nil {
 		st.c.ReportForward(addr, false)
 		st.forwardFallbacks.Add(1)
@@ -181,7 +168,7 @@ func (p *Proxy) clusterRelay(x *exchange, addr string) bool {
 // claimed says the caller already holds the key's claim (the prefetch path);
 // otherwise the fill holds it, with no task behind it, while it asks, and
 // releases it — a miss or a panic included — after any Put of a peer hit.
-func (p *Proxy) clusterPeerFill(ctx context.Context, key string, claimed bool, bgt reqBudget) *cache.Entry {
+func (p *Proxy) clusterPeerFill(ctx context.Context, key string, claimed bool) *cache.Entry {
 	st := p.cluster
 	ikey := issueKey(cache.SharedScope, key)
 	// Dead-breaker peers drop out before the race starts, so the hedge
@@ -196,12 +183,6 @@ func (p *Proxy) clusterPeerFill(ctx context.Context, key string, claimed bool, b
 	if len(ready) == 0 {
 		return nil
 	}
-	if bgt.exhausted(p.opts.Now()) {
-		// No budget left for a peer round trip; the origin path (which the
-		// caller falls through to) at least makes forward progress.
-		p.budget.exhausted.Add(1)
-		return nil
-	}
 	if !claimed {
 		fill := new(prefetch)
 		if ok, _ := p.keys.claim(ikey, fill, false); !ok {
@@ -212,7 +193,7 @@ func (p *Proxy) clusterPeerFill(ctx context.Context, key string, claimed bool, b
 		defer p.keys.release(ikey, fill)
 	}
 	st.fillAttempts.Add(1)
-	if e := p.hedgedPeek(ctx, ready, key, bgt); e != nil {
+	if e := p.hedgedPeek(ctx, ready, key); e != nil {
 		p.store.Put(cache.SharedScope, key, e)
 		st.fillHits.Add(1)
 		return e
@@ -300,8 +281,6 @@ func (p *Proxy) clusterV1() adminv1.Cluster {
 	out.ForwardLoops = st.forwardLoops.Load()
 	out.Hedge = adminv1.Hedge{
 		Enabled:    !st.hedge.disabled,
-		DelayMs:    st.hedge.delay.Milliseconds(),
-		RateCap:    st.hedge.rate,
 		Launched:   st.hedge.launched.Load(),
 		Wins:       st.hedge.wins.Load(),
 		Losses:     st.hedge.losses.Load(),

@@ -33,10 +33,10 @@ func (n *clusterNode) kill() {
 }
 
 // startClusterNodes boots n proxies on loopback, all clustered over the
-// same seed list. vnodes[i] overrides instance i's vnode count (divergent
-// counts force divergent ownership views — the loop-prevention test wants
-// exactly that pathology).
-func startClusterNodes(t *testing.T, n int, graph func() *sig.Graph, up Upstream, vnodes []int, mut ...func(*Options)) []*clusterNode {
+// same seed list. views[i], when non-nil, lists the instances that instance
+// i's seed list names instead (divergent lists force divergent ownership
+// views — the loop-prevention test wants exactly that pathology).
+func startClusterNodes(t *testing.T, n int, graph func() *sig.Graph, up Upstream, views [][]int) []*clusterNode {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
@@ -50,23 +50,20 @@ func startClusterNodes(t *testing.T, n int, graph func() *sig.Graph, up Upstream
 	}
 	nodes := make([]*clusterNode, n)
 	for i := range nodes {
-		vn := cluster.DefaultVNodes
-		if vnodes != nil {
-			vn = vnodes[i]
+		peers := addrs
+		if views != nil && views[i] != nil {
+			peers = nil
+			for _, j := range views[i] {
+				peers = append(peers, addrs[j])
+			}
 		}
-		opts := Options{Graph: graph(), Upstream: up, Workers: 1,
+		px := New(Options{Graph: graph(), Upstream: up, Workers: 1,
 			Cluster: cluster.Config{
 				Self:          addrs[i],
-				Peers:         addrs,
-				VNodes:        vn,
-				Replicas:      2,
+				Peers:         peers,
 				ProbeInterval: 20 * time.Millisecond,
 				ProbeTimeout:  200 * time.Millisecond,
-			}}
-		for _, m := range mut {
-			m(&opts)
-		}
-		px := New(opts)
+			}})
 		srv := &http.Server{Handler: px}
 		go srv.Serve(lns[i])
 		nodes[i] = &clusterNode{addr: addrs[i], px: px, srv: srv}
@@ -111,9 +108,9 @@ func clusterGet(c *http.Client, user, rawurl string) (int, []byte, error) {
 }
 
 // userOwnedBy searches for a user key that addrs[want] owns under a ring
-// with the given vnode count and membership.
-func userOwnedBy(vnodes int, addrs []string, want int) string {
-	r := cluster.NewRing(vnodes)
+// with the given membership.
+func userOwnedBy(addrs []string, want int) string {
+	r := cluster.NewRing()
 	for _, a := range addrs {
 		r.Add(a)
 	}
@@ -140,27 +137,28 @@ func countingUpstream() (Upstream, *atomic.Int64) {
 	return up, &calls
 }
 
-// TestClusterForwardLoopPrevented gives the two instances deliberately
-// divergent ring views (different vnode counts) and picks a user each
-// instance believes the *other* owns. Without the hop header the request
-// would bounce A→B→A forever; with it, B must serve the relayed request
-// locally.
+// TestClusterForwardLoopPrevented gives the instances deliberately
+// divergent ring views — A's seed list names only A and B, while B and C
+// know all three — and picks a user A believes B owns and B believes C owns.
+// Without the hop header the request would travel A→B→C; with it, B must
+// serve the relayed request locally.
 func TestClusterForwardLoopPrevented(t *testing.T) {
 	up, calls := countingUpstream()
-	vnodes := []int{16, 96}
-	nodes := startClusterNodes(t, 2, sharedGraph, up, vnodes)
-	addrs := []string{nodes[0].addr, nodes[1].addr}
+	nodes := startClusterNodes(t, 3, sharedGraph, up, [][]int{{0, 1}, nil, nil})
+	addrs := []string{nodes[0].addr, nodes[1].addr, nodes[2].addr}
 
-	// A user where ring(16) says B owns it and ring(96) says A owns it.
+	// A user where ring{A,B} says B owns it and ring{A,B,C} says C owns it.
 	var userKey string
-	ringA, ringB := cluster.NewRing(vnodes[0]), cluster.NewRing(vnodes[1])
-	for _, a := range addrs {
-		ringA.Add(a)
+	ringA, ringB := cluster.NewRing(), cluster.NewRing()
+	for i, a := range addrs {
+		if i < 2 {
+			ringA.Add(a)
+		}
 		ringB.Add(a)
 	}
 	for i := 0; i < 200000; i++ {
 		k := fmt.Sprintf("user-%d", i)
-		if ringA.Owner(k) == addrs[1] && ringB.Owner(k) == addrs[0] {
+		if ringA.Owner(k) == addrs[1] && ringB.Owner(k) == addrs[2] {
 			userKey = k
 			break
 		}
@@ -177,17 +175,18 @@ func TestClusterForwardLoopPrevented(t *testing.T) {
 		t.Fatalf("relayed request: status=%d body=%q", status, body)
 	}
 	if n := calls.Load(); n != 1 {
-		t.Fatalf("origin fetched %d times, want exactly 1 (no bounce)", n)
+		t.Fatalf("origin fetched %d times, want exactly 1 (no second hop)", n)
 	}
-	a, b := nodes[0].px.ClusterStats(), nodes[1].px.ClusterStats()
+	a, b, c := nodes[0].px.ClusterStats(), nodes[1].px.ClusterStats(), nodes[2].px.ClusterStats()
 	if a.Forwarded != 1 {
 		t.Fatalf("A forwarded %d, want 1", a.Forwarded)
 	}
 	if b.ReceivedForwards != 1 {
 		t.Fatalf("B received %d forwards, want 1", b.ReceivedForwards)
 	}
-	if b.Forwarded != 0 {
-		t.Fatalf("B re-forwarded a hopped request %d times — loop prevention failed", b.Forwarded)
+	if b.Forwarded != 0 || c.ReceivedForwards != 0 {
+		t.Fatalf("B re-forwarded a hopped request (B forwarded %d, C received %d) — loop prevention failed",
+			b.Forwarded, c.ReceivedForwards)
 	}
 }
 
@@ -199,7 +198,7 @@ func TestClusterKillNoForegroundFailures(t *testing.T) {
 	up, _ := countingUpstream()
 	nodes := startClusterNodes(t, 2, sharedGraph, up, nil)
 	addrs := []string{nodes[0].addr, nodes[1].addr}
-	victimUser := userOwnedBy(cluster.DefaultVNodes, addrs, 1)
+	victimUser := userOwnedBy(addrs, 1)
 	if victimUser == "" {
 		t.Fatal("no user owned by instance B")
 	}
@@ -270,7 +269,7 @@ func TestClusterPeerFill(t *testing.T) {
 
 	// Drive through A with a user A owns, so the request is served (not
 	// relayed) and the shared-tier miss goes through peer fill.
-	localUser := userOwnedBy(cluster.DefaultVNodes, addrs, 0)
+	localUser := userOwnedBy(addrs, 0)
 	status, body, err := clusterGet(viaCluster(addrs[0]), localUser, "http://h.example/item?id=2")
 	if err != nil {
 		t.Fatal(err)

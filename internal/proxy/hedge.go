@@ -15,38 +15,36 @@ import (
 // latency once enough samples exist — one hedge launches to the next ring
 // successor and the first entry wins, the shared cancel reaping the loser.
 // Hedging is the cheapest tail-latency tool the cluster has and also the
-// easiest way to melt an overloaded fleet, so every hedge is gated twice: by
-// the request's remaining budget (a hedge that cannot finish in time is pure
-// waste) and by a cluster-wide launch-rate cap.
+// easiest way to melt an overloaded fleet, so every hedge is gated by a
+// cluster-wide launch-rate cap.
 
 const (
-	// defaultHedgeDelay is the static hedging delay used until a peer has
-	// hedgeMinSamples observed fills.
-	defaultHedgeDelay = 30 * time.Millisecond
-	// defaultHedgeRate is the default cluster-wide hedge launches/second cap.
-	defaultHedgeRate = 64.0
+	// hedgeDelay is the static hedging delay used until a peer has
+	// hedgeMinSamples observed fills: the delay the chaos sweep's slow-peer
+	// schedule measures hedging at.
+	hedgeDelay = 25 * time.Millisecond
+	// hedgeRate caps hedge launches per second across the instance; it is
+	// also the token bucket's burst.
+	hedgeRate = 64.0
 	// hedgeMinSamples is how many observed fills a peer needs before its p90
 	// replaces the static delay.
 	hedgeMinSamples = 16
 	// hedgeDelayFloor bounds adaptive delays from below: loopback p90s are
 	// microseconds, and hedging that hot would double every fill's traffic.
 	hedgeDelayFloor = 5 * time.Millisecond
-	// fillAttemptTimeout bounds one peek attempt when no budget does.
+	// fillAttemptTimeout bounds one peek attempt.
 	fillAttemptTimeout = 2 * time.Second
 )
 
-// hedgeState is the cluster-wide hedging policy: the delay model (static +
-// per-peer adaptive), the launch-rate token bucket, and the counters.
+// hedgeState is the cluster-wide hedging policy: the per-peer adaptive delay
+// model, the launch-rate token bucket, and the counters.
 type hedgeState struct {
-	delay    time.Duration // static fallback delay
 	disabled bool
 
 	// Launch-rate token bucket. Refill runs on the wall clock, not the
 	// proxy's injectable one: hedge pacing is a real-time resource control
 	// and must not freeze with a frozen test clock.
 	mu     sync.Mutex
-	rate   float64
-	burst  float64
 	tokens float64
 	last   time.Time
 
@@ -64,24 +62,8 @@ type hedgeState struct {
 // newHedgeState builds the hedging policy and registers its fill-latency
 // histograms. Called exactly once per proxy (from initCluster): the registry
 // panics on duplicate series names.
-func newHedgeState(opts Options, reg *obs.Registry, peers []string) *hedgeState {
-	h := &hedgeState{
-		delay:    opts.HedgeDelay,
-		disabled: opts.DisableHedging,
-		rate:     opts.HedgeRateCap,
-	}
-	if h.delay <= 0 {
-		h.delay = defaultHedgeDelay
-	}
-	if h.rate <= 0 {
-		h.rate = defaultHedgeRate
-	}
-	h.burst = h.rate
-	if h.burst < 1 {
-		h.burst = 1
-	}
-	h.tokens = h.burst
-	h.last = time.Now()
+func newHedgeState(disabled bool, reg *obs.Registry, peers []string) *hedgeState {
+	h := &hedgeState{disabled: disabled, tokens: hedgeRate, last: time.Now()}
 	h.all = reg.Histogram("appx_cluster_fill_latency", "Peer-fill peek latency.", nil)
 	h.perPeer = make(map[string]*obs.Histogram, len(peers))
 	for _, peer := range peers {
@@ -102,17 +84,17 @@ func (h *hedgeState) delayFor(addr string) time.Duration {
 			return d
 		}
 	}
-	return h.delay
+	return hedgeDelay
 }
 
-// allow spends one hedge token; refill is continuous at rate/second.
+// allow spends one hedge token; refill is continuous at hedgeRate per second.
 func (h *hedgeState) allow() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	now := time.Now()
-	h.tokens += now.Sub(h.last).Seconds() * h.rate
-	if h.tokens > h.burst {
-		h.tokens = h.burst
+	h.tokens += now.Sub(h.last).Seconds() * hedgeRate
+	if h.tokens > hedgeRate {
+		h.tokens = hedgeRate
 	}
 	h.last = now
 	if h.tokens < 1 {
@@ -137,11 +119,11 @@ type peekResult struct {
 	hedge bool
 }
 
-// peekAttempt runs one peek against addr with a budget-bounded per-attempt
-// timeout, feeding the peer's breaker and the fill-latency histograms.
-func (p *Proxy) peekAttempt(ctx context.Context, addr, key string, bgt reqBudget, hedge bool, out chan<- peekResult) {
+// peekAttempt runs one peek against addr, bounded by fillAttemptTimeout,
+// feeding the peer's breaker and the fill-latency histograms.
+func (p *Proxy) peekAttempt(ctx context.Context, addr, key string, hedge bool, out chan<- peekResult) {
 	st := p.cluster
-	actx, cancel := bgt.bound(ctx, p.opts.Now(), fillAttemptTimeout)
+	actx, cancel := context.WithTimeout(ctx, fillAttemptTimeout)
 	defer cancel()
 	start := time.Now() // real time: these latencies drive real hedge timers
 	pe, ok, err := st.c.PeekEntry(actx, addr, key)
@@ -166,17 +148,17 @@ func (p *Proxy) peekAttempt(ctx context.Context, addr, key string, bgt reqBudget
 
 // hedgedPeek races peeks across ready peers for key. Launch policy: peers[0]
 // immediately; if it is still outstanding past the adaptive delay, one hedge
-// to the next peer (budget- and rate-gated); remaining peers
-// launch sequentially only once every outstanding attempt has come back
-// empty. Returns the first entry found, or nil.
-func (p *Proxy) hedgedPeek(ctx context.Context, peers []string, key string, bgt reqBudget) *cache.Entry {
+// to the next peer (rate-gated); remaining peers launch sequentially only
+// once every outstanding attempt has come back empty. Returns the first
+// entry found, or nil.
+func (p *Proxy) hedgedPeek(ctx context.Context, peers []string, key string) *cache.Entry {
 	h := p.cluster.hedge
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel() // reaps any attempt still in flight when a winner returns
 	results := make(chan peekResult, len(peers))
 	next, outstanding := 0, 0
 	launch := func(hedge bool) {
-		go p.peekAttempt(ctx, peers[next], key, bgt, hedge, results)
+		go p.peekAttempt(ctx, peers[next], key, hedge, results)
 		next++
 		outstanding++
 	}
@@ -184,13 +166,9 @@ func (p *Proxy) hedgedPeek(ctx context.Context, peers []string, key string, bgt 
 
 	var hedgeC <-chan time.Time
 	if !h.disabled && next < len(peers) {
-		d := h.delayFor(peers[0])
-		// A hedge that cannot finish inside the budget is wasted traffic.
-		if !bgt.active() || bgt.remaining(p.opts.Now()) > d {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			hedgeC = t.C
-		}
+		t := time.NewTimer(h.delayFor(peers[0]))
+		defer t.Stop()
+		hedgeC = t.C
 	}
 
 	hedged := false

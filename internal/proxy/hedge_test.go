@@ -19,26 +19,26 @@ import (
 // the static delay; a cold peer keeps the static one; the floor holds.
 func TestHedgeDelayAdaptive(t *testing.T) {
 	reg := obs.NewRegistry()
-	h := newHedgeState(Options{}, reg, []string{"warm", "cold"})
-	if d := h.delayFor("warm"); d != defaultHedgeDelay {
-		t.Fatalf("cold-start delay = %v, want static %v", d, defaultHedgeDelay)
+	h := newHedgeState(false, reg, []string{"warm", "cold"})
+	if d := h.delayFor("warm"); d != hedgeDelay {
+		t.Fatalf("cold-start delay = %v, want static %v", d, hedgeDelay)
 	}
 	for i := 0; i < 2*hedgeMinSamples; i++ {
 		h.observe("warm", 8*time.Millisecond)
 	}
 	d := h.delayFor("warm")
-	if d >= defaultHedgeDelay {
-		t.Fatalf("adaptive delay = %v, want below static %v", d, defaultHedgeDelay)
+	if d >= hedgeDelay {
+		t.Fatalf("adaptive delay = %v, want below static %v", d, hedgeDelay)
 	}
 	if d < hedgeDelayFloor {
 		t.Fatalf("adaptive delay = %v broke the %v floor", d, hedgeDelayFloor)
 	}
-	if got := h.delayFor("cold"); got != defaultHedgeDelay {
+	if got := h.delayFor("cold"); got != hedgeDelay {
 		t.Fatalf("unobserved peer delay = %v, want static", got)
 	}
 
 	// Microsecond-fast fills must floor, not hedge at loopback speed.
-	fast := newHedgeState(Options{}, obs.NewRegistry(), []string{"p"})
+	fast := newHedgeState(false, obs.NewRegistry(), []string{"p"})
 	for i := 0; i < 2*hedgeMinSamples; i++ {
 		fast.observe("p", 100*time.Microsecond)
 	}
@@ -47,15 +47,21 @@ func TestHedgeDelayAdaptive(t *testing.T) {
 	}
 }
 
-// TestHedgeRateCap: the token bucket admits burst-many hedges, then refuses
-// until real time refills it.
-func TestHedgeRateCap(t *testing.T) {
-	h := newHedgeState(Options{HedgeRateCap: 1}, obs.NewRegistry(), nil)
-	if !h.allow() {
-		t.Fatal("first hedge refused with a full bucket")
+// TestHedgeLaunchCap: the token bucket admits burst-many hedges, then only
+// what real time has refilled since.
+func TestHedgeLaunchCap(t *testing.T) {
+	h := newHedgeState(false, obs.NewRegistry(), nil)
+	start := time.Now()
+	admitted := 0
+	for i := 0; i < 2*int(hedgeRate); i++ {
+		if h.allow() {
+			admitted++
+		}
 	}
-	if h.allow() {
-		t.Fatal("second immediate hedge admitted past cap 1/s")
+	refilled := time.Since(start).Seconds() * hedgeRate
+	if admitted < int(hedgeRate) || float64(admitted) > hedgeRate+refilled+1 {
+		t.Fatalf("admitted %d of %d immediate hedges, want the %v burst plus %.2f refilled",
+			admitted, 2*int(hedgeRate), hedgeRate, refilled)
 	}
 }
 
@@ -105,9 +111,8 @@ func TestHedgedPeekBeatsSlowPeer(t *testing.T) {
 	slow := fakePeer(t, 500*time.Millisecond, "t:item#0")
 	fast := fakePeer(t, 0, "t:item#0")
 	p := New(Options{
-		Graph:      sharedGraph(),
-		Upstream:   nil,
-		HedgeDelay: 20 * time.Millisecond,
+		Graph:    sharedGraph(),
+		Upstream: nil,
 		Cluster: cluster.Config{
 			Self:          "127.0.0.1:1", // never dialed: fills only peek peers
 			Peers:         []string{slow, fast},
@@ -120,7 +125,7 @@ func TestHedgedPeekBeatsSlowPeer(t *testing.T) {
 		t.Skip("no key ordered slow-first on this ring")
 	}
 	start := time.Now()
-	e := p.clusterPeerFill(context.Background(), key, false, reqBudget{})
+	e := p.clusterPeerFill(context.Background(), key, false)
 	elapsed := time.Since(start)
 	if e == nil {
 		t.Fatal("hedged fill returned no entry")
@@ -154,7 +159,7 @@ func TestHedgingDisabledWalksSequentially(t *testing.T) {
 		t.Skip("no key ordered slow-first on this ring")
 	}
 	start := time.Now()
-	e := p.clusterPeerFill(context.Background(), key, false, reqBudget{})
+	e := p.clusterPeerFill(context.Background(), key, false)
 	elapsed := time.Since(start)
 	if e == nil {
 		t.Fatal("sequential fill returned no entry")
@@ -167,9 +172,9 @@ func TestHedgingDisabledWalksSequentially(t *testing.T) {
 	}
 }
 
-// TestPeerFillBudgetExhausted: an exhausted budget skips the peer race
-// entirely and counts the skip.
-func TestPeerFillBudgetExhausted(t *testing.T) {
+// TestPeerFillFollowsClientContext: a fill whose client has gone away asks
+// no peer, and the fill holds no claim afterwards.
+func TestPeerFillFollowsClientContext(t *testing.T) {
 	fast := fakePeer(t, 0, "t:item#0")
 	p := New(Options{
 		Graph: sharedGraph(),
@@ -180,11 +185,15 @@ func TestPeerFillBudgetExhausted(t *testing.T) {
 		},
 	})
 	t.Cleanup(p.Close)
-	spent := reqBudget{deadline: p.opts.Now().Add(-time.Second)}
-	if e := p.clusterPeerFill(context.Background(), "k", false, spent); e != nil {
-		t.Fatal("exhausted budget still filled")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if e := p.clusterPeerFill(ctx, "k", false); e != nil {
+		t.Fatal("a canceled client context still filled")
 	}
-	if p.budget.exhausted.Load() == 0 {
-		t.Fatal("exhausted skip not counted")
+	if st := p.ClusterStats(); st.PeerFill.Hits != 0 {
+		t.Fatalf("peer fill = %+v, want no hit", st.PeerFill)
+	}
+	if n := len(p.keys.snapshot()); n != 0 {
+		t.Fatalf("key table holds %d keys after the fill, want 0", n)
 	}
 }

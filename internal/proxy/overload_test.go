@@ -125,6 +125,22 @@ func TestDrainingRefusesNewWork(t *testing.T) {
 	}
 }
 
+// TestShedRetryAfterMode: a draining proxy's 503 carries the drain-mode
+// Retry-After hint, not the generic one.
+func TestShedRetryAfterMode(t *testing.T) {
+	p := New(Options{Graph: sig.NewGraph("t"), Workers: 1})
+	t.Cleanup(p.Close)
+	p.BeginDrain()
+	rec := httptest.NewRecorder()
+	p.ServeHTTP(rec, httptest.NewRequest("GET", "http://h.example/x", nil))
+	if rec.Code != 503 {
+		t.Fatalf("status = %d, want 503", rec.Code)
+	}
+	if ra := rec.Header().Get("Retry-After"); ra != "5" {
+		t.Fatalf("Retry-After = %q, want 5 while draining", ra)
+	}
+}
+
 // TestPrefetchPanicRecovered: a reconstruction whose origin call panics is
 // recovered by the worker, counted as a prefetch failure, feeds the
 // signature's backoff into suspension, and leaves the pool alive for both

@@ -76,9 +76,6 @@ type Options struct {
 	// UserKey extracts the per-user state key from a request; defaults to
 	// the client IP (§5: "the prototype distinguishes users by IP address").
 	UserKey func(*http.Request) string
-	// SpanBuffer sizes the recent-spans ring served by /appx/v1/spans
-	// (default 1024, minimum 16).
-	SpanBuffer int
 
 	// StreamChunkBytes sizes the pooled chunks the streaming data plane
 	// moves bodies through (default stream.DefaultChunkBytes, 64 KiB).
@@ -107,22 +104,8 @@ type Options struct {
 	// each user's learned state to one owner, relays non-owned requests
 	// there, and fills shared-tier misses from ring siblings before origin.
 	Cluster cluster.Config
-
-	// RequestBudget is the per-request latency budget: every cross-instance
-	// stage (relay, peer fill) gets a timeout derived from what remains, and
-	// the remainder propagates to relay targets via X-Appx-Budget-Ms —
-	// clamped at each hop, never grown. 0 disables local budgets (inherited
-	// ones are still honoured).
-	RequestBudget time.Duration
-	// HedgeDelay is the static fallback delay before a slow peer-fill peek
-	// earns a hedge to the next ring successor (default 30ms); once a peer
-	// has enough observed fills its p90 takes over.
-	HedgeDelay time.Duration
-	// HedgeRateCap bounds hedge launches per second cluster-wide (default
-	// 64): under overload, hedges are the first traffic to shed.
-	HedgeRateCap float64
-	// DisableHedging turns hedged peer reads off (fills walk peers
-	// sequentially, as before).
+	// DisableHedging turns hedged peer reads off: fills walk peers
+	// sequentially (the chaos sweep's control arm).
 	DisableHedging bool
 }
 
@@ -207,13 +190,6 @@ type Proxy struct {
 	// borrowedUsed their entries served at least once, and borrowRejected
 	// those the origin rejected.
 	borrowed, borrowedUsed, borrowRejected *obs.Counter
-
-	// budget counts request-latency-budget events (budget.go).
-	budget struct {
-		inherited atomic.Int64
-		clamped   atomic.Int64
-		exhausted atomic.Int64
-	}
 
 	// keys is the key table (keys.go): per issue key, the prefetch that
 	// claims it and the origin fetch in flight for it.
@@ -355,7 +331,7 @@ func New(opts Options) *Proxy {
 		recent: list.New(),
 	}
 	p.clock = func() time.Time { return p.opts.Now() }
-	p.spans = obs.NewSpanRecorder(reg, opts.SpanBuffer, p.clock)
+	p.spans = obs.NewSpanRecorder(reg, 0, p.clock)
 	p.chunks = stream.NewPool(opts.StreamChunkBytes)
 	p.keys = &keyTable{keys: map[string]keyState{},
 		spool: func() *stream.Spool { return stream.NewSpool(p.chunks, opts.CaptureMaxBytes, p.clock) }}
@@ -509,12 +485,6 @@ func (p *Proxy) registerBridges(reg *obs.Registry) {
 		sumCacheSigs(func(st cache.SigStats) int64 { return st.EvictedUnused }))
 	reg.CounterFunc("appx_cache_evicted_unused_bytes_total", "Resident bytes of entries a capacity limit evicted before any client was served them.",
 		sumCacheSigs(func(st cache.SigStats) int64 { return st.EvictedUnusedBytes }))
-	reg.CounterFunc("appx_budget_inherited_total", "Requests arriving with a propagated latency budget.",
-		p.budget.inherited.Load)
-	reg.CounterFunc("appx_budget_clamped_total", "Inherited budgets clamped to the local limit.",
-		p.budget.clamped.Load)
-	reg.CounterFunc("appx_budget_exhausted_total", "Stage attempts skipped on an exhausted budget.",
-		p.budget.exhausted.Load)
 }
 
 // Breakers exposes the per-host circuit breaker set (operational tooling
@@ -735,7 +705,6 @@ func (p *Proxy) statsV1() adminv1.StatsResponse {
 		Cache:                p.cacheV1(),
 		Persist:              p.persistV1(),
 		Cluster:              p.clusterV1(),
-		Budget:               p.budgetV1(),
 		Policy:               p.policyV1(),
 		MissReasons:          p.missReasonsV1(),
 		Borrowed: adminv1.Borrowed{
@@ -767,17 +736,6 @@ func (p *Proxy) missReasonsV1() adminv1.MissReasons {
 		out.Other += c.Other
 	}
 	return out
-}
-
-// budgetV1 assembles the typed budget block of /appx/v1/stats.
-func (p *Proxy) budgetV1() adminv1.Budget {
-	return adminv1.Budget{
-		Enabled:   p.opts.RequestBudget > 0,
-		LimitMs:   p.opts.RequestBudget.Milliseconds(),
-		Inherited: p.budget.inherited.Load(),
-		Clamped:   p.budget.clamped.Load(),
-		Exhausted: p.budget.exhausted.Load(),
-	}
 }
 
 // healthV1 assembles the typed /appx/v1/health body: the resilience layer's
@@ -1329,7 +1287,7 @@ func (p *Proxy) runPrefetch(pf *prefetch) {
 	// cluster context dies with BeginDrain, and background fills with it.
 	if p.cluster != nil && pf.scope == cache.SharedScope {
 		ctx, cancel := context.WithTimeout(p.cluster.c.Context(), time.Duration(p.res.PrefetchTimeout))
-		e := p.clusterPeerFill(ctx, pf.key, true, reqBudget{})
+		e := p.clusterPeerFill(ctx, pf.key, true)
 		cancel()
 		if e != nil {
 			pf.zeroByte()

@@ -25,7 +25,6 @@ type exchange struct {
 	w    http.ResponseWriter
 	sp   *obs.Span
 	req  *httpmsg.Request
-	bgt  reqBudget
 	user string
 
 	// start is the end of the parse stage: the baseline for TTFB and for
@@ -107,12 +106,11 @@ func (p *Proxy) serve(x *exchange, r *http.Request) obs.Outcome {
 		return obs.OutcomeError
 	}
 	x.req = req
-	// The user, cluster, and budget tags are proxy addressing metadata, not
+	// The user and cluster tags are proxy addressing metadata, not
 	// application payload: record what they say, then strip them here —
 	// before any routing decision — so no path (relay, fallback, origin,
 	// error) can leak them onward or let them perturb exact-match keys.
 	_, hopped := req.GetHeader(clusterHopHeader)
-	x.bgt = p.acceptBudget(req)
 	req.DeleteHeader(userHeader)
 	req.DeleteHeader(clusterHopHeader)
 	// Cluster routing: a request for a user this instance does not own is
@@ -172,7 +170,7 @@ func (p *Proxy) serve(x *exchange, r *http.Request) obs.Outcome {
 	// local shared tier, so it both answers this request and warms the
 	// instance.
 	if p.cluster != nil && shareable && lead.successor {
-		if entry := p.clusterPeerFill(x.ctx, key, false, x.bgt); entry != nil {
+		if entry := p.clusterPeerFill(x.ctx, key, false); entry != nil {
 			return p.serveEntry(x, u, entry, true, obs.OutcomePeerHit)
 		}
 	}
@@ -264,26 +262,16 @@ func (p *Proxy) firstByte(x *exchange) {
 	x.first = p.opts.Now()
 }
 
-// fetchOrigin runs the exchange's own origin round trip. The request
-// context propagates client disconnects, the remaining latency budget (when
-// set) bounds the whole exchange, and the retry middleware gives idempotent
-// requests one fast retry. On failure the client has been answered 502 and
-// the error is returned.
+// fetchOrigin runs the exchange's own origin round trip. The client's
+// context bounds it, so a disconnect cancels the fetch, and the retry
+// middleware gives idempotent requests one fast retry. On failure the client
+// has been answered 502 and the error is returned.
 func (p *Proxy) fetchOrigin(x *exchange, sent *httpmsg.Request) (*httpmsg.Response, error) {
-	ctx, cancel := x.bgt.bound(x.ctx, p.opts.Now(), 0)
-	resp, err := p.fwdUp.RoundTrip(ctx, sent)
+	resp, err := p.fwdUp.RoundTrip(x.ctx, sent)
 	x.sp.EndStage(obs.StageOrigin)
 	if err != nil {
-		cancel()
 		http.Error(x.w, "proxy: upstream: "+err.Error(), http.StatusBadGateway)
 		return nil, err
-	}
-	// A streaming body keeps the origin exchange open past this function:
-	// the bound context must live until the body is finished.
-	if resp.Streaming() {
-		resp.OnBodyClose(cancel)
-	} else {
-		cancel()
 	}
 	return resp, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -249,10 +250,11 @@ func (p *Proxy) writeBuffered(w http.ResponseWriter, req *httpmsg.Request, resp 
 
 // flightRange resolves the request's Range header against an in-flight
 // spool. With the body complete (and captured), totals are known and full
-// semantics apply; mid-flight, only fully-specified "a-b" ranges are served
-// (Content-Range total "*"), everything else falls back to the full body
-// (length -1, empty contentRange). unsat reports a known-total
-// unsatisfiable range; contentRange then carries the 416's "bytes */total".
+// semantics apply; mid-flight, only fully-specified "a-b" ranges whose
+// length fits an int64 are served (Content-Range total "*"), everything else
+// falls back to the full body (length -1, empty contentRange). unsat reports
+// a known-total unsatisfiable range; contentRange then carries the 416's
+// "bytes */total".
 func flightRange(req *httpmsg.Request, f *flight) (start, length int64, contentRange string, unsat bool) {
 	br, ranged := requestedRange(req, f.status, f.header)
 	if !ranged {
@@ -266,7 +268,8 @@ func flightRange(req *httpmsg.Request, f *flight) (start, length int64, contentR
 		}
 		return s, l, fmt.Sprintf("bytes %d-%d/%d", s, s+l-1, size), false
 	}
-	if br.start >= 0 && br.end >= 0 {
+	// end >= start >= 0, so only "0-MaxInt64" overflows the length.
+	if br.start >= 0 && br.end >= 0 && br.end-br.start < math.MaxInt64 {
 		return br.start, br.end - br.start + 1, fmt.Sprintf("bytes %d-%d/*", br.start, br.end), false
 	}
 	return 0, -1, "", false

@@ -21,6 +21,7 @@ import (
 	"appx/internal/cache"
 	"appx/internal/httpmsg"
 	"appx/internal/sig"
+	"appx/internal/stream"
 )
 
 // streamGraph is a one-signature graph: a literal GET with no dependency
@@ -255,6 +256,49 @@ func TestAttachToInFlightFetch(t *testing.T) {
 	waitChunksReleased(t, p)
 }
 
+// TestMidFlightRangeOverflowServesFull: a mid-flight "a-b" range whose
+// length overflows an int64 (bytes=0-MaxInt64) is served like any mid-flight
+// range without a usable length — the full 200 — to the flight's owner and
+// to an attacher alike, never as a 206 that claims 2^63 bytes.
+func TestMidFlightRangeOverflowServesFull(t *testing.T) {
+	up := &gatedUpstream{
+		started: make(chan struct{}),
+		release: make(chan struct{}),
+		part1:   bytes.Repeat([]byte("A"), 300),
+		part2:   bytes.Repeat([]byte("B"), 300),
+	}
+	p := New(Options{Graph: streamGraph(), Upstream: up, StreamChunkBytes: 128})
+	defer p.Close()
+	full := append(append([]byte{}, up.part1...), up.part2...)
+
+	send := func(w http.ResponseWriter) {
+		hreq := httptest.NewRequest("GET", "http://h.example/big", nil)
+		hreq.RemoteAddr = "9.9.9.9:1"
+		hreq.Header.Set("Range", "bytes=0-9223372036854775807")
+		p.ServeHTTP(w, hreq)
+	}
+	var wg sync.WaitGroup
+	owner, attacher := newNotifyWriter(), newNotifyWriter()
+	wg.Add(2)
+	go func() { defer wg.Done(); send(owner) }()
+	<-up.started
+	go func() { defer wg.Done(); send(attacher) }()
+	<-attacher.headerAt
+	close(up.release)
+	wg.Wait()
+
+	if got := up.calls.Load(); got != 1 {
+		t.Fatalf("origin fetched %d times, want 1", got)
+	}
+	for name, rec := range map[string]*httptest.ResponseRecorder{"owner": owner.rec, "attacher": attacher.rec} {
+		if rec.Code != 200 || rec.Header().Get("Content-Range") != "" || !bytes.Equal(rec.Body.Bytes(), full) {
+			t.Fatalf("%s: %d %q with %d bytes, want the full 200 with %d",
+				name, rec.Code, rec.Header().Get("Content-Range"), rec.Body.Len(), len(full))
+		}
+	}
+	waitChunksReleased(t, p)
+}
+
 // TestTTFBPrecedesSlowBody proves the data plane streams: with an origin
 // that sends its first bytes immediately but takes ~200ms to finish, the
 // client sees headers and first bytes long before the body completes.
@@ -466,19 +510,23 @@ func TestWholePathAllocBudget(t *testing.T) {
 
 // FuzzParseRange feeds client-supplied Range and If-Range values, against a
 // body of any size up to 64 KiB, through parseRange, byteRange.resolve,
-// ifRangeApplies, requestedRange and writeBuffered. Nothing panics; a
-// satisfiable range lies inside the body; and a 206 carries exactly
-// body[start:start+length], a 416 nothing, anything else the whole body.
+// ifRangeApplies, requestedRange, writeBuffered and, against a spool still
+// in flight, flightRange. Nothing panics; a satisfiable range lies inside the
+// body; a 206 carries exactly body[start:start+length], a 416 nothing,
+// anything else the whole body; and a mid-flight range is either served
+// whole (length -1) or names at least one byte.
 func FuzzParseRange(f *testing.F) {
 	for _, seed := range []struct{ rng, ifRange string }{
 		{"bytes=100-199", ""}, {"bytes=900-", ""}, {"bytes=-100", ""}, {"bytes=990-2000", ""},
 		{"bytes=1000-", ""}, {"bytes=-0", ""}, {"bytes=0-9", `"v1"`}, {"bytes=0-9", `"v2"`},
 		{"bytes=0-9", "Wed, 21 Oct 2015 07:28:00 GMT"}, {"bytes=0-9", "Thu, 22 Oct 2015 07:28:00 GMT"},
 		{"bytes=0-1,5-6", ""}, {"bytes=abc", ""}, {"items=0-1", ""}, {"", ""},
+		{"bytes=0-9223372036854775807", ""},
 	} {
 		f.Add(seed.rng, seed.ifRange, uint16(1000))
 	}
 	header := []httpmsg.Field{{Key: "Etag", Value: `"v1"`}, {Key: "Last-Modified", Value: "Wed, 21 Oct 2015 07:28:00 GMT"}}
+	pool := stream.NewPool(64)
 	f.Fuzz(func(t *testing.T, rangeHeader, ifRange string, n uint16) {
 		size := int64(n)
 		body := make([]byte, n)
@@ -501,6 +549,13 @@ func FuzzParseRange(f *testing.F) {
 		br, ranged := requestedRange(req, http.StatusOK, header)
 		if ranged && !applies {
 			t.Fatalf("Range %q honoured although If-Range %q does not apply", rangeHeader, ifRange)
+		}
+		inFlight := &flight{sp: stream.NewSpool(pool, 1<<10, nil), ready: make(chan struct{}), status: http.StatusOK, header: header}
+		_, flLength, flRange, unsat := flightRange(req, inFlight)
+		inFlight.sp.Discard()
+		if unsat || (flLength != -1 && flLength < 1) || (flRange == "") != (flLength == -1) {
+			t.Fatalf("%q mid-flight: length %d, Content-Range %q, unsat %v; want the whole body or at least one byte",
+				rangeHeader, flLength, flRange, unsat)
 		}
 		rec := httptest.NewRecorder()
 		new(Proxy).writeBuffered(rec, req, &httpmsg.Response{Status: http.StatusOK, Header: header, Body: body})
