@@ -14,7 +14,6 @@ package httpmsg
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -447,11 +446,6 @@ func (r *Request) EncodeBody() (contentType string, body []byte) {
 	}
 }
 
-// ToHTTP converts to a *http.Request suitable for a client round trip.
-func (r *Request) ToHTTP() (*http.Request, error) {
-	return r.ToHTTPContext(context.Background())
-}
-
 // plainURL reports whether host and path can be written into a url.URL as
 // they stand. Anything url.Parse would give meaning to or reject — an
 // escape, '?' or '#' in the path, a control character, a host beyond names,
@@ -477,18 +471,16 @@ func plainURL(host, path string) bool {
 	return !hasPort || port != ""
 }
 
-// ToHTTPContext is ToHTTP with the request bound to ctx. The request is
-// assembled field by field — rendering the URL to text for net/http to parse
-// back, and copying the request again to attach a context, cost more than
-// the rest of the conversion.
-func (r *Request) ToHTTPContext(ctx context.Context) (*http.Request, error) {
+// ToHTTP converts to a *http.Request suitable for a client round trip. The
+// request is assembled field by field: rendering the URL to text for
+// net/http to parse back cost more than the rest of the conversion.
+func (r *Request) ToHTTP() (*http.Request, error) {
 	rawURL := ""
 	if !plainURL(r.Host, r.Path) {
 		rawURL = r.URL()
 	}
-	// The context-taking constructor is the only way to bind ctx without a
-	// WithContext copy; it also validates the method.
-	req, err := http.NewRequestWithContext(ctx, strings.ToUpper(r.Method), rawURL, nil)
+	// The constructor also validates the method.
+	req, err := http.NewRequest(strings.ToUpper(r.Method), rawURL, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -69,6 +69,7 @@ type Lab struct {
 	Scale  float64
 
 	clientLink netem.Link
+	upstream   *proxy.NetUpstream
 	proxyAddr  string
 	originSrv  *http.Server
 	proxySrv   *http.Server
@@ -133,6 +134,7 @@ func New(o Options) (*Lab, error) {
 		links[host] = scaleLink(netem.Link{RTT: rtt, Bandwidth: o.OriginBandwidth}, o.Scale)
 	}
 	up := proxy.NewNetUpstream(resolve, links)
+	l.upstream = up
 
 	l.Proxy = proxy.New(proxy.Options{
 		Graph:           g,
@@ -191,7 +193,8 @@ func (l *Lab) Unscale(d time.Duration) time.Duration {
 	return time.Duration(float64(d) / l.Scale)
 }
 
-// Close shuts down the proxy and origin.
+// Close shuts down the proxy and origin, and closes the proxy's idle origin
+// connections rather than leave them to the idle timeout.
 func (l *Lab) Close() {
 	if l.proxySrv != nil {
 		l.proxySrv.Close()
@@ -201,5 +204,8 @@ func (l *Lab) Close() {
 	}
 	if l.Proxy != nil {
 		l.Proxy.Close()
+	}
+	if l.upstream != nil {
+		l.upstream.CloseIdleConnections()
 	}
 }

@@ -328,15 +328,22 @@ func (p *Proxy) runFlight(x *exchange, u *user, matched []*sigState, scope, fkey
 	}
 	elapsed := p.opts.Now().Sub(x.start)
 	fl.publish(resp)
-	// Resolve this client's own view (Range against a not-yet-known total)
-	// and pin a reader BEFORE the pump starts: pre-pump, no offset can have
-	// been trimmed away, so the owner is always servable from its own flight.
-	off, length, contentRange, _ := flightRange(x.req, fl)
-	rd, rerr := fl.sp.ReaderAt(off)
-	go p.pump(fl, resp)
-	if rerr == nil {
-		p.serveSpool(x, fl, rd, length, contentRange)
-		rd.Close()
+	// Resolve this client's own view (Range against the declared total, if
+	// any) and pin a reader BEFORE the pump starts: pre-pump, no offset can
+	// have been trimmed away, so the owner is always servable from its own
+	// flight.
+	off, length, contentRange, unsat := flightRange(x.req, fl)
+	if unsat {
+		go p.pump(fl, resp)
+		writeRangeHeaders(x.w, fl.header, http.StatusRequestedRangeNotSatisfiable, contentRange, 0)
+		p.firstByte(x)
+	} else {
+		rd, rerr := fl.sp.ReaderAt(off)
+		go p.pump(fl, resp)
+		if rerr == nil {
+			p.serveSpool(x, fl, rd, length, contentRange)
+			rd.Close()
+		}
 	}
 
 	// Body accounting and learning happen once the pump finishes. Under-cap

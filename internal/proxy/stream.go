@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -249,30 +248,50 @@ func (p *Proxy) writeBuffered(w http.ResponseWriter, req *httpmsg.Request, resp 
 }
 
 // flightRange resolves the request's Range header against an in-flight
-// spool. With the body complete (and captured), totals are known and full
-// semantics apply; mid-flight, only fully-specified "a-b" ranges whose
-// length fits an int64 are served (Content-Range total "*"), everything else
-// falls back to the full body (length -1, empty contentRange). unsat reports
-// a known-total unsatisfiable range; contentRange then carries the 416's
-// "bytes */total".
+// spool. The total is the captured size once the body is complete, and
+// mid-flight the origin's declared Content-Length: against a known total
+// full semantics apply — clamped ends, suffixes, a 416 for a range past the
+// end. With no total known (a chunked or close-delimited body still
+// arriving) no 206 can promise a length the body is sure to fill, so the
+// whole body is served (length -1, empty contentRange), which RFC 7233
+// allows. unsat reports an unsatisfiable range; contentRange then carries
+// the 416's "bytes */total".
 func flightRange(req *httpmsg.Request, f *flight) (start, length int64, contentRange string, unsat bool) {
 	br, ranged := requestedRange(req, f.status, f.header)
 	if !ranged {
 		return 0, -1, "", false
 	}
+	size, known := declaredLength(f.header)
 	if f.sp.Done() && !f.sp.Overflowed() && f.sp.Err() == nil {
-		size := f.sp.Size()
-		s, l, sat := br.resolve(size)
-		if !sat {
-			return 0, 0, fmt.Sprintf("bytes */%d", size), true
+		size, known = f.sp.Size(), true
+	}
+	if !known {
+		return 0, -1, "", false
+	}
+	s, l, sat := br.resolve(size)
+	if !sat {
+		return 0, 0, fmt.Sprintf("bytes */%d", size), true
+	}
+	return s, l, fmt.Sprintf("bytes %d-%d/%d", s, s+l-1, size), false
+}
+
+// declaredLength returns the body length a response header declares: one
+// Content-Length field holding a decimal that fits an int64.
+func declaredLength(header []httpmsg.Field) (int64, bool) {
+	v, found := "", false
+	for _, f := range header {
+		if strings.EqualFold(f.Key, "Content-Length") {
+			if found {
+				return 0, false
+			}
+			v, found = f.Value, true
 		}
-		return s, l, fmt.Sprintf("bytes %d-%d/%d", s, s+l-1, size), false
 	}
-	// end >= start >= 0, so only "0-MaxInt64" overflows the length.
-	if br.start >= 0 && br.end >= 0 && br.end-br.start < math.MaxInt64 {
-		return br.start, br.end - br.start + 1, fmt.Sprintf("bytes %d-%d/*", br.start, br.end), false
+	if !found {
+		return 0, false
 	}
-	return 0, -1, "", false
+	n, err := strconv.ParseUint(strings.TrimSpace(v), 10, 63)
+	return int64(n), err == nil
 }
 
 // flushWriter flushes after every write so streamed bytes reach the client

@@ -166,11 +166,12 @@ func trunc20(b []byte) []byte {
 // after release. It counts RoundTrips, making duplicate origin fetches
 // visible.
 type gatedUpstream struct {
-	calls   atomic.Int64
-	started chan struct{} // closed on first RoundTrip
-	release chan struct{} // closing lets part two flow
-	part1   []byte
-	part2   []byte
+	calls    atomic.Int64
+	started  chan struct{} // closed on first RoundTrip
+	release  chan struct{} // closing lets part two flow
+	part1    []byte
+	part2    []byte
+	declared bool // send Content-Length; otherwise the total is unknown mid-flight
 }
 
 func (g *gatedUpstream) RoundTrip(ctx context.Context, r *httpmsg.Request) (*httpmsg.Response, error) {
@@ -185,6 +186,9 @@ func (g *gatedUpstream) RoundTrip(ctx context.Context, r *httpmsg.Request) (*htt
 		pw.Close()
 	}()
 	resp := &httpmsg.Response{Status: 200, Header: []httpmsg.Field{{Key: "Content-Type", Value: "application/octet-stream"}}}
+	if g.declared {
+		resp.Header = append(resp.Header, httpmsg.Field{Key: "Content-Length", Value: fmt.Sprint(len(g.part1) + len(g.part2))})
+	}
 	resp.SetStream(pr)
 	return resp, nil
 }
@@ -196,10 +200,11 @@ func (g *gatedUpstream) RoundTrip(ctx context.Context, r *httpmsg.Request) (*htt
 func TestAttachToInFlightFetch(t *testing.T) {
 	g := streamGraph()
 	up := &gatedUpstream{
-		started: make(chan struct{}),
-		release: make(chan struct{}),
-		part1:   bytes.Repeat([]byte("A"), 300),
-		part2:   bytes.Repeat([]byte("B"), 300),
+		started:  make(chan struct{}),
+		release:  make(chan struct{}),
+		part1:    bytes.Repeat([]byte("A"), 300),
+		part2:    bytes.Repeat([]byte("B"), 300),
+		declared: true,
 	}
 	p := New(Options{Graph: g, Upstream: up, StreamChunkBytes: 128})
 	defer p.Close()
@@ -244,8 +249,8 @@ func TestAttachToInFlightFetch(t *testing.T) {
 	if ranged.rec.Code != 206 {
 		t.Fatalf("mid-flight range: status %d, want 206", ranged.rec.Code)
 	}
-	if cr := ranged.rec.Header().Get("Content-Range"); cr != "bytes 100-149/*" {
-		t.Fatalf("mid-flight Content-Range = %q, want total-unknown form", cr)
+	if cr := ranged.rec.Header().Get("Content-Range"); cr != "bytes 100-149/600" {
+		t.Fatalf("mid-flight Content-Range = %q, want the declared total", cr)
 	}
 	if !bytes.Equal(ranged.rec.Body.Bytes(), full[100:150]) {
 		t.Fatalf("mid-flight range body wrong: %q", trunc20(ranged.rec.Body.Bytes()))
@@ -297,6 +302,81 @@ func TestMidFlightRangeOverflowServesFull(t *testing.T) {
 		}
 	}
 	waitChunksReleased(t, p)
+}
+
+// TestMidFlightRangeAgainstDeclaredLength: mid-flight, a Range resolves
+// against the origin's Content-Length exactly as against a finished body —
+// a range past the end is clamped, a suffix counts from the declared end,
+// a start at or past it is a 416 — so a 206 never promises bytes the body
+// cannot fill. Without a declared total the whole 200 goes out. The flight's
+// owner and an attacher answer alike.
+func TestMidFlightRangeAgainstDeclaredLength(t *testing.T) {
+	full := append(bytes.Repeat([]byte("A"), 300), bytes.Repeat([]byte("B"), 300)...)
+	cases := []struct {
+		name      string
+		declared  bool
+		rng       string
+		status    int
+		wantRange string
+		want      []byte
+	}{
+		{"inside", true, "bytes=250-349", 206, "bytes 250-349/600", full[250:350]},
+		{"past-end-clamped", true, "bytes=500-900", 206, "bytes 500-599/600", full[500:]},
+		{"open-ended", true, "bytes=550-", 206, "bytes 550-599/600", full[550:]},
+		{"suffix", true, "bytes=-50", 206, "bytes 550-599/600", full[550:]},
+		{"suffix-longer-than-body", true, "bytes=-5000", 206, "bytes 0-599/600", full},
+		{"unsatisfiable", true, "bytes=600-", 416, "bytes */600", nil},
+		{"unknown-total", false, "bytes=100-149", 200, "", full},
+		{"unknown-total-past-end", false, "bytes=500-900", 200, "", full},
+	}
+	for _, tc := range cases {
+		for _, role := range []string{"owner", "attacher"} {
+			t.Run(tc.name+"/"+role, func(t *testing.T) {
+				up := &gatedUpstream{started: make(chan struct{}), release: make(chan struct{}),
+					part1: full[:300], part2: full[300:], declared: tc.declared}
+				p := New(Options{Graph: streamGraph(), Upstream: up, StreamChunkBytes: 128})
+				defer p.Close()
+				send := func(w http.ResponseWriter, rng string) {
+					hreq := httptest.NewRequest("GET", "http://h.example/big", nil)
+					hreq.RemoteAddr = "9.9.9.9:1"
+					if rng != "" {
+						hreq.Header.Set("Range", rng)
+					}
+					p.ServeHTTP(w, hreq)
+				}
+				var wg sync.WaitGroup
+				ranged := newNotifyWriter()
+				wg.Add(1)
+				if role == "owner" {
+					go func() { defer wg.Done(); send(ranged, tc.rng) }()
+				} else {
+					owner := newNotifyWriter()
+					go func() { defer wg.Done(); send(owner, "") }()
+					<-up.started
+					wg.Add(1)
+					go func() { defer wg.Done(); send(ranged, tc.rng) }()
+				}
+				<-ranged.headerAt
+				close(up.release)
+				wg.Wait()
+
+				rec := ranged.rec
+				if rec.Code != tc.status || rec.Header().Get("Content-Range") != tc.wantRange {
+					t.Fatalf("%d %q, want %d %q", rec.Code, rec.Header().Get("Content-Range"), tc.status, tc.wantRange)
+				}
+				if !bytes.Equal(rec.Body.Bytes(), tc.want) {
+					t.Fatalf("body: %d bytes %q, want %d", rec.Body.Len(), trunc20(rec.Body.Bytes()), len(tc.want))
+				}
+				if cl := rec.Header().Get("Content-Length"); tc.status != 200 && cl != fmt.Sprint(len(tc.want)) {
+					t.Fatalf("Content-Length %q for %d body bytes", cl, len(tc.want))
+				}
+				if got := up.calls.Load(); got != 1 {
+					t.Fatalf("origin fetched %d times, want 1", got)
+				}
+				waitChunksReleased(t, p)
+			})
+		}
+	}
 }
 
 // TestTTFBPrecedesSlowBody proves the data plane streams: with an origin
@@ -512,9 +592,10 @@ func TestWholePathAllocBudget(t *testing.T) {
 // body of any size up to 64 KiB, through parseRange, byteRange.resolve,
 // ifRangeApplies, requestedRange, writeBuffered and, against a spool still
 // in flight, flightRange. Nothing panics; a satisfiable range lies inside the
-// body; a 206 carries exactly body[start:start+length], a 416 nothing,
-// anything else the whole body; and a mid-flight range is either served
-// whole (length -1) or names at least one byte.
+// body; a 206 carries exactly body[start:start+length] and a Content-Length
+// equal to the bytes written, a 416 nothing, anything else the whole body.
+// Mid-flight, an unknown total serves the whole body, and a declared one
+// answers as the finished body does, with exactly the promised bytes.
 func FuzzParseRange(f *testing.F) {
 	for _, seed := range []struct{ rng, ifRange string }{
 		{"bytes=100-199", ""}, {"bytes=900-", ""}, {"bytes=-100", ""}, {"bytes=990-2000", ""},
@@ -550,13 +631,40 @@ func FuzzParseRange(f *testing.F) {
 		if ranged && !applies {
 			t.Fatalf("Range %q honoured although If-Range %q does not apply", rangeHeader, ifRange)
 		}
-		inFlight := &flight{sp: stream.NewSpool(pool, 1<<10, nil), ready: make(chan struct{}), status: http.StatusOK, header: header}
-		_, flLength, flRange, unsat := flightRange(req, inFlight)
-		inFlight.sp.Discard()
-		if unsat || (flLength != -1 && flLength < 1) || (flRange == "") != (flLength == -1) {
-			t.Fatalf("%q mid-flight: length %d, Content-Range %q, unsat %v; want the whole body or at least one byte",
+		// Mid-flight with no declared total: always the whole body.
+		unknown := &flight{sp: stream.NewSpool(pool, 1<<10, nil), ready: make(chan struct{}), status: http.StatusOK, header: header}
+		_, flLength, flRange, unsat := flightRange(req, unknown)
+		unknown.sp.Discard()
+		if unsat || flLength != -1 || flRange != "" {
+			t.Fatalf("%q mid-flight, total unknown: length %d, Content-Range %q, unsat %v; want the whole body",
 				rangeHeader, flLength, flRange, unsat)
 		}
+		// Mid-flight with the total declared: the answer a finished body
+		// gives, and a 206's Content-Length is the bytes the spool serves.
+		declared := append(header[:len(header):len(header)], httpmsg.Field{Key: "Content-Length", Value: fmt.Sprint(size)})
+		known := &flight{sp: stream.NewSpool(pool, 1<<17, nil), ready: make(chan struct{}), status: http.StatusOK, header: declared}
+		flStart, flLength, flRange, unsat := flightRange(req, known)
+		if !unsat {
+			rd, err := known.sp.ReaderAt(flStart)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if flLength >= 0 {
+				rd.Limit(flLength)
+			}
+			known.sp.Append(body)
+			known.sp.CloseWriter(nil)
+			served, _ := io.ReadAll(rd)
+			rd.Close()
+			switch {
+			case flRange == "" && !bytes.Equal(served, body):
+				t.Fatalf("%q mid-flight, whole body: served %d of %d bytes", rangeHeader, len(served), size)
+			case flRange != "" && (int64(len(served)) != flLength || !bytes.Equal(served, body[flStart:flStart+flLength])):
+				t.Fatalf("%q mid-flight: 206 %q declares Content-Length %d, served %d bytes",
+					rangeHeader, flRange, flLength, len(served))
+			}
+		}
+		known.sp.Discard()
 		rec := httptest.NewRecorder()
 		new(Proxy).writeBuffered(rec, req, &httpmsg.Response{Status: http.StatusOK, Header: header, Body: body})
 		got := rec.Body.Bytes()
@@ -576,6 +684,12 @@ func FuzzParseRange(f *testing.F) {
 				t.Fatalf("%q on %d bytes: %d %q with %d bytes, want 206 %q with body[%d:%d]",
 					rangeHeader, size, rec.Code, rec.Header().Get("Content-Range"), len(got), want, start, start+length)
 			}
+			if cl := rec.Header().Get("Content-Length"); cl != fmt.Sprint(len(got)) {
+				t.Fatalf("%q on %d bytes: 206 declares Content-Length %s, wrote %d bytes", rangeHeader, size, cl, len(got))
+			}
+		}
+		if rec.Header().Get("Content-Range") != flRange {
+			t.Fatalf("%q: mid-flight Content-Range %q, finished body %q", rangeHeader, flRange, rec.Header().Get("Content-Range"))
 		}
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/http"
 	"sync"
 	"time"
 
@@ -31,11 +30,11 @@ func (f UpstreamFunc) RoundTrip(ctx context.Context, r *httpmsg.Request) (*httpm
 // NetUpstream dials origin servers over emulated WAN links: each logical
 // hostname resolves to a real listener address and is shaped by its
 // configured netem link (Table 2's per-host proxy↔origin RTTs).
+//
+// It follows no redirect: the device must receive the origin's own 3xx —
+// bytes the origin sent for this request — not the redirect target's answer.
 type NetUpstream struct {
-	// tr is used bare, not behind an http.Client: a client follows
-	// redirects, and the device must receive the origin's own 3xx — bytes
-	// the origin sent for this request — not the redirect target's answer.
-	tr *http.Transport
+	idle idlePool
 
 	mu      sync.RWMutex
 	resolve map[string]string
@@ -55,20 +54,6 @@ func NewNetUpstream(resolve map[string]string, links map[string]netem.Link) *Net
 	}
 	for k, v := range links {
 		u.links[k] = v
-	}
-	// No whole-request timeout: bounds come from the caller's context (the
-	// resilience middleware sets per-attempt deadlines).
-	u.tr = &http.Transport{
-		DialContext:         u.dial,
-		MaxIdleConns:        256,
-		MaxIdleConnsPerHost: 64,
-		IdleConnTimeout:     30 * time.Second,
-		DisableCompression:  true,
-		// Handshake-phase bounds: the caller's context caps the whole
-		// attempt, but these keep a single wedged handshake from holding a
-		// pool slot for the full attempt budget.
-		TLSHandshakeTimeout:   5 * time.Second,
-		ExpectContinueTimeout: time.Second,
 	}
 	return u
 }
@@ -109,21 +94,4 @@ func (u *NetUpstream) dial(ctx context.Context, network, addr string) (net.Conn,
 		c = faults.WrapConn(c, host)
 	}
 	return c, nil
-}
-
-// RoundTrip implements Upstream. The response is returned streaming — the
-// body has not been read — so the first byte reaches the caller as soon as
-// the origin sends headers, and the transport's pooled connection is held
-// until the caller finishes the body (WriteTo / Buffer / DrainAndClose).
-func (u *NetUpstream) RoundTrip(ctx context.Context, r *httpmsg.Request) (*httpmsg.Response, error) {
-	hreq, err := r.ToHTTPContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	hreq.Host = r.Host
-	hresp, err := u.tr.RoundTrip(hreq)
-	if err != nil {
-		return nil, err
-	}
-	return httpmsg.FromHTTPResponseStreaming(hresp), nil
 }
