@@ -93,8 +93,8 @@ func renderAdmin(w io.Writer, v *adminView) {
 		fmt.Fprintln(w)
 	}
 
-	fmt.Fprintf(w, "\ncache: hit ratio %.3f (%d hits / %d misses, %d shared)  resident %dB  prefetches %d (%d errors, %d suppressed)\n",
-		s.HitRatio, s.Hits, s.Misses, s.SharedHits, s.CacheResidentBytes,
+	fmt.Fprintf(w, "\ncache: hit ratio %.3f (%d hits / %d misses, %d shared)  resident %dB (%d shared bodies in %dB)  prefetches %d (%d errors, %d suppressed)\n",
+		s.HitRatio, s.Hits, s.Misses, s.SharedHits, s.CacheResidentBytes, s.Cache.SharedBodies, s.Cache.BodyBytes,
 		s.Prefetches, s.PrefetchErrors, s.SuppressedPrefetches)
 	for _, id := range sortedKeys(s.Cache.Signatures) {
 		if cs := s.Cache.Signatures[id]; cs.Evicted > 0 {

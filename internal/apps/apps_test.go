@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -315,6 +316,23 @@ func TestImageBytesDeterministicSize(t *testing.T) {
 		if b[i] != b2[i] {
 			t.Fatal("image bytes not deterministic")
 		}
+	}
+}
+
+// TestImageBytesDistinctPerSeed: equal-size images of different items are
+// different payloads, as real images are, so a saving from sharing equal
+// bodies is never the generator's collisions.
+func TestImageBytesDistinctPerSeed(t *testing.T) {
+	seen := map[string]int{}
+	for i := 0; i < 1000; i++ {
+		b := imageBytes(fmt.Sprintf("wish-thumb-%06x", i), 4096)
+		if len(b) != 4096 {
+			t.Fatalf("seed %d: size = %d", i, len(b))
+		}
+		if j, dup := seen[string(b)]; dup {
+			t.Fatalf("seeds %d and %d give the same payload", j, i)
+		}
+		seen[string(b)] = i
 	}
 }
 

@@ -24,15 +24,17 @@ func ids(namespace string, n int) []string {
 }
 
 // imageBytes produces a deterministic pseudo-image payload of the given size.
+// Like ids it keeps 64-bit state — FNV-1a over the seed, then an LCG whose top
+// byte is emitted — so images of different items differ as real ones do.
 func imageBytes(seed string, size int) []byte {
 	b := make([]byte, size)
-	h := byte(7)
+	h := uint64(1469598103934665603) // FNV offset basis
 	for _, c := range []byte(seed) {
-		h = h*31 + c
+		h = (h ^ uint64(c)) * 1099511628211
 	}
 	for i := range b {
-		h = h*131 + 11
-		b[i] = h
+		h = h*6364136223846793005 + 1442695040888963407
+		b[i] = byte(h >> 56)
 	}
 	return b
 }

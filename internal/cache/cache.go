@@ -18,6 +18,12 @@
 // shared tier changes *who pays for the origin fetch*, never *what any
 // client observes*. The store holds responses only: which fetch is on its way
 // to a slot, and who may start one, is the proxy's key table.
+//
+// Beneath the scopes, a body table keeps each distinct complete body of 2 KiB
+// or more once: an image prefetched for six users is six entries over one
+// slice. Accounting stays logical — every entry is charged its full body — so
+// caps, the budget, RoomFor and the eviction order read as if nothing were
+// shared, and only physical memory moves.
 package cache
 
 import (
@@ -93,6 +99,10 @@ func (o Options) filled() Options {
 
 // Entry is one prefetched response payload. Req is retained so an expired
 // entry can seed a refresh prefetch; SigID attributes telemetry.
+//
+// A stored entry's Resp.Body is immutable: the store may hand the same slice
+// to every entry whose body is equal, across users, so a reader may slice,
+// write out, scan or encode it, and never write into it.
 type Entry struct {
 	Resp    *httpmsg.Response
 	Req     *httpmsg.Request
@@ -169,6 +179,7 @@ func credit(cost time.Duration, size int64) float64 {
 type entry struct {
 	payload *Entry
 	sc      *scopeState
+	body    *body // the body-table reference, nil for an unshared body
 	key     string
 	size    int64
 	credit  float64
@@ -345,10 +356,15 @@ type Metrics struct {
 	// Puts counts entries stored.
 	Puts int64
 	// ResidentBytes / Entries describe current occupancy; SharedBytes /
-	// SharedEntries the shared tier's slice of it.
+	// SharedEntries the shared tier's slice of it. Bytes are logical: every
+	// entry counts its whole body, however many entries share it.
 	ResidentBytes, SharedBytes int64
 	Entries, SharedEntries     int
 	Evictions                  EvictionCounts
+	// Bodies and BodyBytes are the body table's distinct bodies and their
+	// bytes: what the shared bodies take in memory, each counted once.
+	Bodies    int
+	BodyBytes int64
 	// PerSig carries per-signature put/hit/expiry/eviction counts.
 	PerSig map[string]SigStats
 }
@@ -374,6 +390,7 @@ func (m Metrics) SharedHitRatio() float64 {
 type Store struct {
 	opts     Options
 	shards   []*shard
+	bodies   *bodyTable
 	resident atomic.Int64
 
 	// Eviction causes are rare events; plain atomics suffice.
@@ -386,7 +403,7 @@ type Store struct {
 
 // New builds a store.
 func New(opts Options) *Store {
-	s := &Store{opts: opts.filled()}
+	s := &Store{opts: opts.filled(), bodies: newBodyTable()}
 	s.shards = make([]*shard, s.opts.Shards)
 	for i := range s.shards {
 		s.shards[i] = &shard{
@@ -485,7 +502,9 @@ func (s *Store) Peek(scope, key string) (*Entry, bool) {
 
 // Put stores an entry, replacing any previous one under the same key, and
 // enforces the scope caps and the global budget. When a lower tier is
-// configured the entry is also spilled to it write-behind.
+// configured the entry is also spilled to it write-behind. Put may replace
+// p.Resp.Body with an equal slice the store already holds, so the caller
+// must not have handed p to another goroutine yet.
 func (s *Store) Put(scope, key string, p *Entry) {
 	s.put(scope, key, p, true)
 }
@@ -494,6 +513,7 @@ func (s *Store) Put(scope, key string, p *Entry) {
 // echo the entry back down to the tier it just came from.
 func (s *Store) put(scope, key string, p *Entry, spill bool) {
 	sz := size(key, p)
+	ref := s.shareBody(p)
 	sh := s.shardOf(scope, key)
 	sh.mu.Lock()
 	if old := sh.lookupLocked(scope, key); old != nil {
@@ -505,7 +525,7 @@ func (s *Store) put(scope, key string, p *Entry, spill bool) {
 		sc = &scopeState{name: scope, entries: map[string]*entry{}}
 		sh.byScope[scope] = sc
 	}
-	en := &entry{payload: p, sc: sc, key: key, size: sz, credit: credit(p.Cost, sz)}
+	en := &entry{payload: p, sc: sc, body: ref, key: key, size: sz, credit: credit(p.Cost, sz)}
 	sh.touchLocked(en)
 	sc.entries[key] = en
 	heap.Push(&sc.order, en)
@@ -548,6 +568,21 @@ func (s *Store) put(scope, key string, p *Entry, spill bool) {
 	}
 }
 
+// shareBody swaps a complete body of shareFloor bytes or more for the equal
+// one the table holds, and returns the reference the entry gives back when it
+// leaves; nil for a body that is not shared. It runs before the shard lock.
+func (s *Store) shareBody(p *Entry) *body {
+	r := p.Resp
+	if r == nil || len(r.Body) < shareFloor || !r.BodyComplete() {
+		return nil
+	}
+	x := s.bodies.acquire(r.Body)
+	if &x.b[0] != &r.Body[0] {
+		r.Body = x.b
+	}
+	return x
+}
+
 // lookupLocked returns scope/key's entry, nil when absent (sh.mu held).
 func (sh *shard) lookupLocked(scope, key string) *entry {
 	if sc := sh.byScope[scope]; sc != nil {
@@ -563,8 +598,8 @@ func (sh *shard) touchLocked(en *entry) {
 	en.prio, en.seq = en.sc.clock+en.credit, sh.tick
 }
 
-// removeLocked unlinks an entry from all three indexes and the accounting
-// (sh.mu held).
+// removeLocked unlinks an entry from all three indexes and the accounting,
+// and gives back its body reference (sh.mu held).
 func (s *Store) removeLocked(sh *shard, en *entry) {
 	sc := en.sc
 	delete(sc.entries, en.key)
@@ -575,6 +610,9 @@ func (s *Store) removeLocked(sh *shard, en *entry) {
 	heap.Remove(&sh.heap, en.heapIdx)
 	sc.bytes -= en.size
 	s.resident.Add(-en.size)
+	if en.body != nil {
+		s.bodies.release(en.body)
+	}
 }
 
 // evictLocked is removeLocked for a capacity eviction: the scope's clock
@@ -736,9 +774,13 @@ func (s *Store) DropScope(scope string) (entries int, bytes int64) {
 		sh.mu.Lock()
 		if sc := sh.byScope[scope]; sc != nil {
 			// The whole scope goes, its eviction order with it: only the
-			// shard-wide expiry heap and the accounting need each entry.
+			// shard-wide expiry heap, the body table and the accounting need
+			// each entry.
 			for _, en := range sc.entries {
 				heap.Remove(&sh.heap, en.heapIdx)
+				if en.body != nil {
+					s.bodies.release(en.body)
+				}
 			}
 			entries += len(sc.entries)
 			bytes += sc.bytes
@@ -813,8 +855,15 @@ func (s *Store) Close() {
 	}
 }
 
-// ResidentBytes reports current charged occupancy.
+// ResidentBytes reports current charged occupancy: logical bytes, each entry
+// charged its whole body even when the body table shares it.
 func (s *Store) ResidentBytes() int64 { return s.resident.Load() }
+
+// BodyBytes reports the bytes of the distinct bodies the body table holds.
+func (s *Store) BodyBytes() int64 {
+	_, n := s.bodies.stats()
+	return n
+}
 
 // ScopeStats reports one scope's current entry count and bytes.
 func (s *Store) ScopeStats(scope string) (entries int, bytes int64) {
@@ -848,6 +897,7 @@ func (s *Store) Metrics() Metrics {
 		},
 		PerSig: map[string]SigStats{},
 	}
+	m.Bodies, m.BodyBytes = s.bodies.stats()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		m.Hits += sh.hits

@@ -107,8 +107,13 @@ type CacheSignature struct {
 }
 
 // Cache is the prefetch-store block of the stats and health responses.
+// ResidentBytes is logical: every entry counts its whole body. BodyBytes and
+// SharedBodies are the store's body table: the distinct bodies of 2 KiB or
+// more that its entries share, each held once.
 type Cache struct {
 	ResidentBytes  int64                     `json:"residentBytes"`
+	BodyBytes      int64                     `json:"bodyBytes"`
+	SharedBodies   int                       `json:"sharedBodies"`
 	Entries        int                       `json:"entries"`
 	Hits           int64                     `json:"hits"`
 	Misses         int64                     `json:"misses"`

@@ -16,7 +16,7 @@ func TestStatsResponseRoundTrip(t *testing.T) {
 		Hits: 7, Misses: 3, Prefetches: 12, HitRatio: 0.7,
 		Sched:  Sched{Promoted: 4, Issued: SchedIssued{Miss: 30, Hit: 9, Chain: 60}},
 		Policy: PolicyEntry{NoRoomSkips: 17},
-		Cache: Cache{Signatures: map[string]CacheSignature{
+		Cache: Cache{ResidentBytes: 8 << 20, BodyBytes: 1 << 20, SharedBodies: 12, Signatures: map[string]CacheSignature{
 			"t:img#0": {Stored: 180, Hits: 12, Evicted: 150, EvictedUnused: 140, EvictedUnusedBytes: 44100000},
 		}},
 		Requests: Requests{Total: 10, Outcomes: map[string]OutcomeStats{"origin": {Count: 3, P50Ms: 80}},

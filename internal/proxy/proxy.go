@@ -421,8 +421,10 @@ func (p *Proxy) registerBridges(reg *obs.Registry) {
 		func() float64 { return float64(p.sched.QueueLen()) })
 	reg.GaugeFunc("appx_users", "Tracked per-user learning states.",
 		func() float64 { return float64(p.UserCount()) })
-	reg.GaugeFunc("appx_cache_resident_bytes", "Bytes resident in the prefetch store.",
+	reg.GaugeFunc("appx_cache_resident_bytes", "Logical bytes resident in the prefetch store: every entry counts its whole body.",
 		func() float64 { return float64(p.store.ResidentBytes()) })
+	reg.GaugeFunc("appx_cache_body_bytes", "Bytes of the distinct bodies the prefetch store shares across entries, each counted once.",
+		func() float64 { return float64(p.store.BodyBytes()) })
 	reg.GaugeFunc("appx_breakers_open", "Origin hosts whose circuit breaker is not closed.",
 		func() float64 {
 			n := 0
@@ -810,6 +812,8 @@ func (p *Proxy) cacheV1() adminv1.Cache {
 	}
 	return adminv1.Cache{
 		ResidentBytes:  cm.ResidentBytes,
+		BodyBytes:      cm.BodyBytes,
+		SharedBodies:   cm.Bodies,
 		Entries:        cm.Entries,
 		Hits:           cm.Hits,
 		Misses:         cm.Misses,
