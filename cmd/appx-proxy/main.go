@@ -16,20 +16,19 @@
 // appx-analyze / appx-verify.
 //
 // Flags carry deployment facts only — addresses, origins, directories,
-// cluster membership, fault drills, drain and prune timing. Every tuning
-// value (retry, breaker and backoff behaviour, cache bounds, admission
-// settings, prefetch queue bounds) lives in the -config file's
-// "resilience", "cache" and "overload" sections; a file holding only those
-// sections keeps every prefetch policy at its default, and a key the file
-// misspells fails the load by name.
+// cluster membership, fault drills, drain and prune timing. The tuning a
+// caller varies (cache capacities, the shared tier, admission and prefetch
+// queue bounds) lives in the -config file's "cache" and "overload"
+// sections; a file holding only those sections keeps every prefetch policy
+// at its default, and a key the file misspells, or one a version removed,
+// fails the load by name.
 //
 // The origin path is resilient: idempotent requests are retried with
 // jittered backoff, per-host circuit breakers shed traffic to sick origins,
-// and failing prefetch signatures back off. -fault injects deterministic
-// connect failures for resilience drills:
+// and failing prefetch signatures back off, all at fixed values. -fault
+// injects deterministic connect failures for resilience drills:
 //
-//	echo '{"resilience":{"breaker_failures":2,"retry_attempts":4}}' > drill.json
-//	appx-proxy -app wish -config drill.json -fault api.wish.example=0.3 -fault-seed 7
+//	appx-proxy -app wish -fault api.wish.example=0.3 -fault-seed 7
 //
 // The admin API is versioned under /appx/v1 (served directly, not
 // proxied): /appx/v1/health reports breaker states, suspended signatures,
@@ -116,7 +115,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.appName, "app", "", "built-in app to accelerate")
 	fs.StringVar(&o.listen, "listen", "127.0.0.1:8080", "proxy listen address")
 	fs.StringVar(&o.sigsPath, "sigs", "", "signature graph JSON (default: analyze at startup)")
-	fs.StringVar(&o.cfgPath, "config", "", "proxy configuration JSON: prefetch policies plus the resilience, cache and overload tuning sections (default: derived)")
+	fs.StringVar(&o.cfgPath, "config", "", "proxy configuration JSON: prefetch policies plus the cache and overload tuning sections (default: derived)")
 	fs.StringVar(&o.origins, "origin", "", "comma-separated host=addr overrides; empty = start built-in origins in process")
 	fs.BoolVar(&o.doVerify, "verify", false, "run Phase 2 verification before serving")
 	fs.Float64Var(&o.scale, "scale", 1, "emulated time scale for in-process origins")
@@ -323,8 +322,8 @@ func pruneLoop(ctx context.Context, px *proxy.Proxy, every, maxIdle time.Duratio
 }
 
 // loadConfig resolves the proxy configuration: the -config file when given
-// (the one tuning surface — a file carrying only resilience, cache or
-// overload sections leaves every prefetch policy at its default), else the
+// (the one tuning surface — a file carrying only cache or overload
+// sections leaves every prefetch policy at its default), else the
 // verification phase's output with -verify, else defaults derived from the
 // graph.
 func loadConfig(o options, a *apps.App, g *sig.Graph) (*config.Config, error) {

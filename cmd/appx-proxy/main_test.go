@@ -339,7 +339,8 @@ func TestWorkersDefault(t *testing.T) {
 // TestConfigFileIsTheTuningSurface: a -config file carrying only one tuning
 // section loads, the matching Effective*() view reflects it with the rest
 // defaulted, the untouched sections keep their defaults, and a proxy boots
-// on it with every prefetch policy at its default.
+// on it with every prefetch policy at its default. A file carrying the
+// removed resilience section does not load, and the error names its keys.
 func TestConfigFileIsTheTuningSurface(t *testing.T) {
 	a := apps.Wish()
 	g, err := loadGraph(a, "")
@@ -353,15 +354,10 @@ func TestConfigFileIsTheTuningSurface(t *testing.T) {
 		name, body string
 		check      func(*testing.T, *config.Config)
 	}{
-		{"resilience", `{"resilience":{"breaker_failures":2,"retry_attempts":4}}`, func(t *testing.T, c *config.Config) {
-			r := c.EffectiveResilience()
-			if r.BreakerFailures != 2 || r.RetryAttempts != 4 || r.PrefetchFailureLimit != 3 {
-				t.Fatalf("resilience = %+v", r)
-			}
-		}},
+		{"resilience", `{"resilience":{"breaker_failures":2,"retry_attempts":4}}`, nil},
 		{"cache", `{"cache":{"max_bytes":1048576,"disable_shared_tier":true}}`, func(t *testing.T, c *config.Config) {
 			v := c.EffectiveCache()
-			if v.MaxBytes != 1<<20 || !v.DisableSharedTier || v.Shards != 32 {
+			if v.MaxBytes != 1<<20 || !v.DisableSharedTier || v.PerUserBytes != 1<<20 {
 				t.Fatalf("cache = %+v", v)
 			}
 		}},
@@ -380,6 +376,12 @@ func TestConfigFileIsTheTuningSurface(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg, err := loadConfig(options{cfgPath: path}, a, g)
+			if tc.check == nil {
+				if err == nil || !strings.Contains(err.Error(), `"breaker_failures", "retry_attempts"`) {
+					t.Fatalf("loadConfig = %v, want the removed keys named", err)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatalf("loadConfig: %v", err)
 			}

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -143,106 +144,34 @@ type Policy struct {
 	Condition      *Condition `json:"condition,omitempty"`
 }
 
-// Resilience holds the origin-path fault-handling knobs: how hard the proxy
-// retries, when a sick host's circuit breaker trips, and how failing
-// prefetch signatures back off. Zero values mean "use the default" so a
-// config file may set only the fields it cares about.
-type Resilience struct {
-	// RetryAttempts bounds total tries per idempotent (GET/HEAD) origin
-	// request, including the first (default 2: one fast retry).
-	RetryAttempts int `json:"retry_attempts,omitempty"`
-	// RetryBaseDelay seeds the capped full-jitter exponential backoff
-	// between attempts (default 50ms).
-	RetryBaseDelay Duration `json:"retry_base_delay,omitempty"`
-	// RetryMaxDelay caps the backoff (default 2s).
-	RetryMaxDelay Duration `json:"retry_max_delay,omitempty"`
-	// AttemptTimeout bounds each individual origin attempt (default 15s),
-	// replacing the old single whole-request timeout.
-	AttemptTimeout Duration `json:"attempt_timeout,omitempty"`
-	// BreakerFailures is the consecutive-failure count that opens a host's
-	// circuit breaker (default 5).
-	BreakerFailures int `json:"breaker_failures,omitempty"`
-	// BreakerOpenTimeout is how long an open breaker rejects before
-	// admitting a half-open probe (default 10s).
-	BreakerOpenTimeout Duration `json:"breaker_open_timeout,omitempty"`
-	// PrefetchFailureLimit is the consecutive prefetch-failure count after
-	// which a signature is suspended (default 3).
-	PrefetchFailureLimit int `json:"prefetch_failure_limit,omitempty"`
-	// PrefetchBackoffBase is the first suspension period; it doubles per
-	// further consecutive failure (default 1s).
-	PrefetchBackoffBase Duration `json:"prefetch_backoff_base,omitempty"`
-	// PrefetchBackoffMax caps the suspension period (default 5m).
-	PrefetchBackoffMax Duration `json:"prefetch_backoff_max,omitempty"`
-	// PrefetchTimeout bounds one whole prefetch round trip, all retry
-	// attempts included (default 20s), so a stalled origin cannot pin a
-	// prefetch worker indefinitely.
-	PrefetchTimeout Duration `json:"prefetch_timeout,omitempty"`
-}
-
-// Filled returns a copy with defaults applied to zero fields.
-func (r Resilience) Filled() Resilience {
-	if r.RetryAttempts <= 0 {
-		r.RetryAttempts = 2
-	}
-	if r.RetryBaseDelay <= 0 {
-		r.RetryBaseDelay = Duration(50 * time.Millisecond)
-	}
-	if r.RetryMaxDelay <= 0 {
-		r.RetryMaxDelay = Duration(2 * time.Second)
-	}
-	if r.AttemptTimeout <= 0 {
-		r.AttemptTimeout = Duration(15 * time.Second)
-	}
-	if r.BreakerFailures <= 0 {
-		r.BreakerFailures = 5
-	}
-	if r.BreakerOpenTimeout <= 0 {
-		r.BreakerOpenTimeout = Duration(10 * time.Second)
-	}
-	if r.PrefetchFailureLimit <= 0 {
-		r.PrefetchFailureLimit = 3
-	}
-	if r.PrefetchBackoffBase <= 0 {
-		r.PrefetchBackoffBase = Duration(time.Second)
-	}
-	if r.PrefetchBackoffMax <= 0 {
-		r.PrefetchBackoffMax = Duration(5 * time.Minute)
-	}
-	if r.PrefetchTimeout <= 0 {
-		r.PrefetchTimeout = Duration(20 * time.Second)
-	}
-	return r
-}
-
 // Overload tunes the proxy's self-protection: the client-request admission
-// gate and the prefetch queue's bounds. Zero
-// values mean "use the default" so a config file may set only the fields it
-// cares about; negative values disable the corresponding mechanism.
+// gate and the prefetch queue's bounds. Zero values mean "use the default" so
+// a config file may set only the fields it cares about. Neither mechanism can
+// be switched off: Unmarshal refuses a negative limit or deadline.
 type Overload struct {
 	// MaxConcurrentRequests bounds concurrently served client requests
 	// (default 256); arrivals beyond it wait at most AdmissionWait before
-	// being shed with a 503. <0 disables admission control.
+	// being shed with a 503.
 	MaxConcurrentRequests int `json:"max_concurrent_requests,omitempty"`
 	// AdmissionWait bounds how long an arriving request may wait for an
 	// admission slot (default 100ms).
 	AdmissionWait Duration `json:"admission_wait,omitempty"`
 	// QueueDeadline is how long a queued prefetch stays eligible to run
-	// (default 10s); staler tasks are dropped at dispatch. <0 disables
-	// enqueue deadlines.
+	// (default 10s); staler tasks are dropped at dispatch.
 	QueueDeadline Duration `json:"queue_deadline,omitempty"`
 	// MaxQueue bounds the prefetch scheduler queue (default 4096).
 	MaxQueue int `json:"max_queue,omitempty"`
 }
 
-// Filled returns a copy with defaults applied to zero fields.
+// Filled returns a copy with defaults applied to zero (or negative) fields.
 func (o Overload) Filled() Overload {
-	if o.MaxConcurrentRequests == 0 {
+	if o.MaxConcurrentRequests <= 0 {
 		o.MaxConcurrentRequests = 256
 	}
-	if o.AdmissionWait == 0 {
+	if o.AdmissionWait <= 0 {
 		o.AdmissionWait = Duration(100 * time.Millisecond)
 	}
-	if o.QueueDeadline == 0 {
+	if o.QueueDeadline <= 0 {
 		o.QueueDeadline = Duration(10 * time.Second)
 	}
 	if o.MaxQueue <= 0 {
@@ -251,9 +180,8 @@ func (o Overload) Filled() Overload {
 	return o
 }
 
-// Cache tunes the proxy's sharded prefetch store (internal/cache). Zero
-// values mean "use the default" so a config file may set only the fields it
-// cares about.
+// Cache sizes the proxy's prefetch store (internal/cache). Zero values mean
+// "use the default" so a config file may set only the fields it cares about.
 type Cache struct {
 	// MaxBytes is the global resident-byte budget (default 256 MiB);
 	// least-recently-used entries are evicted beyond it. <0 = unlimited.
@@ -261,14 +189,6 @@ type Cache struct {
 	// PerUserBytes caps one user's resident bytes (default MaxBytes/64, at
 	// least 1 MiB). <0 disables the cap.
 	PerUserBytes int64 `json:"per_user_bytes,omitempty"`
-	// MaxEntriesPerUser caps one user's entry count (default 4096). <0
-	// disables the cap.
-	MaxEntriesPerUser int `json:"max_entries_per_user,omitempty"`
-	// Shards is the store's lock-partition count (default 32).
-	Shards int `json:"shards,omitempty"`
-	// SweepInterval is the background expiry-sweep period (default 30s);
-	// <0 disables the sweeper (expired entries then go only at lookup).
-	SweepInterval Duration `json:"sweep_interval,omitempty"`
 	// DisableSharedTier turns off cross-user response sharing; every entry
 	// is then stored strictly per user, as in the paper's prototype.
 	DisableSharedTier bool `json:"disable_shared_tier,omitempty"`
@@ -285,15 +205,6 @@ func (c Cache) Filled() Cache {
 			c.PerUserBytes = 1 << 20
 		}
 	}
-	if c.MaxEntriesPerUser == 0 {
-		c.MaxEntriesPerUser = 4096
-	}
-	if c.Shards <= 0 {
-		c.Shards = 32
-	}
-	if c.SweepInterval == 0 {
-		c.SweepInterval = Duration(30 * time.Second)
-	}
 	return c
 }
 
@@ -305,13 +216,11 @@ type Config struct {
 	// GlobalProbability scales every policy's probability (§6.3's knob);
 	// 1 when unset.
 	GlobalProbability float64 `json:"global_probability,omitempty"`
-	// DataBudgetBytes caps prefetch response bytes per budget window;
-	// 0 = unlimited (C4, the paper's cellular-data budget).
+	// DataBudgetBytes caps prefetch response bytes per hour; 0 = unlimited
+	// (C4, the paper's cellular-data budget). Usage resets each hour,
+	// matching the per-period intent of a data budget rather than a
+	// lifetime cap.
 	DataBudgetBytes int64 `json:"data_budget_bytes,omitempty"`
-	// DataBudgetWindow is the accounting period for DataBudgetBytes
-	// (default 1h): usage resets each window, matching the per-period
-	// intent of a data budget rather than a lifetime cap.
-	DataBudgetWindow Duration `json:"data_budget_window,omitempty"`
 	// DefaultExpiration applies to policies with zero expiration_time.
 	DefaultExpiration Duration `json:"default_expiration,omitempty"`
 	// UserProbability overrides the global probability for specific users —
@@ -319,9 +228,7 @@ type Config struct {
 	// aggressive prefetching) to premium customers"). Keyed by the proxy's
 	// user key.
 	UserProbability map[string]float64 `json:"user_probability,omitempty"`
-	// Resilience tunes origin-path fault handling; nil means all defaults.
-	Resilience *Resilience `json:"resilience,omitempty"`
-	// Cache tunes the sharded prefetch store; nil means all defaults.
+	// Cache sizes the prefetch store; nil means all defaults.
 	Cache *Cache `json:"cache,omitempty"`
 	// Overload tunes admission control and the prefetch queue; nil means
 	// all defaults.
@@ -330,15 +237,7 @@ type Config struct {
 	byHash map[string]*Policy
 }
 
-// EffectiveResilience resolves the resilience knobs with defaults applied.
-func (c *Config) EffectiveResilience() Resilience {
-	if c.Resilience != nil {
-		return c.Resilience.Filled()
-	}
-	return Resilience{}.Filled()
-}
-
-// EffectiveCache resolves the cache knobs with defaults applied.
+// EffectiveCache resolves the cache sizes with defaults applied.
 func (c *Config) EffectiveCache() Cache {
 	if c.Cache != nil {
 		return c.Cache.Filled()
@@ -352,14 +251,6 @@ func (c *Config) EffectiveOverload() Overload {
 		return c.Overload.Filled()
 	}
 	return Overload{}.Filled()
-}
-
-// BudgetWindow resolves the data-budget accounting period (1h default).
-func (c *Config) BudgetWindow() time.Duration {
-	if c.DataBudgetWindow > 0 {
-		return time.Duration(c.DataBudgetWindow)
-	}
-	return time.Hour
 }
 
 // UserScale returns the probability multiplier for a user (1 when no tier
@@ -470,17 +361,50 @@ func (c *Config) Marshal() ([]byte, error) {
 
 // Unmarshal parses a configuration. A key no field answers to — a typo, or
 // a knob a later version removed — is an error naming the key, not a
-// setting silently ignored.
+// setting silently ignored; so is a negative admission limit or queue
+// deadline, which once switched the mechanism off.
 func Unmarshal(b []byte) (*Config, error) {
 	var c Config
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&c); err != nil {
-		return nil, fmt.Errorf("config: %w", err)
+		return nil, fmt.Errorf("config: %w", foldedKeys(b, err))
 	}
 	if _, err := dec.Token(); err != io.EOF {
 		return nil, errors.New("config: trailing data after the configuration object")
 	}
+	if o := c.Overload; o != nil {
+		if o.MaxConcurrentRequests < 0 {
+			return nil, errors.New("config: overload.max_concurrent_requests is negative; admission control has no off switch")
+		}
+		if o.QueueDeadline < 0 {
+			return nil, errors.New("config: overload.queue_deadline is negative; queued prefetches always expire")
+		}
+	}
 	c.reindex()
 	return &c, nil
+}
+
+// foldedKeys names the keys of the removed "resilience" section when that
+// section is what the decoder refused: alone it would name only the
+// section. Any other error is returned as it is, so a typo or a type error
+// elsewhere stays the one reported. Every one of the section's values
+// (retries, breaker, prefetch backoff and deadline) is a constant of the
+// proxy now.
+func foldedKeys(b []byte, err error) error {
+	if err.Error() != `json: unknown field "resilience"` {
+		return err
+	}
+	var probe struct {
+		Resilience map[string]json.RawMessage `json:"resilience"`
+	}
+	if json.Unmarshal(b, &probe) != nil || probe.Resilience == nil {
+		return err
+	}
+	keys := make([]string, 0, len(probe.Resilience))
+	for k := range probe.Resilience {
+		keys = append(keys, strconv.Quote(k))
+	}
+	sort.Strings(keys)
+	return fmt.Errorf("json: unknown field \"resilience\" (removed with its keys, whose values are fixed: %s)", strings.Join(keys, ", "))
 }

@@ -3,6 +3,8 @@ package config
 import (
 	"os"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -191,13 +193,15 @@ func TestOverloadDefaults(t *testing.T) {
 
 func TestOverloadPartialFillAndNegatives(t *testing.T) {
 	c := Default(testGraph())
+	// A negative limit or deadline no longer switches its mechanism off:
+	// Unmarshal refuses one in a file, and a value set in code defaults.
 	c.Overload = &Overload{MaxConcurrentRequests: -1, QueueDeadline: Duration(-1), MaxQueue: 64}
 	o := c.EffectiveOverload()
-	if o.MaxConcurrentRequests != -1 {
-		t.Fatalf("negative MaxConcurrentRequests not preserved: %d", o.MaxConcurrentRequests)
+	if o.MaxConcurrentRequests != 256 {
+		t.Fatalf("negative MaxConcurrentRequests = %d, want the default 256", o.MaxConcurrentRequests)
 	}
-	if o.QueueDeadline >= 0 {
-		t.Fatalf("negative QueueDeadline not preserved: %v", o.QueueDeadline)
+	if time.Duration(o.QueueDeadline) != 10*time.Second {
+		t.Fatalf("negative QueueDeadline = %v, want the default 10s", o.QueueDeadline)
 	}
 	if o.MaxQueue != 64 {
 		t.Fatalf("MaxQueue = %d", o.MaxQueue)
@@ -227,26 +231,55 @@ func TestOverloadRoundTrip(t *testing.T) {
 	}
 }
 
+// removedKeys are the -config keys a version removed, each with a file
+// that sets it. The resilience section went whole; the rest are keys of
+// sections that stay.
+var removedKeys = []struct{ body, key string }{
+	// The governor's keys, removed with it.
+	{`{"overload":{"target_p95":"800ms"}}`, "target_p95"},
+	{`{"overload":{"governor_interval":"250ms"}}`, "governor_interval"},
+	{`{"overload":{"governor_min_level":0.05}}`, "governor_min_level"},
+	{`{"overload":{"governor_increase":0.1}}`, "governor_increase"},
+	{`{"overload":{"governor_decrease":0.5}}`, "governor_decrease"},
+	{`{"overload":{"queue_high_water":0.75}}`, "queue_high_water"},
+	// Gone once the task carried its depth: the class threshold is fixed.
+	{`{"overload":{"deep_depth":2}}`, "deep_depth"},
+	// Values no caller varied, now constants beside the code that reads them.
+	{`{"resilience":{"retry_attempts":3}}`, "retry_attempts"},
+	{`{"resilience":{"retry_base_delay":"1ms"}}`, "retry_base_delay"},
+	{`{"resilience":{"retry_max_delay":"5ms"}}`, "retry_max_delay"},
+	{`{"resilience":{"attempt_timeout":"1m"}}`, "attempt_timeout"},
+	{`{"resilience":{"breaker_failures":2}}`, "breaker_failures"},
+	{`{"resilience":{"breaker_open_timeout":"1s"}}`, "breaker_open_timeout"},
+	{`{"resilience":{"prefetch_failure_limit":1}}`, "prefetch_failure_limit"},
+	{`{"resilience":{"prefetch_backoff_base":"2s"}}`, "prefetch_backoff_base"},
+	{`{"resilience":{"prefetch_backoff_max":"15s"}}`, "prefetch_backoff_max"},
+	{`{"resilience":{"prefetch_timeout":"150ms"}}`, "prefetch_timeout"},
+	{`{"resilience":{}}`, "resilience"},
+	{`{"cache":{"shards":8}}`, "shards"},
+	{`{"cache":{"sweep_interval":"-1s"}}`, "sweep_interval"},
+	{`{"cache":{"max_entries_per_user":64}}`, "max_entries_per_user"},
+	{`{"data_budget_window":"1m"}`, "data_budget_window"},
+	// Admission control and queue deadlines lost their off switch.
+	{`{"overload":{"max_concurrent_requests":-1}}`, "max_concurrent_requests"},
+	{`{"overload":{"queue_deadline":"-1s"}}`, "queue_deadline"},
+}
+
 // TestUnmarshalRejectsUnknownKeys: the -config file is the one tuning
 // surface, so a key no field answers to must fail the load and name itself
 // — a typo, or a knob this version no longer has — instead of loading
 // cleanly and changing nothing.
 func TestUnmarshalRejectsUnknownKeys(t *testing.T) {
-	for _, tc := range []struct{ body, key string }{
+	for _, tc := range append([]struct{ body, key string }{
 		{`{"overload":{"max_concurent_requests":16}}`, "max_concurent_requests"},
-		{`{"resilience":{"retry_attempt":3}}`, "retry_attempt"},
 		{`{"cahce":{}}`, "cahce"},
 		{`{"policies":[{"hash":"h","prefech":true}]}`, "prefech"},
-		// The governor's keys, removed with it.
-		{`{"overload":{"target_p95":"800ms"}}`, "target_p95"},
-		{`{"overload":{"governor_interval":"250ms"}}`, "governor_interval"},
-		{`{"overload":{"governor_min_level":0.05}}`, "governor_min_level"},
-		{`{"overload":{"governor_increase":0.1}}`, "governor_increase"},
-		{`{"overload":{"governor_decrease":0.5}}`, "governor_decrease"},
-		{`{"overload":{"queue_high_water":0.75}}`, "queue_high_water"},
-		// Gone once the task carried its depth: the class threshold is fixed.
-		{`{"overload":{"deep_depth":2}}`, "deep_depth"},
-	} {
+		// A removed resilience key next to others: every one is named.
+		{`{"app":"a","resilience":{"retry_attempts":4,"breaker_failures":2}}`, `"breaker_failures", "retry_attempts"`},
+		// An error the decoder meets before the section is the one reported.
+		{`{"cahce":{},"resilience":{"retry_attempts":4}}`, "cahce"},
+		{`{"global_probability":"x","resilience":{"retry_attempts":4}}`, "global_probability"},
+	}, removedKeys...) {
 		_, err := Unmarshal([]byte(tc.body))
 		if err == nil {
 			t.Fatalf("%s: loaded cleanly", tc.body)
@@ -260,7 +293,7 @@ func TestUnmarshalRejectsUnknownKeys(t *testing.T) {
 	}
 	// What Marshal writes, Unmarshal still reads: every section present.
 	c := Default(testGraph())
-	c.Resilience, c.Cache, c.Overload = &Resilience{RetryAttempts: 3}, &Cache{Shards: 8}, &Overload{MaxQueue: 64}
+	c.Cache, c.Overload = &Cache{MaxBytes: 8 << 20}, &Overload{MaxQueue: 64}
 	c.UserProbability = map[string]float64{"u": 0.5}
 	b, err := c.Marshal()
 	if err != nil {
@@ -271,27 +304,61 @@ func TestUnmarshalRejectsUnknownKeys(t *testing.T) {
 	}
 }
 
-// jsonKeys lists the json names of a struct's fields.
+// configSurface is every key a -config file may set: the paper's §4.4
+// policy fields and global knobs, and the sizes and overload bounds callers
+// vary. A value no caller varies is a constant beside the code that reads
+// it, not a key.
+var configSurface = []string{
+	"app", "policies",
+	"policies.hash", "policies.uri", "policies.expiration_time", "policies.prefetch",
+	"policies.probability", "policies.add_header", "policies.condition",
+	"global_probability", "user_probability", "data_budget_bytes", "default_expiration",
+	"cache", "cache.max_bytes", "cache.per_user_bytes", "cache.disable_shared_tier",
+	"overload", "overload.max_concurrent_requests", "overload.admission_wait",
+	"overload.queue_deadline", "overload.max_queue",
+}
+
+// TestConfigSurface pins the -config keys. A new one has to edit this list,
+// and should first show that some caller needs a value other than its
+// default.
+func TestConfigSurface(t *testing.T) {
+	got := jsonKeys(Config{})
+	for section, v := range map[string]any{"policies": Policy{}, "cache": Cache{}, "overload": Overload{}} {
+		for _, k := range jsonKeys(v) {
+			got = append(got, section+"."+k)
+		}
+	}
+	want := append([]string(nil), configSurface...)
+	sort.Strings(got)
+	sort.Strings(want)
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("config surface changed:\n got  %v\n want %v", got, want)
+	}
+}
+
+// jsonKeys lists the json names of a struct's exported fields.
 func jsonKeys(v any) []string {
 	var keys []string
 	rt := reflect.TypeOf(v)
 	for i := 0; i < rt.NumField(); i++ {
+		if !rt.Field(i).IsExported() {
+			continue
+		}
 		name, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ",")
 		keys = append(keys, name)
 	}
 	return keys
 }
 
-// TestReadmeDocumentsEveryConfigKey: README's `-config` field tables are
-// the tuning documentation. Every field of the three tuning sections has a
-// row, and every row names a live field.
-func TestReadmeDocumentsEveryConfigKey(t *testing.T) {
+// readmeConfigRows returns the keys in the first column of README's
+// "`<section>` field" tables, by section.
+func readmeConfigRows(t *testing.T) map[string][]string {
+	t.Helper()
 	readme, err := os.ReadFile("../../README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// rows[section] = the keys in the first column of that section's table.
-	rows := map[string]map[string]bool{}
+	rows := map[string][]string{}
 	section := ""
 	for _, line := range strings.Split(string(readme), "\n") {
 		cells := strings.Split(line, "|")
@@ -302,26 +369,46 @@ func TestReadmeDocumentsEveryConfigKey(t *testing.T) {
 		first := strings.TrimSpace(cells[1])
 		if name, ok := strings.CutSuffix(first, " field"); ok {
 			section = strings.Trim(name, "`")
-			rows[section] = map[string]bool{}
+			rows[section] = []string{}
 		} else if section != "" && strings.HasPrefix(first, "`") {
-			rows[section][strings.Trim(first, "`")] = true
+			rows[section] = append(rows[section], strings.Trim(first, "`"))
 		}
 	}
-	for section, fields := range map[string]any{
-		"resilience": Resilience{}, "cache": Cache{}, "overload": Overload{},
-	} {
-		documented := rows[section]
-		if documented == nil {
+	return rows
+}
+
+// TestReadmeDocumentsEveryConfigKey: README's `-config` field tables are
+// the tuning documentation. Every field of the two tuning sections has a
+// row.
+func TestReadmeDocumentsEveryConfigKey(t *testing.T) {
+	rows := readmeConfigRows(t)
+	for section, fields := range map[string]any{"cache": Cache{}, "overload": Overload{}} {
+		documented, ok := rows[section]
+		if !ok {
 			t.Fatalf("README has no `%s` field table", section)
 		}
 		for _, key := range jsonKeys(fields) {
-			if !documented[key] {
+			if !slices.Contains(documented, key) {
 				t.Errorf("%s.%s has no row in README's `%s` field table", section, key, section)
 			}
-			delete(documented, key)
 		}
-		for key := range documented {
-			t.Errorf("README's `%s` field table documents %q, which is not a field", section, key)
+	}
+}
+
+// TestReadmeConfigRowsNameLiveKeys: every key row of README's field tables
+// names a key TestConfigSurface pins, so a folded key cannot stay
+// documented.
+func TestReadmeConfigRowsNameLiveKeys(t *testing.T) {
+	n := 0
+	for section, keys := range readmeConfigRows(t) {
+		for _, key := range keys {
+			n++
+			if !slices.Contains(configSurface, section+"."+key) {
+				t.Errorf("README's `%s` field table documents %q, which is not a -config key", section, key)
+			}
 		}
+	}
+	if n == 0 {
+		t.Fatal("README has no config key rows")
 	}
 }

@@ -100,10 +100,6 @@ const (
 func runFaultPoint(seed int64, rate float64) (*FaultSweepRow, error) {
 	g := faultSweepGraph()
 	cfg := config.Default(g)
-	cfg.Resilience = &config.Resilience{
-		RetryBaseDelay: config.Duration(time.Millisecond),
-		RetryMaxDelay:  config.Duration(5 * time.Millisecond),
-	}
 
 	// Installed only after the exemplar-teaching requests below, so every
 	// rate point starts from the same learned state.

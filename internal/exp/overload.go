@@ -113,7 +113,6 @@ func RunOverload(seed int64, loads []float64) (*OverloadSweep, error) {
 func runOverloadPoint(load float64) (*OverloadRow, error) {
 	g := overloadGraph()
 	cfg := config.Default(g)
-	cfg.Resilience = &config.Resilience{RetryAttempts: 1}
 	cfg.Overload = &config.Overload{
 		MaxConcurrentRequests: overloadGate,
 		AdmissionWait:         config.Duration(overloadWait),

@@ -15,6 +15,7 @@ package httpmsg
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -290,9 +291,9 @@ func KeyedHeader(key string) bool {
 }
 
 // keyScratch pools CanonicalKey's working state: the canonical byte stream
-// fed to the hash and the sort buffer for query/header/form fields. The
-// proxy keys every request (twice per prefetched transaction: planning and
-// lookup), so this scratch — not the digest — dominated allocations.
+// fed to the hash and the sort buffer for query/header/form fields. The proxy keys every request (twice per
+// prefetched transaction: planning and lookup), so this scratch — not the
+// digest — dominated allocations.
 type keyScratch struct {
 	buf    []byte
 	fields []Field
@@ -300,11 +301,13 @@ type keyScratch struct {
 
 var keyScratchPool = sync.Pool{New: func() any { return new(keyScratch) }}
 
-// write appends one canonical component: the string, then a 0 separator.
+// write appends canonical components, each as its uvarint length and then
+// its bytes: no byte inside a value can pass for a boundary, so distinct
+// component lists never share a stream.
 func (ks *keyScratch) write(parts ...string) {
 	for _, p := range parts {
+		ks.buf = binary.AppendUvarint(ks.buf, uint64(len(p)))
 		ks.buf = append(ks.buf, p...)
-		ks.buf = append(ks.buf, 0)
 	}
 }
 
@@ -369,19 +372,20 @@ func (r *Request) CanonicalKey() string {
 		ks.write("H", f.Key, f.Value)
 	}
 
+	// The body kind is keyed even without a body: Content-Type is not, and
+	// an empty form is not an absent body. A JSON or raw body is the last
+	// component, after its kind, and runs to the end of the stream: every
+	// component before it is length-prefixed, so it needs no prefix.
+	ks.write("k", r.BodyKind.String())
 	switch r.BodyKind {
 	case BodyForm:
 		for _, f := range ks.sorted(r.BodyForm) {
 			ks.write("b", f.Key, f.Value)
 		}
 	case BodyJSON:
-		ks.buf = append(ks.buf, 'j', 0)
 		ks.buf = appendCanonicalJSON(ks.buf, r.BodyJSON)
-		ks.buf = append(ks.buf, 0)
 	case BodyRaw:
-		ks.buf = append(ks.buf, 'r', 0)
 		ks.buf = append(ks.buf, r.BodyRaw...)
-		ks.buf = append(ks.buf, 0)
 	}
 	sum := sha256.Sum256(ks.buf)
 	keyScratchPool.Put(ks)

@@ -70,6 +70,39 @@ func TestCanonicalKeySensitivity(t *testing.T) {
 	}
 }
 
+// keyCollisions are pairs of different requests that a key joining its
+// components with a bare NUL byte, escaping none inside a value, hashed
+// alike: NULs inside a query value forge further query fields, and NULs
+// inside the path forge a query.
+var keyCollisions = [][2]*Request{
+	{
+		{Method: "GET", Host: "h", Path: "/p", Query: []Field{{Key: "a", Value: "x\x00q\x00b\x00y"}}},
+		{Method: "GET", Host: "h", Path: "/p", Query: []Field{{Key: "a", Value: "x"}, {Key: "b", Value: "y"}}},
+	},
+	{
+		{Method: "GET", Host: "h", Path: "/p\x00q\x00a\x00x"},
+		{Method: "GET", Host: "h", Path: "/p", Query: []Field{{Key: "a", Value: "x"}}},
+	},
+}
+
+// TestCanonicalKeyNoCollisions: requests that differ only in where the
+// component boundaries fall get different keys. An exact key match is the
+// whole of the proxy's guarantee that a served response answers the
+// request, and shared-tier entries cross users.
+func TestCanonicalKeyNoCollisions(t *testing.T) {
+	for _, pair := range keyCollisions {
+		if pair[0].CanonicalKey() == pair[1].CanonicalKey() {
+			t.Errorf("%q and %q share a key", pair[0].URL(), pair[1].URL())
+		}
+	}
+	// An empty form body is a body; an absent one is not.
+	none := &Request{Method: "POST", Host: "h", Path: "/p"}
+	form := &Request{Method: "POST", Host: "h", Path: "/p", BodyKind: BodyForm}
+	if none.CanonicalKey() == form.CanonicalKey() {
+		t.Error("an empty form body keys like no body")
+	}
+}
+
 func TestCanonicalKeyIgnoresHopByHop(t *testing.T) {
 	a := sampleRequest()
 	b := sampleRequest()

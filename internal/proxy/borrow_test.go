@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"appx/internal/air"
-	"appx/internal/config"
 	"appx/internal/httpmsg"
 	"appx/internal/obs"
 	"appx/internal/obs/adminv1"
@@ -46,7 +45,7 @@ func listGraph(shapeList, shapeItem func(*sig.Signature)) *sig.Graph {
 	return g
 }
 
-func noSharedTier(*config.Config) {}
+func noSharedTier(*Options) {}
 
 // header returns the value of key on the origin's copy of the request that
 // arrived as "<name>?<id>", failing when none did.
@@ -220,12 +219,12 @@ func TestBorrowStackEvidenceFromLeadOnly(t *testing.T) {
 // it. The borrowed prefetches reach the origin and are refused; the client
 // misses and is served the origin's bytes; the learned exemplar takes over
 // and the next fan-out hits. The refusal stops borrowing for that user and
-// signature only: the signature is not suspended (one failure would suspend
-// it here), and another user's prefetches of it run.
+// signature only: the signature's failure streak stays at zero, and another
+// user's prefetches of it run. Both guesses are queued behind a busy worker
+// before either runs, so the first refusal cannot stop the second being
+// issued.
 func TestBorrowWrongGuess(t *testing.T) {
-	l := newFollowLabOn(t, listGraph(nil, nil), listBody(2), func(cfg *config.Config) {
-		cfg.Resilience = &config.Resilience{PrefetchFailureLimit: 1}
-	})
+	l := newFollowLabOn(t, listGraph(nil, nil), listBody(2), noSharedTier)
 	l.answer = func(r *httpmsg.Request, resp *httpmsg.Response) {
 		if _, ok := r.GetHeader("X-Client"); strings.HasPrefix(r.Path, "/item") && !ok {
 			resp.Status = 400
@@ -233,7 +232,7 @@ func TestBorrowWrongGuess(t *testing.T) {
 	}
 	client := httpmsg.Field{Key: "X-Client", Value: "v2"}
 	l.get("B", "item", "0", client) // B's exemplar, learned live
-	l.get("A", "list", "L")
+	l.getQueued("A", "list", "L")
 	l.p.Drain()
 	if got, want := l.seen()[1:], []string{"list?L", "item?L1", "item?L2"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("origin saw %v, want %v", got, want)

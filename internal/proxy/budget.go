@@ -5,21 +5,20 @@ import (
 	"time"
 )
 
+// budgetWindow is the data budget's accounting period: config's
+// data_budget_bytes is a per-hour allowance.
+const budgetWindow = time.Hour
+
 // usageWindow accounts prefetch bytes over rolling budget periods: usage
 // resets when a window elapses, so a data budget (C4, the paper's cellular
 // cost control) throttles *per period* instead of permanently disabling
 // prefetching once the lifetime total is hit. Epochs roll lazily on access
 // against the injected clock, keeping the accounting deterministic in
-// tests.
+// tests. The zero value is ready to use.
 type usageWindow struct {
-	mu     sync.Mutex
-	window time.Duration
-	epoch  time.Time
-	used   int64
-}
-
-func newUsageWindow(window time.Duration) *usageWindow {
-	return &usageWindow{window: window}
+	mu    sync.Mutex
+	epoch time.Time
+	used  int64
 }
 
 // roll starts a new accounting period when the current one has elapsed
@@ -29,7 +28,7 @@ func (w *usageWindow) roll(now time.Time) {
 		w.epoch = now
 		return
 	}
-	if w.window > 0 && now.Sub(w.epoch) >= w.window {
+	if now.Sub(w.epoch) >= budgetWindow {
 		w.epoch = now
 		w.used = 0
 	}

@@ -231,7 +231,6 @@ func TestDataBudgetWindowResets(t *testing.T) {
 	g := sharedGraph()
 	cfg := config.Default(g)
 	cfg.DataBudgetBytes = 1 // any prefetched byte exhausts the period
-	cfg.DataBudgetWindow = config.Duration(time.Minute)
 	now := time.Unix(1_700_000_000, 0)
 	p := New(Options{Graph: g, Config: cfg, Upstream: &roundUpstream{}, Workers: 1,
 		Now: func() time.Time { return now }})
@@ -260,9 +259,16 @@ func TestDataBudgetWindowResets(t *testing.T) {
 	if mid := p.Stats().Snapshot().Prefetches; mid != first {
 		t.Fatalf("budget did not suppress within the window: %d -> %d", first, mid)
 	}
+	// Still the same window just short of its hour.
+	now = now.Add(budgetWindow - time.Second)
+	get("/list", "")
+	p.Drain()
+	if mid := p.Stats().Snapshot().Prefetches; mid != first {
+		t.Fatalf("budget did not suppress within the window: %d -> %d", first, mid)
+	}
 	// A new accounting period starts once the window elapses: usage reads
 	// zero again and prefetching resumes instead of staying dead forever.
-	now = now.Add(2 * time.Minute)
+	now = now.Add(time.Second)
 	if used := p.DataUsedBytes(); used != 0 {
 		t.Fatalf("window roll did not reset usage: %d", used)
 	}
@@ -307,15 +313,11 @@ func TestPrefetchTimeoutBoundsStalledOrigin(t *testing.T) {
 
 	addr := ln.Addr().String()
 	up := NewNetUpstream(map[string]string{"live.example": addr, "stall.example": addr}, nil)
-	cfg := config.Default(g)
-	cfg.Resilience = &config.Resilience{
-		RetryAttempts:        1,
-		AttemptTimeout:       config.Duration(time.Minute), // keep the per-attempt bound out of the way
-		PrefetchTimeout:      config.Duration(150 * time.Millisecond),
-		BreakerFailures:      1000,
-		PrefetchFailureLimit: 1000,
-	}
-	p := New(Options{Graph: g, Config: cfg, Upstream: up, Workers: 1})
+	// The per-prefetch deadline shortened from its 20 s so the test does not
+	// wait out the 5 s stall; every other value is the proxy's own.
+	tun := defaultTuning()
+	tun.prefetchTimeout = 150 * time.Millisecond
+	p := newProxy(Options{Graph: g, Upstream: up, Workers: 1}, tun)
 	defer p.Close()
 	pt := &proxyTransport{p: p, user: "stall-user"}
 

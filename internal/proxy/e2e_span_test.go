@@ -44,8 +44,6 @@ func TestSpansCoverTraceReplayEndToEnd(t *testing.T) {
 		t.Fatalf("Analyze: %v", err)
 	}
 	cfg := config.Default(g)
-	// One fast attempt so the faulted host below fails quickly.
-	cfg.Resilience = &config.Resilience{RetryAttempts: 1, RetryBaseDelay: config.Duration(time.Microsecond)}
 	origin := &originUpstream{handler: app.Handler(0)}
 	up := UpstreamFunc(func(ctx context.Context, r *httpmsg.Request) (*httpmsg.Response, error) {
 		if r.Host == "dead.example" {

@@ -68,12 +68,12 @@ type edge struct{ pred, succ, path string }
 // renders the origin's answer to <name>?id=<id>.
 func newFollowLab(t *testing.T, edges []edge, entriesPerUser int, body func(name, id string) string) *followLab {
 	t.Helper()
-	return newFollowLabWith(t, edges, body, func(cfg *config.Config) { cfg.Cache.MaxEntriesPerUser = entriesPerUser })
+	return newFollowLabWith(t, edges, body, func(o *Options) { o.MaxCacheEntriesPerUser = entriesPerUser })
 }
 
-// newFollowLabWith is newFollowLab with the configuration (shared tier off)
-// handed to tune before the proxy is built.
-func newFollowLabWith(t *testing.T, edges []edge, body func(name, id string) string, tune func(*config.Config)) *followLab {
+// newFollowLabWith is newFollowLab with the proxy's options (shared tier
+// off) handed to tune before the proxy is built.
+func newFollowLabWith(t *testing.T, edges []edge, body func(name, id string) string, tune func(*Options)) *followLab {
 	t.Helper()
 	return newFollowLabOn(t, followGraph(edges), body, tune)
 }
@@ -99,7 +99,7 @@ func followGraph(edges []edge) *sig.Graph {
 }
 
 // newFollowLabOn is newFollowLabWith over a graph built by the caller.
-func newFollowLabOn(t *testing.T, g *sig.Graph, body func(name, id string) string, tune func(*config.Config)) *followLab {
+func newFollowLabOn(t *testing.T, g *sig.Graph, body func(name, id string) string, tune func(*Options)) *followLab {
 	t.Helper()
 	l := &followLab{t: t, g: g, gate: make(chan struct{})}
 	up := UpstreamFunc(func(ctx context.Context, r *httpmsg.Request) (*httpmsg.Response, error) {
@@ -129,9 +129,10 @@ func newFollowLabOn(t *testing.T, g *sig.Graph, body func(name, id string) strin
 	})
 	cfg := config.Default(l.g)
 	cfg.Cache = &config.Cache{DisableSharedTier: true}
-	tune(cfg)
 	frozen := time.Unix(1_700_000_000, 0)
-	l.p = New(Options{Graph: l.g, Config: cfg, Upstream: up, Workers: 1, Now: func() time.Time { return frozen }})
+	opts := Options{Graph: l.g, Config: cfg, Upstream: up, Workers: 1, Now: func() time.Time { return frozen }}
+	tune(&opts)
+	l.p = New(opts)
 	t.Cleanup(l.p.Close)
 	return l
 }

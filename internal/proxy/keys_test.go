@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"appx/internal/cache"
-	"appx/internal/config"
 	"appx/internal/httpmsg"
 	"appx/internal/obs"
 	"appx/internal/proxy/sched"
@@ -532,9 +531,12 @@ func TestKeyLifecycleStress(t *testing.T) {
 		}
 		return resp, nil
 	})
-	cfg := config.Default(g)
-	cfg.Resilience = &config.Resilience{RetryAttempts: 1, BreakerFailures: 1 << 20, PrefetchFailureLimit: 1 << 20}
-	p := New(Options{Graph: g, Config: cfg, Upstream: up, Workers: 4, StreamChunkBytes: 64})
+	// Every injected failure reaches the key table: no retry masks it, and no
+	// suspension (a real second on this clock) silences the fan-out. Failures
+	// are never adjacent, so the breaker stays closed at its constant.
+	tun := defaultTuning()
+	tun.retryAttempts, tun.prefetchFailureLimit = 1, 1<<20
+	p := newProxy(Options{Graph: g, Upstream: up, Workers: 4, StreamChunkBytes: 64}, tun)
 	t.Cleanup(p.Close)
 
 	get := func(pt *proxyTransport, name, id string) {

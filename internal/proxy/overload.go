@@ -16,7 +16,8 @@ import (
 // admitGate bounds concurrently served client requests. Arrivals beyond the
 // limit wait at most the configured admission wait for a slot and are shed
 // with a 503 otherwise — bounded queueing instead of unbounded goroutine
-// pileup.
+// pileup. There is always a gate: config.Overload.Filled hands it a positive
+// limit and wait.
 type admitGate struct {
 	slots    chan struct{}
 	wait     time.Duration
@@ -24,24 +25,13 @@ type admitGate struct {
 	shed     atomic.Int64
 }
 
-// newAdmitGate builds a gate, or returns nil (no gating) when max < 0. max
-// arrives defaulted by config.Overload.Filled, never 0.
 func newAdmitGate(max int, wait time.Duration) *admitGate {
-	if max < 0 {
-		return nil
-	}
-	if wait <= 0 {
-		wait = 100 * time.Millisecond
-	}
 	return &admitGate{slots: make(chan struct{}, max), wait: wait}
 }
 
 // acquire reserves a slot, waiting at most the bounded admission wait (or
 // until the client gives up). It reports whether the request was admitted.
 func (g *admitGate) acquire(ctx context.Context) bool {
-	if g == nil {
-		return true
-	}
 	select {
 	case g.slots <- struct{}{}:
 		g.admitted.Add(1)
@@ -62,16 +52,9 @@ func (g *admitGate) acquire(ctx context.Context) bool {
 }
 
 // release returns a slot taken by acquire.
-func (g *admitGate) release() {
-	if g != nil {
-		<-g.slots
-	}
-}
+func (g *admitGate) release() { <-g.slots }
 
 // counts reports lifetime admissions and sheds.
 func (g *admitGate) counts() (admitted, shed int64) {
-	if g == nil {
-		return 0, 0
-	}
 	return g.admitted.Load(), g.shed.Load()
 }

@@ -171,14 +171,8 @@ func TestPrefetchPanicRecovered(t *testing.T) {
 		return &httpmsg.Response{Status: 200, Body: []byte(`{}`)}, nil
 	})
 	g := overloadGraph()
-	cfg := config.Default(g)
-	cfg.Resilience = &config.Resilience{
-		RetryAttempts:        1,
-		PrefetchFailureLimit: 2,
-		BreakerFailures:      1000, // keep the host breaker out of the way
-	}
 	now := time.Unix(1_700_000_000, 0)
-	p := New(Options{Graph: g, Config: cfg, Upstream: up, Workers: 2,
+	p := New(Options{Graph: g, Upstream: up, Workers: 2,
 		Now:  func() time.Time { return now },
 		Rand: func() float64 { return 0 },
 	})

@@ -169,13 +169,13 @@ func TestStaticChainOrderDifferential(t *testing.T) {
 		for b := 0; b < k; b++ {
 			if rng.Intn(5) == 0 {
 				ref.suspended[branchID(b)] = true
-				p.sigs.byID[branchID(b)].setBackoff(p.res.PrefetchFailureLimit, now.Add(time.Hour))
+				p.sigs.byID[branchID(b)].setBackoff(p.tun.prefetchFailureLimit, now.Add(time.Hour))
 			}
 		}
 		for h := 0; h < 3; h++ {
 			if rng.Intn(4) == 0 {
 				ref.hostDown[branchHost(h)] = true
-				for i := 0; i < p.res.BreakerFailures; i++ {
+				for i := 0; i < breakerFailures; i++ {
 					p.breakers.ReportFailure(branchHost(h))
 				}
 			}

@@ -52,8 +52,8 @@ type Options struct {
 
 	// Workers sizes the prefetch pool (default DefaultWorkers).
 	Workers int
-	// MaxCacheEntriesPerUser overrides the cache config's per-user entry
-	// cap when > 0 (default: config.Cache.MaxEntriesPerUser, 4096).
+	// MaxCacheEntriesPerUser caps one user's cached entries (default
+	// 4096).
 	MaxCacheEntriesPerUser int
 	// MaxUsers bounds tracked user states (default 10000); the least
 	// recently seen user is evicted when exceeded.
@@ -121,7 +121,46 @@ const (
 	// maxPendingPerSig bounds one user's instances waiting for an exemplar
 	// of one signature.
 	maxPendingPerSig = 256
+	// maxEntriesPerUser is Options.MaxCacheEntriesPerUser's default.
+	maxEntriesPerUser = 4096
+	// sweepInterval is the cache's background expiry-sweep period; an
+	// expired entry is a miss at lookup whether or not the sweep reached it.
+	sweepInterval = 30 * time.Second
 )
+
+// The origin path's resilience values (DESIGN.md §16). A GET or HEAD gets
+// retryAttempts tries, one fast retry, with full-jitter backoff from
+// retryBaseDelay capped at retryMaxDelay, each try bounded by
+// attemptTimeout. breakerFailures consecutive failures open a host's
+// breaker for breakerOpenTimeout. A prefetch has no client deadline, so
+// prefetchTimeout bounds its whole round trip, every try included.
+const (
+	retryAttempts      = 2
+	retryBaseDelay     = 50 * time.Millisecond
+	retryMaxDelay      = 2 * time.Second
+	attemptTimeout     = 15 * time.Second
+	breakerFailures    = 5
+	breakerOpenTimeout = 10 * time.Second
+	prefetchTimeout    = 20 * time.Second
+)
+
+// tuning carries the fixed values a test may need out of its way: New uses
+// defaultTuning, the constants of the same names, and a test that would
+// otherwise wait real seconds, or lose the isolation it exists for, builds
+// its proxy with newProxy and a changed copy.
+type tuning struct {
+	retryAttempts        int
+	prefetchFailureLimit int
+	prefetchTimeout      time.Duration
+}
+
+func defaultTuning() tuning {
+	return tuning{
+		retryAttempts:        retryAttempts,
+		prefetchFailureLimit: prefetchFailureLimit,
+		prefetchTimeout:      prefetchTimeout,
+	}
+}
 
 // Proxy is the acceleration proxy. It implements http.Handler; point mobile
 // clients at it as their HTTP proxy.
@@ -146,7 +185,7 @@ type Proxy struct {
 	// retrying upstreams. fwdUp serves live client requests (retries, but
 	// never refuses — the client asked); preUp serves prefetches (gated by
 	// the breaker, so a sick host stops consuming workers).
-	res      config.Resilience
+	tun      tuning
 	breakers *resilience.Breakers
 	fwdUp    resilience.Upstream
 	preUp    resilience.Upstream
@@ -163,7 +202,7 @@ type Proxy struct {
 	cacheCfg config.Cache
 
 	// dataUsed accounts prefetch bytes per budget window (C4).
-	dataUsed *usageWindow
+	dataUsed usageWindow
 
 	// Overload-control layer: the admission gate bounds concurrent client
 	// requests; ovl also sizes the scheduler queue and its enqueue deadline.
@@ -280,12 +319,18 @@ type user struct {
 }
 
 // New builds a proxy.
-func New(opts Options) *Proxy {
+func New(opts Options) *Proxy { return newProxy(opts, defaultTuning()) }
+
+// newProxy is New with the tuning given.
+func newProxy(opts Options, tun tuning) *Proxy {
 	if opts.Workers == 0 {
 		opts.Workers = DefaultWorkers
 	}
 	if opts.MaxUsers <= 0 {
 		opts.MaxUsers = 10000
+	}
+	if opts.MaxCacheEntriesPerUser <= 0 {
+		opts.MaxCacheEntriesPerUser = maxEntriesPerUser
 	}
 	if opts.Rand == nil {
 		opts.Rand = rand.Float64
@@ -324,6 +369,7 @@ func New(opts Options) *Proxy {
 	sigs := newSigTable(opts.Graph, opts.Config)
 	p := &Proxy{
 		opts:   opts,
+		tun:    tun,
 		reg:    reg,
 		sigs:   sigs,
 		stats:  newStats(reg, sigs),
@@ -341,31 +387,27 @@ func New(opts Options) *Proxy {
 	}
 	p.ttfb = reg.Histogram("appx_ttfb_seconds",
 		"Time from request admission to the first response byte on the wire.", nil)
-	p.res = opts.Config.EffectiveResilience()
 	// Now/Rand are read through p.opts so tests that rebind them after New
 	// (the established idiom here) also steer the resilience layer.
 	p.breakers = resilience.NewBreakers(resilience.BreakerOptions{
-		FailureThreshold: p.res.BreakerFailures,
-		OpenTimeout:      time.Duration(p.res.BreakerOpenTimeout),
+		FailureThreshold: breakerFailures,
+		OpenTimeout:      breakerOpenTimeout,
 		Now:              p.clock,
 	})
 	retry := resilience.RetryOptions{
-		MaxAttempts:       p.res.RetryAttempts,
-		BaseDelay:         time.Duration(p.res.RetryBaseDelay),
-		MaxDelay:          time.Duration(p.res.RetryMaxDelay),
-		PerAttemptTimeout: time.Duration(p.res.AttemptTimeout),
+		MaxAttempts:       tun.retryAttempts,
+		BaseDelay:         retryBaseDelay,
+		MaxDelay:          retryMaxDelay,
+		PerAttemptTimeout: attemptTimeout,
 		Rand:              func() float64 { return p.opts.Rand() },
 		OnRetry:           func(host string, attempt int) { p.stats.CountRetry() },
 	}
 	p.fwdUp = resilience.NewRetrier(opts.Upstream, retry, p.breakers, false)
 	// A prefetch has no client context to bound it: the retrier itself caps
 	// the whole round trip, every attempt included.
-	retry.TotalTimeout = time.Duration(p.res.PrefetchTimeout)
+	retry.TotalTimeout = tun.prefetchTimeout
 	p.preUp = resilience.NewRetrier(opts.Upstream, retry, p.breakers, true)
 	p.cacheCfg = opts.Config.EffectiveCache()
-	if opts.MaxCacheEntriesPerUser > 0 {
-		p.cacheCfg.MaxEntriesPerUser = opts.MaxCacheEntriesPerUser
-	}
 	// The disk tier must exist before the store so spills and read-through
 	// promotion work from the first request.
 	p.initPersist()
@@ -374,15 +416,13 @@ func New(opts Options) *Proxy {
 		tier = costedTier{p.persist.tier, p.sigs}
 	}
 	p.store = cache.New(cache.Options{
-		Shards:             p.cacheCfg.Shards,
 		MaxBytes:           p.cacheCfg.MaxBytes,
 		PerScopeBytes:      p.cacheCfg.PerUserBytes,
-		MaxEntriesPerScope: p.cacheCfg.MaxEntriesPerUser,
+		MaxEntriesPerScope: opts.MaxCacheEntriesPerUser,
 		Now:                p.clock,
 		Tier:               tier,
 	})
-	p.store.StartSweeper(time.Duration(p.cacheCfg.SweepInterval))
-	p.dataUsed = newUsageWindow(opts.Config.BudgetWindow())
+	p.store.StartSweeper(sweepInterval)
 	p.ovl = opts.Config.EffectiveOverload()
 	p.gate = newAdmitGate(p.ovl.MaxConcurrentRequests, time.Duration(p.ovl.AdmissionWait))
 	p.sched = sched.NewWith(sched.Config{
@@ -1166,7 +1206,7 @@ func (pf *prefetch) release() { pf.p.keys.release(pf.ikey, pf) }
 // error, a body that died mid-stream, a panic — and feeds its backoff.
 func (p *Proxy) failPrefetch(st *sigState) {
 	st.prefetchErrors.Add(1)
-	st.fail(p.opts.Now(), &p.res)
+	st.fail(p.opts.Now(), p.tun.prefetchFailureLimit)
 }
 
 // overDataBudget reports whether the current window's prefetch bytes have
@@ -1224,10 +1264,8 @@ func (p *Proxy) maybePrefetch(u *user, st *sigState, req *httpmsg.Request, depth
 		class = sched.ClassShallow
 	}
 	pf := &prefetch{p: p, u: u, st: st, req: req, scope: scope, key: key, ikey: issueKey(scope, key), expiry: expiry, root: root}
-	pf.task = sched.Task{SigID: st.sig.ID, Class: class, Depth: depth, Guess: borrowed, Job: pf}
-	if qd := time.Duration(p.ovl.QueueDeadline); qd > 0 {
-		pf.task.Deadline = p.opts.Now().Add(qd)
-	}
+	pf.task = sched.Task{SigID: st.sig.ID, Class: class, Depth: depth, Guess: borrowed, Job: pf,
+		Deadline: p.opts.Now().Add(time.Duration(p.ovl.QueueDeadline))}
 	if ok, waiting := p.keys.claim(pf.ikey, pf, true); !ok {
 		// Already on its way. If its prefetch still waits in the queue
 		// further from a client than this instance is, the demand that
@@ -1290,7 +1328,7 @@ func (p *Proxy) runPrefetch(pf *prefetch) {
 	// holds, before the origin; a peer hit is a zero-byte prefetch. The
 	// cluster context dies with BeginDrain, and background fills with it.
 	if p.cluster != nil && pf.scope == cache.SharedScope {
-		ctx, cancel := context.WithTimeout(p.cluster.c.Context(), time.Duration(p.res.PrefetchTimeout))
+		ctx, cancel := context.WithTimeout(p.cluster.c.Context(), p.tun.prefetchTimeout)
 		e := p.clusterPeerFill(ctx, pf.key, true)
 		cancel()
 		if e != nil {
@@ -1394,7 +1432,7 @@ func (p *Proxy) fetchFlight(pf *prefetch, fl *flight) (body []byte, ok bool) {
 		}
 	}
 	// preUp bounds the whole round trip — every retry attempt and the body
-	// included — by PrefetchTimeout, so a stalled origin (netem-style) cannot
+	// included — by prefetchTimeout, so a stalled origin (netem-style) cannot
 	// pin this worker past the deadline.
 	start := p.opts.Now()
 	resp, err := p.preUp.RoundTrip(context.Background(), sent)
@@ -1433,7 +1471,7 @@ func (p *Proxy) fetchFlight(pf *prefetch, fl *flight) (body []byte, ok bool) {
 		// The origin rejected our reconstruction; do not cache errors
 		// (R3: never alter app behaviour with synthetic failures).
 		st.prefetchRejects.Add(1)
-		st.fail(p.opts.Now(), &p.res)
+		st.fail(p.opts.Now(), p.tun.prefetchFailureLimit)
 		return nil, false
 	case !ok && fl.sp.Overflowed():
 		// Over the capture cap: no complete entity to cache. Not a signature
@@ -1455,7 +1493,7 @@ func (p *Proxy) fetchFlight(pf *prefetch, fl *flight) (body []byte, ok bool) {
 // error, non-200, over-cap body.
 func (p *Proxy) adoptFlight(pf *prefetch, fl *flight, rd *stream.Reader) (body []byte, ok bool) {
 	defer rd.Close()
-	timeout := time.NewTimer(time.Duration(p.res.PrefetchTimeout))
+	timeout := time.NewTimer(p.tun.prefetchTimeout)
 	defer timeout.Stop()
 	select {
 	case <-fl.ready:

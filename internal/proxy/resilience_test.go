@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"appx/internal/cache"
-	"appx/internal/config"
 	"appx/internal/httpmsg"
 	"appx/internal/netem"
 	"appx/internal/obs/adminv1"
@@ -119,21 +118,19 @@ type resLab struct {
 	pt *proxyTransport
 }
 
-func newResLab(t *testing.T, seed int64, res *config.Resilience) *resLab {
+func newResLab(t *testing.T, seed int64, tun tuning) *resLab {
 	t.Helper()
 	g := resilienceGraph()
-	cfg := config.Default(g)
-	cfg.Resilience = res
 	up := newFaultableUpstream(6)
 	now := time.Unix(1_700_000_000, 0)
 	rnd := rand.New(rand.NewSource(seed))
 	// Workers: 1 keeps prefetch execution single-threaded so the injector's
 	// seeded draw sequence — and therefore every breaker transition — is
 	// identical run to run.
-	p := New(Options{Graph: g, Config: cfg, Upstream: up, Workers: 1,
+	p := newProxy(Options{Graph: g, Upstream: up, Workers: 1,
 		Now:  func() time.Time { return now },
 		Rand: rnd.Float64,
-	})
+	}, tun)
 	t.Cleanup(p.Close)
 	l := &resLab{t: t, p: p, up: up, pt: &proxyTransport{p: p, user: "res-user"}}
 	// Teach both successor exemplars before any fault exists.
@@ -186,16 +183,22 @@ func (l *resLab) health() adminv1.HealthResponse {
 	return out
 }
 
+// breakerOnly is the tuning of the breaker tests: the breaker at its
+// constant threshold, isolated from retries (one try per request) and from
+// the signature backoff, whose limit of 3 would suspend the signature before
+// the breaker's 5 failures.
+func breakerOnly() tuning {
+	tun := defaultTuning()
+	tun.retryAttempts, tun.prefetchFailureLimit = 1, 1000
+	return tun
+}
+
 // TestBreakerStopsPrefetchingDeadHost: a host refusing every connection
 // stops receiving prefetch traffic after the breaker opens — the origin
 // sees zero prefetch requests, failures stop at the breaker threshold, and
 // later rounds are suppressed at planning time.
 func TestBreakerStopsPrefetchingDeadHost(t *testing.T) {
-	l := newResLab(t, 7, &config.Resilience{
-		RetryAttempts:        1, // isolate the breaker from retry behaviour
-		BreakerFailures:      3,
-		PrefetchFailureLimit: 1000, // keep signature backoff out of the way
-	})
+	l := newResLab(t, 7, breakerOnly())
 	in := netem.NewInjector(7)
 	in.SetFault("sick.example", netem.Fault{ConnectRefuseProb: 1})
 	l.up.setFaults(in)
@@ -205,8 +208,8 @@ func TestBreakerStopsPrefetchingDeadHost(t *testing.T) {
 
 	snap := l.p.Stats().Snapshot()
 	sick := snap.PerSig["t:sickitem#0"]
-	if sick.PrefetchErrors != 3 {
-		t.Fatalf("prefetch errors = %d, want exactly the breaker threshold 3", sick.PrefetchErrors)
+	if sick.PrefetchErrors != breakerFailures {
+		t.Fatalf("prefetch errors = %d, want exactly the breaker threshold %d", sick.PrefetchErrors, breakerFailures)
 	}
 	if sick.PrefetchSuppressed == 0 {
 		t.Fatal("no prefetches suppressed after breaker opened")
@@ -232,31 +235,30 @@ func TestBreakerStopsPrefetchingDeadHost(t *testing.T) {
 }
 
 // TestFaultSweepDegradesGracefully is the acceptance scenario: 30 %
-// injected connect-failure on one host. The sick host's error count
-// plateaus once its breaker opens, the healthy host's hit behaviour is
-// byte-for-byte identical to a fault-free run, and /appx/health reports the
-// open breaker.
+// injected connect-failure on one host, driven until a run of refusals as
+// long as the breaker threshold opens its breaker. The sick host's error
+// count plateaus once it is open, the healthy host's hit behaviour is
+// byte-for-byte identical to a fault-free run of as many rounds, and
+// /appx/health reports the open breaker.
 func TestFaultSweepDegradesGracefully(t *testing.T) {
-	res := func() *config.Resilience {
-		return &config.Resilience{
-			RetryAttempts:        1,
-			BreakerFailures:      3,
-			PrefetchFailureLimit: 1000,
-		}
-	}
-	const seed, rounds = 42, 20
-
-	// Fault-free reference run.
-	clean := newResLab(t, seed, res())
-	clean.drive(rounds)
-	cleanOK := clean.p.Stats().Snapshot().PerSig["t:okitem#0"]
+	const seed, maxRounds = 42, 500
 
 	// Faulted run: 30 % of sick.example connection attempts refused.
-	l := newResLab(t, seed, res())
+	l := newResLab(t, seed, breakerOnly())
 	in := netem.NewInjector(seed)
 	in.SetFault("sick.example", netem.Fault{ConnectRefuseProb: 0.3})
 	l.up.setFaults(in)
-	l.drive(rounds)
+	rounds := 0
+	for l.p.Breakers().State("sick.example") != resilience.Open && rounds < maxRounds {
+		l.drive(1)
+		rounds++
+	}
+	t.Logf("breaker opened after %d rounds", rounds)
+
+	// Fault-free reference run.
+	clean := newResLab(t, seed, breakerOnly())
+	clean.drive(rounds)
+	cleanOK := clean.p.Stats().Snapshot().PerSig["t:okitem#0"]
 
 	snap := l.p.Stats().Snapshot()
 	sick := snap.PerSig["t:sickitem#0"]
@@ -301,11 +303,7 @@ func TestFaultSweepDegradesGracefully(t *testing.T) {
 // reconstructions with 404 does not trip the breaker (the host is healthy),
 // but the signature's consecutive-failure backoff suspends it.
 func TestSigBackoffSuspendsRejectedSignature(t *testing.T) {
-	l := newResLab(t, 3, &config.Resilience{
-		RetryAttempts:   1,
-		BreakerFailures: 3,
-		// PrefetchFailureLimit left at its default of 3.
-	})
+	l := newResLab(t, 3, defaultTuning())
 	l.up.mu.Lock()
 	l.up.rejectSick = true
 	l.up.mu.Unlock()
@@ -337,7 +335,7 @@ func TestSigBackoffSuspendsRejectedSignature(t *testing.T) {
 // TestPrefetchBodyErrorCountsAsFailure: a prefetch whose origin answers 200
 // and then dies mid-body is a prefetch error like a failed round trip —
 // counted, nothing cached, the dedup claim given back, and the signature
-// suspended at the failure limit.
+// suspended at the failure limit: the list names prefetchFailureLimit ids.
 func TestPrefetchBodyErrorCountsAsFailure(t *testing.T) {
 	const failAfter = 100 // bytes of body before the stream breaks
 	var mu sync.Mutex
@@ -345,7 +343,7 @@ func TestPrefetchBodyErrorCountsAsFailure(t *testing.T) {
 	up := UpstreamFunc(func(_ context.Context, r *httpmsg.Request) (*httpmsg.Response, error) {
 		switch {
 		case r.Path == "/list":
-			body, _ := json.Marshal(map[string]any{"ids": []string{"a", "b"}})
+			body, _ := json.Marshal(map[string]any{"ids": []string{"a", "b", "c"}})
 			return &httpmsg.Response{Status: 200,
 				Header: []httpmsg.Field{{Key: "Content-Type", Value: "application/json"}}, Body: body}, nil
 		case r.Query[0].Value == "seed":
@@ -361,10 +359,8 @@ func TestPrefetchBodyErrorCountsAsFailure(t *testing.T) {
 		return resp, nil
 	})
 	g := overloadGraph()
-	cfg := config.Default(g)
-	cfg.Resilience = &config.Resilience{RetryAttempts: 1, PrefetchFailureLimit: 2}
 	now := time.Unix(1_700_000_000, 0)
-	p := New(Options{Graph: g, Config: cfg, Upstream: up, Workers: 1,
+	p := New(Options{Graph: g, Upstream: up, Workers: 1,
 		Now: func() time.Time { return now }})
 	t.Cleanup(p.Close)
 	pt := &proxyTransport{p: p, user: "body-user"}
@@ -379,16 +375,16 @@ func TestPrefetchBodyErrorCountsAsFailure(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(brokenKeys) != 2 {
-		t.Fatalf("%d prefetches reached the origin, want 2", len(brokenKeys))
+	if len(brokenKeys) != prefetchFailureLimit {
+		t.Fatalf("%d prefetches reached the origin, want %d", len(brokenKeys), prefetchFailureLimit)
 	}
-	if st := p.Stats().Snapshot().PerSig["t:item#0"]; st.PrefetchErrors != 2 {
-		t.Fatalf("prefetch errors = %d, want both broken bodies counted", st.PrefetchErrors)
+	if st := p.Stats().Snapshot().PerSig["t:item#0"]; st.PrefetchErrors != prefetchFailureLimit {
+		t.Fatalf("prefetch errors = %d, want every broken body counted", st.PrefetchErrors)
 	}
 	var text strings.Builder
 	p.Registry().WritePrometheus(&text)
-	if !strings.Contains(text.String(), "appx_prefetch_errors_total 2\n") {
-		t.Fatal("appx_prefetch_errors_total did not rise to 2")
+	if !strings.Contains(text.String(), fmt.Sprintf("appx_prefetch_errors_total %d\n", prefetchFailureLimit)) {
+		t.Fatalf("appx_prefetch_errors_total did not rise to %d", prefetchFailureLimit)
 	}
 	if got := p.streamStats.bodyOverflows.Load(); got != 0 {
 		t.Fatalf("body overflows = %d: a broken stream is not an over-cap body", got)
@@ -414,8 +410,6 @@ func TestPrefetchBodyErrorCountsAsFailure(t *testing.T) {
 func TestForwardRetryMasksTransientFailure(t *testing.T) {
 	g := sig.NewGraph("t")
 	g.Add(&sig.Signature{ID: "t:a#0", Method: "GET", URI: sig.Literal("h.example/x")})
-	cfg := config.Default(g)
-	cfg.Resilience = &config.Resilience{RetryBaseDelay: config.Duration(time.Microsecond)}
 	var calls, fails int
 	var mu sync.Mutex
 	up := UpstreamFunc(func(ctx context.Context, r *httpmsg.Request) (*httpmsg.Response, error) {
@@ -428,7 +422,7 @@ func TestForwardRetryMasksTransientFailure(t *testing.T) {
 		}
 		return &httpmsg.Response{Status: 200, Body: []byte("ok")}, nil
 	})
-	p := New(Options{Graph: g, Config: cfg, Upstream: up})
+	p := New(Options{Graph: g, Upstream: up})
 	defer p.Close()
 	pt := &proxyTransport{p: p, user: "retry-user"}
 

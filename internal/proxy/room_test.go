@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"appx/internal/config"
 	"appx/internal/obs"
 	"appx/internal/proxy/sched"
 )
@@ -44,14 +43,14 @@ func roomBody(name, id string) string {
 
 // newRoomLab is a followLab over list → store → menu with user A taught and
 // the cache capped as tune says.
-func newRoomLab(t *testing.T, tune func(*config.Cache)) *followLab {
+func newRoomLab(t *testing.T, tune func(*Options)) *followLab {
 	t.Helper()
-	l := newFollowLabWith(t, storefront[:2], roomBody, func(cfg *config.Config) { tune(cfg.Cache) })
+	l := newFollowLabWith(t, storefront[:2], roomBody, tune)
 	l.teach("A", "store", "menu")
 	return l
 }
 
-func byteCapped(c *config.Cache) { c.PerUserBytes = roomByteCap }
+func byteCapped(o *Options) { o.Config.Cache.PerUserBytes = roomByteCap }
 
 // menus returns the menu ids among arrivals, in order, the teaching id aside.
 func menus(arrivals []string) []string {
@@ -118,7 +117,7 @@ func TestSpeculationStopsAtTheByteCap(t *testing.T) {
 
 // TestSpeculationStopsAtTheEntryCap is the same under the entry cap.
 func TestSpeculationStopsAtTheEntryCap(t *testing.T) {
-	l := newRoomLab(t, func(c *config.Cache) { c.MaxEntriesPerUser = roomStores + 3 })
+	l := newRoomLab(t, func(o *Options) { o.MaxCacheEntriesPerUser = roomStores + 3 })
 	l.getQueued("A", "list", "A")
 	l.p.Drain()
 	l.checkFilled("A", 3)
@@ -190,7 +189,7 @@ func TestLaterListEvictsEarlierSpeculation(t *testing.T) {
 // demand promotes the queued task to depth 0 and it is fetched, while its
 // siblings, still speculative, are refused.
 func TestPromotedTaskIsNotRefused(t *testing.T) {
-	l := newRoomLab(t, func(c *config.Cache) { c.MaxEntriesPerUser = roomStores + 1 })
+	l := newRoomLab(t, func(o *Options) { o.MaxCacheEntriesPerUser = roomStores + 1 })
 	l.park(func(name, id string) bool { return name == "menu" })
 	l.getQueued("A", "list", "A")
 	waitFor(t, "the first menu to reach the origin", func() bool {
@@ -241,7 +240,7 @@ func TestForegroundMissCommitsUnderQueuedClaim(t *testing.T) {
 // TestDataBudgetDropIsCounted: tasks queued before the data budget ran out are
 // dropped at dispatch — with a counter and their claims released.
 func TestDataBudgetDropIsCounted(t *testing.T) {
-	l := newFollowLabWith(t, storefront[:1], storefrontBody(3, 0), func(cfg *config.Config) { cfg.DataBudgetBytes = 1 })
+	l := newFollowLabWith(t, storefront[:1], storefrontBody(3, 0), func(o *Options) { o.Config.DataBudgetBytes = 1 })
 	l.teach("A", "store")
 	l.getQueued("A", "list", "A")
 	l.p.Drain()

@@ -267,13 +267,7 @@ type Scheduler struct {
 	held       int64
 }
 
-// New starts a scheduler with the given worker count (minimum 1) and
-// priority function, all other knobs defaulted.
-func New(workers int, priority PriorityFunc) *Scheduler {
-	return NewWith(Config{Workers: workers, Priority: priority})
-}
-
-// NewWith starts a scheduler from a full Config.
+// NewWith starts a scheduler from cfg; zero fields take their defaults.
 func NewWith(cfg Config) *Scheduler {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1

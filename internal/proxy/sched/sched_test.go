@@ -9,7 +9,7 @@ import (
 )
 
 func TestRunsAllTasks(t *testing.T) {
-	s := New(4, func(string) float64 { return 1 })
+	s := NewWith(Config{Workers: 4, Priority: func(string) float64 { return 1 }})
 	defer s.Close()
 	var n atomic.Int64
 	for i := 0; i < 100; i++ {
@@ -27,7 +27,7 @@ func TestRunsAllTasks(t *testing.T) {
 func TestPriorityOrdering(t *testing.T) {
 	// Single worker; stall it, queue low/high tasks, verify high runs first.
 	prio := map[string]float64{"low": 1, "high": 10, "block": 0}
-	s := New(1, func(id string) float64 { return prio[id] })
+	s := NewWith(Config{Workers: 1, Priority: func(id string) float64 { return prio[id] }})
 	defer s.Close()
 
 	release := make(chan struct{})
@@ -177,7 +177,7 @@ func TestPromote(t *testing.T) {
 }
 
 func TestCloseRejectsSubmit(t *testing.T) {
-	s := New(2, func(string) float64 { return 0 })
+	s := NewWith(Config{Workers: 2})
 	s.Close()
 	if s.Submit(&Task{SigID: "x", Run: func() {}}) {
 		t.Fatal("Submit accepted after Close")
@@ -190,7 +190,7 @@ func TestCloseRejectsSubmit(t *testing.T) {
 }
 
 func TestCloseDiscardQueuedAndDrainReturns(t *testing.T) {
-	s := New(1, func(string) float64 { return 0 })
+	s := NewWith(Config{Workers: 1})
 	release := make(chan struct{})
 	s.Submit(&Task{SigID: "block", Run: func() { <-release }})
 	time.Sleep(10 * time.Millisecond)
@@ -214,7 +214,7 @@ func TestCloseDiscardQueuedAndDrainReturns(t *testing.T) {
 }
 
 func TestQueueBound(t *testing.T) {
-	s := New(1, func(string) float64 { return 0 })
+	s := NewWith(Config{Workers: 1})
 	defer s.Close()
 	release := make(chan struct{})
 	s.Submit(&Task{SigID: "block", Run: func() { <-release }})
@@ -271,7 +271,7 @@ func TestClassQueueShares(t *testing.T) {
 }
 
 func TestQueueLen(t *testing.T) {
-	s := New(1, func(string) float64 { return 0 })
+	s := NewWith(Config{Workers: 1})
 	defer s.Close()
 	release := make(chan struct{})
 	s.Submit(&Task{SigID: "block", Run: func() { <-release }})
@@ -286,7 +286,7 @@ func TestQueueLen(t *testing.T) {
 }
 
 func TestDoubleCloseSafe(t *testing.T) {
-	s := New(2, func(string) float64 { return 0 })
+	s := NewWith(Config{Workers: 2})
 	s.Close()
 	s.Close()
 }
@@ -295,7 +295,7 @@ func TestDoubleCloseSafe(t *testing.T) {
 // t.Run() without recover and a non-deferred pending.Done meant one
 // panicking task crashed the process and would have deadlocked Drain.
 func TestPanicRecovered(t *testing.T) {
-	s := New(2, func(string) float64 { return 0 })
+	s := NewWith(Config{Workers: 2})
 	defer s.Close()
 	var got atomic.Value
 	s.Submit(&Task{SigID: "boom", Run: func() { panic("kaboom") }, OnPanic: func(v any) { got.Store(v) }})
@@ -496,7 +496,7 @@ func (j *countingJob) OnPanic(v any) { j.panicked = v }
 // guess, and the other guesses wait for the running one. Promote and Close
 // reach guesses where they wait.
 func TestGuessesLeaveAWorker(t *testing.T) {
-	s := New(2, nil)
+	s := NewWith(Config{Workers: 2})
 	release := make(chan struct{})
 	started := make(chan string, 8)
 	var guesses [3]*Task
@@ -547,7 +547,7 @@ func TestGuessesLeaveAWorker(t *testing.T) {
 // sixteenth worker although it is deeper than every guess. The head of the
 // waiting guesses is counted as held back once.
 func TestGuessesLeaveAWorkerSixteen(t *testing.T) {
-	s := New(16, nil)
+	s := NewWith(Config{Workers: 16})
 	defer s.Close()
 	release := make(chan struct{})
 	started := make(chan string, 32)

@@ -61,7 +61,6 @@ func TestExitPathsFinishOnce(t *testing.T) {
 	const itemSig, listSig = "t:item#0", "t:list#0"
 	g := overloadGraph()
 	cfg := config.Default(g)
-	cfg.Resilience = &config.Resilience{RetryAttempts: 1}
 	cfg.Overload = &config.Overload{MaxConcurrentRequests: 2, AdmissionWait: config.Duration(5 * time.Millisecond)}
 	up := &exitPathUpstream{stallEntered: make(chan struct{}), stallRelease: make(chan struct{})}
 	now := time.Unix(1_700_000_000, 0)
@@ -186,9 +185,7 @@ func TestFlightExitPathsFinishOnce(t *testing.T) {
 
 	// A matched request whose origin fetch fails: 502, error outcome, still
 	// attributed to its signature, flight removed.
-	cfg := config.Default(g)
-	cfg.Resilience = &config.Resilience{RetryAttempts: 1}
-	pf := New(Options{Graph: g, Config: cfg, Upstream: UpstreamFunc(func(context.Context, *httpmsg.Request) (*httpmsg.Response, error) {
+	pf := New(Options{Graph: g, Upstream: UpstreamFunc(func(context.Context, *httpmsg.Request) (*httpmsg.Response, error) {
 		return nil, errors.New("connect: connection refused")
 	})})
 	defer pf.Close()

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"appx/internal/cache"
-	"appx/internal/config"
 	"appx/internal/httpmsg"
 	"appx/internal/obs/adminv1"
 	"appx/internal/sig"
@@ -46,7 +45,7 @@ func TestSigTableConcurrentUse(t *testing.T) {
 					if i%3 == 0 {
 						st.setBackoff(0, time.Time{})
 					} else {
-						st.fail(p.opts.Now(), &p.res)
+						st.fail(p.opts.Now(), prefetchFailureLimit)
 					}
 					st.sample.Store(sample)
 				}
@@ -89,7 +88,8 @@ func TestSigTableConcurrentUse(t *testing.T) {
 // TestRespTimeAndBackoffFormulas pins the two read-modify-write fields of a
 // record against their sequential definitions: the response-time average is
 // the first sample, then (3·old + d)/4; the suspension window opens at the
-// failure limit and doubles from PrefetchBackoffBase up to PrefetchBackoffMax.
+// failure limit and doubles from prefetchBackoffBase up to prefetchBackoffMax:
+// 1 s after 3 failures, the 5 min cap after 12 more.
 func TestRespTimeAndBackoffFormulas(t *testing.T) {
 	s, rec := newTestStats("a")
 	var want time.Duration
@@ -103,18 +103,17 @@ func TestRespTimeAndBackoffFormulas(t *testing.T) {
 		}
 	}
 
-	res := config.Resilience{PrefetchFailureLimit: 3,
-		PrefetchBackoffBase: config.Duration(2 * time.Second), PrefetchBackoffMax: config.Duration(15 * time.Second)}
 	now := time.Unix(1_700_000_000, 0)
 	st := rec("a")
-	window := 2 * time.Second
-	for n := 1; n <= 8; n++ {
-		st.fail(now, &res)
+	window, capped := time.Second, 0
+	for n := 1; n <= prefetchFailureLimit+12; n++ {
+		now = now.Add(time.Minute)
+		st.fail(now, prefetchFailureLimit)
 		failures, until := st.backoff()
 		if failures != n {
 			t.Fatalf("streak = %d after %d failures", failures, n)
 		}
-		if n < res.PrefetchFailureLimit {
+		if n < prefetchFailureLimit {
 			if !until.IsZero() {
 				t.Fatalf("suspended after %d failures, under the limit", n)
 			}
@@ -123,9 +122,15 @@ func TestRespTimeAndBackoffFormulas(t *testing.T) {
 		if !until.Equal(now.Add(window)) {
 			t.Fatalf("failure %d: suspended until now+%v, want now+%v", n, until.Sub(now), window)
 		}
-		if window *= 2; window > 15*time.Second {
-			window = 15 * time.Second
+		if window == 5*time.Minute {
+			capped++
 		}
+		if window *= 2; window > 5*time.Minute {
+			window = 5 * time.Minute
+		}
+	}
+	if capped != 4 {
+		t.Fatalf("%d failures at the 5 min cap, want the last 4", capped)
 	}
 }
 
@@ -216,10 +221,10 @@ func TestSnapshotRestoresSamplesAndBackoff(t *testing.T) {
 		Header: []httpmsg.Field{{Key: "User-Agent", Value: "okhttp/3"}}}
 	item, list := p1.sigs.byID["t:item#0"], p1.sigs.byID["t:list#0"]
 	item.sample.Store(sample)
-	for i := 0; i < p1.res.PrefetchFailureLimit+1; i++ {
-		item.fail(now, &p1.res)
+	for i := 0; i < prefetchFailureLimit+1; i++ {
+		item.fail(now, prefetchFailureLimit)
 	}
-	list.fail(now, &p1.res) // a streak under the limit: counted, not suspended
+	list.fail(now, prefetchFailureLimit) // a streak under the limit: counted, not suspended
 	if err := p1.SnapshotNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +247,7 @@ func TestSnapshotRestoresSamplesAndBackoff(t *testing.T) {
 			t.Fatalf("%s: restored backoff (%d, %v), want (%d, %v)", id, n, until, wantN, wantUntil)
 		}
 	}
-	if h := p2.healthV1(); len(h.SuspendedSignatures) != 1 || h.SuspendedSignatures["t:item#0"].ConsecutiveFailures != p1.res.PrefetchFailureLimit+1 {
+	if h := p2.healthV1(); len(h.SuspendedSignatures) != 1 || h.SuspendedSignatures["t:item#0"].ConsecutiveFailures != prefetchFailureLimit+1 {
 		t.Fatalf("health after restore: %+v", h.SuspendedSignatures)
 	}
 }

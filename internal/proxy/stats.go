@@ -114,21 +114,30 @@ func (st *sigState) setBackoff(failures int, until time.Time) {
 	st.mu.Unlock()
 }
 
-// fail notes one more consecutive prefetch failure; at PrefetchFailureLimit
-// the signature is suspended, the window doubling per further failure from
-// PrefetchBackoffBase up to PrefetchBackoffMax.
-func (st *sigState) fail(now time.Time, res *config.Resilience) {
+// A signature whose prefetches keep failing is suspended: from
+// prefetchFailureLimit consecutive failures on, for prefetchBackoffBase,
+// doubling per further failure up to prefetchBackoffMax.
+const (
+	prefetchFailureLimit = 3
+	prefetchBackoffBase  = time.Second
+	prefetchBackoffMax   = 5 * time.Minute
+)
+
+// fail notes one more consecutive prefetch failure; at limit the signature
+// is suspended, the window doubling per further failure from
+// prefetchBackoffBase up to prefetchBackoffMax.
+func (st *sigState) fail(now time.Time, limit int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.failures++
-	if st.failures < res.PrefetchFailureLimit {
+	if st.failures < limit {
 		return
 	}
-	d, ceil := time.Duration(res.PrefetchBackoffBase), time.Duration(res.PrefetchBackoffMax)
-	for i := res.PrefetchFailureLimit; i < st.failures && d < ceil; i++ {
+	d := prefetchBackoffBase
+	for i := limit; i < st.failures && d < prefetchBackoffMax; i++ {
 		d *= 2
 	}
-	st.until = now.Add(min(d, ceil))
+	st.until = now.Add(min(d, prefetchBackoffMax))
 }
 
 // sigTable holds one sigState per graph signature. New fills it and nothing
