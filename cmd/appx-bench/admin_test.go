@@ -96,9 +96,9 @@ func TestAdminModeDecodesTypedViews(t *testing.T) {
 		"stage p95:",
 		"hit ratio 0.700",
 		"t:img#0: stored 180, hits 12, evicted 150 (140 never served), 44100000B unread",
-		"issued by: miss 30  hit 9  chain 60  refresh 0   promoted in queue: 4",
+		"issued by: miss 30  hit 9  chain 60   promoted in queue: 4",
 		"dropped at dispatch: no room 17  data budget 2",
-		"prefetch queue wait (mean): foreground 0.00ms  shallow 1.50ms  deep 42.25ms   guesses held by cap: 11",
+		"prefetch queue wait (mean): shallow 1.50ms  deep 42.25ms   guesses held by cap: 11",
 		"misses by reason: unpredicted 145  no exemplar 68  queued 55  other 9   borrowed first visits: issued 300  used 120  rejected 2",
 		"#10",
 		"sig=t:item#0",

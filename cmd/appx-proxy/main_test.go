@@ -275,8 +275,8 @@ func TestOptionsSurface(t *testing.T) {
 		v    any
 		want string
 	}{
-		{proxy.Options{}, "Graph Config Upstream Workers MaxCacheEntriesPerUser MaxUsers " +
-			"DisablePrefetch DisableChaining RefreshExpired Rand Now UserKey StreamChunkBytes " +
+		{proxy.Options{}, "Graph Config Upstream Workers MaxCacheEntriesPerUser " +
+			"DisablePrefetch DisableChaining Rand Now StreamChunkBytes " +
 			"CaptureMaxBytes MaxBodyBytes StateDir SnapshotInterval PersistFaults Cluster DisableHedging"},
 		{cluster.Config{}, "Self Peers ProbeInterval ProbeTimeout FailureThreshold Now Dial"},
 	} {

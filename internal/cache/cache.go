@@ -97,21 +97,15 @@ func (o Options) filled() Options {
 	return o
 }
 
-// Entry is one prefetched response payload. Req is retained so an expired
-// entry can seed a refresh prefetch; SigID attributes telemetry.
+// Entry is one prefetched response payload; SigID attributes telemetry.
 //
 // A stored entry's Resp.Body is immutable: the store may hand the same slice
 // to every entry whose body is equal, across users, so a reader may slice,
 // write out, scan or encode it, and never write into it.
 type Entry struct {
 	Resp    *httpmsg.Response
-	Req     *httpmsg.Request
 	SigID   string
 	Expires time.Time
-	// Refreshed marks an entry produced by a foreground refresh of an
-	// expired entry (kept warm for a demonstrated client) rather than a
-	// speculative prefetch — telemetry distinguishes the two hit kinds.
-	Refreshed bool
 	// Borrowed marks an entry whose request was built from what the user's
 	// device had shown the proxy on other signatures, before any live
 	// instance of its own: telemetry counts how many of them are served.
@@ -432,10 +426,10 @@ func (s *Store) shardOf(scope, key string) *shard {
 	return s.shards[h%uint32(len(s.shards))]
 }
 
-// Get looks up scope/key. fresh=true means the entry is valid to serve.
-// A non-nil entry with fresh=false was expired at lookup: it has been
-// removed, and its payload is returned so the caller may use the retained
-// request to refresh (never the response — the stale invariant).
+// Get looks up scope/key and returns the entry only if it is valid to serve
+// (fresh reports exactly that). An entry found expired is removed and counted
+// as a miss; nil is returned for it — no response older than its expiration
+// time is ever served.
 func (s *Store) Get(scope, key string) (e *Entry, fresh bool) {
 	sh := s.shardOf(scope, key)
 	now := s.opts.Now()
@@ -470,7 +464,7 @@ func (s *Store) Get(scope, key string) (e *Entry, fresh bool) {
 		sh.sigStat(en.payload.SigID).Expired++
 		sh.mu.Unlock()
 		s.evExpired.Add(1)
-		return en.payload, false
+		return nil, false
 	}
 	sh.touchLocked(en)
 	heap.Fix(&en.sc.order, en.ordIdx)

@@ -38,15 +38,18 @@ func TestNeverServeStale(t *testing.T) {
 	if fresh {
 		t.Fatal("expired entry served as fresh")
 	}
-	if e == nil {
-		t.Fatal("expired entry's payload not returned for refresh")
+	if e != nil {
+		t.Fatal("expired entry returned by Get")
 	}
-	if e2, _ := s.Get("u1", "k"); e2 != nil {
+	if n, _ := s.ScopeStats("u1"); n != 0 {
 		t.Fatal("expired entry not removed at lookup")
 	}
 	m := s.Metrics()
 	if m.Evictions.Expired != 1 {
 		t.Fatalf("expired evictions = %d, want 1", m.Evictions.Expired)
+	}
+	if m.Hits != 1 || m.Misses != 1 {
+		t.Fatalf("hits/misses = %d/%d, want 1/1 (the expired lookup is a miss)", m.Hits, m.Misses)
 	}
 	if m.ResidentBytes != 0 {
 		t.Fatalf("resident bytes = %d after sole entry expired, want 0", m.ResidentBytes)

@@ -105,13 +105,12 @@ func FuzzStore(f *testing.F) {
 			case 2:
 				e, fresh := s.Get(scope, key)
 				x := model[scope][key]
+				live := x != nil && now.Before(x.expires)
 				switch {
-				case (e == nil) != (x == nil):
-					t.Fatalf("Get %s/%s = %v, model holds %v", scope, key, e != nil, x != nil)
+				case (e != nil) != live || fresh != live:
+					t.Fatalf("Get %s/%s = %v fresh=%v, model holds a live entry: %v", scope, key, e != nil, fresh, live)
 				case e != nil && !bytes.Equal(e.Resp.Body, x.body):
 					t.Fatalf("Get %s/%s returns bytes other than those last Put", scope, key)
-				case e != nil && fresh == !now.Before(x.expires):
-					t.Fatalf("Get %s/%s fresh=%v at %v, expires %v", scope, key, fresh, now, x.expires)
 				case fresh:
 					e.FirstUse()
 					x.served = true

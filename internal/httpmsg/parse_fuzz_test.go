@@ -1,0 +1,59 @@
+package httpmsg
+
+import (
+	"bufio"
+	"bytes"
+	"errors"
+	"io"
+	"net/http"
+	"testing"
+)
+
+// fuzzBodyLimit is the body cap FuzzFromHTTPLimited parses under.
+const fuzzBodyLimit = 64
+
+// FuzzFromHTTPLimited: any request net/http parses converts without a panic;
+// the conversion refuses with ErrBodyTooLarge exactly when the body carries
+// more than the limit, fails otherwise only when the body cannot be read, and
+// a converted request keys the same as its clone.
+func FuzzFromHTTPLimited(f *testing.F) {
+	for _, seed := range []string{
+		"GET http://h.example/item?id=1&b=2 HTTP/1.1\r\nHost: h.example\r\nCookie: s=1\r\n\r\n",
+		"GET /p%2Fq?x=%zz HTTP/1.1\r\nHost: H.Example:8080\r\n\r\n",
+		"POST /feed HTTP/1.1\r\nHost: h\r\nContent-Type: application/x-www-form-urlencoded\r\nContent-Length: 17\r\n\r\noffset=0&count=20",
+		"POST /j HTTP/1.1\r\nHost: h\r\nContent-Type: application/json\r\nContent-Length: 13\r\n\r\n{\"a\":[1,\"x\"]}",
+		"POST /j HTTP/1.1\r\nHost: h\r\nContent-Type: application/json\r\nContent-Length: 5\r\n\r\n{\"a\":",
+		"PUT /raw HTTP/1.1\r\nHost: h\r\nContent-Length: 64\r\n\r\n" + string(bytes.Repeat([]byte("r"), 64)),
+		"PUT /raw HTTP/1.1\r\nHost: h\r\nContent-Length: 65\r\n\r\n" + string(bytes.Repeat([]byte("r"), 65)),
+		"PUT /raw HTTP/1.1\r\nHost: h\r\nContent-Length: 90\r\n\r\nshort",
+		"POST /c HTTP/1.1\r\nHost: h\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+		"POST /c HTTP/1.1\r\nHost: h\r\nTransfer-Encoding: chunked\r\n\r\n50\r\n" + string(bytes.Repeat([]byte("c"), 80)) + "\r\n0\r\n\r\n",
+		"POST /c HTTP/1.1\r\nHost: h\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := http.ReadRequest(bufio.NewReader(bytes.NewReader(data)))
+		if err != nil {
+			return
+		}
+		// The reference reads the same body from a second parse.
+		ref, _ := http.ReadRequest(bufio.NewReader(bytes.NewReader(data)))
+		body, readErr := io.ReadAll(ref.Body)
+
+		req, err := FromHTTPLimited(r, fuzzBodyLimit)
+		switch tooLarge := len(body) > fuzzBodyLimit; {
+		case tooLarge != errors.Is(err, ErrBodyTooLarge):
+			t.Fatalf("%d-byte body: err %v", len(body), err)
+		case tooLarge:
+			return
+		case (err != nil) != (readErr != nil):
+			t.Fatalf("conversion err %v, body read err %v", err, readErr)
+		case err != nil:
+			return
+		}
+		if k, c := req.CanonicalKey(), req.Clone().CanonicalKey(); c != k {
+			t.Fatalf("clone keys %q, original %q", c, k)
+		}
+	})
+}

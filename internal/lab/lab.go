@@ -51,8 +51,6 @@ type Options struct {
 	Workers int
 	// DisableChaining ablates recursive (chain) prefetching.
 	DisableChaining bool
-	// RefreshExpired enables the refresh-on-expire extension.
-	RefreshExpired bool
 	// SharedTier enables the cross-user shared cache tier. Off by default:
 	// the §6 replications measure per-user data usage, and sharing (an
 	// extension beyond the paper's per-user prototype) would let one user's
@@ -143,7 +141,6 @@ func New(o Options) (*Lab, error) {
 		Workers:         o.Workers,
 		DisablePrefetch: !o.Prefetch,
 		DisableChaining: o.DisableChaining,
-		RefreshExpired:  o.RefreshExpired,
 	})
 
 	l.proxyLn, err = net.Listen("tcp", "127.0.0.1:0")

@@ -57,19 +57,22 @@ type SchedClass struct {
 }
 
 // SchedIssued counts prefetches the scheduler accepted by what caused them:
-// a live miss, a live hit (or attach) re-deriving a predecessor's children, a
-// prefetched response continuing its chain, or a refresh of an expired entry.
+// a live miss, a live hit (or attach) re-deriving a predecessor's children,
+// or a prefetched response continuing its chain.
 type SchedIssued struct {
-	Miss    int64 `json:"miss"`
-	Hit     int64 `json:"hit"`
-	Chain   int64 `json:"chain"`
+	Miss  int64 `json:"miss"`
+	Hit   int64 `json:"hit"`
+	Chain int64 `json:"chain"`
+	// Refresh is inert, always 0: it counted refresh-on-expire prefetches,
+	// a mechanism the proxy no longer has. It stays because v1 only grows.
 	Refresh int64 `json:"refresh"`
 }
 
 // Sched is the prefetch scheduler block shared by stats and health. Promoted
 // counts queued prefetches that moved up because demand reached them;
 // GuessesHeld counts borrowed guesses a free worker skipped because the
-// guess cap (every worker but one) was full.
+// guess cap (every worker but one) was full. Foreground stays zero: no
+// prefetch the proxy issues is foreground-class.
 type Sched struct {
 	Queue       int         `json:"queue"`
 	Capacity    int         `json:"capacity"`
@@ -292,7 +295,10 @@ type ClusterEntry struct {
 	Header      []HeaderField `json:"header,omitempty"`
 	Body        []byte        `json:"body,omitempty"`
 	ExpiresInMs int64         `json:"expiresInMs"`
-	Refreshed   bool          `json:"refreshed"`
+	// Refreshed is inert, always false, and ignored on receipt: it marked
+	// entries a refresh-on-expire prefetch produced, a mechanism the proxy no
+	// longer has. It stays because v1 only grows.
+	Refreshed bool `json:"refreshed"`
 }
 
 // StatsResponse is the body of GET /appx/v1/stats.

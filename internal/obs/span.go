@@ -67,9 +67,9 @@ const (
 	OutcomeUnknown Outcome = iota
 	// OutcomePrefetchHit: served from the prefetch store.
 	OutcomePrefetchHit
-	// OutcomeRefreshHit: served from the store, from an entry produced by a
-	// foreground refresh of an expired entry rather than a speculative
-	// prefetch.
+	// OutcomeRefreshHit is recorded by nothing: it named hits on entries a
+	// refresh-on-expire prefetch produced, a mechanism the proxy no longer
+	// has. It remains because the benchmark module counts it as a hit.
 	OutcomeRefreshHit
 	// OutcomeShed: refused by admission control or lifecycle draining.
 	OutcomeShed

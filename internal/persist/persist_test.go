@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -16,7 +17,6 @@ var frozen = time.Unix(1_700_000_000, 0)
 func testEntry(body string, expires time.Time) *cache.Entry {
 	return &cache.Entry{
 		Resp:    &httpmsg.Response{Status: 200, Header: []httpmsg.Field{{Key: "Content-Type", Value: "application/json"}}, Body: []byte(body)},
-		Req:     &httpmsg.Request{Method: "GET", Scheme: "http", Host: "api.example", Path: "/x"},
 		SigID:   "t:sig#1",
 		Expires: expires,
 	}
@@ -119,12 +119,55 @@ func TestTierSpillLoadRoundTrip(t *testing.T) {
 	if string(got.Resp.Body) != `{"v":1}` || got.SigID != "t:sig#1" || !got.Expires.Equal(e.Expires) {
 		t.Fatalf("loaded entry mismatch: %+v", got)
 	}
-	if got.Req == nil || got.Req.Host != "api.example" {
-		t.Fatalf("retained request lost: %+v", got.Req)
-	}
 	m := tier.Metrics()
 	if m.Spilled != 1 || m.Hits != 1 || m.Entries != 1 || m.Bytes <= 0 {
 		t.Fatalf("metrics = %+v", m)
+	}
+}
+
+// TestTierRecordFormat: a record written while entries still carried their
+// request and a refresh mark loads with its body, signature and expiry, and
+// a record spilled now carries neither key.
+func TestTierRecordFormat(t *testing.T) {
+	tier := newTestTier(t, TierOptions{})
+	const old = `{"scope":"user-a","key":"GET|api.example/x","sig":"t:sig#1",` +
+		`"expires":"2023-11-14T23:13:20Z","refreshed":true,` +
+		`"resp":{"Status":200,"Header":[{"k":"Content-Type","v":"application/json"}],"Body":"eyJ2IjoxfQ=="},` +
+		`"req":{"Method":"GET","Scheme":"http","Host":"api.example","Path":"/x","Query":null,"Header":null,` +
+		`"BodyKind":0,"BodyForm":null,"BodyJSON":null,"BodyRaw":null}}`
+	path := tier.entryPath("user-a", "GET|api.example/x")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, Encode(MagicEntry, []byte(old)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := tier.Load("user-a", "GET|api.example/x")
+	if !ok {
+		t.Fatal("an older record did not load")
+	}
+	if string(got.Resp.Body) != `{"v":1}` || got.SigID != "t:sig#1" || !got.Expires.Equal(frozen.Add(time.Hour)) {
+		t.Fatalf("older record loaded as %+v (body %q)", got, got.Resp.Body)
+	}
+
+	tier.Spill("user-b", "k", testEntry(`{"v":2}`, frozen.Add(time.Hour)))
+	tier.Flush()
+	data, err := os.ReadFile(tier.entryPath("user-b", "k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := Decode(MagicEntry, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(payload, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"req", "refreshed"} {
+		if _, ok := keys[k]; ok {
+			t.Fatalf("spilled record carries %q: %s", k, payload)
+		}
 	}
 }
 

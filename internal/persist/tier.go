@@ -20,14 +20,15 @@ import (
 // are stored redundantly (the file path already encodes their hashes) so a
 // hash collision or a misplaced file can never serve the wrong payload:
 // Load verifies them against the request before returning anything.
+//
+// Records written before entries stopped carrying their request hold "req"
+// and "refreshed" keys as well; decoding ignores them.
 type EntryRecord struct {
-	Scope     string            `json:"scope"`
-	Key       string            `json:"key"`
-	SigID     string            `json:"sig,omitempty"`
-	Expires   time.Time         `json:"expires"`
-	Refreshed bool              `json:"refreshed,omitempty"`
-	Resp      *httpmsg.Response `json:"resp"`
-	Req       *httpmsg.Request  `json:"req,omitempty"`
+	Scope   string            `json:"scope"`
+	Key     string            `json:"key"`
+	SigID   string            `json:"sig,omitempty"`
+	Expires time.Time         `json:"expires"`
+	Resp    *httpmsg.Response `json:"resp"`
 }
 
 // EncodeEntry envelopes an entry record for disk.
@@ -178,15 +179,7 @@ func (t *Tier) Spill(scope, key string, e *cache.Entry) {
 	if t.closed.Load() || e == nil || e.Resp == nil {
 		return
 	}
-	rec := &EntryRecord{
-		Scope:     scope,
-		Key:       key,
-		SigID:     e.SigID,
-		Expires:   e.Expires,
-		Refreshed: e.Refreshed,
-		Resp:      e.Resp,
-		Req:       e.Req,
-	}
+	rec := &EntryRecord{Scope: scope, Key: key, SigID: e.SigID, Expires: e.Expires, Resp: e.Resp}
 	select {
 	case t.q <- spillOp{rec: rec}:
 	default:
@@ -229,13 +222,7 @@ func (t *Tier) Load(scope, key string) (*cache.Entry, bool) {
 		return nil, false
 	}
 	t.hits.Add(1)
-	return &cache.Entry{
-		Resp:      rec.Resp,
-		Req:       rec.Req,
-		SigID:     rec.SigID,
-		Expires:   rec.Expires,
-		Refreshed: rec.Refreshed,
-	}, true
+	return &cache.Entry{Resp: rec.Resp, SigID: rec.SigID, Expires: rec.Expires}, true
 }
 
 // Drop removes a scope's directory — called when the memory tier evicts a

@@ -349,8 +349,7 @@ func TestMaxUsersEvictsLeastRecentlySeen(t *testing.T) {
 		return &httpmsg.Response{Status: 200}, nil
 	})
 	now := time.Unix(1_700_000_000, 0)
-	p := New(Options{Graph: g, Upstream: up, MaxUsers: 2,
-		Now: func() time.Time { return now }})
+	p := New(Options{Graph: g, Upstream: up, Now: func() time.Time { return now }})
 	defer p.Close()
 
 	p.user("old")
@@ -360,8 +359,11 @@ func TestMaxUsersEvictsLeastRecentlySeen(t *testing.T) {
 	})
 	now = now.Add(time.Minute)
 	p.user("fresh")
+	for i := 2; i < maxUsers; i++ {
+		p.user(fmt.Sprint("filler", i))
+	}
 	now = now.Add(time.Minute)
-	p.user("new") // over MaxUsers: the least recently seen state must go
+	p.user("new") // over maxUsers: the least recently seen state must go
 
 	p.mu.Lock()
 	_, oldAlive := p.users["old"]

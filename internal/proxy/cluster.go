@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -120,7 +121,7 @@ func (p *Proxy) clusterRelay(x *exchange, addr string) bool {
 		return false
 	}
 	// The clone carries the addressing metadata the owner needs: the user
-	// key (the relay's UserKey extraction already consumed it) and the hop
+	// key (the relay's userKey extraction already consumed it) and the hop
 	// marker. The local req stays clean for the fallback path. The client's
 	// context bounds the hop.
 	fwd := x.req.Clone()
@@ -204,12 +205,13 @@ func (p *Proxy) clusterPeerFill(ctx context.Context, key string, claimed bool) *
 
 // entryFromPeer turns a sibling's serialized entry into a local cache
 // entry. The TTL travels relative (ExpiresInMs) so instances need no clock
-// agreement; an entry at or past expiry is not worth storing. Req stays nil
-// — refresh-on-expiry re-learns from live traffic instead of replaying a
-// request this instance never saw. The miss cost does not travel either: it
-// is this instance's own view of the signature's origin time.
+// agreement; an entry at or past expiry is not worth storing, and a TTL too
+// long for a time.Duration is malformed (it would wrap into the past). The
+// miss cost does not travel: it is this instance's own view of the
+// signature's origin time.
 func (p *Proxy) entryFromPeer(pe *adminv1.ClusterEntry) *cache.Entry {
-	if pe == nil || pe.Status != http.StatusOK || pe.ExpiresInMs <= 0 {
+	if pe == nil || pe.Status != http.StatusOK || pe.ExpiresInMs <= 0 ||
+		pe.ExpiresInMs > math.MaxInt64/int64(time.Millisecond) {
 		return nil
 	}
 	resp := &httpmsg.Response{Status: pe.Status, Body: pe.Body}
@@ -217,11 +219,10 @@ func (p *Proxy) entryFromPeer(pe *adminv1.ClusterEntry) *cache.Entry {
 		resp.Header = append(resp.Header, httpmsg.Field{Key: h.Key, Value: h.Value})
 	}
 	return &cache.Entry{
-		Resp:      resp,
-		SigID:     pe.SigID,
-		Expires:   p.opts.Now().Add(time.Duration(pe.ExpiresInMs) * time.Millisecond),
-		Refreshed: pe.Refreshed,
-		Cost:      p.sigs.byID[pe.SigID].avgRespTime(),
+		Resp:    resp,
+		SigID:   pe.SigID,
+		Expires: p.opts.Now().Add(time.Duration(pe.ExpiresInMs) * time.Millisecond),
+		Cost:    p.sigs.byID[pe.SigID].avgRespTime(),
 	}
 }
 
@@ -251,7 +252,6 @@ func (p *Proxy) serveClusterEntry(w http.ResponseWriter, r *http.Request) {
 		Status:      e.Resp.Status,
 		Body:        e.Resp.Body,
 		ExpiresInMs: e.Expires.Sub(p.opts.Now()).Milliseconds(),
-		Refreshed:   e.Refreshed,
 	}
 	for _, h := range e.Resp.Header {
 		out.Header = append(out.Header, adminv1.HeaderField{Key: h.Key, Value: h.Value})

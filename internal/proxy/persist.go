@@ -275,10 +275,10 @@ func (p *Proxy) applyState(st *persist.State) {
 	now := p.opts.Now()
 
 	// Least recently seen first, so adding them in turn rebuilds the recency
-	// order; a lowered MaxUsers keeps the users most likely to return.
+	// order; past maxUsers, the users most likely to return are kept.
 	sort.SliceStable(st.Users, func(i, j int) bool { return st.Users[i].LastSeen.Before(st.Users[j].LastSeen) })
 	p.mu.Lock()
-	for _, us := range st.Users[max(0, len(st.Users)-p.opts.MaxUsers):] {
+	for _, us := range st.Users[max(0, len(st.Users)-maxUsers):] {
 		u := p.addUserLocked(us.Key)
 		u.lastSeen = us.LastSeen
 		for id, es := range us.Exemplars {

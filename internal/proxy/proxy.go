@@ -55,27 +55,17 @@ type Options struct {
 	// MaxCacheEntriesPerUser caps one user's cached entries (default
 	// 4096).
 	MaxCacheEntriesPerUser int
-	// MaxUsers bounds tracked user states (default 10000); the least
-	// recently seen user is evicted when exceeded.
-	MaxUsers int
 	// DisablePrefetch turns the proxy into a plain forwarder (the "Orig"
 	// baseline of §6.2).
 	DisablePrefetch bool
 	// DisableChaining stops prefetched responses from seeding further
 	// prefetches (ablates the Figure 3(c) chain behaviour).
 	DisableChaining bool
-	// RefreshExpired re-issues the prefetch when a cached entry is found
-	// expired at lookup time, keeping hot entries warm. An extension beyond
-	// the paper, whose proxy re-learns only from the next live predecessor.
-	RefreshExpired bool
 	// Rand supplies probability draws; defaults to math/rand. Injected for
 	// deterministic tests.
 	Rand func() float64
 	// Now supplies time; defaults to time.Now. Injected for expiry tests.
 	Now func() time.Time
-	// UserKey extracts the per-user state key from a request; defaults to
-	// the client IP (§5: "the prototype distinguishes users by IP address").
-	UserKey func(*http.Request) string
 
 	// StreamChunkBytes sizes the pooled chunks the streaming data plane
 	// moves bodies through (default stream.DefaultChunkBytes, 64 KiB).
@@ -109,10 +99,26 @@ type Options struct {
 	DisableHedging bool
 }
 
-// userHeader carries an explicit per-user tag from emulated devices; the
-// default UserKey prefers it over the client IP (all emulated devices on one
-// machine share 127.0.0.1).
+// userHeader carries an explicit per-user tag from emulated devices; userKey
+// prefers it over the client IP (all emulated devices on one machine share
+// 127.0.0.1).
 const userHeader = "X-Appx-User"
+
+// userKey extracts the per-user state key from a request: the user header,
+// else the client IP (§5: "the prototype distinguishes users by IP address").
+func userKey(r *http.Request) string {
+	if u := r.Header.Get(userHeader); u != "" {
+		// NUL bytes are stripped so a header-supplied key can never forge the
+		// NUL-prefixed reserved shared scope (or smuggle separator bytes into
+		// scope-prefixed internal keys).
+		return strings.ReplaceAll(u, "\x00", "")
+	}
+	host, _, err := net.SplitHostPort(r.RemoteAddr)
+	if err != nil {
+		return r.RemoteAddr
+	}
+	return host
+}
 
 const (
 	// maxChainDepth bounds recursive prefetching along dependency chains
@@ -123,6 +129,9 @@ const (
 	maxPendingPerSig = 256
 	// maxEntriesPerUser is Options.MaxCacheEntriesPerUser's default.
 	maxEntriesPerUser = 4096
+	// maxUsers bounds tracked user states; the least recently seen user is
+	// evicted when exceeded.
+	maxUsers = 10000
 	// sweepInterval is the cache's background expiry-sweep period; an
 	// expired entry is a miss at lookup whether or not the sweep reached it.
 	sweepInterval = 30 * time.Second
@@ -278,14 +287,12 @@ const (
 	trigHit
 	// trigChain: a prefetched response nobody has asked for yet.
 	trigChain
-	// trigRefresh: a lookup that found the entry expired (RefreshExpired).
-	trigRefresh
 
 	numTriggers
 )
 
 func (t trigger) String() string {
-	return [numTriggers]string{"miss", "hit", "chain", "refresh"}[t]
+	return [numTriggers]string{"miss", "hit", "chain"}[t]
 }
 
 // user holds per-user learning state (§2: "The proxy keeps track of user
@@ -326,9 +333,6 @@ func newProxy(opts Options, tun tuning) *Proxy {
 	if opts.Workers == 0 {
 		opts.Workers = DefaultWorkers
 	}
-	if opts.MaxUsers <= 0 {
-		opts.MaxUsers = 10000
-	}
 	if opts.MaxCacheEntriesPerUser <= 0 {
 		opts.MaxCacheEntriesPerUser = maxEntriesPerUser
 	}
@@ -337,21 +341,6 @@ func newProxy(opts Options, tun tuning) *Proxy {
 	}
 	if opts.Now == nil {
 		opts.Now = time.Now
-	}
-	if opts.UserKey == nil {
-		opts.UserKey = func(r *http.Request) string {
-			if u := r.Header.Get(userHeader); u != "" {
-				// NUL bytes are stripped so a header-supplied key can never
-				// forge the NUL-prefixed reserved shared scope (or smuggle
-				// separator bytes into scope-prefixed internal keys).
-				return strings.ReplaceAll(u, "\x00", "")
-			}
-			host, _, err := net.SplitHostPort(r.RemoteAddr)
-			if err != nil {
-				return r.RemoteAddr
-			}
-			return host
-		}
 	}
 	if opts.Config == nil {
 		opts.Config = config.Default(opts.Graph)
@@ -609,7 +598,7 @@ func (p *Proxy) user(key string) *user {
 	if ok {
 		p.recent.MoveToFront(u.elem)
 	} else {
-		if len(p.users) >= p.opts.MaxUsers { // the least recently seen user makes room
+		if len(p.users) >= maxUsers { // the least recently seen user makes room
 			evicted = p.forgetLocked(p.recent.Back().Value.(*user))
 		}
 		u = p.addUserLocked(key)
@@ -938,10 +927,9 @@ func (p *Proxy) schedV1() adminv1.Sched {
 		Promoted:    m.Promoted,
 		GuessesHeld: m.GuessesHeld,
 		Issued: adminv1.SchedIssued{
-			Miss:    p.issued[trigMiss].Value(),
-			Hit:     p.issued[trigHit].Value(),
-			Chain:   p.issued[trigChain].Value(),
-			Refresh: p.issued[trigRefresh].Value(),
+			Miss:  p.issued[trigMiss].Value(),
+			Hit:   p.issued[trigHit].Value(),
+			Chain: p.issued[trigChain].Value(),
 		},
 		Foreground: classBlock(m.Foreground),
 		Shallow:    classBlock(m.Shallow),
@@ -981,39 +969,20 @@ func (p *Proxy) requestsV1() adminv1.Requests {
 // lookup probes the user's cache scope, then the cross-user shared tier,
 // for a fresh entry; shared reports which tier answered. Expired entries
 // are dropped by the store at lookup (invariant: no response older than its
-// expiration time is ever served) and optionally re-prefetched.
+// expiration time is ever served); the next live predecessor re-learns them.
 func (p *Proxy) lookup(u *user, key string) (entry *cache.Entry, shared bool) {
 	if p.opts.DisablePrefetch {
 		return nil, false
 	}
 	if e, fresh := p.store.Get(u.key, key); fresh {
 		return e, false
-	} else if e != nil {
-		p.refreshExpired(u, e)
 	}
 	if !p.cacheCfg.DisableSharedTier {
 		if e, fresh := p.store.Get(cache.SharedScope, key); fresh {
 			return e, true
-		} else if e != nil {
-			p.refreshExpired(u, e)
 		}
 	}
 	return nil, false
-}
-
-// refreshExpired re-issues the prefetch behind an entry found expired at
-// lookup, keeping hot entries warm (Options.RefreshExpired).
-func (p *Proxy) refreshExpired(u *user, e *cache.Entry) {
-	if !p.opts.RefreshExpired || e.Req == nil {
-		return
-	}
-	// A refresh renews an entry a client is demonstrably using right now, so
-	// it rides in the foreground class and survives overload shedding. The
-	// entry (and its request) may be shared across users hitting the same
-	// key; Clone so the canonical-key memoization stays goroutine-local.
-	if st := p.sigs.byID[e.SigID]; st != nil {
-		p.maybePrefetch(u, st, e.Req.Clone(), 0, e.Root, trigRefresh, false)
-	}
 }
 
 // sharedEligible decides whether a reconstructed request may cache once
@@ -1254,13 +1223,9 @@ func (p *Proxy) maybePrefetch(u *user, st *sigState, req *httpmsg.Request, depth
 		return
 	}
 	// The class is what sheds first when the queue fills: chain tails are the
-	// most speculative work the proxy does, a refresh renews an entry a client
-	// is using now.
+	// most speculative work the proxy does.
 	class := sched.ClassDeep
-	switch {
-	case trig == trigRefresh:
-		class = sched.ClassForeground
-	case depth == 0:
+	if depth == 0 {
 		class = sched.ClassShallow
 	}
 	pf := &prefetch{p: p, u: u, st: st, req: req, scope: scope, key: key, ikey: issueKey(scope, key), expiry: expiry, root: root}
@@ -1390,17 +1355,13 @@ func (p *Proxy) ridePrefetch(pf *prefetch, fl *flight, rd *stream.Reader, owner 
 	resp := &httpmsg.Response{Status: fl.status, Header: fl.header, Body: body}
 	p.store.Put(pf.scope, pf.key, &cache.Entry{
 		Resp:    resp,
-		Req:     pf.req,
 		SigID:   pf.st.sig.ID,
 		Expires: p.opts.Now().Add(pf.expiry),
 		// What a miss on this entry would cost its client: the eviction
 		// order keeps slow-origin responses over cheap-to-refetch bulk.
-		Cost: pf.st.avgRespTime(),
-		Root: pf.root,
-		// Foreground-class prefetches are refreshes of entries clients are
-		// demonstrably using; hits on them report as refresh-hit.
-		Refreshed: pf.task.Class == sched.ClassForeground,
-		Borrowed:  pf.task.Guess,
+		Cost:     pf.st.avgRespTime(),
+		Root:     pf.root,
+		Borrowed: pf.task.Guess,
 	})
 	pf.release()
 	// Chain continuation — only from a fetch this worker made itself; an

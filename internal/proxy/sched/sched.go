@@ -10,13 +10,13 @@
 // a client has since come closer to is promoted where it waits (Promote).
 // Running tasks are never preempted, so tasks marked as guesses never hold
 // every worker: nearer work arriving behind a burst of them still finds one
-// free. The scheduler is also overload-safe: tasks carry a class (foreground
-// refresh, shallow prefetch, deep prefetch) that sets how far into a filling
-// queue they are admitted, so speculative work is shed first; tasks carry an
-// enqueue deadline so stale work is dropped at dispatch instead of run; every
-// shed is counted per class and reason, and every dispatch's queue wait is
-// summed per class, so a saturated pool shows; and a panicking task is
-// recovered without taking down the worker pool or deadlocking Drain.
+// free. The scheduler is also overload-safe: tasks carry a class (shallow or
+// deep prefetch) that sets how far into a filling queue they are admitted, so
+// speculative work is shed first; tasks carry an enqueue deadline so stale
+// work is dropped at dispatch instead of run; every shed is counted per class
+// and reason, and every dispatch's queue wait is summed per class, so a
+// saturated pool shows; and a panicking task is recovered without taking down
+// the worker pool or deadlocking Drain.
 package sched
 
 import (
@@ -31,8 +31,9 @@ import (
 type Class int
 
 const (
-	// ClassForeground is client-adjacent work: refreshing an entry a client
-	// just found expired. It may use the whole queue.
+	// ClassForeground may use the whole queue and runs before every other
+	// class. The proxy submits no foreground work; the class and its
+	// Metrics.Foreground block remain because the benchmark module reads them.
 	ClassForeground Class = iota
 	// ClassShallow is a first-hop prefetch spawned by live client traffic.
 	// It is admitted into at most 3/4 of the queue.
@@ -197,8 +198,8 @@ func (m Metrics) ByClass(c Class) ClassMetrics {
 	}
 }
 
-// taskHeap is the ready queue. Foreground refreshes run first — a client is
-// using that entry now. Everything else runs nearest-first: by depth, then
+// taskHeap is the ready queue. Foreground tasks run first. Everything else
+// runs nearest-first: by depth, then
 // snapshot priority (§5), then submission order. Depth leads because the §5
 // hit-rate term is 0.5 for a signature never prefetched and hits/prefetches
 // (0) after its first batch, which on its own runs the newest — the deepest

@@ -69,7 +69,7 @@ func stalled(t *testing.T, cfg Config) (s *Scheduler, release chan struct{}) {
 	return s, release
 }
 
-// TestClassOrdering pins the dispatch order: foreground refreshes, then
+// TestClassOrdering pins the dispatch order: foreground tasks, then
 // nearest-first by depth, then the §5 priority, then submission order. The
 // class of a non-foreground task does not order it.
 func TestClassOrdering(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"appx/internal/cache"
 	"appx/internal/httpmsg"
 	"appx/internal/obs"
-	"appx/internal/proxy/sched"
 )
 
 // The foreground request lifecycle (DESIGN.md §8). One proxied request is one
@@ -93,7 +92,7 @@ func (p *Proxy) serve(x *exchange, r *http.Request) obs.Outcome {
 	defer p.gate.release()
 
 	// Parse: decode, resolve the user, route, key.
-	x.user = p.opts.UserKey(r)
+	x.user = userKey(r)
 	x.sp.SetUser(x.user)
 	req, err := httpmsg.FromHTTPLimited(r, p.maxBody)
 	if err != nil {
@@ -136,9 +135,6 @@ func (p *Proxy) serve(x *exchange, r *http.Request) obs.Outcome {
 	entry, shared := p.lookup(u, key)
 	x.sp.EndStage(obs.StageCache)
 	if entry != nil {
-		if entry.Refreshed {
-			return p.serveEntry(x, u, entry, shared, obs.OutcomeRefreshHit)
-		}
 		return p.serveEntry(x, u, entry, shared, obs.OutcomePrefetchHit)
 	}
 
@@ -377,10 +373,9 @@ func (p *Proxy) runFlight(x *exchange, u *user, matched []*sigState, scope, fkey
 		}
 		root := u.roots.Add(1)
 		if commit {
-			e := &cache.Entry{Resp: lresp, Req: sent, SigID: lead.sig.ID,
+			e := &cache.Entry{Resp: lresp, SigID: lead.sig.ID,
 				Expires: p.opts.Now().Add(p.opts.Config.Expiration(lead.pol)),
-				Cost:    lead.avgRespTime(), Root: root,
-				Refreshed: waiting.task.Class == sched.ClassForeground}
+				Cost:    lead.avgRespTime(), Root: root}
 			e.FirstUse() // this client has been served it
 			p.store.Put(scope, x.req.CanonicalKey(), e)
 		}

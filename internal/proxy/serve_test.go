@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -67,7 +68,7 @@ func TestExitPathsFinishOnce(t *testing.T) {
 	var clockMu sync.Mutex
 	clock := func() time.Time { clockMu.Lock(); defer clockMu.Unlock(); return now }
 	p := New(Options{Graph: g, Config: cfg, Upstream: up, Now: clock,
-		Rand: func() float64 { return 0 }, RefreshExpired: true, MaxBodyBytes: 16})
+		Rand: func() float64 { return 0 }, MaxBodyBytes: 16})
 	t.Cleanup(p.Close)
 
 	get := func(url string) *http.Request {
@@ -104,15 +105,6 @@ func TestExitPathsFinishOnce(t *testing.T) {
 	check("origin via flight (list)", get("http://app.example/list"), 200, obs.OutcomeOrigin, listSig, 1)
 	p.Drain() // items a and b are prefetched
 	check("prefetch-hit", get("http://app.example/item?id=a"), 200, obs.OutcomePrefetchHit, itemSig, 1)
-
-	// Expire the entries; the next touch misses and re-issues the prefetch as
-	// a foreground-class refresh, whose entry then serves as a refresh-hit.
-	clockMu.Lock()
-	now = now.Add(time.Hour)
-	clockMu.Unlock()
-	serve(get("http://app.example/item?id=a"))
-	p.Drain()
-	check("refresh-hit", get("http://app.example/item?id=a"), 200, obs.OutcomeRefreshHit, itemSig, 1)
 
 	check("origin via passthrough", get("http://app.example/unmatched"), 200, obs.OutcomeOrigin, "", 1)
 	check("upstream 502 via passthrough", get("http://dead.example/x"), 502, obs.OutcomeError, "", 0)
@@ -292,7 +284,7 @@ func TestPruneDoesNotBlockForeground(t *testing.T) {
 	up := UpstreamFunc(func(context.Context, *httpmsg.Request) (*httpmsg.Response, error) {
 		return &httpmsg.Response{Status: 200, Body: []byte("ok")}, nil
 	})
-	p := New(Options{Graph: g, Upstream: up, Now: clock, MaxUsers: 2})
+	p := New(Options{Graph: g, Upstream: up, Now: clock})
 	defer p.Close()
 	tier := &blockingTier{entered: make(chan string, 4), release: make(chan struct{})}
 	p.store.Close()
@@ -339,11 +331,15 @@ func TestPruneDoesNotBlockForeground(t *testing.T) {
 		t.Fatalf("PruneUsers = %d, want 1", n)
 	}
 
-	// MaxUsers eviction: a further user evicts the least recently seen one
-	// (2.2.2.2), and that drop blocks too — only the evicting request waits.
+	// maxUsers eviction: once the table is full, a further user evicts the
+	// least recently seen one (2.2.2.2), and that drop blocks too — only the
+	// evicting request waits.
 	clockMu.Lock()
 	now = now.Add(time.Minute)
 	clockMu.Unlock()
+	for i := 2; i < maxUsers; i++ {
+		p.user(fmt.Sprint("filler", i))
+	}
 	serveAs("3.3.3.3")
 	evicting := make(chan int, 1)
 	go func() { evicting <- serveAs("4.4.4.4") }()

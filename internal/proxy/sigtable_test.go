@@ -272,18 +272,18 @@ func (l *lockProbeTier) Drop(scope string) {
 }
 
 // TestUserEvictionFollowsRecency: at the cap, each new user evicts exactly
-// the least recently seen one — a thousand arrivals retire a thousand users
+// the least recently seen one — maxUsers arrivals retire every tracked user
 // in the order they were last touched — the cache scope is dropped after the
 // user lock is released, and PruneUsers takes the idle tail and nothing else.
 func TestUserEvictionFollowsRecency(t *testing.T) {
-	const cap = 1000
+	const cap = maxUsers
 	// Every reading of the proxy's clock is one second after the last.
 	var ticks atomic.Int64
 	clock := func() time.Time { return time.Unix(1_700_000_000+ticks.Add(1), 0) }
 	up := UpstreamFunc(func(context.Context, *httpmsg.Request) (*httpmsg.Response, error) {
 		return &httpmsg.Response{Status: 200}, nil
 	})
-	p := New(Options{Graph: sig.NewGraph("t"), Upstream: up, MaxUsers: cap, Now: clock})
+	p := New(Options{Graph: sig.NewGraph("t"), Upstream: up, Now: clock})
 	defer p.Close()
 	tier := &lockProbeTier{p: p}
 	p.store.Close()
@@ -310,9 +310,10 @@ func TestUserEvictionFollowsRecency(t *testing.T) {
 		}
 	}
 
-	// new0000..new0499 are now idle for over 500 s; the rest were seen since.
+	// The first half of the new users are now idle for over cap/2 seconds;
+	// the rest were seen since.
 	tier.dropped = nil
-	if got := p.PruneUsers(500 * time.Second); got != cap/2 || len(tier.dropped) != cap/2 {
+	if got := p.PruneUsers(cap / 2 * time.Second); got != cap/2 || len(tier.dropped) != cap/2 {
 		t.Fatalf("PruneUsers dropped %d users and %d scopes, want %d", got, len(tier.dropped), cap/2)
 	}
 	for n, scope := range tier.dropped {

@@ -55,4 +55,9 @@ go vet -C bench ./...
 echo "== go test -C bench ./..."
 go test -C bench ./...
 
+# Informational, not a gate: the non-test Go line count outside bench/ that
+# simplicity changes report.
+echo "== non-test Go lines outside bench/"
+find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+
 echo "check: OK"
