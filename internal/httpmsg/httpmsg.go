@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/textproto"
 	"net/url"
 	"sort"
 	"strings"
@@ -450,58 +451,32 @@ func (r *Request) EncodeBody() (contentType string, body []byte) {
 	}
 }
 
-// plainURL reports whether host and path can be written into a url.URL as
-// they stand. Anything url.Parse would give meaning to or reject — an
-// escape, '?' or '#' in the path, a control character, a host beyond names,
-// ports and dotted addresses — keeps going through url.Parse.
-func plainURL(host, path string) bool {
-	for i := 0; i < len(path); i++ {
-		if c := path[i]; c < 0x20 || c == 0x7f || c == '%' || c == '?' || c == '#' {
-			return false
-		}
-	}
-	name, port, hasPort := strings.Cut(host, ":")
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '.' || c == '-' || c == '_') {
-			return false
-		}
-	}
-	for i := 0; i < len(port); i++ {
-		if port[i] < '0' || port[i] > '9' {
-			return false
-		}
-	}
-	return !hasPort || port != ""
-}
-
 // ToHTTP converts to a *http.Request suitable for a client round trip. The
-// request is assembled field by field: rendering the URL to text for
-// net/http to parse back cost more than the rest of the conversion.
+// request is assembled field by field, never rendered to URL text: url.Parse
+// would re-split a host or path holding '/', '?', '#' or '%', and the origin
+// would be asked for something other than what the proxy keyed. For the same
+// reason a host (*http.Request).Write would not send as it stands is refused.
 func (r *Request) ToHTTP() (*http.Request, error) {
-	rawURL := ""
-	if !plainURL(r.Host, r.Path) {
-		rawURL = r.URL()
+	if !sendableHost(r.Host) {
+		return nil, fmt.Errorf("httpmsg: host %q cannot be sent as it stands", r.Host)
 	}
 	// The constructor also validates the method.
-	req, err := http.NewRequest(strings.ToUpper(r.Method), rawURL, nil)
+	req, err := http.NewRequest(strings.ToUpper(r.Method), "", nil)
 	if err != nil {
 		return nil, err
 	}
-	if rawURL == "" {
-		u := req.URL
-		u.Scheme, u.Host, u.Path = r.Scheme, r.Host, r.Path
-		if u.Scheme == "" {
-			u.Scheme = "http"
-		}
-		if u.EscapedPath() != r.Path {
-			u.RawPath = r.Path // what url.Parse records for a path it would re-escape
-		}
-		if len(r.Query) > 0 {
-			u.RawQuery = encodeFields(r.Query)
-		}
-		req.Host = r.Host
+	u := req.URL
+	u.Scheme, u.Host, u.Path = r.Scheme, r.Host, r.Path
+	if u.Scheme == "" {
+		u.Scheme = "http"
 	}
+	if u.EscapedPath() != r.Path {
+		u.RawPath = r.Path // sent as it stands when it is a valid encoding of Path
+	}
+	if len(r.Query) > 0 {
+		u.RawQuery = encodeFields(r.Query)
+	}
+	req.Host = r.Host
 	ct, body := r.EncodeBody()
 	req.Body, req.GetBody = http.NoBody, func() (io.ReadCloser, error) { return http.NoBody, nil }
 	if len(body) > 0 {
@@ -516,6 +491,20 @@ func (r *Request) ToHTTP() (*http.Request, error) {
 		req.Header.Set("Content-Type", ct)
 	}
 	return req, nil
+}
+
+// sendableHost reports whether (*http.Request).Write sends host unchanged.
+// Write blanks a Host header holding a byte outside RFC 3986's host
+// characters, punycodes a non-ASCII host and strips an IPv6 zone ('%').
+func sendableHost(host string) bool {
+	for i := 0; i < len(host); i++ {
+		c := host[i]
+		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
+			strings.IndexByte("!$&'()*+,-.:;=[]_~", c) >= 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // FromHTTP converts an inbound *http.Request (as seen by a proxy or origin
@@ -539,6 +528,9 @@ func FromHTTPLimited(req *http.Request, maxBody int64) (*Request, error) {
 	}
 	if out.Host == "" {
 		out.Host = req.URL.Host
+	}
+	if out.Path == "" {
+		out.Path = "/" // what any request line for it carries (RFC 9112 §3.2.1)
 	}
 	for _, key := range sortedQueryKeys(req.URL.Query()) {
 		for _, v := range req.URL.Query()[key] {
@@ -616,7 +608,9 @@ func headerFields(h http.Header) []Field {
 	out := make([]Field, 0, len(h))
 	for k, vs := range h {
 		for _, v := range vs {
-			out = append(out, Field{Key: k, Value: v})
+			// Trimmed as (http.Header).Write sends it: a folded line leaves
+			// trailing blanks on a parsed value.
+			out = append(out, Field{Key: k, Value: textproto.TrimString(v)})
 		}
 	}
 	// Stable insertion sort by key: header sets are small, and a key's

@@ -15,7 +15,8 @@ const fuzzBodyLimit = 64
 // FuzzFromHTTPLimited: any request net/http parses converts without a panic;
 // the conversion refuses with ErrBodyTooLarge exactly when the body carries
 // more than the limit, fails otherwise only when the body cannot be read, and
-// a converted request keys the same as its clone.
+// a converted request keys the same as its clone and as the request it
+// becomes on the wire.
 func FuzzFromHTTPLimited(f *testing.F) {
 	for _, seed := range []string{
 		"GET http://h.example/item?id=1&b=2 HTTP/1.1\r\nHost: h.example\r\nCookie: s=1\r\n\r\n",
@@ -29,6 +30,10 @@ func FuzzFromHTTPLimited(f *testing.F) {
 		"POST /c HTTP/1.1\r\nHost: h\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
 		"POST /c HTTP/1.1\r\nHost: h\r\nTransfer-Encoding: chunked\r\n\r\n50\r\n" + string(bytes.Repeat([]byte("c"), 80)) + "\r\n0\r\n\r\n",
 		"POST /c HTTP/1.1\r\nHost: h\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n",
+		// Hosts and paths url.Parse re-splits: host "!" with path "*" came
+		// back as host "!*", and host "#" as no host at all.
+		"0 * HTTP/0.0\nHost:!\n\n",
+		"0 /0 HTTP/0.0\nHost:#\n\n",
 	} {
 		f.Add([]byte(seed))
 	}
@@ -54,6 +59,38 @@ func FuzzFromHTTPLimited(f *testing.F) {
 		}
 		if k, c := req.CanonicalKey(), req.Clone().CanonicalKey(); c != k {
 			t.Fatalf("clone keys %q, original %q", c, k)
+		}
+		// What the proxy sends the origin for req is req: a request that
+		// CheckHead (as the origin client does), ToHTTP and Write accept
+		// parses back to the same key.
+		if req.CheckHead() != nil {
+			return
+		}
+		hreq, err := req.ToHTTP()
+		if err != nil {
+			return
+		}
+		// Write adds a default User-Agent to a request without one; that
+		// header is Write's, not the conversion's.
+		if _, ok := hreq.Header["User-Agent"]; !ok {
+			hreq.Header.Set("User-Agent", "")
+		}
+		var wire bytes.Buffer
+		if hreq.Write(&wire) != nil {
+			return
+		}
+		sent := wire.String()
+		back, err := http.ReadRequest(bufio.NewReader(&wire))
+		if err != nil {
+			t.Fatalf("written request %q does not parse: %v", sent, err)
+		}
+		got, err := FromHTTP(back)
+		if err != nil {
+			t.Fatalf("written request %q does not convert: %v", sent, err)
+		}
+		if got.CanonicalKey() != req.CanonicalKey() {
+			t.Fatalf("written as %q, parsed back as host %q path %q query %v; sent host %q path %q query %v",
+				sent, got.Host, got.Path, got.Query, req.Host, req.Path, req.Query)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package httpmsg
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"net/http"
@@ -48,16 +49,10 @@ func refToHTTP(r *Request) (*http.Request, error) {
 
 // TestToHTTPMatchesURLRoundTrip: the directly assembled request is the one
 // the URL-text round trip produced — same request line, Host, headers, body
-// and replayability — for plain paths (the fast path) and for every path
-// shape url.Parse gives meaning to (the fallback).
+// and replayability — for every host and path url.Parse leaves as it is.
+// TestToHTTPSendsFields covers the shapes it would re-split.
 func TestToHTTPMatchesURLRoundTrip(t *testing.T) {
-	q := func(kv ...string) []Field {
-		var out []Field
-		for i := 0; i < len(kv); i += 2 {
-			out = append(out, Field{Key: kv[i], Value: kv[i+1]})
-		}
-		return out
-	}
+	q := fieldList
 	cases := []*Request{
 		{Method: "GET", Scheme: "http", Host: "a.example", Path: "/item/f003-17.4"},
 		{Method: "get", Host: "a.example:8080", Path: "/list", Query: q("id", "r 1", "b", "x&y=z", "a", "2", "b", "first")},
@@ -65,16 +60,7 @@ func TestToHTTPMatchesURLRoundTrip(t *testing.T) {
 		{Method: "GET", Scheme: "https", Host: "a.example", Path: "/"},
 		{Method: "GET", Host: "a.example", Path: "/with space/é/ü"},
 		{Method: "GET", Host: "a.example", Path: "/a[1]/b;c=d/e:f@g!$&'()*+,="},
-		{Method: "GET", Host: "a.example", Path: "/enc%20oded/%2F/%zz"},
-		{Method: "GET", Host: "a.example", Path: "/d%20x.png"},
-		{Method: "GET", Host: "a.example", Path: "/p?inline=1", Query: q("k", "v")},
-		{Method: "GET", Host: "a.example", Path: "/p#frag"},
-		{Method: "GET", Host: "a.example", Path: "/ctl\x7f\x01"},
-		{Method: "GET", Host: "bad host", Path: "/"},
 		{Method: "GET", Host: "[::1]:8080", Path: "/v6"},
-		{Method: "GET", Host: "a.example:", Path: "/emptyport"},
-		{Method: "GET", Host: "a.example:80:90", Path: "/twoports"},
-		{Method: "GET", Host: "a.example:http", Path: "/namedport"},
 		{Method: "GET", Host: "", Path: "/nohost"},
 		{Method: "BAD METHOD", Host: "a.example", Path: "/"},
 		{Method: "POST", Host: "a.example", Path: "/product/get", Header: q("Cookie", "sid=1", "X-A", "1", "x-a", "2"),
@@ -136,5 +122,58 @@ func TestHeaderFieldsSortedAndStable(t *testing.T) {
 	}
 	if got := headerFields(http.Header{}); got != nil {
 		t.Fatalf("headerFields(empty) = %v, want nil", got)
+	}
+}
+
+func fieldList(kv ...string) []Field {
+	var out []Field
+	for i := 0; i < len(kv); i += 2 {
+		out = append(out, Field{Key: kv[i], Value: kv[i+1]})
+	}
+	return out
+}
+
+// TestToHTTPSendsFields: a host or path url.Parse would re-split — an
+// escape, '?' or '#' in the path, a control character, a port that is empty,
+// doubled or named — reaches the wire as it stands and parses back to the
+// same request, and a host Write would blank is refused.
+func TestToHTTPSendsFields(t *testing.T) {
+	for _, r := range []*Request{
+		{Method: "GET", Host: "a.example", Path: "/enc%20oded/%2F/%zz"},
+		{Method: "GET", Host: "a.example", Path: "/d%20x.png"},
+		{Method: "GET", Host: "a.example", Path: "/p?inline=1", Query: fieldList("k", "v")},
+		{Method: "GET", Host: "a.example", Path: "/p#frag"},
+		{Method: "GET", Host: "a.example", Path: "/ctl\x7f\x01"},
+		{Method: "GET", Host: "a.example:", Path: "/emptyport"},
+		{Method: "GET", Host: "a.example:80:90", Path: "/twoports"},
+		{Method: "GET", Host: "a.example:http", Path: "/namedport"},
+		{Method: "0", Host: "!", Path: "*"},
+	} {
+		hreq, err := r.ToHTTP()
+		if err != nil {
+			t.Fatalf("%s %q: %v", r.Host, r.Path, err)
+		}
+		var wire bytes.Buffer
+		if err := hreq.Write(&wire); err != nil {
+			t.Fatalf("%s %q: Write: %v", r.Host, r.Path, err)
+		}
+		sent := wire.String()
+		back, err := http.ReadRequest(bufio.NewReader(&wire))
+		if err != nil {
+			t.Fatalf("%q does not parse: %v", sent, err)
+		}
+		got, err := FromHTTP(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Host != r.Host || got.Path != r.Path || !reflect.DeepEqual(got.Query, r.Query) {
+			t.Errorf("sent %q for host %q path %q query %v, parsed back host %q path %q query %v",
+				sent, r.Host, r.Path, r.Query, got.Host, got.Path, got.Query)
+		}
+	}
+	for _, host := range []string{"bad host", "#", "a/b", "é.example", "[fe80::1%25en0]"} {
+		if _, err := (&Request{Method: "GET", Host: host, Path: "/"}).ToHTTP(); err == nil {
+			t.Errorf("host %q accepted; Write would not send it as it stands", host)
+		}
 	}
 }

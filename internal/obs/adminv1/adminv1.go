@@ -45,7 +45,7 @@ type Overload struct {
 	ClientP99Ms   int64  `json:"clientP99Ms"`
 }
 
-// SchedClass is one priority class's scheduler counters. MeanWaitMs is the
+// SchedClass is one admission class's scheduler counters. MeanWaitMs is the
 // mean time a task that ran had waited in the queue.
 type SchedClass struct {
 	Submitted      int64   `json:"submitted"`
@@ -71,8 +71,9 @@ type SchedIssued struct {
 // Sched is the prefetch scheduler block shared by stats and health. Promoted
 // counts queued prefetches that moved up because demand reached them;
 // GuessesHeld counts borrowed guesses a free worker skipped because the
-// guess cap (every worker but one) was full. Foreground stays zero: no
-// prefetch the proxy issues is foreground-class.
+// guess cap (every worker but one) was full. Foreground is inert, always
+// zero: the scheduler has no foreground class. It stays because v1 only
+// grows.
 type Sched struct {
 	Queue       int         `json:"queue"`
 	Capacity    int         `json:"capacity"`

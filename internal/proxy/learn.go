@@ -337,7 +337,8 @@ func materialize(sp *sig.SuccPlan, vals []string, ex *exemplar) (*httpmsg.Reques
 // splitURI decomposes a resolved URI value into host, path, and query
 // fields. Dependency values may carry complete URLs ("http://a.com/d.png",
 // Figure 3(c)'s prefetched image), so a scheme prefix and an embedded query
-// string are handled like the app's own URL parsing would.
+// string are handled like the app's own URL parsing would: the fragment is
+// dropped, and the path is unescaped as FromHTTP keys a client's request.
 func splitURI(uri string) (host, path string, query []httpmsg.Field, ok bool) {
 	for _, scheme := range []string{"http://", "https://"} {
 		if strings.HasPrefix(uri, scheme) {
@@ -345,6 +346,7 @@ func splitURI(uri string) (host, path string, query []httpmsg.Field, ok bool) {
 			break
 		}
 	}
+	uri, _, _ = strings.Cut(uri, "#")
 	var rawQuery string
 	if qi := strings.IndexByte(uri, '?'); qi >= 0 {
 		uri, rawQuery = uri[:qi], uri[qi+1:]
@@ -354,6 +356,10 @@ func splitURI(uri string) (host, path string, query []httpmsg.Field, ok bool) {
 		return "", "", nil, false
 	}
 	host, path = uri[:slash], uri[slash:]
+	var err error
+	if path, err = url.PathUnescape(path); err != nil {
+		return "", "", nil, false
+	}
 	if rawQuery != "" {
 		vals, err := url.ParseQuery(rawQuery)
 		if err != nil {

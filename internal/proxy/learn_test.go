@@ -25,6 +25,8 @@ func TestSplitURI(t *testing.T) {
 		{"no-slash-at-all", "", "", 0, "", "", false, "no path"},
 		{"/leading-slash", "", "", 0, "", "", false, "empty host"},
 		{"http://h/p?bad=%zz", "", "", 0, "", "", false, "bad escape"},
+		{"http://h/d%20x.png?a=1#top", "h", "/d x.png", 1, "a", "1", true, "path unescaped, fragment dropped"},
+		{"http://h/p%zz", "", "", 0, "", "", false, "bad path escape"},
 	}
 	for _, c := range cases {
 		host, path, query, ok := splitURI(c.in)

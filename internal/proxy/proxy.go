@@ -1,7 +1,7 @@
 // Package proxy implements the APPx acceleration proxy (§4.2, §4.5, §5 of
 // the paper): a forward HTTP proxy that learns run-time values from live
 // traffic, reconstructs dependent requests ahead of time, prefetches their
-// responses with priority scheduling, and serves a prefetched response only
+// responses nearest-first, and serves a prefetched response only
 // when the client's request is byte-equivalent to the prefetched one.
 package proxy
 
@@ -416,7 +416,6 @@ func newProxy(opts Options, tun tuning) *Proxy {
 	p.gate = newAdmitGate(p.ovl.MaxConcurrentRequests, time.Duration(p.ovl.AdmissionWait))
 	p.sched = sched.NewWith(sched.Config{
 		Workers:  opts.Workers,
-		Priority: p.stats.Priority,
 		MaxQueue: p.ovl.MaxQueue,
 		Now:      p.clock,
 	})
@@ -464,7 +463,7 @@ func (p *Proxy) registerBridges(reg *obs.Registry) {
 			}
 			return float64(n)
 		})
-	for _, c := range []sched.Class{sched.ClassForeground, sched.ClassShallow, sched.ClassDeep} {
+	for _, c := range []sched.Class{sched.ClassShallow, sched.ClassDeep} {
 		c := c
 		reg.CounterFunc(`appx_sched_submitted_total{class="`+c.String()+`"}`,
 			"Prefetch tasks accepted into the queue by class.",
@@ -931,9 +930,8 @@ func (p *Proxy) schedV1() adminv1.Sched {
 			Hit:   p.issued[trigHit].Value(),
 			Chain: p.issued[trigChain].Value(),
 		},
-		Foreground: classBlock(m.Foreground),
-		Shallow:    classBlock(m.Shallow),
-		Deep:       classBlock(m.Deep),
+		Shallow: classBlock(m.Shallow),
+		Deep:    classBlock(m.Deep),
 	}
 }
 

@@ -797,12 +797,15 @@ func TestStatusSurface(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE appx_requests_total counter",
 		"# TYPE appx_request_duration_seconds histogram",
-		`appx_sched_submitted_total{class="foreground"}`,
+		`appx_sched_submitted_total{class="shallow"}`,
 		"appx_cache_hits_total",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics exposition missing %q", want)
 		}
+	}
+	if strings.Contains(body, `class="foreground"`) {
+		t.Fatal("metrics exposition carries a foreground scheduler class")
 	}
 	// /appx/v1/spans returns the recent span ring, newest first.
 	rec, _ = get(adminv1.PathSpans + "?n=8")

@@ -20,7 +20,7 @@ const (
 	Closed State = iota
 	// Open rejects traffic until OpenTimeout has elapsed.
 	Open
-	// HalfOpen admits one probe at a time; success closes the circuit,
+	// HalfOpen admits one probe at a time; one success closes the circuit,
 	// failure reopens it.
 	HalfOpen
 )
@@ -44,11 +44,8 @@ type BreakerOptions struct {
 	// breaker (default 5).
 	FailureThreshold int
 	// OpenTimeout is how long an open breaker rejects before admitting a
-	// half-open probe (default 10s).
+	// half-open probe (default 10s). One successful probe closes it.
 	OpenTimeout time.Duration
-	// HalfOpenSuccesses is how many consecutive probe successes close a
-	// half-open breaker (default 1).
-	HalfOpenSuccesses int
 	// Now supplies time; defaults to time.Now. Injected for deterministic
 	// tests.
 	Now func() time.Time
@@ -61,9 +58,6 @@ func (o *BreakerOptions) fill() {
 	if o.OpenTimeout <= 0 {
 		o.OpenTimeout = 10 * time.Second
 	}
-	if o.HalfOpenSuccesses <= 0 {
-		o.HalfOpenSuccesses = 1
-	}
 	if o.Now == nil {
 		o.Now = time.Now
 	}
@@ -71,11 +65,10 @@ func (o *BreakerOptions) fill() {
 
 // breaker is one host's circuit state.
 type breaker struct {
-	state     State
-	failures  int // consecutive failures while closed
-	successes int // consecutive successes while half-open
-	openedAt  time.Time
-	probing   bool // a half-open probe is in flight
+	state    State
+	failures int // consecutive failures while closed
+	openedAt time.Time
+	probing  bool // a half-open probe is in flight
 }
 
 // Breakers is a set of circuit breakers, one per origin host. The zero
@@ -107,7 +100,6 @@ func (bs *Breakers) host(host string) *breaker {
 func (bs *Breakers) tick(b *breaker) {
 	if b.state == Open && bs.opts.Now().Sub(b.openedAt) >= bs.opts.OpenTimeout {
 		b.state = HalfOpen
-		b.successes = 0
 		b.probing = false
 	}
 }
@@ -161,11 +153,7 @@ func (bs *Breakers) ReportSuccess(host string) {
 	case Closed:
 		b.failures = 0
 	case HalfOpen:
-		b.probing = false
-		b.successes++
-		if b.successes >= bs.opts.HalfOpenSuccesses {
-			*b = breaker{} // back to a clean closed state
-		}
+		*b = breaker{} // the probe succeeded: back to a clean closed state
 	case Open:
 		// A success while open (an in-flight request that started before the
 		// trip) is good news but not a probe; leave the timer running.
@@ -189,7 +177,6 @@ func (bs *Breakers) ReportFailure(host string) {
 		b.state = Open
 		b.openedAt = bs.opts.Now()
 		b.probing = false
-		b.successes = 0
 	case Open:
 		// Already open; nothing to count.
 	}
@@ -218,9 +205,9 @@ type BreakerSnapshot struct {
 // each host's state and failure streak are reinstated, and an open breaker
 // resumes its timeout mid-count — openedAt is back-dated by OpenFor so a
 // breaker that had 3s of its open window left before the restart has 3s
-// left after it. Probe bookkeeping (probing, half-open successes) is
-// transient and starts clean. Existing in-memory state for a host is
-// overwritten; hosts not in the snapshot are untouched.
+// left after it. The in-flight probe mark is transient and starts clean.
+// Existing in-memory state for a host is overwritten; hosts not in the
+// snapshot are untouched.
 func (bs *Breakers) Restore(snap map[string]BreakerSnapshot) {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()

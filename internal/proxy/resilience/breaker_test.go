@@ -17,10 +17,9 @@ func (c *fakeClock) Advance(d time.Duration) { c.t = c.t.Add(d) }
 
 func newTestBreakers(clock *fakeClock) *Breakers {
 	return NewBreakers(BreakerOptions{
-		FailureThreshold:  3,
-		OpenTimeout:       10 * time.Second,
-		HalfOpenSuccesses: 2,
-		Now:               clock.Now,
+		FailureThreshold: 3,
+		OpenTimeout:      10 * time.Second,
+		Now:              clock.Now,
 	})
 }
 
@@ -85,15 +84,22 @@ func TestBreakerHalfOpenSuccessCloses(t *testing.T) {
 		bs.ReportFailure("h")
 	}
 	clock.Advance(10 * time.Second)
-	// Two successful probes (HalfOpenSuccesses = 2) close the circuit.
-	for i := 0; i < 2; i++ {
-		if !bs.Allow("h") {
-			t.Fatalf("probe %d rejected", i)
-		}
-		bs.ReportSuccess("h")
+	// One successful probe closes the circuit.
+	if !bs.Allow("h") {
+		t.Fatal("probe rejected")
 	}
+	if got := bs.State("h"); got != HalfOpen {
+		t.Fatalf("state while probing = %v, want half-open", got)
+	}
+	bs.ReportSuccess("h")
 	if got := bs.State("h"); got != Closed {
-		t.Fatalf("state after probe successes = %v, want closed", got)
+		t.Fatalf("state after a probe success = %v, want closed", got)
+	}
+	// Closed clean: the failure streak starts over.
+	bs.ReportFailure("h")
+	bs.ReportFailure("h")
+	if got := bs.State("h"); got != Closed {
+		t.Fatalf("state after 2/3 failures = %v, want closed", got)
 	}
 }
 
@@ -196,15 +202,14 @@ func TestBreakerHalfOpenProbeRace(t *testing.T) {
 	if got := race(); got != 1 {
 		t.Fatalf("second half-open window admitted %d probes, want exactly 1", got)
 	}
-	// Successful probes (HalfOpenSuccesses: 2) close the circuit; after the
-	// first success the slot frees for the second probe.
-	bs.ReportSuccess("h")
-	if got := race(); got != 1 {
-		t.Fatalf("post-success half-open admitted %d probes, want exactly 1", got)
-	}
+	// One successful probe closes the circuit, and a closed breaker admits
+	// every racer.
 	bs.ReportSuccess("h")
 	if got := bs.State("h"); got != Closed {
-		t.Fatalf("state after 2 probe successes = %v, want closed", got)
+		t.Fatalf("state after a probe success = %v, want closed", got)
+	}
+	if got := race(); got != 32 {
+		t.Fatalf("closed breaker admitted %d of 32 racers", got)
 	}
 
 	// A closed breaker under concurrent traffic: all callers admitted, all

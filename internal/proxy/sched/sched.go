@@ -1,22 +1,19 @@
-// Package sched implements the proxy's prefetch priority scheduling (§5 of
-// the paper): multiple prefetch requests can be outstanding at any moment,
-// and to minimize overall response time the proxy prioritizes signatures
-// whose requests take longer to complete and whose prefetched responses are
-// hit more often, using a linear combination of the two as the priority.
+// Package sched runs the proxy's prefetches on a bounded worker pool (§5 of
+// the paper: multiple prefetch requests can be outstanding at any moment).
 //
-// Beyond the paper, dispatch follows the user: a task carries its distance
-// from a live client request (its chain depth), the nearest work runs first
-// and the §5 priority decides only among tasks equally far away, and a task
-// a client has since come closer to is promoted where it waits (Promote).
-// Running tasks are never preempted, so tasks marked as guesses never hold
-// every worker: nearer work arriving behind a burst of them still finds one
-// free. The scheduler is also overload-safe: tasks carry a class (shallow or
-// deep prefetch) that sets how far into a filling queue they are admitted, so
-// speculative work is shed first; tasks carry an enqueue deadline so stale
-// work is dropped at dispatch instead of run; every shed is counted per class
-// and reason, and every dispatch's queue wait is summed per class, so a
-// saturated pool shows; and a panicking task is recovered without taking down
-// the worker pool or deadlocking Drain.
+// Dispatch follows the user rather than §5's priority: a task carries its
+// distance from a live client request (its chain depth), the nearest work
+// runs first and submission order decides among tasks equally far away, and
+// a task a client has since come closer to is promoted where it waits
+// (Promote). Running tasks are never preempted, so tasks marked as guesses
+// never hold every worker: nearer work arriving behind a burst of them still
+// finds one free. The scheduler is also overload-safe: tasks carry a class
+// (shallow or deep prefetch) that sets how far into a filling queue they are
+// admitted, so speculative work is shed first; tasks carry an enqueue
+// deadline so stale work is dropped at dispatch instead of run; every shed is
+// counted per class and reason, and every dispatch's queue wait is summed per
+// class, so a saturated pool shows; and a panicking task is recovered without
+// taking down the worker pool or deadlocking Drain.
 package sched
 
 import (
@@ -26,18 +23,17 @@ import (
 )
 
 // Class decides how far into a filling queue a task is admitted, and which
-// counters it is booked under from Submit to its end. Dispatch order is not
-// the class's business beyond foreground-first: see taskHeap.
+// counters it is booked under from Submit to its end. It does not order
+// dispatch: see taskHeap. The zero value is no class: such a task is held
+// only to the queue bound and is booked under neither class, so Metrics
+// leaves it out. Every prefetch the proxy submits has a class; tests submit
+// classless tasks to occupy a worker without touching the class counters.
 type Class int
 
 const (
-	// ClassForeground may use the whole queue and runs before every other
-	// class. The proxy submits no foreground work; the class and its
-	// Metrics.Foreground block remain because the benchmark module reads them.
-	ClassForeground Class = iota
 	// ClassShallow is a first-hop prefetch spawned by live client traffic.
 	// It is admitted into at most 3/4 of the queue.
-	ClassShallow
+	ClassShallow Class = iota + 1
 	// ClassDeep is speculative chained prefetching (depth ≥ 1). It is
 	// admitted into at most 1/2 of the queue, so it is the first work shed
 	// under pressure.
@@ -49,8 +45,6 @@ const (
 // String names the class for telemetry.
 func (c Class) String() string {
 	switch c {
-	case ClassForeground:
-		return "foreground"
 	case ClassShallow:
 		return "shallow"
 	case ClassDeep:
@@ -61,11 +55,10 @@ func (c Class) String() string {
 
 // Task is one queued prefetch.
 type Task struct {
-	// SigID identifies the signature the prefetch belongs to; priorities
-	// are computed per signature.
+	// SigID identifies the signature the prefetch belongs to.
 	SigID string
 	// Class is the task's admission and accounting class; the zero value is
-	// ClassForeground.
+	// no class.
 	Class Class
 	// Depth is the task's distance from a live client request: 0 for the
 	// children of a transaction a client just made, n for the nth link of a
@@ -80,26 +73,17 @@ type Task struct {
 	// by then: it is rejected at Submit when already past, and dropped at
 	// dispatch when it expired while queued.
 	Deadline time.Time
-	// Run performs the prefetch.
+	// Run performs the prefetch when Job is nil.
 	Run func()
-	// Abandon, when non-nil, is called once if the scheduler sheds the task
-	// after accepting it (deadline expiry at dispatch, or discard at Close)
-	// so the submitter can release claims tied to the task.
-	Abandon func()
-	// OnPanic, when non-nil, receives the recovered value if Run panics.
-	// The panic never escapes the worker pool.
-	OnPanic func(v any)
-	// Job, when non-nil, stands in for Run, Abandon and OnPanic together: a
-	// submitter whose three hooks close over the same state passes that
-	// state as one value instead of allocating three closures per task.
+	// Job, when non-nil, stands in for Run and is told when the task is shed
+	// or panics.
 	Job Job
 
 	// Queue bookkeeping, owned by the scheduler from Submit to dispatch: the
-	// priority snapshot, the submission order, the position in the ready
-	// heap (-1 while still in the inbox), the Submit instant, whether a full
-	// guess cap has held the task back, and whether the task waits in the
-	// queue at all. A submitted Task must not be copied.
-	prio      float64
+	// submission order, the position in its dispatch heap, the Submit
+	// instant, whether a full guess cap has held the task back, and whether
+	// the task waits in the queue at all. A submitted Task must not be
+	// copied.
 	seq       int64
 	pos       int
 	submitted time.Time
@@ -109,27 +93,27 @@ type Task struct {
 
 // Job is a task's behaviour as one value; see Task.Job.
 type Job interface {
+	// Run performs the prefetch.
 	Run()
+	// Abandon is called once if the scheduler sheds the task after accepting
+	// it (deadline expiry at dispatch, or discard at Close), so the submitter
+	// can release claims tied to the task.
 	Abandon()
+	// OnPanic receives the recovered value if Run panics. The panic never
+	// escapes the worker pool.
 	OnPanic(v any)
 }
-
-// PriorityFunc maps a signature to its current priority (higher runs first
-// among tasks of one depth). It is consulted when a task moves from the
-// submission inbox into the dispatch heap, so each task's priority is
-// computed exactly once per dispatch batch rather than once per queued task
-// per dispatch.
-type PriorityFunc func(sigID string) float64
 
 // Config configures a Scheduler.
 type Config struct {
 	// Workers is the pool size (minimum 1).
 	Workers int
-	// Priority ranks signatures within a depth; nil means FIFO.
-	Priority PriorityFunc
+	// Priority is inert: it is accepted and never called. Dispatch is by
+	// depth, then submission order. The field stays because the benchmark
+	// module still sets it.
+	Priority func(sigID string) float64
 	// MaxQueue bounds queued tasks (default 4096). Per-class admission caps
-	// derive from it: foreground may fill the whole queue, shallow 3/4 of
-	// it, deep 1/2.
+	// derive from it: shallow may fill 3/4 of it, deep 1/2.
 	MaxQueue int
 	// Now supplies time for deadline checks and queue waits; defaults to
 	// time.Now. Injected so frozen-clock tests drive expiry deterministically.
@@ -174,6 +158,8 @@ func (c ClassMetrics) Dropped() int64 {
 
 // Metrics is a point-in-time snapshot of the scheduler's counters.
 type Metrics struct {
+	// Foreground is always zero: there is no foreground class. It stays
+	// because the benchmark module still reads it.
 	Foreground ClassMetrics
 	Shallow    ClassMetrics
 	Deep       ClassMetrics
@@ -186,24 +172,23 @@ type Metrics struct {
 	GuessesHeld int64
 }
 
-// ByClass returns the snapshot for one class.
+// ByClass returns the snapshot for one class; zero for anything else.
 func (m Metrics) ByClass(c Class) ClassMetrics {
 	switch c {
 	case ClassShallow:
 		return m.Shallow
 	case ClassDeep:
 		return m.Deep
-	default:
-		return m.Foreground
 	}
+	return ClassMetrics{}
 }
 
-// taskHeap is the ready queue. Foreground tasks run first. Everything else
-// runs nearest-first: by depth, then
-// snapshot priority (§5), then submission order. Depth leads because the §5
-// hit-rate term is 0.5 for a signature never prefetched and hits/prefetches
-// (0) after its first batch, which on its own runs the newest — the deepest
-// — signature first, ahead of what another user's client is about to ask for.
+// taskHeap is a dispatch queue: nearest-first by depth, then submission
+// order. §5's priority (mean response time plus hit rate) does not order it:
+// its hit-rate term is 0.5 for a signature never prefetched and 0 after its
+// first batch, which on its own runs the newest — the deepest — signature
+// first, ahead of what another user's client is about to ask for; and as a
+// tie-break within a depth it measured no better than submission order.
 type taskHeap []*Task
 
 func (h taskHeap) Len() int           { return len(h) }
@@ -211,14 +196,8 @@ func (h taskHeap) Less(i, j int) bool { return before(h[i], h[j]) }
 
 // before is the dispatch order of taskHeap.
 func before(a, b *Task) bool {
-	if af, bf := a.Class == ClassForeground, b.Class == ClassForeground; af != bf {
-		return af
-	}
 	if a.Depth != b.Depth {
 		return a.Depth < b.Depth
-	}
-	if a.prio != b.prio {
-		return a.prio > b.prio
 	}
 	return a.seq < b.seq
 }
@@ -242,16 +221,13 @@ func (h *taskHeap) Pop() any {
 
 // Scheduler runs prefetch tasks on a bounded worker pool, in taskHeap order.
 type Scheduler struct {
-	priority PriorityFunc
-	now      func() time.Time
+	now func() time.Time
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// inbox collects submissions; workers batch-move it into ready, or
-	// guesses for Guess tasks, computing each task's priority once at that
-	// point. guessing counts running guesses, at most guessCap: one worker
+	// Submit pushes Guess tasks into guesses and every other task into
+	// ready. guessing counts running guesses, at most guessCap: one worker
 	// fewer than the pool, unless the pool is one worker.
-	inbox      []*Task
 	ready      taskHeap
 	guesses    taskHeap
 	guessing   int
@@ -279,12 +255,8 @@ func NewWith(cfg Config) *Scheduler {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	if cfg.Priority == nil {
-		cfg.Priority = func(string) float64 { return 0 }
-	}
-	s := &Scheduler{priority: cfg.Priority, now: cfg.Now, maxQueue: cfg.MaxQueue,
-		guessCap: atLeast1(cfg.Workers - 1)}
-	s.classLimit[ClassForeground] = cfg.MaxQueue
+	s := &Scheduler{now: cfg.Now, maxQueue: cfg.MaxQueue, guessCap: atLeast1(cfg.Workers - 1)}
+	s.classLimit[0] = cfg.MaxQueue // no class: the queue bound alone
 	s.classLimit[ClassShallow] = atLeast1(cfg.MaxQueue * 3 / 4)
 	s.classLimit[ClassDeep] = atLeast1(cfg.MaxQueue / 2)
 	s.cond = sync.NewCond(&s.mu)
@@ -311,8 +283,8 @@ func classIdx(c Class) Class {
 
 // Submit enqueues a task. It reports false when the scheduler is closed,
 // the task's class has exhausted its queue share, or the task's deadline is
-// already past; each rejection is counted per class and cause. Abandon is
-// NOT called on a rejected Submit — the caller still owns the task.
+// already past; each rejection is counted per class and cause. The Job is
+// not abandoned on a rejected Submit — the caller still owns the task.
 func (s *Scheduler) Submit(t *Task) bool {
 	c := classIdx(t.Class)
 	s.mu.Lock()
@@ -333,8 +305,9 @@ func (s *Scheduler) Submit(t *Task) bool {
 		return false
 	}
 	s.classes[c].Submitted++
-	t.pos, t.submitted, t.queued = -1, now, true
-	s.inbox = append(s.inbox, t)
+	s.seq++
+	t.seq, t.submitted, t.queued = s.seq, now, true
+	heap.Push(s.heapOf(t), t)
 	s.pending.Add(1)
 	s.mu.Unlock()
 	s.cond.Signal()
@@ -353,14 +326,12 @@ func (s *Scheduler) Promote(t *Task, depth int) bool {
 		return false
 	}
 	t.Depth = depth
-	if t.pos >= 0 {
-		heap.Fix(s.heapOf(t), t.pos)
-	}
+	heap.Fix(s.heapOf(t), t.pos)
 	s.promoted++
 	return true
 }
 
-// heapOf returns the dispatch heap a task waits in once out of the inbox.
+// heapOf returns the dispatch heap a task waits in.
 func (s *Scheduler) heapOf(t *Task) *taskHeap {
 	if t.Guess {
 		return &s.guesses
@@ -368,7 +339,7 @@ func (s *Scheduler) heapOf(t *Task) *taskHeap {
 	return &s.ready
 }
 
-func (s *Scheduler) queuedLocked() int { return len(s.inbox) + len(s.ready) + len(s.guesses) }
+func (s *Scheduler) queuedLocked() int { return len(s.ready) + len(s.guesses) }
 
 // QueueLen reports the number of queued (not yet running) tasks.
 func (s *Scheduler) QueueLen() int {
@@ -385,7 +356,6 @@ func (s *Scheduler) Metrics() Metrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Metrics{
-		Foreground:  s.classes[ClassForeground],
 		Shallow:     s.classes[ClassShallow],
 		Deep:        s.classes[ClassDeep],
 		Panics:      s.panics,
@@ -401,7 +371,7 @@ func (s *Scheduler) Drain() {
 }
 
 // Close stops the workers after the current tasks finish; queued tasks are
-// discarded (counted as closed drops, with Abandon called on each).
+// discarded (counted as closed drops, each Job abandoned).
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -409,11 +379,8 @@ func (s *Scheduler) Close() {
 		return
 	}
 	s.closed = true
-	orphans := make([]*Task, 0, s.queuedLocked())
-	orphans = append(orphans, s.inbox...)
-	orphans = append(orphans, s.ready...)
-	orphans = append(orphans, s.guesses...)
-	s.inbox, s.ready, s.guesses = nil, nil, nil
+	orphans := append(s.ready, s.guesses...)
+	s.ready, s.guesses = nil, nil
 	for _, t := range orphans {
 		t.queued = false
 		s.classes[classIdx(t.Class)].DroppedClosed++
@@ -424,26 +391,6 @@ func (s *Scheduler) Close() {
 		s.abandon(t)
 	}
 	s.wg.Wait()
-}
-
-// mergeInboxLocked moves submissions into the dispatch heap, computing each
-// distinct signature's priority exactly once for the batch.
-func (s *Scheduler) mergeInboxLocked() {
-	if len(s.inbox) == 0 {
-		return
-	}
-	prios := make(map[string]float64, len(s.inbox))
-	for _, t := range s.inbox {
-		p, ok := prios[t.SigID]
-		if !ok {
-			p = s.priority(t.SigID)
-			prios[t.SigID] = p
-		}
-		s.seq++
-		t.prio, t.seq = p, s.seq
-		heap.Push(s.heapOf(t), t)
-	}
-	s.inbox = s.inbox[:0]
 }
 
 // popLocked takes the next task to dispatch, nil when none may start: the
@@ -477,7 +424,7 @@ func (s *Scheduler) worker() {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
-		for len(s.inbox) == 0 && len(s.ready) == 0 && (len(s.guesses) == 0 || s.guessing >= s.guessCap) && !s.closed {
+		for len(s.ready) == 0 && (len(s.guesses) == 0 || s.guessing >= s.guessCap) && !s.closed {
 			if len(s.guesses) > 0 {
 				// This worker is free and a guess waits: only the cap stops it.
 				s.holdLocked()
@@ -488,7 +435,6 @@ func (s *Scheduler) worker() {
 			s.mu.Unlock()
 			return
 		}
-		s.mergeInboxLocked()
 		var expired []*Task
 		var t *Task
 		now := s.now()
@@ -527,21 +473,18 @@ func (s *Scheduler) worker() {
 	}
 }
 
-// abandon settles one accepted-but-shed task: its Abandon hook runs (panics
+// abandon settles one accepted-but-shed task: its Job's Abandon runs (panics
 // contained) and its pending count is released so Drain cannot deadlock.
 func (s *Scheduler) abandon(t *Task) {
 	defer s.pending.Done()
-	switch {
-	case t.Job != nil:
+	if t.Job != nil {
 		safeCall(t.Job.Abandon)
-	case t.Abandon != nil:
-		safeCall(t.Abandon)
 	}
 }
 
 // runTask executes one task with panic containment: Done is deferred so a
 // panic can neither kill the process nor strand Drain, and the recovered
-// value is handed to the task's OnPanic hook.
+// value is handed to the task's Job.
 func (s *Scheduler) runTask(t *Task) {
 	defer s.pending.Done()
 	defer func() {
@@ -549,11 +492,8 @@ func (s *Scheduler) runTask(t *Task) {
 			s.mu.Lock()
 			s.panics++
 			s.mu.Unlock()
-			switch {
-			case t.Job != nil:
+			if t.Job != nil {
 				safeCall(func() { t.Job.OnPanic(v) })
-			case t.OnPanic != nil:
-				safeCall(func() { t.OnPanic(v) })
 			}
 		}
 	}()

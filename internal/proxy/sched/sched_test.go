@@ -9,7 +9,7 @@ import (
 )
 
 func TestRunsAllTasks(t *testing.T) {
-	s := NewWith(Config{Workers: 4, Priority: func(string) float64 { return 1 }})
+	s := NewWith(Config{Workers: 4})
 	defer s.Close()
 	var n atomic.Int64
 	for i := 0; i < 100; i++ {
@@ -24,57 +24,52 @@ func TestRunsAllTasks(t *testing.T) {
 	}
 }
 
-func TestPriorityOrdering(t *testing.T) {
-	// Single worker; stall it, queue low/high tasks, verify high runs first.
-	prio := map[string]float64{"low": 1, "high": 10, "block": 0}
-	s := NewWith(Config{Workers: 1, Priority: func(id string) float64 { return prio[id] }})
-	defer s.Close()
-
-	release := make(chan struct{})
-	s.Submit(&Task{SigID: "block", Run: func() { <-release }})
-	time.Sleep(20 * time.Millisecond) // let the worker pick up the blocker
-
-	var mu sync.Mutex
-	var order []string
-	for i := 0; i < 3; i++ {
-		s.Submit(&Task{SigID: "low", Run: func() { mu.Lock(); order = append(order, "low"); mu.Unlock() }})
-	}
-	for i := 0; i < 3; i++ {
-		s.Submit(&Task{SigID: "high", Run: func() { mu.Lock(); order = append(order, "high"); mu.Unlock() }})
-	}
-	close(release)
-	s.Drain()
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != 6 {
-		t.Fatalf("ran %d tasks", len(order))
-	}
-	for i := 0; i < 3; i++ {
-		if order[i] != "high" {
-			t.Fatalf("order = %v, want high first", order)
-		}
-	}
-}
-
-// stalled returns a one-worker scheduler whose worker is parked inside a
-// task until release is closed, so what is submitted meanwhile only queues.
-func stalled(t *testing.T, cfg Config) (s *Scheduler, release chan struct{}) {
+// stalled returns a one-worker scheduler whose worker is parked inside
+// running, a classless task of depth 1, until release is closed, so what is
+// submitted meanwhile only queues.
+func stalled(t *testing.T, cfg Config) (s *Scheduler, running *Task, release chan struct{}) {
 	t.Helper()
 	cfg.Workers = 1
 	s = NewWith(cfg)
 	release, started := make(chan struct{}), make(chan struct{})
-	s.Submit(&Task{SigID: "block", Run: func() { close(started); <-release }})
+	running = &Task{SigID: "block", Depth: 1, Run: func() { close(started); <-release }}
+	s.Submit(running)
 	<-started
-	return s, release
+	return s, running, release
 }
 
-// TestClassOrdering pins the dispatch order: foreground tasks, then
-// nearest-first by depth, then the §5 priority, then submission order. The
-// class of a non-foreground task does not order it.
+// TestPriorityOrdering pins that the §5 priority orders nothing: at one
+// depth, tasks run in submission order whatever Config.Priority says of
+// their signatures, and Config.Priority is never called.
+func TestPriorityOrdering(t *testing.T) {
+	prio := map[string]float64{"low": 1, "high": 10}
+	var prioCalls atomic.Int64
+	s, _, release := stalled(t, Config{Priority: func(id string) float64 { prioCalls.Add(1); return prio[id] }})
+	defer s.Close()
+
+	var mu sync.Mutex
+	var order []string
+	for _, sig := range []string{"low", "low", "low", "high", "high", "high"} {
+		s.Submit(&Task{SigID: sig, Class: ClassShallow,
+			Run: func() { mu.Lock(); order = append(order, sig); mu.Unlock() }})
+	}
+	close(release)
+	s.Drain()
+
+	want := []string{"low", "low", "low", "high", "high", "high"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %v, want submission order %v", order, want)
+	}
+	if n := prioCalls.Load(); n != 0 {
+		t.Fatalf("Config.Priority called %d times, want never", n)
+	}
+}
+
+// TestClassOrdering pins the dispatch order: nearest-first by depth, then
+// submission order, guesses and other tasks alike. Neither the class nor the
+// signature of a task orders it.
 func TestClassOrdering(t *testing.T) {
-	prio := map[string]float64{"lo": 1, "hi": 10}
-	s, release := stalled(t, Config{Priority: func(id string) float64 { return prio[id] }})
+	s, _, release := stalled(t, Config{})
 	defer s.Close()
 
 	var mu sync.Mutex
@@ -84,37 +79,37 @@ func TestClassOrdering(t *testing.T) {
 		sig   string
 		class Class
 		depth int
+		guess bool
 	}{
-		{"d3", "hi", ClassDeep, 3},
-		{"d1-lo-a", "lo", ClassDeep, 1},
-		{"d0-lo", "lo", ClassShallow, 0},
-		{"d1-hi", "hi", ClassDeep, 1},
-		{"d1-lo-b", "lo", ClassDeep, 1},
-		{"fg-lo", "lo", ClassForeground, 0},
-		{"d0-deepclass", "hi", ClassDeep, 0},
-		{"d2-shallowclass", "hi", ClassShallow, 2},
-		{"fg-hi", "hi", ClassForeground, 0},
-		{"d0-hi", "hi", ClassShallow, 0},
+		{"d3", "hi", ClassDeep, 3, false},
+		{"d1-a", "lo", ClassDeep, 1, false},
+		{"d0-a", "lo", ClassShallow, 0, false},
+		{"d1-guess", "hi", ClassDeep, 1, true},
+		{"d1-b", "hi", ClassDeep, 1, false},
+		{"d0-deepclass", "hi", ClassDeep, 0, false},
+		{"d2-shallowclass", "lo", ClassShallow, 2, false},
+		{"d0-guess", "lo", ClassShallow, 0, true},
+		{"d0-b", "hi", ClassShallow, 0, false},
 	} {
 		name := q.name
-		s.Submit(&Task{SigID: q.sig, Class: q.class, Depth: q.depth,
+		s.Submit(&Task{SigID: q.sig, Class: q.class, Depth: q.depth, Guess: q.guess,
 			Run: func() { mu.Lock(); order = append(order, name); mu.Unlock() }})
 	}
 	close(release)
 	s.Drain()
 
-	want := []string{"fg-hi", "fg-lo", "d0-deepclass", "d0-hi", "d0-lo", "d1-hi", "d1-lo-a", "d1-lo-b", "d2-shallowclass", "d3"}
+	want := []string{"d0-a", "d0-deepclass", "d0-guess", "d0-b", "d1-a", "d1-guess", "d1-b", "d2-shallowclass", "d3"}
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("order = %v\n want   %v", order, want)
 	}
 }
 
-// TestPromote: Promote moves exactly the task it is handed, whether it still
-// sits in the inbox or already in the heap, is a no-op for a task never
-// submitted, one that is running or finished and one already that near, and
-// never moves the class a task is counted under.
+// TestPromote: Promote moves exactly the task it is handed and re-orders it
+// where it waits, is a no-op for a task never submitted, one that is running
+// or finished and one already that near, and never moves the class a task is
+// counted under.
 func TestPromote(t *testing.T) {
-	s, release := stalled(t, Config{})
+	s, running, release := stalled(t, Config{})
 	defer s.Close()
 	if s.Promote(&Task{SigID: "nobody", Depth: 3}, 0) {
 		t.Fatal("Promote moved a task nobody submitted")
@@ -137,26 +132,19 @@ func TestPromote(t *testing.T) {
 	submit("c2", 2)
 	submit("d1", 1)
 	submit("e0", 0)
-	if !s.Promote(tasks["c2"], 1) { // still in the inbox: nothing has merged it
-		t.Fatal("Promote of an inbox task reported no move")
+	if !s.Promote(tasks["c2"], 1) {
+		t.Fatal("Promote of a queued task reported no move")
 	}
 	if s.Promote(tasks["c2"], 1) || s.Promote(tasks["d1"], 4) || s.Promote(tasks["e0"], 0) {
 		t.Fatal("Promote moved a task already that near")
 	}
-	// Let the worker merge the inbox and park again inside a foreground
-	// task, which runs ahead of everything: the rest now wait in the heap.
-	gate, parked := make(chan struct{}), make(chan struct{})
-	fg := &Task{SigID: "x", Class: ClassForeground, Depth: 2, Run: func() { close(parked); <-gate }}
-	s.Submit(fg)
-	close(release)
-	<-parked
-	if s.Promote(fg, 0) {
+	if s.Promote(running, 0) {
 		t.Fatal("Promote moved a running task")
 	}
-	if !s.Promote(tasks["a3"], 0) { // in the heap: re-ordered where it waits
-		t.Fatal("Promote of a heap task reported no move")
+	if !s.Promote(tasks["a3"], 0) { // re-ordered where it waits
+		t.Fatal("Promote of a queued task reported no move")
 	}
-	close(gate)
+	close(release)
 	s.Drain()
 
 	// Inside a depth, submission order: a promoted task keeps its place in it.
@@ -179,12 +167,12 @@ func TestPromote(t *testing.T) {
 func TestCloseRejectsSubmit(t *testing.T) {
 	s := NewWith(Config{Workers: 2})
 	s.Close()
-	if s.Submit(&Task{SigID: "x", Run: func() {}}) {
+	if s.Submit(&Task{SigID: "x", Class: ClassShallow, Run: func() {}}) {
 		t.Fatal("Submit accepted after Close")
 	}
 	// Refused, never accepted: the rejection is counted apart from both
 	// Submitted and the sheds of accepted tasks.
-	if m := s.Metrics().Foreground; m.RejectedClosed != 1 || m.DroppedClosed != 0 || m.Submitted != 0 || m.Dropped() != 1 {
+	if m := s.Metrics().Shallow; m.RejectedClosed != 1 || m.DroppedClosed != 0 || m.Submitted != 0 || m.Dropped() != 1 {
 		t.Fatalf("metrics = %+v, want one RejectedClosed and nothing else", m)
 	}
 }
@@ -194,9 +182,8 @@ func TestCloseDiscardQueuedAndDrainReturns(t *testing.T) {
 	release := make(chan struct{})
 	s.Submit(&Task{SigID: "block", Run: func() { <-release }})
 	time.Sleep(10 * time.Millisecond)
-	var ran atomic.Bool
-	var abandoned atomic.Bool
-	s.Submit(&Task{SigID: "q", Run: func() { ran.Store(true) }, Abandon: func() { abandoned.Store(true) }})
+	job := &countingJob{}
+	s.Submit(&Task{SigID: "q", Job: job})
 	close(release)
 	s.Close()
 	done := make(chan struct{})
@@ -208,8 +195,8 @@ func TestCloseDiscardQueuedAndDrainReturns(t *testing.T) {
 	}
 	// The queued task either started before Close (ran) or was discarded
 	// (abandoned) — never both, never neither.
-	if ran.Load() == abandoned.Load() {
-		t.Fatalf("ran=%v abandoned=%v, want exactly one", ran.Load(), abandoned.Load())
+	if job.ran+job.abandoned != 1 {
+		t.Fatalf("ran=%d abandoned=%d, want exactly one", job.ran, job.abandoned)
 	}
 }
 
@@ -221,14 +208,14 @@ func TestQueueBound(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	accepted := 0
 	for i := 0; i < 5000; i++ {
-		if s.Submit(&Task{SigID: "x", Run: func() {}}) {
+		if s.Submit(&Task{SigID: "x", Class: ClassShallow, Run: func() {}}) {
 			accepted++
 		}
 	}
 	if accepted > 4096 {
 		t.Fatalf("queue accepted %d tasks, bound is 4096", accepted)
 	}
-	if m := s.Metrics(); m.Foreground.DroppedFull == 0 {
+	if m := s.Metrics(); m.Shallow.DroppedFull == 0 {
 		t.Fatal("no queue-full drops counted")
 	}
 	close(release)
@@ -236,8 +223,8 @@ func TestQueueBound(t *testing.T) {
 }
 
 func TestClassQueueShares(t *testing.T) {
-	// MaxQueue 8 → deep admits 4, shallow 6, foreground 8. Stall the worker
-	// so submissions only queue.
+	// MaxQueue 8 → deep admits 4, shallow 6, a classless task 8. Stall the
+	// worker so submissions only queue.
 	s := NewWith(Config{Workers: 1, MaxQueue: 8})
 	defer s.Close()
 	release := make(chan struct{})
@@ -259,11 +246,12 @@ func TestClassQueueShares(t *testing.T) {
 	if got := accept(ClassShallow, 10); got != 2 {
 		t.Fatalf("shallow accepted %d, want 2 (6-slot share, 4 used)", got)
 	}
-	if got := accept(ClassForeground, 10); got != 2 {
-		t.Fatalf("foreground accepted %d, want 2 (8-slot share, 6 used)", got)
+	if got := accept(0, 10); got != 2 {
+		t.Fatalf("classless accepted %d, want 2 (the 8-slot bound, 6 used)", got)
 	}
+	// Classless refusals are booked under neither class.
 	m := s.Metrics()
-	if m.Deep.DroppedFull != 6 || m.Shallow.DroppedFull != 8 || m.Foreground.DroppedFull != 8 {
+	if m.Deep.DroppedFull != 6 || m.Shallow.DroppedFull != 8 {
 		t.Fatalf("drop counters = %+v", m)
 	}
 	close(release)
@@ -297,8 +285,8 @@ func TestDoubleCloseSafe(t *testing.T) {
 func TestPanicRecovered(t *testing.T) {
 	s := NewWith(Config{Workers: 2})
 	defer s.Close()
-	var got atomic.Value
-	s.Submit(&Task{SigID: "boom", Run: func() { panic("kaboom") }, OnPanic: func(v any) { got.Store(v) }})
+	boom := &countingJob{panicWith: "kaboom"}
+	s.Submit(&Task{SigID: "boom", Job: boom})
 
 	done := make(chan struct{})
 	go func() { s.Drain(); close(done) }()
@@ -307,7 +295,7 @@ func TestPanicRecovered(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Drain hung after a panicking task")
 	}
-	if v := got.Load(); v != "kaboom" {
+	if v := boom.panicked; v != "kaboom" {
 		t.Fatalf("OnPanic got %v, want kaboom", v)
 	}
 	if m := s.Metrics(); m.Panics != 1 {
@@ -345,22 +333,18 @@ func TestDeadlineExpiredAtDispatch(t *testing.T) {
 	s.Submit(&Task{SigID: "block", Run: func() { <-release }})
 	time.Sleep(10 * time.Millisecond)
 
-	var ran, abandoned atomic.Bool
-	s.Submit(&Task{
-		SigID: "stale", Class: ClassDeep, Deadline: now.Add(time.Second),
-		Run:     func() { ran.Store(true) },
-		Abandon: func() { abandoned.Store(true) },
-	})
+	stale := &countingJob{}
+	s.Submit(&Task{SigID: "stale", Class: ClassDeep, Deadline: now.Add(time.Second), Job: stale})
 	mu.Lock()
 	now = now.Add(time.Minute) // task expires while queued
 	mu.Unlock()
 	close(release)
 	s.Drain()
 
-	if ran.Load() {
+	if stale.ran != 0 {
 		t.Fatal("expired task ran")
 	}
-	if !abandoned.Load() {
+	if stale.abandoned != 1 {
 		t.Fatal("expired task not abandoned")
 	}
 	if m := s.Metrics(); m.Deep.DroppedExpired != 1 || m.Deep.Ran != 0 {
@@ -382,9 +366,8 @@ func TestStressSubmitCloseDrain(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				cls := Class(i % 3)
-				task := &Task{SigID: "s", Class: cls, Depth: i % 5,
-					Run: func() {}, Abandon: func() {}}
+				cls := []Class{ClassShallow, ClassDeep}[i%2]
+				task := &Task{SigID: "s", Class: cls, Depth: i % 5, Run: func() {}}
 				if i%97 == 0 {
 					task.Run = func() { panic("stress") }
 				}
@@ -421,14 +404,14 @@ func TestStressSubmitCloseDrain(t *testing.T) {
 	// shed: it must not unbalance the books. The stress loop hits that race
 	// about once in 300 runs; these three hit it every time.
 	before := s.Metrics()
-	for _, cls := range []Class{ClassForeground, ClassShallow, ClassDeep} {
+	for _, cls := range []Class{ClassShallow, ClassDeep} {
 		if s.Submit(&Task{SigID: "late", Class: cls, Run: func() {}}) {
 			t.Fatalf("Submit of class %v accepted after Close", cls)
 		}
 	}
 	// Accounting must balance: everything accepted either ran or was shed.
 	m := s.Metrics()
-	for _, cls := range []Class{ClassForeground, ClassShallow, ClassDeep} {
+	for _, cls := range []Class{ClassShallow, ClassDeep} {
 		c := m.ByClass(cls)
 		if c.Submitted != c.Ran+c.DroppedClosed+c.DroppedExpired {
 			t.Fatalf("unbalanced class accounting: %+v", c)
@@ -440,7 +423,7 @@ func TestStressSubmitCloseDrain(t *testing.T) {
 }
 
 // TestJobStandsInForHooks: a Task carrying a Job runs, is abandoned and has
-// its panic reported through the one value, never through the func fields.
+// its panic reported through the one value, never through Run.
 func TestJobStandsInForHooks(t *testing.T) {
 	now := time.Unix(1000, 0)
 	var mu sync.Mutex
@@ -450,9 +433,9 @@ func TestJobStandsInForHooks(t *testing.T) {
 	unused := func() { t.Error("func hook called on a Job task") }
 
 	ok := &countingJob{}
-	s.Submit(&Task{SigID: "ok", Job: ok, Run: unused, Abandon: unused})
+	s.Submit(&Task{SigID: "ok", Job: ok, Run: unused})
 	boom := &countingJob{panicWith: "boom"}
-	s.Submit(&Task{SigID: "boom", Job: boom, Run: unused, OnPanic: func(any) { unused() }})
+	s.Submit(&Task{SigID: "boom", Job: boom, Run: unused})
 	s.Drain()
 	if ok.ran != 1 || ok.abandoned != 0 || ok.panicked != nil {
 		t.Fatalf("plain job: %+v", ok)
@@ -464,7 +447,7 @@ func TestJobStandsInForHooks(t *testing.T) {
 	release := make(chan struct{})
 	s.Submit(&Task{SigID: "block", Run: func() { <-release }})
 	stale := &countingJob{}
-	s.Submit(&Task{SigID: "stale", Job: stale, Deadline: now.Add(time.Second), Run: unused, Abandon: unused})
+	s.Submit(&Task{SigID: "stale", Job: stale, Deadline: now.Add(time.Second), Run: unused})
 	mu.Lock()
 	now = now.Add(time.Minute)
 	mu.Unlock()
@@ -501,7 +484,7 @@ func TestGuessesLeaveAWorker(t *testing.T) {
 	started := make(chan string, 8)
 	var guesses [3]*Task
 	for i := 0; i < 3; i++ {
-		guesses[i] = &Task{SigID: "g", Guess: true, Depth: 1,
+		guesses[i] = &Task{SigID: "g", Class: ClassDeep, Guess: true, Depth: 1,
 			Run: func() { started <- "guess"; <-release }}
 		s.Submit(guesses[i])
 	}
@@ -537,7 +520,7 @@ func TestGuessesLeaveAWorker(t *testing.T) {
 	}
 	close(release)
 	<-closed
-	if m := s.Metrics(); m.Foreground.DroppedClosed != 2 || m.Promoted != 1 {
+	if m := s.Metrics(); m.Deep.DroppedClosed != 2 || m.Promoted != 1 {
 		t.Fatalf("metrics %+v, want the two waiting guesses dropped at Close", m)
 	}
 }
@@ -588,14 +571,14 @@ func TestQueueWaitSums(t *testing.T) {
 	var mu sync.Mutex
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	s, release := stalled(t, Config{Now: clock})
+	s, _, release := stalled(t, Config{Now: clock})
 	defer s.Close()
 
 	run := func() {}
 	promoted := &Task{SigID: "promoted", Class: ClassDeep, Depth: 3, Run: run}
 	s.Submit(promoted)
 	s.Submit(&Task{SigID: "guess", Class: ClassShallow, Depth: 1, Guess: true, Run: run})
-	s.Submit(&Task{SigID: "stale", Class: ClassForeground, Deadline: now.Add(10 * time.Millisecond), Run: run})
+	s.Submit(&Task{SigID: "stale", Class: ClassDeep, Deadline: now.Add(10 * time.Millisecond), Run: run})
 	mu.Lock()
 	now = now.Add(30 * time.Millisecond)
 	mu.Unlock()
@@ -606,14 +589,11 @@ func TestQueueWaitSums(t *testing.T) {
 	s.Drain()
 
 	m := s.Metrics()
-	if m.Deep.Ran != 1 || m.Deep.WaitNanos != int64(30*time.Millisecond) || m.Deep.MeanWait() != 30*time.Millisecond {
+	// The stale task was shed and books nothing.
+	if m.Deep.Ran != 1 || m.Deep.DroppedExpired != 1 || m.Deep.WaitNanos != int64(30*time.Millisecond) || m.Deep.MeanWait() != 30*time.Millisecond {
 		t.Fatalf("deep %+v, want one task that waited 30ms", m.Deep)
 	}
 	if m.Shallow.Ran != 1 || m.Shallow.WaitNanos != int64(30*time.Millisecond) {
 		t.Fatalf("shallow %+v, want the guess's 30ms", m.Shallow)
-	}
-	// The blocker ran at once; the stale task was shed and books nothing.
-	if f := m.Foreground; f.Ran != 1 || f.DroppedExpired != 1 || f.WaitNanos != 0 || f.MeanWait() != 0 {
-		t.Fatalf("foreground %+v, want no wait booked", f)
 	}
 }

@@ -220,7 +220,9 @@ func (s *Stats) RespTime(sigID string) time.Duration { return s.sigs.byID[sigID]
 // Priority computes the §5 scheduling priority: a linear combination of the
 // signature's average response time (in seconds) and its hit rate. A
 // signature never prefetched before gets a neutral hit rate of 0.5 so new
-// opportunities are explored.
+// opportunities are explored. Nothing in the proxy reads it: the scheduler
+// dispatches by depth, then submission order. It stays because the
+// benchmark module still calls it.
 func (s *Stats) Priority(sigID string) float64 {
 	st, hitRate := s.sigs.byID[sigID], 0.5
 	if st == nil {
