@@ -408,3 +408,36 @@ func TestAppProgramsRoundTripThroughAssembler(t *testing.T) {
 		}
 	}
 }
+
+// TestImageValidator: an image carries a strong ETag and a GET naming it gets
+// a bodiless 304; another tag, or another method, gets the 200 and the bytes.
+// JSON answers carry no ETag.
+func TestImageValidator(t *testing.T) {
+	serve := func(method, inm string) *httptest.ResponseRecorder {
+		r := httptest.NewRequest(method, "http://img.example/img", nil)
+		if inm != "" {
+			r.Header.Set("If-None-Match", inm)
+		}
+		rec := httptest.NewRecorder()
+		writeImage(rec, r, "seed", 4000)
+		return rec
+	}
+	full := serve(http.MethodGet, "")
+	tag := full.Header().Get("ETag")
+	if full.Code != 200 || full.Body.Len() != 4000 || len(tag) < 3 || tag[0] != '"' || tag[len(tag)-1] != '"' {
+		t.Fatalf("plain GET: %d, %d bytes, ETag %q; want a 200 of 4000 bytes under a strong tag", full.Code, full.Body.Len(), tag)
+	}
+	if nm := serve(http.MethodGet, tag); nm.Code != 304 || nm.Body.Len() != 0 || nm.Header().Get("ETag") != tag {
+		t.Fatalf("GET naming the tag: %d, %d bytes, ETag %q; want a bodiless 304 under it", nm.Code, nm.Body.Len(), nm.Header().Get("ETag"))
+	}
+	for _, c := range []struct{ method, inm string }{{http.MethodGet, `"other"`}, {http.MethodGet, "W/" + tag}, {http.MethodPost, tag}} {
+		if rec := serve(c.method, c.inm); rec.Code != 200 || rec.Body.Len() != 4000 {
+			t.Errorf("%s with If-None-Match %s: %d, %d bytes; want the full 200", c.method, c.inm, rec.Code, rec.Body.Len())
+		}
+	}
+	rec := httptest.NewRecorder()
+	writeJSON(rec, map[string]any{"a": 1})
+	if tag := rec.Header().Get("ETag"); tag != "" {
+		t.Fatalf("a JSON answer carries ETag %q", tag)
+	}
+}

@@ -1,6 +1,8 @@
 package apps
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -51,11 +53,25 @@ func writeJSON(w http.ResponseWriter, v any) {
 	w.Write(b)
 }
 
-// writeImage writes an image payload.
-func writeImage(w http.ResponseWriter, seed string, size int) {
+// writeImage writes an image payload under a strong ETag, a hash of its
+// bytes, as the servers image origins commonly run do by default for static
+// files and stored objects (nginx's etag, Apache's FileETag, Amazon S3's
+// object ETag). A GET whose If-None-Match is that tag gets a 304 and no body
+// (RFC 9110 §13.1.2). JSON bodies carry no validator: per-user API answers
+// are the least likely to. Handlers call it after their own service time,
+// which a 304 costs too.
+func writeImage(w http.ResponseWriter, r *http.Request, seed string, size int) {
+	b := imageBytes(seed, size)
+	sum := sha256.Sum256(b)
+	tag := `"` + hex.EncodeToString(sum[:16]) + `"`
+	w.Header().Set("ETag", tag)
+	if r.Method == http.MethodGet && r.Header.Get("If-None-Match") == tag {
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
 	w.Header().Set("Content-Type", "image/jpeg")
 	w.WriteHeader(http.StatusOK)
-	w.Write(imageBytes(seed, size))
+	w.Write(b)
 }
 
 // writeErr writes a JSON error with the given status.

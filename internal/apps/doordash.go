@@ -236,7 +236,7 @@ func doordashHandler(scale float64) http.Handler {
 			writeErr(w, http.StatusBadRequest, "missing sid")
 			return
 		}
-		writeImage(w, "dd-simg-"+sid, 80*1000)
+		writeImage(w, r, "dd-simg-"+sid, 80*1000)
 	})
 	registerDoorDashExtraRoutes(mux, scale, storeIDs)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {

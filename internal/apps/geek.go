@@ -178,7 +178,7 @@ func geekHandler(scale float64) http.Handler {
 			writeErr(w, http.StatusBadRequest, "missing item")
 			return
 		}
-		writeImage(w, "geek-thumb-"+item, 35*1000)
+		writeImage(w, r, "geek-thumb-"+item, 35*1000)
 	})
 	mux.HandleFunc("/full", func(w http.ResponseWriter, r *http.Request) {
 		item := r.URL.Query().Get("item")
@@ -186,7 +186,7 @@ func geekHandler(scale float64) http.Handler {
 			writeErr(w, http.StatusNotFound, "unknown item")
 			return
 		}
-		writeImage(w, "geek-full-"+item, 315*1000)
+		writeImage(w, r, "geek-full-"+item, 315*1000)
 	})
 	registerGeekExtraRoutes(mux, scale, feedIDs)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {

@@ -158,7 +158,7 @@ func postmatesHandler(scale float64) http.Handler {
 			return
 		}
 		// Restaurant image: ~168 KB (§6.2).
-		writeImage(w, "pm-rimg-"+rid, 168*1000)
+		writeImage(w, r, "pm-rimg-"+rid, 168*1000)
 	})
 	registerPostmatesExtraRoutes(mux, scale, restIDs)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {

@@ -167,7 +167,7 @@ func purpleOceanHandler(scale float64) http.Handler {
 			writeErr(w, http.StatusBadRequest, "missing aid")
 			return
 		}
-		writeImage(w, "po-thumb-"+aid, 25*1000)
+		writeImage(w, r, "po-thumb-"+aid, 25*1000)
 	})
 	mux.HandleFunc("/prof", func(w http.ResponseWriter, r *http.Request) {
 		aid := r.URL.Query().Get("aid")
@@ -175,7 +175,7 @@ func purpleOceanHandler(scale float64) http.Handler {
 			writeErr(w, http.StatusNotFound, "unknown advisor")
 			return
 		}
-		writeImage(w, "po-prof-"+aid, 50*1000)
+		writeImage(w, r, "po-prof-"+aid, 50*1000)
 	})
 	mux.HandleFunc("/still", func(w http.ResponseWriter, r *http.Request) {
 		aid := r.URL.Query().Get("aid")
@@ -183,7 +183,7 @@ func purpleOceanHandler(scale float64) http.Handler {
 			writeErr(w, http.StatusNotFound, "unknown advisor")
 			return
 		}
-		writeImage(w, "po-still-"+aid, 60*1000)
+		writeImage(w, r, "po-still-"+aid, 60*1000)
 	})
 	registerPurpleOceanExtraRoutes(mux, scale)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {

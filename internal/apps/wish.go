@@ -302,7 +302,7 @@ func wishHandler(scale float64) http.Handler {
 			writeErr(w, http.StatusBadRequest, "missing cid")
 			return
 		}
-		writeImage(w, "wish-thumb-"+cid, wishThumbKB*1000)
+		writeImage(w, r, "wish-thumb-"+cid, wishThumbKB*1000)
 	})
 	mux.HandleFunc("/product-img", func(w http.ResponseWriter, r *http.Request) {
 		cid := r.URL.Query().Get("cid")
@@ -310,10 +310,10 @@ func wishHandler(scale float64) http.Handler {
 			writeErr(w, http.StatusNotFound, "unknown cid")
 			return
 		}
-		writeImage(w, "wish-img-"+cid, wishImageKB*1000)
+		writeImage(w, r, "wish-img-"+cid, wishImageKB*1000)
 	})
 	mux.HandleFunc("/prof", func(w http.ResponseWriter, r *http.Request) {
-		writeImage(w, "wish-prof-"+r.URL.Query().Get("cid"), 30*1000)
+		writeImage(w, r, "wish-prof-"+r.URL.Query().Get("cid"), 30*1000)
 	})
 	registerWishExtraRoutes(mux, scale, feedIDs)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {

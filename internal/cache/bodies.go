@@ -36,6 +36,18 @@ type bodyTable struct {
 	byHash map[uint64]*body
 	count  int
 	bytes  int64
+	// refs counts the references handed out, by how the body was found.
+	refs BodyRefs
+}
+
+// BodyRefs counts body-table references, and the bytes of their bodies, by
+// how the body was found: Twin was handed the held body's own slice — what a
+// revalidated twin's 304 yields — Hashed an equal copy of a held body, New a
+// body nothing held. Twin and Hashed references are the copies the table
+// saves.
+type BodyRefs struct {
+	Twin, Hashed, New                int64
+	TwinBytes, HashedBytes, NewBytes int64
 }
 
 func newBodyTable() *bodyTable {
@@ -54,9 +66,18 @@ func (t *bodyTable) acquire(b []byte) *body {
 	for x := head; x != nil; x = x.next {
 		if bytes.Equal(x.b, b) {
 			x.refs++
+			if &x.b[0] == &b[0] {
+				t.refs.Twin++
+				t.refs.TwinBytes += int64(len(b))
+			} else {
+				t.refs.Hashed++
+				t.refs.HashedBytes += int64(len(b))
+			}
 			return x
 		}
 	}
+	t.refs.New++
+	t.refs.NewBytes += int64(len(b))
 	x := &body{b: b, hash: h, refs: 1, next: head}
 	t.byHash[h] = x
 	t.count++
@@ -89,9 +110,10 @@ func (t *bodyTable) release(x *body) {
 	t.bytes -= int64(len(x.b))
 }
 
-// stats reports the distinct bodies held and their bytes.
-func (t *bodyTable) stats() (count int, bytes int64) {
+// stats reports the distinct bodies held, their bytes, and the references
+// handed out so far.
+func (t *bodyTable) stats() (count int, bytes int64, refs BodyRefs) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.count, t.bytes
+	return t.count, t.bytes, t.refs
 }

@@ -23,7 +23,10 @@
 // or more once: an image prefetched for six users is six entries over one
 // slice. Accounting stays logical — every entry is charged its full body — so
 // caps, the budget, RoomFor and the eviction order read as if nothing were
-// shared, and only physical memory moves.
+// shared, and only physical memory moves. Beside it, a twin index lists the
+// user-scope 200s that carry a strong ETag, so a fetch of the same request
+// for another user can ask the origin whether those bytes are its answer too
+// (Twin).
 package cache
 
 import (
@@ -174,9 +177,13 @@ type entry struct {
 	payload *Entry
 	sc      *scopeState
 	body    *body // the body-table reference, nil for an unshared body
-	key     string
-	size    int64
-	credit  float64
+	// etag is the strong ETag under which the entry is indexed as a twin,
+	// "" when it is not; twinPrev and twinNext link its key's twins.
+	etag               string
+	twinPrev, twinNext *entry
+	key                string
+	size               int64
+	credit             float64
 	// prio is the GreedyDual-Size priority H, seq the shard tick of the
 	// last touch; together they key the scope's eviction heap.
 	prio    float64
@@ -357,8 +364,11 @@ type Metrics struct {
 	Evictions                  EvictionCounts
 	// Bodies and BodyBytes are the body table's distinct bodies and their
 	// bytes: what the shared bodies take in memory, each counted once.
+	// BodyRefs counts the references the table has handed out, by how each
+	// body was found.
 	Bodies    int
 	BodyBytes int64
+	BodyRefs  BodyRefs
 	// PerSig carries per-signature put/hit/expiry/eviction counts.
 	PerSig map[string]SigStats
 }
@@ -385,6 +395,7 @@ type Store struct {
 	opts     Options
 	shards   []*shard
 	bodies   *bodyTable
+	twins    twinIndex
 	resident atomic.Int64
 
 	// Eviction causes are rare events; plain atomics suffice.
@@ -397,7 +408,7 @@ type Store struct {
 
 // New builds a store.
 func New(opts Options) *Store {
-	s := &Store{opts: opts.filled(), bodies: newBodyTable()}
+	s := &Store{opts: opts.filled(), bodies: newBodyTable(), twins: twinIndex{byKey: map[string]*entry{}}}
 	s.shards = make([]*shard, s.opts.Shards)
 	for i := range s.shards {
 		s.shards[i] = &shard{
@@ -508,6 +519,7 @@ func (s *Store) Put(scope, key string, p *Entry) {
 func (s *Store) put(scope, key string, p *Entry, spill bool) {
 	sz := size(key, p)
 	ref := s.shareBody(p)
+	tag := twinTag(scope, p)
 	sh := s.shardOf(scope, key)
 	sh.mu.Lock()
 	if old := sh.lookupLocked(scope, key); old != nil {
@@ -519,11 +531,14 @@ func (s *Store) put(scope, key string, p *Entry, spill bool) {
 		sc = &scopeState{name: scope, entries: map[string]*entry{}}
 		sh.byScope[scope] = sc
 	}
-	en := &entry{payload: p, sc: sc, body: ref, key: key, size: sz, credit: credit(p.Cost, sz)}
+	en := &entry{payload: p, sc: sc, body: ref, etag: tag, key: key, size: sz, credit: credit(p.Cost, sz)}
 	sh.touchLocked(en)
 	sc.entries[key] = en
 	heap.Push(&sc.order, en)
 	heap.Push(&sh.heap, en)
+	if tag != "" {
+		s.twins.add(en)
+	}
 	sc.bytes += sz
 	s.resident.Add(sz)
 	if scope != SharedScope {
@@ -604,6 +619,9 @@ func (s *Store) removeLocked(sh *shard, en *entry) {
 	heap.Remove(&sh.heap, en.heapIdx)
 	sc.bytes -= en.size
 	s.resident.Add(-en.size)
+	if en.etag != "" {
+		s.twins.remove(en)
+	}
 	if en.body != nil {
 		s.bodies.release(en.body)
 	}
@@ -768,10 +786,13 @@ func (s *Store) DropScope(scope string) (entries int, bytes int64) {
 		sh.mu.Lock()
 		if sc := sh.byScope[scope]; sc != nil {
 			// The whole scope goes, its eviction order with it: only the
-			// shard-wide expiry heap, the body table and the accounting need
-			// each entry.
+			// shard-wide expiry heap, the twin index, the body table and the
+			// accounting need each entry.
 			for _, en := range sc.entries {
 				heap.Remove(&sh.heap, en.heapIdx)
+				if en.etag != "" {
+					s.twins.remove(en)
+				}
 				if en.body != nil {
 					s.bodies.release(en.body)
 				}
@@ -855,7 +876,7 @@ func (s *Store) ResidentBytes() int64 { return s.resident.Load() }
 
 // BodyBytes reports the bytes of the distinct bodies the body table holds.
 func (s *Store) BodyBytes() int64 {
-	_, n := s.bodies.stats()
+	_, n, _ := s.bodies.stats()
 	return n
 }
 
@@ -891,7 +912,7 @@ func (s *Store) Metrics() Metrics {
 		},
 		PerSig: map[string]SigStats{},
 	}
-	m.Bodies, m.BodyBytes = s.bodies.stats()
+	m.Bodies, m.BodyBytes, m.BodyRefs = s.bodies.stats()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		m.Hits += sh.hits

@@ -42,7 +42,9 @@ type fuzzEntry struct {
 //     earlier root, Get and SweepExpired remove only expired entries,
 //     DropScope only its scope;
 //   - the body table holds one reference per resident entry per shared body
-//     (checkBodies), so it is empty when the store is.
+//     (checkBodies), so it is empty when the store is;
+//   - the twin index lists exactly the resident tagged user-scope 200s
+//     (checkTwins), and Twin offers only a live entry of another scope.
 //
 // The first byte picks the shard count, whether the global budget is on, and
 // whether every body hashes to its length, so bodies of one length collide.
@@ -87,6 +89,9 @@ func FuzzStore(f *testing.F) {
 				root := uint64(b >> 4)
 				e := &Entry{Resp: &httpmsg.Response{Status: 200, Body: fill(fb.n, fb.p)}, SigID: "s",
 					Expires: now.Add(time.Duration(1+a>>4&3) * time.Minute), Root: root}
+				if a&0x40 != 0 {
+					e.Resp.Header = []httpmsg.Field{{Key: "Etag", Value: `"x"`}}
+				}
 				fresh := &fuzzEntry{e: e, body: fill(fb.n, fb.p), size: size(key, e), root: root, expires: e.Expires}
 				room := op == 1 && s.RoomFor(scope, fresh.size, root)
 				s.Put(scope, key, e)
@@ -156,6 +161,17 @@ func FuzzStore(f *testing.F) {
 				t.Fatalf("store holds %d entries in %d bytes; model %d in %d", m.Entries, m.ResidentBytes, count, total)
 			}
 			checkBodies(t, s)
+			checkTwins(t, s)
+			if _, r := s.Twin(scope, key); r != nil {
+				live := false
+				for _, sc := range scopes {
+					x := model[sc][key]
+					live = live || sc != scope && x != nil && x.e.Resp == r && now.Before(x.expires)
+				}
+				if !live {
+					t.Fatalf("Twin(%s, %s) offers a response no other scope holds live", scope, key)
+				}
+			}
 		}
 	})
 }

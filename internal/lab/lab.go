@@ -55,6 +55,11 @@ type Options struct {
 	// the §6 replications measure per-user data usage, and sharing (an
 	// extension beyond the paper's per-user prototype) would let one user's
 	// prefetch serve another, changing what Figure 16's metric means.
+	// Cross-user revalidation runs either way: a user's fetch of a request
+	// another user's entry holds goes out with that entry's ETag, and only
+	// the origin's 304 to the user's own request lets the entry's bytes
+	// cross. It saves origin bytes, which data_usage_x counts, and leaves
+	// Figure 16's per-user NormalizedDataUsage as it was.
 	SharedTier bool
 }
 

@@ -2,6 +2,7 @@ package lab
 
 import (
 	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -133,4 +134,66 @@ func TestRTTOverrideChangesLatency(t *testing.T) {
 	if fast, slow := run(10*time.Millisecond), run(300*time.Millisecond); slow <= fast {
 		t.Fatalf("RTT override ineffective: fast=%v slow=%v", fast, slow)
 	}
+}
+
+// countingWriter counts the body bytes a handler writes.
+type countingWriter struct {
+	http.ResponseWriter
+	n *atomic.Int64
+}
+
+func (w countingWriter) Write(b []byte) (int, error) {
+	n, err := w.ResponseWriter.Write(b)
+	w.n.Add(int64(n))
+	return n, err
+}
+
+// TestOriginBytesAreTheNumerator pins data_usage_x's numerator to the wire:
+// the body bytes the app's origin handler writes, counted inside the origin,
+// are exactly the proxy's ForwardedBytes + PrefetchedBytes. Three users open
+// the same screens one after another, so later users' prefetches of the
+// images the first holds are revalidated, and the sum covers the origin's
+// 200s and its bodiless 304s alike.
+func TestOriginBytesAreTheNumerator(t *testing.T) {
+	app := *apps.Postmates()
+	var wire atomic.Int64
+	handler := app.Handler
+	app.Handler = func(scale float64) http.Handler {
+		h := handler(scale)
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			h.ServeHTTP(countingWriter{w, &wire}, r)
+		})
+	}
+	l, err := New(Options{App: &app, Scale: 0.02, Prefetch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for _, user := range []string{"u1", "u2", "u3"} {
+		d, err := l.NewDevice(user)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Launch(); err != nil {
+			t.Fatalf("%s launch: %v", user, err)
+		}
+		if _, err := d.TapMain(0); err != nil {
+			t.Fatalf("%s main: %v", user, err)
+		}
+		l.Proxy.Drain()
+	}
+	// A forwarded miss books its bytes once its pump is done, which may be
+	// just after its client has the whole response.
+	snap := l.Proxy.Stats().Snapshot()
+	for deadline := time.Now().Add(5 * time.Second); snap.ForwardedBytes+snap.PrefetchedBytes != wire.Load() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		snap = l.Proxy.Stats().Snapshot()
+	}
+	if got := snap.ForwardedBytes + snap.PrefetchedBytes; got != wire.Load() {
+		t.Fatalf("forwarded %d + prefetched %d = %d bytes; the origin wrote %d", snap.ForwardedBytes, snap.PrefetchedBytes, got, wire.Load())
+	}
+	if snap.NotModified == 0 || snap.RevalidatedPrefetchBytes == 0 {
+		t.Fatalf("no revalidation answered 304 (%d 304s, %d full answers)", snap.NotModified, snap.Modified)
+	}
+	t.Logf("%d origin body bytes; %d 304s stood for %d more", wire.Load(), snap.NotModified, snap.RevalidatedPrefetchBytes+snap.RevalidatedForwardBytes)
 }

@@ -270,6 +270,23 @@ type MissReasons struct {
 	Signatures map[string]MissCounts `json:"signatures,omitempty"`
 }
 
+// RevalidateCounts is one signature's cross-user revalidations, or their
+// totals: fetches sent with the ETag of another user's entry that the origin
+// answered 304 (NotModified) or 200 (Modified), and Bytes, the body bytes
+// the 304s let the proxy take from that entry instead of the origin.
+type RevalidateCounts struct {
+	NotModified int64 `json:"notModified"`
+	Modified    int64 `json:"modified"`
+	Bytes       int64 `json:"bytes"`
+}
+
+// Revalidate is the revalidation block of /appx/v1/stats: the totals, and
+// per signature those that revalidated at all.
+type Revalidate struct {
+	RevalidateCounts
+	Signatures map[string]RevalidateCounts `json:"signatures,omitempty"`
+}
+
 // Borrowed is the first-visit block of /appx/v1/stats: prefetches issued
 // from an exemplar built from what the user's device sent on other
 // signatures, how many of their entries a client was served, and how many
@@ -330,6 +347,7 @@ type StatsResponse struct {
 	Policy               PolicyEntry `json:"policy"`
 	MissReasons          MissReasons `json:"missReasons"`
 	Borrowed             Borrowed    `json:"borrowed"`
+	Revalidate           Revalidate  `json:"revalidate"`
 }
 
 // HealthResponse is the body of GET /appx/v1/health.

@@ -1,0 +1,89 @@
+package proxy
+
+import (
+	"context"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"appx/internal/cache"
+	"appx/internal/config"
+	"appx/internal/httpmsg"
+)
+
+// commitFixture is a proxy over list → img on a clock that steps a second
+// per read, behind a fake upstream that answers every img with the same
+// 8 KiB body under a strong ETag and a matching If-None-Match with a 304.
+// commit runs one prefetch of user B's img?1 to its Put on the calling
+// goroutine; B's previous entry has expired by then, so every run stores.
+// With twin set, user A holds the image for the whole test and each run is a
+// revalidated commit.
+func commitFixture(t *testing.T, twin bool) (p *Proxy, commit func()) {
+	t.Helper()
+	g := followGraph([]edge{{"list", "img", "imgs[*]"}})
+	cfg := config.Default(g)
+	cfg.Cache = &config.Cache{DisableSharedTier: true}
+	var clock atomic.Int64
+	clock.Store(time.Unix(1_700_000_000, 0).UnixNano())
+	now := func() time.Time { return time.Unix(0, clock.Add(int64(time.Second))) }
+	body := make([]byte, 8<<10)
+	tag := strongTag(body)
+	p = New(Options{Graph: g, Config: cfg, Workers: 1, Now: now,
+		Upstream: UpstreamFunc(func(_ context.Context, r *httpmsg.Request) (*httpmsg.Response, error) {
+			if inm, _ := r.GetHeader("If-None-Match"); inm == tag {
+				return &httpmsg.Response{Status: 304, Header: []httpmsg.Field{{Key: "Etag", Value: tag}}}, nil
+			}
+			return &httpmsg.Response{Status: 200, Body: body,
+				Header: []httpmsg.Field{{Key: "Content-Type", Value: "image/jpeg"}, {Key: "Etag", Value: tag}}}, nil
+		})})
+	t.Cleanup(p.Close)
+	req := &httpmsg.Request{Method: "GET", Scheme: "http", Host: "h.example", Path: "/img",
+		Query: []httpmsg.Field{{Key: "id", Value: "1"}}}
+	key := req.CanonicalKey()
+	if twin {
+		p.store.Put("A", key, &cache.Entry{SigID: "t:img#0", Expires: time.Unix(1<<40, 0),
+			Resp: &httpmsg.Response{Status: 200, Body: body,
+				Header: []httpmsg.Field{{Key: "Content-Type", Value: "image/jpeg"}, {Key: "Etag", Value: tag}}}})
+	}
+	u, st := p.user("B"), p.sigs.byID["t:img#0"]
+	commit = func() {
+		pf := &prefetch{p: p, u: u, st: st, req: req, scope: "B", key: key, ikey: issueKey("B", key), expiry: time.Second}
+		if ok, _ := p.keys.claim(pf.ikey, pf, true); !ok {
+			t.Fatal("the key is still claimed")
+		}
+		p.runPrefetch(pf)
+	}
+	return p, commit
+}
+
+// TestPrefetchCommitAllocs pins the allocations of one prefetch from dispatch
+// to commit — flight, round trip, spool, capture and Put — on the fixture
+// above: 20 today, and the ceiling is one more.
+func TestPrefetchCommitAllocs(t *testing.T) {
+	p, commit := commitFixture(t, false)
+	commit()
+	allocs := testing.AllocsPerRun(200, commit)
+	t.Logf("%.0f allocations per prefetch commit", allocs)
+	if allocs > 20+1 {
+		t.Fatalf("a prefetch commit costs %.0f allocations, want 20", allocs)
+	}
+	if snap := p.Stats().Snapshot(); snap.Prefetches != 202 || snap.NotModified != 0 {
+		t.Fatalf("%d prefetches, %d 304s: the runs did not each commit from the origin", snap.Prefetches, snap.NotModified)
+	}
+}
+
+// TestRevalidatedCommitAllocs pins the same for a commit a 304 answered: the
+// twin lookup, the conditional clone and the 200 built from the twin's
+// header, and no capture copy: 24 today, and the ceiling is one more.
+func TestRevalidatedCommitAllocs(t *testing.T) {
+	p, commit := commitFixture(t, true)
+	commit()
+	allocs := testing.AllocsPerRun(200, commit)
+	t.Logf("%.0f allocations per revalidated commit", allocs)
+	if allocs > 24+1 {
+		t.Fatalf("a revalidated commit costs %.0f allocations, want 24", allocs)
+	}
+	if snap := p.Stats().Snapshot(); snap.NotModified != 202 {
+		t.Fatalf("%d 304s in 202 runs: the runs did not each revalidate", snap.NotModified)
+	}
+}

@@ -44,6 +44,10 @@ var (
 	errBodyClosed         = errors.New("proxy: read on closed origin response body")
 )
 
+// noUserAgent is the User-Agent value that keeps (*http.Request).Write from
+// sending its default. Write only reads it.
+var noUserAgent = []string{""}
+
 // readers lends connections their read buffers for the length of an
 // exchange, so an idle connection holds none.
 var readers = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
@@ -310,10 +314,16 @@ func (u *NetUpstream) exchange(ctx context.Context, pc *originConn, r *httpmsg.R
 
 // writeHead appends the request net/http's Transport would send for r —
 // ToHTTP, then (*http.Request).Write, head and body — to buf. hreq is
-// http.ReadResponse's view of the request.
+// http.ReadResponse's view of the request. The origin hears exactly the
+// request the proxy keyed: Write's default User-Agent, which it adds to a
+// request that has none, is suppressed by an explicitly empty value, as
+// cluster.Forward does for relays.
 func writeHead(buf []byte, r *httpmsg.Request) (head []byte, hreq *http.Request, err error) {
 	if hreq, err = r.ToHTTP(); err != nil {
 		return buf, nil, err
+	}
+	if _, ok := hreq.Header["User-Agent"]; !ok {
+		hreq.Header["User-Agent"] = noUserAgent
 	}
 	b := bytes.NewBuffer(buf)
 	if err = hreq.Write(b); err != nil {

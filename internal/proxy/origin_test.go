@@ -477,7 +477,7 @@ type recorded struct {
 // client as from the http.Transport NetUpstream used before it — method,
 // request URI, Host, every header and the body — across query escaping,
 // paths url.Parse rewrites, JSON and form bodies, and repeated, blank and
-// User-Agent headers.
+// User-Agent headers. Neither adds a User-Agent the request does not carry.
 func TestOriginRequestDifferential(t *testing.T) {
 	var mu sync.Mutex
 	var seen []recorded
@@ -515,6 +515,11 @@ func TestOriginRequestDifferential(t *testing.T) {
 			return err
 		}
 		hreq.Host = r.Host
+		// Transport's default User-Agent is suppressed, as the client and
+		// cluster.Forward suppress it: the origin hears only what was keyed.
+		if _, ok := hreq.Header["User-Agent"]; !ok {
+			hreq.Header.Set("User-Agent", "")
+		}
 		resp, err := tr.RoundTrip(hreq)
 		if err != nil {
 			return err

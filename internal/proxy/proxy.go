@@ -742,6 +742,7 @@ func (p *Proxy) statsV1() adminv1.StatsResponse {
 			Used:     p.borrowedUsed.Value(),
 			Rejected: p.borrowRejected.Value(),
 		},
+		Revalidate: p.revalidateV1(),
 	}
 }
 
@@ -1308,7 +1309,8 @@ func (p *Proxy) runPrefetch(pf *prefetch) {
 // reserveRoom makes room a precondition of speculation. A task still
 // speculative when a worker picks it up (depth 1 or more: nothing a client has
 // just asked for or been answered with names it, and it is no refresh) is
-// refused when its expected bytes — the signature's mean prefetched size — on
+// refused when its expected bytes — the signature's mean prefetched size,
+// revalidated bodies included (meanPrefetchSize) — on
 // top of what the user's scope holds and what the user's other admitted tasks
 // are about to add would only fit by evicting an entry no client has read from
 // the same live transaction or a later one (cache.Store.RoomFor): past the
@@ -1317,11 +1319,10 @@ func (p *Proxy) runPrefetch(pf *prefetch) {
 // returns. Depth-0 tasks, shared-scope tasks and signatures with no size
 // sample yet pass without a lock.
 func (p *Proxy) reserveRoom(pf *prefetch) (expect int64, ok bool) {
-	n := pf.st.prefetches.Load()
-	if pf.task.Depth < 1 || pf.scope == cache.SharedScope || n == 0 {
+	if pf.task.Depth < 1 || pf.scope == cache.SharedScope || pf.st.prefetches.Load() == 0 {
 		return 0, true
 	}
-	expect = pf.st.prefetchedBytes.Load() / n
+	expect = pf.st.meanPrefetchSize()
 	if p.store.RoomFor(pf.scope, pf.u.expected.Add(expect), pf.root) {
 		return expect, true
 	}
@@ -1380,7 +1381,9 @@ func (p *Proxy) ridePrefetch(pf *prefetch, fl *flight, rd *stream.Reader, owner 
 
 // fetchFlight is the prefetch worker's own origin fetch through the flight
 // it opened. It returns the complete 200 capture, or ok=false after
-// accounting for what went wrong.
+// accounting for what went wrong. With a twin held by another user the fetch
+// is a revalidation (revalidate.go): a 304 answers it with the twin's body,
+// which costs no origin bytes, no data budget and no response-time sample.
 func (p *Proxy) fetchFlight(pf *prefetch, fl *flight) (body []byte, ok bool) {
 	st := pf.st
 	sent := pf.req
@@ -1389,6 +1392,10 @@ func (p *Proxy) fetchFlight(pf *prefetch, fl *flight) (body []byte, ok bool) {
 		for _, h := range cpol.AddHeader {
 			sent.Header = append(sent.Header, httpmsg.Field{Key: h.Key, Value: h.Value})
 		}
+	}
+	etag, twin := p.twin(pf.scope, pf.key, sent)
+	if twin != nil {
+		sent = conditional(sent, etag)
 	}
 	// preUp bounds the whole round trip — every retry attempt and the body
 	// included — by prefetchTimeout, so a stalled origin (netem-style) cannot
@@ -1406,12 +1413,25 @@ func (p *Proxy) fetchFlight(pf *prefetch, fl *flight) (body []byte, ok bool) {
 		}
 		return nil, false
 	}
+	notModified := false
+	if twin != nil {
+		resp, notModified = st.revalidated(twin, resp, true)
+	}
 	fl.publish(resp)
 	// The worker streams the body through the spool inline: attachers read
 	// as bytes arrive, and an over-cap body with nobody attached is
 	// abandoned mid-stream (consume-or-cancel) instead of read to EOF.
 	p.pump(fl, resp)
 	p.keys.settle(pf.ikey, fl)
+	if notModified {
+		// The entry takes the twin's own slice, not a copy of the spool.
+		if ok = fl.sp.Complete(); ok {
+			body = twin.Body
+		}
+		fl.sp.Discard()
+		st.countPrefetch(0)
+		return body, ok
+	}
 	body, ok = fl.sp.Bytes()
 	fl.sp.Discard()
 	sz := fl.sp.Size()

@@ -182,7 +182,7 @@ func (p *Proxy) serve(x *exchange, r *http.Request) obs.Outcome {
 	for retried := false; ; retried = true {
 		fl, rd, owner := p.keys.open(fkey)
 		if owner {
-			return p.runFlight(x, u, matched, scope, fkey, fl)
+			return p.runFlight(x, u, matched, scope, key, fkey, fl)
 		}
 		served, failed := p.attachFlight(x, fl, rd)
 		switch {
@@ -303,9 +303,13 @@ func readsBody(matched []*sigState) bool {
 // runFlight executes the owner side of a foreground flight: fetch the whole
 // entity, publish headers to any attachers, pump the body through the spool
 // while serving this client from it, then feed the capture into stats and
-// learning. fkey names the flight in the key table, scope the cache scope a
-// prefetch of the same request would fill.
-func (p *Proxy) runFlight(x *exchange, u *user, matched []*sigState, scope, fkey string, fl *flight) obs.Outcome {
+// learning. key is the request's canonical key, fkey names the flight in the
+// key table, scope the cache scope a prefetch of the same request would fill.
+// With a twin held by another user the fetch is a revalidation
+// (revalidate.go): a 304 is published as the 200 it stands for, so attachers,
+// the client and the commit all see a 200, and it counts no origin bytes and
+// no response-time sample.
+func (p *Proxy) runFlight(x *exchange, u *user, matched []*sigState, scope, key, fkey string, fl *flight) obs.Outcome {
 	lead := matched[0]
 	x.sigID = lead.sig.ID
 	// The origin always sees the whole-entity request: Range is stripped and
@@ -317,12 +321,20 @@ func (p *Proxy) runFlight(x *exchange, u *user, matched []*sigState, scope, fkey
 		sent.DeleteHeader("Range")
 		sent.DeleteHeader("If-Range")
 	}
+	etag, twin := p.twin(scope, key, x.req)
+	if twin != nil {
+		sent = conditional(sent, etag)
+	}
 	resp, err := p.fetchOrigin(x, sent)
 	if err != nil {
 		p.failFlight(fkey, fl, err)
 		return obs.OutcomeError
 	}
 	elapsed := p.opts.Now().Sub(x.start)
+	notModified := false
+	if twin != nil {
+		resp, notModified = lead.revalidated(twin, resp, false)
+	}
 	fl.publish(resp)
 	// Resolve this client's own view (Range against the declared total, if
 	// any) and pin a reader BEFORE the pump starts: pre-pump, no offset can
@@ -352,9 +364,11 @@ func (p *Proxy) runFlight(x *exchange, u *user, matched []*sigState, scope, fkey
 	if !ok && fl.sp.Overflowed() {
 		p.streamStats.bodyOverflows.Add(1)
 	}
-	lead.observeRespTime(elapsed)
+	if !notModified {
+		lead.observeRespTime(elapsed)
+		p.stats.forwardedBytes.Add(fl.sp.Size())
+	}
 	lead.misses.Add(1)
-	p.stats.forwardedBytes.Add(fl.sp.Size())
 	// The miss is classified, and what the request and its response show of
 	// the user's device is folded into the profile, before learning: the
 	// fan-out below may borrow from it.
@@ -368,7 +382,11 @@ func (p *Proxy) runFlight(x *exchange, u *user, matched []*sigState, scope, fkey
 		// something will read it — the cache, or learning because some matched
 		// signature has a read plan. Every other capture (a streamed blob
 		// nothing depends on) is accounted from the spool and never copied.
-		if commit || readsBody(matched) {
+		// A revalidated capture is the twin's own slice.
+		switch {
+		case notModified:
+			lresp.Body = twin.Body
+		case commit || readsBody(matched):
 			lresp.Body, _ = fl.sp.Bytes()
 		}
 		root := u.roots.Add(1)
@@ -377,7 +395,7 @@ func (p *Proxy) runFlight(x *exchange, u *user, matched []*sigState, scope, fkey
 				Expires: p.opts.Now().Add(p.opts.Config.Expiration(lead.pol)),
 				Cost:    lead.avgRespTime(), Root: root}
 			e.FirstUse() // this client has been served it
-			p.store.Put(scope, x.req.CanonicalKey(), e)
+			p.store.Put(scope, key, e)
 		}
 		// Ambiguous URI patterns (fully dynamic URLs look identical) mean one
 		// live transaction can instantiate several signatures; learn through

@@ -46,9 +46,16 @@ type sigState struct {
 	// missReasons splits the forwarded requests of runFlight by why no
 	// prefetch answered them.
 	missReasons [numMissReasons]atomic.Int64
-	// prefetchedBytes counts response bytes fetched ahead of time;
-	// servedBytes counts prefetched bytes actually delivered to clients.
+	// prefetchedBytes counts response body bytes the origin sent to
+	// prefetches; servedBytes counts prefetched bytes actually delivered to
+	// clients.
 	prefetchedBytes, servedBytes atomic.Int64
+	// notModified and modified count the origin's answers to fetches sent
+	// with another user's ETag (revalidate.go): 304s, whose body the proxy
+	// took from that user's entry, and 200s. The revalidated bytes
+	// are the bodies the 304s stood for, on prefetches and forwarded misses.
+	notModified, modified                             atomic.Int64
+	revalidatedPrefetchBytes, revalidatedForwardBytes atomic.Int64
 	// prefetchErrors counts transport failures and prefetchRejects non-200
 	// origin answers to reconstructed requests (the §4.3 verification phase
 	// disables signatures showing either); prefetchSuppressed counts
@@ -93,10 +100,27 @@ func (st *sigState) avgRespTime() time.Duration {
 	return time.Duration(st.respTime.Load())
 }
 
-// countPrefetch records a completed prefetch and its response size.
+// countPrefetch records a completed prefetch and the body bytes the origin
+// sent it.
 func (st *sigState) countPrefetch(bytes int64) {
 	st.prefetches.Add(1)
 	st.prefetchedBytes.Add(bytes)
+}
+
+// meanPrefetchSize is the mean body size of the signature's completed
+// prefetches — origin bytes and revalidated bytes alike, so a 304 does not
+// make the signature look smaller than what it stores — 0 with none yet.
+func (st *sigState) meanPrefetchSize() int64 {
+	n := st.prefetches.Load()
+	if n == 0 {
+		return 0
+	}
+	return (st.prefetchedBytes.Load() + st.revalidatedPrefetchBytes.Load()) / n
+}
+
+// revalidatedBytes is the body bytes the signature's 304s stood for.
+func (st *sigState) revalidatedBytes() int64 {
+	return st.revalidatedPrefetchBytes.Load() + st.revalidatedForwardBytes.Load()
 }
 
 // backoff returns the failure streak and the end of its suspension window.
@@ -170,8 +194,8 @@ func newSigTable(g *sig.Graph, cfg *config.Config) *sigTable {
 type Stats struct {
 	sigs *sigTable
 
-	// forwardedBytes counts origin response bytes fetched on behalf of live
-	// client requests (the baseline data usage).
+	// forwardedBytes counts response body bytes the origin sent on behalf of
+	// live client requests (the baseline data usage).
 	forwardedBytes *obs.Counter
 	// savedLatencyNs accumulates the estimated latency hidden from clients
 	// by cache hits (the hit signature's average origin response time).
@@ -207,6 +231,15 @@ func newStats(reg *obs.Registry, sigs *sigTable) *Stats {
 		sum(func(st *sigState) *atomic.Int64 { return &st.prefetchErrors }))
 	reg.CounterFunc("appx_prefetch_suppressed_total", "Prefetches declined by resilience or overload gates.",
 		sum(func(st *sigState) *atomic.Int64 { return &st.prefetchSuppressed }))
+	const revalidateHelp = "Fetches sent with another user's ETag, by the origin's answer: 304 or 200."
+	reg.CounterFunc(`appx_revalidate_total{result="not_modified"}`, revalidateHelp,
+		sum(func(st *sigState) *atomic.Int64 { return &st.notModified }))
+	reg.CounterFunc(`appx_revalidate_total{result="modified"}`, revalidateHelp,
+		sum(func(st *sigState) *atomic.Int64 { return &st.modified }))
+	prefetched := sum(func(st *sigState) *atomic.Int64 { return &st.revalidatedPrefetchBytes })
+	forwarded := sum(func(st *sigState) *atomic.Int64 { return &st.revalidatedForwardBytes })
+	reg.CounterFunc("appx_revalidated_bytes_total", "Body bytes 304s let the proxy take from another user's entry instead of the origin.",
+		func() int64 { return prefetched() + forwarded() })
 	return s
 }
 
@@ -259,22 +292,29 @@ func (s *Stats) countHit(st *sigState, bytes int64, firstUse, shared bool) {
 	s.savedLatencyNs.Add(int64(st.avgRespTime()))
 }
 
-// Snapshot is an immutable view of the aggregate counters.
+// Snapshot is an immutable view of the aggregate counters. ForwardedBytes and
+// PrefetchedBytes count only body bytes the origin sent; the Revalidated
+// bytes are the bodies 304s stood for, which the proxy took from another
+// user's entry.
 type Snapshot struct {
 	PerSig map[string]SigSnapshot
 
-	ForwardedBytes     int64
-	PrefetchedBytes    int64
-	ServedBytes        int64
-	Hits               int
-	SharedHits         int
-	Misses             int
-	Prefetches         int
-	UsedEntries        int
-	SavedLatency       time.Duration
-	Retries            int
-	PrefetchErrors     int
-	PrefetchSuppressed int
+	ForwardedBytes           int64
+	PrefetchedBytes          int64
+	RevalidatedForwardBytes  int64
+	RevalidatedPrefetchBytes int64
+	NotModified              int
+	Modified                 int
+	ServedBytes              int64
+	Hits                     int
+	SharedHits               int
+	Misses                   int
+	Prefetches               int
+	UsedEntries              int
+	SavedLatency             time.Duration
+	Retries                  int
+	PrefetchErrors           int
+	PrefetchSuppressed       int
 }
 
 // SigSnapshot is one signature's counters.
@@ -289,6 +329,12 @@ type SigSnapshot struct {
 	PrefetchErrors     int
 	PrefetchRejects    int
 	PrefetchSuppressed int
+	// NotModified and Modified count the origin's 304 and 200 answers to
+	// the signature's revalidations; RevalidatedBytes is the bodies the 304s
+	// stood for.
+	NotModified      int
+	Modified         int
+	RevalidatedBytes int64
 }
 
 // Snapshot captures current counters. PerSig lists the signatures that have
@@ -312,6 +358,9 @@ func (s *Stats) Snapshot() Snapshot {
 			PrefetchErrors:     int(st.prefetchErrors.Load()),
 			PrefetchRejects:    int(st.prefetchRejects.Load()),
 			PrefetchSuppressed: int(st.prefetchSuppressed.Load()),
+			NotModified:        int(st.notModified.Load()),
+			Modified:           int(st.modified.Load()),
+			RevalidatedBytes:   st.revalidatedBytes(),
 		}
 		if ss == (SigSnapshot{}) {
 			continue
@@ -326,25 +375,35 @@ func (s *Stats) Snapshot() Snapshot {
 		out.Prefetches += ss.Prefetches
 		out.PrefetchErrors += ss.PrefetchErrors
 		out.PrefetchSuppressed += ss.PrefetchSuppressed
+		out.NotModified += ss.NotModified
+		out.Modified += ss.Modified
+		out.RevalidatedForwardBytes += st.revalidatedForwardBytes.Load()
+		out.RevalidatedPrefetchBytes += st.revalidatedPrefetchBytes.Load()
 	}
 	return out
 }
 
-// NormalizedDataUsage returns (forwarded+prefetched)/(forwarded+served):
-// origin bytes fetched over the response-body bytes clients consumed, which
-// stand in for what an Orig run would have fetched; 1.0 when nothing was
-// consumed. exp's Figure-16 and Figure-17 columns are this value; bench/'s
-// data_usage_x divides the same numerator by the bytes the benchmark's own
-// clients counted on receipt.
+// NormalizedDataUsage returns (forwarded+prefetched)/(forwarded+served),
+// each fetch counted at its whole body: response-body bytes the proxy fetched
+// for users over those clients consumed, which stand in for what an Orig run
+// would have fetched; 1.0 when nothing was consumed. A fetch a 304 answered
+// counts the body it stood for, on both sides for a forwarded miss, so the
+// ratio keeps the paper's per-user meaning (Figure 16: what prefetching
+// costs one user's data plan) whatever another user's entry saved the proxy.
+// exp's Figure-16 and Figure-17 columns are this value. bench/'s data_usage_x
+// differs: its numerator is ForwardedBytes+PrefetchedBytes alone, the bytes
+// the origin sent, over the bytes the benchmark's own clients counted on
+// receipt.
 func (s Snapshot) NormalizedDataUsage() float64 {
-	if s.ForwardedBytes+s.ServedBytes == 0 {
+	forwarded := s.ForwardedBytes + s.RevalidatedForwardBytes
+	if forwarded+s.ServedBytes == 0 {
 		return 1
 	}
 	// Baseline: every byte the client consumed would have been fetched from
 	// the origin anyway (forwarded misses + served hits). Overhead: bytes
 	// prefetched but never consumed.
-	baseline := float64(s.ForwardedBytes + s.ServedBytes)
-	total := float64(s.ForwardedBytes + s.PrefetchedBytes)
+	baseline := float64(forwarded + s.ServedBytes)
+	total := float64(forwarded + s.PrefetchedBytes + s.RevalidatedPrefetchBytes)
 	return total / baseline
 }
 

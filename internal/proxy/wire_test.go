@@ -1,0 +1,177 @@
+package proxy
+
+import (
+	"bufio"
+	"fmt"
+	"net"
+	"net/http"
+	"sync"
+	"testing"
+	"time"
+
+	"appx/internal/config"
+	"appx/internal/httpmsg"
+)
+
+// capturingOrigin is an HTTP/1.1 origin on a raw loopback listener. It
+// parses each request as it came off the wire (http.ReadRequest, then
+// httpmsg.FromHTTP), keeps it, and answers as an image origin does: a strong
+// ETag on every 200, a bodiless 304 to a request whose If-None-Match names
+// the body's tag.
+type capturingOrigin struct {
+	ln   net.Listener
+	body func(r *httpmsg.Request) string
+
+	mu    sync.Mutex
+	seen  []*httpmsg.Request
+	conns []net.Conn
+	wg    sync.WaitGroup
+}
+
+func newCapturingOrigin(t *testing.T, body func(r *httpmsg.Request) string) *capturingOrigin {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := &capturingOrigin{ln: ln, body: body}
+	o.wg.Add(1)
+	go func() {
+		defer o.wg.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			o.mu.Lock()
+			o.conns = append(o.conns, c)
+			o.mu.Unlock()
+			o.wg.Add(1)
+			go func() {
+				defer o.wg.Done()
+				o.serve(c)
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		o.mu.Lock()
+		for _, c := range o.conns {
+			c.Close()
+		}
+		o.mu.Unlock()
+		o.wg.Wait()
+	})
+	return o
+}
+
+func (o *capturingOrigin) serve(c net.Conn) {
+	defer c.Close()
+	br := bufio.NewReader(c)
+	for {
+		hreq, err := http.ReadRequest(br)
+		if err != nil {
+			return
+		}
+		req, err := httpmsg.FromHTTP(hreq)
+		if err != nil {
+			return
+		}
+		o.mu.Lock()
+		o.seen = append(o.seen, req)
+		o.mu.Unlock()
+		b := o.body(req)
+		tag := strongTag([]byte(b))
+		if inm, _ := req.GetHeader("If-None-Match"); inm == tag {
+			fmt.Fprintf(c, "HTTP/1.1 304 Not Modified\r\nEtag: %s\r\n\r\n", tag)
+			continue
+		}
+		fmt.Fprintf(c, "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: %d\r\nEtag: %s\r\n\r\n%s", len(b), tag, b)
+	}
+}
+
+// last returns the last request the origin parsed for path?id=id.
+func (o *capturingOrigin) last(t *testing.T, path, id string) *httpmsg.Request {
+	t.Helper()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for i := len(o.seen) - 1; i >= 0; i-- {
+		if r := o.seen[i]; r.Path == path && len(r.Query) == 1 && r.Query[0].Value == id {
+			return r
+		}
+	}
+	t.Fatalf("the origin never saw %s?id=%s", path, id)
+	return nil
+}
+
+// TestOriginHearsTheKeyedRequest: behind the forwarded-miss, prefetch and
+// revalidation paths, the request the origin parses off the wire keys
+// exactly as the proxy keyed it — no default User-Agent, nothing else added
+// — and a revalidation differs from the stored key by one If-None-Match
+// field alone.
+func TestOriginHearsTheKeyedRequest(t *testing.T) {
+	g := followGraph([]edge{{"list", "img", "imgs[*]"}})
+	origin := newCapturingOrigin(t, func(r *httpmsg.Request) string {
+		id, _ := r.GetQuery("id")
+		switch {
+		case id == "0":
+			return `{}`
+		case r.Path == "/list":
+			return `{"imgs":["1"]}`
+		}
+		return fmt.Sprintf("%04000d", 1)
+	})
+	cfg := config.Default(g)
+	cfg.Cache = &config.Cache{DisableSharedTier: true}
+	frozen := time.Unix(1_700_000_000, 0)
+	p := New(Options{Graph: g, Config: cfg, Workers: 1, Now: func() time.Time { return frozen },
+		Upstream: NewNetUpstream(map[string]string{"h.example": origin.ln.Addr().String()}, nil)})
+	t.Cleanup(p.Close)
+
+	// Clients send the fields an app would, and no User-Agent.
+	header := []httpmsg.Field{{Key: "Accept", Value: "*/*"}, {Key: "Cookie", Value: "sid=1"}}
+	get := func(user, name, id string) *httpmsg.Request {
+		t.Helper()
+		req := &httpmsg.Request{Method: "GET", Scheme: "http", Host: "h.example", Path: "/" + name,
+			Query: []httpmsg.Field{{Key: "id", Value: id}}, Header: header}
+		resp, err := (&proxyTransport{p: p, user: user}).RoundTrip(req)
+		if err != nil || resp.Status != 200 {
+			t.Fatalf("GET /%s?id=%s as %s: %v, %+v", name, id, user, err, resp)
+		}
+		return req
+	}
+
+	// Forwarded misses: the origin hears the client's request.
+	for _, name := range []string{"img", "list"} {
+		req := get("A", name, map[string]string{"img": "0", "list": "L"}[name])
+		id := req.Query[0].Value
+		if got := origin.last(t, "/"+name, id); got.CanonicalKey() != req.CanonicalKey() {
+			t.Fatalf("forwarded %s?id=%s reached the origin as %+v, keyed %+v", name, id, got, req)
+		}
+	}
+	// A prefetch: the origin hears the request whose key A's entry is under.
+	p.Drain()
+	pre := origin.last(t, "/img", "1")
+	if e, _ := p.Cache().Get("A", pre.CanonicalKey()); e == nil {
+		t.Fatalf("A's prefetch reached the origin as %+v, which keys no entry of A's", pre)
+	}
+	if _, ok := pre.GetHeader("If-None-Match"); ok {
+		t.Fatal("the first prefetch of img?1 went out conditional")
+	}
+	// A revalidation: B's own request, plus one If-None-Match.
+	get("B", "img", "0")
+	get("B", "list", "L")
+	p.Drain()
+	rv := origin.last(t, "/img", "1")
+	if got := headerValues(rv, "If-None-Match"); len(got) != 1 || got[0] != strongTag([]byte(fmt.Sprintf("%04000d", 1))) {
+		t.Fatalf("B's prefetch went out with If-None-Match %q, want the one tag A holds", got)
+	}
+	bare := rv.Clone()
+	bare.DeleteHeader("If-None-Match")
+	if e, _ := p.Cache().Get("B", bare.CanonicalKey()); e == nil || rv.CanonicalKey() == bare.CanonicalKey() {
+		t.Fatalf("B's revalidation %+v, less its If-None-Match, keys no entry of B's", rv)
+	}
+	if snap := p.Stats().Snapshot(); snap.NotModified != 1 {
+		t.Fatalf("%d 304s counted, want B's one", snap.NotModified)
+	}
+}
