@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"appx/internal/httpmsg"
 	"appx/internal/obs/adminv1"
 	"appx/internal/proxy/resilience"
 )
@@ -35,9 +36,10 @@ type Config struct {
 	// experiments freeze it, and a frozen clock would keep open breakers
 	// from ever half-opening, making peer rejoin undetectable.
 	Now func() time.Time
-	// Dial, when non-nil, replaces the default dialer on every cluster
-	// client (probes, forwards, peeks). The chaos harness injects
-	// netem-faulted dials here; production leaves it nil.
+	// Dial, when non-nil, replaces the default dialer of the cluster's one
+	// HTTP client, so it opens every connection to a peer: probes, relays
+	// and peeks. The chaos harness injects netem-faulted dials here;
+	// production leaves it nil.
 	Dial func(ctx context.Context, network, addr string) (net.Conn, error)
 }
 
@@ -76,15 +78,13 @@ type Cluster struct {
 	// and a single success revives it.
 	breakers *resilience.Breakers
 
-	probeClient *http.Client // pooled; also serves sibling peeks
+	// client carries probes, relays and peeks, pooling connections per peer.
+	client *httpmsg.Client
 
 	mu       sync.Mutex
 	ring     *Ring
 	alive    map[string]bool
 	onChange func()
-
-	clientMu sync.Mutex
-	clients  map[string]*http.Client // per-peer forwarding clients
 
 	// ctx is the cluster's root context; Close cancels it, aborting
 	// in-flight probes, forwards, and peer fills instead of letting them
@@ -112,11 +112,15 @@ func (c *Cluster) DrainErrors() int64 { return c.drainErrors.Load() }
 // local serving anyway).
 func New(cfg Config) *Cluster {
 	cfg.fill()
+	dial := cfg.Dial
+	if dial == nil {
+		dial = new(net.Dialer).DialContext
+	}
 	c := &Cluster{
-		cfg:     cfg,
-		alive:   map[string]bool{},
-		clients: map[string]*http.Client{},
-		stop:    make(chan struct{}),
+		cfg:    cfg,
+		alive:  map[string]bool{},
+		client: httpmsg.NewClient(dial),
+		stop:   make(chan struct{}),
 	}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	seen := map[string]struct{}{cfg.Self: {}}
@@ -133,23 +137,6 @@ func New(cfg Config) *Cluster {
 		OpenTimeout:      2 * cfg.ProbeInterval,
 		Now:              cfg.Now,
 	})
-	// Probes reuse one pooled client: keep-alive connections to every peer,
-	// never http.DefaultClient (unbounded, shared, no timeout).
-	probeTransport := &http.Transport{
-		MaxIdleConns:          64,
-		MaxIdleConnsPerHost:   4,
-		IdleConnTimeout:       30 * time.Second,
-		TLSHandshakeTimeout:   2 * time.Second,
-		ExpectContinueTimeout: time.Second,
-		DisableCompression:    true,
-	}
-	if cfg.Dial != nil {
-		probeTransport.DialContext = cfg.Dial
-	}
-	c.probeClient = &http.Client{
-		Timeout:   cfg.ProbeTimeout,
-		Transport: probeTransport,
-	}
 	c.rebuildRing()
 	return c
 }
@@ -179,12 +166,7 @@ func (c *Cluster) Close() {
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.cancel()
 	c.wg.Wait()
-	c.probeClient.CloseIdleConnections()
-	c.clientMu.Lock()
-	for _, cl := range c.clients {
-		cl.CloseIdleConnections()
-	}
-	c.clientMu.Unlock()
+	c.client.CloseIdleConnections()
 }
 
 // Self returns this instance's advertised address.
@@ -256,11 +238,7 @@ func (c *Cluster) probe(peer string) bool {
 	// immediately; a drain no longer waits out ProbeTimeout.
 	ctx, cancel := context.WithTimeout(c.ctx, c.cfg.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+peer+adminv1.PathHealth, nil)
-	if err != nil {
-		return false
-	}
-	resp, err := c.probeClient.Do(req)
+	resp, err := c.client.RoundTrip(ctx, &httpmsg.Request{Method: http.MethodGet, Host: peer, Path: adminv1.PathHealth})
 	if err != nil {
 		return false
 	}
@@ -268,7 +246,7 @@ func (c *Cluster) probe(peer string) bool {
 	c.drain(resp)
 	// A draining instance answers health with 503: it is alive but leaving;
 	// treat as down so new work stops routing there.
-	return resp.StatusCode == http.StatusOK
+	return resp.Status == http.StatusOK
 }
 
 func (c *Cluster) rebuildRing() {

@@ -3,107 +3,76 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"time"
 
 	"appx/internal/httpmsg"
 	"appx/internal/obs/adminv1"
 )
 
-// forwardResponseHeaderTimeout bounds how long a relay waits for the owner
-// to start answering; the owner runs the full origin path on a miss, so
-// this must comfortably exceed an origin round trip.
-const forwardResponseHeaderTimeout = 5 * time.Second
+// forwardResponseHeaderTimeout bounds how long a relay waits, from its
+// start (dial and request write included), for the owner's response head;
+// the owner runs the full origin path on a miss, so this must comfortably
+// exceed an origin round trip. A variable so a test can shorten it.
+var forwardResponseHeaderTimeout = 5 * time.Second
 
 // peekBodyLimit bounds a sibling's entry response; anything larger than the
 // cache would plausibly hold is a protocol error, not a fill.
 const peekBodyLimit = 32 << 20
 
-// client returns (building on first use) the pooled forwarding client for
-// peer. Each peer is itself a forward proxy, so the client routes every
-// request through it via Transport.Proxy — the request URL stays the
-// origin-form URL the owner expects to key and match on.
-func (c *Cluster) client(peer string) *http.Client {
-	c.clientMu.Lock()
-	defer c.clientMu.Unlock()
-	if cl, ok := c.clients[peer]; ok {
-		return cl
-	}
-	proxyURL := &url.URL{Scheme: "http", Host: peer}
-	tr := &http.Transport{
-		Proxy:                 http.ProxyURL(proxyURL),
-		MaxIdleConns:          32,
-		MaxIdleConnsPerHost:   16,
-		IdleConnTimeout:       30 * time.Second,
-		TLSHandshakeTimeout:   2 * time.Second,
-		ExpectContinueTimeout: time.Second,
-		ResponseHeaderTimeout: forwardResponseHeaderTimeout,
-		DisableCompression:    true,
-	}
-	if c.cfg.Dial != nil {
-		tr.DialContext = c.cfg.Dial
-	}
-	cl := &http.Client{
-		// No overall Timeout: the context on each request bounds it; a
-		// client-level timeout would also cap large-body reads.
-		Transport: tr,
-		CheckRedirect: func(*http.Request, []*http.Request) error {
-			return http.ErrUseLastResponse // relay redirects verbatim
-		},
-	}
-	c.clients[peer] = cl
-	return cl
-}
+var errForwardHeadTimeout = errors.New("cluster: owner sent no response head in time")
 
 // Forward relays r to the owner instance at addr and returns its response.
-// The caller has already stamped the hop and user headers. Network-level
-// failure returns an error; any HTTP response — including the owner's own
-// 5xx — returns nil error and is the caller's policy decision.
+// Each peer is itself a forward proxy, so r goes to it with a proxy-form
+// request line: the URL stays the origin URL the owner expects to key and
+// match on. The caller has already stamped the hop and user headers.
+// Network-level failure returns an error, as does a relay whose response
+// head has not arrived within forwardResponseHeaderTimeout; any HTTP
+// response — including the owner's own 5xx or 3xx — returns nil error and
+// is the caller's policy decision.
 func (c *Cluster) Forward(ctx context.Context, addr string, r *httpmsg.Request) (*httpmsg.Response, error) {
-	hr, err := r.ToHTTP()
-	if err != nil {
-		return nil, err
+	// The head's deadline: a timer that cancels the relay's context unless
+	// the head arrives first. The body then streams under ctx alone.
+	ctx, cancel := context.WithCancel(ctx)
+	head := time.AfterFunc(forwardResponseHeaderTimeout, cancel)
+	resp, err := c.client.RoundTripVia(ctx, addr, r)
+	if !head.Stop() {
+		if err == nil {
+			resp.CloseBody()
+		}
+		err = errForwardHeadTimeout
 	}
-	hr = hr.WithContext(ctx)
-	// The relay must be byte-transparent: if the client sent no User-Agent,
-	// the transport's injected default would reach the owner, taint its
-	// exact-match keys and learned exemplars, and split the cluster into
-	// per-path key universes. An explicitly empty value suppresses it.
-	if _, ok := hr.Header["User-Agent"]; !ok {
-		hr.Header.Set("User-Agent", "")
-	}
-	resp, err := c.client(addr).Do(hr)
 	if err != nil {
+		cancel()
 		return nil, err
 	}
 	// Streaming: the relay copies owner→client without re-buffering the
 	// body. The caller must finish it (WriteTo or DrainAndClose) on every
-	// path, including fallbacks, or the pooled peer connection leaks.
-	return httpmsg.FromHTTPResponseStreaming(resp), nil
+	// path, including fallbacks, or the peer connection leaks.
+	resp.OnBodyClose(cancel)
+	return resp, nil
 }
 
 // PeekEntry asks the sibling at addr whether its shared tier holds the
-// canonical key. Returns (entry, true, nil) on a hit, (nil, false, nil) on
-// a clean miss, and an error for anything else (the caller feeds errors
-// into the peer's breaker via ReportForward).
+// canonical key, giving it ProbeTimeout for the whole answer. Returns
+// (entry, true, nil) on a hit, (nil, false, nil) on a clean miss, and an
+// error for anything else (the caller feeds errors into the peer's breaker
+// via ReportForward).
 func (c *Cluster) PeekEntry(ctx context.Context, addr, key string) (*adminv1.ClusterEntry, bool, error) {
-	u := &url.URL{Scheme: "http", Host: addr, Path: adminv1.PathClusterEntry,
-		RawQuery: url.Values{"key": {key}}.Encode()}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
+	defer cancel()
+	resp, err := c.client.RoundTrip(ctx, &httpmsg.Request{Method: http.MethodGet, Host: addr,
+		Path: adminv1.PathClusterEntry, Query: []httpmsg.Field{{Key: "key", Value: key}}})
 	if err != nil {
 		return nil, false, err
 	}
-	resp, err := c.probeClient.Do(req)
-	if err != nil {
-		return nil, false, err
-	}
-	switch resp.StatusCode {
+	switch resp.Status {
 	case http.StatusOK:
 		var entry adminv1.ClusterEntry
-		err := json.NewDecoder(io.LimitReader(resp.Body, peekBodyLimit)).Decode(&entry)
+		err := json.NewDecoder(io.LimitReader(resp.Stream(), peekBodyLimit)).Decode(&entry)
 		c.drain(resp)
 		if err != nil {
 			return nil, false, fmt.Errorf("cluster: decoding peek from %s: %w", addr, err)
@@ -114,19 +83,15 @@ func (c *Cluster) PeekEntry(ctx context.Context, addr, key string) (*adminv1.Clu
 		return nil, false, nil
 	default:
 		c.drain(resp)
-		return nil, false, fmt.Errorf("cluster: peek %s: unexpected status %d", addr, resp.StatusCode)
+		return nil, false, fmt.Errorf("cluster: peek %s: unexpected status %d", addr, resp.Status)
 	}
 }
 
 // drain discards the rest of a response body (bounded) and closes it so the
-// pooled connection can be reused. Unlike the old silent io.Copy(io.Discard),
-// errors are counted: a rising drainErrors series means a peer is tearing
-// connections mid-body.
-func (c *Cluster) drain(resp *http.Response) {
-	if resp.Body == nil {
-		return
-	}
-	if err := httpmsg.DrainAndClose(resp.Body); err != nil {
+// pooled connection can be reused. Errors are counted: a rising drainErrors
+// series means a peer is tearing connections mid-body.
+func (c *Cluster) drain(resp *httpmsg.Response) {
+	if err := resp.DrainAndClose(); err != nil {
 		c.drainErrors.Add(1)
 	}
 }

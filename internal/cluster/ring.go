@@ -7,11 +7,11 @@
 //
 // The package has three parts: the hash ring (this file) — a pure function
 // from (key, membership) to an owner, so every instance that agrees on who
-// is alive agrees on who owns what; membership (membership.go) — a static
+// is alive agrees on who owns what; membership (cluster.go) — a static
 // seed list health-probed over the admin API, with per-peer circuit
-// breakers deciding aliveness; and the peer protocol clients (peer.go) —
-// pooled HTTP clients for forwarding a request to its owner and for peeking
-// a sibling's shared cache tier.
+// breakers deciding aliveness; and the peer protocol (peer.go) — relaying
+// a request to its owner and peeking a sibling's shared cache tier. Probes,
+// relays and peeks all run on one httpmsg.Client, pooled per peer.
 package cluster
 
 import "sort"

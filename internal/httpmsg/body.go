@@ -94,21 +94,6 @@ func (r *Response) DrainAndClose() error {
 	return cerr
 }
 
-// DrainAndClose is the shared bounded drain helper for raw response bodies
-// (e.g. *http.Response from probe or relay clients): read up to DrainMax
-// then close, returning the first error instead of discarding it.
-func DrainAndClose(rc io.ReadCloser) error {
-	if rc == nil {
-		return nil
-	}
-	_, derr := io.Copy(io.Discard, io.LimitReader(rc, DrainMax))
-	cerr := rc.Close()
-	if derr != nil {
-		return derr
-	}
-	return cerr
-}
-
 // Buffer consumes the streaming body into Body, converting the response to
 // buffered form. When maxBytes > 0 and the body exceeds it, the capture is
 // dropped, the body is closed, the response is marked truncated, and

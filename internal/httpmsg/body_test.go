@@ -93,15 +93,16 @@ func TestResponseDrainAndClose(t *testing.T) {
 
 func TestDrainAndCloseReportsReadError(t *testing.T) {
 	boom := errors.New("conn reset")
-	tb := &trackingBody{Reader: strings.NewReader("x"), readErr: boom}
-	if err := DrainAndClose(tb); !errors.Is(err, boom) {
+	r, tb := streamingResp("x")
+	tb.readErr = boom
+	if err := r.DrainAndClose(); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want read error surfaced", err)
 	}
 	if !tb.closed {
 		t.Fatal("body not closed after drain error")
 	}
-	if err := DrainAndClose(nil); err != nil {
-		t.Fatalf("nil body: %v", err)
+	if err := (&Response{Status: 200}).DrainAndClose(); err != nil {
+		t.Fatalf("no body: %v", err)
 	}
 }
 

@@ -279,8 +279,8 @@ func (in *Injector) Dial(network, addr, host string) (net.Conn, error) {
 	return in.WrapConn(c, host), nil
 }
 
-// DialContext is Dial with context plumbing, shaped to drop into
-// http.Transport.DialContext: the attempt may be refused, honours ctx
+// DialContext is Dial with context plumbing, shaped to back a dial function
+// such as cluster.Config.Dial: the attempt may be refused, honours ctx
 // cancellation while connecting, and the returned connection is wrapped in
 // host's fault model.
 func (in *Injector) DialContext(ctx context.Context, network, addr, host string) (net.Conn, error) {

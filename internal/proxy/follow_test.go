@@ -134,6 +134,9 @@ func newFollowLabOn(t *testing.T, g *sig.Graph, body func(name, id string) strin
 	tune(&opts)
 	l.p = New(opts)
 	t.Cleanup(l.p.Close)
+	// Cleanups run last-registered first: a test that fails while the
+	// origin holds a request opens the gate before Close waits on it.
+	t.Cleanup(l.release)
 	return l
 }
 
@@ -170,10 +173,15 @@ func (l *followLab) hold(pick func(name, id string) bool) {
 	l.mu.Unlock()
 }
 
+// release opens the current gate; one already open stays so.
 func (l *followLab) release() {
 	l.mu.Lock()
 	l.parked, l.held = nil, nil
-	close(l.gate)
+	select {
+	case <-l.gate:
+	default:
+		close(l.gate)
+	}
 	l.mu.Unlock()
 }
 

@@ -32,8 +32,6 @@ const (
 	// hedgeDelayFloor bounds adaptive delays from below: loopback p90s are
 	// microseconds, and hedging that hot would double every fill's traffic.
 	hedgeDelayFloor = 5 * time.Millisecond
-	// fillAttemptTimeout bounds one peek attempt.
-	fillAttemptTimeout = 2 * time.Second
 )
 
 // hedgeState is the cluster-wide hedging policy: the per-peer adaptive delay
@@ -119,14 +117,12 @@ type peekResult struct {
 	hedge bool
 }
 
-// peekAttempt runs one peek against addr, bounded by fillAttemptTimeout,
-// feeding the peer's breaker and the fill-latency histograms.
+// peekAttempt runs one peek against addr, bounded by the cluster's
+// ProbeTimeout (PeekEntry), feeding the peer's breaker and the fill-latency histograms.
 func (p *Proxy) peekAttempt(ctx context.Context, addr, key string, hedge bool, out chan<- peekResult) {
 	st := p.cluster
-	actx, cancel := context.WithTimeout(ctx, fillAttemptTimeout)
-	defer cancel()
 	start := time.Now() // real time: these latencies drive real hedge timers
-	pe, ok, err := st.c.PeekEntry(actx, addr, key)
+	pe, ok, err := st.c.PeekEntry(ctx, addr, key)
 	if err != nil {
 		// A loser canceled by the race's shared context is not a peer
 		// failure; only genuine errors feed the breaker and error counter.

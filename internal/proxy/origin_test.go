@@ -1,6 +1,6 @@
 package proxy
 
-// Tests for the origin client behind NetUpstream: when a connection goes
+// Tests for the origin client (httpmsg.Client) behind NetUpstream: when a connection goes
 // back to the idle pool and when it is closed, the stale-connection retry,
 // 1xx handling, what is refused before a byte is sent, a stress run against
 // an origin that drops connections at random, and a differential check
@@ -117,11 +117,7 @@ func readBody(t testing.TB, resp *httpmsg.Response) string {
 	return string(resp.Body)
 }
 
-func (u *NetUpstream) idleConns() int {
-	u.idle.mu.Lock()
-	defer u.idle.mu.Unlock()
-	return u.idle.n
-}
+func (u *NetUpstream) idleConns() int { n, _ := u.client.IdleConns(); return n }
 
 // TestOriginCancelMidBodyNeverPools: a body cut off by cancellation leaves
 // its unread bytes on the wire, so its connection must never be reused —
@@ -265,9 +261,8 @@ func TestOriginPostNeverReplayed(t *testing.T) {
 }
 
 // TestOriginCloseResponsesNotPooled: a connection is reused only when
-// neither side asked to close it and the body's end was framed. An idle
-// connection holds no read buffer, and CloseIdleConnections empties the
-// pool.
+// neither side asked to close it and the body's end was framed, and
+// CloseIdleConnections empties the pool.
 func TestOriginCloseResponsesNotPooled(t *testing.T) {
 	answers := map[string]string{
 		"/keep":        okResponse("kept"),
@@ -321,7 +316,7 @@ func TestOriginCloseResponsesNotPooled(t *testing.T) {
 			if !tc.pooled {
 				return
 			}
-			if u.idle.hosts["o.example"][0].br != nil {
+			if _, buffered := u.client.IdleConns(); buffered != 0 {
 				t.Fatal("an idle connection with nothing buffered kept its read buffer")
 			}
 			u.CloseIdleConnections()
@@ -352,8 +347,8 @@ func TestOriginSkips1xx(t *testing.T) {
 	if body := readBody(t, resp); resp.Status != 200 || body != "final" {
 		t.Fatalf("%d %q, want 200 final", resp.Status, body)
 	}
-	if _, err := u.RoundTrip(context.Background(), getReq("/upgrade")); !errors.Is(err, errSwitchingProtocols) {
-		t.Fatalf("101: %v, want errSwitchingProtocols", err)
+	if _, err := u.RoundTrip(context.Background(), getReq("/upgrade")); !errors.Is(err, httpmsg.ErrSwitchingProtocols) {
+		t.Fatalf("101: %v, want ErrSwitchingProtocols", err)
 	}
 	if n := u.idleConns(); n != 0 {
 		t.Fatalf("%d idle connections after a 101, want 0", n)
@@ -384,7 +379,7 @@ func TestOriginRefusesBeforeSending(t *testing.T) {
 	if n := o.accepted.Load(); n != 0 {
 		t.Fatalf("refused requests dialled %d connections", n)
 	}
-	if _, err := u.RoundTrip(context.Background(), &httpmsg.Request{Method: "GET", Scheme: "https", Host: "o.example", Path: "/"}); !errors.Is(err, ErrUnsupportedScheme) {
+	if _, err := u.RoundTrip(context.Background(), &httpmsg.Request{Method: "GET", Scheme: "https", Host: "o.example", Path: "/"}); !errors.Is(err, httpmsg.ErrUnsupportedScheme) {
 		t.Fatalf("https: %v, want ErrUnsupportedScheme", err)
 	}
 
@@ -460,8 +455,9 @@ func TestOriginStressRandomCloses(t *testing.T) {
 	if ok.Load() < workers*each/2 {
 		t.Fatalf("%d of %d round trips succeeded (%d failed)", ok.Load(), workers*each, failed.Load())
 	}
-	if n := u.idleConns(); n > maxIdlePerHost {
-		t.Fatalf("%d idle connections for one host, bound %d", n, maxIdlePerHost)
+	// 64 is the client's idle bound per dialled address (DESIGN.md §14).
+	if n := u.idleConns(); n > 64 {
+		t.Fatalf("%d idle connections for one host, bound %d", n, 64)
 	}
 	t.Logf("%d ok, %d failed, %d connections", ok.Load(), failed.Load(), o.accepted.Load())
 }
@@ -617,9 +613,11 @@ func FuzzOriginResponse(f *testing.F) {
 		// The bytes the origin sent past the reference's response.
 		past := ref.Buffered() + src.Len()
 
-		u := &NetUpstream{}
 		conn := &memConn{r: bytes.NewReader(data)}
-		resp, _, err := u.exchange(context.Background(), newOriginConn(conn, "m.example"), first)
+		u := &NetUpstream{client: httpmsg.NewClient(func(context.Context, string, string) (net.Conn, error) {
+			return conn, nil
+		})}
+		resp, err := u.RoundTrip(context.Background(), first)
 		if (err != nil) != wantErr {
 			t.Fatalf("client error %v, reference error %v", err, wantErr)
 		}
@@ -634,8 +632,8 @@ func FuzzOriginResponse(f *testing.F) {
 		if resp.Status != wantStatus || string(body) != string(wantBody.b) || (berr != nil) != (wantBody.err != nil) {
 			t.Fatalf("client read %d %q (%v), reference %d %q (%v)", resp.Status, body, berr, wantStatus, wantBody.b, wantBody.err)
 		}
-		pc := u.idle.get("m.example")
-		if pc == nil {
+		pooled, buffered := u.client.IdleConns()
+		if pooled == 0 {
 			if !conn.closed {
 				t.Fatal("an unpooled connection was left open")
 			}
@@ -644,7 +642,7 @@ func FuzzOriginResponse(f *testing.F) {
 		if berr != nil || wantClose {
 			t.Fatalf("pooled after a body that ended with %v (close %v)", berr, wantClose)
 		}
-		if pc.br != nil || conn.r.Len() != past {
+		if buffered != 0 || conn.r.Len() != past {
 			t.Fatalf("pooled having read %d bytes past its response", past-conn.r.Len())
 		}
 	})

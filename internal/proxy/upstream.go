@@ -27,14 +27,15 @@ func (f UpstreamFunc) RoundTrip(ctx context.Context, r *httpmsg.Request) (*httpm
 	return f(ctx, r)
 }
 
-// NetUpstream dials origin servers over emulated WAN links: each logical
-// hostname resolves to a real listener address and is shaped by its
-// configured netem link (Table 2's per-host proxy↔origin RTTs).
+// NetUpstream is the origin client (httpmsg.Client, DESIGN.md §14) over
+// emulated WAN links: each logical hostname resolves to a real listener
+// address and is shaped by its configured netem link (Table 2's per-host
+// proxy↔origin RTTs). Its idle pool is keyed by logical host.
 //
 // It follows no redirect: the device must receive the origin's own 3xx —
 // bytes the origin sent for this request — not the redirect target's answer.
 type NetUpstream struct {
-	idle idlePool
+	client *httpmsg.Client
 
 	mu      sync.RWMutex
 	resolve map[string]string
@@ -55,8 +56,17 @@ func NewNetUpstream(resolve map[string]string, links map[string]netem.Link) *Net
 	for k, v := range links {
 		u.links[k] = v
 	}
+	u.client = httpmsg.NewClient(u.dial)
 	return u
 }
+
+// RoundTrip implements Upstream on the origin client.
+func (u *NetUpstream) RoundTrip(ctx context.Context, r *httpmsg.Request) (*httpmsg.Response, error) {
+	return u.client.RoundTrip(ctx, r)
+}
+
+// CloseIdleConnections closes every idle origin connection.
+func (u *NetUpstream) CloseIdleConnections() { u.client.CloseIdleConnections() }
 
 // SetFaults installs (or clears, with nil) a fault injector: every dial
 // first consults the injector's connect-refusal draw for the logical host,

@@ -2,6 +2,8 @@ package proxy
 
 import (
 	"bufio"
+	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -9,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"appx/internal/cluster"
 	"appx/internal/config"
 	"appx/internal/httpmsg"
 )
@@ -104,11 +107,12 @@ func (o *capturingOrigin) last(t *testing.T, path, id string) *httpmsg.Request {
 	return nil
 }
 
-// TestOriginHearsTheKeyedRequest: behind the forwarded-miss, prefetch and
-// revalidation paths, the request the origin parses off the wire keys
-// exactly as the proxy keyed it — no default User-Agent, nothing else added
-// — and a revalidation differs from the stored key by one If-None-Match
-// field alone.
+// TestOriginHearsTheKeyedRequest: behind the forwarded-miss, prefetch,
+// revalidation, borrowed-guess and relay paths, the request the next hop
+// parses off the wire keys exactly as the proxy keyed it — no default
+// User-Agent, nothing else added — a revalidation differs from the stored
+// key by one If-None-Match field alone, and a relay by the hop and user
+// headers alone.
 func TestOriginHearsTheKeyedRequest(t *testing.T) {
 	g := followGraph([]edge{{"list", "img", "imgs[*]"}})
 	origin := newCapturingOrigin(t, func(r *httpmsg.Request) string {
@@ -116,6 +120,8 @@ func TestOriginHearsTheKeyedRequest(t *testing.T) {
 		switch {
 		case id == "0":
 			return `{}`
+		case r.Path == "/list" && id == "M":
+			return `{"imgs":["2"]}`
 		case r.Path == "/list":
 			return `{"imgs":["1"]}`
 		}
@@ -173,5 +179,47 @@ func TestOriginHearsTheKeyedRequest(t *testing.T) {
 	}
 	if snap := p.Stats().Snapshot(); snap.NotModified != 1 {
 		t.Fatalf("%d 304s counted, want B's one", snap.NotModified)
+	}
+	// A borrowed guess: C never sent an img, so the profile builds C's
+	// first one, and the origin hears the request it is booked under.
+	get("C", "list", "M")
+	p.Drain()
+	guess := origin.last(t, "/img", "2")
+	if e, _ := p.Cache().Get("C", guess.CanonicalKey()); e == nil || p.borrowed.Value() != 1 {
+		t.Fatalf("C's borrowed guess reached the origin as %+v, which keys no entry of C's (%d borrowed)",
+			guess, p.borrowed.Value())
+	}
+
+	// A relay: a non-owner sends the owner the client's request, plus the
+	// hop and user headers.
+	owner := newCapturingOrigin(t, func(*httpmsg.Request) string { return `{}` })
+	self := "127.0.0.1:1" // never dialled: only a ring name
+	local := UpstreamFunc(func(context.Context, *httpmsg.Request) (*httpmsg.Response, error) {
+		return nil, errors.New("the relay fell back to the origin")
+	})
+	relay := New(Options{Graph: g, Config: cfg, Workers: 1, Upstream: local,
+		Cluster: cluster.Config{Self: self, Peers: []string{owner.ln.Addr().String()}}})
+	t.Cleanup(relay.Close)
+	user := userOwnedBy([]string{self, owner.ln.Addr().String()}, 1)
+	req := &httpmsg.Request{Method: "GET", Scheme: "http", Host: "h.example", Path: "/list",
+		Query: []httpmsg.Field{{Key: "id", Value: "R"}}, Header: header}
+	resp, err := (&proxyTransport{p: relay, user: user}).RoundTrip(req)
+	if err != nil || resp.Status != 200 {
+		t.Fatalf("relayed GET: %v, %+v", err, resp)
+	}
+	if by, _ := resp.GetHeader(clusterForwardedHeader); by != owner.ln.Addr().String() {
+		t.Fatalf("served by %q, want a relay to the owner", by)
+	}
+	heard := owner.last(t, "/list", "R")
+	if _, ok := heard.GetHeader("User-Agent"); ok {
+		t.Fatal("the relay added a User-Agent the client did not send")
+	}
+	if u, _ := heard.GetHeader(userHeader); u != user {
+		t.Fatalf("the relay named user %q, want %q", u, user)
+	}
+	heard.DeleteHeader(userHeader)
+	heard.DeleteHeader(clusterHopHeader)
+	if heard.CanonicalKey() != req.CanonicalKey() {
+		t.Fatalf("the relay reached the owner as %+v, keyed %+v", heard, req)
 	}
 }

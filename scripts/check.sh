@@ -55,6 +55,18 @@ go vet -C bench ./...
 echo "== go test -C bench ./..."
 go test -C bench ./...
 
+# One HTTP client: outside the load harnesses, every request goes out on
+# httpmsg.Client, so net/http's Transport and Client appear nowhere else.
+echo "== http.Transport and http.Client only in the load harnesses"
+stray=$(grep -rlE 'http\.(Transport|Client)\b' --include='*.go' . |
+    grep -v '_test\.go$' |
+    grep -vE '^\./(bench|cmd/appx-bench|internal/(device|chaos|exp))/' || true)
+if [ -n "$stray" ]; then
+    echo "http.Transport or http.Client outside the load harnesses:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
 # Informational, not a gate: the non-test Go line count outside bench/ that
 # simplicity changes report.
 echo "== non-test Go lines outside bench/"
