@@ -2,6 +2,8 @@ package proxy
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -9,6 +11,7 @@ import (
 	"appx/internal/cache"
 	"appx/internal/config"
 	"appx/internal/httpmsg"
+	"appx/internal/obs"
 )
 
 // commitFixture is a proxy over list → img on a clock that steps a second
@@ -85,5 +88,38 @@ func TestRevalidatedCommitAllocs(t *testing.T) {
 	}
 	if snap := p.Stats().Snapshot(); snap.NotModified != 202 {
 		t.Fatalf("%d 304s in 202 runs: the runs did not each revalidate", snap.NotModified)
+	}
+}
+
+// TestForwardedMissAllocs pins the allocations of one forwarded miss on the
+// same fixture — admission, parse, lookup, match, flight, origin call, pump,
+// the client's copy and the miss's accounting — with the span window full:
+// user B's img?1, which no prefetch waits on, so nothing is stored and every
+// run misses. 86 today, and the ceiling is one more.
+func TestForwardedMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	p, _ := commitFixture(t, false)
+	r := httptest.NewRequest("GET", "http://h.example/img?id=1", nil)
+	r.RemoteAddr = "B:1"
+	w := &discardWriter{h: http.Header{}}
+	miss := func() {
+		clear(w.h)
+		p.ServeHTTP(w, r)
+	}
+	for i := 0; i < 1100; i++ { // fill the 1024-span window
+		miss()
+	}
+	allocs := testing.AllocsPerRun(200, miss)
+	t.Logf("%.0f allocations per forwarded miss", allocs)
+	if allocs > 86+1 {
+		t.Fatalf("a forwarded miss costs %.0f allocations, want 86", allocs)
+	}
+	if sp := p.RecentSpans(1)[0]; sp.Outcome != obs.OutcomeOrigin {
+		t.Fatalf("outcome %v, want a forwarded miss", sp.Outcome)
+	}
+	if n := p.Cache().Metrics().Entries; n != 0 {
+		t.Fatal("a forwarded miss stored an entry")
 	}
 }
