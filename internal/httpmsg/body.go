@@ -26,8 +26,8 @@ type bodyStream struct {
 	rc      io.ReadCloser
 	closed  bool
 	onClose []func()
-	// hooks backs onClose for the usual one or two callbacks (the retrier's
-	// attempt context, the caller's bound), so registering them allocates
+	// hooks backs onClose for the usual one or two callbacks (the origin
+	// attempt's context, the caller's bound), so registering them allocates
 	// nothing.
 	hooks [2]func()
 }
@@ -52,7 +52,7 @@ func (r *Response) Stream() io.Reader {
 
 // OnBodyClose registers f to run exactly once when the streaming body is
 // closed (by CloseBody, Buffer, WriteTo, or DrainAndClose). Layers that must
-// keep resources alive for the lifetime of the body — a retrier's attempt
+// keep resources alive for the lifetime of the body — an origin attempt's
 // context, a pooled connection — hang their cleanup here. On a buffered
 // response f runs immediately: there is no stream left to wait for.
 func (r *Response) OnBodyClose(f func()) {

@@ -270,7 +270,7 @@ func (c *Client) roundTrip(ctx context.Context, addr string, proxyForm bool, r *
 		return nil, err
 	}
 	var pc *clientConn
-	if replayable(r) {
+	if Replayable(r) {
 		pc = c.idle.get(addr)
 	}
 	for {
@@ -321,11 +321,11 @@ func (c *Client) exchange(ctx context.Context, pc *clientConn, proxyForm bool, r
 	pc.br = readers.Get().(*bufio.Reader)
 	pc.br.Reset(pc)
 	if _, err := pc.conn.Write(head); err != nil {
-		return fail(err, replayable(r))
+		return fail(err, Replayable(r))
 	}
 	pc.limit = maxHeadBytes
 	if _, err := pc.br.Peek(1); err != nil {
-		return fail(err, replayable(r))
+		return fail(err, Replayable(r))
 	}
 	var hresp *http.Response
 	for {
@@ -341,7 +341,7 @@ func (c *Client) exchange(ctx context.Context, pc *clientConn, proxyForm bool, r
 	}
 	pc.limit = math.MaxInt64
 
-	keep := !hresp.Close && !wantsClose(r) && replayable(r)
+	keep := !hresp.Close && !wantsClose(r) && Replayable(r)
 	if hresp.Body == http.NoBody {
 		c.release(pc, keep, stop)
 	} else {
@@ -396,10 +396,10 @@ func (c *Client) release(pc *clientConn, keep bool, stop func() bool) {
 	pc.conn.Close()
 }
 
-// replayable is net/http's test for a request that may be sent twice: a
+// Replayable is net/http's test for a request that may be sent twice: a
 // safe method, or a declared idempotency key. Bodies here are in memory,
 // so any body can be sent again.
-func replayable(r *Request) bool {
+func Replayable(r *Request) bool {
 	switch strings.ToUpper(r.Method) {
 	case "", http.MethodGet, http.MethodHead, http.MethodOptions, http.MethodTrace:
 		return true

@@ -9,7 +9,6 @@ import (
 	"container/list"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -137,16 +136,13 @@ const (
 	sweepInterval = 30 * time.Second
 )
 
-// The origin path's resilience values (DESIGN.md §16). A GET or HEAD gets
-// retryAttempts tries, one fast retry, with full-jitter backoff from
-// retryBaseDelay capped at retryMaxDelay, each try bounded by
-// attemptTimeout. breakerFailures consecutive failures open a host's
+// The origin path's resilience values (DESIGN.md §16). A replayable
+// request gets retryAttempts tries, the retry sent at once, each try bounded
+// by attemptTimeout. breakerFailures consecutive failures open a host's
 // breaker for breakerOpenTimeout. A prefetch has no client deadline, so
 // prefetchTimeout bounds its whole round trip, every try included.
 const (
 	retryAttempts      = 2
-	retryBaseDelay     = 50 * time.Millisecond
-	retryMaxDelay      = 2 * time.Second
 	attemptTimeout     = 15 * time.Second
 	breakerFailures    = 5
 	breakerOpenTimeout = 10 * time.Second
@@ -190,14 +186,12 @@ type Proxy struct {
 	reg   *obs.Registry
 	spans *obs.SpanRecorder
 
-	// Origin-path resilience: per-host circuit breakers shared by both
-	// retrying upstreams. fwdUp serves live client requests (retries, but
-	// never refuses — the client asked); preUp serves prefetches (gated by
-	// the breaker, so a sick host stops consuming workers).
+	// Origin-path resilience: per-host circuit breakers that every origin
+	// attempt reports to (roundTrip). A forwarded request is always tried —
+	// the client asked; a prefetch is refused by an open breaker, so a sick
+	// host stops consuming workers.
 	tun      tuning
 	breakers *resilience.Breakers
-	fwdUp    resilience.Upstream
-	preUp    resilience.Upstream
 
 	// mu guards the user table alone. recent orders it by last touch, most
 	// recent first, so eviction and pruning work from the back.
@@ -376,26 +370,13 @@ func newProxy(opts Options, tun tuning) *Proxy {
 	}
 	p.ttfb = reg.Histogram("appx_ttfb_seconds",
 		"Time from request admission to the first response byte on the wire.", nil)
-	// Now/Rand are read through p.opts so tests that rebind them after New
-	// (the established idiom here) also steer the resilience layer.
+	// The breakers read p.clock, so a test that rebinds Now after New also
+	// steers them.
 	p.breakers = resilience.NewBreakers(resilience.BreakerOptions{
 		FailureThreshold: breakerFailures,
 		OpenTimeout:      breakerOpenTimeout,
 		Now:              p.clock,
 	})
-	retry := resilience.RetryOptions{
-		MaxAttempts:       tun.retryAttempts,
-		BaseDelay:         retryBaseDelay,
-		MaxDelay:          retryMaxDelay,
-		PerAttemptTimeout: attemptTimeout,
-		Rand:              func() float64 { return p.opts.Rand() },
-		OnRetry:           func(host string, attempt int) { p.stats.CountRetry() },
-	}
-	p.fwdUp = resilience.NewRetrier(opts.Upstream, retry, p.breakers, false)
-	// A prefetch has no client context to bound it: the retrier itself caps
-	// the whole round trip, every attempt included.
-	retry.TotalTimeout = tun.prefetchTimeout
-	p.preUp = resilience.NewRetrier(opts.Upstream, retry, p.breakers, true)
 	p.cacheCfg = opts.Config.EffectiveCache()
 	// The disk tier must exist before the store so spills and read-through
 	// promotion work from the first request.
@@ -1397,14 +1378,14 @@ func (p *Proxy) fetchFlight(pf *prefetch, fl *flight) (body []byte, ok bool) {
 	if twin != nil {
 		sent = conditional(sent, etag)
 	}
-	// preUp bounds the whole round trip — every retry attempt and the body
-	// included — by prefetchTimeout, so a stalled origin (netem-style) cannot
-	// pin this worker past the deadline.
+	// prefetchTimeout bounds the whole round trip — every attempt and the
+	// body included — so a stalled origin (netem-style) cannot pin this
+	// worker past the deadline.
 	start := p.opts.Now()
-	resp, err := p.preUp.RoundTrip(context.Background(), sent)
+	resp, err := p.roundTrip(context.Background(), sent, true)
 	if err != nil {
 		p.failFlight(pf.ikey, fl, err)
-		if errors.Is(err, resilience.ErrOpen) {
+		if err == errBreakerOpen {
 			// The breaker tripped between queueing and execution; this is
 			// suppression, not a fresh origin failure.
 			st.prefetchSuppressed.Add(1)

@@ -1,10 +1,9 @@
-// Package resilience hardens the proxy's origin path against flaky or dead
-// origin servers: a per-host three-state circuit breaker and a retrying
-// Upstream middleware with capped, jittered exponential backoff. The proxy
-// sits between millions of handsets and third-party origins it does not
-// control (§4.5, §5 of the paper), so a sick origin must be contained —
+// Package resilience is a per-host three-state circuit breaker set. The
+// proxy sits between millions of handsets and third-party origins it does
+// not control (§4.5, §5 of the paper), so a sick origin must be contained —
 // failed fast, probed gently, and never allowed to drain the prefetch
-// workers or the data budget.
+// workers or the data budget; the cluster uses the same set to pace its
+// peer probes.
 package resilience
 
 import (
@@ -38,29 +37,17 @@ func (s State) String() string {
 	}
 }
 
-// BreakerOptions configures a per-host breaker set.
+// BreakerOptions configures a per-host breaker set. Every field is
+// required.
 type BreakerOptions struct {
 	// FailureThreshold is the consecutive-failure count that trips a closed
-	// breaker (default 5).
+	// breaker.
 	FailureThreshold int
 	// OpenTimeout is how long an open breaker rejects before admitting a
-	// half-open probe (default 10s). One successful probe closes it.
+	// half-open probe. One successful probe closes it.
 	OpenTimeout time.Duration
-	// Now supplies time; defaults to time.Now. Injected for deterministic
-	// tests.
+	// Now supplies time.
 	Now func() time.Time
-}
-
-func (o *BreakerOptions) fill() {
-	if o.FailureThreshold <= 0 {
-		o.FailureThreshold = 5
-	}
-	if o.OpenTimeout <= 0 {
-		o.OpenTimeout = 10 * time.Second
-	}
-	if o.Now == nil {
-		o.Now = time.Now
-	}
 }
 
 // breaker is one host's circuit state.
@@ -82,7 +69,6 @@ type Breakers struct {
 
 // NewBreakers builds a breaker set.
 func NewBreakers(opts BreakerOptions) *Breakers {
-	opts.fill()
 	return &Breakers{opts: opts, hosts: map[string]*breaker{}}
 }
 

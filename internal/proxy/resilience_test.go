@@ -405,8 +405,10 @@ func TestPrefetchBodyErrorCountsAsFailure(t *testing.T) {
 	}
 }
 
-// TestForwardRetryMasksTransientFailure: a live client GET gets one fast
-// retry before the proxy reports 502, and non-idempotent methods do not.
+// TestForwardRetryMasksTransientFailure: a live client request that is
+// replayable by net/http's rule (httpmsg.Replayable: a safe method, or an
+// idempotency key) gets one immediate retry before the proxy reports 502,
+// counted; any other is tried once.
 func TestForwardRetryMasksTransientFailure(t *testing.T) {
 	g := sig.NewGraph("t")
 	g.Add(&sig.Signature{ID: "t:a#0", Method: "GET", URI: sig.Literal("h.example/x")})
@@ -426,27 +428,32 @@ func TestForwardRetryMasksTransientFailure(t *testing.T) {
 	defer p.Close()
 	pt := &proxyTransport{p: p, user: "retry-user"}
 
-	fails = 1
-	resp, err := pt.RoundTrip(&httpmsg.Request{Method: "GET", Host: "h.example", Path: "/x"})
-	if err != nil || resp.Status != 200 {
-		t.Fatalf("GET after transient failure: %v status=%d", err, resp.Status)
-	}
-	if calls != 2 || p.Stats().Retries() != 1 {
-		t.Fatalf("calls = %d retries = %d, want 2 and 1", calls, p.Stats().Retries())
-	}
-
-	// Non-idempotent requests must not be replayed: one failed attempt → 502.
-	mu.Lock()
-	calls, fails = 0, 1
-	mu.Unlock()
-	resp, err = pt.RoundTrip(&httpmsg.Request{Method: "POST", Host: "h.example", Path: "/x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != 502 {
-		t.Fatalf("POST status = %d, want 502 without retry", resp.Status)
-	}
-	if calls != 1 || p.Stats().Retries() != 1 {
-		t.Fatalf("POST calls = %d retries = %d, want 1 attempt and no new retry", calls, p.Stats().Retries())
+	for _, tc := range []struct {
+		name, method string
+		header       []httpmsg.Field
+		retried      bool
+	}{
+		{"GET", "GET", nil, true},
+		{"OPTIONS", "OPTIONS", nil, true},
+		{"keyed POST", "POST", []httpmsg.Field{{Key: "Idempotency-Key", Value: "k-1"}}, true},
+		{"X-keyed POST", "POST", []httpmsg.Field{{Key: "X-Idempotency-Key", Value: "k-2"}}, true},
+		{"POST", "POST", nil, false},
+	} {
+		mu.Lock()
+		calls, fails = 0, 1
+		mu.Unlock()
+		retries := p.Stats().Retries()
+		resp, err := pt.RoundTrip(&httpmsg.Request{Method: tc.method, Host: "h.example", Path: "/x", Header: tc.header})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want, wantCalls, wantRetries := 200, 2, retries+1
+		if !tc.retried {
+			want, wantCalls, wantRetries = 502, 1, retries
+		}
+		if resp.Status != want || calls != wantCalls || p.Stats().Retries() != wantRetries {
+			t.Fatalf("%s after one transient failure: status %d, %d attempts, %d retries; want %d, %d, %d",
+				tc.name, resp.Status, calls, p.Stats().Retries(), want, wantCalls, wantRetries)
+		}
 	}
 }

@@ -259,11 +259,11 @@ func (p *Proxy) firstByte(x *exchange) {
 }
 
 // fetchOrigin runs the exchange's own origin round trip. The client's
-// context bounds it, so a disconnect cancels the fetch, and the retry
-// middleware gives idempotent requests one fast retry. On failure the client
-// has been answered 502 and the error is returned.
+// context bounds it, so a disconnect cancels the fetch, and a replayable
+// request gets one immediate retry. On failure the client has been answered
+// 502 and the error is returned.
 func (p *Proxy) fetchOrigin(x *exchange, sent *httpmsg.Request) (*httpmsg.Response, error) {
-	resp, err := p.fwdUp.RoundTrip(x.ctx, sent)
+	resp, err := p.roundTrip(x.ctx, sent, false)
 	x.sp.EndStage(obs.StageOrigin)
 	if err != nil {
 		http.Error(x.w, "proxy: upstream: "+err.Error(), http.StatusBadGateway)

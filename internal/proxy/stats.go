@@ -267,8 +267,8 @@ func (s *Stats) Priority(sigID string) float64 {
 	return st.avgRespTime().Seconds() + hitRate
 }
 
-// CountRetry records one origin retry attempt.
-func (s *Stats) CountRetry() { s.retries.Inc() }
+// countRetry records one origin retry attempt.
+func (s *Stats) countRetry() { s.retries.Inc() }
 
 // Retries reports the proxy-wide origin retry count.
 func (s *Stats) Retries() int { return int(s.retries.Value()) }

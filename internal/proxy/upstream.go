@@ -2,8 +2,10 @@ package proxy
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
+	"net/http"
 	"sync"
 	"time"
 
@@ -13,8 +15,8 @@ import (
 
 // Upstream performs origin-side HTTP transactions on behalf of the proxy —
 // both forwarded client requests and prefetches. The context carries the
-// caller's cancellation (a disconnected client, a per-attempt deadline from
-// the retry middleware) all the way to the origin connection.
+// caller's cancellation (a disconnected client, an attempt's deadline) all
+// the way to the origin connection.
 type Upstream interface {
 	RoundTrip(ctx context.Context, r *httpmsg.Request) (*httpmsg.Response, error)
 }
@@ -25,6 +27,78 @@ type UpstreamFunc func(ctx context.Context, r *httpmsg.Request) (*httpmsg.Respon
 // RoundTrip implements Upstream.
 func (f UpstreamFunc) RoundTrip(ctx context.Context, r *httpmsg.Request) (*httpmsg.Response, error) {
 	return f(ctx, r)
+}
+
+// errBreakerOpen is a prefetch's answer when its host's breaker refused
+// the attempt: nothing reached the origin.
+var errBreakerOpen = errors.New("proxy: origin circuit open")
+
+// roundTrip is the proxy's one origin call: forwarded requests and
+// prefetches reach opts.Upstream here and nowhere else, so every attempt
+// reports to its host's breaker (an error or a status of 500 and up is a
+// failure) and every retry is counted. A replayable request
+// (httpmsg.Replayable) whose attempt fails is sent again at once, up to
+// retryAttempts tries; any other gets one. Each attempt is bounded by
+// attemptTimeout; a caller deadline that is already the earliest is handed
+// down as is. A prefetch has no client to bound it: prefetchTimeout bounds
+// every attempt and its streamed body together, and an attempt goes out
+// only while the host's breaker admits it (errBreakerOpen otherwise).
+func (p *Proxy) roundTrip(ctx context.Context, r *httpmsg.Request, prefetch bool) (*httpmsg.Response, error) {
+	attempts := 1
+	if httpmsg.Replayable(r) {
+		attempts = p.tun.retryAttempts
+	}
+	var overall time.Time
+	if prefetch {
+		overall = time.Now().Add(p.tun.prefetchTimeout)
+	}
+	var err error
+	for attempt := 0; attempt < attempts; attempt++ {
+		if attempt > 0 {
+			p.stats.countRetry()
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if prefetch && !p.breakers.Allow(r.Host) {
+			return nil, errBreakerOpen
+		}
+		actx, cancel := attemptContext(ctx, overall)
+		var resp *httpmsg.Response
+		resp, err = p.opts.Upstream.RoundTrip(actx, r)
+		if err == nil && resp.Streaming() {
+			// The body outlives this call: its attempt context lives until
+			// the caller closes it, and the deadline still ends a wedged
+			// stream.
+			resp.OnBodyClose(cancel)
+		} else {
+			cancel()
+		}
+		if err != nil || resp.Status >= http.StatusInternalServerError {
+			p.breakers.ReportFailure(r.Host)
+		} else {
+			p.breakers.ReportSuccess(r.Host)
+		}
+		if err == nil {
+			return resp, nil
+		}
+	}
+	return nil, err
+}
+
+// attemptContext bounds one attempt by the earliest of attemptTimeout, the
+// overall bound (when set) and the caller's own deadline, with at most one
+// timer: a caller whose deadline already is the earliest is handed down as
+// is.
+func attemptContext(ctx context.Context, overall time.Time) (context.Context, context.CancelFunc) {
+	d := time.Now().Add(attemptTimeout)
+	if !overall.IsZero() && overall.Before(d) {
+		d = overall
+	}
+	if cur, ok := ctx.Deadline(); ok && !cur.After(d) {
+		return ctx, func() {}
+	}
+	return context.WithDeadline(ctx, d)
 }
 
 // NetUpstream is the origin client (httpmsg.Client, DESIGN.md §14) over

@@ -20,15 +20,17 @@ import (
 // parses each request as it came off the wire (http.ReadRequest, then
 // httpmsg.FromHTTP), keeps it, and answers as an image origin does: a strong
 // ETag on every 200, a bodiless 304 to a request whose If-None-Match names
-// the body's tag.
+// the body's tag. While hangUps is above zero, each request it parses
+// (and keeps) is answered by closing the connection instead.
 type capturingOrigin struct {
 	ln   net.Listener
 	body func(r *httpmsg.Request) string
 
-	mu    sync.Mutex
-	seen  []*httpmsg.Request
-	conns []net.Conn
-	wg    sync.WaitGroup
+	mu      sync.Mutex
+	seen    []*httpmsg.Request
+	hangUps int
+	conns   []net.Conn
+	wg      sync.WaitGroup
 }
 
 func newCapturingOrigin(t *testing.T, body func(r *httpmsg.Request) string) *capturingOrigin {
@@ -82,7 +84,14 @@ func (o *capturingOrigin) serve(c net.Conn) {
 		}
 		o.mu.Lock()
 		o.seen = append(o.seen, req)
+		hangUp := o.hangUps > 0
+		if hangUp {
+			o.hangUps--
+		}
 		o.mu.Unlock()
+		if hangUp {
+			return
+		}
 		b := o.body(req)
 		tag := strongTag([]byte(b))
 		if inm, _ := req.GetHeader("If-None-Match"); inm == tag {
@@ -96,23 +105,32 @@ func (o *capturingOrigin) serve(c net.Conn) {
 // last returns the last request the origin parsed for path?id=id.
 func (o *capturingOrigin) last(t *testing.T, path, id string) *httpmsg.Request {
 	t.Helper()
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for i := len(o.seen) - 1; i >= 0; i-- {
-		if r := o.seen[i]; r.Path == path && len(r.Query) == 1 && r.Query[0].Value == id {
-			return r
-		}
+	all := o.all(path, id)
+	if len(all) == 0 {
+		t.Fatalf("the origin never saw %s?id=%s", path, id)
 	}
-	t.Fatalf("the origin never saw %s?id=%s", path, id)
-	return nil
+	return all[len(all)-1]
 }
 
-// TestOriginHearsTheKeyedRequest: behind the forwarded-miss, prefetch,
-// revalidation, borrowed-guess and relay paths, the request the next hop
-// parses off the wire keys exactly as the proxy keyed it — no default
-// User-Agent, nothing else added — a revalidation differs from the stored
-// key by one If-None-Match field alone, and a relay by the hop and user
-// headers alone.
+// all returns every request the origin parsed for path?id=id, in order.
+func (o *capturingOrigin) all(path, id string) []*httpmsg.Request {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	var out []*httpmsg.Request
+	for _, r := range o.seen {
+		if r.Path == path && len(r.Query) == 1 && r.Query[0].Value == id {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// TestOriginHearsTheKeyedRequest: behind the forwarded-miss, retried
+// forwarded-miss, prefetch, revalidation, borrowed-guess and relay paths,
+// the request the next hop parses off the wire keys exactly as the proxy
+// keyed it — no default User-Agent, nothing else added — a revalidation
+// differs from the stored key by one If-None-Match field alone, and a relay
+// by the hop and user headers alone.
 func TestOriginHearsTheKeyedRequest(t *testing.T) {
 	g := followGraph([]edge{{"list", "img", "imgs[*]"}})
 	origin := newCapturingOrigin(t, func(r *httpmsg.Request) string {
@@ -130,8 +148,8 @@ func TestOriginHearsTheKeyedRequest(t *testing.T) {
 	cfg := config.Default(g)
 	cfg.Cache = &config.Cache{DisableSharedTier: true}
 	frozen := time.Unix(1_700_000_000, 0)
-	p := New(Options{Graph: g, Config: cfg, Workers: 1, Now: func() time.Time { return frozen },
-		Upstream: NewNetUpstream(map[string]string{"h.example": origin.ln.Addr().String()}, nil)})
+	up := NewNetUpstream(map[string]string{"h.example": origin.ln.Addr().String()}, nil)
+	p := New(Options{Graph: g, Config: cfg, Workers: 1, Now: func() time.Time { return frozen }, Upstream: up})
 	t.Cleanup(p.Close)
 
 	// Clients send the fields an app would, and no User-Agent.
@@ -153,6 +171,26 @@ func TestOriginHearsTheKeyedRequest(t *testing.T) {
 		id := req.Query[0].Value
 		if got := origin.last(t, "/"+name, id); got.CanonicalKey() != req.CanonicalKey() {
 			t.Fatalf("forwarded %s?id=%s reached the origin as %+v, keyed %+v", name, id, got, req)
+		}
+	}
+	// A retried forwarded miss: the origin hangs up on the first attempt,
+	// which went out on a fresh connection, so the origin client does not
+	// redial it itself and the proxy's retry sends it again. Both attempts
+	// are the request the proxy keyed. (A's prefetch of img?1 finishes
+	// first, so the hang-up is img?9's.)
+	p.Drain()
+	up.CloseIdleConnections()
+	origin.mu.Lock()
+	origin.hangUps = 1
+	origin.mu.Unlock()
+	req := get("D", "img", "9")
+	tries := origin.all("/img", "9")
+	if len(tries) != 2 || p.Stats().Retries() != 1 {
+		t.Fatalf("the origin heard img?9 %d times, %d retries counted: want the proxy's one retry", len(tries), p.Stats().Retries())
+	}
+	for i, got := range tries {
+		if got.CanonicalKey() != req.CanonicalKey() {
+			t.Fatalf("attempt %d of img?9 reached the origin as %+v, keyed %+v", i+1, got, req)
 		}
 	}
 	// A prefetch: the origin hears the request whose key A's entry is under.
@@ -201,7 +239,7 @@ func TestOriginHearsTheKeyedRequest(t *testing.T) {
 		Cluster: cluster.Config{Self: self, Peers: []string{owner.ln.Addr().String()}}})
 	t.Cleanup(relay.Close)
 	user := userOwnedBy([]string{self, owner.ln.Addr().String()}, 1)
-	req := &httpmsg.Request{Method: "GET", Scheme: "http", Host: "h.example", Path: "/list",
+	req = &httpmsg.Request{Method: "GET", Scheme: "http", Host: "h.example", Path: "/list",
 		Query: []httpmsg.Field{{Key: "id", Value: "R"}}, Header: header}
 	resp, err := (&proxyTransport{p: relay, user: user}).RoundTrip(req)
 	if err != nil || resp.Status != 200 {

@@ -67,6 +67,18 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
+# One origin call: every origin fetch in the proxy goes through roundTrip in
+# upstream.go, so none can skip the breaker or the retry count.
+echo "== opts.Upstream only in internal/proxy/upstream.go"
+stray=$(grep -lE 'opts\.Upstream\b' internal/proxy/*.go |
+    grep -v '_test\.go$' |
+    grep -vx 'internal/proxy/upstream.go' || true)
+if [ -n "$stray" ]; then
+    echo "opts.Upstream used outside internal/proxy/upstream.go:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
 # Informational, not a gate: the non-test Go line count outside bench/ that
 # simplicity changes report.
 echo "== non-test Go lines outside bench/"
