@@ -23,8 +23,8 @@
 // at its default, and a key the file misspells, or one a version removed,
 // fails the load by name.
 //
-// The origin path is resilient: idempotent requests are retried with
-// jittered backoff, per-host circuit breakers shed traffic to sick origins,
+// The origin path is resilient: a replayable request that fails gets one
+// immediate retry, per-host circuit breakers shed traffic to sick origins,
 // and failing prefetch signatures back off, all at fixed values. -fault
 // injects deterministic connect failures for resilience drills:
 //

@@ -57,8 +57,8 @@ func (p *Proxy) roundTrip(ctx context.Context, r *httpmsg.Request, prefetch bool
 		if attempt > 0 {
 			p.stats.countRetry()
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
 		}
 		if prefetch && !p.breakers.Allow(r.Host) {
 			return nil, errBreakerOpen

@@ -58,13 +58,6 @@ func roundTripProxy(t *testing.T, up Upstream, tun tuning) (*Proxy, *time.Time) 
 	return p, &now
 }
 
-// oneTry is the tuning that isolates the breaker from the retry.
-func oneTry() tuning {
-	tun := defaultTuning()
-	tun.retryAttempts = 1
-	return tun
-}
-
 // deadlineWithin fails unless ctx has a deadline d after [from, to].
 func deadlineWithin(t *testing.T, what string, ctx context.Context, from, to time.Time, d time.Duration) time.Time {
 	t.Helper()
@@ -302,7 +295,7 @@ func TestFetchFlightCountsOpenBreakerAsSuppressed(t *testing.T) {
 // failure still reaches the breaker.
 func TestRoundTripForwardStillReportsToBreaker(t *testing.T) {
 	up := &attemptLog{fail: 1 << 20}
-	p, _ := roundTripProxy(t, up, oneTry())
+	p, _ := roundTripProxy(t, up, breakerOnly())
 	for i := 0; i <= breakerFailures; i++ {
 		p.roundTrip(context.Background(), getReq("/"), false)
 	}
