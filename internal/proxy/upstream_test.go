@@ -104,6 +104,40 @@ func TestRoundTripExhaustsAttempts(t *testing.T) {
 	}
 }
 
+// TestRoundTripSucceedsAfterTransientFailure: a replayable request whose
+// first attempt fails gets the second attempt's answer.
+func TestRoundTripSucceedsAfterTransientFailure(t *testing.T) {
+	up := &attemptLog{fail: 1}
+	p, _ := roundTripProxy(t, up, defaultTuning())
+	resp, err := p.roundTrip(context.Background(), getReq("/"), false)
+	if err != nil {
+		t.Fatalf("roundTrip: %v", err)
+	}
+	defer resp.CloseBody()
+	if resp.Status != 200 || up.calls() != 2 {
+		t.Fatalf("status=%d calls=%d, want 200 after 2 calls", resp.Status, up.calls())
+	}
+}
+
+// TestRoundTripOnlyReplayableMethods: a method that may change state and
+// carries no idempotency key is sent once, however many attempts are set.
+func TestRoundTripOnlyReplayableMethods(t *testing.T) {
+	tun := defaultTuning()
+	tun.retryAttempts = 3
+	for _, method := range []string{"POST", "PUT", "DELETE", "PATCH"} {
+		up := &attemptLog{fail: 10}
+		p, _ := roundTripProxy(t, up, tun)
+		r := getReq("/")
+		r.Method = method
+		if _, err := p.roundTrip(context.Background(), r, false); err == nil {
+			t.Fatalf("%s: expected error", method)
+		}
+		if up.calls() != 1 || p.Stats().Retries() != 0 {
+			t.Fatalf("%s retried: %d calls, %d retries, want 1 and 0", method, up.calls(), p.Stats().Retries())
+		}
+	}
+}
+
 // TestRoundTripCountsRetries: the proxy-wide counter (the admin "retries"
 // key) counts attempts beyond the first, forwarded and prefetched alike, and
 // a first-try success adds none.
