@@ -123,3 +123,103 @@ func TestForwardedMissAllocs(t *testing.T) {
 		t.Fatal("a forwarded miss stored an entry")
 	}
 }
+
+// TestTeachingHitAllocs pins the allocations of one cache hit that teaches:
+// user B's list, whose body names three images B already holds fresh, so the
+// hit runs the predecessor routine (scan, three candidates, materialize from
+// the learned img exemplar) and every instance dedups against the store. No
+// origin request is made. The clock is frozen and the span window full. 27
+// today, and the ceiling is one more.
+func TestTeachingHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	l := newFollowLab(t, []edge{{"list", "img", "imgs[*]"}}, 0, func(name, id string) string {
+		if name == "list" && id != "0" {
+			return `{"imgs":["1","2","3"]}`
+		}
+		return `{}`
+	})
+	l.teach("B", "img")
+	l.get("B", "list", "L") // prefetches img 1, 2 and 3 into B's scope
+	l.p.Drain()
+	r := httptest.NewRequest("GET", "http://h.example/list", nil)
+	r.RemoteAddr = "B:1"
+	req, err := httpmsg.FromHTTPLimited(r, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.p.store.Put("B", req.CanonicalKey(), &cache.Entry{SigID: "t:list#0", Expires: time.Unix(1<<40, 0),
+		Resp: &httpmsg.Response{Status: 200, Body: []byte(`{"imgs":["1","2","3"]}`)}})
+	if n, _ := l.p.store.ScopeStats("B"); n != 4 {
+		t.Fatalf("B holds %d entries, want the list and its three images", n)
+	}
+	w := &discardWriter{h: http.Header{}}
+	hit := func() {
+		clear(w.h)
+		l.p.ServeHTTP(w, r)
+	}
+	for i := 0; i < 1100; i++ { // fill the 1024-span window
+		hit()
+	}
+	origin := len(l.seen())
+	allocs := testing.AllocsPerRun(200, hit)
+	t.Logf("%.0f allocations per teaching hit", allocs)
+	if allocs > 27+1 {
+		t.Fatalf("a teaching hit costs %.0f allocations, want 27", allocs)
+	}
+	if sp := l.p.RecentSpans(1)[0]; sp.Outcome != obs.OutcomePrefetchHit {
+		t.Fatalf("outcome %v, want a prefetch hit", sp.Outcome)
+	}
+	if got := l.since(origin); len(got) != 0 {
+		t.Fatalf("teaching hits reached the origin: %v", got)
+	}
+}
+
+// TestAttachAllocs pins the allocations of one client attaching to a flight:
+// user B's img?1 on the commit fixture, whose flight is registered and whose
+// spool already holds the whole 8 KiB body, so every run is an attach hit
+// that streams the spool. The span window is full. 18 today, and the ceiling
+// is one more.
+func TestAttachAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	p, _ := commitFixture(t, false)
+	r := httptest.NewRequest("GET", "http://h.example/img?id=1", nil)
+	r.RemoteAddr = "B:1"
+	req, err := httpmsg.FromHTTPLimited(r, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fkey := issueKey("B", req.CanonicalKey())
+	fl, _, owner := p.keys.open(fkey)
+	if !owner {
+		t.Fatal("the key already has a flight")
+	}
+	if _, err := fl.sp.Append(make([]byte, 8<<10)); err != nil {
+		t.Fatal(err)
+	}
+	fl.sp.CloseWriter(nil)
+	fl.publish(&httpmsg.Response{Status: 200, Header: []httpmsg.Field{{Key: "Content-Type", Value: "image/jpeg"}}})
+	t.Cleanup(func() {
+		p.keys.settle(fkey, fl)
+		fl.sp.Discard()
+	})
+	w := &discardWriter{h: http.Header{}}
+	attach := func() {
+		clear(w.h)
+		p.ServeHTTP(w, r)
+	}
+	for i := 0; i < 1100; i++ { // fill the 1024-span window
+		attach()
+	}
+	allocs := testing.AllocsPerRun(200, attach)
+	t.Logf("%.0f allocations per attach", allocs)
+	if allocs > 18+1 {
+		t.Fatalf("an attach costs %.0f allocations, want 18", allocs)
+	}
+	if sp := p.RecentSpans(1)[0]; sp.Outcome != obs.OutcomeAttachHit {
+		t.Fatalf("outcome %v, want an attach hit", sp.Outcome)
+	}
+}

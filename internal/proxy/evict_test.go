@@ -2,7 +2,10 @@ package proxy
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -137,5 +140,89 @@ func TestArrivalsTakeSignatureRespTimeAsCost(t *testing.T) {
 	}
 	if e.Cost != 50*time.Millisecond {
 		t.Fatalf("promoted entry cost = %v, want the signature's 50ms", e.Cost)
+	}
+}
+
+// TestCacheSignatureRows pins every field of the per-signature rows of
+// /appx/v1/stats' cache block. On a clock that moves only when the test moves
+// it, user B's lists fan out images and docs into a 12 000-byte cap: two
+// images and a doc are stored and one of each served, two more images evict
+// the unserved image and then the served one, a second doc is stored and is
+// found expired a doc lifetime later.
+func TestCacheSignatureRows(t *testing.T) {
+	img := strings.Repeat("i", 4000)
+	var clock atomic.Int64
+	clock.Store(time.Unix(1_700_000_000, 0).UnixNano())
+	l := newFollowLabWith(t, []edge{{"list", "img", "imgs[*]"}, {"list", "doc", "docs[*]"}}, func(name, id string) string {
+		switch {
+		case id == "0":
+			return `{}`
+		case name == "img":
+			return img
+		case name == "doc":
+			return strings.Repeat("d", 1000)
+		}
+		return map[string]string{
+			"1": `{"imgs":["1","2"],"docs":["1"]}`,
+			"2": `{"imgs":["3"]}`,
+			"3": `{"imgs":["4"]}`,
+			"4": `{"docs":["2"]}`,
+		}[id]
+	}, func(o *Options) {
+		o.Now = func() time.Time { return time.Unix(0, clock.Load()) }
+		o.Config.Cache.PerUserBytes = 12_000
+		o.Config.Policy(o.Graph.Sig("t:doc#0").Hash()).ExpirationTime = config.Duration(time.Minute)
+	})
+	l.teach("B", "img", "doc")
+	for _, step := range []struct {
+		name, id string
+		want     obs.Outcome
+	}{
+		{"list", "1", obs.OutcomeOrigin}, // stores img 1, img 2, doc 1
+		{"img", "1", obs.OutcomePrefetchHit},
+		{"doc", "1", obs.OutcomePrefetchHit},
+		{"list", "2", obs.OutcomeOrigin}, // img 3 evicts img 2, never served
+		{"list", "3", obs.OutcomeOrigin}, // img 4 evicts img 1, served
+		{"list", "4", obs.OutcomeOrigin}, // stores doc 2
+	} {
+		if got := l.get("B", step.name, step.id); got != step.want {
+			t.Fatalf("%s?%s: outcome %v, want %v", step.name, step.id, got, step.want)
+		}
+		l.p.Drain()
+	}
+	// img 2 was charged what img 3 is: the same body, headers and key length.
+	r := httptest.NewRequest("GET", "http://h.example/img?id=3", nil)
+	r.RemoteAddr = "B:1"
+	req, err := httpmsg.FromHTTPLimited(r, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e3, ok := l.p.store.Peek("B", req.CanonicalKey())
+	if !ok {
+		t.Fatal("img 3 is not resident")
+	}
+	probe := cache.New(cache.Options{})
+	probe.Put("B", req.CanonicalKey(), &cache.Entry{Resp: e3.Resp, Expires: time.Unix(1<<40, 0)})
+	_, imgBytes := probe.ScopeStats("B")
+	if imgBytes <= int64(len(img)) {
+		t.Fatalf("an image entry is charged %d bytes, want more than its %d-byte body", imgBytes, len(img))
+	}
+
+	clock.Add(int64(2 * time.Minute))
+	if got := l.get("B", "doc", "2"); got != obs.OutcomeOrigin {
+		t.Fatalf("doc?2 after its lifetime: outcome %v, want a forwarded miss", got)
+	}
+	rec := httptest.NewRecorder()
+	l.p.ServeHTTP(rec, httptest.NewRequest("GET", adminv1.PathStats, nil))
+	var stats adminv1.StatsResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+		t.Fatalf("stats not JSON: %v", err)
+	}
+	want := map[string]adminv1.CacheSignature{
+		"t:img#0": {Stored: 4, Hits: 1, Evicted: 2, EvictedUnused: 1, EvictedUnusedBytes: imgBytes},
+		"t:doc#0": {Stored: 2, Hits: 1, Expired: 1},
+	}
+	if got := stats.Cache.Signatures; !reflect.DeepEqual(got, want) {
+		t.Fatalf("cache signature rows\n got %+v\nwant %+v", got, want)
 	}
 }
