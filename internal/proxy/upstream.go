@@ -36,7 +36,7 @@ var errBreakerOpen = errors.New("proxy: origin circuit open")
 // roundTrip is the proxy's one origin call: forwarded requests and
 // prefetches reach opts.Upstream here and nowhere else, so every attempt
 // reports to its host's breaker (an error or a status of 500 and up is a
-// failure) and every retry is counted. A replayable request
+// failure) and every retry that is sent is counted. A replayable request
 // (httpmsg.Replayable) whose attempt fails is sent again at once, up to
 // retryAttempts tries; any other gets one. Each attempt is bounded by
 // attemptTimeout; a caller deadline that is already the earliest is handed
@@ -54,14 +54,14 @@ func (p *Proxy) roundTrip(ctx context.Context, r *httpmsg.Request, prefetch bool
 	}
 	var err error
 	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			p.stats.countRetry()
-		}
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
 		if prefetch && !p.breakers.Allow(r.Host) {
 			return nil, errBreakerOpen
+		}
+		if attempt > 0 {
+			p.stats.countRetry()
 		}
 		actx, cancel := attemptContext(ctx, overall)
 		var resp *httpmsg.Response

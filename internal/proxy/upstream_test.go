@@ -185,6 +185,21 @@ func TestRoundTripHonoursCallerContext(t *testing.T) {
 	if b := p.breakers.Snapshot()["o.example"]; b.ConsecutiveFailures != 0 {
 		t.Fatalf("%d breaker failures for attempts never made", b.ConsecutiveFailures)
 	}
+	// A forwarded GET whose client leaves while its first attempt fails is
+	// not retried, and no retry is counted.
+	ctx, cancel = context.WithCancel(context.Background())
+	calls := 0
+	p, _ = roundTripProxy(t, UpstreamFunc(func(context.Context, *httpmsg.Request) (*httpmsg.Response, error) {
+		calls++
+		cancel()
+		return nil, errors.New("transient origin failure")
+	}), defaultTuning())
+	if _, err := p.roundTrip(ctx, getReq("/"), false); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if calls != 1 || p.Stats().Retries() != 0 {
+		t.Fatalf("%d attempts and %d retries counted after the client left, want 1 and 0", calls, p.Stats().Retries())
+	}
 }
 
 // TestRoundTripOneDeadlineContextPerAttempt: a caller whose deadline is
@@ -287,8 +302,8 @@ func TestRoundTripPrefetchGatedByOpenBreaker(t *testing.T) {
 	if _, err := p.roundTrip(context.Background(), getReq("/"), true); err != errBreakerOpen {
 		t.Fatalf("err = %v, want the retry refused by the breaker its first attempt opened", err)
 	}
-	if up.calls() != 1 {
-		t.Fatalf("%d attempts reached the origin, want the first alone", up.calls())
+	if up.calls() != 1 || p.Stats().Retries() != 0 {
+		t.Fatalf("%d attempts reached the origin and %d retries were counted, want the first alone and none", up.calls(), p.Stats().Retries())
 	}
 	if _, err := p.roundTrip(context.Background(), getReq("/"), true); err != errBreakerOpen || up.calls() != 1 {
 		t.Fatalf("err = %v after %d attempts: a prefetch to an open breaker reached the origin", err, up.calls())
