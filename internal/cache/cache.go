@@ -100,7 +100,7 @@ func (o Options) filled() Options {
 	return o
 }
 
-// Entry is one prefetched response payload; SigID attributes telemetry.
+// Entry is one prefetched response payload; SigID names its signature.
 //
 // A stored entry's Resp.Body is immutable: the store may hand the same slice
 // to every entry whose body is equal, across users, so a reader may slice,
@@ -124,8 +124,24 @@ type Entry struct {
 	// was not prefetched here — is older than every chain. Only RoomFor reads
 	// it; the eviction order does not.
 	Root uint64
+	// Counts is the signature's tally the store moves for this entry; nil
+	// counts nothing beyond the store-wide totals.
+	Counts *SigCounts
 
 	used atomic.Bool
+}
+
+// SigCounts is one signature's cache telemetry, kept by whoever owns the
+// signature and moved by the store through the entries that point at it.
+// Hits over Puts is the signature's hit ratio (misses cannot be attributed
+// to a signature: an absent key names none). Evicted counts entries a
+// capacity limit pushed out (scope caps and the global budget — not expiry,
+// replacement or a dropped scope); EvictedUnused those of them no client was
+// ever served, and EvictedUnusedBytes their resident size: origin bytes that
+// bought nothing.
+type SigCounts struct {
+	Puts, Hits, Expired                        atomic.Int64
+	Evicted, EvictedUnused, EvictedUnusedBytes atomic.Int64
 }
 
 // FirstUse atomically marks the entry served and reports whether this was
@@ -287,8 +303,8 @@ func (h *entryHeap) Pop() any {
 }
 
 // shard is one lock domain: a fraction of the scopes (and of the shared
-// tier's keys), with its own expiry heap. Hot-path counters live here too,
-// guarded by the lock the operation already holds, so telemetry adds no
+// tier's keys), with its own expiry heap. The store-wide counters live here
+// too, guarded by the lock the operation already holds, so telemetry adds no
 // cross-shard synchronization.
 type shard struct {
 	mu      sync.Mutex
@@ -297,17 +313,6 @@ type shard struct {
 	tick    uint64 // touch counter: recency across the shard
 
 	hits, misses, sharedHits, puts int64
-	sigs                           map[string]*SigStats
-}
-
-// sigStat returns the shard-local counters for a signature (sh.mu held).
-func (sh *shard) sigStat(id string) *SigStats {
-	st := sh.sigs[id]
-	if st == nil {
-		st = &SigStats{}
-		sh.sigs[id] = st
-	}
-	return st
 }
 
 // EvictionCounts breaks evictions down by cause.
@@ -325,27 +330,6 @@ type EvictionCounts struct {
 	Replaced int64
 	// Dropped entries left with their whole scope (user eviction).
 	Dropped int64
-}
-
-// SigStats is one signature's cache telemetry. Hit ratio is hits over
-// entries stored (misses cannot be attributed to a signature: an absent
-// key names no signature). Evicted counts entries a capacity limit pushed
-// out (scope caps and the global budget — not expiry, replacement or a
-// dropped scope); EvictedUnused those of them no client was ever served, and
-// EvictedUnusedBytes their resident size: origin bytes that bought nothing.
-type SigStats struct {
-	Puts, Hits, Expired    int64
-	Evicted, EvictedUnused int64
-	EvictedUnusedBytes     int64
-}
-
-// HitRatio returns hits per stored entry (may exceed 1: one entry can be
-// served many times).
-func (s SigStats) HitRatio() float64 {
-	if s.Puts == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Puts)
 }
 
 // Metrics is an immutable snapshot of the store's counters.
@@ -369,8 +353,6 @@ type Metrics struct {
 	Bodies    int
 	BodyBytes int64
 	BodyRefs  BodyRefs
-	// PerSig carries per-signature put/hit/expiry/eviction counts.
-	PerSig map[string]SigStats
 }
 
 // HitRatio returns hits/(hits+misses), 0 when idle.
@@ -411,10 +393,7 @@ func New(opts Options) *Store {
 	s := &Store{opts: opts.filled(), bodies: newBodyTable(), twins: twinIndex{byKey: map[string]*entry{}}}
 	s.shards = make([]*shard, s.opts.Shards)
 	for i := range s.shards {
-		s.shards[i] = &shard{
-			byScope: map[string]*scopeState{},
-			sigs:    map[string]*SigStats{},
-		}
+		s.shards[i] = &shard{byScope: map[string]*scopeState{}}
 	}
 	return s
 }
@@ -459,8 +438,10 @@ func (s *Store) Get(scope, key string) (e *Entry, fresh bool) {
 				if scope == SharedScope {
 					sh.sharedHits++
 				}
-				sh.sigStat(p.SigID).Hits++
 				sh.mu.Unlock()
+				if c := p.Counts; c != nil {
+					c.Hits.Add(1)
+				}
 				return p, true
 			}
 		}
@@ -472,9 +453,11 @@ func (s *Store) Get(scope, key string) (e *Entry, fresh bool) {
 	if !now.Before(en.payload.Expires) {
 		s.removeLocked(sh, en)
 		sh.misses++
-		sh.sigStat(en.payload.SigID).Expired++
 		sh.mu.Unlock()
 		s.evExpired.Add(1)
+		if c := en.payload.Counts; c != nil {
+			c.Expired.Add(1)
+		}
 		return nil, false
 	}
 	sh.touchLocked(en)
@@ -483,8 +466,10 @@ func (s *Store) Get(scope, key string) (e *Entry, fresh bool) {
 	if scope == SharedScope {
 		sh.sharedHits++
 	}
-	sh.sigStat(en.payload.SigID).Hits++
 	sh.mu.Unlock()
+	if c := en.payload.Counts; c != nil {
+		c.Hits.Add(1)
+	}
 	return en.payload, true
 }
 
@@ -563,8 +548,10 @@ func (s *Store) put(scope, key string, p *Entry, spill bool) {
 		}
 	}
 	sh.puts++
-	sh.sigStat(p.SigID).Puts++
 	sh.mu.Unlock()
+	if c := p.Counts; c != nil {
+		c.Puts.Add(1)
+	}
 	if spill {
 		// Only complete buffered bodies spill: a streaming or truncated
 		// capture serialized to disk would restore as a silently short entry.
@@ -628,7 +615,7 @@ func (s *Store) removeLocked(sh *shard, en *entry) {
 }
 
 // evictLocked is removeLocked for a capacity eviction: the scope's clock
-// advances to the victim's priority and the signature's eviction counters
+// advances to the victim's priority and the signature's eviction counts
 // move (sh.mu held).
 func (s *Store) evictLocked(sh *shard, en *entry) {
 	// The clock never falls: an entry a Put exempted as just stored can sit
@@ -637,11 +624,14 @@ func (s *Store) evictLocked(sh *shard, en *entry) {
 		en.sc.clock = en.prio
 	}
 	s.removeLocked(sh, en)
-	st := sh.sigStat(en.payload.SigID)
-	st.Evicted++
+	c := en.payload.Counts
+	if c == nil {
+		return
+	}
+	c.Evicted.Add(1)
 	if !en.payload.used.Load() {
-		st.EvictedUnused++
-		st.EvictedUnusedBytes += en.size
+		c.EvictedUnused.Add(1)
+		c.EvictedUnusedBytes.Add(en.size)
 	}
 }
 
@@ -826,7 +816,9 @@ func (s *Store) SweepExpired() int {
 			s.removeLocked(sh, en)
 			removed++
 			s.evExpired.Add(1)
-			sh.sigStat(en.payload.SigID).Expired++
+			if c := en.payload.Counts; c != nil {
+				c.Expired.Add(1)
+			}
 		}
 		sh.mu.Unlock()
 	}
@@ -910,7 +902,6 @@ func (s *Store) Metrics() Metrics {
 			Replaced:     s.evReplaced.Load(),
 			Dropped:      s.evDropped.Load(),
 		},
-		PerSig: map[string]SigStats{},
 	}
 	m.Bodies, m.BodyBytes, m.BodyRefs = s.bodies.stats()
 	for _, sh := range s.shards {
@@ -925,16 +916,6 @@ func (s *Store) Metrics() Metrics {
 				m.SharedEntries += len(sc.entries)
 				m.SharedBytes += sc.bytes
 			}
-		}
-		for id, st := range sh.sigs {
-			agg := m.PerSig[id]
-			agg.Puts += st.Puts
-			agg.Hits += st.Hits
-			agg.Expired += st.Expired
-			agg.Evicted += st.Evicted
-			agg.EvictedUnused += st.EvictedUnused
-			agg.EvictedUnusedBytes += st.EvictedUnusedBytes
-			m.PerSig[id] = agg
 		}
 		sh.mu.Unlock()
 	}

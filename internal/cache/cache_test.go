@@ -190,8 +190,11 @@ func TestMetricsAndSharedHitRatio(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	s := testStore(Options{}, &now)
 	exp := now.Add(time.Hour)
+	var sigB SigCounts
+	b := ent("sigB", 10, exp)
+	b.Counts = &sigB
 	s.Put("u1", "a", ent("sigA", 10, exp))
-	s.Put(SharedScope, "b", ent("sigB", 10, exp))
+	s.Put(SharedScope, "b", b)
 
 	s.Get("u1", "a")        // hit
 	s.Get(SharedScope, "b") // shared hit
@@ -208,8 +211,8 @@ func TestMetricsAndSharedHitRatio(t *testing.T) {
 	if m.SharedEntries != 1 || m.SharedBytes == 0 {
 		t.Fatalf("shared occupancy = (%d, %d)", m.SharedEntries, m.SharedBytes)
 	}
-	if st := m.PerSig["sigB"]; st.Hits != 2 || st.Puts != 1 {
-		t.Fatalf("sigB stats = %+v", st)
+	if hits, puts := sigB.Hits.Load(), sigB.Puts.Load(); hits != 2 || puts != 1 {
+		t.Fatalf("sigB counts %d hits and %d puts, want 2 and 1", hits, puts)
 	}
 }
 

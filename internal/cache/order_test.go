@@ -278,14 +278,15 @@ func TestLargeCheapEvictedBeforeSmallCostly(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	s := testStore(Options{Shards: 1, PerScopeBytes: 400_000, MaxEntriesPerScope: -1}, &now)
 	exp := now.Add(time.Hour)
+	var api, img SigCounts
 	for i := 0; i < 20; i++ {
 		e := ent("api", 10_000, exp)
-		e.Cost = 20 * time.Millisecond
+		e.Cost, e.Counts = 20*time.Millisecond, &api
 		s.Put("u", fmt.Sprintf("api%d", i), e)
 	}
 	for i := 0; i < 20; i++ {
 		e := ent("img", 150_000, exp)
-		e.Cost = 4 * time.Millisecond
+		e.Cost, e.Counts = 4*time.Millisecond, &img
 		s.Put("u", fmt.Sprintf("img%d", i), e)
 	}
 	for i := 0; i < 20; i++ {
@@ -294,11 +295,11 @@ func TestLargeCheapEvictedBeforeSmallCostly(t *testing.T) {
 		}
 	}
 	m := s.Metrics()
-	if got := m.PerSig["img"]; got.Evicted != m.Evictions.ScopeBytes || got.EvictedUnused != got.Evicted || got.Evicted < 18 {
-		t.Fatalf("img evictions = %+v, scope-byte evictions %d: want every one of them an unused img", got, m.Evictions.ScopeBytes)
+	if ev, unused := img.Evicted.Load(), img.EvictedUnused.Load(); ev != m.Evictions.ScopeBytes || unused != ev || ev < 18 {
+		t.Fatalf("%d img evictions, %d unused, %d scope-byte evictions: want every one of them an unused img", ev, unused, m.Evictions.ScopeBytes)
 	}
-	if got := m.PerSig["api"]; got.Evicted != 0 {
-		t.Fatalf("api evictions = %+v, want none", got)
+	if ev := api.Evicted.Load(); ev != 0 {
+		t.Fatalf("%d api evictions, want none", ev)
 	}
 }
 
@@ -356,16 +357,22 @@ func TestEvictedUnusedCounts(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	s := testStore(Options{Shards: 1, MaxEntriesPerScope: 2}, &now)
 	exp := now.Add(time.Hour)
-	s.Put("u", "a", ent("sig", 10, exp))
-	s.Put("u", "b", ent("sig", 10, exp))
+	var sig SigCounts
+	put := func(key string) {
+		e := ent("sig", 10, exp)
+		e.Counts = &sig
+		s.Put("u", key, e)
+	}
+	put("a")
+	put("b")
 	if e, _ := s.Get("u", "a"); !e.FirstUse() {
 		t.Fatal("first use not reported")
 	}
-	s.Put("u", "c", ent("sig", 10, exp)) // evicts b, never served
-	s.Put("u", "d", ent("sig", 10, exp)) // evicts a, served once
-	s.Put("u", "d", ent("sig", 10, exp)) // a replacement is not an eviction
-	s.DropScope("u")                     // nor is a dropped scope
-	if got := s.Metrics().PerSig["sig"]; got.Evicted != 2 || got.EvictedUnused != 1 {
-		t.Fatalf("evicted = %d, unused = %d; want 2, 1", got.Evicted, got.EvictedUnused)
+	put("c")         // evicts b, never served
+	put("d")         // evicts a, served once
+	put("d")         // a replacement is not an eviction
+	s.DropScope("u") // nor is a dropped scope
+	if ev, unused := sig.Evicted.Load(), sig.EvictedUnused.Load(); ev != 2 || unused != 1 {
+		t.Fatalf("evicted = %d, unused = %d; want 2, 1", ev, unused)
 	}
 }

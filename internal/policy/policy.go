@@ -1,11 +1,9 @@
-// Package policy holds the proxy's prefetch fan-out rule: given the
-// candidates a predecessor transaction fans out to, Static decides which
-// survive (Keep) and in what order they are attempted (Score).
-//
-// The proxy consults it once per predecessor transaction, at fan-out
-// (learn). Whether a surviving candidate may actually be scheduled —
-// probability draw, data budget, signature backoff, breaker — is decided by
-// the proxy at issue time, so it does not pass through here.
+// Package policy is inert: nothing outside it and the benchmark module calls
+// it. The proxy's fan-out rule — every switched-on successor whose condition
+// holds, in dependency-graph order, up to the chain-depth ceiling — is
+// learnFrom's own (internal/proxy). Static still states the same rule over
+// a batch of candidates; the package stays because the benchmark module
+// still times Rank and Observe, and goes once it stops.
 package policy
 
 // Candidate is one prefetch the proxy is considering.

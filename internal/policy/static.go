@@ -2,10 +2,10 @@ package policy
 
 import "time"
 
-// Static is the prefetch fan-out rule: candidates keep their
-// dependency-graph order, no history is consulted, and only the chain-depth
-// ceiling prunes. The differential tests pin it to the behaviour before the
-// rule had a package of its own.
+// Static is inert, like the rest of the package: the proxy applies its rule
+// in learnFrom and never calls it. It states that rule over a batch:
+// candidates keep their dependency-graph order, no history is consulted, and
+// only the chain-depth ceiling prunes.
 type Static struct {
 	hooks Hooks
 }

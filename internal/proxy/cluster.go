@@ -218,12 +218,11 @@ func (p *Proxy) entryFromPeer(pe *adminv1.ClusterEntry) *cache.Entry {
 	for _, h := range pe.Header {
 		resp.Header = append(resp.Header, httpmsg.Field{Key: h.Key, Value: h.Value})
 	}
-	return &cache.Entry{
+	return p.sigs.byID[pe.SigID].stamp(&cache.Entry{
 		Resp:    resp,
 		SigID:   pe.SigID,
 		Expires: p.opts.Now().Add(time.Duration(pe.ExpiresInMs) * time.Millisecond),
-		Cost:    p.sigs.byID[pe.SigID].avgRespTime(),
-	}
+	})
 }
 
 // serveClusterEntry answers a sibling's peek (GET /appx/v1/cluster/entry

@@ -128,7 +128,7 @@ func TestForwardedMissAllocs(t *testing.T) {
 // user B's list, whose body names three images B already holds fresh, so the
 // hit runs the predecessor routine (scan, three candidates, materialize from
 // the learned img exemplar) and every instance dedups against the store. No
-// origin request is made. The clock is frozen and the span window full. 27
+// origin request is made. The clock is frozen and the span window full. 25
 // today, and the ceiling is one more.
 func TestTeachingHitAllocs(t *testing.T) {
 	if raceEnabled {
@@ -165,8 +165,8 @@ func TestTeachingHitAllocs(t *testing.T) {
 	origin := len(l.seen())
 	allocs := testing.AllocsPerRun(200, hit)
 	t.Logf("%.0f allocations per teaching hit", allocs)
-	if allocs > 27+1 {
-		t.Fatalf("a teaching hit costs %.0f allocations, want 27", allocs)
+	if allocs > 25+1 {
+		t.Fatalf("a teaching hit costs %.0f allocations, want 25", allocs)
 	}
 	if sp := l.p.RecentSpans(1)[0]; sp.Outcome != obs.OutcomePrefetchHit {
 		t.Fatalf("outcome %v, want a prefetch hit", sp.Outcome)

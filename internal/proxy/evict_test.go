@@ -130,7 +130,7 @@ func TestArrivalsTakeSignatureRespTimeAsCost(t *testing.T) {
 	if e := p2.entryFromPeer(pe); e == nil || e.Cost != 0 {
 		t.Fatalf("peer entry of a never-observed signature = %+v, want cost 0", e)
 	}
-	p2.Stats().ObserveRespTime("t:item#0", 50*time.Millisecond)
+	p2.sigs.byID["t:item#0"].observeRespTime(50 * time.Millisecond)
 	if e := p2.entryFromPeer(pe); e == nil || e.Cost != 50*time.Millisecond {
 		t.Fatalf("peer entry = %+v, want cost 50ms", e)
 	}

@@ -26,7 +26,7 @@ func FuzzPeerEntry(f *testing.F) {
 	p := New(Options{Graph: sharedGraph(), Now: func() time.Time { return now },
 		Cluster: cluster.Config{Self: "127.0.0.1:1", ProbeInterval: time.Hour}})
 	f.Cleanup(p.Close)
-	p.Stats().ObserveRespTime("t:item#0", 50*time.Millisecond)
+	p.sigs.byID["t:item#0"].observeRespTime(50 * time.Millisecond)
 
 	// A real answer to a sibling's peek, then the same entry with TTLs a
 	// peer must not be trusted with.

@@ -89,8 +89,8 @@ func (p *Proxy) initPersist() {
 }
 
 // costedTier stamps entries promoted from the disk tier with their
-// signature's current origin response time: the persist envelope carries no
-// miss cost, and a restart's view of the origin is the one that counts.
+// signature's record (sigState.stamp): the persist envelope carries no miss
+// cost, and a restart's view of the origin is the one that counts.
 type costedTier struct {
 	*persist.Tier
 	sigs *sigTable
@@ -99,7 +99,7 @@ type costedTier struct {
 func (t costedTier) Load(scope, key string) (*cache.Entry, bool) {
 	e, ok := t.Tier.Load(scope, key)
 	if ok {
-		e.Cost = t.sigs.byID[e.SigID].avgRespTime()
+		t.sigs.byID[e.SigID].stamp(e)
 	}
 	return e, ok
 }

@@ -5,18 +5,18 @@ import (
 
 	"appx/internal/obs"
 	"appx/internal/obs/adminv1"
-	"appx/internal/policy"
 )
 
-// Prefetch fan-out wiring. Which fan-out candidates survive and in what
-// order is policy.Static, consulted once per predecessor transaction
-// (learn); the issue-time gates are Proxy.mayIssue. What this file adds is
-// the accounting of every candidate or task dropped on the way.
+// Prefetch fan-out accounting. learnFrom fans out, in dependency-graph order,
+// to every successor that is switched on and whose condition holds, up to
+// maxChainDepth; the issue-time gates are Proxy.mayIssue. What this file adds
+// is the accounting of every candidate or task dropped on the way.
 
-// Skip reasons beyond the policy package's own (ReasonDepth): the first
-// three drop a candidate before it reaches the scheduler, the last two a
-// task at dispatch (runPrefetch), before any origin byte moves.
+// Skip reasons: the first four drop a candidate before it reaches the
+// scheduler, the last two a task at dispatch (runPrefetch), before any origin
+// byte moves.
 const (
+	skipDepth       = "depth"         // the chain is already maxChainDepth links long
 	skipNoExemplar  = "no_exemplar"   // materialize failed: run-time values missing
 	skipNoDepValues = "no_dep_values" // predecessor response yielded no dependency values
 	skipPendingFull = "pending_full"  // per-signature parked-instance cap hit
@@ -44,7 +44,7 @@ func (p *Proxy) countSkip(reason string) {
 		p.skips.noDepValues.Add(1)
 	case skipPendingFull:
 		p.skips.pendingFull.Add(1)
-	case policy.ReasonDepth:
+	case skipDepth:
 		p.skips.depth.Add(1)
 	case skipNoRoom:
 		p.skips.noRoom.Add(1)
@@ -62,7 +62,7 @@ func (p *Proxy) registerSkipBridges(reg *obs.Registry) {
 		{skipNoExemplar, &p.skips.noExemplar},
 		{skipNoDepValues, &p.skips.noDepValues},
 		{skipPendingFull, &p.skips.pendingFull},
-		{policy.ReasonDepth, &p.skips.depth},
+		{skipDepth, &p.skips.depth},
 		{skipNoRoom, &p.skips.noRoom},
 		{skipDataBudget, &p.skips.dataBudget},
 	} {

@@ -28,7 +28,6 @@ import (
 	"appx/internal/obs"
 	"appx/internal/obs/adminv1"
 	"appx/internal/persist"
-	"appx/internal/policy"
 	"appx/internal/proxy/resilience"
 	"appx/internal/proxy/sched"
 	"appx/internal/sig"
@@ -73,8 +72,8 @@ type Options struct {
 	// for cache insertion and learning (default 4 MiB). Larger bodies
 	// stream through to the client uncached; over-cap prefetches abort.
 	CaptureMaxBytes int64
-	// MaxBodyBytes bounds client request bodies (413 beyond it) and clamps
-	// CaptureMaxBytes (default 64 MiB; negative disables both guards).
+	// MaxBodyBytes bounds client request bodies: 413 beyond it (default
+	// 64 MiB; negative disables the bound).
 	MaxBodyBytes int64
 
 	// StateDir enables crash-safe persistence: a disk cache tier under
@@ -222,9 +221,8 @@ type Proxy struct {
 	// sibling peer fill. Nil when Options.Cluster is not enabled.
 	cluster *clusterState
 
-	// Prefetch fan-out rule; skips counts candidates dropped before reaching
-	// the scheduler or at dispatch, by reason (policy.go in this package).
-	pol   *policy.Static
+	// skips counts candidates dropped before reaching the scheduler or at
+	// dispatch, by reason (policy.go).
 	skips prefetchSkips
 	// issued counts prefetches accepted by the scheduler, by trigger.
 	issued [numTriggers]*obs.Counter
@@ -400,7 +398,6 @@ func newProxy(opts Options, tun tuning) *Proxy {
 		MaxQueue: p.ovl.MaxQueue,
 		Now:      p.clock,
 	})
-	p.pol = policy.NewStatic(policy.Hooks{MaxDepth: maxChainDepth})
 	p.registerBridges(reg)
 	p.registerStreamBridges(reg)
 	p.registerPersistBridges(reg)
@@ -484,18 +481,6 @@ func (p *Proxy) registerBridges(reg *obs.Registry) {
 		func() int64 { return p.store.Metrics().Evictions.Expired })
 	reg.CounterFunc(`appx_cache_evictions_total{cause="budget"}`, "Cache evictions by cause.",
 		func() int64 { return p.store.Metrics().Evictions.Budget })
-	sumCacheSigs := func(field func(cache.SigStats) int64) func() int64 {
-		return func() (n int64) {
-			for _, st := range p.store.Metrics().PerSig {
-				n += field(st)
-			}
-			return n
-		}
-	}
-	reg.CounterFunc("appx_cache_evicted_unused_total", "Entries a capacity limit evicted before any client was served them.",
-		sumCacheSigs(func(st cache.SigStats) int64 { return st.EvictedUnused }))
-	reg.CounterFunc("appx_cache_evicted_unused_bytes_total", "Resident bytes of entries a capacity limit evicted before any client was served them.",
-		sumCacheSigs(func(st cache.SigStats) int64 { return st.EvictedUnusedBytes }))
 }
 
 // Breakers exposes the per-host circuit breaker set (operational tooling
@@ -809,15 +794,19 @@ func (p *Proxy) healthV1() adminv1.HealthResponse {
 // /appx/v1/health.
 func (p *Proxy) cacheV1() adminv1.Cache {
 	cm := p.store.Metrics()
-	sigs := make(map[string]adminv1.CacheSignature, len(cm.PerSig))
-	for id, st := range cm.PerSig {
-		sigs[id] = adminv1.CacheSignature{
-			Stored:             st.Puts,
-			Hits:               st.Hits,
-			Expired:            st.Expired,
-			Evicted:            st.Evicted,
-			EvictedUnused:      st.EvictedUnused,
-			EvictedUnusedBytes: st.EvictedUnusedBytes,
+	sigs := map[string]adminv1.CacheSignature{}
+	for _, st := range p.sigs.all {
+		c := &st.cache
+		row := adminv1.CacheSignature{
+			Stored:             c.Puts.Load(),
+			Hits:               c.Hits.Load(),
+			Expired:            c.Expired.Load(),
+			Evicted:            c.Evicted.Load(),
+			EvictedUnused:      c.EvictedUnused.Load(),
+			EvictedUnusedBytes: c.EvictedUnusedBytes.Load(),
+		}
+		if row != (adminv1.CacheSignature{}) {
+			sigs[st.sig.ID] = row
 		}
 	}
 	return adminv1.Cache{
@@ -965,17 +954,31 @@ func (p *Proxy) lookup(u *user, key string) (entry *cache.Entry, shared bool) {
 	return nil, false
 }
 
+// perUserShareDeny lists header-name fragments that conservatively mark a
+// request as carrying per-user state (credentials, sessions, accounts).
+// Matching requests never enter the shared tier — not because serving them
+// would be unsafe (exact-match still holds), but because a credentialed
+// response is per-user data that must not outlive its user's eviction, and
+// a shared slot for it could never serve anyone else anyway.
+var perUserShareDeny = []string{"cookie", "auth", "token", "session", "secret", "credential", "account"}
+
 // sharedEligible decides whether a reconstructed request may cache once
 // for all users: the signature's patterns must be free of per-user runtime
 // wildcards, and the materialized request (which carries the exemplar's
-// extra live headers) must not smell of per-user state. The header half of
-// the rule lives in the policy package (policy.SharedEligible) with the
-// rest of the prefetch decision logic.
+// extra live headers) must not name a header of perUserShareDeny.
 func (p *Proxy) sharedEligible(s *sig.Signature, req *httpmsg.Request) bool {
 	if p.cacheCfg.DisableSharedTier || !s.UserAgnostic() {
 		return false
 	}
-	return policy.SharedEligible(req.Header)
+	for _, h := range req.Header {
+		name := strings.ToLower(h.Key)
+		for _, deny := range perUserShareDeny {
+			if strings.Contains(name, deny) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // learn is learnFrom for a transaction that starts a chain of its own — one a
@@ -1026,34 +1029,20 @@ func (p *Proxy) learnFrom(u *user, st *sigState, req *httpmsg.Request, resp *htt
 	if err != nil {
 		return
 	}
-	// Build the candidate batch in dependency-graph order, then let the
-	// fan-out rule decide which survive (Keep) and in what order they are
-	// attempted. Whether a survivor may run is decided at issue time
-	// (mayIssue), because an instance can park awaiting an exemplar for
-	// arbitrarily long between fan-out and issue.
-	cands := make([]policy.Candidate, 0, len(lp.succs))
+	// Fan out in dependency-graph order to every successor that is switched
+	// on and whose condition holds, up to the chain-depth ceiling. Whether an
+	// instance may run is decided at issue time (mayIssue), because it can
+	// park awaiting an exemplar for arbitrarily long between fan-out and
+	// issue.
 	for i := range lp.succs {
 		ps := &lp.succs[i]
-		cpol := ps.st.pol
-		if (cpol != nil && !cpol.Prefetch) || !ps.holds(scan) {
+		if cpol := ps.st.pol; (cpol != nil && !cpol.Prefetch) || !ps.holds(scan) {
 			continue
 		}
-		cands = append(cands, policy.Candidate{
-			SigID: ps.Sig.ID,
-			Depth: depth,
-			Index: i,
-			Prior: p.opts.Config.EffectiveProbability(cpol) * p.opts.Config.UserScale(u.key),
-		})
-	}
-	if len(cands) == 0 {
-		return
-	}
-	for _, d := range p.pol.Rank(u.key, s.ID, cands) {
-		if !d.Keep {
-			p.countSkip(d.KeepReason)
+		if depth > maxChainDepth {
+			p.countSkip(skipDepth)
 			continue
 		}
-		ps := &lp.succs[d.Index]
 		insts := depValues(scan, ps.Reads)
 		if len(insts) == 0 {
 			p.countSkip(skipNoDepValues)
@@ -1333,24 +1322,19 @@ func (p *Proxy) ridePrefetch(pf *prefetch, fl *flight, rd *stream.Reader, owner 
 	pf.st.setBackoff(0, time.Time{})
 	pf.st.sample.Store(pf.req)
 	resp := &httpmsg.Response{Status: fl.status, Header: fl.header, Body: body}
-	p.store.Put(pf.scope, pf.key, &cache.Entry{
-		Resp:    resp,
-		SigID:   pf.st.sig.ID,
-		Expires: p.opts.Now().Add(pf.expiry),
-		// What a miss on this entry would cost its client: the eviction
-		// order keeps slow-origin responses over cheap-to-refetch bulk.
-		Cost:     pf.st.avgRespTime(),
+	p.store.Put(pf.scope, pf.key, pf.st.stamp(&cache.Entry{
+		Resp:     resp,
+		Expires:  p.opts.Now().Add(pf.expiry),
 		Root:     pf.root,
 		Borrowed: pf.task.Guess,
-	})
+	}))
 	pf.release()
 	// Chain continuation — only from a fetch this worker made itself; an
 	// adopted capture is learned from live by the foreground owner. The next
 	// link is one further from a client than this one was, unless a client
 	// attached to the flight: then this response has been asked for, and its
-	// children are what that client asks for next. The depth ceiling lives in
-	// the policy layer: fan-out candidates are Keep=false (ReasonDepth) beyond
-	// maxChainDepth, each pruned tail counted.
+	// children are what that client asks for next. learnFrom drops, and
+	// counts, every candidate beyond maxChainDepth.
 	if owner && !p.opts.DisableChaining {
 		depth := pf.task.Depth + 1
 		if fl.demanded.Load() {

@@ -391,9 +391,8 @@ func (p *Proxy) runFlight(x *exchange, u *user, matched []*sigState, scope, key,
 		}
 		root := u.roots.Add(1)
 		if commit {
-			e := &cache.Entry{Resp: lresp, SigID: lead.sig.ID,
-				Expires: p.opts.Now().Add(p.opts.Config.Expiration(lead.pol)),
-				Cost:    lead.avgRespTime(), Root: root}
+			e := lead.stamp(&cache.Entry{Resp: lresp,
+				Expires: p.opts.Now().Add(p.opts.Config.Expiration(lead.pol)), Root: root})
 			e.FirstUse() // this client has been served it
 			p.store.Put(scope, key, e)
 		}

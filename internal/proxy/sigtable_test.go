@@ -41,7 +41,7 @@ func TestSigTableConcurrentUse(t *testing.T) {
 					p.stats.countHit(st, 10, i%2 == 0, i%4 == 0)
 					st.misses.Add(1)
 					p.stats.forwardedBytes.Add(5)
-					p.stats.ObserveRespTime(st.sig.ID, time.Duration(i)*time.Microsecond)
+					st.observeRespTime(time.Duration(i) * time.Microsecond)
 					if i%3 == 0 {
 						st.setBackoff(0, time.Time{})
 					} else {
@@ -91,14 +91,14 @@ func TestSigTableConcurrentUse(t *testing.T) {
 // failure limit and doubles from prefetchBackoffBase up to prefetchBackoffMax:
 // 1 s after 3 failures, the 5 min cap after 12 more.
 func TestRespTimeAndBackoffFormulas(t *testing.T) {
-	s, rec := newTestStats("a")
+	_, rec := newTestStats("a")
 	var want time.Duration
 	for i, d := range []time.Duration{0, 80 * time.Millisecond, 7 * time.Millisecond, time.Second, 3} {
-		s.ObserveRespTime("a", d)
+		rec("a").observeRespTime(d)
 		if want = (3*want + d) / 4; i == 0 {
 			want = d
 		}
-		if got := s.RespTime("a"); got != want {
+		if got := rec("a").avgRespTime(); got != want {
 			t.Fatalf("after sample %d (%v): average %v, want %v", i, d, got, want)
 		}
 	}
@@ -136,8 +136,9 @@ func TestRespTimeAndBackoffFormulas(t *testing.T) {
 
 // TestStrayEntryServedUncounted: an entry filed under a signature this
 // graph does not carry — a disk-tier promotion or a peer fill written by
-// another build — is served byte-identical, counted under no signature, and
-// costs what a never-observed signature costs.
+// another build — is served byte-identical, counted under no signature (the
+// store's totals count it, and its cache block has no row for it), and costs
+// what a never-observed signature costs.
 func TestStrayEntryServedUncounted(t *testing.T) {
 	dir := t.TempDir()
 	g := sharedGraph()
@@ -176,6 +177,9 @@ func TestStrayEntryServedUncounted(t *testing.T) {
 	if hits := p2.Cache().Metrics().Hits; hits != 2 {
 		t.Fatalf("store hits = %d, want 2", hits)
 	}
+	if c := p2.cacheV1(); c.Hits != 2 || c.Entries != 1 || len(c.Signatures) != 0 {
+		t.Fatalf("cache block: %d hits, %d entries, rows %+v: want the stray entry in the totals alone", c.Hits, c.Entries, c.Signatures)
+	}
 }
 
 // TestUnknownSigReadsZeroAndGrowsNothing: reading an ID the graph does not
@@ -193,8 +197,8 @@ func TestUnknownSigReadsZeroAndGrowsNothing(t *testing.T) {
 	if got := p.Stats().Priority("no-such-sig"); got != 0.5 {
 		t.Fatalf("priority of an unknown signature = %v, want the neutral 0.5", got)
 	}
-	p.Stats().ObserveRespTime("no-such-sig", time.Second)
-	if got := p.Stats().RespTime("no-such-sig"); got != 0 {
+	p.sigs.byID["no-such-sig"].observeRespTime(time.Second)
+	if got := p.sigs.byID["no-such-sig"].avgRespTime(); got != 0 {
 		t.Fatalf("response time of an unknown signature = %v, want 0", got)
 	}
 	if p.SampleRequest("no-such-sig") != nil {

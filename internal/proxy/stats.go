@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"appx/internal/cache"
 	"appx/internal/config"
 	"appx/internal/httpmsg"
 	"appx/internal/obs"
@@ -13,11 +14,12 @@ import (
 
 // sigState is everything the proxy keeps about one graph signature: §5 ranks
 // a prefetch by its signature's response time and hit rate, §4.3 disables it
-// on that signature's errors and probes expiry with its sample request. The
-// first block is fixed when New builds the table; the rest is synchronised
-// inside the record, so no lock is shared between signatures. A nil *sigState
-// stands for an ID the graph does not carry (a peer fill or disk-tier entry
-// of another build): it reads as the zero record and drops writes.
+// on that signature's errors and probes expiry with its sample request, and
+// the store counts its entries here (stamp). The first block is fixed when
+// New builds the table; the rest is synchronised inside the record, so no
+// lock is shared between signatures. A nil *sigState stands for an ID the
+// graph does not carry (a peer fill or disk-tier entry of another build): it
+// reads as the zero record and drops writes.
 type sigState struct {
 	sig *sig.Signature
 	// pol is the configured policy, nil for the defaults; its Prefetch
@@ -64,6 +66,9 @@ type sigState struct {
 	// usedEntries counts distinct prefetched responses served at least once
 	// (the numerator of the paper's "ratio of data actually used").
 	usedEntries atomic.Int64
+	// cache is what the store counts of the signature's entries: stored,
+	// served, expired and evicted.
+	cache cache.SigCounts
 	// respTime is the running average origin response time in nanoseconds
 	// (EWMA, α = 1/4 after the first sample): folded under mu, read without.
 	respTime atomic.Int64
@@ -98,6 +103,17 @@ func (st *sigState) avgRespTime() time.Duration {
 		return 0
 	}
 	return time.Duration(st.respTime.Load())
+}
+
+// stamp files an entry the proxy builds or promotes under the signature: its
+// ID, the miss cost as the signature's origin time stands now, and the
+// counts the store moves for it. A nil record stamps nothing: the entry keeps
+// its SigID and no cost, and the store counts it in its totals alone.
+func (st *sigState) stamp(e *cache.Entry) *cache.Entry {
+	if st != nil {
+		e.SigID, e.Cost, e.Counts = st.sig.ID, st.avgRespTime(), &st.cache
+	}
+	return e
 }
 
 // countPrefetch records a completed prefetch and the body bytes the origin
@@ -240,15 +256,12 @@ func newStats(reg *obs.Registry, sigs *sigTable) *Stats {
 	forwarded := sum(func(st *sigState) *atomic.Int64 { return &st.revalidatedForwardBytes })
 	reg.CounterFunc("appx_revalidated_bytes_total", "Body bytes 304s let the proxy take from another user's entry instead of the origin.",
 		func() int64 { return prefetched() + forwarded() })
+	reg.CounterFunc("appx_cache_evicted_unused_total", "Entries a capacity limit evicted before any client was served them.",
+		sum(func(st *sigState) *atomic.Int64 { return &st.cache.EvictedUnused }))
+	reg.CounterFunc("appx_cache_evicted_unused_bytes_total", "Resident bytes of entries a capacity limit evicted before any client was served them.",
+		sum(func(st *sigState) *atomic.Int64 { return &st.cache.EvictedUnusedBytes }))
 	return s
 }
-
-// ObserveRespTime folds one origin response time into the signature's
-// running average.
-func (s *Stats) ObserveRespTime(sigID string, d time.Duration) { s.sigs.byID[sigID].observeRespTime(d) }
-
-// RespTime returns the signature's average origin response time.
-func (s *Stats) RespTime(sigID string) time.Duration { return s.sigs.byID[sigID].avgRespTime() }
 
 // Priority computes the §5 scheduling priority: a linear combination of the
 // signature's average response time (in seconds) and its hit rate. A

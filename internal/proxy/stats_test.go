@@ -21,14 +21,14 @@ func newTestStats(ids ...string) (*Stats, func(string) *sigState) {
 }
 
 func TestObserveRespTimeEWMA(t *testing.T) {
-	s, _ := newTestStats("a")
-	s.ObserveRespTime("a", 100*time.Millisecond)
-	if got := s.RespTime("a"); got != 100*time.Millisecond {
+	_, rec := newTestStats("a")
+	rec("a").observeRespTime(100 * time.Millisecond)
+	if got := rec("a").avgRespTime(); got != 100*time.Millisecond {
 		t.Fatalf("first sample = %v", got)
 	}
 	// EWMA with α=1/4: (3*100 + 200)/4 = 125.
-	s.ObserveRespTime("a", 200*time.Millisecond)
-	if got := s.RespTime("a"); got != 125*time.Millisecond {
+	rec("a").observeRespTime(200 * time.Millisecond)
+	if got := rec("a").avgRespTime(); got != 125*time.Millisecond {
 		t.Fatalf("ewma = %v, want 125ms", got)
 	}
 }
@@ -37,11 +37,11 @@ func TestPriorityOrdering(t *testing.T) {
 	s, rec := newTestStats("slow-good", "fast-bad")
 	// Slow signature with good hit rate beats fast one with poor hit rate
 	// (§5: linear combination of response time and hit rate).
-	s.ObserveRespTime("slow-good", 900*time.Millisecond)
+	rec("slow-good").observeRespTime(900 * time.Millisecond)
 	rec("slow-good").countPrefetch(10)
 	s.countHit(rec("slow-good"), 10, true, false)
 
-	s.ObserveRespTime("fast-bad", 50*time.Millisecond)
+	rec("fast-bad").observeRespTime(50 * time.Millisecond)
 	for i := 0; i < 10; i++ {
 		rec("fast-bad").countPrefetch(10)
 	}
@@ -58,7 +58,7 @@ func TestPriorityOrdering(t *testing.T) {
 
 func TestSnapshotAggregation(t *testing.T) {
 	s, rec := newTestStats("a", "b")
-	s.ObserveRespTime("a", 10*time.Millisecond) // what each hit below saves
+	rec("a").observeRespTime(10 * time.Millisecond) // what each hit below saves
 	rec("a").countPrefetch(100)
 	rec("a").countPrefetch(100)
 	s.countHit(rec("a"), 100, true, false)

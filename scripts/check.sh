@@ -79,6 +79,18 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
+# One record per signature: the fan-out rule is learnFrom's, so no program
+# code imports the inert policy package; the benchmark module still times it.
+echo "== appx/internal/policy imported only by bench/"
+stray=$(grep -rl '"appx/internal/policy"' --include='*.go' . |
+    grep -v '_test\.go$' |
+    grep -vE '^\./(bench|internal/policy)/' || true)
+if [ -n "$stray" ]; then
+    echo "appx/internal/policy imported outside internal/policy and bench/:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
 # Informational, not a gate: the non-test Go line count outside bench/ that
 # simplicity changes report.
 echo "== non-test Go lines outside bench/"
