@@ -59,10 +59,12 @@ func TestNeverServeStale(t *testing.T) {
 func TestSweepExpiredUsesHeapOrder(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	s := testStore(Options{Shards: 1}, &now)
+	var sig SigCounts
 	for i := 0; i < 10; i++ {
 		// Staggered deadlines, inserted out of order.
-		exp := now.Add(time.Duration(10-i) * time.Minute)
-		s.Put("u1", fmt.Sprintf("k%d", i), ent("sig", 10, exp))
+		e := ent("sig", 10, now.Add(time.Duration(10-i)*time.Minute))
+		e.Counts = &sig
+		s.Put("u1", fmt.Sprintf("k%d", i), e)
 	}
 	now = now.Add(5*time.Minute + time.Second) // k6..k9 (deadlines 1..4m) and k5 (5m) are past
 	if removed := s.SweepExpired(); removed != 5 {
@@ -74,6 +76,9 @@ func TestSweepExpiredUsesHeapOrder(t *testing.T) {
 		if fresh != wantFresh {
 			t.Fatalf("k%d fresh=%v, want %v", i, fresh, wantFresh)
 		}
+	}
+	if puts, hits, expired := sig.Puts.Load(), sig.Hits.Load(), sig.Expired.Load(); puts != 10 || hits != 5 || expired != 5 {
+		t.Fatalf("signature counts %d puts, %d hits, %d expired; want 10, 5, 5", puts, hits, expired)
 	}
 }
 

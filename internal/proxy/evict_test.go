@@ -112,7 +112,8 @@ func TestByteCapKeepsSlowOriginResponses(t *testing.T) {
 // Entries that reach the store without having been fetched here — a
 // sibling's shared entry, a disk-tier promotion after a restart — carry no
 // miss cost of their own: they take the signature's origin time as this
-// instance currently knows it, zero when it has never seen the origin answer.
+// instance currently knows it, zero when it has never seen the origin answer,
+// and count into the signature's record like any entry stored here.
 func TestArrivalsTakeSignatureRespTimeAsCost(t *testing.T) {
 	dir := t.TempDir()
 	g := sharedGraph()
@@ -140,6 +141,9 @@ func TestArrivalsTakeSignatureRespTimeAsCost(t *testing.T) {
 	}
 	if e.Cost != 50*time.Millisecond {
 		t.Fatalf("promoted entry cost = %v, want the signature's 50ms", e.Cost)
+	}
+	if c := &p2.sigs.byID["t:item#0"].cache; e.Counts != c || c.Puts.Load() != 1 || c.Hits.Load() != 1 {
+		t.Fatalf("promoted entry counts into %p (%d puts, %d hits), want the signature's %p with one of each", e.Counts, c.Puts.Load(), c.Hits.Load(), c)
 	}
 }
 

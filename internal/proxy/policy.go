@@ -16,7 +16,7 @@ import (
 // scheduler, the last two a task at dispatch (runPrefetch), before any origin
 // byte moves.
 const (
-	skipDepth       = "depth"         // the chain is already maxChainDepth links long
+	skipDepth       = "depth"         // the candidate would sit beyond maxChainDepth
 	skipNoExemplar  = "no_exemplar"   // materialize failed: run-time values missing
 	skipNoDepValues = "no_dep_values" // predecessor response yielded no dependency values
 	skipPendingFull = "pending_full"  // per-signature parked-instance cap hit
