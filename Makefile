@@ -38,10 +38,9 @@ bench-overload:
 	go run ./cmd/appx-bench -experiment overload
 
 # bench-match runs the signature-matching microbenchmarks (indexed vs naive
-# scan, canonical-key memoization) and the graph-size sweep.
+# scan, canonical-key memoization).
 bench-match:
 	go test ./internal/sig/ -run '^$$' -bench . -benchmem
-	go run ./cmd/appx-bench -experiment matchsweep
 
 # bench-cluster runs the scale-out sweep: origin offload of a clustered fleet
 # vs independent instances, plus the kill/rejoin churn phase.

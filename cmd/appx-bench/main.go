@@ -8,7 +8,7 @@
 //	appx-bench -users 30 -duration 3m  # the full-size user study
 //
 // Experiments: table1 table2 table3 fig11 fig12 fig13 fig14 fig15 fig16
-// fig17 ablation mech faultsweep cachesweep overload matchsweep warmstart
+// fig17 ablation mech faultsweep cachesweep overload warmstart
 // clustersweep chaossweep stream all. The stream experiment additionally
 // writes machine-readable results to BENCH_stream.json in the working
 // directory.
@@ -180,13 +180,6 @@ func run(which string, p exp.Params, chaosSeed int64) error {
 	}
 	if want("overload") {
 		res, err := exp.RunOverload(p.Seed, nil)
-		if err != nil {
-			return err
-		}
-		section(res.Render())
-	}
-	if want("matchsweep") {
-		res, err := exp.RunMatchSweep(p.Seed, nil)
 		if err != nil {
 			return err
 		}

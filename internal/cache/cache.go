@@ -889,20 +889,22 @@ func (s *Store) ScopeStats(scope string) (entries int, bytes int64) {
 	return entries, bytes
 }
 
+// Evictions reads the store-wide eviction counters: atomics, no shard lock.
+func (s *Store) Evictions() EvictionCounts {
+	return EvictionCounts{
+		Expired:      s.evExpired.Load(),
+		Budget:       s.evBudget.Load(),
+		ScopeBytes:   s.evScopeB.Load(),
+		ScopeEntries: s.evScopeN.Load(),
+		Replaced:     s.evReplaced.Load(),
+		Dropped:      s.evDropped.Load(),
+	}
+}
+
 // Metrics snapshots the store's counters and occupancy, merging the
 // per-shard tallies.
 func (s *Store) Metrics() Metrics {
-	m := Metrics{
-		ResidentBytes: s.resident.Load(),
-		Evictions: EvictionCounts{
-			Expired:      s.evExpired.Load(),
-			Budget:       s.evBudget.Load(),
-			ScopeBytes:   s.evScopeB.Load(),
-			ScopeEntries: s.evScopeN.Load(),
-			Replaced:     s.evReplaced.Load(),
-			Dropped:      s.evDropped.Load(),
-		},
-	}
+	m := Metrics{ResidentBytes: s.resident.Load(), Evictions: s.Evictions()}
 	m.Bodies, m.BodyBytes, m.BodyRefs = s.bodies.stats()
 	for _, sh := range s.shards {
 		sh.mu.Lock()

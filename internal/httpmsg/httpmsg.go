@@ -23,6 +23,7 @@ import (
 	"net/http"
 	"net/textproto"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -532,11 +533,7 @@ func FromHTTPLimited(req *http.Request, maxBody int64) (*Request, error) {
 	if out.Path == "" {
 		out.Path = "/" // what any request line for it carries (RFC 9112 §3.2.1)
 	}
-	for _, key := range sortedQueryKeys(req.URL.Query()) {
-		for _, v := range req.URL.Query()[key] {
-			out.Query = append(out.Query, Field{Key: key, Value: v})
-		}
-	}
+	out.Query, _ = parseFields(req.URL.RawQuery) // as URL.Query, a bad pair is dropped, not fatal
 	out.Header = headerFields(req.Header)
 	var body []byte
 	if req.Body != nil {
@@ -561,18 +558,14 @@ func FromHTTPLimited(req *http.Request, maxBody int64) (*Request, error) {
 	ct := req.Header.Get("Content-Type")
 	switch {
 	case strings.HasPrefix(ct, "application/x-www-form-urlencoded"):
-		vals, err := url.ParseQuery(string(body))
+		fields, err := parseFields(string(body))
 		if err != nil {
 			out.BodyKind = BodyRaw
 			out.BodyRaw = body
 			return out, nil
 		}
 		out.BodyKind = BodyForm
-		for _, key := range sortedQueryKeys(vals) {
-			for _, v := range vals[key] {
-				out.BodyForm = append(out.BodyForm, Field{Key: key, Value: v})
-			}
-		}
+		out.BodyForm = fields
 	case strings.HasPrefix(ct, "application/json"):
 		v, err := jsonpath.Decode(body)
 		if err != nil {
@@ -589,13 +582,39 @@ func FromHTTPLimited(req *http.Request, maxBody int64) (*Request, error) {
 	return out, nil
 }
 
-func sortedQueryKeys(v url.Values) []string {
-	keys := make([]string, 0, len(v))
-	for k := range v {
-		keys = append(keys, k)
+// parseFields parses a URL-encoded query or form body as url.ParseQuery
+// does, into fields sorted by key, one key's values in their given order.
+// A pair ParseQuery refuses is dropped, and the first refusal is the error.
+// The fields take one allocation, none when there are none.
+func parseFields(raw string) (out []Field, err error) {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if strings.Contains(pair, ";") {
+			err = fmt.Errorf("invalid semicolon separator in query")
+			continue
+		}
+		if pair == "" {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		k, err1 := url.QueryUnescape(k)
+		if err1 == nil {
+			v, err1 = url.QueryUnescape(v)
+		}
+		if err1 != nil {
+			if err == nil {
+				err = err1
+			}
+			continue
+		}
+		if out == nil {
+			out = make([]Field, 0, strings.Count(raw, "&")+1)
+		}
+		out = append(out, Field{Key: k, Value: v})
 	}
-	sort.Strings(keys)
-	return keys
+	slices.SortStableFunc(out, func(a, b Field) int { return strings.Compare(a.Key, b.Key) })
+	return out, err
 }
 
 // headerFields flattens a header map into fields sorted by key, one key's

@@ -6,6 +6,9 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"net/url"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -91,6 +94,35 @@ func FuzzFromHTTPLimited(f *testing.F) {
 		if got.CanonicalKey() != req.CanonicalKey() {
 			t.Fatalf("written as %q, parsed back as host %q path %q query %v; sent host %q path %q query %v",
 				sent, got.Host, got.Path, got.Query, req.Host, req.Path, req.Query)
+		}
+	})
+}
+
+// FuzzParseFields: parseFields yields what url.ParseQuery does — each key's
+// values in order, keys sorted — and refuses exactly when it refuses.
+func FuzzParseFields(f *testing.F) {
+	for _, seed := range []string{"", "id=1", "b=2&a=1&b=1", "a;b=1&c=2", "x=%zz&y=%41+b", "&&=&k", "k=v=w&k"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		got, err := parseFields(raw)
+		vals, wantErr := url.ParseQuery(raw)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("parseFields(%q) error %v, ParseQuery %v", raw, err, wantErr)
+		}
+		var want []Field
+		keys := make([]string, 0, len(vals))
+		for k := range vals {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			for _, v := range vals[k] {
+				want = append(want, Field{Key: k, Value: v})
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("parseFields(%q) = %q, ParseQuery gives %q", raw, got, want)
 		}
 	})
 }

@@ -25,7 +25,9 @@ const (
 	PathClusterEntry = "/appx/v1/cluster/entry"
 )
 
-// MatchIndex mirrors the signature match-index telemetry.
+// MatchIndex mirrors the signature match-index telemetry. RegexEvals and
+// RegexMatches count pattern evaluations and their matches; the names stay
+// because the schema only grows.
 type MatchIndex struct {
 	Lookups        int64 `json:"lookups"`
 	ExactHits      int64 `json:"exactHits"`

@@ -95,7 +95,7 @@ func TestRevalidatedCommitAllocs(t *testing.T) {
 // same fixture — admission, parse, lookup, match, flight, origin call, pump,
 // the client's copy and the miss's accounting — with the span window full:
 // user B's img?1, which no prefetch waits on, so nothing is stored and every
-// run misses. 86 today, and the ceiling is one more.
+// run misses. 34 today, and the ceiling is one more.
 func TestForwardedMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool entries at random")
@@ -113,8 +113,8 @@ func TestForwardedMissAllocs(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(200, miss)
 	t.Logf("%.0f allocations per forwarded miss", allocs)
-	if allocs > 86+1 {
-		t.Fatalf("a forwarded miss costs %.0f allocations, want 86", allocs)
+	if allocs > 34+1 {
+		t.Fatalf("a forwarded miss costs %.0f allocations, want 34", allocs)
 	}
 	if sp := p.RecentSpans(1)[0]; sp.Outcome != obs.OutcomeOrigin {
 		t.Fatalf("outcome %v, want a forwarded miss", sp.Outcome)
@@ -128,12 +128,36 @@ func TestForwardedMissAllocs(t *testing.T) {
 // user B's list, whose body names three images B already holds fresh, so the
 // hit runs the predecessor routine (scan, three candidates, materialize from
 // the learned img exemplar) and every instance dedups against the store. No
-// origin request is made. The clock is frozen and the span window full. 25
+// origin request is made. The clock is frozen and the span window full. 24
 // today, and the ceiling is one more.
 func TestTeachingHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool entries at random")
 	}
+	allocs := teachingHitAllocs(t, "http://h.example/list")
+	t.Logf("%.0f allocations per teaching hit", allocs)
+	if allocs > 24+1 {
+		t.Fatalf("a teaching hit costs %.0f allocations, want 24", allocs)
+	}
+}
+
+// TestQueryTeachingHitAllocs pins the same hit sent as list?id=L within one
+// allocation of the query-less one: a request's query is parsed once.
+func TestQueryTeachingHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	plain := teachingHitAllocs(t, "http://h.example/list")
+	query := teachingHitAllocs(t, "http://h.example/list?id=L")
+	t.Logf("%.0f allocations per teaching hit with a query, %.0f without", query, plain)
+	if query > plain+1 {
+		t.Fatalf("a teaching hit with a query costs %.0f allocations, without one %.0f", query, plain)
+	}
+}
+
+// teachingHitAllocs measures TestTeachingHitAllocs's hit on target.
+func teachingHitAllocs(t *testing.T, target string) float64 {
+	t.Helper()
 	l := newFollowLab(t, []edge{{"list", "img", "imgs[*]"}}, 0, func(name, id string) string {
 		if name == "list" && id != "0" {
 			return `{"imgs":["1","2","3"]}`
@@ -143,7 +167,7 @@ func TestTeachingHitAllocs(t *testing.T) {
 	l.teach("B", "img")
 	l.get("B", "list", "L") // prefetches img 1, 2 and 3 into B's scope
 	l.p.Drain()
-	r := httptest.NewRequest("GET", "http://h.example/list", nil)
+	r := httptest.NewRequest("GET", target, nil)
 	r.RemoteAddr = "B:1"
 	req, err := httpmsg.FromHTTPLimited(r, 0)
 	if err != nil {
@@ -164,22 +188,58 @@ func TestTeachingHitAllocs(t *testing.T) {
 	}
 	origin := len(l.seen())
 	allocs := testing.AllocsPerRun(200, hit)
-	t.Logf("%.0f allocations per teaching hit", allocs)
-	if allocs > 25+1 {
-		t.Fatalf("a teaching hit costs %.0f allocations, want 25", allocs)
-	}
 	if sp := l.p.RecentSpans(1)[0]; sp.Outcome != obs.OutcomePrefetchHit {
 		t.Fatalf("outcome %v, want a prefetch hit", sp.Outcome)
 	}
 	if got := l.since(origin); len(got) != 0 {
 		t.Fatalf("teaching hits reached the origin: %v", got)
 	}
+	return allocs
+}
+
+// TestPlanlessHitAllocs pins the allocations of one cache hit on a
+// signature nothing depends on: user B's img?1 on the commit fixture, held
+// fresh in B's scope, so the hit has no read plan to run and teaches
+// nothing. The span window is full. 7 today, and the ceiling is one more.
+func TestPlanlessHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	p, _ := commitFixture(t, false)
+	r := httptest.NewRequest("GET", "http://h.example/img?id=1", nil)
+	r.RemoteAddr = "B:1"
+	req, err := httpmsg.FromHTTPLimited(r, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.store.Put("B", req.CanonicalKey(), &cache.Entry{SigID: "t:img#0", Expires: time.Unix(1<<40, 0),
+		Resp: &httpmsg.Response{Status: 200, Body: make([]byte, 8<<10),
+			Header: []httpmsg.Field{{Key: "Content-Type", Value: "image/jpeg"}}}})
+	w := &discardWriter{h: http.Header{}}
+	hit := func() {
+		clear(w.h)
+		p.ServeHTTP(w, r)
+	}
+	for i := 0; i < 1100; i++ { // fill the 1024-span window
+		hit()
+	}
+	allocs := testing.AllocsPerRun(200, hit)
+	t.Logf("%.0f allocations per plan-less hit", allocs)
+	if allocs > 7+1 {
+		t.Fatalf("a plan-less hit costs %.0f allocations, want 7", allocs)
+	}
+	if sp := p.RecentSpans(1)[0]; sp.Outcome != obs.OutcomePrefetchHit || sp.SigID != "t:img#0" {
+		t.Fatalf("outcome %v on %q, want a prefetch hit on t:img#0", sp.Outcome, sp.SigID)
+	}
+	if p.opts.Graph.ReadPlan("t:img#0") != nil {
+		t.Fatal("img has a read plan: the hit is not plan-less")
+	}
 }
 
 // TestAttachAllocs pins the allocations of one client attaching to a flight:
 // user B's img?1 on the commit fixture, whose flight is registered and whose
 // spool already holds the whole 8 KiB body, so every run is an attach hit
-// that streams the spool. The span window is full. 18 today, and the ceiling
+// that streams the spool. The span window is full. 11 today, and the ceiling
 // is one more.
 func TestAttachAllocs(t *testing.T) {
 	if raceEnabled {
@@ -216,8 +276,8 @@ func TestAttachAllocs(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(200, attach)
 	t.Logf("%.0f allocations per attach", allocs)
-	if allocs > 18+1 {
-		t.Fatalf("an attach costs %.0f allocations, want 18", allocs)
+	if allocs > 11+1 {
+		t.Fatalf("an attach costs %.0f allocations, want 11", allocs)
 	}
 	if sp := p.RecentSpans(1)[0]; sp.Outcome != obs.OutcomeAttachHit {
 		t.Fatalf("outcome %v, want an attach hit", sp.Outcome)

@@ -230,3 +230,39 @@ func TestCacheSignatureRows(t *testing.T) {
 		t.Fatalf("cache signature rows\n got %+v\nwant %+v", got, want)
 	}
 }
+
+// The expired and budget series of appx_cache_evictions_total read the
+// store's eviction counters without its shard locks, and say what Metrics
+// says after both kinds of eviction.
+func TestEvictionBridgesMatchMetrics(t *testing.T) {
+	g := followGraph([]edge{{"list", "img", "imgs[*]"}})
+	cfg := config.Default(g)
+	cfg.Cache = &config.Cache{MaxBytes: 4 << 10, DisableSharedTier: true}
+	var clock atomic.Int64
+	base := time.Unix(1_700_000_000, 0)
+	p := New(Options{Graph: g, Config: cfg, Workers: 1,
+		Now: func() time.Time { return base.Add(time.Duration(clock.Load())) }})
+	defer p.Close()
+	for i := 0; i < 6; i++ { // 6 KiB into a 4 KiB budget
+		p.store.Put(fmt.Sprint("u", i), "k", &cache.Entry{SigID: "t:img#0", Expires: base.Add(time.Second),
+			Resp: &httpmsg.Response{Status: 200, Body: make([]byte, 1<<10)}})
+	}
+	clock.Store(int64(2 * time.Second))
+	for i := 0; i < 6; i++ {
+		p.store.Get(fmt.Sprint("u", i), "k")
+	}
+	ev := p.store.Metrics().Evictions
+	if ev.Budget == 0 || ev.Expired == 0 {
+		t.Fatalf("evictions %+v: want both budget and expiry ones", ev)
+	}
+	var text strings.Builder
+	p.Registry().WritePrometheus(&text)
+	for _, want := range []string{
+		fmt.Sprintf("appx_cache_evictions_total{cause=\"expired\"} %d\n", ev.Expired),
+		fmt.Sprintf("appx_cache_evictions_total{cause=\"budget\"} %d\n", ev.Budget),
+	} {
+		if !strings.Contains(text.String(), want) {
+			t.Fatalf("metrics lack %q", want)
+		}
+	}
+}

@@ -48,7 +48,7 @@ type exemplar struct {
 // It returns nil when the request does not actually instantiate the
 // signature's URI pattern.
 func learnExemplar(s *sig.Signature, req *httpmsg.Request) *exemplar {
-	uriWilds, ok := captureURIWilds(s, req.Host+req.Path)
+	uriWilds, ok := s.URI.Capture(req.Host+req.Path, nil)
 	if !ok {
 		return nil
 	}
@@ -66,7 +66,7 @@ func learnExemplar(s *sig.Signature, req *httpmsg.Request) *exemplar {
 				continue
 			}
 			ex.present[loc] = true
-			if wilds, ok := captureWilds(f.Value, v); ok {
+			if wilds, ok := f.Value.Capture(v, nil); ok {
 				ex.fieldWilds[loc] = wilds
 			}
 		}
@@ -75,46 +75,6 @@ func learnExemplar(s *sig.Signature, req *httpmsg.Request) *exemplar {
 	learnFields("header", s.Header, req.GetHeader)
 	learnFields("form", s.BodyForm, req.GetForm)
 	return ex
-}
-
-// captureURIWilds is captureWilds for the signature's URI pattern, going
-// through the signature's precompiled matcher instead of recompiling the
-// regex on every live transaction.
-func captureURIWilds(s *sig.Signature, value string) ([]string, bool) {
-	if !s.URI.HasUnknown() {
-		// Fully literal: the match is string equality, no regex at all.
-		if s.URI.String() == value {
-			return nil, true
-		}
-		return nil, false
-	}
-	m := s.URIRegexp().FindStringSubmatch(value)
-	if m == nil {
-		return nil, false
-	}
-	return m[1:], true
-}
-
-// captureWilds matches value against the pattern and returns the text
-// captured by each non-literal part, in order. Fully-literal patterns are
-// compared as strings — the regex path is reserved for patterns that
-// actually capture something.
-func captureWilds(p sig.Pattern, value string) ([]string, bool) {
-	if !p.HasUnknown() {
-		if p.String() == value {
-			return nil, true
-		}
-		return nil, false
-	}
-	re, err := p.Regexp()
-	if err != nil {
-		return nil, false
-	}
-	m := re.FindStringSubmatch(value)
-	if m == nil {
-		return nil, false
-	}
-	return m[1:], true
 }
 
 // learnPlan is a predecessor's sig.ReadPlan joined with the configuration

@@ -142,11 +142,11 @@ func TestDepPathsOrderAndDedup(t *testing.T) {
 
 func TestCaptureWildsPositional(t *testing.T) {
 	p := sig.Concat(sig.Literal("k="), sig.Wildcard("w1"), sig.Literal(";v="), sig.Wildcard("w2"))
-	wilds, ok := captureWilds(p, "k=abc;v=def")
+	wilds, ok := p.Capture("k=abc;v=def", nil)
 	if !ok || len(wilds) != 2 || wilds[0] != "abc" || wilds[1] != "def" {
-		t.Fatalf("captureWilds = %v, %v", wilds, ok)
+		t.Fatalf("Capture = %v, %v", wilds, ok)
 	}
-	if _, ok := captureWilds(p, "nope"); ok {
+	if _, ok := p.Capture("nope", nil); ok {
 		t.Fatal("mismatched value captured")
 	}
 }

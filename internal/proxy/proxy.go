@@ -478,9 +478,9 @@ func (p *Proxy) registerBridges(reg *obs.Registry) {
 			})
 	}
 	reg.CounterFunc(`appx_cache_evictions_total{cause="expired"}`, "Cache evictions by cause.",
-		func() int64 { return p.store.Metrics().Evictions.Expired })
+		func() int64 { return p.store.Evictions().Expired })
 	reg.CounterFunc(`appx_cache_evictions_total{cause="budget"}`, "Cache evictions by cause.",
-		func() int64 { return p.store.Metrics().Evictions.Budget })
+		func() int64 { return p.store.Evictions().Budget })
 }
 
 // Breakers exposes the per-host circuit breaker set (operational tooling

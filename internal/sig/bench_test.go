@@ -49,13 +49,10 @@ func BenchmarkMatchRequest(b *testing.B) {
 	}
 }
 
-// BenchmarkMatchRequestNaive measures the seed's linear regex scan on the
+// BenchmarkMatchRequestNaive measures the seed's linear scan on the
 // same graph and request stream, for the speedup figure in EXPERIMENTS.md.
 func BenchmarkMatchRequestNaive(b *testing.B) {
 	g, reqs := benchGraph(1000)
-	for _, s := range g.Sigs {
-		s.URIRegexp() // precompile; the seed amortized this too after warm-up
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

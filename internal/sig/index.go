@@ -2,17 +2,18 @@
 //
 // The proxy identifies the signature of *every* live transaction by URI
 // matching (§4.2), and walks the dependency graph on every prefetch chain
-// step. The seed implementation scanned all signatures (one anchored regex
+// step. The seed implementation scanned all signatures (one pattern match
 // each) per request and rescanned the full Deps slice per graph query —
-// O(|Sigs|·regex) and O(|Deps|) on the hottest paths in the proxy. This file
-// replaces both scans with indexes built once and invalidated on mutation:
+// O(|Sigs|) matches and O(|Deps|) on the hottest paths in the proxy. This
+// file replaces both scans with indexes built once and invalidated on
+// mutation:
 //
 //   - matchIndex: an exact map keyed by the full literal URI (one hash
-//     lookup, zero regex evaluations) plus a longest-literal-prefix radix
+//     lookup, zero pattern evaluations) plus a longest-literal-prefix radix
 //     trie that narrows patterns with wild/dep parts to a small candidate
-//     bucket, with regexes precompiled at build time. Candidates carry a
-//     precomputed specificity key so results come out most-specific-first
-//     without sorting machinery on the hot path.
+//     bucket, each verified by Pattern.Capture's literal-segment match.
+//     Candidates carry a precomputed specificity key so results come out
+//     most-specific-first without sorting machinery on the hot path.
 //   - adjIndex: successor/predecessor edge maps, the prefetchable set, and
 //     each predecessor's compiled read plan (plan.go), so chain walking
 //     never rescans Deps and learning never re-derives what an edge reads.
@@ -36,64 +37,14 @@ import (
 	"appx/internal/httpmsg"
 )
 
-// matchCand is one indexed signature: its precompiled URI matcher (nil for
-// fully-literal URIs, which never need one) and the hot-path ordering key.
+// matchCand is one indexed signature and its hot-path ordering key.
 type matchCand struct {
 	sig *Signature
-	re  matcher
-	// lits holds the pattern's literal fragments in order and endLit its
-	// trailing literal, if any. They drive a substring prefilter that rejects
-	// most non-matching URIs before a regex evaluation is spent — crucial for
-	// root-bucket candidates (leading-wildcard patterns), which the trie
-	// cannot narrow.
-	lits   []string
-	endLit string
 	// key orders candidates most-specific-first with ties broken by Sigs
 	// position — exactly the order the naive scan's stable sort produced:
 	// high 32 bits hold the inverted literal length, low 32 the ordinal.
 	key uint64
 }
-
-// prefilter reports whether uri could possibly match the candidate: every
-// literal fragment must occur in order, and a trailing literal must be a
-// suffix of what remains. A necessary condition only — survivors still get
-// the anchored regex — but it is pure substring scanning, no regex machinery.
-func (c *matchCand) prefilter(uri string) bool {
-	rest := uri
-	for _, lit := range c.lits {
-		j := strings.Index(rest, lit)
-		if j < 0 {
-			return false
-		}
-		rest = rest[j+len(lit):]
-	}
-	if c.endLit != "" {
-		return strings.HasSuffix(rest, c.endLit)
-	}
-	return true
-}
-
-// litFragments extracts the pattern's non-empty literal fragments in order;
-// a trailing literal is returned separately (it anchors as a suffix) and
-// excluded from the in-order list.
-func litFragments(p Pattern) ([]string, string) {
-	var lits []string
-	for _, part := range p.Parts {
-		if part.Kind == Lit && part.Lit != "" {
-			lits = append(lits, part.Lit)
-		}
-	}
-	endLit := ""
-	if n := len(p.Parts); n > 0 && p.Parts[n-1].Kind == Lit && p.Parts[n-1].Lit != "" {
-		endLit = p.Parts[n-1].Lit
-		lits = lits[:len(lits)-1]
-	}
-	return lits, endLit
-}
-
-// matcher is the minimal regexp surface the hot path needs; an interface so
-// matchCand stays regexp-free for exact literals.
-type matcher interface{ MatchString(string) bool }
 
 func candKey(litLen, ordinal int) uint64 {
 	return uint64(math.MaxUint32-uint32(litLen))<<32 | uint64(uint32(ordinal))
@@ -175,13 +126,13 @@ func commonPrefixLen(a, b string) int {
 
 // matchIndex is the two-level signature lookup structure.
 type matchIndex struct {
-	// exact maps a fully-literal host+path to its candidates. Zero regex
+	// exact maps a fully-literal host+path to its candidates. Zero pattern
 	// evaluations on this level: key equality is the match.
 	exact map[string][]*matchCand
 	// root holds patterns with wild/dep parts, bucketed by longest literal
 	// prefix. Patterns starting with a wildcard (the paper's dynamic-host
-	// shape) land at the root and are verified by regex on every lookup —
-	// the fallback the telemetry's regexEvals counter makes visible.
+	// shape) land at the root and are matched on every lookup — the
+	// fallback the telemetry's regexEvals counter makes visible.
 	root *trieNode
 }
 
@@ -219,11 +170,6 @@ func buildMatchIndex(sigs []*Signature) *matchIndex {
 			idx.exact[uri] = append(idx.exact[uri], c)
 			continue
 		}
-		// Precompiled here, at build time, on one goroutine — the hot path
-		// never touches the lazy compile again (the old check-then-write on
-		// the cached regexp raced under concurrent matching).
-		c.re = s.URIRegexp()
-		c.lits, c.endLit = litFragments(s.URI)
 		idx.root.insert(literalPrefix(s.URI), c)
 	}
 	// Exact buckets come out pre-ordered; trie buckets are ordered per node,
@@ -338,14 +284,14 @@ type MatchTelemetry struct {
 	// Lookups counts MatchRequest calls.
 	Lookups int64
 	// ExactHits counts lookups answered (at least partly) by the exact map —
-	// zero regex evaluations on that level.
+	// zero pattern evaluations on that level.
 	ExactHits int64
 	// TrieCandidates counts candidates the prefix trie handed up for
 	// verification, totalled across lookups.
 	TrieCandidates int64
-	// RegexEvals counts anchored-regex executions — the work the index
-	// exists to avoid; RegexMatches is the subset that matched (fallback
-	// regex matches).
+	// RegexEvals counts pattern evaluations (Pattern.Capture on a trie
+	// candidate) — the work the index exists to avoid; RegexMatches is the
+	// subset that matched. The names predate the literal-segment matcher.
 	RegexEvals   int64
 	RegexMatches int64
 }
@@ -364,8 +310,9 @@ func (g *Graph) MatchTelemetry() MatchTelemetry {
 // MatchRequest finds the signatures whose URI pattern matches a live request,
 // most-specific (longest literal prefix) first — the same set in the same
 // order as the reference scan (matchRequestScan in index_test.go), via the
-// two-level index: exact map first (pure literals, no regex), then the
-// prefix trie's candidate bucket verified with precompiled regexes.
+// two-level index: exact map first (pure literals, no pattern evaluation),
+// then the prefix trie's candidate bucket, each candidate matched by
+// literal segments.
 func (g *Graph) MatchRequest(r *httpmsg.Request) []*Signature {
 	idx := g.matchIndex()
 	g.matchLookups.Add(1)
@@ -391,15 +338,13 @@ func (g *Graph) MatchRequest(r *httpmsg.Request) []*Signature {
 	if len(raw) > 0 {
 		g.matchTrieCands.Add(int64(len(raw)))
 		evals, hits := int64(0), int64(0)
+		var capBuf [8]string
 		for _, c := range raw {
 			if !strings.EqualFold(c.sig.Method, r.Method) {
 				continue
 			}
-			if !c.prefilter(uri) {
-				continue
-			}
 			evals++
-			if c.re.MatchString(uri) {
+			if _, ok := c.sig.URI.Capture(uri, capBuf[:0]); ok {
 				hits++
 				cands = append(cands, c)
 			}

@@ -153,11 +153,10 @@ func ids(sigs []*Signature) []string {
 	return out
 }
 
-// --- concurrency: the lazy URIRegexp compile raced before this PR --------
+// --- concurrency -----------------------------------------------------------
 
-// TestMatchRequestConcurrent hammers matching and direct URIRegexp access on
-// a cold graph from many goroutines. Under -race this failed against the
-// seed's unsynchronized check-then-write regexp cache.
+// TestMatchRequestConcurrent hammers matching on a cold graph from many
+// goroutines: under -race, the lazy index build must publish once.
 func TestMatchRequestConcurrent(t *testing.T) {
 	g := NewGraph("conc")
 	for i := 0; i < 64; i++ {
@@ -178,8 +177,6 @@ func TestMatchRequestConcurrent(t *testing.T) {
 					t.Errorf("worker %d: %d matches for %s", w, len(got), req.Path)
 					return
 				}
-				// Direct signature-level access, the exact seed race site.
-				g.Sigs[(w+i)%len(g.Sigs)].URIRegexp()
 			}
 		}(w)
 	}

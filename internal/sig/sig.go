@@ -16,8 +16,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
-	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -123,20 +122,85 @@ func (p Pattern) String() string {
 	return b.String()
 }
 
-// Regexp compiles the pattern to an anchored regular expression: literals
-// escaped, unknowns as non-greedy wildcards.
-func (p Pattern) Regexp() (*regexp.Regexp, error) {
-	var b strings.Builder
-	b.WriteString("^")
-	for _, part := range p.Parts {
-		if part.Kind == Lit {
-			b.WriteString(regexp.QuoteMeta(part.Lit))
-		} else {
-			b.WriteString("(.*)")
+// Capture matches value against the pattern exactly as the anchored regexp
+// ^lit(.*)lit…(.*)lit$ would, and appends the text each unknown part
+// captured to dst, in order. Adjacent literals match as one; the first
+// literal is anchored at the start of value and the last at its end;
+// captures are leftmost-first and greedy, and none contains '\n'. On a
+// mismatch dst comes back as it was given.
+//
+// Nothing backtracks: each literal run is searched once, from the right, so
+// the cost is O(len(value) × len(p.Parts)), as the regexp's was. Matching is
+// byte-exact, where the regexp decodes an invalid UTF-8 byte of value as
+// U+FFFD and so matches it against a literal U+FFFD: "a\xffz" does not match
+// a literal "a\uFFFD" followed by an unknown.
+func (p Pattern) Capture(value string, dst []string) ([]string, bool) {
+	parts := p.Parts
+	for i := 1; i < len(parts); i++ {
+		if parts[i].Kind == Lit && parts[i-1].Kind == Lit {
+			return p.fused().Capture(value, dst)
 		}
 	}
-	b.WriteString("$")
-	return regexp.Compile(b.String())
+	lo, hi := 0, len(value)
+	if len(parts) > 0 && parts[0].Kind == Lit {
+		if !strings.HasPrefix(value, parts[0].Lit) {
+			return dst, false
+		}
+		lo, parts = len(parts[0].Lit), parts[1:]
+	}
+	if len(parts) == 0 {
+		return dst, lo == hi
+	}
+	if last := parts[len(parts)-1]; last.Kind == Lit {
+		if hi-lo < len(last.Lit) || !strings.HasSuffix(value, last.Lit) {
+			return dst, false
+		}
+		hi, parts = hi-len(last.Lit), parts[:len(parts)-1]
+	}
+	// parts now runs unknown (literal? unknown)*, over value[lo:hi]. Each
+	// literal takes its rightmost place that leaves room for the ones after
+	// it, which leaves the most text to the captures before it.
+	base, end := len(dst), hi
+	for j := len(parts) - 1; j >= 0; j-- {
+		start, lit := lo, ""
+		if j > 0 {
+			start = end // two unknowns in a row: the right one gets nothing
+			if parts[j-1].Kind == Lit {
+				lit = parts[j-1].Lit
+				k := strings.LastIndex(value[lo:end], lit)
+				if k < 0 {
+					return dst[:base], false
+				}
+				start = lo + k + len(lit)
+				j--
+			}
+		}
+		dst = append(dst, value[start:end])
+		end = start - len(lit)
+	}
+	// A match puts every '\n' of value[lo:hi] in a literal, and any
+	// placement of the literals covers as many as they hold: so if this one
+	// left a '\n' to a capture, no placement matches.
+	for _, c := range dst[base:] {
+		if strings.IndexByte(c, '\n') >= 0 {
+			return dst[:base], false
+		}
+	}
+	slices.Reverse(dst[base:])
+	return dst, true
+}
+
+// fused returns the pattern with each run of adjacent literals joined.
+func (p Pattern) fused() Pattern {
+	var out Pattern
+	for _, part := range p.Parts {
+		if n := len(out.Parts); part.Kind == Lit && n > 0 && out.Parts[n-1].Kind == Lit {
+			out.Parts[n-1].Lit += part.Lit
+			continue
+		}
+		out.Parts = append(out.Parts, part)
+	}
+	return out
 }
 
 // Field is a named pattern in the query string, header, or form body.
@@ -177,9 +241,6 @@ type Signature struct {
 	// the positions successors may depend on.
 	RespFields []string `json:"respFields,omitempty"`
 
-	// compiled URI matcher cache, initialized exactly once (URIRegexp).
-	uriOnce sync.Once
-	uriRe   *regexp.Regexp
 	// request-shape digest, computed exactly once (Hash).
 	hashOnce sync.Once
 	hash     string
@@ -211,32 +272,18 @@ func (s *Signature) Hash() string {
 	return s.hash
 }
 
-// URIRegexp returns the compiled anchored URI matcher, caching it. The
-// compile runs under sync.Once: request goroutines share signatures, and the
-// old check-then-write cache raced when two of them matched the same cold
-// signature concurrently. Index builds compile every pattern up front, so
-// steady-state matching never takes the Once's slow path.
-func (s *Signature) URIRegexp() *regexp.Regexp {
-	s.uriOnce.Do(func() {
-		re, err := s.URI.Regexp()
-		if err != nil {
-			// Signatures are machine-generated; a bad pattern is a bug.
-			panic(fmt.Sprintf("sig: signature %s has invalid URI pattern: %v", s.ID, err))
-		}
-		s.uriRe = re
-	})
-	return s.uriRe
-}
-
 // MatchesRequest reports whether a live request plausibly instantiates this
-// signature: method equality plus URI regex match (the paper's learning
+// signature: method equality plus a URI pattern match (the paper's learning
 // target identification, §4.2: "the proxy performs regular expression
-// matching on the URI of the incoming transaction").
+// matching on the URI of the incoming transaction"; a pattern's only
+// expression is the unknown, so Capture's literal segments suffice).
 func (s *Signature) MatchesRequest(r *httpmsg.Request) bool {
 	if !strings.EqualFold(s.Method, r.Method) {
 		return false
 	}
-	return s.URIRegexp().MatchString(r.Host + r.Path)
+	var buf [4]string
+	_, ok := s.URI.Capture(r.Host+r.Path, buf[:0])
+	return ok
 }
 
 // UserAgnostic reports whether every pattern of the signature is free of

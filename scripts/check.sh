@@ -91,6 +91,17 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
+# One pattern matcher: a signature pattern is literals and unknowns, and
+# sig.Pattern.Capture matches it by literal segments, so no program code
+# imports regexp; tests keep it as Capture's reference oracle.
+echo "== regexp imported by no non-test Go file"
+stray=$(grep -rl '"regexp"' --include='*.go' . | grep -v '_test\.go$' || true)
+if [ -n "$stray" ]; then
+    echo "regexp imported by non-test code:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
 # Informational, not a gate: the non-test Go line count outside bench/ that
 # simplicity changes report.
 echo "== non-test Go lines outside bench/"
