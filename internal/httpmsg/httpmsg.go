@@ -314,27 +314,22 @@ func (ks *keyScratch) write(parts ...string) {
 }
 
 // sorted copies fields into the reusable scratch slice, ordered by key then
-// value (stable: insertion sort preserves input order of exact duplicates,
-// which hash identically anyway).
+// value.
 func (ks *keyScratch) sorted(fields []Field) []Field {
-	out := ks.fields[:0]
-	for _, f := range fields {
-		out = append(out, f)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && fieldLess(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	ks.fields = out
-	return out
+	ks.fields = append(ks.fields[:0], fields...)
+	sortFields(ks.fields)
+	return ks.fields
 }
 
-func fieldLess(a, b Field) bool {
-	if a.Key != b.Key {
-		return a.Key < b.Key
-	}
-	return a.Value < b.Value
+// sortFields orders fields by key then value, in O(n log n) comparisons and
+// without allocating.
+func sortFields(fields []Field) {
+	slices.SortStableFunc(fields, func(a, b Field) int {
+		if c := strings.Compare(a.Key, b.Key); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Value, b.Value)
+	})
 }
 
 // CanonicalKey returns a deterministic digest of the request covering method,
@@ -365,11 +360,7 @@ func (r *Request) CanonicalKey() string {
 		}
 		hdr = append(hdr, Field{Key: k, Value: f.Value})
 	}
-	for i := 1; i < len(hdr); i++ {
-		for j := i; j > 0 && fieldLess(hdr[j], hdr[j-1]); j-- {
-			hdr[j], hdr[j-1] = hdr[j-1], hdr[j]
-		}
-	}
+	sortFields(hdr)
 	for _, f := range hdr {
 		ks.write("H", f.Key, f.Value)
 	}
@@ -533,7 +524,7 @@ func FromHTTPLimited(req *http.Request, maxBody int64) (*Request, error) {
 	if out.Path == "" {
 		out.Path = "/" // what any request line for it carries (RFC 9112 §3.2.1)
 	}
-	out.Query, _ = parseFields(req.URL.RawQuery) // as URL.Query, a bad pair is dropped, not fatal
+	out.Query, _ = ParseFields(req.URL.RawQuery) // as URL.Query, a bad pair is dropped, not fatal
 	out.Header = headerFields(req.Header)
 	var body []byte
 	if req.Body != nil {
@@ -558,7 +549,7 @@ func FromHTTPLimited(req *http.Request, maxBody int64) (*Request, error) {
 	ct := req.Header.Get("Content-Type")
 	switch {
 	case strings.HasPrefix(ct, "application/x-www-form-urlencoded"):
-		fields, err := parseFields(string(body))
+		fields, err := ParseFields(string(body))
 		if err != nil {
 			out.BodyKind = BodyRaw
 			out.BodyRaw = body
@@ -582,11 +573,11 @@ func FromHTTPLimited(req *http.Request, maxBody int64) (*Request, error) {
 	return out, nil
 }
 
-// parseFields parses a URL-encoded query or form body as url.ParseQuery
+// ParseFields parses a URL-encoded query or form body as url.ParseQuery
 // does, into fields sorted by key, one key's values in their given order.
 // A pair ParseQuery refuses is dropped, and the first refusal is the error.
 // The fields take one allocation, none when there are none.
-func parseFields(raw string) (out []Field, err error) {
+func ParseFields(raw string) (out []Field, err error) {
 	for raw != "" {
 		var pair string
 		pair, raw, _ = strings.Cut(raw, "&")
@@ -632,13 +623,8 @@ func headerFields(h http.Header) []Field {
 			out = append(out, Field{Key: k, Value: textproto.TrimString(v)})
 		}
 	}
-	// Stable insertion sort by key: header sets are small, and a key's
-	// values were appended together, in order.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Key < out[j-1].Key; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	// Stable by key: a key's values were appended together, in order.
+	slices.SortStableFunc(out, func(a, b Field) int { return strings.Compare(a.Key, b.Key) })
 	return out
 }
 

@@ -3,12 +3,15 @@ package httpmsg
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func newBufReader(r io.Reader) *bufio.Reader { return bufio.NewReader(r) }
@@ -427,5 +430,65 @@ func TestCloneDropsKeyMemo(t *testing.T) {
 	}
 	if r.CanonicalKey() != base {
 		t.Fatal("parent key changed by clone mutation")
+	}
+}
+
+// TestSortsScaleToManyFields: CanonicalKey's query, header and form sorts and
+// headerFields take O(n log n) comparisons, so a client request carrying
+// tens of thousands of fields costs milliseconds, where an insertion sort
+// took seconds. Each order of the same fields keys alike.
+func TestSortsScaleToManyFields(t *testing.T) {
+	const n = 32000
+	fields := func(descending, distinctKeys bool) []Field {
+		out := make([]Field, n)
+		for i := range out {
+			j := i
+			if descending {
+				j = n - 1 - i
+			}
+			out[i] = Field{Key: "k", Value: fmt.Sprintf("v%06d", j)}
+			if distinctKeys {
+				out[i].Key = fmt.Sprintf("X-K%06d", j)
+			}
+		}
+		return out
+	}
+	timed := func(what string, f func()) {
+		t.Helper()
+		start := time.Now()
+		f()
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("%s took %v, want under 1s", what, d)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		req  func(fs []Field) *Request
+		keys bool
+	}{
+		{"query", func(fs []Field) *Request { return &Request{Method: "GET", Host: "h", Path: "/", Query: fs} }, false},
+		{"header", func(fs []Field) *Request { return &Request{Method: "GET", Host: "h", Path: "/", Header: fs} }, true},
+		{"form", func(fs []Field) *Request {
+			return &Request{Method: "POST", Host: "h", Path: "/", BodyKind: BodyForm, BodyForm: fs}
+		}, false},
+	} {
+		var keys [2]string
+		for i, desc := range []bool{false, true} {
+			r := c.req(fields(desc, c.keys))
+			timed(fmt.Sprintf("CanonicalKey of %d %s fields (descending %v)", n, c.name, desc), func() { keys[i] = r.CanonicalKey() })
+		}
+		if keys[0] != keys[1] {
+			t.Fatalf("%s: ascending and descending fields key differently", c.name)
+		}
+	}
+	h := http.Header{}
+	for _, f := range fields(true, true) {
+		h[f.Key] = []string{f.Value}
+	}
+	var out []Field
+	timed(fmt.Sprintf("headerFields of %d keys", n), func() { out = headerFields(h) })
+	byKey := func(a, b Field) int { return strings.Compare(a.Key, b.Key) }
+	if len(out) != n || !slices.IsSortedFunc(out, byKey) {
+		t.Fatalf("headerFields returned %d of %d fields, or out of order", len(out), n)
 	}
 }

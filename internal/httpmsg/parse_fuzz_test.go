@@ -98,17 +98,17 @@ func FuzzFromHTTPLimited(f *testing.F) {
 	})
 }
 
-// FuzzParseFields: parseFields yields what url.ParseQuery does — each key's
+// FuzzParseFields: ParseFields yields what url.ParseQuery does — each key's
 // values in order, keys sorted — and refuses exactly when it refuses.
 func FuzzParseFields(f *testing.F) {
 	for _, seed := range []string{"", "id=1", "b=2&a=1&b=1", "a;b=1&c=2", "x=%zz&y=%41+b", "&&=&k", "k=v=w&k"} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, raw string) {
-		got, err := parseFields(raw)
+		got, err := ParseFields(raw)
 		vals, wantErr := url.ParseQuery(raw)
 		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("parseFields(%q) error %v, ParseQuery %v", raw, err, wantErr)
+			t.Fatalf("ParseFields(%q) error %v, ParseQuery %v", raw, err, wantErr)
 		}
 		var want []Field
 		keys := make([]string, 0, len(vals))
@@ -122,7 +122,7 @@ func FuzzParseFields(f *testing.F) {
 			}
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("parseFields(%q) = %q, ParseQuery gives %q", raw, got, want)
+			t.Fatalf("ParseFields(%q) = %q, ParseQuery gives %q", raw, got, want)
 		}
 	})
 }

@@ -44,52 +44,22 @@ func keyOf(origin, host string) devKey {
 	return devKey{origin, host}
 }
 
-// devSlot is a field whose one unknown part is a device value: a live
-// request's field, less the literals around that part, is the value.
-type devSlot struct {
-	get            func(*httpmsg.Request, string) (string, bool)
-	key, origin    string
-	prefix, suffix string
-}
-
-func (sl *devSlot) capture(req *httpmsg.Request) (string, bool) {
-	v, ok := sl.get(req, sl.key)
-	if !ok || len(v) < len(sl.prefix)+len(sl.suffix) ||
-		!strings.HasPrefix(v, sl.prefix) || !strings.HasSuffix(v, sl.suffix) {
-		return "", false
-	}
-	return v[len(sl.prefix) : len(v)-len(sl.suffix)], true
-}
-
-// compileShape fills the signature's borrow pieces (sigState): the header
-// names it names, its device-value slots, and whether a profile may build
-// its exemplar at all — no optional field, every unknown part a Dep or a
-// device value, and a URI and JSON body of Deps only.
+// compileShape fills the signature's borrow pieces (sigState) from its
+// slots: the header names it names, and whether a profile may build its
+// exemplar at all — no optional field, every unknown part a Dep or a device
+// value, and a URI and JSON body of Deps only.
 func (st *sigState) compileShape() {
 	s := st.sig
 	st.borrows = !hasWild(s.URI)
 	for _, f := range s.BodyJSON {
 		st.borrows = st.borrows && !f.Optional && !hasWild(f.Value)
 	}
-	for _, sec := range []struct {
-		fields []sig.Field
-		get    func(*httpmsg.Request, string) (string, bool)
-	}{
-		{s.Query, (*httpmsg.Request).GetQuery},
-		{s.Header, (*httpmsg.Request).GetHeader},
-		{s.BodyForm, (*httpmsg.Request).GetForm},
-	} {
-		for _, f := range sec.fields {
-			st.borrows = st.borrows && !f.Optional
-			if sl, ok := slotOf(f.Value); ok {
-				sl.get, sl.key = sec.get, f.Key
-				st.slots = append(st.slots, sl)
-			}
-			for _, part := range f.Value.Parts {
-				if part.Kind == sig.Wild {
-					st.borrows = st.borrows && isDeviceValue(part.Origin)
-					st.cookies = st.cookies || part.Origin == air.APIDeviceCookie
-				}
+	for _, sl := range st.slots {
+		st.borrows = st.borrows && !sl.optional
+		for _, part := range sl.value.Parts {
+			if part.Kind == sig.Wild {
+				st.borrows = st.borrows && isDeviceValue(part.Origin)
+				st.cookies = st.cookies || part.Origin == air.APIDeviceCookie
 			}
 		}
 	}
@@ -103,24 +73,6 @@ func (st *sigState) compileShape() {
 
 func hasWild(p sig.Pattern) bool {
 	return slices.ContainsFunc(p.Parts, func(part sig.Part) bool { return part.Kind == sig.Wild })
-}
-
-// slotOf returns the capture slot of a pattern whose one unknown part is a
-// device value.
-func slotOf(p sig.Pattern) (sl devSlot, ok bool) {
-	for _, part := range p.Parts {
-		switch {
-		case part.Kind == sig.Lit && ok:
-			sl.suffix += part.Lit
-		case part.Kind == sig.Lit:
-			sl.prefix += part.Lit
-		case ok || part.Kind != sig.Wild || !isDeviceValue(part.Origin):
-			return devSlot{}, false
-		default:
-			sl.origin, ok = part.Origin, true
-		}
-	}
-	return sl, ok
 }
 
 // namesHeader reports whether the signature names the header key.
@@ -178,8 +130,15 @@ type stackEvidence struct {
 func (pr *profile) teach(st *sigState, req *httpmsg.Request) bool {
 	changed := pr.teachStack(st, req.Header)
 	for i := range st.slots {
-		if v, ok := st.slots[i].capture(req); ok {
-			changed = pr.set(keyOf(st.slots[i].origin, req.Host), v) || changed
+		sl := &st.slots[i]
+		if sl.origin == "" {
+			continue
+		}
+		var one [1]string
+		if v, ok := sl.get(req, sl.key); ok {
+			if c, ok := sl.value.Capture(v, one[:0]); ok {
+				changed = pr.set(keyOf(sl.origin, req.Host), c[0]) || changed
+			}
 		}
 	}
 	return changed
@@ -304,7 +263,7 @@ func (pr *profile) evidence(ps *planSucc) *stackEvidence {
 
 // exemplarFor builds the exemplar a user with no live instance of the plan's
 // successor borrows for one instance, or nil when the profile cannot.
-func (pr *profile) exemplarFor(ps *planSucc, vals []string) *exemplar {
+func (pr *profile) exemplarFor(ps *planSucc, vals []string) *slotExemplar {
 	ev := pr.evidence(ps)
 	if ev == nil {
 		return nil
@@ -317,50 +276,39 @@ func (pr *profile) exemplarFor(ps *planSucc, vals []string) *exemplar {
 			return nil
 		}
 	}
-	ex := &exemplar{headers: ev.headers}
+	ex := ps.st.newExemplar(ev.headers)
 	for _, fs := range [][]sig.PlanField{ps.Query, ps.Header, ps.Form} {
 		for _, f := range fs {
-			w, ok := pr.wilds(f.Value, host)
-			if !ok {
+			sl := &ps.st.slots[f.Slot]
+			if !pr.fill(f.Value, host, ex.captures[sl.at:sl.end]) {
 				return nil
 			}
-			if w != nil {
-				if ex.fieldWilds == nil {
-					ex.fieldWilds = map[string][]string{}
-				}
-				ex.fieldWilds[f.Loc] = w
-			}
+			ex.seen[f.Slot] = slotPresent | slotCaptured
 		}
 	}
 	return ex
 }
 
-// wilds returns what an exemplar would have captured for a field pattern —
-// per unknown part the device's value, or a placeholder for a Dep, which
-// resolve fills from the instance — or nil when it has no device value.
-func (pr *profile) wilds(p sig.PlanPattern, host string) ([]string, bool) {
-	var w []string
-	unknown := 0
+// fill writes into w what an exemplar would have captured for a field
+// pattern — per unknown part the device's value, or a placeholder for a Dep,
+// which resolve fills from the instance — and reports false when the profile
+// has no value for a device part.
+func (pr *profile) fill(p sig.PlanPattern, host string, w []string) bool {
+	k := 0
 	for i, part := range p.Parts {
 		if part.Kind == sig.Lit {
 			continue
 		}
-		v := ""
 		if p.Deps[i] < 0 {
-			var ok bool
-			if v, ok = pr.values[keyOf(part.Origin, host)]; !ok {
-				return nil, false
+			v, ok := pr.values[keyOf(part.Origin, host)]
+			if !ok {
+				return false
 			}
-			if w == nil {
-				w = make([]string, unknown, len(p.Parts))
-			}
+			w[k] = v
 		}
-		if w != nil {
-			w = append(w, v)
-		}
-		unknown++
+		k++
 	}
-	return w, true
+	return true
 }
 
 // couldBorrow reports whether the profile could build a live request's
@@ -369,15 +317,13 @@ func (pr *profile) couldBorrow(st *sigState, host string) bool {
 	if !st.borrows || pr.refused[st] || pr.stackFor(st.names) == nil {
 		return false
 	}
-	for _, fs := range [][]sig.Field{st.sig.Query, st.sig.Header, st.sig.BodyForm} {
-		for _, f := range fs {
-			for _, part := range f.Value.Parts {
-				if part.Kind != sig.Wild {
-					continue
-				}
-				if _, ok := pr.values[keyOf(part.Origin, host)]; !ok {
-					return false
-				}
+	for _, sl := range st.slots {
+		for _, part := range sl.value.Parts {
+			if part.Kind != sig.Wild {
+				continue
+			}
+			if _, ok := pr.values[keyOf(part.Origin, host)]; !ok {
+				return false
 			}
 		}
 	}

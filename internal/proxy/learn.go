@@ -2,7 +2,6 @@ package proxy
 
 import (
 	"net/url"
-	"sort"
 	"strings"
 
 	"appx/internal/config"
@@ -22,19 +21,67 @@ import (
 // (Figure 7 case 1), replicating the request instance once per extracted
 // array element.
 
-// exemplar is the most recent live instance of a successor signature: the
-// source of run-time values and of the currently active instance class
+// slot is one query, header or form field of a signature: the unit an
+// exemplar records presence and captures by. A signature's slots are its
+// query, header and form fields in that order, numbered from 0 as
+// sig.PlanField.Slot numbers them, and compiled once, at New.
+type slot struct {
+	where    string // "query", "header" or "form"
+	key      string
+	get      func(*httpmsg.Request, string) (string, bool)
+	optional bool
+	// value is the field's pattern with adjacent literals fused, so a
+	// capture allocates nothing of its own; its captures, one per unknown
+	// part, take [at, end) of an exemplar's capture slice.
+	value   sig.Pattern
+	at, end int
+	// origin is the device value the pattern's one unknown part is
+	// (borrow.go), or "" when its unknowns are anything else.
+	origin string
+}
+
+// compileSlots builds the signature's slot list.
+func (st *sigState) compileSlots() {
+	s, at := st.sig, 0
+	for _, sec := range []struct {
+		where  string
+		fields []sig.Field
+		get    func(*httpmsg.Request, string) (string, bool)
+	}{
+		{"query", s.Query, (*httpmsg.Request).GetQuery},
+		{"header", s.Header, (*httpmsg.Request).GetHeader},
+		{"form", s.BodyForm, (*httpmsg.Request).GetForm},
+	} {
+		for _, f := range sec.fields {
+			sl := slot{where: sec.where, key: f.Key, get: sec.get, optional: f.Optional, value: f.Value.Fused(), at: at}
+			for _, part := range f.Value.Parts {
+				if part.Kind != sig.Lit {
+					sl.origin, at = "", at+1
+					if part.Kind == sig.Wild && isDeviceValue(part.Origin) {
+						sl.origin = part.Origin
+					}
+				}
+			}
+			if sl.end = at; sl.end-sl.at != 1 {
+				sl.origin = ""
+			}
+			st.slots = append(st.slots, sl)
+		}
+	}
+}
+
+// slotExemplar is the most recent live instance of a successor signature:
+// the source of run-time values and of the currently active instance class
 // (which optional fields are present, Figure 8).
-type exemplar struct {
+type slotExemplar struct {
 	// uriWilds holds captured values for the URI pattern's non-literal
 	// parts, in order.
 	uriWilds []string
-	// fieldWilds maps a field location ("query:k", "header:k", "form:k") to
-	// the captured values of that field pattern's non-literal parts.
-	fieldWilds map[string][]string
-	// present records which optional field locations appeared in the live
-	// request.
-	present map[string]bool
+	// captures holds every slot's captures at the slot's [at, end); seen
+	// says, per slot, whether the live request carried the field and
+	// whether its pattern captured it.
+	captures []string
+	seen     []uint8
 	// headers is the live request's full header set. Real HTTP stacks add
 	// headers the app code never mentions (a default User-Agent, accept
 	// headers); for the prefetched request to be identical to the client's,
@@ -44,36 +91,58 @@ type exemplar struct {
 	headers []httpmsg.Field
 }
 
-// learnExemplar extracts an exemplar from a live request matching s.
-// It returns nil when the request does not actually instantiate the
-// signature's URI pattern.
-func learnExemplar(s *sig.Signature, req *httpmsg.Request) *exemplar {
-	uriWilds, ok := s.URI.Capture(req.Host+req.Path, nil)
+// The flags of slotExemplar.seen.
+const (
+	slotPresent uint8 = 1 << iota
+	slotCaptured
+)
+
+// newExemplar returns an exemplar of the signature with every slot unseen.
+func (st *sigState) newExemplar(headers []httpmsg.Field) *slotExemplar {
+	ex := &slotExemplar{headers: headers}
+	if n := len(st.slots); n > 0 {
+		ex.captures = make([]string, st.slots[n-1].end)
+		ex.seen = make([]uint8, n)
+	}
+	return ex
+}
+
+// has reports whether slot i carries flag.
+func (ex *slotExemplar) has(i int, flag uint8) bool {
+	return i < len(ex.seen) && ex.seen[i]&flag != 0
+}
+
+// wilds returns the captures of slot i of slots, nil when it has none.
+func (ex *slotExemplar) wilds(slots []slot, i int) []string {
+	if !ex.has(i, slotCaptured) {
+		return nil
+	}
+	return ex.captures[slots[i].at:slots[i].end]
+}
+
+// learnExemplar extracts an exemplar from a live request matching the
+// signature. It returns nil when the request does not actually instantiate
+// the signature's URI pattern.
+func (st *sigState) learnExemplar(req *httpmsg.Request) *slotExemplar {
+	uriWilds, ok := st.sig.URI.Capture(req.Host+req.Path, nil)
 	if !ok {
 		return nil
 	}
-	ex := &exemplar{
-		uriWilds:   uriWilds,
-		fieldWilds: map[string][]string{},
-		present:    map[string]bool{},
-		headers:    append([]httpmsg.Field(nil), req.Header...),
-	}
-	learnFields := func(where string, fields []sig.Field, get func(string) (string, bool)) {
-		for _, f := range fields {
-			loc := where + ":" + f.Key
-			v, found := get(f.Key)
-			if !found {
-				continue
-			}
-			ex.present[loc] = true
-			if wilds, ok := f.Value.Capture(v, nil); ok {
-				ex.fieldWilds[loc] = wilds
-			}
+	ex := st.newExemplar(append([]httpmsg.Field(nil), req.Header...))
+	ex.uriWilds = uriWilds
+	for i := range st.slots {
+		sl := &st.slots[i]
+		v, found := sl.get(req, sl.key)
+		if !found {
+			continue
+		}
+		ex.seen[i] = slotPresent
+		if _, ok := sl.value.Capture(v, ex.captures[sl.at:sl.at]); ok {
+			ex.seen[i] |= slotCaptured
+		} else {
+			clear(ex.captures[sl.at:sl.end])
 		}
 	}
-	learnFields("query", s.Query, req.GetQuery)
-	learnFields("header", s.Header, req.GetHeader)
-	learnFields("form", s.BodyForm, req.GetForm)
 	return ex
 }
 
@@ -199,12 +268,12 @@ func resolve(p sig.PlanPattern, vals, wilds []string) (string, bool) {
 
 // addFields appends the resolved fields of one request section to dst.
 // Optional fields follow the exemplar's instance class.
-func addFields(dst []httpmsg.Field, fields []sig.PlanField, vals []string, ex *exemplar) ([]httpmsg.Field, bool) {
+func (ps *planSucc) addFields(dst []httpmsg.Field, fields []sig.PlanField, vals []string, ex *slotExemplar) ([]httpmsg.Field, bool) {
 	for _, f := range fields {
-		if f.Optional && !ex.present[f.Loc] {
+		if f.Optional && !ex.has(f.Slot, slotPresent) {
 			continue
 		}
-		v, ok := resolve(f.Value, vals, ex.fieldWilds[f.Loc])
+		v, ok := resolve(f.Value, vals, ex.wilds(ps.st.slots, f.Slot))
 		if !ok {
 			return nil, false
 		}
@@ -213,28 +282,18 @@ func addFields(dst []httpmsg.Field, fields []sig.PlanField, vals []string, ex *e
 	return dst, true
 }
 
-// namesHeader reports whether the signature describes a header itself.
-func namesHeader(fields []sig.PlanField, key string) bool {
-	for _, f := range fields {
-		if strings.EqualFold(f.Key, key) {
-			return true
-		}
-	}
-	return false
-}
-
-// materialize builds one complete prefetch request for the plan's signature
+// materialize builds one complete prefetch request for the plan's successor
 // from an instance's dependency values and (optionally) an exemplar. ok is
 // false when run-time values are still missing — the instance must wait for
 // a live example (§4.2: "a prefetch request becomes ready ... when all
 // dynamic values have been resolved").
-func materialize(sp *sig.SuccPlan, vals []string, ex *exemplar) (*httpmsg.Request, bool) {
+func materialize(ps *planSucc, vals []string, ex *slotExemplar) (*httpmsg.Request, bool) {
 	if ex == nil {
 		// No instance class yet: optional fields are omitted (the
 		// conservative class) and every capture is missing.
-		ex = &exemplar{}
+		ex = &slotExemplar{}
 	}
-	uri, ok := resolve(sp.URI, vals, ex.uriWilds)
+	uri, ok := resolve(ps.URI, vals, ex.uriWilds)
 	if !ok {
 		return nil, false
 	}
@@ -243,7 +302,7 @@ func materialize(sp *sig.SuccPlan, vals []string, ex *exemplar) (*httpmsg.Reques
 		return nil, false
 	}
 	req := &httpmsg.Request{
-		Method: sp.Sig.Method,
+		Method: ps.Sig.Method,
 		Scheme: "http",
 		Host:   host,
 		Path:   path,
@@ -252,31 +311,33 @@ func materialize(sp *sig.SuccPlan, vals []string, ex *exemplar) (*httpmsg.Reques
 	// Headers the app never sets but the client's HTTP stack adds (default
 	// User-Agent etc.) are mimicked from the exemplar; signature-described
 	// headers are then resolved from their patterns.
-	if n := len(ex.headers) + len(sp.Header); n > 0 {
+	if n := len(ex.headers) + len(ps.Header); n > 0 {
 		req.Header = make([]httpmsg.Field, 0, n)
 	}
 	for _, h := range ex.headers {
-		if !namesHeader(sp.Header, h.Key) {
+		if !ps.st.namesHeader(h.Key) {
 			req.Header = append(req.Header, h)
 		}
 	}
-	if req.Query, ok = addFields(req.Query, sp.Query, vals, ex); !ok {
+	if req.Query, ok = ps.addFields(req.Query, ps.Query, vals, ex); !ok {
 		return nil, false
 	}
-	if req.Header, ok = addFields(req.Header, sp.Header, vals, ex); !ok {
+	if req.Header, ok = ps.addFields(req.Header, ps.Header, vals, ex); !ok {
 		return nil, false
 	}
-	if req.BodyForm, ok = addFields(nil, sp.Form, vals, ex); !ok {
+	if req.BodyForm, ok = ps.addFields(nil, ps.Form, vals, ex); !ok {
 		return nil, false
 	}
 	if len(req.BodyForm) > 0 {
 		req.BodyKind = httpmsg.BodyForm
 	}
-	if len(sp.JSON) > 0 {
+	if len(ps.JSON) > 0 {
 		// The one place learning still builds a tree: the request's own body.
 		var doc any
-		for _, f := range sp.JSON {
-			if f.Optional && !ex.present[f.Loc] {
+		for _, f := range ps.JSON {
+			if f.Optional {
+				// A JSON field has no slot: its presence is never learned,
+				// so the instance class without it is the one sent.
 				continue
 			}
 			v, ok := resolve(f.Value, vals, nil)
@@ -320,21 +381,8 @@ func splitURI(uri string) (host, path string, query []httpmsg.Field, ok bool) {
 	if path, err = url.PathUnescape(path); err != nil {
 		return "", "", nil, false
 	}
-	if rawQuery != "" {
-		vals, err := url.ParseQuery(rawQuery)
-		if err != nil {
-			return "", "", nil, false
-		}
-		keys := make([]string, 0, len(vals))
-		for k := range vals {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			for _, v := range vals[k] {
-				query = append(query, httpmsg.Field{Key: k, Value: v})
-			}
-		}
+	if query, err = httpmsg.ParseFields(rawQuery); err != nil {
+		return "", "", nil, false
 	}
 	return host, path, query, true
 }

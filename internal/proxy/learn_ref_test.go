@@ -1,8 +1,9 @@
 package proxy
 
-// The parent commit's learning path — depPaths, depCombos, resolvePattern and
-// materialize, copied verbatim under ref* names — kept as the reference the
-// compiled read plans are differentially tested against
+// The map-keyed learning path — depPaths, depCombos, resolvePattern and
+// materialize under ref* names, and the exemplar keyed by field location
+// that learnExemplar builds — kept as the reference the compiled read plans
+// and the slot-numbered exemplar are differentially tested against
 // (TestLearnPlanDifferential).
 
 import (
@@ -12,6 +13,55 @@ import (
 	"appx/internal/jsonpath"
 	"appx/internal/sig"
 )
+
+// exemplar is the reference's most recent live instance of a successor
+// signature, keyed by field location.
+type exemplar struct {
+	// uriWilds holds captured values for the URI pattern's non-literal
+	// parts, in order.
+	uriWilds []string
+	// fieldWilds maps a field location ("query:k", "header:k", "form:k") to
+	// the captured values of that field pattern's non-literal parts.
+	fieldWilds map[string][]string
+	// present records which optional field locations appeared in the live
+	// request.
+	present map[string]bool
+	// headers is the live request's full header set.
+	headers []httpmsg.Field
+}
+
+// learnExemplar extracts an exemplar from a live request matching s.
+// It returns nil when the request does not actually instantiate the
+// signature's URI pattern.
+func learnExemplar(s *sig.Signature, req *httpmsg.Request) *exemplar {
+	uriWilds, ok := s.URI.Capture(req.Host+req.Path, nil)
+	if !ok {
+		return nil
+	}
+	ex := &exemplar{
+		uriWilds:   uriWilds,
+		fieldWilds: map[string][]string{},
+		present:    map[string]bool{},
+		headers:    append([]httpmsg.Field(nil), req.Header...),
+	}
+	learnFields := func(where string, fields []sig.Field, get func(string) (string, bool)) {
+		for _, f := range fields {
+			loc := where + ":" + f.Key
+			v, found := get(f.Key)
+			if !found {
+				continue
+			}
+			ex.present[loc] = true
+			if wilds, ok := f.Value.Capture(v, nil); ok {
+				ex.fieldWilds[loc] = wilds
+			}
+		}
+	}
+	learnFields("query", s.Query, req.GetQuery)
+	learnFields("header", s.Header, req.GetHeader)
+	learnFields("form", s.BodyForm, req.GetForm)
+	return ex
+}
 
 // refDepPaths lists the distinct (PredID, RespPath) pairs appearing in the
 // signature's patterns for the given predecessor, in first-use order.

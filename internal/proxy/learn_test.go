@@ -1,8 +1,10 @@
 package proxy
 
 import (
+	"reflect"
 	"testing"
 
+	"appx/internal/config"
 	"appx/internal/httpmsg"
 	"appx/internal/sig"
 )
@@ -27,6 +29,7 @@ func TestSplitURI(t *testing.T) {
 		{"http://h/p?bad=%zz", "", "", 0, "", "", false, "bad escape"},
 		{"http://h/d%20x.png?a=1#top", "h", "/d x.png", 1, "a", "1", true, "path unescaped, fragment dropped"},
 		{"http://h/p%zz", "", "", 0, "", "", false, "bad path escape"},
+		{"http://h/p?z=1&a=2&z=0", "h", "/p", 3, "a", "2", true, "keys sorted"},
 	}
 	for _, c := range cases {
 		host, path, query, ok := splitURI(c.in)
@@ -44,21 +47,33 @@ func TestSplitURI(t *testing.T) {
 			t.Errorf("%s: first query = %+v", c.description, query[0])
 		}
 	}
+	// A repeated key keeps its values in their given order.
+	_, _, query, _ := splitURI("http://h/p?z=1&a=2&z=0")
+	if want := []httpmsg.Field{{Key: "a", Value: "2"}, {Key: "z", Value: "1"}, {Key: "z", Value: "0"}}; !reflect.DeepEqual(query, want) {
+		t.Errorf("query = %v, want %v", query, want)
+	}
 }
 
 // planFor compiles s against the predecessor pred the way the graph's
 // adjacency index does, and returns the successor's plan.
 func planFor(t *testing.T, s *sig.Signature, pred string) *sig.SuccPlan {
 	t.Helper()
+	return succFor(t, s, pred).SuccPlan
+}
+
+// succFor is planFor's plan joined with the successor's record, as New
+// compiles it.
+func succFor(t *testing.T, s *sig.Signature, pred string) *planSucc {
+	t.Helper()
 	g := sig.NewGraph("t")
 	g.Add(&sig.Signature{ID: pred, Method: "GET", URI: sig.Literal("h.example/pred")})
 	g.Add(s)
 	g.AddDep(sig.Dependency{PredID: pred, SuccID: s.ID})
-	rp := g.ReadPlan(pred)
-	if rp == nil || len(rp.Succs) != 1 {
+	lp := newSigTable(g, config.Default(g)).byID[pred].plan
+	if lp == nil || len(lp.succs) != 1 {
 		t.Fatalf("no read plan for %s → %s", pred, s.ID)
 	}
-	return rp.Succs[0]
+	return &lp.succs[0]
 }
 
 func TestResolvePatternMissingDep(t *testing.T) {
@@ -86,8 +101,7 @@ func TestMaterializeJSONBody(t *testing.T) {
 			{Path: "opts.debug", Value: sig.Literal("1"), Optional: true},
 		},
 	}
-	ex := &exemplar{fieldWilds: map[string][]string{}, present: map[string]bool{}}
-	req, ok := materialize(planFor(t, s, "t:pred#0"), []string{"z9"}, ex)
+	req, ok := materialize(succFor(t, s, "t:pred#0"), []string{"z9"}, &slotExemplar{})
 	if !ok {
 		t.Fatal("materialize failed")
 	}
@@ -164,9 +178,9 @@ func TestExemplarOptionalFieldClassSwitch(t *testing.T) {
 	without := with.Clone()
 	without.DeleteForm("credit_id")
 
-	exWith := learnExemplar(s, with)
-	exWithout := learnExemplar(s, without)
-	sp := planFor(t, s, "t:pred#0")
+	sp := succFor(t, s, "t:pred#0")
+	exWith := sp.st.learnExemplar(with)
+	exWithout := sp.st.learnExemplar(without)
 	r1, _ := materialize(sp, []string{"x"}, exWith)
 	r2, _ := materialize(sp, []string{"x"}, exWithout)
 	if _, p := r1.GetForm("credit_id"); !p {

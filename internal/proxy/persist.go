@@ -223,19 +223,19 @@ func (p *Proxy) exportState() *persist.State {
 		u.mu.Lock()
 		for id, ex := range u.exemplars {
 			es := persist.ExemplarState{
-				URIWilds: append([]string(nil), ex.uriWilds...),
-				Headers:  append([]httpmsg.Field(nil), ex.headers...),
+				URIWilds:   append([]string(nil), ex.uriWilds...),
+				FieldWilds: map[string][]string{},
+				Present:    map[string]bool{},
+				Headers:    append([]httpmsg.Field(nil), ex.headers...),
 			}
-			if len(ex.fieldWilds) > 0 {
-				es.FieldWilds = make(map[string][]string, len(ex.fieldWilds))
-				for loc, w := range ex.fieldWilds {
-					es.FieldWilds[loc] = append([]string(nil), w...)
+			// A snapshot files a slot under its location, "query:k".
+			for i, sl := range p.sigs.byID[id].slots {
+				loc := sl.where + ":" + sl.key
+				if ex.has(i, slotPresent) {
+					es.Present[loc] = true
 				}
-			}
-			if len(ex.present) > 0 {
-				es.Present = make(map[string]bool, len(ex.present))
-				for loc, v := range ex.present {
-					es.Present[loc] = v
+				if ex.has(i, slotCaptured) {
+					es.FieldWilds[loc] = append([]string(nil), ex.captures[sl.at:sl.end]...)
 				}
 			}
 			us.Exemplars[id] = es
@@ -282,20 +282,23 @@ func (p *Proxy) applyState(st *persist.State) {
 		u := p.addUserLocked(us.Key)
 		u.lastSeen = us.LastSeen
 		for id, es := range us.Exemplars {
-			if p.sigs.byID[id] == nil {
+			ss := p.sigs.byID[id]
+			if ss == nil {
 				continue
 			}
-			ex := &exemplar{
-				uriWilds:   append([]string(nil), es.URIWilds...),
-				fieldWilds: map[string][]string{},
-				present:    map[string]bool{},
-				headers:    append([]httpmsg.Field(nil), es.Headers...),
-			}
-			for loc, w := range es.FieldWilds {
-				ex.fieldWilds[loc] = append([]string(nil), w...)
-			}
-			for loc, v := range es.Present {
-				ex.present[loc] = v
+			ex := ss.newExemplar(append([]httpmsg.Field(nil), es.Headers...))
+			ex.uriWilds = append([]string(nil), es.URIWilds...)
+			// Captures of a length the slot's pattern cannot have are
+			// dropped, as a value it does not match would be.
+			for i, sl := range ss.slots {
+				loc := sl.where + ":" + sl.key
+				if es.Present[loc] {
+					ex.seen[i] |= slotPresent
+				}
+				if w, ok := es.FieldWilds[loc]; ok && len(w) == sl.end-sl.at {
+					copy(ex.captures[sl.at:sl.end], w)
+					ex.seen[i] |= slotCaptured
+				}
 			}
 			u.exemplars[id] = ex
 		}

@@ -294,7 +294,7 @@ type user struct {
 	key string
 
 	mu        sync.Mutex
-	exemplars map[string]*exemplar         // sigID → latest live example
+	exemplars map[string]*slotExemplar     // sigID → latest live example
 	pending   map[string][]pendingInstance // sigID → instances awaiting exemplar
 	// prof is what the user's device has shown the proxy, from which a
 	// signature with no exemplar may borrow one (borrow.go). It is not
@@ -578,7 +578,7 @@ func (p *Proxy) user(key string) *user {
 
 // addUserLocked starts tracking key as the most recently seen user (p.mu held).
 func (p *Proxy) addUserLocked(key string) *user {
-	u := &user{key: key, exemplars: map[string]*exemplar{}, pending: map[string][]pendingInstance{}}
+	u := &user{key: key, exemplars: map[string]*slotExemplar{}, pending: map[string][]pendingInstance{}}
 	u.elem = p.recent.PushFront(u)
 	p.users[key] = u
 	return u
@@ -1006,7 +1006,7 @@ func (p *Proxy) learnFrom(u *user, st *sigState, req *httpmsg.Request, resp *htt
 	// recent condition — only from live client traffic, never from our own
 	// synthetic prefetch requests.
 	if live && st.successor {
-		if ex := learnExemplar(s, req); ex != nil {
+		if ex := st.learnExemplar(req); ex != nil {
 			u.mu.Lock()
 			u.exemplars[s.ID] = ex
 			released := u.pending[s.ID]
@@ -1084,7 +1084,7 @@ func (p *Proxy) instantiate(u *user, sp *planSucc, vals []string, depth int, roo
 		return
 	}
 	u.mu.Unlock()
-	req, ok := materialize(sp.SuccPlan, vals, ex)
+	req, ok := materialize(sp, vals, ex)
 	if !ok {
 		// The exemplar could not resolve every run-time value (stale wilds,
 		// deps on other predecessors): the candidate silently vanishing here

@@ -410,7 +410,7 @@ func mkSig() *sig.Signature {
 
 func TestMaterializeWithoutExemplarBlocksOnWilds(t *testing.T) {
 	s := mkSig()
-	_, ok := materialize(planFor(t, s, "t:pred#0"), []string{"x1"}, nil)
+	_, ok := materialize(succFor(t, s, "t:pred#0"), []string{"x1"}, nil)
 	if ok {
 		t.Fatal("materialized despite unresolved wildcards")
 	}
@@ -428,11 +428,11 @@ func TestMaterializeWithExemplar(t *testing.T) {
 			// credit_id absent: instance class without it.
 		},
 	}
-	ex := learnExemplar(s, live)
+	sp := succFor(t, s, "t:pred#0")
+	ex := sp.st.learnExemplar(live)
 	if ex == nil {
 		t.Fatal("learnExemplar returned nil")
 	}
-	sp := planFor(t, s, "t:pred#0")
 	req, ok := materialize(sp, []string{"x1"}, ex)
 	if !ok {
 		t.Fatal("materialize failed with exemplar")
@@ -453,7 +453,7 @@ func TestMaterializeWithExemplar(t *testing.T) {
 	// Now an exemplar in the other instance class (credit_id present).
 	live2 := live.Clone()
 	live2.SetForm("credit_id", "cc-99")
-	ex2 := learnExemplar(s, live2)
+	ex2 := sp.st.learnExemplar(live2)
 	req2, ok := materialize(sp, []string{"x2"}, ex2)
 	if !ok {
 		t.Fatal("materialize failed with exemplar 2")
@@ -466,7 +466,7 @@ func TestMaterializeWithExemplar(t *testing.T) {
 func TestLearnExemplarRejectsMismatch(t *testing.T) {
 	s := mkSig()
 	wrong := &httpmsg.Request{Method: "POST", Host: "api.wish.example", Path: "/other"}
-	if ex := learnExemplar(s, wrong); ex != nil {
+	if ex := succFor(t, s, "t:pred#0").st.learnExemplar(wrong); ex != nil {
 		t.Fatal("exemplar learned from non-matching request")
 	}
 }

@@ -31,13 +31,14 @@ type sigState struct {
 	// successor: some dependency feeds the signature, so its live instances
 	// are kept as exemplars.
 	successor bool
+	// slots are the signature's query, header and form fields, which its
+	// exemplars record by number (learn.go).
+	slots []slot
 	// The borrow rule's pieces (borrow.go): the lower-cased header names the
-	// signature names, sorted; the fields whose one unknown part is a device
-	// value; whether a profile may build its exemplar at all (no optional
-	// field, every unknown part a Dep or a device value), and whether one of
-	// those is a cookie.
+	// signature names, sorted; whether a profile may build its exemplar at
+	// all (no optional field, every unknown part a Dep or a device value),
+	// and whether one of those is a cookie.
 	names   []string
-	slots   []devSlot
 	borrows bool
 	cookies bool
 
@@ -194,6 +195,7 @@ func newSigTable(g *sig.Graph, cfg *config.Config) *sigTable {
 	t := &sigTable{byID: make(map[string]*sigState, len(g.Sigs))}
 	for _, s := range g.Sigs {
 		st := &sigState{sig: s, pol: cfg.Policy(s.Hash()), successor: len(g.DepsInto(s.ID)) > 0}
+		st.compileSlots()
 		st.compileShape()
 		t.byID[s.ID] = st
 		t.all = append(t.all, st)

@@ -53,9 +53,10 @@ type PlanPattern struct {
 type PlanField struct {
 	// Key is the field's key, or the body path text of a JSON field.
 	Key string
-	// Loc is the FieldLoc text ("query:k") under which exemplars record
-	// this field's presence and captured values.
-	Loc      string
+	// Slot numbers the signature's query, header and form fields in that
+	// order, from 0, as they appear in the signature; an exemplar records
+	// each one's presence and captures under it. -1 for a JSON field.
+	Slot     int
 	Optional bool
 	Value    PlanPattern
 	// Path is a JSON field's parsed Key; BadPath says it does not parse.
@@ -97,22 +98,23 @@ func buildReadPlan(g *Graph, predID string, succIDs []string) *ReadPlan {
 			}
 			return pp
 		}
-		fields := func(where string, fs []Field) []PlanField {
+		slot := 0
+		fields := func(fs []Field) []PlanField {
 			out := make([]PlanField, len(fs))
 			for i, f := range fs {
-				out[i] = PlanField{Key: f.Key, Loc: FieldLoc{Where: where, Key: f.Key}.String(),
-					Optional: f.Optional, Value: compile(f.Value)}
+				out[i] = PlanField{Key: f.Key, Slot: slot, Optional: f.Optional, Value: compile(f.Value)}
+				slot++
 			}
 			return out
 		}
 		// Compile order is first-use order: URI, query, header, form, JSON.
 		sp.URI = compile(s.URI)
-		sp.Query = fields("query", s.Query)
-		sp.Header = fields("header", s.Header)
-		sp.Form = fields("form", s.BodyForm)
+		sp.Query = fields(s.Query)
+		sp.Header = fields(s.Header)
+		sp.Form = fields(s.BodyForm)
 		for _, f := range s.BodyJSON {
 			path, err := jsonpath.Parse(f.Path)
-			sp.JSON = append(sp.JSON, PlanField{Key: f.Path, Loc: FieldLoc{Where: "json", Key: f.Path}.String(),
+			sp.JSON = append(sp.JSON, PlanField{Key: f.Path, Slot: -1,
 				Optional: f.Optional, Value: compile(f.Value), Path: path, BadPath: err != nil})
 		}
 		if len(sp.Reads) > 0 {

@@ -138,7 +138,7 @@ func (p Pattern) Capture(value string, dst []string) ([]string, bool) {
 	parts := p.Parts
 	for i := 1; i < len(parts); i++ {
 		if parts[i].Kind == Lit && parts[i-1].Kind == Lit {
-			return p.fused().Capture(value, dst)
+			return p.Fused().Capture(value, dst)
 		}
 	}
 	lo, hi := 0, len(value)
@@ -190,8 +190,9 @@ func (p Pattern) Capture(value string, dst []string) ([]string, bool) {
 	return dst, true
 }
 
-// fused returns the pattern with each run of adjacent literals joined.
-func (p Pattern) fused() Pattern {
+// Fused returns the pattern with each run of adjacent literals joined: the
+// same matches and captures, and Capture on it allocates nothing of its own.
+func (p Pattern) Fused() Pattern {
 	var out Pattern
 	for _, part := range p.Parts {
 		if n := len(out.Parts); part.Kind == Lit && n > 0 && out.Parts[n-1].Kind == Lit {

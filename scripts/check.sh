@@ -103,8 +103,10 @@ if [ -n "$stray" ]; then
 fi
 
 # Informational, not a gate: the non-test Go line count outside bench/ that
-# simplicity changes report.
+# simplicity changes report, and the byte sizes of the long documents.
 echo "== non-test Go lines outside bench/"
 find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+echo "== document bytes"
+wc -c EXPERIMENTS.md CHANGES.md DESIGN.md README.md
 
 echo "check: OK"
