@@ -135,7 +135,6 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.clusterPeers, "cluster-peers", "", "comma-separated host:port seed list (may include self; same value on every instance)")
 	fs.DurationVar(&o.px.Cluster.ProbeInterval, "cluster-probe-interval", 0, "peer health-probe period (0 = default 1s)")
 
-	fs.IntVar(&o.px.StreamChunkBytes, "stream-chunk-bytes", 0, "pooled body-chunk size on the streaming data plane (0 = default 64KiB)")
 	fs.Int64Var(&o.px.CaptureMaxBytes, "capture-max-bytes", 0, "largest response body captured for cache insertion; bigger bodies stream through uncached (0 = default 4MiB)")
 	fs.Int64Var(&o.px.MaxBodyBytes, "max-body-bytes", 0, "largest accepted client request body, 413 past it (0 = default 64MiB, <0 = unlimited)")
 }

@@ -253,8 +253,8 @@ func TestFlagSurface(t *testing.T) {
 		"app", "capture-max-bytes", "cluster-peers", "cluster-probe-interval",
 		"cluster-self", "config", "drain-timeout", "fault", "fault-seed",
 		"listen", "max-body-bytes", "origin", "prune-interval", "prune-max-idle",
-		"scale", "sigs", "snapshot-interval", "state-dir", "stream-chunk-bytes",
-		"verify", "workers",
+		"scale", "sigs", "snapshot-interval", "state-dir", "verify",
+		"workers",
 	}
 	fs := flag.NewFlagSet("appx-proxy", flag.ContinueOnError)
 	registerFlags(fs, new(options))
