@@ -432,6 +432,67 @@ func TestSpoolAbortReleasesChunks(t *testing.T) {
 	}
 }
 
+// TestReserveChecksOutDeclaredSize: Reserve checks out the declared length
+// before any body byte, and exactly that: a free buffer of another size is
+// never handed out, so a flight holds no more than its body declares. A
+// segment of the same size comes back from the free table, and a body one
+// chunk holds, on a spool that will not capture it, takes no segment.
+func TestReserveChecksOutDeclaredSize(t *testing.T) {
+	p := NewPool(64)
+	p.recycle(p.take(300)) // a free buffer larger than the body
+	s := NewSpool(p, 1<<10, nil)
+	s.Reserve(200, false)
+	if n := p.Outstanding(); n != 1 {
+		t.Fatalf("outstanding after Reserve = %d, want 1 (checked out at the headers)", n)
+	}
+	if got := cap(s.segs[0]); got != 200 {
+		t.Fatalf("reserved segment has capacity %d, want exactly the declared 200", got)
+	}
+	s.ReadFrom(bytes.NewReader(fill(200, 1)))
+	s.CloseWriter(nil)
+	s.Discard()
+	if n := p.Outstanding(); n != 0 {
+		t.Fatalf("outstanding = %d after Discard, want 0", n)
+	}
+
+	s = NewSpool(p, 1<<10, nil)
+	s.Reserve(200, true)
+	if len(s.segs) != 1 || cap(s.segs[0]) != 200 {
+		t.Fatal("a Reserve of 200 did not take the recycled 200-byte segment")
+	}
+	s.CloseWriter(nil)
+	s.Discard()
+
+	s = NewSpool(p, 1<<10, nil)
+	s.Reserve(50, false)
+	if len(s.segs) != 0 || p.Outstanding() != 0 {
+		t.Fatal("a body one chunk holds, not captured, reserved a segment")
+	}
+	s.CloseWriter(nil)
+	s.Discard()
+}
+
+// TestPoolDropsOldestWhenFull: once free buffers of sizes nobody asks for
+// any more fill the retention bound, a returned chunk displaces the oldest
+// of them instead of being dropped, so chunk checkouts stop allocating.
+func TestPoolDropsOldestWhenFull(t *testing.T) {
+	p := NewPool(64)
+	p.maxRetained = 980
+	for n := 65; p.retained+n <= p.maxRetained; n++ {
+		p.recycle(p.take(n)) // declared sizes that never recur
+	}
+	if p.maxRetained-p.retained >= p.ChunkBytes() {
+		t.Fatalf("%d bytes of room left, want less than a chunk", p.maxRetained-p.retained)
+	}
+	p.Put(p.Get()) // the first return makes room
+	if allocs := testing.AllocsPerRun(100, func() { p.Put(p.Get()) }); allocs != 0 {
+		t.Fatalf("a chunk Get/Put allocates %v times with the list full of stale sizes, want 0", allocs)
+	}
+	if p.retained > p.maxRetained || p.Outstanding() != 0 {
+		t.Fatalf("retained %d of %d bytes, %d outstanding", p.retained, p.maxRetained, p.Outstanding())
+	}
+}
+
 func BenchmarkSpoolAppendRead(b *testing.B) {
 	p := NewPool(DefaultChunkBytes)
 	body := fill(256<<10, 3)
