@@ -210,20 +210,14 @@ func (mb *MethodBuilder) emitMoveReturnHelper(_ Reg, join int) {
 }
 
 func TestAPIArity(t *testing.T) {
-	if n, ok := APIArity(APIHTTPAddQuery); !ok || n != 3 {
-		t.Fatalf("APIArity(http.addQuery) = %d,%v", n, ok)
+	if n, ok := apiArity[APIHTTPAddQuery]; !ok || n != 3 {
+		t.Fatalf("apiArity[http.addQuery] = %d,%v", n, ok)
 	}
-	if _, ok := APIArity("bogus"); ok {
-		t.Fatal("APIArity accepted bogus name")
+	if _, ok := apiArity["bogus"]; ok {
+		t.Fatal("apiArity holds a bogus name")
 	}
-	apis := APIs()
-	if len(apis) != 25 {
-		t.Fatalf("APIs() = %d entries, want 25", len(apis))
-	}
-	for i := 1; i < len(apis); i++ {
-		if apis[i-1] >= apis[i] {
-			t.Fatalf("APIs() not sorted at %d: %s >= %s", i, apis[i-1], apis[i])
-		}
+	if len(apiArity) != 25 {
+		t.Fatalf("apiArity has %d entries, want 25", len(apiArity))
 	}
 }
 

@@ -126,17 +126,6 @@ func (mb *MethodBuilder) ConstInt(n int64) Reg {
 	return d
 }
 
-// ConstBool emits a boolean constant load.
-func (mb *MethodBuilder) ConstBool(v bool) Reg {
-	d := mb.newReg()
-	n := int64(0)
-	if v {
-		n = 1
-	}
-	mb.emit(Instr{Op: OpConstBool, Dst: d, Int: n, A: NoReg, B: NoReg})
-	return d
-}
-
 // Move copies src into a fresh register.
 func (mb *MethodBuilder) Move(src Reg) Reg {
 	d := mb.newReg()

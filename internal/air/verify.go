@@ -2,7 +2,6 @@ package air
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Verify checks structural well-formedness of a program:
@@ -195,21 +194,4 @@ var apiArity = map[string]int{
 	APIRxSubscribe:      2,
 	APIUIRender:         1,
 	APIUIShowImage:      1,
-}
-
-// APIs returns the sorted list of known semantic API names.
-func APIs() []string {
-	out := make([]string, 0, len(apiArity))
-	for k := range apiArity {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// APIArity reports the arity of a semantic API, with ok=false for unknown
-// names.
-func APIArity(name string) (int, bool) {
-	n, ok := apiArity[name]
-	return n, ok
 }

@@ -86,12 +86,3 @@ func writeErr(w http.ResponseWriter, status int, msg string) {
 func pad(n int) string {
 	return strings.Repeat("loremipsum", n/10+1)[:n]
 }
-
-// hostOf strips an optional port from a request host.
-func hostOf(r *http.Request) string {
-	h := r.Host
-	if i := strings.LastIndexByte(h, ':'); i > 0 && !strings.Contains(h[i+1:], "]") {
-		return h[:i]
-	}
-	return h
-}

@@ -355,14 +355,6 @@ type Metrics struct {
 	BodyRefs  BodyRefs
 }
 
-// HitRatio returns hits/(hits+misses), 0 when idle.
-func (m Metrics) HitRatio() float64 {
-	if m.Hits+m.Misses == 0 {
-		return 0
-	}
-	return float64(m.Hits) / float64(m.Hits+m.Misses)
-}
-
 // SharedHitRatio returns the fraction of hits served from the shared tier.
 func (m Metrics) SharedHitRatio() float64 {
 	if m.Hits == 0 {

@@ -52,9 +52,6 @@ type Report struct {
 	Violations []Violation
 }
 
-// Ok reports whether every invariant held.
-func (r *Report) Ok() bool { return len(r.Violations) == 0 }
-
 func (r *Report) violate(invariant, format string, args ...any) {
 	r.Violations = append(r.Violations, Violation{Invariant: invariant, Detail: fmt.Sprintf(format, args...)})
 }

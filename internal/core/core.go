@@ -15,7 +15,6 @@ import (
 
 	"appx/internal/apk"
 	"appx/internal/config"
-	"appx/internal/proxy"
 	"appx/internal/sig"
 	"appx/internal/static"
 	"appx/internal/verify"
@@ -113,14 +112,4 @@ func Generate(o Options) (*Artifacts, error) {
 		o.Configure(art.Config)
 	}
 	return art, nil
-}
-
-// NewProxy instantiates the acceleration proxy from the artifacts.
-func (a *Artifacts) NewProxy(up proxy.Upstream, workers int) *proxy.Proxy {
-	return proxy.New(proxy.Options{
-		Graph:    a.Graph,
-		Config:   a.Config,
-		Upstream: up,
-		Workers:  workers,
-	})
 }

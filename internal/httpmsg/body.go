@@ -126,9 +126,6 @@ func (r *Response) Buffer(maxBytes int64) error {
 // never truncated by a capture cap.
 func (r *Response) BodyComplete() bool { return !r.Streaming() && !r.trunc }
 
-// Truncated reports whether a Buffer cap discarded the body mid-read.
-func (r *Response) Truncated() bool { return r.trunc }
-
 // FromHTTPResponseStreaming wraps a *http.Response without reading its body:
 // the returned Response is streaming and the caller owns the body via
 // WriteTo / Buffer / DrainAndClose / CloseBody.

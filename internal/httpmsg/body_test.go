@@ -64,8 +64,8 @@ func TestBufferCapTruncates(t *testing.T) {
 	if !errors.Is(err, ErrBodyTooLarge) {
 		t.Fatalf("err = %v, want ErrBodyTooLarge", err)
 	}
-	if !tb.closed || !r.Truncated() || r.BodyComplete() || len(r.Body) != 0 {
-		t.Fatalf("closed=%v trunc=%v complete=%v len=%d", tb.closed, r.Truncated(), r.BodyComplete(), len(r.Body))
+	if !tb.closed || !r.trunc || r.BodyComplete() || len(r.Body) != 0 {
+		t.Fatalf("closed=%v trunc=%v complete=%v len=%d", tb.closed, r.trunc, r.BodyComplete(), len(r.Body))
 	}
 	if _, err := r.JSON(); err == nil {
 		t.Fatal("JSON on truncated body must error")

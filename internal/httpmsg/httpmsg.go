@@ -2,14 +2,14 @@
 // independently of the wire representation.
 //
 // APPx reasons about requests at the granularity of named fields — URI, query
-// string, header fields, and body fields (form-encoded or JSON) — because
+// string, header fields, and form body fields — because
 // those are the positions where inter-transaction dependencies live (§4.1 of
 // the paper) and the positions dynamic learning fills in at run time (§4.2).
 // This package provides that field-level view plus lossless conversion to and
-// from net/http, and the exact-match canonical key the proxy uses to decide
-// whether a prefetched response may be served (§4.5: "the proxy sends the
-// response only when the prefetch request is identical to the client's
-// request").
+// from net/http, which sends a request that arrived byte for byte, and the
+// exact-match canonical key the proxy uses to decide whether a prefetched
+// response may be served (§4.5: "the proxy sends the response only when the
+// prefetch request is identical to the client's request").
 package httpmsg
 
 import (
@@ -17,7 +17,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -38,14 +37,15 @@ type Field struct {
 	Value string `json:"v"`
 }
 
-// BodyKind discriminates request body representations.
+// BodyKind discriminates request body representations. A request body is
+// form fields or opaque bytes. Signature files, snapshots and peer entries
+// carry the number: 2 named a JSON document once, and is retired, not reused.
 type BodyKind uint8
 
 const (
-	BodyNone BodyKind = iota
-	BodyForm          // application/x-www-form-urlencoded fields
-	BodyJSON          // application/json document
-	BodyRaw           // opaque bytes
+	BodyNone BodyKind = 0
+	BodyForm BodyKind = 1 // application/x-www-form-urlencoded fields
+	BodyRaw  BodyKind = 3 // opaque bytes, keyed and forwarded as they arrived
 )
 
 func (k BodyKind) String() string {
@@ -54,8 +54,6 @@ func (k BodyKind) String() string {
 		return "none"
 	case BodyForm:
 		return "form"
-	case BodyJSON:
-		return "json"
 	case BodyRaw:
 		return "raw"
 	default:
@@ -74,8 +72,16 @@ type Request struct {
 
 	BodyKind BodyKind
 	BodyForm []Field
-	BodyJSON any // encoding/json generic value shape
 	BodyRaw  []byte
+
+	// What arrived, kept so a forwarded request reaches the origin byte for
+	// byte (RFC 9112 §3.2.2: a proxy must not rewrite the target): the
+	// escaped path when it is not Path's default escaping, the query and a
+	// form body as they were sent. Only FromHTTPLimited sets them, only
+	// when they parse whole, and SetForm clears the form; code that assigns
+	// Path, Query or BodyForm itself builds a new request instead.
+	rawPath, rawQuery string
+	rawForm           []byte
 
 	// ckey memoizes CanonicalKey. The Set*/Delete* mutators clear it; code
 	// that assigns the exported fields directly on a request that has
@@ -83,8 +89,9 @@ type Request struct {
 	ckey string
 }
 
-// Clone deep-copies the request (without the canonical-key cache, so the
-// clone may be freely mutated through direct field writes).
+// Clone deep-copies the request without the canonical-key cache, so the
+// clone's headers may be freely mutated through direct field writes. A
+// clone keeps what arrived: it is the same request.
 func (r *Request) Clone() *Request {
 	c := *r
 	c.ckey = ""
@@ -92,29 +99,7 @@ func (r *Request) Clone() *Request {
 	c.Header = append([]Field(nil), r.Header...)
 	c.BodyForm = append([]Field(nil), r.BodyForm...)
 	c.BodyRaw = append([]byte(nil), r.BodyRaw...)
-	if r.BodyJSON != nil {
-		c.BodyJSON = cloneJSON(r.BodyJSON)
-	}
 	return &c
-}
-
-func cloneJSON(v any) any {
-	switch x := v.(type) {
-	case map[string]any:
-		m := make(map[string]any, len(x))
-		for k, vv := range x {
-			m[k] = cloneJSON(vv)
-		}
-		return m
-	case []any:
-		s := make([]any, len(x))
-		for i, vv := range x {
-			s[i] = cloneJSON(vv)
-		}
-		return s
-	default:
-		return x
-	}
 }
 
 // URL renders the request URL including the encoded query string.
@@ -123,11 +108,29 @@ func (r *Request) URL() string {
 	if scheme == "" {
 		scheme = "http"
 	}
-	u := scheme + "://" + r.Host + r.Path
-	if len(r.Query) > 0 {
-		u += "?" + encodeFields(r.Query)
+	u := scheme + "://" + r.Host + r.escapedPath()
+	if q := r.query(); q != "" {
+		u += "?" + q
 	}
 	return u
+}
+
+// escapedPath is the path as it arrived, or Path when it arrived in its
+// default escaping or was built.
+func (r *Request) escapedPath() string {
+	if r.rawPath != "" {
+		return r.rawPath
+	}
+	return r.Path
+}
+
+// query is the query the request is sent with: as it arrived, else the
+// fields encoded.
+func (r *Request) query() string {
+	if r.rawQuery != "" || len(r.Query) == 0 {
+		return r.rawQuery
+	}
+	return encodeFields(r.Query)
 }
 
 // encodeFields renders fields exactly as url.Values.Encode renders them —
@@ -205,18 +208,6 @@ func (r *Request) GetQuery(key string) (string, bool) {
 	return "", false
 }
 
-// SetQuery replaces the first query value for key, appending when absent.
-func (r *Request) SetQuery(key, value string) {
-	r.ckey = ""
-	for i, f := range r.Query {
-		if f.Key == key {
-			r.Query[i].Value = value
-			return
-		}
-	}
-	r.Query = append(r.Query, Field{Key: key, Value: value})
-}
-
 // GetForm returns the first form body field value for key.
 func (r *Request) GetForm(key string) (string, bool) {
 	for _, f := range r.BodyForm {
@@ -230,7 +221,7 @@ func (r *Request) GetForm(key string) (string, bool) {
 // SetForm replaces the first form field for key, appending when absent, and
 // marks the body as form-encoded.
 func (r *Request) SetForm(key, value string) {
-	r.ckey = ""
+	r.ckey, r.rawForm = "", nil
 	r.BodyKind = BodyForm
 	for i, f := range r.BodyForm {
 		if f.Key == key {
@@ -243,7 +234,7 @@ func (r *Request) SetForm(key, value string) {
 
 // DeleteForm removes all form fields named key.
 func (r *Request) DeleteForm(key string) {
-	r.ckey = ""
+	r.ckey, r.rawForm = "", nil
 	out := r.BodyForm[:0]
 	for _, f := range r.BodyForm {
 		if f.Key != key {
@@ -256,7 +247,8 @@ func (r *Request) DeleteForm(key string) {
 // hopByHop lists fields excluded from the canonical key: transport details
 // that differ between a prefetched request and the client's live request
 // without changing application semantics. Content-Type is covered by
-// BodyKind, which the key already includes. Range and If-Range are excluded
+// BodyKind, which the key already includes, and is keyed beside a raw body,
+// whose bytes mean what their type says. Range and If-Range are excluded
 // so a ranged request shares its key with the full-entity request — the
 // proxy fetches and caches whole entities and slices the 206 locally, which
 // preserves §4.5 exactness (a byte range of a byte-identical response).
@@ -345,8 +337,13 @@ func (r *Request) CanonicalKey() string {
 	ks := keyScratchPool.Get().(*keyScratch)
 	ks.buf = ks.buf[:0]
 	// ToUpper/ToLower return their argument unchanged (no allocation) in
-	// the common already-normalized case.
+	// the common already-normalized case. A path that arrived in other than
+	// its default escaping is keyed as sent too: /a%2Fb and /a/b are two
+	// resources with one Path.
 	ks.write("m", strings.ToUpper(r.Method), "h", strings.ToLower(r.Host), "p", r.Path)
+	if r.rawPath != "" {
+		ks.write("P", r.rawPath)
+	}
 
 	for _, f := range ks.sorted(r.Query) {
 		ks.write("q", f.Key, f.Value)
@@ -366,8 +363,8 @@ func (r *Request) CanonicalKey() string {
 	}
 
 	// The body kind is keyed even without a body: Content-Type is not, and
-	// an empty form is not an absent body. A JSON or raw body is the last
-	// component, after its kind, and runs to the end of the stream: every
+	// an empty form is not an absent body. A raw body is the last component,
+	// after its kind and type, and runs to the end of the stream: every
 	// component before it is length-prefixed, so it needs no prefix.
 	ks.write("k", r.BodyKind.String())
 	switch r.BodyKind {
@@ -375,9 +372,9 @@ func (r *Request) CanonicalKey() string {
 		for _, f := range ks.sorted(r.BodyForm) {
 			ks.write("b", f.Key, f.Value)
 		}
-	case BodyJSON:
-		ks.buf = appendCanonicalJSON(ks.buf, r.BodyJSON)
 	case BodyRaw:
+		ct, _ := r.GetHeader("Content-Type")
+		ks.write("t", ct)
 		ks.buf = append(ks.buf, r.BodyRaw...)
 	}
 	sum := sha256.Sum256(ks.buf)
@@ -386,58 +383,18 @@ func (r *Request) CanonicalKey() string {
 	return r.ckey
 }
 
-// canonicalJSON renders a generic JSON value with sorted object keys.
-func canonicalJSON(v any) string {
-	return string(appendCanonicalJSON(nil, v))
-}
-
-// appendCanonicalJSON appends the canonical rendering to buf and returns it,
-// so CanonicalKey can stream JSON bodies into its pooled buffer without an
-// intermediate builder allocation.
-func appendCanonicalJSON(buf []byte, v any) []byte {
-	switch x := v.(type) {
-	case map[string]any:
-		keys := make([]string, 0, len(x))
-		for k := range x {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		buf = append(buf, '{')
-		for i, k := range keys {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			kb, _ := json.Marshal(k)
-			buf = append(buf, kb...)
-			buf = append(buf, ':')
-			buf = appendCanonicalJSON(buf, x[k])
-		}
-		return append(buf, '}')
-	case []any:
-		buf = append(buf, '[')
-		for i, e := range x {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			buf = appendCanonicalJSON(buf, e)
-		}
-		return append(buf, ']')
-	default:
-		eb, _ := json.Marshal(x)
-		return append(buf, eb...)
-	}
-}
-
-// EncodeBody renders the body bytes and matching Content-Type.
+// EncodeBody renders the body bytes and matching Content-Type: a form body
+// as it arrived, else its fields encoded; raw bytes with no type of their
+// own, so none is added to what arrived.
 func (r *Request) EncodeBody() (contentType string, body []byte) {
 	switch r.BodyKind {
 	case BodyForm:
+		if r.rawForm != nil {
+			return "application/x-www-form-urlencoded", r.rawForm
+		}
 		return "application/x-www-form-urlencoded", []byte(encodeFields(r.BodyForm))
-	case BodyJSON:
-		b, _ := json.Marshal(r.BodyJSON)
-		return "application/json", b
 	case BodyRaw:
-		return "application/octet-stream", r.BodyRaw
+		return "", r.BodyRaw // its type is whatever its header says
 	default:
 		return "", nil
 	}
@@ -448,6 +405,8 @@ func (r *Request) EncodeBody() (contentType string, body []byte) {
 // would re-split a host or path holding '/', '?', '#' or '%', and the origin
 // would be asked for something other than what the proxy keyed. For the same
 // reason a host (*http.Request).Write would not send as it stands is refused.
+// A request that arrived is sent with the path, query and form body it
+// arrived with.
 func (r *Request) ToHTTP() (*http.Request, error) {
 	if !sendableHost(r.Host) {
 		return nil, fmt.Errorf("httpmsg: host %q cannot be sent as it stands", r.Host)
@@ -462,12 +421,10 @@ func (r *Request) ToHTTP() (*http.Request, error) {
 	if u.Scheme == "" {
 		u.Scheme = "http"
 	}
-	if u.EscapedPath() != r.Path {
-		u.RawPath = r.Path // sent as it stands when it is a valid encoding of Path
+	if ep := r.escapedPath(); u.EscapedPath() != ep {
+		u.RawPath = ep // sent as it stands when it is a valid encoding of Path
 	}
-	if len(r.Query) > 0 {
-		u.RawQuery = encodeFields(r.Query)
-	}
+	u.RawQuery = r.query()
 	req.Host = r.Host
 	ct, body := r.EncodeBody()
 	req.Body, req.GetBody = http.NoBody, func() (io.ReadCloser, error) { return http.NoBody, nil }
@@ -499,21 +456,18 @@ func sendableHost(host string) bool {
 	return true
 }
 
-// FromHTTP converts an inbound *http.Request (as seen by a proxy or origin
-// handler) into the field-structured form, consuming the body.
-func FromHTTP(req *http.Request) (*Request, error) {
-	return FromHTTPLimited(req, 0)
-}
-
-// FromHTTPLimited is FromHTTP with a body-size guard: when maxBody > 0 and
+// FromHTTPLimited converts an inbound *http.Request (as seen by a proxy or
+// origin handler) into the field-structured form, consuming the body, and
+// keeps the path, query and form body as they arrived. When maxBody > 0 and
 // the request body exceeds it, the body is closed and ErrBodyTooLarge is
 // returned (the proxy answers 413). maxBody <= 0 means unlimited.
 func FromHTTPLimited(req *http.Request, maxBody int64) (*Request, error) {
 	out := &Request{
-		Method: req.Method,
-		Scheme: "http",
-		Host:   req.Host,
-		Path:   req.URL.Path,
+		Method:  req.Method,
+		Scheme:  "http",
+		Host:    req.Host,
+		Path:    req.URL.Path,
+		rawPath: req.URL.RawPath, // set by url.Parse only when not the default escaping
 	}
 	if req.URL.Scheme != "" {
 		out.Scheme = req.URL.Scheme
@@ -524,11 +478,18 @@ func FromHTTPLimited(req *http.Request, maxBody int64) (*Request, error) {
 	if out.Path == "" {
 		out.Path = "/" // what any request line for it carries (RFC 9112 §3.2.1)
 	}
-	out.Query, _ = ParseFields(req.URL.RawQuery) // as URL.Query, a bad pair is dropped, not fatal
+	// As URL.Query, a bad pair is dropped, not fatal; then the query is
+	// sent as the fields that were keyed, not as it arrived.
+	var err error
+	if out.Query, err = ParseFields(req.URL.RawQuery); err == nil {
+		out.rawQuery = req.URL.RawQuery
+	}
+	if out.rawPath != "" && req.URL.EscapedPath() != out.rawPath {
+		out.rawPath = "" // not a valid encoding of Path: sent as Path encodes
+	}
 	out.Header = headerFields(req.Header)
 	var body []byte
-	if req.Body != nil {
-		var err error
+	if req.Body != nil && req.Body != http.NoBody {
 		src := io.Reader(req.Body)
 		if maxBody > 0 {
 			src = io.LimitReader(req.Body, maxBody+1)
@@ -546,30 +507,13 @@ func FromHTTPLimited(req *http.Request, maxBody int64) (*Request, error) {
 	if len(body) == 0 {
 		return out, nil
 	}
-	ct := req.Header.Get("Content-Type")
-	switch {
-	case strings.HasPrefix(ct, "application/x-www-form-urlencoded"):
-		fields, err := ParseFields(string(body))
-		if err != nil {
-			out.BodyKind = BodyRaw
-			out.BodyRaw = body
+	if strings.HasPrefix(req.Header.Get("Content-Type"), "application/x-www-form-urlencoded") {
+		if fields, err := ParseFields(string(body)); err == nil {
+			out.BodyKind, out.BodyForm, out.rawForm = BodyForm, fields, body
 			return out, nil
 		}
-		out.BodyKind = BodyForm
-		out.BodyForm = fields
-	case strings.HasPrefix(ct, "application/json"):
-		v, err := jsonpath.Decode(body)
-		if err != nil {
-			out.BodyKind = BodyRaw
-			out.BodyRaw = body
-			return out, nil
-		}
-		out.BodyKind = BodyJSON
-		out.BodyJSON = v
-	default:
-		out.BodyKind = BodyRaw
-		out.BodyRaw = body
 	}
+	out.BodyKind, out.BodyRaw = BodyRaw, body
 	return out, nil
 }
 
@@ -644,17 +588,6 @@ type Response struct {
 	jsonOnce bool
 	jsonVal  any
 	jsonErr  error
-}
-
-// Clone deep-copies the response (without the parsed-JSON cache). Clone is
-// defined for buffered responses only: a stream has exactly one consumer, so
-// the clone shares no stream (its body is whatever has been buffered).
-func (r *Response) Clone() *Response {
-	return &Response{
-		Status: r.Status,
-		Header: append([]Field(nil), r.Header...),
-		Body:   append([]byte(nil), r.Body...),
-	}
 }
 
 // GetHeader returns the first header value for key (case-insensitive).

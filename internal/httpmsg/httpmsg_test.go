@@ -128,18 +128,24 @@ func TestKeyedHeaderAgreesWithCanonicalKey(t *testing.T) {
 	}
 }
 
+// TestCanonicalKeyJSONBody: a JSON body is opaque bytes, keyed as it
+// arrived — the origin hears those bytes, so reordered keys are another
+// request.
 func TestCanonicalKeyJSONBody(t *testing.T) {
-	a := &Request{Method: "POST", Host: "h", Path: "/p", BodyKind: BodyJSON,
-		BodyJSON: map[string]any{"b": float64(1), "a": "x"}}
-	b := &Request{Method: "POST", Host: "h", Path: "/p", BodyKind: BodyJSON,
-		BodyJSON: map[string]any{"a": "x", "b": float64(1)}}
-	if a.CanonicalKey() != b.CanonicalKey() {
-		t.Fatal("JSON key order changed the canonical key")
+	key := func(body string) string {
+		hreq, _ := http.NewRequest("POST", "http://h/p", strings.NewReader(body))
+		hreq.Header.Set("Content-Type", "application/json")
+		r, err := FromHTTPLimited(hreq, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.CanonicalKey()
 	}
-	c := &Request{Method: "POST", Host: "h", Path: "/p", BodyKind: BodyJSON,
-		BodyJSON: map[string]any{"a": "x", "b": float64(2)}}
-	if a.CanonicalKey() == c.CanonicalKey() {
-		t.Fatal("JSON value change did not change the canonical key")
+	if key(`{"b":1,"a":"x"}`) != key(`{"b":1,"a":"x"}`) {
+		t.Fatal("one JSON body keyed two ways")
+	}
+	if key(`{"b":1,"a":"x"}`) == key(`{"a":"x","b":1}`) {
+		t.Fatal("reordered JSON bytes share a key")
 	}
 }
 
@@ -153,7 +159,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 	rec := httptest.NewRecorder()
 	var captured *Request
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		captured, err = FromHTTP(r)
+		captured, err = FromHTTPLimited(r, 0)
 		if err != nil {
 			t.Fatalf("FromHTTP: %v", err)
 		}
@@ -185,26 +191,28 @@ func toServerShape(t *testing.T, req *http.Request) *http.Request {
 	return sreq
 }
 
+// TestFromHTTPJSONBody: a JSON body is kept as the bytes that arrived and
+// sent back as them, not re-encoded.
 func TestFromHTTPJSONBody(t *testing.T) {
-	hreq, _ := http.NewRequest("POST", "http://h/p", strings.NewReader(`{"k":"v"}`))
+	const body = `{"b":1.0,"a":"<x>"}`
+	hreq, _ := http.NewRequest("POST", "http://h/p", strings.NewReader(body))
 	hreq.Header.Set("Content-Type", "application/json")
-	r, err := FromHTTP(hreq)
+	r, err := FromHTTPLimited(hreq, 0)
 	if err != nil {
 		t.Fatalf("FromHTTP: %v", err)
 	}
-	if r.BodyKind != BodyJSON {
-		t.Fatalf("BodyKind = %v, want json", r.BodyKind)
+	if r.BodyKind != BodyRaw || string(r.BodyRaw) != body {
+		t.Fatalf("body = %v %q, want raw %q", r.BodyKind, r.BodyRaw, body)
 	}
-	m, ok := r.BodyJSON.(map[string]any)
-	if !ok || m["k"] != "v" {
-		t.Fatalf("BodyJSON = %v", r.BodyJSON)
+	if _, got := r.EncodeBody(); string(got) != body {
+		t.Fatalf("EncodeBody = %q, want %q", got, body)
 	}
 }
 
 func TestFromHTTPRawBodyFallback(t *testing.T) {
 	hreq, _ := http.NewRequest("POST", "http://h/p", strings.NewReader("\x00binary"))
 	hreq.Header.Set("Content-Type", "image/jpeg")
-	r, err := FromHTTP(hreq)
+	r, err := FromHTTPLimited(hreq, 0)
 	if err != nil {
 		t.Fatalf("FromHTTP: %v", err)
 	}
@@ -244,16 +252,16 @@ func TestQueryAccessors(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	r := sampleRequest()
-	r.BodyKind = BodyJSON
-	r.BodyJSON = map[string]any{"nested": map[string]any{"x": float64(1)}}
+	r.BodyKind = BodyRaw
+	r.BodyRaw = []byte("x=1")
 	c := r.Clone()
 	c.SetHeader("Cookie", "changed")
-	c.BodyJSON.(map[string]any)["nested"].(map[string]any)["x"] = float64(2)
+	c.BodyRaw[0] = 'y'
 	if v, _ := r.GetHeader("Cookie"); v != "e8d5" {
 		t.Fatal("Clone shares header storage")
 	}
-	if r.BodyJSON.(map[string]any)["nested"].(map[string]any)["x"] != float64(1) {
-		t.Fatal("Clone shares JSON storage")
+	if string(r.BodyRaw) != "x=1" {
+		t.Fatal("Clone shares body storage")
 	}
 }
 
@@ -323,7 +331,7 @@ func TestURLEncoding(t *testing.T) {
 }
 
 func TestBodyKindString(t *testing.T) {
-	if BodyForm.String() != "form" || BodyJSON.String() != "json" || BodyNone.String() != "none" || BodyRaw.String() != "raw" {
+	if BodyForm.String() != "form" || BodyKind(2).String() != "bodykind(2)" || BodyNone.String() != "none" || BodyRaw.String() != "raw" {
 		t.Fatal("BodyKind strings wrong")
 	}
 }
@@ -490,5 +498,45 @@ func TestSortsScaleToManyFields(t *testing.T) {
 	byKey := func(a, b Field) int { return strings.Compare(a.Key, b.Key) }
 	if len(out) != n || !slices.IsSortedFunc(out, byKey) {
 		t.Fatalf("headerFields returned %d of %d fields, or out of order", len(out), n)
+	}
+}
+
+// TestCanonicalKeyEscapedPath: a path that arrived in other than its
+// default escaping keys as sent — /a%2Fb/c is not /a/b/c — while a
+// canonical target keys exactly as the request built from its fields.
+func TestCanonicalKeyEscapedPath(t *testing.T) {
+	parse := func(target string) *Request {
+		hreq, err := http.ReadRequest(newBufReader(bytes.NewBufferString("GET " + target + " HTTP/1.1\r\nHost: h\r\n\r\n")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := FromHTTPLimited(hreq, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	if parse("/a%2Fb/c").CanonicalKey() == parse("/a/b/c").CanonicalKey() {
+		t.Fatalf("%s and %s share a key", "/a%2Fb/c", "/a/b/c")
+	}
+	built := &Request{Method: "GET", Scheme: "http", Host: "h", Path: "/a b/c", Query: []Field{{Key: "x", Value: "1 2"}}}
+	if got := parse("/a%20b/c?x=1+2"); got.CanonicalKey() != built.CanonicalKey() {
+		t.Fatalf("a canonical target keys as %+v, not as the request built from its fields", got)
+	}
+	if got := parse("/a%2Fb?x=1%202&a=%7E").URL(); got != "http://h/a%2Fb?x=1%202&a=%7E" {
+		t.Fatalf("URL = %q, want the target as it arrived", got)
+	}
+}
+
+// TestCanonicalKeyRawBodyType: a raw body's bytes are keyed with their
+// Content-Type — the same bytes as JSON and as text are two requests.
+func TestCanonicalKeyRawBodyType(t *testing.T) {
+	key := func(ct string) string {
+		r := &Request{Method: "POST", Host: "h", Path: "/p", Header: []Field{{Key: "Content-Type", Value: ct}},
+			BodyKind: BodyRaw, BodyRaw: []byte(`{"a":1}`)}
+		return r.CanonicalKey()
+	}
+	if key("application/json") == key("text/plain") {
+		t.Fatal("one raw body under two types shares a key")
 	}
 }

@@ -87,7 +87,7 @@ func FuzzFromHTTPLimited(f *testing.F) {
 		if err != nil {
 			t.Fatalf("written request %q does not parse: %v", sent, err)
 		}
-		got, err := FromHTTP(back)
+		got, err := FromHTTPLimited(back, 0)
 		if err != nil {
 			t.Fatalf("written request %q does not convert: %v", sent, err)
 		}

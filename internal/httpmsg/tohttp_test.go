@@ -65,8 +65,6 @@ func TestToHTTPMatchesURLRoundTrip(t *testing.T) {
 		{Method: "BAD METHOD", Host: "a.example", Path: "/"},
 		{Method: "POST", Host: "a.example", Path: "/product/get", Header: q("Cookie", "sid=1", "X-A", "1", "x-a", "2"),
 			BodyKind: BodyForm, BodyForm: q("cid", "c 9", "_client", "android", "cid", "second", "a&b", "=")},
-		{Method: "POST", Host: "a.example", Path: "/graph", Header: q("Content-Type", "application/json; charset=utf-8"),
-			BodyKind: BodyJSON, BodyJSON: map[string]any{"query": map[string]any{"id": "z9"}}},
 		{Method: "PUT", Host: "a.example", Path: "/raw", BodyKind: BodyRaw, BodyRaw: []byte{0, 1, 2, 255}},
 		{Method: "POST", Host: "a.example", Path: "/empty-form", BodyKind: BodyForm},
 	}
@@ -162,7 +160,7 @@ func TestToHTTPSendsFields(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q does not parse: %v", sent, err)
 		}
-		got, err := FromHTTP(back)
+		got, err := FromHTTPLimited(back, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -202,72 +202,6 @@ func formatNumber(x float64) string {
 	return strconv.FormatFloat(x, 'g', -1, 64)
 }
 
-// Inject sets the value at a wildcard-free path inside doc, creating
-// intermediate objects as needed, and returns the (possibly new) root.
-// Array steps require the array and index to already exist.
-func Inject(doc any, p Path, val any) (any, error) {
-	if len(p) == 0 {
-		return val, nil
-	}
-	if p.HasWildcard() {
-		return nil, fmt.Errorf("jsonpath: cannot inject through wildcard path %s", p)
-	}
-	root := doc
-	if root == nil {
-		root = map[string]any{}
-	}
-	cur := root
-	for i, st := range p {
-		last := i == len(p)-1
-		m, ok := cur.(map[string]any)
-		if st.Key != "" {
-			if !ok {
-				return nil, fmt.Errorf("jsonpath: %s: step %d expects object", p, i)
-			}
-			if st.HasIndex {
-				arr, ok := m[st.Key].([]any)
-				if !ok || st.Index >= len(arr) {
-					return nil, fmt.Errorf("jsonpath: %s: missing array at step %d", p, i)
-				}
-				if last {
-					arr[st.Index] = val
-					return root, nil
-				}
-				if arr[st.Index] == nil {
-					arr[st.Index] = map[string]any{}
-				}
-				cur = arr[st.Index]
-				continue
-			}
-			if last {
-				m[st.Key] = val
-				return root, nil
-			}
-			next, ok := m[st.Key]
-			if !ok || next == nil {
-				next = map[string]any{}
-				m[st.Key] = next
-			}
-			cur = next
-			continue
-		}
-		// Bare index step.
-		arr, ok := cur.([]any)
-		if !ok || !st.HasIndex || st.Index >= len(arr) {
-			return nil, fmt.Errorf("jsonpath: %s: bad bare index at step %d", p, i)
-		}
-		if last {
-			arr[st.Index] = val
-			return root, nil
-		}
-		if arr[st.Index] == nil {
-			arr[st.Index] = map[string]any{}
-		}
-		cur = arr[st.Index]
-	}
-	return root, nil
-}
-
 // Decode parses JSON bytes into the generic value shape used by Extract.
 func Decode(b []byte) (any, error) {
 	var v any
@@ -275,9 +209,4 @@ func Decode(b []byte) (any, error) {
 		return nil, err
 	}
 	return v, nil
-}
-
-// Encode renders a generic value back to JSON bytes.
-func Encode(v any) ([]byte, error) {
-	return json.Marshal(v)
 }

@@ -144,16 +144,6 @@ func (in *Injector) Fault(host string) Fault {
 	return in.faults[host]
 }
 
-// Stats returns the event counts injected for one host so far.
-func (in *Injector) Stats(host string) FaultStats {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if st := in.stats[host]; st != nil {
-		return *st
-	}
-	return FaultStats{}
-}
-
 // Sever kills every live wrapped connection for host: blocked reads and
 // writes return immediately and the transport sockets close, so pooled
 // keep-alive connections cannot tunnel through a partition installed with
@@ -266,19 +256,6 @@ func (in *Injector) WrapConn(c net.Conn, host string) net.Conn {
 	return fc
 }
 
-// Dial connects like net.Dial but subject to host's fault model: the
-// attempt may be refused, and the returned connection is wrapped.
-func (in *Injector) Dial(network, addr, host string) (net.Conn, error) {
-	if in.ConnectRefused(host) {
-		return nil, ErrInjectedRefusal
-	}
-	c, err := net.Dial(network, addr)
-	if err != nil {
-		return nil, err
-	}
-	return in.WrapConn(c, host), nil
-}
-
 // DialContext is Dial with context plumbing, shaped to back a dial function
 // such as cluster.Config.Dial: the attempt may be refused, honours ctx
 // cancellation while connecting, and the returned connection is wrapped in
@@ -293,34 +270,6 @@ func (in *Injector) DialContext(ctx context.Context, network, addr, host string)
 		return nil, err
 	}
 	return in.WrapConn(c, host), nil
-}
-
-// Listener wraps ln so every accepted connection runs through host's fault
-// model (refusals become immediate closes of the accepted connection).
-func (in *Injector) Listener(ln net.Listener, host string) net.Listener {
-	return &faultListener{Listener: ln, in: in, host: host}
-}
-
-type faultListener struct {
-	net.Listener
-	in   *Injector
-	host string
-}
-
-func (fl *faultListener) Accept() (net.Conn, error) {
-	for {
-		c, err := fl.Listener.Accept()
-		if err != nil {
-			return nil, err
-		}
-		// A "refused" connect on the accept side: close immediately so the
-		// peer sees the connection die during establishment.
-		if fl.in.ConnectRefused(fl.host) {
-			c.Close()
-			continue
-		}
-		return fl.in.WrapConn(c, fl.host), nil
-	}
 }
 
 // faultConn applies per-operation fault draws to both directions.

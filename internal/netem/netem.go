@@ -50,24 +50,12 @@ func (l Link) serializationDelay(n int) time.Duration {
 	return time.Duration(float64(n) * 8 / float64(l.Bandwidth) * float64(time.Second))
 }
 
-// TransferTime estimates the total time for a payload of n bytes to cross
-// the hop in one direction (propagation + serialization). The experiment
-// harness uses it for sanity checks.
-func (l Link) TransferTime(n int) time.Duration {
-	return l.RTT/2 + l.serializationDelay(n)
-}
-
 // Dialer dials TCP connections shaped by a Link.
 type Dialer struct {
 	Link Link
 	// Timeout bounds connection establishment (not shaped). Zero means no
 	// bound beyond the context's.
 	Timeout time.Duration
-}
-
-// Dial connects to addr and returns a shaped connection.
-func (d *Dialer) Dial(network, addr string) (net.Conn, error) {
-	return d.DialContext(context.Background(), network, addr)
 }
 
 // DialContext connects to addr and returns a shaped connection.

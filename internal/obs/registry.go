@@ -193,9 +193,6 @@ func (h *Histogram) Observe(d time.Duration) {
 // Count reports total observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Sum reports the accumulated duration.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
-
 // Quantile estimates the q-quantile (0..1) from the bucket counts: the
 // nearest-rank bucket is found by cumulative count, then the value is
 // interpolated linearly inside it. 0 when empty. The overflow bucket

@@ -143,15 +143,6 @@ func (s *Span) EndStage(st Stage) {
 	s.mark = now
 }
 
-// SkipStage moves the stage boundary to now without attributing the elapsed
-// time anywhere (time the span explicitly does not account for).
-func (s *Span) SkipStage() {
-	if s == nil {
-		return
-	}
-	s.mark = s.rec.now()
-}
-
 // SetOutcome records the request's terminal disposition.
 func (s *Span) SetOutcome(o Outcome) {
 	if s != nil {

@@ -163,13 +163,3 @@ func writeAtomic(path string, data []byte, f *Faults) error {
 	}
 	return nil
 }
-
-// readEnvelope reads and decodes one enveloped file. Missing files return
-// (nil, os.ErrNotExist-wrapped error); corrupt files return *DecodeError.
-func readEnvelope(magic [8]byte, path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(magic, data)
-}

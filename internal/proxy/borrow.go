@@ -47,13 +47,10 @@ func keyOf(origin, host string) devKey {
 // compileShape fills the signature's borrow pieces (sigState) from its
 // slots: the header names it names, and whether a profile may build its
 // exemplar at all — no optional field, every unknown part a Dep or a device
-// value, and a URI and JSON body of Deps only.
+// value, and a URI of Deps only.
 func (st *sigState) compileShape() {
 	s := st.sig
 	st.borrows = !hasWild(s.URI)
-	for _, f := range s.BodyJSON {
-		st.borrows = st.borrows && !f.Optional && !hasWild(f.Value)
-	}
 	for _, sl := range st.slots {
 		st.borrows = st.borrows && !sl.optional
 		for _, part := range sl.value.Parts {
@@ -93,7 +90,7 @@ func (ps *planSucc) borrowable() bool {
 		return true
 	}
 	ok := ps.st.borrows && local(ps.URI)
-	for _, fs := range [][]sig.PlanField{ps.Query, ps.Header, ps.Form, ps.JSON} {
+	for _, fs := range [][]sig.PlanField{ps.Query, ps.Header, ps.Form} {
 		for _, f := range fs {
 			ok = ok && local(f.Value)
 		}

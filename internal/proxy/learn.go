@@ -331,27 +331,6 @@ func materialize(ps *planSucc, vals []string, ex *slotExemplar) (*httpmsg.Reques
 	if len(req.BodyForm) > 0 {
 		req.BodyKind = httpmsg.BodyForm
 	}
-	if len(ps.JSON) > 0 {
-		// The one place learning still builds a tree: the request's own body.
-		var doc any
-		for _, f := range ps.JSON {
-			if f.Optional {
-				// A JSON field has no slot: its presence is never learned,
-				// so the instance class without it is the one sent.
-				continue
-			}
-			v, ok := resolve(f.Value, vals, nil)
-			if !ok || f.BadPath {
-				return nil, false
-			}
-			var err error
-			if doc, err = jsonpath.Inject(doc, f.Path, v); err != nil {
-				return nil, false
-			}
-		}
-		req.BodyKind = httpmsg.BodyJSON
-		req.BodyJSON = doc
-	}
 	return req, true
 }
 

@@ -280,8 +280,8 @@ func TestLearnPlanDifferential(t *testing.T) {
 // fanoutGraph is bench's learn_fanout chain — list → item → detail among
 // 500 signatures — plus successors of list that hit what the chain alone
 // does not: two response paths (a cartesian product), a path that does not
-// parse, a dependency on a second predecessor, a JSON body with an optional
-// field, an optional form field, and a signature whose exemplar never comes.
+// parse, a dependency on a second predecessor, an optional form field, and a
+// signature whose exemplar never comes.
 func fanoutGraph() *sig.Graph { return chainGraph(true) }
 
 // chainGraph is list → item → detail among 500 signatures; extras adds
@@ -331,12 +331,6 @@ func addFanoutExtras(add func(*sig.Signature, ...string), host string, uriDep fu
 		{Key: "a", Value: sig.DepValue("f:list#0", "id")},
 		{Key: "b", Value: sig.DepValue("f:other#0", "key")},
 	}}, "f:list#0", "f:other#0")
-	add(&sig.Signature{ID: "f:json#0", Method: "POST", URI: sig.Literal(host + "/graph"), BodyKind: httpmsg.BodyJSON,
-		BodyJSON: []sig.JSONField{
-			{Path: "query.id", Value: sig.DepValue("f:list#0", "id")},
-			{Path: "query.first", Value: sig.Concat(sig.Literal("i:"), sig.DepValue("f:list#0", "items[0].id"))},
-			{Path: "opts.debug", Value: sig.Literal("1"), Optional: true},
-		}}, "f:list#0")
 	add(&sig.Signature{ID: "f:form#0", Method: "POST", URI: sig.Concat(sig.Wildcard("host"), sig.Literal("/product/get")),
 		Header: []sig.Field{{Key: "cookie", Value: sig.Wildcard("cookie")}}, BodyKind: httpmsg.BodyForm,
 		BodyForm: []sig.Field{
@@ -384,8 +378,6 @@ func fanoutDifferential(t *testing.T) {
 	// The mix exemplar lacks "b": its other-predecessor slot stays
 	// unresolved, so the parked instance is counted no_exemplar.
 	h.replay(t, "mix exemplar", get("/mix?a=r0"), ok(`{}`))
-	h.replay(t, "json exemplar", &httpmsg.Request{Method: "POST", Scheme: "http", Host: host, Path: "/graph",
-		Header: []httpmsg.Field{ua}, BodyKind: httpmsg.BodyJSON, BodyJSON: map[string]any{"query": map[string]any{"id": "r0"}}}, ok(`{}`))
 	form := &httpmsg.Request{Method: "POST", Scheme: "http", Host: "shop.example", Path: "/product/get",
 		Header: []httpmsg.Field{{Key: "Cookie", Value: "sid=1"}, ua}, BodyKind: httpmsg.BodyForm,
 		BodyForm: []httpmsg.Field{{Key: "_client", Value: "android"}, {Key: "cid", Value: "c0"}}}

@@ -86,9 +86,6 @@ func refDepPaths(s *sig.Signature, pred string) []string {
 	for _, f := range s.BodyForm {
 		add(f.Value)
 	}
-	for _, f := range s.BodyJSON {
-		add(f.Value)
-	}
 	return out
 }
 
@@ -243,28 +240,6 @@ func refMaterialize(s *sig.Signature, pred string, combo map[string]string, ex *
 		}) {
 			return nil, false
 		}
-	}
-	if len(s.BodyJSON) > 0 {
-		var doc any
-		for _, f := range s.BodyJSON {
-			if f.Optional && (ex == nil || !ex.present["json:"+f.Path]) {
-				continue
-			}
-			v, ok := refResolvePattern(f.Value, pred, combo, nil)
-			if !ok {
-				return nil, false
-			}
-			path, err := jsonpath.Parse(f.Path)
-			if err != nil {
-				return nil, false
-			}
-			doc, err = jsonpath.Inject(doc, path, v)
-			if err != nil {
-				return nil, false
-			}
-		}
-		req.BodyKind = httpmsg.BodyJSON
-		req.BodyJSON = doc
 	}
 	return req, true
 }

@@ -90,34 +90,6 @@ func TestResolvePatternMissingDep(t *testing.T) {
 	}
 }
 
-func TestMaterializeJSONBody(t *testing.T) {
-	s := &sig.Signature{
-		ID:     "t:json#0",
-		Method: "POST",
-		URI:    sig.Literal("api.example/graph"),
-		BodyJSON: []sig.JSONField{
-			{Path: "query.id", Value: sig.DepValue("t:pred#0", "top.id")},
-			{Path: "query.lang", Value: sig.Literal("en")},
-			{Path: "opts.debug", Value: sig.Literal("1"), Optional: true},
-		},
-	}
-	req, ok := materialize(succFor(t, s, "t:pred#0"), []string{"z9"}, &slotExemplar{})
-	if !ok {
-		t.Fatal("materialize failed")
-	}
-	if req.BodyKind != httpmsg.BodyJSON {
-		t.Fatalf("BodyKind = %v", req.BodyKind)
-	}
-	doc := req.BodyJSON.(map[string]any)
-	q := doc["query"].(map[string]any)
-	if q["id"] != "z9" || q["lang"] != "en" {
-		t.Fatalf("json body = %v", doc)
-	}
-	if _, present := doc["opts"]; present {
-		t.Fatal("optional json field included without exemplar presence")
-	}
-}
-
 func TestDepPathsOrderAndDedup(t *testing.T) {
 	s := &sig.Signature{
 		ID:     "t:s#0",

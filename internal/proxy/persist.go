@@ -190,10 +190,6 @@ func (p *Proxy) RestoreOutcome() string { return p.persist.restoreOutcome }
 // RestoreDetail describes a failed restore (empty otherwise).
 func (p *Proxy) RestoreDetail() string { return p.persist.restoreDetail }
 
-// RestoreFailures reports counted failed restores (the acceptance
-// criterion's restore_failed metric).
-func (p *Proxy) RestoreFailures() int64 { return p.restoreFailures.Load() }
-
 // DiskTier exposes the persistence disk tier (nil when disabled) for
 // operational tooling, experiments, and tests.
 func (p *Proxy) DiskTier() *persist.Tier { return p.persist.tier }
@@ -305,7 +301,12 @@ func (p *Proxy) applyState(st *persist.State) {
 	}
 	p.mu.Unlock()
 	for id, r := range st.Samples {
-		if ss := p.sigs.byID[id]; ss != nil && r != nil {
+		switch ss := p.sigs.byID[id]; {
+		case r != nil && r.BodyKind != httpmsg.BodyNone && r.BodyKind != httpmsg.BodyForm && r.BodyKind != httpmsg.BodyRaw:
+			// A JSON body (the retired kind 2) or an unknown kind: the
+			// sample is dropped, not read as something else.
+			p.restoreFailures.Add(1)
+		case ss != nil && r != nil:
 			ss.sample.Store(r)
 		}
 	}

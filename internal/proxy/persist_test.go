@@ -230,6 +230,79 @@ func TestParentSnapshotRestores(t *testing.T) {
 	}
 }
 
+// TestJSONBodySampleDropped: a snapshot written while request bodies could
+// be JSON documents carries "BodyJSON" in every sample. Such a sample
+// restores as before; one of the retired JSON body kind is dropped and
+// counted as a restore failure, and the rest of the snapshot restores warm.
+func TestJSONBodySampleDropped(t *testing.T) {
+	g := sharedGraph()
+	up, _ := persistLabUpstream()
+	now := time.Unix(1_700_000_000, 0)
+	for _, jsonKind := range []bool{false, true} {
+		dir := t.TempDir()
+		opts := Options{Graph: g, Upstream: up, StateDir: dir, Now: func() time.Time { return now }}
+		p1 := New(opts)
+		trainAndWarm(t, p1)
+		want := p1.exportState()
+		p1.Close()
+		if len(want.Samples) == 0 {
+			t.Fatal("trained state holds no sample")
+		}
+		payload, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(payload, &fields); err != nil {
+			t.Fatal(err)
+		}
+		var samples map[string]map[string]any
+		if err := json.Unmarshal(fields["samples"], &samples); err != nil {
+			t.Fatal(err)
+		}
+		dropped := ""
+		for id := range samples {
+			if dropped == "" || id < dropped {
+				dropped = id
+			}
+		}
+		for id, r := range samples {
+			r["BodyJSON"] = nil
+			if jsonKind && id == dropped {
+				r["BodyKind"], r["BodyJSON"] = 2, map[string]any{"query": map[string]any{"id": "z9"}}
+			}
+		}
+		if fields["samples"], err = json.Marshal(samples); err != nil {
+			t.Fatal(err)
+		}
+		if payload, err = json.Marshal(fields); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, persist.SnapshotFile), persist.Encode(persist.MagicSnapshot, payload), 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		p2 := New(opts)
+		if got := p2.RestoreOutcome(); got != RestoreWarm {
+			t.Fatalf("restore outcome = %q (%s), want %q", got, p2.RestoreDetail(), RestoreWarm)
+		}
+		failures := int64(0)
+		if jsonKind {
+			failures = 1
+			delete(want.Samples, dropped)
+		}
+		if n := p2.RestoreFailures(); n != failures {
+			t.Fatalf("JSON-body sample %v: %d restore failures counted, want %d", jsonKind, n, failures)
+		}
+		gotJSON, _ := json.Marshal(p2.exportState().Samples)
+		wantJSON, _ := json.Marshal(want.Samples)
+		p2.Close()
+		if string(gotJSON) != string(wantJSON) {
+			t.Fatalf("JSON-body sample %v: restored samples differ:\n got %s\nwant %s", jsonKind, gotJSON, wantJSON)
+		}
+	}
+}
+
 // TestCorruptSnapshotColdStart: with every snapshot rung corrupt, the proxy
 // boots cold, counts the failure, purges the unvouched disk tier, and still
 // serves traffic. No panic, no partial state.

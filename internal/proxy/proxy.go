@@ -500,9 +500,6 @@ func (p *Proxy) Registry() *obs.Registry { return p.reg }
 // newest first.
 func (p *Proxy) RecentSpans(n int) []obs.SpanSnapshot { return p.spans.Recent(n) }
 
-// SpanTotal reports the lifetime count of finished request spans.
-func (p *Proxy) SpanTotal() uint64 { return p.spans.Total() }
-
 // Cache exposes the prefetch store (operational tooling and tests).
 func (p *Proxy) Cache() *cache.Store { return p.store }
 
@@ -535,9 +532,6 @@ func (p *Proxy) BeginDrain() {
 
 // Draining reports whether BeginDrain was called.
 func (p *Proxy) Draining() bool { return p.draining.Load() }
-
-// AdmissionCounts reports lifetime admitted and shed client requests.
-func (p *Proxy) AdmissionCounts() (admitted, shed int64) { return p.gate.counts() }
 
 // SchedMetrics exposes the prefetch scheduler's per-class counters.
 func (p *Proxy) SchedMetrics() sched.Metrics { return p.sched.Metrics() }

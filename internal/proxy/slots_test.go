@@ -60,11 +60,6 @@ func TestSlotsNumberPlanFields(t *testing.T) {
 						checked++
 					}
 				}
-				for _, f := range ps.JSON {
-					if f.Slot != -1 {
-						t.Fatalf("%s: JSON field %s has slot %d", ps.Sig.ID, f.Key, f.Slot)
-					}
-				}
 				if n != len(ps.st.slots) {
 					t.Fatalf("%s: %d plan fields for %d slots", ps.Sig.ID, n, len(ps.st.slots))
 				}

@@ -285,9 +285,6 @@ func (s *Stats) Priority(sigID string) float64 {
 // countRetry records one origin retry attempt.
 func (s *Stats) countRetry() { s.retries.Inc() }
 
-// Retries reports the proxy-wide origin retry count.
-func (s *Stats) Retries() int { return int(s.retries.Value()) }
-
 // countHit records a client request served from the prefetch cache, and the
 // latency it hid: the signature's average origin response time. firstUse
 // marks the first time this particular cached entry is served; shared marks

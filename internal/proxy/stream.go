@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"appx/internal/httpmsg"
 	"appx/internal/obs"
@@ -378,9 +377,6 @@ func (p *Proxy) serveSpool(x *exchange, f *flight, rd *stream.Reader, length int
 	rd.WriteTo(newFlushWriter(w))
 	x.sp.EndStage(obs.StageStream)
 }
-
-// TTFBQuantile reports the q-quantile of observed time-to-first-byte.
-func (p *Proxy) TTFBQuantile(q float64) time.Duration { return p.ttfb.Quantile(q) }
 
 // streamStatCounters groups the data-plane counters (registered in
 // registerStreamBridges).

@@ -769,10 +769,18 @@ func TestCommittedPrefetchBodyHasNoSlack(t *testing.T) {
 // TestDeclaredMissRecyclesItsSegment: once warm, a streamed 1 MiB miss whose
 // length is declared allocates next to nothing per request — its segment
 // comes from the pool and goes back to it — where a fresh segment per miss
-// would allocate the whole MiB.
+// would allocate the whole MiB. The read that finds the body's end takes no
+// chunk: when it returns EOF, the segment is the one buffer checked out.
 func TestDeclaredMissRecyclesItsSegment(t *testing.T) {
 	body := bytes.Repeat([]byte("r"), 1<<20)
-	p := New(Options{Graph: streamGraph(), Upstream: streamedUpstream(body, true)})
+	var p *Proxy
+	var atEOF atomic.Int64
+	up := UpstreamFunc(func(ctx context.Context, r *httpmsg.Request) (*httpmsg.Response, error) {
+		resp, err := streamedUpstream(body, true)(ctx, r)
+		resp.SetStream(io.NopCloser(eofHook{bytes.NewReader(body), func() { atEOF.Store(p.ChunkPool().Outstanding()) }}))
+		return resp, err
+	})
+	p = New(Options{Graph: streamGraph(), Upstream: up})
 	defer p.Close()
 	w := &discardWriter{h: http.Header{}}
 	miss := func() {
@@ -794,7 +802,24 @@ func TestDeclaredMissRecyclesItsSegment(t *testing.T) {
 	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
 		t.Fatalf("a warm 1 MiB declared miss allocates %d bytes, want < 64 KiB", per)
 	}
+	if n := atEOF.Load(); n != 1 {
+		t.Fatalf("%d buffers checked out when the body's end was read, want its one segment", n)
+	}
 	waitChunksReleased(t, p)
+}
+
+// eofHook reads r and calls atEOF each time r reports its end.
+type eofHook struct {
+	r     io.Reader
+	atEOF func()
+}
+
+func (h eofHook) Read(b []byte) (int, error) {
+	n, err := h.r.Read(b)
+	if err == io.EOF {
+		h.atEOF()
+	}
+	return n, err
 }
 
 // TestBodilessResponsesReserveNothing: a response that carries no body — to

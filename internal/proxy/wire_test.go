@@ -5,8 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,11 +17,12 @@ import (
 	"appx/internal/cluster"
 	"appx/internal/config"
 	"appx/internal/httpmsg"
+	"appx/internal/sig"
 )
 
 // capturingOrigin is an HTTP/1.1 origin on a raw loopback listener. It
 // parses each request as it came off the wire (http.ReadRequest, then
-// httpmsg.FromHTTP), keeps it, and answers as an image origin does: a strong
+// httpmsg.FromHTTPLimited), keeps it, and answers as an image origin does: a strong
 // ETag on every 200, a bodiless 304 to a request whose If-None-Match names
 // the body's tag. While hangUps is above zero, each request it parses
 // (and keeps) is answered by closing the connection instead.
@@ -78,7 +82,7 @@ func (o *capturingOrigin) serve(c net.Conn) {
 		if err != nil {
 			return
 		}
-		req, err := httpmsg.FromHTTP(hreq)
+		req, err := httpmsg.FromHTTPLimited(hreq, 0)
 		if err != nil {
 			return
 		}
@@ -259,5 +263,159 @@ func TestOriginHearsTheKeyedRequest(t *testing.T) {
 	heard.DeleteHeader(clusterHopHeader)
 	if heard.CanonicalKey() != req.CanonicalKey() {
 		t.Fatalf("the relay reached the owner as %+v, keyed %+v", heard, req)
+	}
+}
+
+// rawOrigin is an HTTP/1.1 origin that records each request's method and
+// request-target exactly as they arrived on the wire, with its body bytes,
+// and answers every one with a small 200.
+type rawOrigin struct {
+	ln   net.Listener
+	mu   sync.Mutex
+	seen []string // "METHOD target\nbody"
+}
+
+func newRawOrigin(t *testing.T) *rawOrigin {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := &rawOrigin{ln: ln}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer c.Close()
+				br := bufio.NewReader(c)
+				for {
+					hreq, err := http.ReadRequest(br)
+					if err != nil {
+						return
+					}
+					body, _ := io.ReadAll(hreq.Body)
+					o.mu.Lock()
+					o.seen = append(o.seen, hreq.Method+" "+hreq.RequestURI+"\n"+string(body))
+					o.mu.Unlock()
+					fmt.Fprint(c, "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\r\n{}")
+				}
+			}()
+		}
+	}()
+	t.Cleanup(func() { ln.Close(); wg.Wait() })
+	return o
+}
+
+// heard reports whether the origin received exactly method, target and
+// body. An absolute-form target (a relay's) is compared from its path on.
+func (o *rawOrigin) heard(method, target, body string) bool {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for _, s := range o.seen {
+		line, b, _ := strings.Cut(s, "\n")
+		m, uri, _ := strings.Cut(line, " ")
+		if rest, ok := strings.CutPrefix(uri, "http://h.example"); ok {
+			uri = rest
+		}
+		if m == method && uri == target && b == body {
+			return true
+		}
+	}
+	return false
+}
+
+func (o *rawOrigin) dump() string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return strings.Join(o.seen, "\n--\n")
+}
+
+// TestOriginHearsTheClientsBytes: a forwarded miss, a passthrough and a
+// relay reach the next hop with the request-target and body bytes the
+// client sent (RFC 9112 §3.2.2) — an escaped '/' stays escaped, query
+// pairs keep their order and escapes, and form and JSON bodies are not
+// re-encoded.
+func TestOriginHearsTheClientsBytes(t *testing.T) {
+	g := followGraph([]edge{{"list", "img", "imgs[*]"}})
+	g.Add(&sig.Signature{ID: "t:form#0", Method: "POST", URI: sig.Literal("h.example/form"), BodyKind: httpmsg.BodyForm,
+		BodyForm: []sig.Field{{Key: "z", Value: sig.Wildcard("z")}}})
+	origin := newRawOrigin(t)
+	up := NewNetUpstream(map[string]string{"h.example": origin.ln.Addr().String()}, nil)
+	p := New(Options{Graph: g, Config: config.Default(g), Workers: 1, Upstream: up})
+	t.Cleanup(p.Close)
+	srv := httptest.NewServer(p)
+	t.Cleanup(srv.Close)
+
+	// send writes one request in forward-proxy form, byte for byte.
+	send := func(addr, method, target, ctype, body, user string) {
+		t.Helper()
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		head := fmt.Sprintf("%s http://h.example%s HTTP/1.1\r\nHost: h.example\r\nConnection: close\r\n", method, target)
+		if user != "" {
+			head += userHeader + ": " + user + "\r\n"
+		}
+		if body != "" {
+			head += fmt.Sprintf("Content-Type: %s\r\nContent-Length: %d\r\n", ctype, len(body))
+		}
+		if _, err := io.WriteString(c, head+"\r\n"+body); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(bufio.NewReader(c), nil)
+		if err != nil {
+			t.Fatalf("%s %s: %v", method, target, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s %s: status %d", method, target, resp.StatusCode)
+		}
+	}
+	const form, json = "application/x-www-form-urlencoded", "application/json"
+	cases := []struct{ what, method, target, ctype, body string }{
+		{"forwarded miss", "GET", "/list?id=L&b=2&a=1&c=%7E&d=x%20y", "", ""},
+		{"forwarded miss", "POST", "/form?b=2&a=1", form, "z=1&a=%7E"},
+		{"passthrough", "GET", "/a%2Fb/c?b=2&a=1&c=%7E&d=x%20y", "", ""},
+		{"passthrough", "POST", "/a%2Fb/f", form, "z=1&a=%7E"},
+		{"passthrough", "POST", "/graph", json, `{"b":1.0,"a":"<x>"}`},
+	}
+	for _, c := range cases {
+		send(srv.Listener.Addr().String(), c.method, c.target, c.ctype, c.body, "")
+		p.Drain()
+		if !origin.heard(c.method, c.target, c.body) {
+			t.Errorf("%s %s %s %q: the origin heard instead:\n%s", c.what, c.method, c.target, c.body, origin.dump())
+		}
+	}
+
+	// A relay: a non-owner sends the owner the client's bytes.
+	owner := newRawOrigin(t)
+	self := "127.0.0.1:1" // never dialled: only a ring name
+	local := UpstreamFunc(func(context.Context, *httpmsg.Request) (*httpmsg.Response, error) {
+		return nil, errors.New("the relay fell back to the origin")
+	})
+	relay := New(Options{Graph: g, Config: config.Default(g), Workers: 1, Upstream: local,
+		Cluster: cluster.Config{Self: self, Peers: []string{owner.ln.Addr().String()}}})
+	t.Cleanup(relay.Close)
+	rsrv := httptest.NewServer(relay)
+	t.Cleanup(rsrv.Close)
+	user := userOwnedBy([]string{self, owner.ln.Addr().String()}, 1)
+	for _, c := range []struct{ method, target, ctype, body string }{
+		{"GET", "/list?id=R&b=2&a=1&c=%7E&d=x%20y", "", ""},
+		{"POST", "/form?b=2&a=1", form, "z=1&a=%7E"},
+	} {
+		send(rsrv.Listener.Addr().String(), c.method, c.target, c.ctype, c.body, user)
+		if !owner.heard(c.method, c.target, c.body) {
+			t.Errorf("relay %s %s %q: the owner heard instead:\n%s", c.method, c.target, c.body, owner.dump())
+		}
 	}
 }

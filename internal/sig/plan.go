@@ -38,7 +38,6 @@ type SuccPlan struct {
 	Query  []PlanField
 	Header []PlanField
 	Form   []PlanField
-	JSON   []PlanField
 }
 
 // PlanPattern is a Pattern with its Dep parts on the plan's predecessor
@@ -49,19 +48,15 @@ type PlanPattern struct {
 	Deps []int
 }
 
-// PlanField is one query, header, form or JSON-body field of a successor.
+// PlanField is one query, header or form field of a successor.
 type PlanField struct {
-	// Key is the field's key, or the body path text of a JSON field.
 	Key string
 	// Slot numbers the signature's query, header and form fields in that
 	// order, from 0, as they appear in the signature; an exemplar records
-	// each one's presence and captures under it. -1 for a JSON field.
+	// each one's presence and captures under it.
 	Slot     int
 	Optional bool
 	Value    PlanPattern
-	// Path is a JSON field's parsed Key; BadPath says it does not parse.
-	Path    jsonpath.Path
-	BadPath bool
 }
 
 // ReadPlan returns the predecessor's compiled plan, or nil when no
@@ -107,16 +102,11 @@ func buildReadPlan(g *Graph, predID string, succIDs []string) *ReadPlan {
 			}
 			return out
 		}
-		// Compile order is first-use order: URI, query, header, form, JSON.
+		// Compile order is first-use order: URI, query, header, form.
 		sp.URI = compile(s.URI)
 		sp.Query = fields(s.Query)
 		sp.Header = fields(s.Header)
 		sp.Form = fields(s.BodyForm)
-		for _, f := range s.BodyJSON {
-			path, err := jsonpath.Parse(f.Path)
-			sp.JSON = append(sp.JSON, PlanField{Key: f.Path, Slot: -1,
-				Optional: f.Optional, Value: compile(f.Value), Path: path, BadPath: err != nil})
-		}
 		if len(sp.Reads) > 0 {
 			plan.Succs = append(plan.Succs, sp)
 		}

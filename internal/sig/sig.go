@@ -16,6 +16,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -213,13 +214,6 @@ type Field struct {
 	Optional bool    `json:"optional,omitempty"`
 }
 
-// JSONField is a pattern at a path inside a JSON request body.
-type JSONField struct {
-	Path     string  `json:"path"`
-	Value    Pattern `json:"value"`
-	Optional bool    `json:"optional,omitempty"`
-}
-
 // Signature describes one transaction site.
 type Signature struct {
 	// ID is the stable analysis-site identifier, e.g.
@@ -236,7 +230,6 @@ type Signature struct {
 
 	BodyKind httpmsg.BodyKind `json:"bodyKind"`
 	BodyForm []Field          `json:"bodyForm,omitempty"`
-	BodyJSON []JSONField      `json:"bodyJSON,omitempty"`
 
 	// RespFields are the response-body JSON paths the app consumes —
 	// the positions successors may depend on.
@@ -256,7 +249,9 @@ func (s *Signature) Hash() string {
 	s.hashOnce.Do(func() {
 		h := sha256.New()
 		enc := json.NewEncoder(h)
-		// Hash a reduced, deterministic view.
+		// Hash a reduced, deterministic view. BJSON, once the JSON body
+		// fields, stays null so that every hash — and the graph
+		// fingerprint snapshots are filed under — reads as before.
 		view := struct {
 			ID     string
 			Method string
@@ -265,26 +260,12 @@ func (s *Signature) Hash() string {
 			Header []Field
 			BKind  httpmsg.BodyKind
 			BForm  []Field
-			BJSON  []JSONField
-		}{s.ID, s.Method, s.URI.String(), s.Query, s.Header, s.BodyKind, s.BodyForm, s.BodyJSON}
+			BJSON  []Field
+		}{s.ID, s.Method, s.URI.String(), s.Query, s.Header, s.BodyKind, s.BodyForm, nil}
 		enc.Encode(view)
 		s.hash = hex.EncodeToString(h.Sum(nil))[:12]
 	})
 	return s.hash
-}
-
-// MatchesRequest reports whether a live request plausibly instantiates this
-// signature: method equality plus a URI pattern match (the paper's learning
-// target identification, §4.2: "the proxy performs regular expression
-// matching on the URI of the incoming transaction"; a pattern's only
-// expression is the unknown, so Capture's literal segments suffice).
-func (s *Signature) MatchesRequest(r *httpmsg.Request) bool {
-	if !strings.EqualFold(s.Method, r.Method) {
-		return false
-	}
-	var buf [4]string
-	_, ok := s.URI.Capture(r.Host+r.Path, buf[:0])
-	return ok
 }
 
 // UserAgnostic reports whether every pattern of the signature is free of
@@ -314,11 +295,6 @@ func (s *Signature) UserAgnostic() bool {
 			return false
 		}
 	}
-	for _, f := range s.BodyJSON {
-		if f.Value.hasWild() {
-			return false
-		}
-	}
 	return true
 }
 
@@ -333,10 +309,10 @@ func (p Pattern) hasWild() bool {
 
 // FieldLoc names a position inside a request where a dependency lands.
 type FieldLoc struct {
-	// Where is one of "uri", "query", "header", "form", "json".
+	// Where is one of "uri", "query", "header", "form".
 	Where string `json:"where"`
-	// Key is the query/header/form key or JSON body path; for "uri" it is
-	// the decimal index of the pattern part.
+	// Key is the query/header/form key; for "uri" it is the decimal index
+	// of the pattern part.
 	Key string `json:"key"`
 }
 
@@ -621,11 +597,26 @@ func (g *Graph) Marshal() ([]byte, error) {
 	return json.MarshalIndent(g, "", "  ")
 }
 
-// Unmarshal parses a graph from JSON.
+// Unmarshal parses a graph from JSON. A request body is form fields or
+// bytes: a signature with JSON body fields, or of the retired body kind 2,
+// is refused rather than read as something else.
 func Unmarshal(b []byte) (*Graph, error) {
 	var g Graph
 	if err := json.Unmarshal(b, &g); err != nil {
 		return nil, err
+	}
+	var shapes struct {
+		Sigs []struct {
+			ID       string
+			BodyKind httpmsg.BodyKind
+			JSON     json.RawMessage `json:"bodyJSON"`
+		}
+	}
+	json.Unmarshal(b, &shapes) // it parsed above
+	for _, s := range shapes.Sigs {
+		if s.JSON != nil || s.BodyKind == 2 {
+			return nil, fmt.Errorf("sig: signature %q has a JSON request body; a request body is form fields or bytes", s.ID)
+		}
 	}
 	g.reindex()
 	return &g, nil

@@ -334,3 +334,22 @@ func TestMerge(t *testing.T) {
 		t.Fatal("nil graph not tolerated")
 	}
 }
+
+// TestUnmarshalRefusesJSONBodies: a request body is form fields or bytes.
+// A signature file naming JSON body fields, or the retired body kind 2, is
+// refused rather than loaded as a signature that sends something else.
+func TestUnmarshalRefusesJSONBodies(t *testing.T) {
+	for _, s := range []string{
+		`{"id":"a:x#0","method":"POST","uri":{"parts":[{"kind":"lit","lit":"h/x"}]},"bodyKind":3,` +
+			`"bodyJSON":[{"path":"q.id","value":{"parts":[{"kind":"lit","lit":"1"}]}}]}`,
+		`{"id":"a:x#0","method":"POST","uri":{"parts":[{"kind":"lit","lit":"h/x"}]},"bodyKind":2}`,
+	} {
+		if _, err := Unmarshal([]byte(`{"app":"a","sigs":[` + s + `]}`)); err == nil || !strings.Contains(err.Error(), "a:x#0") {
+			t.Errorf("Unmarshal(%s) = %v, want an error naming the signature", s, err)
+		}
+	}
+	ok := `{"app":"a","sigs":[{"id":"a:x#0","method":"POST","uri":{"parts":[{"kind":"lit","lit":"h/x"}]},"bodyKind":3}]}`
+	if g, err := Unmarshal([]byte(ok)); err != nil || g.Sig("a:x#0").BodyKind != httpmsg.BodyRaw {
+		t.Fatalf("Unmarshal of a raw-body signature: %v", err)
+	}
+}

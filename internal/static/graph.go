@@ -250,7 +250,4 @@ func addDeps(g *sig.Graph, s *sig.Signature) {
 	for _, f := range s.BodyForm {
 		emit(f.Value, sig.FieldLoc{Where: "form", Key: f.Key})
 	}
-	for _, f := range s.BodyJSON {
-		emit(f.Value, sig.FieldLoc{Where: "json", Key: f.Path})
-	}
 }

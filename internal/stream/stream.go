@@ -192,6 +192,10 @@ type Spool struct {
 
 	readers map[*Reader]struct{}
 
+	// probe takes the read after the first segment fills, so a body that
+	// ends there — a declared one, most often — takes no chunk to find EOF.
+	probe [8]byte
+
 	now       func() time.Time
 	firstByte time.Time
 	lastByte  time.Time
@@ -281,7 +285,10 @@ func (s *Spool) Append(p []byte) (int, error) {
 }
 
 // ReadFrom reads r to EOF straight into the spool: into the free tail of
-// the last segment, then into fresh chunks. The read runs outside the lock;
+// the last segment, then into fresh chunks. The read after the first
+// segment fills goes into a few bytes the spool owns, and takes a chunk
+// only if bytes arrive, so a body that ends there never checks one out to
+// find EOF. The read runs outside the lock;
 // readers never look past Size, so the tail is the writer's alone. ReadFrom
 // stops early with errAbandoned once the body has overflowed the cap with no
 // reader attached. It must not be called after CloseWriter.
@@ -298,16 +305,23 @@ func (s *Spool) ReadFrom(r io.Reader) (int64, error) {
 		}
 		tail := s.tailLocked()
 		fresh := len(tail) == 0
-		if fresh {
+		probe := fresh && s.base == 0 && len(s.segs) == 1
+		switch {
+		case probe:
+			tail = s.probe[:]
+		case fresh:
 			tail = s.pool.Get()
 		}
 		s.mu.Unlock()
 		n, err := r.Read(tail)
 		s.mu.Lock()
 		switch {
+		case n > 0 && probe:
+			s.segs = append(s.segs, s.pool.Get())
+			copy(s.segs[1], tail[:n])
 		case n > 0 && fresh:
 			s.segs = append(s.segs, tail)
-		case fresh:
+		case fresh && !probe:
 			s.pool.Put(tail) // the read that found EOF needed no room
 		}
 		if n > 0 {
@@ -547,21 +561,6 @@ func (s *Spool) Readers() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.readers)
-}
-
-// FirstByte returns the timestamp of the first written byte (zero until
-// then; CloseWriter on an empty body stamps both).
-func (s *Spool) FirstByte() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.firstByte
-}
-
-// LastByte returns the CloseWriter timestamp (zero until done).
-func (s *Spool) LastByte() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastByte
 }
 
 // ReaderAt attaches a reader starting at absolute offset off. It fails with

@@ -194,86 +194,11 @@ func GenerateStudy(a *apk.APK, n int, seed int64, duration time.Duration) []*Tra
 	return out
 }
 
-// Recorder captures a live session as a replayable trace — the role
-// Appetizer plays in the paper's user study ("We record the user event
-// traces (e.g., click and scrolling) ... while each user freely uses each
-// app"). Wrap a device, drive it, then call Trace.
-type Recorder struct {
-	inner Driver
-	trace *Trace
-	// now supplies timestamps; injectable for deterministic tests.
-	now  func() time.Time
-	last time.Time
-	apk  *apk.APK
-}
-
-// NewRecorder wraps a driver so every interaction is recorded. The APK is
-// consulted to tag main interactions.
-func NewRecorder(d Driver, a *apk.APK, user string) *Recorder {
-	return &Recorder{
-		inner: d,
-		trace: &Trace{App: a.Manifest.Package, User: user},
-		now:   time.Now,
-		apk:   a,
-	}
-}
-
-// SetClock injects a time source (tests).
-func (r *Recorder) SetClock(now func() time.Time) { r.now = now }
-
-// think computes the pause since the previous recorded event.
-func (r *Recorder) think() time.Duration {
-	t := r.now()
-	if r.last.IsZero() {
-		r.last = t
-		return 0
-	}
-	d := t.Sub(r.last)
-	r.last = t
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
-// Launch records and forwards an app launch.
-func (r *Recorder) Launch() (device.Measure, error) {
-	r.trace.Events = append(r.trace.Events, Event{Kind: Launch, Think: r.think()})
-	return r.inner.Launch()
-}
-
-// Tap records and forwards a widget activation.
-func (r *Recorder) Tap(widgetID string, index int) (device.Measure, error) {
-	main := false
-	if sc := r.apk.Screen(r.inner.Screen()); sc != nil {
-		for _, w := range sc.Widgets {
-			if w.ID == widgetID {
-				main = w.Main
-			}
-		}
-	}
-	r.trace.Events = append(r.trace.Events, Event{Kind: Tap, Widget: widgetID, Index: index, Think: r.think(), Main: main})
-	return r.inner.Tap(widgetID, index)
-}
-
-// Back records and forwards a back navigation.
-func (r *Recorder) Back() bool {
-	r.trace.Events = append(r.trace.Events, Event{Kind: BackNav, Think: r.think()})
-	return r.inner.Back()
-}
-
-// Screen forwards to the device.
-func (r *Recorder) Screen() string { return r.inner.Screen() }
-
-// Trace returns the recorded session.
-func (r *Recorder) Trace() *Trace { return r.trace }
-
 // Driver abstracts the replay target (an emulated device).
 type Driver interface {
 	Launch() (device.Measure, error)
 	Tap(widgetID string, index int) (device.Measure, error)
 	Back() bool
-	Screen() string
 }
 
 // InteractionMeasure couples a replayed event with its measured latency.

@@ -166,47 +166,3 @@ func TestReplayAgainstUIModelNeverDesyncs(t *testing.T) {
 		}
 	}
 }
-
-func TestRecorderRoundTrip(t *testing.T) {
-	a := apps.Wish()
-	d := inProcDevice(t, a)
-	rec := NewRecorder(d, a.APK, "recorded-user")
-	virtual := time.Now()
-	rec.SetClock(func() time.Time { return virtual })
-
-	if _, err := rec.Launch(); err != nil {
-		t.Fatal(err)
-	}
-	virtual = virtual.Add(3 * time.Second)
-	if _, err := rec.Tap("item", 2); err != nil {
-		t.Fatal(err)
-	}
-	virtual = virtual.Add(5 * time.Second)
-	rec.Back()
-	virtual = virtual.Add(2 * time.Second)
-	if _, err := rec.Tap("item", 4); err != nil {
-		t.Fatal(err)
-	}
-
-	tr := rec.Trace()
-	if len(tr.Events) != 4 {
-		t.Fatalf("events = %d, want 4", len(tr.Events))
-	}
-	if tr.Events[0].Kind != Launch || tr.Events[0].Think != 0 {
-		t.Fatalf("event 0 = %+v", tr.Events[0])
-	}
-	if tr.Events[1].Think != 3*time.Second || !tr.Events[1].Main {
-		t.Fatalf("event 1 = %+v (want 3s think, main)", tr.Events[1])
-	}
-	if tr.Events[2].Kind != BackNav || tr.Events[2].Think != 5*time.Second {
-		t.Fatalf("event 2 = %+v", tr.Events[2])
-	}
-
-	// The recorded trace must replay cleanly on a fresh device.
-	d2 := inProcDevice(t, a)
-	for i, m := range Replay(d2, tr, 1e9) {
-		if m.Err != nil {
-			t.Fatalf("replay event %d: %v", i, m.Err)
-		}
-	}
-}

@@ -38,13 +38,15 @@ go test -list '^Benchmark' ./... |
 
 # Every native fuzz target gets a few seconds of fuzzing past its seed
 # corpus (the test passes above run the seeds alone). The targets are listed,
-# not named here, so a new one joins without an edit.
+# not named here, so a new one joins without an edit. Minimizing an
+# interesting input is capped at ten runs, or it can take the whole budget
+# at 0 execs/s.
 echo "== fuzz smoke"
 go test -list '^Fuzz' ./... |
     awk '/^Fuzz/ { t[n++] = $1 } /^ok / { for (i = 0; i < n; i++) print $2, t[i]; n = 0 }' |
     while read -r pkg target; do
         echo "-- $pkg $target"
-        go test -run '^$' -fuzz "^${target}\$" -fuzztime 5s "$pkg"
+        go test -run '^$' -fuzz "^${target}\$" -fuzztime 5s -fuzzminimizetime 10x "$pkg"
     done
 
 # bench/ is a module of its own, so ./... above never compiles it: vet it
@@ -101,6 +103,14 @@ if [ -n "$stray" ]; then
     echo "$stray" >&2
     exit 1
 fi
+
+# No exported name without a program caller: every exported identifier of
+# internal/ that no non-test code outside bench/ references is listed, with
+# its reason, in testdata/deadsurface.allow, and a line whose name is gone
+# or has a caller again fails too (deadsurface_test.go). The build tag keeps
+# the scan out of the test passes above.
+echo "== dead surface"
+go test -tags deadsurface -run '^TestDeadSurface$' -count=1 .
 
 # Informational, not a gate: the non-test Go line count outside bench/ that
 # simplicity changes report, and the byte sizes of the long documents.
